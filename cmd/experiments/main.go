@@ -34,7 +34,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,6 +43,7 @@ import (
 	"streamline/internal/exp/runner"
 	"streamline/internal/exp/store"
 	"streamline/internal/metrics"
+	"streamline/internal/telemetry"
 )
 
 func main() {
@@ -129,7 +129,7 @@ func main() {
 
 	// os.Exit skips defers, so every exit after this point goes through
 	// exit() to flush the profiles.
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -368,46 +368,6 @@ func armCrashAfter(st *store.Store) {
 			select {} // die before the append is acknowledged
 		}
 	})
-}
-
-// startProfiles begins CPU profiling and arranges a heap profile, returning
-// a stop function that must run before every exit (os.Exit skips defers).
-func startProfiles(cpuDest, memDest string) (func(), error) {
-	var cpuFile *os.File
-	if cpuDest != "" {
-		f, err := os.Create(cpuDest)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	stopped := false
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memDest != "" {
-			f, err := os.Create(memDest)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}, nil
 }
 
 // jsonReport is the -json results document: everything the text tables

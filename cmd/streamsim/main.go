@@ -23,10 +23,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
+	"strings"
 
 	"streamline/internal/audit"
+	"streamline/internal/exp/store"
 	"streamline/internal/serve"
 	"streamline/internal/sim"
 	"streamline/internal/telemetry"
@@ -36,9 +36,9 @@ import (
 func main() {
 	var (
 		workload  = flag.String("workload", "sphinx06", "workload name")
-		l1        = flag.String("l1", serve.DefaultL1, "L1D prefetcher: none|stride|berti")
-		l2        = flag.String("l2", serve.DefaultL2, "L2 prefetcher: none|ipcp|bingo|spp")
-		temporal  = flag.String("temporal", serve.DefaultTemporal, "temporal prefetcher: none|triage|triangel|streamline|streamline-bypass|stms")
+		l1        = flag.String("l1", serve.DefaultL1, "L1D prefetcher: "+strings.Join(serve.L1Options, "|"))
+		l2        = flag.String("l2", serve.DefaultL2, "L2 prefetcher: "+strings.Join(serve.L2Options, "|"))
+		temporal  = flag.String("temporal", serve.DefaultTemporal, "temporal prefetcher: "+strings.Join(serve.TemporalOptions, "|"))
 		cores     = flag.Int("cores", serve.DefaultCores, "core count (same workload on every core)")
 		footprint = flag.Float64("footprint", serve.DefaultFootprint, "workload footprint scale")
 		warmup    = flag.Uint64("warmup", serve.DefaultWarmup, "warmup instructions")
@@ -103,7 +103,7 @@ func main() {
 
 	// os.Exit skips defers, so every exit after this point goes through
 	// exit() to flush the profiles.
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -234,57 +234,17 @@ func main() {
 	stopProfiles()
 }
 
+// writeJSON emits the result document; a file destination is written
+// atomically (temp file + fsync + rename), so a failed write never leaves a
+// truncated document behind.
 func writeJSON(dest string, res serve.Result) error {
-	var w io.Writer = os.Stdout
-	if dest != "-" {
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	emit := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// startProfiles begins CPU profiling and arranges a heap profile, returning
-// a stop function that must run before every exit (os.Exit skips defers).
-func startProfiles(cpuDest, memDest string) (func(), error) {
-	var cpuFile *os.File
-	if cpuDest != "" {
-		f, err := os.Create(cpuDest)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
+	if dest == "-" {
+		return emit(os.Stdout)
 	}
-	stopped := false
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memDest != "" {
-			f, err := os.Create(memDest)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}, nil
+	return store.WriteFileAtomic(dest, emit)
 }

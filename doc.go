@@ -11,9 +11,13 @@
 //     stores, the Table I partitioning schemes, utility partitioning
 //   - internal/prefetch/... — stride, Berti, IPCP, Bingo, SPP-PPF, Triage,
 //     Triangel
-//   - internal/{cache,cpu,dram,sim} — the simulated system of Table II
+//   - internal/{cache,cpu,dram,sim} — the simulated system of Table II;
+//     internal/sim/engines.go is the engine table, the one place a
+//     prefetcher name maps to its slot and constructor
 //   - internal/workloads — synthetic SPEC/GAP-like benchmark suite
-//   - internal/exp — the experiment harness (one runner per table/figure)
+//   - internal/exp — the experiment harness (one runner per table/figure):
+//     scale.go sizing and arms, runner.go the memoizing runner, pool.go the
+//     fan-out, failures.go/stats.go/table.go the reporting helpers
 //   - internal/serve — the simulation-as-a-service layer behind cmd/streamd
 //   - internal/metrics — counters/gauges/histograms with Prometheus text
 //     exposition, shared by the daemon and the sweep runner

@@ -9,1045 +9,7 @@
 // hierarchy with full footprints).
 package exp
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-
-	"streamline/internal/audit"
-	"streamline/internal/core"
-	"streamline/internal/exp/runner"
-	"streamline/internal/exp/store"
-	"streamline/internal/meta"
-	"streamline/internal/metrics"
-	"streamline/internal/prefetch"
-	"streamline/internal/prefetch/berti"
-	"streamline/internal/prefetch/bingo"
-	"streamline/internal/prefetch/ipcp"
-	"streamline/internal/prefetch/spp"
-	"streamline/internal/prefetch/stride"
-	"streamline/internal/prefetch/triangel"
-	"streamline/internal/sim"
-	"streamline/internal/telemetry"
-	"streamline/internal/workloads"
-)
-
-// Scale fixes the experiment sizing so cache capacity and workload
-// footprints stay proportioned the way Table II and the SPEC/GAP footprints
-// are.
-type Scale struct {
-	Name      string
-	Footprint float64
-	L2Sets    int
-	LLCSets   int
-	// MetaBytes is the per-core maximum metadata partition (half the LLC).
-	MetaBytes int
-	// MinSets is Streamline's permanent metadata set floor.
-	MinSets int
-	Warmup  uint64
-	Measure uint64
-	// Workloads restricts the suite (nil: every registered workload).
-	Workloads []string
-	// MixCount is the number of multi-programmed mixes per core count.
-	MixCount int
-	// Bandwidth scales DRAM channel bandwidth. The small scale shrinks
-	// the caches 8x under a full-size core, which multiplies the miss
-	// rate; bandwidth must scale with it or every workload degenerates
-	// to bandwidth-bound and prefetching cannot help.
-	Bandwidth float64
-	// Seed makes every run reproducible.
-	Seed int64
-}
-
-// Small is the scaled-down sizing used by tests and benches: an 8x smaller
-// hierarchy with 10x smaller footprints, preserving the capacity ratios that
-// drive the paper's results.
-var Small = Scale{
-	Name:      "small",
-	Footprint: 0.1,
-	L2Sets:    128, // 64KB
-	LLCSets:   256, // 256KB/core
-	MetaBytes: 128 << 10,
-	MinSets:   16,
-	Warmup:    400_000,
-	Measure:   1_200_000,
-	Workloads: []string{
-		"sphinx06", "mcf06", "omnetpp06", "soplex06", "libquantum06", "bzip206",
-		"mcf17", "xz17", "lbm17", "gcc17",
-		"pr", "cc", "bfs", "sssp",
-	},
-	MixCount:  6,
-	Bandwidth: 4.0,
-	Seed:      12345,
-}
-
-// Micro is the minimal sizing: the Small hierarchy with two workloads and
-// tiny instruction budgets, so a full `-run all` sweep finishes in minutes
-// on one core. It exists for the test suite and the crash-injection
-// harness (`-scale micro`), not for reproducing numbers.
-var Micro = func() Scale {
-	sc := Small
-	sc.Name = "micro"
-	sc.Workloads = []string{"sphinx06", "libquantum06"}
-	sc.Warmup = 40_000
-	sc.Measure = 120_000
-	sc.MixCount = 1
-	return sc
-}()
-
-// Paper is the Table II sizing with full synthetic footprints.
-var Paper = Scale{
-	Name:      "paper",
-	Footprint: 1.0,
-	L2Sets:    1024, // 512KB
-	LLCSets:   2048, // 2MB/core
-	MetaBytes: 1 << 20,
-	MinSets:   64,
-	Warmup:    4_000_000,
-	Measure:   12_000_000,
-	MixCount:  12,
-	Seed:      12345,
-}
-
-// Fingerprint canonically encodes every sizing parameter of the scale. The
-// result store records it in each sweep's manifest and mixes it into every
-// job key, so cached results are only ever replayed under the exact scale
-// that produced them.
-func (sc Scale) Fingerprint() string {
-	return fmt.Sprintf("scale-v1|%s|%g|%d|%d|%d|%d|%d|%d|%s|%d|%g|%d",
-		sc.Name, sc.Footprint, sc.L2Sets, sc.LLCSets, sc.MetaBytes, sc.MinSets,
-		sc.Warmup, sc.Measure, strings.Join(sc.Workloads, ","), sc.MixCount,
-		sc.Bandwidth, sc.Seed)
-}
-
-// workloadList resolves the scale's workload subset.
-func (sc Scale) workloadList() []workloads.Workload {
-	if sc.Workloads == nil {
-		return workloads.All()
-	}
-	out := make([]workloads.Workload, 0, len(sc.Workloads))
-	for _, n := range sc.Workloads {
-		w, err := workloads.Get(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
-func (sc Scale) irregular() []workloads.Workload {
-	var out []workloads.Workload
-	for _, w := range sc.workloadList() {
-		if w.Irregular {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// baseConfig builds the system config for this scale.
-func (sc Scale) baseConfig(cores int) sim.Config {
-	cfg := sim.DefaultConfig(cores)
-	cfg.L2.Sets = sc.L2Sets
-	cfg.LLC.Sets = sc.LLCSets
-	cfg.WarmupInstructions = sc.Warmup
-	cfg.MeasureInstructions = sc.Measure
-	if sc.Bandwidth > 1 {
-		// Scale channel count, not burst time: the small hierarchy needs
-		// proportional bank-level parallelism too, or random-access
-		// workloads stay bank-throughput-bound no matter the bus speed.
-		cfg.DRAM.Channels *= int(sc.Bandwidth)
-	}
-	return cfg
-}
-
-// ---- arms ------------------------------------------------------------
-
-// Arm is one system configuration under test. Name must uniquely identify
-// the configuration: results are memoized by (arm, workload(s), cores).
-type Arm struct {
-	Name  string
-	Apply func(cfg *sim.Config, sc Scale)
-}
-
-func l1Factory(kind string) sim.PrefetcherFactory {
-	switch kind {
-	case "stride":
-		return func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }
-	case "berti":
-		return func() prefetch.Prefetcher { return berti.New(berti.DefaultConfig) }
-	default:
-		return nil
-	}
-}
-
-func l2Factory(kind string) sim.PrefetcherFactory {
-	switch kind {
-	case "ipcp":
-		return func() prefetch.Prefetcher { return ipcp.New(ipcp.DefaultConfig) }
-	case "bingo":
-		return func() prefetch.Prefetcher { return bingo.New(bingo.DefaultConfig) }
-	case "spp":
-		return func() prefetch.Prefetcher { return spp.New(spp.DefaultConfig) }
-	default:
-		return nil
-	}
-}
-
-// baseArm is the no-temporal baseline with the given L1/L2 prefetchers.
-func baseArm(l1, l2 string) Arm {
-	name := "base"
-	if l1 != "" {
-		name += "+" + l1
-	}
-	if l2 != "" {
-		name += "+" + l2
-	}
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		cfg.L1DPrefetcher = l1Factory(l1)
-		cfg.L2Prefetcher = l2Factory(l2)
-	}}
-}
-
-// triangelArm builds a Triangel arm; mod may adjust the configuration and
-// must be reflected in name.
-func triangelArm(name, l1, l2 string, mod func(*triangel.Config)) Arm {
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		cfg.L1DPrefetcher = l1Factory(l1)
-		cfg.L2Prefetcher = l2Factory(l2)
-		cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-			c := triangel.DefaultConfig()
-			c.MetaBytes = sc.MetaBytes
-			if mod != nil {
-				mod(&c)
-			}
-			return triangel.New(c, b)
-		}
-	}}
-}
-
-// streamlineArm builds a Streamline arm; mod may adjust the options and must
-// be reflected in name.
-func streamlineArm(name, l1, l2 string, mod func(*core.Options)) Arm {
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		cfg.L1DPrefetcher = l1Factory(l1)
-		cfg.L2Prefetcher = l2Factory(l2)
-		cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-			o := core.DefaultOptions()
-			o.MetaBytes = sc.MetaBytes
-			o.MinSets = sc.MinSets
-			if mod != nil {
-				mod(&o)
-			}
-			return core.New(o, b)
-		}
-	}}
-}
-
-// ---- runner ------------------------------------------------------------
-
-// Runner executes arms with memoization so shared baselines are simulated
-// once per harness invocation. Run and RunMix are safe for concurrent use:
-// each simulation is single-flighted by its memo key, so a result is
-// computed exactly once no matter how many goroutines ask for it.
-type Runner struct {
-	Scale    Scale
-	Progress io.Writer
-	// Ctx, when non-nil, cancels the sweep cooperatively: in-flight
-	// simulations stop at their next engine epoch boundary (a few thousand
-	// trace records), pending pool jobs fail fast with ctx.Err(), and
-	// every aborted job is recorded as a failure. Results already
-	// checkpointed to Store stay durable. Nil means background (never
-	// canceled).
-	Ctx context.Context
-	// Jobs bounds the worker pool used by Precompute and ParallelMap.
-	// Zero or negative means GOMAXPROCS; 1 reproduces the serial harness.
-	Jobs int
-	// JobProgress, when non-nil, receives per-job completion lines (done
-	// count, elapsed, ETA) from the worker pool. Point it at stderr: its
-	// line order follows completion order and is not deterministic.
-	JobProgress io.Writer
-	// Check enables the runtime invariant audit on every simulation the
-	// runner performs. The checks are read-only — result tables are
-	// byte-identical either way — and AuditSummary reports what they found.
-	Check bool
-	// TelemetryDir, when non-empty, writes each simulation's interval
-	// samples and events as JSONL to <dir>/<memo key>.jsonl. Every
-	// simulation gets its own file and runs at most once (single-flighted
-	// by memo key), so the output is parallel-safe and its content
-	// deterministic for any Jobs value. Instrumentation is read-only —
-	// result tables are byte-identical either way.
-	TelemetryDir string
-	// SampleInterval is the measured instructions between telemetry samples
-	// per core; zero means a tenth of the scale's measured window.
-	SampleInterval uint64
-	// Store, when non-nil, persists every completed simulation result and
-	// replays validated cached results instead of recomputing (the
-	// -checkpoint/-resume machinery). Replayed results are re-validated
-	// against their content hash; simulations are deterministic, so a
-	// resumed sweep's tables are byte-identical to an uninterrupted run.
-	Store *store.Store
-	// Fault bounds each simulation job: per-attempt timeout, bounded
-	// retry with backoff, and panic isolation. With the zero value a
-	// panicking arm still degrades to a recorded gap instead of aborting
-	// the sweep (see Failures).
-	Fault runner.FaultPolicy
-	// FailKey, when non-empty, makes any job whose key contains it panic
-	// at the start of its computation — the fault-injection hook behind
-	// the EXPERIMENTS_FAIL_KEY harness and the degradation tests.
-	FailKey string
-
-	logMu   sync.Mutex
-	mu      sync.Mutex
-	memo    map[string]*memoEntry
-	sysMemo map[string]*sysMemoEntry
-
-	audMu    sync.Mutex
-	auditors []*audit.Auditor
-
-	telMu  sync.Mutex
-	telErr error
-
-	fails    *failureLog
-	resumed  atomic.Int64
-	storeMu  sync.Mutex
-	storeErr error
-}
-
-// memoEntry single-flights one simulation result. A failed job memoizes its
-// error: res stays the zero Result (the gap value) and err records why.
-type memoEntry struct {
-	once sync.Once
-	res  sim.Result
-	err  error
-}
-
-// sysMemoEntry single-flights a simulation that also retains its system for
-// prefetcher-internal inspection. The system is read-only after the run;
-// on failure sys is nil and err records why.
-type sysMemoEntry struct {
-	once sync.Once
-	res  sim.Result
-	sys  *sim.System
-	err  error
-}
-
-// NewRunner returns a runner at the given scale.
-func NewRunner(sc Scale) *Runner {
-	return &Runner{
-		Scale:   sc,
-		memo:    make(map[string]*memoEntry),
-		sysMemo: make(map[string]*sysMemoEntry),
-		fails:   newFailureLog(),
-	}
-}
-
-// Derived returns a runner at a modified scale that shares this runner's
-// pool sizing, progress sinks, fault policy, result store, and failure log
-// — for studies that rerun arms under a perturbed scale (fig13c's
-// capacity-pressured runner). Store keys embed the scale fingerprint, so
-// the two runners' records never collide.
-func (r *Runner) Derived(sc Scale) *Runner {
-	nr := NewRunner(sc)
-	nr.Progress = r.Progress
-	nr.Ctx = r.Ctx
-	nr.Jobs = r.Jobs
-	nr.JobProgress = r.JobProgress
-	nr.Store = r.Store
-	nr.Fault = r.Fault
-	nr.FailKey = r.FailKey
-	nr.fails = r.fails
-	return nr
-}
-
-// EnableMetrics resolves the runner_job_* instrument family on reg and wires
-// it into this runner: Execute-level accounting via the fault policy, gap
-// counting via the failure log, and replay counting via the resume path.
-// Call it after assigning Fault (assigning Fault later would discard the
-// hook). Derived runners inherit the wiring — the fault policy is copied and
-// the failure log is shared — so a sweep's counters are complete.
-func (r *Runner) EnableMetrics(reg *metrics.Registry) *runner.Metrics {
-	m := runner.NewMetrics(reg)
-	r.Fault.Metrics = m
-	r.fails.mu.Lock()
-	r.fails.metrics = m
-	r.fails.mu.Unlock()
-	return m
-}
-
-// ---- failure accounting ---------------------------------------------------
-
-// JobFailure records one permanently failed job: its result is a
-// zero-valued gap in every table that consumes it.
-type JobFailure struct {
-	Key string
-	Err error
-}
-
-// failureLog accumulates failed job keys. It is shared between a runner and
-// its Derived runners so a sweep's degradation summary is complete.
-type failureLog struct {
-	mu      sync.Mutex
-	order   []JobFailure
-	keys    map[string]bool
-	drained int
-	// metrics, when set by EnableMetrics, counts each newly gapped key.
-	metrics *runner.Metrics
-}
-
-func newFailureLog() *failureLog { return &failureLog{keys: make(map[string]bool)} }
-
-func (l *failureLog) add(key string, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.keys[key] {
-		return
-	}
-	l.keys[key] = true
-	l.order = append(l.order, JobFailure{Key: key, Err: err})
-	l.metrics.GapInc()
-}
-
-func (l *failureLog) has(key string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.keys[key]
-}
-
-// sortedCopy returns fails sorted by key: recording order follows pool
-// scheduling and is not deterministic, the sorted view is.
-func sortedCopy(fails []JobFailure) []JobFailure {
-	out := append([]JobFailure(nil), fails...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// Failures returns every failure recorded so far, sorted by job key.
-func (r *Runner) Failures() []JobFailure {
-	r.fails.mu.Lock()
-	defer r.fails.mu.Unlock()
-	return sortedCopy(r.fails.order)
-}
-
-// DrainFailures returns the failures recorded since the previous drain,
-// sorted by job key. cmd/experiments calls it after each experiment to
-// annotate that experiment's tables with its gaps.
-func (r *Runner) DrainFailures() []JobFailure {
-	r.fails.mu.Lock()
-	defer r.fails.mu.Unlock()
-	newFails := r.fails.order[r.fails.drained:]
-	r.fails.drained = len(r.fails.order)
-	return sortedCopy(newFails)
-}
-
-// Gapped reports whether the job with this key failed permanently. For
-// simulation jobs it answers only after the sim was attempted (Precompute
-// or a direct Run), which every experiment does before aggregating.
-func (r *Runner) Gapped(key string) bool { return r.fails.has(key) }
-
-// GapRun reports whether a single-workload simulation is a gap.
-func (r *Runner) GapRun(arm Arm, workload string) bool {
-	return r.GapMix(arm, []string{workload}, 1, 0)
-}
-
-// GapMix reports whether a mix simulation is a gap.
-func (r *Runner) GapMix(arm Arm, mix []string, cores int, bwFactor float64) bool {
-	return r.fails.has(simKey(arm, mix, cores, bwFactor))
-}
-
-// GapCell is the table cell marking a value whose simulation failed.
-const GapCell = "GAP"
-
-// AnnotateGaps appends one deterministic note per failed job to the first
-// table, so a degraded sweep's output explicitly marks what is missing.
-func AnnotateGaps(tables []Table, fails []JobFailure) {
-	if len(tables) == 0 || len(fails) == 0 {
-		return
-	}
-	for _, f := range fails {
-		tables[0].Notes = append(tables[0].Notes,
-			fmt.Sprintf("GAP: job %q failed: %v", f.Key, f.Err))
-	}
-}
-
-// ResumedJobs returns how many simulations were replayed from the store
-// instead of recomputed.
-func (r *Runner) ResumedJobs() int { return int(r.resumed.Load()) }
-
-func (r *Runner) storeFail(err error) {
-	r.storeMu.Lock()
-	if r.storeErr == nil {
-		r.storeErr = err
-	}
-	r.storeMu.Unlock()
-}
-
-// StoreErr returns the first store I/O error encountered, or nil. A store
-// write failure does not fail the simulation that produced the result, but
-// the sweep must report it: the checkpoint is incomplete.
-func (r *Runner) StoreErr() error {
-	r.storeMu.Lock()
-	defer r.storeMu.Unlock()
-	return r.storeErr
-}
-
-func (r *Runner) logf(format string, args ...any) {
-	if r.Progress != nil {
-		r.logMu.Lock()
-		defer r.logMu.Unlock()
-		fmt.Fprintf(r.Progress, format, args...)
-	}
-}
-
-// Run executes one arm on a single workload (1 core).
-func (r *Runner) Run(arm Arm, workload string) sim.Result {
-	return r.RunMix(arm, []string{workload}, 1, 0)
-}
-
-// TryRun is Run reporting success (see TryRunMix).
-func (r *Runner) TryRun(arm Arm, workload string) (sim.Result, bool) {
-	return r.TryRunMix(arm, []string{workload}, 1, 0)
-}
-
-func simKey(arm Arm, mix []string, cores int, bwFactor float64) string {
-	return fmt.Sprintf("%s|%s|%d|%.3f", arm.Name, strings.Join(mix, ","), cores, bwFactor)
-}
-
-// RunMix executes one arm on a multi-programmed mix. bwFactor scales DRAM
-// bandwidth when nonzero (Figure 10c). A permanently failed simulation
-// (panic, exhausted retries, timeout) returns the zero Result — the gap
-// value — and records a JobFailure; callers that must distinguish use
-// TryRunMix or GapMix.
-func (r *Runner) RunMix(arm Arm, mix []string, cores int, bwFactor float64) sim.Result {
-	res, _ := r.TryRunMix(arm, mix, cores, bwFactor)
-	return res
-}
-
-// TryRunMix is RunMix reporting success: ok is false when the simulation
-// failed permanently under the fault policy (res is then the zero Result).
-func (r *Runner) TryRunMix(arm Arm, mix []string, cores int, bwFactor float64) (res sim.Result, ok bool) {
-	key := simKey(arm, mix, cores, bwFactor)
-	r.mu.Lock()
-	e, found := r.memo[key]
-	if !found {
-		e = &memoEntry{}
-		r.memo[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		e.res, e.err = r.computeOrReplay(key, arm, mix, cores, bwFactor)
-		if e.err != nil {
-			r.fails.add(key, e.err)
-		}
-	})
-	return e.res, e.err == nil
-}
-
-// computeOrReplay returns the stored result for key when the store holds a
-// validated record for it, and otherwise computes the simulation under the
-// fault policy and checkpoints the result. Replay is sound because a
-// simulation is a pure function of (scale, arm, mix, cores, bwFactor) and
-// the store key hashes all of them.
-func (r *Runner) computeOrReplay(key string, arm Arm, mix []string, cores int, bwFactor float64) (sim.Result, error) {
-	sk := r.storeKey(key)
-	if r.Store != nil {
-		if payload, found := r.Store.Get(sk); found {
-			var res sim.Result
-			if err := json.Unmarshal(payload, &res); err == nil {
-				r.resumed.Add(1)
-				r.Fault.Metrics.ReplayInc()
-				r.logf("  [cached] %s\n", key)
-				return res, nil
-			}
-			// An undecodable payload behaves like a missing record:
-			// recompute rather than replay anything questionable.
-		}
-	}
-	res, err := runner.Execute(r.ctx(), r.Fault, nil, key,
-		func(ctx context.Context) (sim.Result, error) {
-			r.maybeInjectFailure(key)
-			return r.computeMix(ctx, arm, mix, cores, bwFactor)
-		})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if r.Store != nil {
-		if perr := r.Store.Put(sk, key, res); perr != nil {
-			r.storeFail(perr)
-		}
-	}
-	return res, nil
-}
-
-// storeKey derives the content-addressed store key for a simulation memo
-// key: the scale fingerprint is mixed in so runners at different scales
-// (fig13c's pressured Derived runner) can share one store without collisions.
-func (r *Runner) storeKey(key string) string {
-	return store.Key("simresult", r.Scale.Fingerprint(), key)
-}
-
-// maybeInjectFailure panics when fault injection targets this job — the
-// hook behind FailKey and the EXPERIMENTS_FAIL_KEY harness.
-func (r *Runner) maybeInjectFailure(key string) {
-	if r.FailKey != "" && strings.Contains(key, r.FailKey) {
-		panic(fmt.Sprintf("injected failure for job %q (fail key %q)", key, r.FailKey))
-	}
-}
-
-// computeMix builds a fresh system and runs the simulation, observing ctx
-// between engine epochs so a canceled sweep releases its workers promptly.
-// Everything it touches is job-private: the config is a value copy of the
-// scale, the system and its traces are constructed here, and the workload
-// registry is only read — which is what makes concurrent RunMix calls
-// race-free.
-func (r *Runner) computeMix(ctx context.Context, arm Arm, mix []string, cores int, bwFactor float64) (sim.Result, error) {
-	cfg := r.Scale.baseConfig(cores)
-	if bwFactor > 0 {
-		cfg.DRAM = cfg.DRAM.ScaleBandwidth(bwFactor)
-	}
-	arm.Apply(&cfg, r.Scale)
-	r.attachAudit(&cfg, simKey(arm, mix, cores, bwFactor))
-	finish := r.attachTelemetry(&cfg, simKey(arm, mix, cores, bwFactor))
-	sys := sim.New(cfg)
-	for c := 0; c < cores; c++ {
-		w, err := workloads.Get(mix[c%len(mix)])
-		if err != nil {
-			panic(err)
-		}
-		sys.SetTrace(c, w.NewTrace(workloads.Scale{Footprint: r.Scale.Footprint},
-			r.Scale.Seed+int64(c)))
-	}
-	r.logf("  [%s] %s x%d\n", arm.Name, strings.Join(mix, ","), cores)
-	res, err := sys.RunCtx(ctx, 0, nil)
-	finish()
-	return res, err
-}
-
-// ctx returns the runner's cancellation context, defaulting to background.
-func (r *Runner) ctx() context.Context {
-	if r.Ctx != nil {
-		return r.Ctx
-	}
-	return context.Background()
-}
-
-// attachAudit arms cfg with a fresh auditor when Check is set, labeling it
-// with the simulation's memo key so a violation traces back to its run. The
-// auditor is retained for AuditSummary.
-func (r *Runner) attachAudit(cfg *sim.Config, key string) {
-	if !r.Check {
-		return
-	}
-	a := audit.New(r.Scale.Seed)
-	a.Label = key
-	cfg.Audit = a
-	r.audMu.Lock()
-	r.auditors = append(r.auditors, a)
-	r.audMu.Unlock()
-}
-
-// attachTelemetry arms cfg with a collector writing to this simulation's own
-// file under TelemetryDir, returning a finish function the caller must invoke
-// after the run (writes the closing summary record and closes the file). When
-// telemetry is off, both are no-ops. File I/O errors are retained for
-// TelemetryErr rather than failing the simulation.
-func (r *Runner) attachTelemetry(cfg *sim.Config, key string) func() {
-	if r.TelemetryDir == "" {
-		return func() {}
-	}
-	f, err := os.Create(filepath.Join(r.TelemetryDir, telemetryFileName(key)))
-	if err != nil {
-		r.telemetryFail(err)
-		return func() {}
-	}
-	interval := r.SampleInterval
-	if interval == 0 {
-		interval = r.Scale.Measure / 10
-	}
-	col := telemetry.New(telemetry.NewSink(f), interval)
-	cfg.Telemetry = col
-	return func() {
-		if err := col.Close(); err != nil {
-			r.telemetryFail(err)
-		}
-		if err := f.Close(); err != nil {
-			r.telemetryFail(err)
-		}
-	}
-}
-
-// telemetryFileName maps a memo key to a stable filename: every character
-// outside [A-Za-z0-9._+-] becomes '_', and distinct simulations have distinct
-// keys, so a sweep's file set is deterministic across runs and Jobs values.
-func telemetryFileName(key string) string {
-	s := []byte(key)
-	for i, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '+', c == '-':
-		default:
-			s[i] = '_'
-		}
-	}
-	return string(s) + ".jsonl"
-}
-
-func (r *Runner) telemetryFail(err error) {
-	r.telMu.Lock()
-	if r.telErr == nil {
-		r.telErr = err
-	}
-	r.telMu.Unlock()
-}
-
-// TelemetryErr returns the first telemetry I/O error encountered, or nil.
-func (r *Runner) TelemetryErr() error {
-	r.telMu.Lock()
-	defer r.telMu.Unlock()
-	return r.telErr
-}
-
-// AuditSummary writes the findings of every audited simulation to w (full
-// reports only for runs with violations, sorted by label so concurrent
-// scheduling does not reorder output) and returns the total violation count.
-// Zero simulations audited means Check was never set.
-func (r *Runner) AuditSummary(w io.Writer) int {
-	r.audMu.Lock()
-	auds := make([]*audit.Auditor, len(r.auditors))
-	copy(auds, r.auditors)
-	r.audMu.Unlock()
-	sort.Slice(auds, func(i, j int) bool { return auds[i].Label < auds[j].Label })
-	total := 0
-	for _, a := range auds {
-		total += int(a.Total())
-		if a.Total() > 0 {
-			a.WriteReport(w)
-		}
-	}
-	fmt.Fprintf(w, "audit: %d simulation(s) audited, %d violation(s)\n", len(auds), total)
-	return total
-}
-
-// runSystem single-flights a system-retaining simulation under the given
-// memo key. These runs are never replayed from the store — a *sim.System
-// cannot be serialized — but they are deterministic, so recomputing them on
-// resume still yields byte-identical output. They do run under the fault
-// policy: on permanent failure the system is nil and callers must degrade.
-func (r *Runner) runSystem(key string, compute func(ctx context.Context) (sim.Result, *sim.System, error)) (sim.Result, *sim.System) {
-	r.mu.Lock()
-	e, ok := r.sysMemo[key]
-	if !ok {
-		e = &sysMemoEntry{}
-		r.sysMemo[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		type out struct {
-			res sim.Result
-			sys *sim.System
-		}
-		o, err := runner.Execute(r.ctx(), r.Fault, nil, key,
-			func(ctx context.Context) (out, error) {
-				r.maybeInjectFailure(key)
-				res, sys, err := compute(ctx)
-				return out{res, sys}, err
-			})
-		if err != nil {
-			e.err = err
-			r.fails.add(key, err)
-			return
-		}
-		e.res, e.sys = o.res, o.sys
-	})
-	return e.res, e.sys
-}
-
-// ---- parallel precomputation ---------------------------------------------
-
-// Sim identifies one simulation job: an arm applied to a workload mix at a
-// core count and bandwidth factor. It is the unit of parallelism the
-// experiment runners fan out over.
-type Sim struct {
-	Arm   Arm
-	Mix   []string
-	Cores int
-	BW    float64
-}
-
-// Singles builds one single-core Sim per (arm, workload) pair.
-func Singles(arms []Arm, ws []workloads.Workload) []Sim {
-	var out []Sim
-	for _, a := range arms {
-		for _, w := range ws {
-			out = append(out, Sim{Arm: a, Mix: []string{w.Name}, Cores: 1})
-		}
-	}
-	return out
-}
-
-// SingleNames is Singles over workload names.
-func SingleNames(arms []Arm, names []string) []Sim {
-	var out []Sim
-	for _, a := range arms {
-		for _, n := range names {
-			out = append(out, Sim{Arm: a, Mix: []string{n}, Cores: 1})
-		}
-	}
-	return out
-}
-
-// MixSims builds one Sim per (arm, mix) pair at the given core count and
-// bandwidth factor.
-func MixSims(arms []Arm, mixes []workloads.Mix, cores int, bw float64) []Sim {
-	var out []Sim
-	for _, a := range arms {
-		for _, m := range mixes {
-			out = append(out, Sim{Arm: a, Mix: workloads.Names(m.Members), Cores: cores, BW: bw})
-		}
-	}
-	return out
-}
-
-// Precompute executes the given simulations on the runner's worker pool and
-// memoizes their results. Duplicate and already-memoized sims are skipped.
-// After Precompute returns, Run/RunMix calls for these sims are memo hits,
-// so the experiment's serial aggregation loop produces byte-identical output
-// regardless of worker count and scheduling. A failed simulation panics,
-// matching the serial harness's behavior on bad configurations.
-func (r *Runner) Precompute(groups ...[]Sim) {
-	seen := map[string]bool{}
-	var jobs []runner.Job[struct{}]
-	for _, sims := range groups {
-		for _, s := range sims {
-			s := s
-			if s.Cores == 0 {
-				s.Cores = 1
-			}
-			key := simKey(s.Arm, s.Mix, s.Cores, s.BW)
-			if seen[key] || r.memoized(key) {
-				continue
-			}
-			seen[key] = true
-			jobs = append(jobs, runner.Job[struct{}]{
-				Key: key,
-				Run: func(context.Context) (struct{}, error) {
-					r.RunMix(s.Arm, s.Mix, s.Cores, s.BW)
-					return struct{}{}, nil
-				},
-			})
-		}
-	}
-	r.runJobs(jobs)
-}
-
-// PrecomputeSystems is Precompute for system-retaining runs (runWithSystem).
-func (r *Runner) PrecomputeSystems(arms []Arm, names []string) {
-	var jobs []runner.Job[struct{}]
-	for _, a := range arms {
-		for _, n := range names {
-			a, n := a, n
-			key := a.Name + "|" + n
-			if r.sysMemoized(key) {
-				continue
-			}
-			jobs = append(jobs, runner.Job[struct{}]{
-				Key: key,
-				Run: func(context.Context) (struct{}, error) {
-					r.runWithSystem(a, n)
-					return struct{}{}, nil
-				},
-			})
-		}
-	}
-	r.runJobs(jobs)
-}
-
-func (r *Runner) memoized(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.memo[key] != nil
-}
-
-func (r *Runner) sysMemoized(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sysMemo[key] != nil
-}
-
-// runJobs drives precomputation jobs through the continue-on-error pool:
-// the jobs themselves absorb simulation failures (RunMix memoizes a gap),
-// so pool-level errors are unexpected — but if one occurs it is recorded as
-// a gap rather than aborting the sweep.
-func (r *Runner) runJobs(jobs []runner.Job[struct{}]) {
-	if len(jobs) == 0 {
-		return
-	}
-	opts := runner.Options{Workers: r.Jobs, Progress: r.JobProgress}
-	_, errs := runner.RunAll(r.ctx(), opts, jobs)
-	for i, err := range errs {
-		if err != nil {
-			r.fails.add(jobs[i].Key, err)
-		}
-	}
-}
-
-// ParallelMap runs fn over items on the runner's worker pool and returns the
-// results in item order, so aggregation stays deterministic. key labels each
-// job in progress output. fn must not touch shared mutable state. A
-// panicking fn degrades to a zero-valued result and a recorded JobFailure
-// (check r.Gapped(key) when aggregating) instead of aborting the run.
-func ParallelMap[T, R any](r *Runner, items []T, key func(T) string, fn func(T) R) []R {
-	jobs := make([]runner.Job[R], len(items))
-	for i, it := range items {
-		it := it
-		k := key(it)
-		jobs[i] = runner.Job[R]{
-			Key: k,
-			Run: func(context.Context) (R, error) {
-				r.maybeInjectFailure(k)
-				return fn(it), nil
-			},
-		}
-	}
-	opts := runner.Options{Workers: r.Jobs, Progress: r.JobProgress}
-	res, errs := runner.RunAll(r.ctx(), opts, jobs)
-	for i, err := range errs {
-		if err != nil {
-			r.fails.add(jobs[i].Key, err)
-		}
-	}
-	return res
-}
-
-// ---- metrics -------------------------------------------------------------
-
-// Speedup returns pf's IPC over base's (single-core).
-func Speedup(base, pf sim.Result) float64 {
-	if base.IPC() == 0 {
-		return 0
-	}
-	return pf.IPC() / base.IPC()
-}
-
-// ThroughputSpeedup returns the ratio of summed IPCs (multi-core).
-func ThroughputSpeedup(base, pf sim.Result) float64 {
-	var b, p float64
-	for i := range base.Cores {
-		b += base.Cores[i].IPC
-		p += pf.Cores[i].IPC
-	}
-	if b == 0 {
-		return 0
-	}
-	return p / b
-}
-
-// Coverage returns the fraction of the baseline's L2 demand misses that the
-// prefetching configuration removed.
-func Coverage(base, pf sim.Result) float64 {
-	bm := base.Cores[0].L2.DemandMisses
-	pm := pf.Cores[0].L2.DemandMisses
-	if bm == 0 || pm >= bm {
-		return 0
-	}
-	return float64(bm-pm) / float64(bm)
-}
-
-// Accuracy returns useful prefetches over prefetch fills at the L2.
-func Accuracy(res sim.Result) float64 { return res.Cores[0].PrefetchAccuracy() }
-
-// Geomean returns the geometric mean of xs (zero entries are floored).
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			x = 1e-6
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// ---- tables ---------------------------------------------------------------
-
-// Table is a formatted experiment result. The JSON tags serve the harness's
-// -json results emitter.
-type Table struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
-// AddRow appends a row of pre-formatted cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// F formats a float for table cells.
-func F(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// Pct formats a ratio as a percentage.
-func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-// String renders the table as aligned text.
-func (t Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[min(i, len(widths)-1)], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.Columns)
-	for _, row := range t.Rows {
-		line(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// ---- registry ---------------------------------------------------------------
+import "sort"
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {

@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"streamline/internal/core"
-	"streamline/internal/dram"
-	"streamline/internal/exp/runner"
 	"streamline/internal/mem"
 	"streamline/internal/meta"
 	"streamline/internal/prefetch"
@@ -80,7 +77,7 @@ func init() {
 				Columns: []string{"workload", "suite", "speedup-headroom", "ideal-coverage", "in-subset", "flagged-irregular"}}
 			base := baseArm("stride", "")
 			ideal := Arm{Name: "triage-ideal", Apply: func(cfg *sim.Config, sc Scale) {
-				cfg.L1DPrefetcher = l1Factory("stride")
+				attach(cfg, "stride")
 				cfg.Temporal = func(meta.Bridge) prefetch.Prefetcher { return triage.NewIdeal() }
 				cfg.DedicatedMetadata = true
 			}}
@@ -142,8 +139,8 @@ func init() {
 				func(o *core.Options) { o.Bypass = true })
 			// Scan-heavy mcf-likes plus one scan-free control.
 			names := []string{"mcf06", "mcf17", "sphinx06"}
-			r.Precompute(SingleNames([]Arm{base, tri, plain}, names))
-			r.PrecomputeSystems([]Arm{byp}, names)
+			r.Precompute(SingleNames([]Arm{base, tri, plain}, names),
+				keepSystems(SingleNames([]Arm{byp}, names)))
 			for _, name := range names {
 				b, okB := r.TryRun(base, name)
 				resT, okT := r.TryRun(tri, name)
@@ -211,14 +208,14 @@ func init() {
 			base := baseArm("stride", "")
 			tri := triangelArm("triangel", "stride", "", nil)
 			str := streamlineArm("streamline", "stride", "", nil)
+			off := stmsArm()
 			ws := r.Scale.irregular()
-			r.Precompute(Singles([]Arm{base, tri, str}, ws))
-			r.precomputeOffchip(workloads.Names(ws))
+			r.Precompute(Singles([]Arm{base, tri, str}, ws), keepSystems(Singles([]Arm{off}, ws)))
 			for _, w := range ws {
 				b, okB := r.TryRun(base, w.Name)
 				resT, okT := r.TryRun(tri, w.Name)
 				resS, okS := r.TryRun(str, w.Name)
-				resO, sys := r.runWithSystemOffchip(w.Name)
+				resO, sys := r.runWithSystem(off, w.Name)
 				if !okB || !okT || !okS || sys == nil {
 					t.AddRow(w.Name, GapCell, GapCell, GapCell, GapCell, GapCell)
 					continue
@@ -254,13 +251,9 @@ func init() {
 				lutSize := lutSize
 				arms[lutSize] = Arm{Name: fmt.Sprintf("triage-lut%d", lutSize),
 					Apply: func(cfg *sim.Config, sc Scale) {
-						cfg.L1DPrefetcher = l1Factory("stride")
-						cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-							c := triage.DefaultConfig()
-							c.MetaBytes = sc.MetaBytes
-							c.LUTSize = lutSize
-							return triage.New(c, b)
-						}
+						attach(cfg, "stride")
+						cfg.Temporal = sim.Triage(sc.knobs(),
+							func(c *triage.Config) { c.LUTSize = lutSize })
 					}}
 			}
 			all := []Arm{base}
@@ -301,51 +294,4 @@ func init() {
 				"Triangel's authors report LUT compression significantly reduces Triage's accuracy; LUT slot recycling silently redirects old correlations")
 			return []Table{t}
 		}})
-}
-
-// runWithSystemOffchip runs the STMS arm, memoized like runWithSystem, and
-// exposes the system for its off-chip statistics.
-func (r *Runner) runWithSystemOffchip(workload string) (sim.Result, *sim.System) {
-	return r.runSystem("stms|"+workload, func(ctx context.Context) (sim.Result, *sim.System, error) {
-		cfg := r.Scale.baseConfig(1)
-		cfg.L1DPrefetcher = l1Factory("stride")
-		cfg.TemporalDRAM = func(d *dram.DRAM) prefetch.Prefetcher {
-			return stms.New(stms.DefaultConfig(), d)
-		}
-		r.attachAudit(&cfg, "stms|"+workload+"|sys")
-		finish := r.attachTelemetry(&cfg, "stms|"+workload+"|sys")
-		sys := sim.New(cfg)
-		w, err := workloads.Get(workload)
-		if err != nil {
-			panic(err)
-		}
-		sys.SetTrace(0, w.NewTrace(workloads.Scale{Footprint: r.Scale.Footprint}, r.Scale.Seed))
-		r.logf("  [stms] %s\n", workload)
-		res, err := sys.RunCtx(ctx, 0, nil)
-		finish()
-		if err != nil {
-			return sim.Result{}, nil, err
-		}
-		return res, sys, nil
-	})
-}
-
-// precomputeOffchip runs the STMS simulations for the given workloads on the
-// worker pool.
-func (r *Runner) precomputeOffchip(names []string) {
-	var jobs []runner.Job[struct{}]
-	for _, n := range names {
-		n := n
-		if r.sysMemoized("stms|" + n) {
-			continue
-		}
-		jobs = append(jobs, runner.Job[struct{}]{
-			Key: "stms|" + n,
-			Run: func(context.Context) (struct{}, error) {
-				r.runWithSystemOffchip(n)
-				return struct{}{}, nil
-			},
-		})
-	}
-	r.runJobs(jobs)
 }

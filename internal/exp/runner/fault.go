@@ -9,28 +9,24 @@ import (
 
 // This file is the per-job fault policy: panic isolation, per-attempt
 // timeout, and bounded retry with exponential backoff. Execute is the single
-// entry point; the worker pool routes every job through it, and
-// internal/exp's memoized simulation paths call it directly so serial
-// aggregation enjoys the same isolation as pooled precomputation.
+// entry point: internal/exp's memoized simulation path and the daemon's
+// compute path call it directly, so a simulation is bounded the same way
+// whether a pool job or a serial aggregation loop asked for it.
 
 // FaultPolicy bounds how a single job may fail.
 type FaultPolicy struct {
 	// Timeout bounds one attempt's wall clock; zero means unbounded. A
 	// timed-out attempt is reported as a permanent *TimeoutError: a job
-	// that hung once is assumed to hang again, so it is not retried. By
-	// default the timed-out attempt is abandoned (its goroutine is orphaned
-	// — jobs need not observe ctx); set Cooperative for jobs that do.
+	// that hung once is assumed to hang again, so it is not retried. On
+	// timeout (or caller cancellation) Execute cancels the attempt's
+	// context and then WAITS for fn to unwind before returning, so no
+	// goroutine is ever abandoned and the worker slot it held is genuinely
+	// free. fn must therefore observe its context and return promptly
+	// after cancellation (the simulation engine stops at its next epoch
+	// boundary); a fn that ignores its context turns the timeout into a
+	// wait for natural completion. A timeout still yields a permanent
+	// *TimeoutError even though fn returned ctx.Err().
 	Timeout time.Duration
-	// Cooperative declares that fn observes its context: on timeout (or
-	// caller cancellation) Execute cancels the attempt's context and then
-	// WAITS for fn to unwind before returning, so no goroutine is ever
-	// abandoned and the worker slot it held is genuinely free. The error
-	// semantics are unchanged — a timeout still yields a permanent
-	// *TimeoutError even though fn returned ctx.Err(). A cooperative fn
-	// must return promptly after cancellation (the simulation engine stops
-	// at its next epoch boundary); a fn that ignores its context turns the
-	// timeout into a wait for natural completion.
-	Cooperative bool
 	// Retries is how many additional attempts a transiently failing job
 	// gets after its first. Permanent failures (panics, timeouts,
 	// Permanent-wrapped errors) are never retried.
@@ -44,8 +40,8 @@ type FaultPolicy struct {
 }
 
 // Clock abstracts time for the fault machinery so tests inject a fake and
-// script timeout/backoff behavior deterministically. The zero value of
-// Options uses the real clock.
+// script timeout/backoff behavior deterministically. A nil Clock passed to
+// Execute means the real clock.
 type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// SleepCtx pauses for d or until ctx is done, returning ctx.Err() when
@@ -171,40 +167,14 @@ func backoffFor(base time.Duration, attempt int) time.Duration {
 	return base << shift
 }
 
-// attemptOnce runs one panic-isolated attempt, bounded by pol.Timeout.
+// attemptOnce runs one panic-isolated attempt, bounded by pol.Timeout. The
+// deadline and cancellation branches cancel the attempt's context and then
+// drain `done`: the goroutine always unwinds before control returns to the
+// caller, so the worker slot is free when Execute reports the failure.
 func attemptOnce[T any](ctx context.Context, pol FaultPolicy, clock Clock, key string, fn func(context.Context) (T, error)) (T, error) {
 	if pol.Timeout <= 0 {
 		return protect(ctx, key, fn)
 	}
-	if pol.Cooperative {
-		return attemptCooperative(ctx, pol, clock, key, fn)
-	}
-	type outcome struct {
-		res T
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := protect(ctx, key, fn)
-		done <- outcome{res, err}
-	}()
-	var zero T
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-clock.After(pol.Timeout):
-		return zero, Permanent(&TimeoutError{Key: key, After: pol.Timeout})
-	case <-ctx.Done():
-		return zero, ctx.Err()
-	}
-}
-
-// attemptCooperative runs one attempt of a context-observing job. Unlike the
-// abandoning path above, the deadline/cancellation branches cancel the
-// attempt's context and then drain `done` — the goroutine always unwinds
-// (the engine stops at its next epoch boundary) before control returns to
-// the caller, so the worker slot is free when Execute reports the failure.
-func attemptCooperative[T any](ctx context.Context, pol FaultPolicy, clock Clock, key string, fn func(context.Context) (T, error)) (T, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {

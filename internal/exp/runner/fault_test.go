@@ -20,7 +20,10 @@ type fakeClock struct {
 	mu     sync.Mutex
 	sleeps []time.Duration
 	afters []chan time.Time
+	armed  chan struct{} // one token per After call; buffered past any test's attempt count so After never blocks
 }
+
+func newFakeClock() *fakeClock { return &fakeClock{armed: make(chan struct{}, 64)} }
 
 func (c *fakeClock) SleepCtx(ctx context.Context, d time.Duration) error {
 	c.mu.Lock()
@@ -34,10 +37,15 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 	c.mu.Lock()
 	c.afters = append(c.afters, ch)
 	c.mu.Unlock()
+	c.armed <- struct{}{}
 	return ch
 }
 
+// fireTimeout fires the i-th timer, first waiting for Execute to arm it:
+// the attempt's goroutine can report "started" before Execute reaches its
+// select.
 func (c *fakeClock) fireTimeout(i int) {
+	<-c.armed
 	c.mu.Lock()
 	ch := c.afters[i]
 	c.mu.Unlock()
@@ -53,7 +61,7 @@ func (c *fakeClock) sleepLog() []time.Duration {
 // TestRetryFailNTimesThenSucceed: a job failing transiently N times succeeds
 // within N retries, and each retry is preceded by a doubling backoff.
 func TestRetryFailNTimesThenSucceed(t *testing.T) {
-	clock := &fakeClock{}
+	clock := newFakeClock()
 	attempts := 0
 	got, err := Execute(context.Background(),
 		FaultPolicy{Retries: 3, Backoff: 10 * time.Millisecond}, clock, "flaky",
@@ -149,7 +157,7 @@ func TestBackoffCapsDoubling(t *testing.T) {
 	}
 
 	// End to end: the recorded pauses saturate rather than overflow.
-	clock := &fakeClock{}
+	clock := newFakeClock()
 	_, err := Execute(context.Background(),
 		FaultPolicy{Retries: 3, Backoff: 30 * time.Second}, clock, "capped",
 		func(context.Context) (int, error) { return 0, errors.New("transient") })
@@ -171,7 +179,7 @@ func TestBackoffCapsDoubling(t *testing.T) {
 // TestRetryNeverSucceeds: a persistently failing job is attempted exactly
 // 1+Retries times and reports the final error.
 func TestRetryNeverSucceeds(t *testing.T) {
-	clock := &fakeClock{}
+	clock := newFakeClock()
 	attempts := 0
 	_, err := Execute(context.Background(),
 		FaultPolicy{Retries: 2, Backoff: time.Millisecond}, clock, "doomed",
@@ -190,19 +198,17 @@ func TestRetryNeverSucceeds(t *testing.T) {
 // TestTimeoutIsPermanent: a job hanging past the timeout yields a
 // *TimeoutError and is NOT retried — a hang is assumed to repeat.
 func TestTimeoutIsPermanent(t *testing.T) {
-	clock := &fakeClock{}
-	hang := make(chan struct{})
-	defer close(hang)
+	clock := newFakeClock()
 	started := make(chan struct{}, 8)
 	done := make(chan error, 1)
 	go func() {
 		_, err := Execute(context.Background(),
 			FaultPolicy{Timeout: time.Second, Retries: 5, Backoff: time.Millisecond},
 			clock, "hung",
-			func(context.Context) (int, error) {
+			func(ctx context.Context) (int, error) {
 				started <- struct{}{}
-				<-hang
-				return 0, nil
+				<-ctx.Done()
+				return 0, ctx.Err()
 			})
 		done <- err
 	}()
@@ -235,7 +241,7 @@ func TestTimeoutIsPermanent(t *testing.T) {
 // TestPanicIsPermanent: a panicking job is attempted once, never retried,
 // and the panic value is preserved in the error.
 func TestPanicIsPermanent(t *testing.T) {
-	clock := &fakeClock{}
+	clock := newFakeClock()
 	attempts := 0
 	_, err := Execute(context.Background(),
 		FaultPolicy{Retries: 4, Backoff: time.Millisecond}, clock, "bomb",
@@ -272,7 +278,7 @@ func TestPermanentWrapping(t *testing.T) {
 	}
 	attempts := 0
 	_, err := Execute(context.Background(),
-		FaultPolicy{Retries: 3}, &fakeClock{}, "perm",
+		FaultPolicy{Retries: 3}, newFakeClock(), "perm",
 		func(context.Context) (int, error) {
 			attempts++
 			return 0, Permanent(boom)
@@ -283,7 +289,7 @@ func TestPermanentWrapping(t *testing.T) {
 }
 
 // TestRunAllContinuesPastFailures: RunAll completes every job, reporting
-// per-job errors, where Run would have cancelled the remainder.
+// per-job errors.
 func TestRunAllContinuesPastFailures(t *testing.T) {
 	const n = 16
 	jobs := make([]Job[int], n)
@@ -316,41 +322,6 @@ func TestRunAllContinuesPastFailures(t *testing.T) {
 	}
 }
 
-// TestPoolAppliesFaultPolicy: the worker pool routes jobs through the fault
-// policy, so a transiently flaky job succeeds after pool-level retries.
-func TestPoolAppliesFaultPolicy(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	jobs := make([]Job[int], 4)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{
-			Key: fmt.Sprintf("job%d", i),
-			Run: func(context.Context) (int, error) {
-				mu.Lock()
-				attempts[i]++
-				a := attempts[i]
-				mu.Unlock()
-				if i == 2 && a == 1 {
-					return 0, errors.New("transient")
-				}
-				return i, nil
-			},
-		}
-	}
-	clock := &fakeClock{}
-	opts := Options{Workers: 2, Fault: FaultPolicy{Retries: 1, Backoff: time.Millisecond}, Clock: clock}
-	results, errs := RunAll(context.Background(), opts, jobs)
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("errs[%d] = %v", i, err)
-		}
-	}
-	if results[2] != 2 || attempts[2] != 2 {
-		t.Errorf("flaky job: result=%d attempts=%d; want 2 after 2 attempts", results[2], attempts[2])
-	}
-}
-
 // TestPanicErrorIsTyped: a panic surfaces as a *PanicError carrying the job
 // key and panic value, so callers can map the failure class (the daemon's
 // HTTP status codes) without string matching.
@@ -369,18 +340,18 @@ func TestPanicErrorIsTyped(t *testing.T) {
 	}
 }
 
-// TestCooperativeTimeoutWaitsForUnwind: with Cooperative set, a timed-out
-// attempt's context is cancelled and Execute WAITS for fn to unwind before
+// TestCooperativeTimeoutWaitsForUnwind: a timed-out attempt's context is
+// cancelled and Execute WAITS for fn to unwind before
 // returning the permanent *TimeoutError — no goroutine is abandoned, so the
 // worker slot Execute held is genuinely free when the error surfaces.
 func TestCooperativeTimeoutWaitsForUnwind(t *testing.T) {
-	clock := &fakeClock{}
+	clock := newFakeClock()
 	started := make(chan struct{})
 	var unwound atomic.Bool
 	done := make(chan error, 1)
 	go func() {
 		_, err := Execute(context.Background(),
-			FaultPolicy{Timeout: time.Second, Cooperative: true}, clock, "coop",
+			FaultPolicy{Timeout: time.Second}, clock, "coop",
 			func(ctx context.Context) (int, error) {
 				close(started)
 				<-ctx.Done() // the engine stopping at its next epoch boundary
@@ -414,14 +385,14 @@ func TestCooperativeTimeoutWaitsForUnwind(t *testing.T) {
 // TestCooperativeParentCancel: cancelling the caller's context surfaces
 // ctx.Err() (not a TimeoutError), and still waits for fn to unwind.
 func TestCooperativeParentCancel(t *testing.T) {
-	clock := &fakeClock{}
+	clock := newFakeClock()
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var unwound atomic.Bool
 	done := make(chan error, 1)
 	go func() {
 		_, err := Execute(ctx,
-			FaultPolicy{Timeout: time.Hour, Cooperative: true}, clock, "coop-cancel",
+			FaultPolicy{Timeout: time.Hour}, clock, "coop-cancel",
 			func(ctx context.Context) (int, error) {
 				close(started)
 				<-ctx.Done()
@@ -449,7 +420,7 @@ func TestCooperativeParentCancel(t *testing.T) {
 // timeout passes its value through untouched.
 func TestCooperativeSuccess(t *testing.T) {
 	got, err := Execute(context.Background(),
-		FaultPolicy{Timeout: time.Second, Cooperative: true}, &fakeClock{}, "ok",
+		FaultPolicy{Timeout: time.Second}, newFakeClock(), "ok",
 		func(context.Context) (int, error) { return 7, nil })
 	if err != nil || got != 7 {
 		t.Fatalf("got %d, %v; want 7, nil", got, err)
@@ -462,12 +433,12 @@ func TestCooperativeSuccess(t *testing.T) {
 func TestCooperativeNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		clock := &fakeClock{}
+		clock := newFakeClock()
 		started := make(chan struct{})
 		ret := make(chan struct{})
 		go func() {
 			Execute(context.Background(),
-				FaultPolicy{Timeout: time.Second, Cooperative: true}, clock, "leak",
+				FaultPolicy{Timeout: time.Second}, clock, "leak",
 				func(ctx context.Context) (int, error) {
 					close(started)
 					<-ctx.Done()

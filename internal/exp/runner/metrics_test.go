@@ -19,7 +19,7 @@ func TestExecuteMetrics(t *testing.T) {
 	pol := FaultPolicy{Retries: 3, Backoff: time.Millisecond, Metrics: m}
 
 	attempts := 0
-	_, err := Execute(context.Background(), pol, &fakeClock{}, "flaky",
+	_, err := Execute(context.Background(), pol, newFakeClock(), "flaky",
 		func(context.Context) (int, error) {
 			attempts++
 			if attempts == 1 {
@@ -43,7 +43,7 @@ func TestExecuteMetrics(t *testing.T) {
 		t.Errorf("failed = %d, want 0", got)
 	}
 
-	_, err = Execute(context.Background(), pol, &fakeClock{}, "doomed",
+	_, err = Execute(context.Background(), pol, newFakeClock(), "doomed",
 		func(context.Context) (int, error) {
 			return 0, Permanent(errors.New("broken input"))
 		})
@@ -68,7 +68,7 @@ func TestExecuteMetrics(t *testing.T) {
 func TestExecuteNilMetrics(t *testing.T) {
 	attempts := 0
 	_, err := Execute(context.Background(),
-		FaultPolicy{Retries: 1, Backoff: time.Millisecond}, &fakeClock{}, "quiet",
+		FaultPolicy{Retries: 1, Backoff: time.Millisecond}, newFakeClock(), "quiet",
 		func(context.Context) (int, error) {
 			attempts++
 			if attempts == 1 {

@@ -10,13 +10,12 @@
 //   - results[i] always corresponds to jobs[i], regardless of completion
 //     order, so output built from the slice is byte-identical to a serial
 //     run;
-//   - under Run, a failing (or panicking) job cancels the jobs that have
-//     not started, lets running ones finish, and surfaces the lowest-index
-//     error — the pool never wedges; under RunAll, failures degrade to
-//     per-job errors and every other job still completes;
-//   - every job runs under the configured FaultPolicy (see fault.go):
-//     panic isolation, per-attempt timeout, bounded retry with backoff;
+//   - a failing (or panicking) job degrades to a per-job error and every
+//     other job still completes — the pool never wedges;
 //   - cancelling the caller's context stops feeding new jobs promptly.
+//
+// Timeouts and retries are not the pool's business: a job that needs them
+// calls Execute (see fault.go) itself, as internal/exp's simulations do.
 package runner
 
 import (
@@ -48,47 +47,15 @@ type Options struct {
 	// Progress lines are serialized; their order follows completion order
 	// and is NOT deterministic — keep them off any output that must be.
 	Progress io.Writer
-	// Label prefixes progress lines (typically the experiment ID).
-	Label string
-	// Fault bounds each job: per-attempt timeout, bounded retry with
-	// backoff for transient errors, panic isolation. The zero value means
-	// no timeout and no retries (panics still become errors).
-	Fault FaultPolicy
-	// Clock overrides time for Fault (tests); nil means real time.
-	Clock Clock
-	// Continue keeps the pool running after a job fails: remaining jobs
-	// still execute and per-job errors are reported by RunAll. When false
-	// (the Run behavior), the first failure cancels unstarted jobs.
-	Continue bool
 }
 
-// Run executes jobs on a bounded worker pool and returns their results
-// indexed identically to jobs. On error the returned slice is partial:
-// entries for unfinished jobs are zero values. The error is the
-// lowest-index job failure, or ctx.Err() if the caller's context ended the
-// run with no job having failed.
-func Run[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, error) {
-	opts.Continue = false
-	results, errs := run(ctx, opts, jobs)
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, ctx.Err()
-}
-
-// RunAll executes jobs like Run but degrades instead of aborting: a failing
-// job does not cancel the rest, and every job's outcome is reported
-// individually — errs[i] is nil iff results[i] is valid. Combined with
-// Options.Fault this is the sweep-hardened mode: a panicking or timed-out
-// arm becomes a recorded per-job failure while every other job completes.
+// RunAll executes jobs on a bounded worker pool and returns their results
+// indexed identically to jobs. It degrades instead of aborting: a failing or
+// panicking job does not cancel the rest, and every job's outcome is
+// reported individually. When ctx ends, the pool stops handing out jobs: a
+// job handed out but not yet started reports ctx.Err(), and one never handed
+// out keeps a zero result and a nil error.
 func RunAll[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error) {
-	opts.Continue = true
-	return run(ctx, opts, jobs)
-}
-
-func run[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error) {
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
 	if len(jobs) == 0 {
@@ -101,9 +68,6 @@ func run[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	// feed serves job indices in order; it closes when all are handed out
 	// or the context is cancelled (skipping the rest).
@@ -119,7 +83,7 @@ func run[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error)
 		}
 	}()
 
-	prog := &progress{w: opts.Progress, label: opts.Label, total: len(jobs), start: time.Now()}
+	prog := &progress{w: opts.Progress, total: len(jobs), start: time.Now()}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -127,19 +91,13 @@ func run[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error)
 			defer wg.Done()
 			for i := range feed {
 				if ctx.Err() != nil {
-					if opts.Continue {
-						errs[i] = ctx.Err()
-					}
+					errs[i] = ctx.Err()
 					continue
 				}
 				start := time.Now()
-				res, err := Execute(ctx, opts.Fault, opts.Clock, jobs[i].Key, jobs[i].Run)
+				res, err := protect(ctx, jobs[i].Key, jobs[i].Run)
 				if err != nil {
 					errs[i] = fmt.Errorf("job %q: %w", jobs[i].Key, err)
-					if !opts.Continue {
-						cancel()
-						continue
-					}
 					prog.finish(jobs[i].Key+" FAILED", time.Since(start))
 					continue
 				}
@@ -155,7 +113,6 @@ func run[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error)
 // progress serializes per-job completion reporting.
 type progress struct {
 	w     io.Writer
-	label string
 	total int
 	start time.Time
 
@@ -175,12 +132,8 @@ func (p *progress) finish(key string, took time.Duration) {
 	if p.done > 0 {
 		eta = elapsed / time.Duration(p.done) * time.Duration(p.total-p.done)
 	}
-	prefix := ""
-	if p.label != "" {
-		prefix = p.label + ": "
-	}
-	fmt.Fprintf(p.w, "%s%d/%d jobs, elapsed %s, eta %s (%s took %s)\n",
-		prefix, p.done, p.total,
+	fmt.Fprintf(p.w, "%d/%d jobs, elapsed %s, eta %s (%s took %s)\n",
+		p.done, p.total,
 		elapsed.Round(time.Millisecond), eta.Round(time.Millisecond),
 		key, took.Round(time.Millisecond))
 }

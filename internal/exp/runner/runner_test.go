@@ -28,11 +28,11 @@ func TestOrderedAggregation(t *testing.T) {
 			},
 		}
 	}
-	got, err := Run(context.Background(), Options{Workers: n}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, errs := RunAll(context.Background(), Options{Workers: n}, jobs)
 	for i, v := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
 		if v != i*10 {
 			t.Errorf("results[%d] = %d, want %d", i, v, i*10)
 		}
@@ -68,8 +68,8 @@ func TestPoolSaturation(t *testing.T) {
 			},
 		}
 	}
-	if _, err := Run(context.Background(), Options{Workers: workers}, jobs); err != nil {
-		t.Fatal(err)
+	if _, errs := RunAll(context.Background(), Options{Workers: workers}, jobs); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
 	}
 	if p := peak.Load(); p != workers {
 		t.Errorf("peak concurrency = %d, want %d", p, workers)
@@ -77,8 +77,8 @@ func TestPoolSaturation(t *testing.T) {
 }
 
 // TestErrorPropagation: table-driven failure scenarios. A failing job must
-// surface its error without wedging the pool, and the lowest-index error
-// wins when several fail.
+// surface its error at its own index without wedging the pool or disturbing
+// any other job's result.
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
@@ -87,15 +87,15 @@ func TestErrorPropagation(t *testing.T) {
 		panicAt map[int]bool
 		n       int
 		workers int
-		wantIn  []string // substrings the returned error must contain
+		wantIn  map[int][]string // failing index -> substrings its error must contain
 	}{
 		{name: "single failure", failAt: map[int]error{3: boom}, n: 8, workers: 2,
-			wantIn: []string{"job3", "boom"}},
-		{name: "multiple failures report lowest index",
+			wantIn: map[int][]string{3: {"job3", "boom"}}},
+		{name: "multiple failures each reported",
 			failAt: map[int]error{2: boom, 5: boom}, n: 8, workers: 1,
-			wantIn: []string{"job2"}},
+			wantIn: map[int][]string{2: {"job2"}, 5: {"job5"}}},
 		{name: "panic becomes error", panicAt: map[int]bool{1: true}, n: 4, workers: 2,
-			wantIn: []string{"job1", "panic"}},
+			wantIn: map[int][]string{1: {"job1", "panic"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,58 +116,41 @@ func TestErrorPropagation(t *testing.T) {
 				}
 			}
 			done := make(chan struct{})
-			var err error
+			var res []int
+			var errs []error
 			go func() {
-				_, err = Run(context.Background(), Options{Workers: tc.workers}, jobs)
+				res, errs = RunAll(context.Background(), Options{Workers: tc.workers}, jobs)
 				close(done)
 			}()
 			select {
 			case <-done:
 			case <-time.After(5 * time.Second):
-				t.Fatal("pool wedged: Run did not return")
+				t.Fatal("pool wedged: RunAll did not return")
 			}
-			if err == nil {
-				t.Fatal("Run returned nil error")
-			}
-			for _, want := range tc.wantIn {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q missing %q", err, want)
+			for i, err := range errs {
+				wants, failing := tc.wantIn[i]
+				if !failing {
+					if err != nil || res[i] != i {
+						t.Errorf("job%d: res=%d err=%v, want %d, nil", i, res[i], err, i)
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatalf("job%d: nil error", i)
+				}
+				for _, want := range wants {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q missing %q", err, want)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestFailureSkipsRemaining: after a failure, jobs that have not started are
-// not run.
-func TestFailureSkipsRemaining(t *testing.T) {
-	var ran atomic.Int64
-	jobs := make([]Job[struct{}], 64)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[struct{}]{
-			Key: fmt.Sprintf("job%d", i),
-			Run: func(context.Context) (struct{}, error) {
-				if i == 0 {
-					return struct{}{}, errors.New("first job fails")
-				}
-				ran.Add(1)
-				time.Sleep(time.Millisecond)
-				return struct{}{}, nil
-			},
-		}
-	}
-	_, err := Run(context.Background(), Options{Workers: 2}, jobs)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if n := ran.Load(); n >= 63 {
-		t.Errorf("all %d remaining jobs ran despite early failure", n)
-	}
-}
-
 // TestContextCancellation: cancelling the caller's context stops the run
-// promptly and reports ctx.Err().
+// promptly; no job fails on its own account, so every reported error is the
+// context's.
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
@@ -192,9 +175,9 @@ func TestContextCancellation(t *testing.T) {
 		cancel()
 	}()
 	done := make(chan struct{})
-	var err error
+	var errs []error
 	go func() {
-		_, err = Run(ctx, Options{Workers: 2}, jobs)
+		_, errs = RunAll(ctx, Options{Workers: 2}, jobs)
 		close(done)
 	}()
 	select {
@@ -202,8 +185,10 @@ func TestContextCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool did not honor cancellation")
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("errs[%d] = %v, want context.Canceled", i, err)
+		}
 	}
 	if n := ran.Load(); n >= 32 {
 		t.Errorf("all jobs ran despite cancellation (%d)", n)
@@ -212,16 +197,16 @@ func TestContextCancellation(t *testing.T) {
 
 // TestEmptyAndDefaults: zero jobs and defaulted worker counts are fine.
 func TestEmptyAndDefaults(t *testing.T) {
-	res, err := Run[int](context.Background(), Options{}, nil)
-	if err != nil || len(res) != 0 {
-		t.Errorf("empty run: res=%v err=%v", res, err)
+	res, errs := RunAll[int](context.Background(), Options{}, nil)
+	if len(errs) != 0 || len(res) != 0 {
+		t.Errorf("empty run: res=%v errs=%v", res, errs)
 	}
 	// Workers <= 0 defaults to GOMAXPROCS; more workers than jobs is capped.
-	got, err := Run(context.Background(), Options{Workers: -1}, []Job[string]{
+	got, errs := RunAll(context.Background(), Options{Workers: -1}, []Job[string]{
 		{Key: "only", Run: func(context.Context) (string, error) { return "ok", nil }},
 	})
-	if err != nil || got[0] != "ok" {
-		t.Errorf("default-worker run: got=%v err=%v", got, err)
+	if errs[0] != nil || got[0] != "ok" {
+		t.Errorf("default-worker run: got=%v errs=%v", got, errs)
 	}
 }
 
@@ -240,8 +225,8 @@ func TestProgressReporting(t *testing.T) {
 		jobs[i] = Job[int]{Key: fmt.Sprintf("job%d", i),
 			Run: func(context.Context) (int, error) { return i, nil }}
 	}
-	if _, err := Run(context.Background(), Options{Workers: 2, Progress: w, Label: "lbl"}, jobs); err != nil {
-		t.Fatal(err)
+	if _, errs := RunAll(context.Background(), Options{Workers: 2, Progress: w}, jobs); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
 	}
 	mu.Lock()
 	out := b.String()
@@ -249,7 +234,7 @@ func TestProgressReporting(t *testing.T) {
 	if got := strings.Count(out, "\n"); got != 3 {
 		t.Errorf("progress lines = %d, want 3:\n%s", got, out)
 	}
-	for _, want := range []string{"lbl: ", "3/3 jobs", "eta", "elapsed"} {
+	for _, want := range []string{"3/3 jobs", "eta", "elapsed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output missing %q:\n%s", want, out)
 		}

@@ -1,45 +1,17 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"streamline/internal/core"
 	"streamline/internal/mem"
 	"streamline/internal/meta"
 	"streamline/internal/sim"
-	"streamline/internal/workloads"
 )
 
 // This file regenerates Figure 12: the stream-length sweep (missed
 // triggers vs storage capacity), the redundancy/stream-alignment study, and
 // the metadata-buffer-size sweep.
-
-// runWithSystem runs one arm on one workload and returns both the result
-// and the system, so prefetcher-internal state can be inspected. Results are
-// memoized (single-flight, like RunMix); the returned system must be treated
-// as read-only.
-func (r *Runner) runWithSystem(arm Arm, workload string) (sim.Result, *sim.System) {
-	return r.runSystem(arm.Name+"|"+workload, func(ctx context.Context) (sim.Result, *sim.System, error) {
-		cfg := r.Scale.baseConfig(1)
-		arm.Apply(&cfg, r.Scale)
-		r.attachAudit(&cfg, arm.Name+"|"+workload+"|sys")
-		finish := r.attachTelemetry(&cfg, arm.Name+"|"+workload+"|sys")
-		sys := sim.New(cfg)
-		w, err := workloads.Get(workload)
-		if err != nil {
-			panic(err)
-		}
-		sys.SetTrace(0, w.NewTrace(workloads.Scale{Footprint: r.Scale.Footprint}, r.Scale.Seed))
-		r.logf("  [%s] %s (with system)\n", arm.Name, workload)
-		res, err := sys.RunCtx(ctx, 0, nil)
-		finish()
-		if err != nil {
-			return sim.Result{}, nil, err
-		}
-		return res, sys, nil
-	})
-}
 
 // streamlineOf extracts the Streamline instance from a system.
 func streamlineOf(sys *sim.System) *core.Prefetcher {
@@ -107,7 +79,7 @@ func init() {
 				o.FixedBytes = o.MetaBytes
 			})
 			ws := r.Scale.irregular()
-			r.PrecomputeSystems([]Arm{noSA, withSA}, workloads.Names(ws))
+			r.Precompute(keepSystems(Singles([]Arm{noSA, withSA}, ws)))
 			var rn, rs []float64
 			for _, w := range ws {
 				_, sysN := r.runWithSystem(noSA, w.Name)
@@ -148,8 +120,7 @@ func init() {
 					func(o *core.Options) { o.MetaBufferSize = n })
 				sysArms = append(sysArms, sizeArms[n])
 			}
-			r.Precompute(Singles([]Arm{base}, ws))
-			r.PrecomputeSystems(sysArms, workloads.Names(ws))
+			r.Precompute(Singles([]Arm{base}, ws), keepSystems(Singles(sysArms, ws)))
 			for _, n := range sizes {
 				arm := sizeArms[n]
 				var ar, cov, spd []float64

@@ -525,7 +525,7 @@ func (s *Server) compute(ctx context.Context, seq uint64, key string, sp Spec, f
 		s.inFlight.Add(1)
 
 		tSim := time.Now()
-		pol := runner.FaultPolicy{Timeout: s.cfg.JobTimeout, Cooperative: true, Metrics: s.jobMetrics}
+		pol := runner.FaultPolicy{Timeout: s.cfg.JobTimeout, Metrics: s.jobMetrics}
 		res, err = runner.Execute(ctx, pol, nil, sp.ID(),
 			func(ctx context.Context) (sim.Result, error) {
 				if hook := s.getComputeHook(); hook != nil {

@@ -24,19 +24,9 @@ import (
 	"strings"
 
 	"streamline/internal/cache"
-	"streamline/internal/core"
 	"streamline/internal/dram"
 	"streamline/internal/exp/store"
 	"streamline/internal/meta"
-	"streamline/internal/prefetch"
-	"streamline/internal/prefetch/berti"
-	"streamline/internal/prefetch/bingo"
-	"streamline/internal/prefetch/ipcp"
-	"streamline/internal/prefetch/spp"
-	"streamline/internal/prefetch/stms"
-	"streamline/internal/prefetch/stride"
-	"streamline/internal/prefetch/triage"
-	"streamline/internal/prefetch/triangel"
 	"streamline/internal/sim"
 	"streamline/internal/workloads"
 )
@@ -47,12 +37,31 @@ import (
 const FormatFingerprint = "streamd-v1"
 
 // The accepted values for each prefetcher slot, in the order flag help and
-// validation errors list them.
+// validation errors list them: "none", then the engine table's rows for the
+// slot, an engine that can bypass scans also under its "-bypass" spelling.
 var (
-	L1Options       = []string{"none", "stride", "berti"}
-	L2Options       = []string{"none", "ipcp", "bingo", "spp"}
-	TemporalOptions = []string{"none", "triage", "triangel", "streamline", "streamline-bypass", "stms"}
+	L1Options       = engineOptions(sim.SlotL1)
+	L2Options       = engineOptions(sim.SlotL2)
+	TemporalOptions = engineOptions(sim.SlotLLC, sim.SlotDRAM)
 )
+
+const bypassSuffix = "-bypass"
+
+func engineOptions(slots ...sim.Slot) []string {
+	opts := []string{"none"}
+	for _, e := range sim.Engines() {
+		for _, slot := range slots {
+			if e.Slot != slot {
+				continue
+			}
+			opts = append(opts, e.Name)
+			if e.Bypass {
+				opts = append(opts, e.Name+bypassSuffix)
+			}
+		}
+	}
+	return opts
+}
 
 // Defaults for every optional Spec field; a zero value selects its default
 // (and an empty prefetcher slot selects cmd/streamsim's flag default).
@@ -102,13 +111,15 @@ func optionList(opts []string) string {
 	return strings.Join(opts[:len(opts)-1], ", ") + " or " + opts[len(opts)-1]
 }
 
-func validOption(v string, opts []string) bool {
+// checkOption rejects a prefetcher-slot value outside opts, naming the slot
+// and the allowed values.
+func checkOption(slot, v string, opts []string) error {
 	for _, o := range opts {
 		if v == o {
-			return true
+			return nil
 		}
 	}
-	return false
+	return fmt.Errorf("unknown %s prefetcher %q (want %s)", slot, v, optionList(opts))
 }
 
 // workloadNames lists every registered workload for validation errors.
@@ -162,14 +173,10 @@ func (sp *Spec) Normalize() error {
 	if _, err := workloads.Get(sp.Workload); err != nil {
 		return fmt.Errorf("unknown workload %q (want one of %s)", sp.Workload, workloadNames())
 	}
-	if !validOption(sp.L1, L1Options) {
-		return fmt.Errorf("unknown l1 prefetcher %q (want %s)", sp.L1, optionList(L1Options))
-	}
-	if !validOption(sp.L2, L2Options) {
-		return fmt.Errorf("unknown l2 prefetcher %q (want %s)", sp.L2, optionList(L2Options))
-	}
-	if !validOption(sp.Temporal, TemporalOptions) {
-		return fmt.Errorf("unknown temporal prefetcher %q (want %s)", sp.Temporal, optionList(TemporalOptions))
+	for _, sl := range sp.slots() {
+		if err := checkOption(sl.slot, sl.value, sl.opts); err != nil {
+			return err
+		}
 	}
 	if sp.Cores < 1 || sp.Cores > MaxCores {
 		return fmt.Errorf("cores must be between 1 and %d, got %d", MaxCores, sp.Cores)
@@ -232,72 +239,46 @@ func (sp Spec) Config() (sim.Config, error) {
 	cfg.WarmupInstructions = sp.Warmup
 	cfg.MeasureInstructions = sp.Measure
 
-	switch sp.L1 {
-	case "stride":
-		cfg.L1DPrefetcher = func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }
-	case "berti":
-		cfg.L1DPrefetcher = func() prefetch.Prefetcher { return berti.New(berti.DefaultConfig) }
-	case "none":
-	default:
-		return sim.Config{}, fmt.Errorf("unknown l1 prefetcher %q (want %s)", sp.L1, optionList(L1Options))
-	}
-	switch sp.L2 {
-	case "ipcp":
-		cfg.L2Prefetcher = func() prefetch.Prefetcher { return ipcp.New(ipcp.DefaultConfig) }
-	case "bingo":
-		cfg.L2Prefetcher = func() prefetch.Prefetcher { return bingo.New(bingo.DefaultConfig) }
-	case "spp":
-		cfg.L2Prefetcher = func() prefetch.Prefetcher { return spp.New(spp.DefaultConfig) }
-	case "none":
-	default:
-		return sim.Config{}, fmt.Errorf("unknown l2 prefetcher %q (want %s)", sp.L2, optionList(L2Options))
-	}
-	metaBytes := sp.MetaKB << 10
-	llcSets := sp.LLCSets
-	switch sp.Temporal {
-	case "triage":
-		cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-			c := triage.DefaultConfig()
-			c.MetaBytes = metaBytes
-			return triage.New(c, b)
+	knobs := sim.Knobs{MetaBytes: sp.MetaKB << 10, MinSets: max(8, sp.LLCSets/16)}
+	for _, sl := range sp.slots() {
+		if err := checkOption(sl.slot, sl.value, sl.opts); err != nil {
+			return sim.Config{}, err
 		}
-	case "triangel":
-		cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-			c := triangel.DefaultConfig()
-			c.MetaBytes = metaBytes
-			return triangel.New(c, b)
+		if sl.value == "none" {
+			continue
 		}
-	case "streamline", "streamline-bypass":
-		bypass := sp.Temporal == "streamline-bypass"
-		cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-			o := core.DefaultOptions()
-			o.MetaBytes = metaBytes
-			o.MinSets = max(8, llcSets/16)
-			o.Bypass = bypass
-			return core.New(o, b)
+		k := knobs
+		name, bypass := strings.CutSuffix(sl.value, bypassSuffix)
+		k.Bypass = bypass
+		if err := sim.Attach(&cfg, name, k); err != nil {
+			return sim.Config{}, err
 		}
-	case "stms":
-		cfg.TemporalDRAM = func(d *dram.DRAM) prefetch.Prefetcher {
-			return stms.New(stms.DefaultConfig(), d)
-		}
-	case "none":
-	default:
-		return sim.Config{}, fmt.Errorf("unknown temporal prefetcher %q (want %s)", sp.Temporal, optionList(TemporalOptions))
 	}
 	return cfg, nil
+}
+
+// slotValue is one prefetcher slot of a spec: its name in error messages,
+// the requested value, and the accepted options.
+type slotValue struct {
+	slot, value string
+	opts        []string
+}
+
+func (sp Spec) slots() [3]slotValue {
+	return [3]slotValue{
+		{"l1", sp.L1, L1Options},
+		{"l2", sp.L2, L2Options},
+		{"temporal", sp.Temporal, TemporalOptions},
+	}
 }
 
 // NewSystem builds the simulated system for cfg and attaches one trace of
 // the spec's workload per core, seeded the way cmd/streamsim seeds them.
 // cfg should come from Config (possibly with audit/telemetry attached).
 func (sp Spec) NewSystem(cfg sim.Config) (*sim.System, error) {
-	w, err := workloads.Get(sp.Workload)
-	if err != nil {
-		return nil, err
-	}
 	sys := sim.New(cfg)
-	for c := 0; c < sp.Cores; c++ {
-		sys.SetTrace(c, w.NewTrace(workloads.Scale{Footprint: sp.Footprint}, sp.Seed+int64(c)))
+	if err := sys.AttachWorkloads([]string{sp.Workload}, sp.Footprint, sp.Seed); err != nil {
+		return nil, err
 	}
 	return sys, nil
 }

@@ -12,17 +12,16 @@ import (
 // BenchmarkKernel measures the per-trace-record cost of the simulation
 // kernel on each representative scenario. Custom metrics normalize per
 // record: ns/record and records/sec come from the wall clock, allocs/record
-// from the allocator's Mallocs counter. cmd/bench runs the same scenarios
-// to produce the committed BENCH_*.json baselines.
+// from the allocator's Mallocs counter.
 func BenchmarkKernel(b *testing.B) {
-	for _, k := range KernelScenarios() {
-		b.Run(k.Name, func(b *testing.B) {
+	for _, k := range kernelScenarios() {
+		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			var records uint64
 			for i := 0; i < b.N; i++ {
-				_, recs, err := k.Run()
+				_, recs, err := k.run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -55,26 +54,26 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 		"1core-triangel-mcf06":      0.50,
 		"4core-streamline-mix":      0.40,
 	}
-	for _, k := range KernelScenarios() {
-		ceil, ok := ceilings[k.Name]
+	for _, k := range kernelScenarios() {
+		ceil, ok := ceilings[k.name]
 		if !ok {
-			t.Errorf("%s: no allocs/record ceiling defined; add one", k.Name)
+			t.Errorf("%s: no allocs/record ceiling defined; add one", k.name)
 			continue
 		}
 		var ms0, ms1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
-		_, records, err := k.Run()
+		_, records, err := k.run()
 		runtime.ReadMemStats(&ms1)
 		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
+			t.Fatalf("%s: %v", k.name, err)
 		}
 		if records == 0 {
-			t.Fatalf("%s: no records executed", k.Name)
+			t.Fatalf("%s: no records executed", k.name)
 		}
 		got := float64(ms1.Mallocs-ms0.Mallocs) / float64(records)
 		if got > ceil {
-			t.Errorf("%s: %.4f allocs/record exceeds ceiling %.2f", k.Name, got, ceil)
+			t.Errorf("%s: %.4f allocs/record exceeds ceiling %.2f", k.name, got, ceil)
 		}
 	}
 }

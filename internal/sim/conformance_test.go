@@ -15,18 +15,7 @@ import (
 
 	"streamline/internal/audit"
 	"streamline/internal/check"
-	"streamline/internal/core"
-	"streamline/internal/dram"
-	"streamline/internal/meta"
-	"streamline/internal/prefetch"
-	"streamline/internal/prefetch/berti"
-	"streamline/internal/prefetch/bingo"
-	"streamline/internal/prefetch/ipcp"
-	"streamline/internal/prefetch/spp"
 	"streamline/internal/prefetch/stms"
-	"streamline/internal/prefetch/stride"
-	"streamline/internal/prefetch/triage"
-	"streamline/internal/prefetch/triangel"
 	"streamline/internal/sim"
 	"streamline/internal/workloads"
 )
@@ -37,55 +26,37 @@ type conformanceArm struct {
 	apply func(cfg *sim.Config)
 }
 
-const confMetaBytes = 32 << 10
+// conformanceKnobs sizes the metadata engines for the micro-run hierarchy.
+var conformanceKnobs = sim.Knobs{MetaBytes: 32 << 10, MinSets: 8}
 
-// conformanceArms covers every prefetcher in the repository: the two L1D
-// spatial prefetchers, the three L2 spatial prefetchers, the three
-// LLC-metadata temporal prefetchers, and the DRAM-metadata STMS baseline.
+// conformanceArms covers every prefetcher in the repository — one arm per
+// row of the engine table: the two L1D spatial prefetchers, the three L2
+// spatial prefetchers, the three LLC-metadata temporal prefetchers, and the
+// DRAM-metadata STMS baseline.
 func conformanceArms() []conformanceArm {
-	return []conformanceArm{
-		{"stride", func(cfg *sim.Config) {
-			cfg.L1DPrefetcher = func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }
-		}},
-		{"berti", func(cfg *sim.Config) {
-			cfg.L1DPrefetcher = func() prefetch.Prefetcher { return berti.New(berti.DefaultConfig) }
-		}},
-		{"ipcp", func(cfg *sim.Config) {
-			cfg.L2Prefetcher = func() prefetch.Prefetcher { return ipcp.New(ipcp.DefaultConfig) }
-		}},
-		{"bingo", func(cfg *sim.Config) {
-			cfg.L2Prefetcher = func() prefetch.Prefetcher { return bingo.New(bingo.DefaultConfig) }
-		}},
-		{"spp", func(cfg *sim.Config) {
-			cfg.L2Prefetcher = func() prefetch.Prefetcher { return spp.New(spp.DefaultConfig) }
-		}},
-		{"triage", func(cfg *sim.Config) {
-			cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-				c := triage.DefaultConfig()
-				c.MetaBytes = confMetaBytes
-				return triage.New(c, b)
+	var arms []conformanceArm
+	for _, e := range sim.Engines() {
+		name := e.Name
+		arms = append(arms, conformanceArm{name, func(cfg *sim.Config) {
+			if err := sim.Attach(cfg, name, conformanceKnobs); err != nil {
+				panic(err)
 			}
-		}},
-		{"triangel", func(cfg *sim.Config) {
-			cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-				c := triangel.DefaultConfig()
-				c.MetaBytes = confMetaBytes
-				return triangel.New(c, b)
-			}
-		}},
-		{"streamline", func(cfg *sim.Config) {
-			cfg.Temporal = func(b meta.Bridge) prefetch.Prefetcher {
-				o := core.DefaultOptions()
-				o.MetaBytes = confMetaBytes
-				o.MinSets = 8
-				return core.New(o, b)
-			}
-		}},
-		{"stms", func(cfg *sim.Config) {
-			cfg.TemporalDRAM = func(d *dram.DRAM) prefetch.Prefetcher {
-				return stms.New(stms.DefaultConfig(), d)
-			}
-		}},
+		}})
+	}
+	return arms
+}
+
+// TestConformanceCoversEngineTable pins the engine table's rows and order,
+// and with them the conformance arm list: adding an engine is a deliberate
+// edit here, and the new row is then under every contract below.
+func TestConformanceCoversEngineTable(t *testing.T) {
+	want := []string{"stride", "berti", "ipcp", "bingo", "spp", "triage", "triangel", "streamline", "stms"}
+	var got []string
+	for _, a := range conformanceArms() {
+		got = append(got, a.name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("conformance arms = %v, want %v", got, want)
 	}
 }
 

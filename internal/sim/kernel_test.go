@@ -1,0 +1,67 @@
+package sim
+
+// This file defines the kernel benchmark scenarios: small, representative
+// simulations used to track the per-trace-record cost of the simulation
+// kernel (System.step -> demandAccess -> cache Lookup/Fill -> dram.Access ->
+// prefetcher Train). They back BenchmarkKernel and the allocation ceiling in
+// bench_test.go; the repository benchmark (`go run ./benchmark`) is the
+// tracked end-to-end measurement.
+
+// kernelScenario is one representative kernel benchmark configuration: a
+// core count, a workload per core, and instruction budgets on the scaled
+// test hierarchy (the same ~8x-reduced geometry the sim tests use).
+type kernelScenario struct {
+	name string
+	// cores is the simulated core count; workloads assigns one per core.
+	cores     int
+	workloads []string
+	// warmup and measure are the per-core instruction budgets.
+	warmup, measure uint64
+	// temporal names the temporal engine in the engine table, or "" for
+	// none. Temporal scenarios also attach a stride L1D prefetcher so the
+	// full Train/issuePrefetch path is exercised.
+	temporal string
+}
+
+// kernelScenarios returns the representative kernel benchmark set: a
+// prefetcher-free single-core baseline (pure hierarchy cost), the paper's
+// two temporal prefetchers single-core, and a 4-core multi-programmed mix
+// (scheduler and shared-resource cost).
+func kernelScenarios() []kernelScenario {
+	return []kernelScenario{
+		{name: "1core-base-sphinx06", cores: 1, workloads: []string{"sphinx06"},
+			warmup: 50_000, measure: 200_000},
+		{name: "1core-streamline-sphinx06", cores: 1, workloads: []string{"sphinx06"},
+			warmup: 50_000, measure: 200_000, temporal: "streamline"},
+		{name: "1core-triangel-mcf06", cores: 1, workloads: []string{"mcf06"},
+			warmup: 50_000, measure: 200_000, temporal: "triangel"},
+		{name: "4core-streamline-mix", cores: 4,
+			workloads: []string{"sphinx06", "mcf06", "bfs", "libquantum06"},
+			warmup:    25_000, measure: 100_000, temporal: "streamline"},
+	}
+}
+
+// run executes the scenario once on the scaled-down test hierarchy
+// (smallConfig; footprint 0.1 stresses it the way the full-size workloads
+// stress the Table II hierarchy), returning the simulation result and the
+// number of trace records the kernel executed (warmup plus measurement).
+func (k kernelScenario) run() (Result, uint64, error) {
+	cfg := smallConfig(k.cores)
+	cfg.WarmupInstructions = k.warmup
+	cfg.MeasureInstructions = k.measure
+	if k.temporal != "" {
+		for _, name := range []string{"stride", k.temporal} {
+			// Zero knobs: every engine at its own defaults.
+			if err := Attach(&cfg, name, Knobs{}); err != nil {
+				return Result{}, 0, err
+			}
+		}
+	}
+	sys := New(cfg)
+	if err := sys.AttachWorkloads(k.workloads, 0.1, 1); err != nil {
+		return Result{}, 0, err
+	}
+	eng := sys.Engine()
+	res := eng.Finish()
+	return res, eng.Progress().Records, nil
+}
