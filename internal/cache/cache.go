@@ -139,7 +139,6 @@ func (s Stats) PrefetchAccuracy() float64 {
 
 type line struct {
 	tag        mem.Line
-	pc         mem.PC
 	valid      bool
 	dirty      bool
 	prefetched bool
@@ -449,7 +448,6 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 	}
 	c.sets[set][way] = line{
 		tag:        a.Line(),
-		pc:         a.PC,
 		valid:      true,
 		dirty:      a.Kind == mem.Store || a.Kind == mem.Writeback,
 		prefetched: prefetch,

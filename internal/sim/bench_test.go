@@ -40,24 +40,28 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 // TestKernelAllocsPerRecordCeiling pins the allocation rate of each kernel
-// scenario. The hot path is allocation-free after warmup, so per-record
-// allocations are amortized setup cost; the ceilings hold 2-3x headroom
-// over current values (base 0.02, temporal ~0.18) while failing loudly on
-// a per-record allocation regression (pre-optimization rates were 0.8-2.1).
+// scenario, in mallocs and in bytes. The hot path is allocation-free after
+// warmup, so per-record allocations are amortized setup cost; the ceilings
+// hold 2-3x headroom over current values (allocs: base 0.02, temporal
+// ~0.18; bytes: 12, 32, 36, 37) while failing loudly on a per-record
+// allocation regression (pre-optimization rates were 0.8-2.1 allocs/record).
+// The byte ceiling catches what the count cannot: few but huge allocations,
+// such as the whole-lap trace buffers that once put these scenarios at 78,
+// 98, 54 and 269 B/record without moving the count.
 func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel runs")
 	}
-	ceilings := map[string]float64{
-		"1core-base-sphinx06":       0.10,
-		"1core-streamline-sphinx06": 0.50,
-		"1core-triangel-mcf06":      0.50,
-		"4core-streamline-mix":      0.40,
+	ceilings := map[string]struct{ allocs, bytes float64 }{
+		"1core-base-sphinx06":       {0.10, 25},
+		"1core-streamline-sphinx06": {0.50, 65},
+		"1core-triangel-mcf06":      {0.50, 75},
+		"4core-streamline-mix":      {0.40, 75},
 	}
 	for _, k := range kernelScenarios() {
 		ceil, ok := ceilings[k.name]
 		if !ok {
-			t.Errorf("%s: no allocs/record ceiling defined; add one", k.name)
+			t.Errorf("%s: no allocation ceilings defined; add them", k.name)
 			continue
 		}
 		var ms0, ms1 runtime.MemStats
@@ -71,9 +75,11 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 		if records == 0 {
 			t.Fatalf("%s: no records executed", k.name)
 		}
-		got := float64(ms1.Mallocs-ms0.Mallocs) / float64(records)
-		if got > ceil {
-			t.Errorf("%s: %.4f allocs/record exceeds ceiling %.2f", k.name, got, ceil)
+		if got := float64(ms1.Mallocs-ms0.Mallocs) / float64(records); got > ceil.allocs {
+			t.Errorf("%s: %.4f allocs/record exceeds ceiling %.2f", k.name, got, ceil.allocs)
+		}
+		if got := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(records); got > ceil.bytes {
+			t.Errorf("%s: %.1f alloc bytes/record exceeds ceiling %.0f", k.name, got, ceil.bytes)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"streamline/internal/mem"
-	"streamline/internal/trace"
 )
 
 // The pointer-chase family models the irregular SPEC workloads (mcf, sphinx,
@@ -18,19 +17,18 @@ import (
 // structures) and scanLines of sequential scan traffic is interleaved every
 // scanEvery chase steps (modeling mcf's pointer+scan phases).
 type chaseSource struct {
-	name      string
 	nodes     int
 	mutate    float64 // fraction of links rewired per lap
 	scanLines int     // sequential lines scanned per lap (0 = no scans)
 	scanEvery int     // chase steps between scan bursts
-	nonMem    uint8
 
-	rng   *rand.Rand
-	next  []int32 // permutation: next[i] is the node after i
-	data  array
-	scan  array
-	cur   int
-	sbase int // rotating scan start so scans sweep the scan region
+	rng     *rand.Rand
+	next    []int32 // permutation: next[i] is the node after i
+	data    array
+	scan    array
+	cur     int
+	scanPer int // lines per scan burst
+	scanPos int // rotating scan cursor, kept across laps so scans sweep the scan region
 }
 
 func (c *chaseSource) Reset(rng *rand.Rand) {
@@ -42,7 +40,11 @@ func (c *chaseSource) Reset(rng *rand.Rand) {
 	}
 	c.next = randomCycle(c.nodes, rng)
 	c.cur = 0
-	c.sbase = 0
+	c.scanPos = 0
+	c.scanPer = 0
+	if c.scanLines > 0 && c.scanEvery > 0 {
+		c.scanPer = max(1, c.scanLines/(c.nodes/c.scanEvery))
+	}
 }
 
 // randomCycle returns a single-cycle permutation of n elements, so a chase
@@ -56,30 +58,20 @@ func randomCycle(n int, rng *rand.Rand) []int32 {
 	return next
 }
 
-func (c *chaseSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: c.nonMem}
-	pc := pcBase(c.name)
-	scanPC := pc + 8
-	steps := c.nodes
-	scanPer := 0
-	if c.scanLines > 0 && c.scanEvery > 0 {
-		scanPer = c.scanLines / (steps / c.scanEvery)
-		if scanPer < 1 {
-			scanPer = 1
+func (c *chaseSource) Steps() int { return c.nodes }
+
+func (c *chaseSource) Step(i int, e *emitter) {
+	e.chase(e.pc, c.data.at(c.cur))
+	c.cur = int(c.next[c.cur])
+	if c.scanPer > 0 && i%c.scanEvery == c.scanEvery-1 {
+		for j := 0; j < c.scanPer; j++ {
+			e.load(e.pc+8, c.scan.at(c.scanPos%(c.scanLines*8)))
+			c.scanPos++
 		}
 	}
-	scanPos := c.sbase
-	for i := 0; i < steps; i++ {
-		e.chase(pc, c.data.at(c.cur))
-		c.cur = int(c.next[c.cur])
-		if scanPer > 0 && i%c.scanEvery == c.scanEvery-1 {
-			for j := 0; j < scanPer; j++ {
-				e.load(scanPC, c.scan.at(scanPos%(c.scanLines*8)))
-				scanPos++
-			}
-		}
-	}
-	c.sbase = scanPos
+}
+
+func (c *chaseSource) EndLap() {
 	if c.mutate > 0 {
 		c.rewire()
 	}
@@ -126,11 +118,9 @@ func (c *chaseSource) rewire() {
 // A fraction of each lap's schedule is perturbed, so correlations are strong
 // but not perfect.
 type poolSource struct {
-	name    string
 	events  int
 	perturb float64 // fraction of schedule slots randomized per lap
 	hot     int     // hot event objects revisited with extra loads
-	nonMem  uint8
 
 	rng      *rand.Rand
 	schedule []int32
@@ -151,16 +141,16 @@ func (p *poolSource) Reset(rng *rand.Rand) {
 	}
 }
 
-func (p *poolSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: p.nonMem}
-	pc := pcBase(p.name)
-	hotPC := pc + 8
-	for i, ev := range p.schedule {
-		e.chase(pc, p.objs.at(int(ev)))
-		if i&7 == 0 { // periodic touch of hot bookkeeping state
-			e.load(hotPC, p.hotObjs.at(i%p.hot))
-		}
+func (p *poolSource) Steps() int { return len(p.schedule) }
+
+func (p *poolSource) Step(i int, e *emitter) {
+	e.chase(e.pc, p.objs.at(int(p.schedule[i])))
+	if i&7 == 0 { // periodic touch of hot bookkeeping state
+		e.load(e.pc+8, p.hotObjs.at(i%p.hot))
 	}
+}
+
+func (p *poolSource) EndLap() {
 	if p.perturb > 0 {
 		// Swap schedule slots so the order churns without duplicating
 		// events (new events replace finished ones in real calendars).
@@ -175,56 +165,51 @@ func (p *poolSource) Lap(emit func(trace.Record)) {
 
 func init() {
 	register(Workload{
-		Name: "mcf06", Suite: SPEC06, Irregular: true,
+		Name: "mcf06", Suite: SPEC06, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &chaseSource{name: "mcf06", nodes: s.size(96 << 10),
-				mutate: 0.02, scanLines: 2 << 10, scanEvery: 32, nonMem: 3}
+			return &chaseSource{nodes: s.size(96 << 10),
+				mutate: 0.02, scanLines: 2 << 10, scanEvery: 32}
 		},
 	})
 	register(Workload{
-		Name: "sphinx06", Suite: SPEC06, Irregular: true,
+		Name: "sphinx06", Suite: SPEC06, Irregular: true, nonMem: 4,
 		Build: func(s Scale) LapSource {
-			return &chaseSource{name: "sphinx06", nodes: s.size(288 << 10),
-				mutate: 0.005, nonMem: 4}
+			return &chaseSource{nodes: s.size(288 << 10), mutate: 0.005}
 		},
 	})
 	register(Workload{
-		Name: "omnetpp06", Suite: SPEC06, Irregular: true,
+		Name: "omnetpp06", Suite: SPEC06, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &poolSource{name: "omnetpp06", events: s.size(64 << 10),
-				perturb: 0.02, hot: 512, nonMem: 3}
+			return &poolSource{events: s.size(64 << 10), perturb: 0.02, hot: 512}
 		},
 	})
 	register(Workload{
-		Name: "astar06", Suite: SPEC06, Irregular: true,
+		Name: "astar06", Suite: SPEC06, Irregular: true, nonMem: 4,
 		Build: func(s Scale) LapSource {
 			// Pathfinding: linked search whose explored region shifts a
 			// little between searches.
-			return &chaseSource{name: "astar06", nodes: s.size(56 << 10),
-				mutate: 0.04, nonMem: 4}
+			return &chaseSource{nodes: s.size(56 << 10), mutate: 0.04}
 		},
 	})
 	register(Workload{
-		Name: "xalancbmk06", Suite: SPEC06, Irregular: true,
+		Name: "xalancbmk06", Suite: SPEC06, Irregular: true, nonMem: 4,
 		Build: func(s Scale) LapSource {
 			// DOM-tree walks: event-pool traversal in a highly stable
 			// order with a hot symbol table.
-			return &poolSource{name: "xalancbmk06", events: s.size(48 << 10),
-				perturb: 0.01, hot: 768, nonMem: 4}
+			return &poolSource{events: s.size(48 << 10), perturb: 0.01, hot: 768}
 		},
 	})
 	register(Workload{
-		Name: "mcf17", Suite: SPEC17, Irregular: true,
+		Name: "mcf17", Suite: SPEC17, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &chaseSource{name: "mcf17", nodes: s.size(128 << 10),
-				mutate: 0.03, scanLines: 4 << 10, scanEvery: 24, nonMem: 3}
+			return &chaseSource{nodes: s.size(128 << 10),
+				mutate: 0.03, scanLines: 4 << 10, scanEvery: 24}
 		},
 	})
 	register(Workload{
-		Name: "omnetpp17", Suite: SPEC17, Irregular: true,
+		Name: "omnetpp17", Suite: SPEC17, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &poolSource{name: "omnetpp17", events: s.size(88 << 10),
-				perturb: 0.04, hot: 1024, nonMem: 3}
+			return &poolSource{events: s.size(88 << 10), perturb: 0.04, hot: 1024}
 		},
 	})
 }

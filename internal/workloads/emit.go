@@ -42,26 +42,29 @@ func (a *arena) array(count, elemSize int) array {
 
 func (a array) at(i int) mem.Addr { return a.base + mem.Addr(i*a.elem) }
 
-// emitter wraps the per-lap emit callback with convenience constructors for
-// the record kinds workloads generate. nonMem is the default compute density
-// (non-memory instructions preceding each memory instruction).
+// emitter appends the records a workload generates to its trace's chunk
+// buffer, with convenience constructors for the record kinds. pc is the base
+// of the workload's PC region (loop PCs sit 8 bytes apart from it) and nonMem
+// its compute density (non-memory instructions preceding each memory
+// instruction).
 type emitter struct {
-	emit   func(trace.Record)
+	buf    []trace.Record
+	pc     mem.PC
 	nonMem uint8
 }
 
 func (e *emitter) load(pc mem.PC, addr mem.Addr) {
-	e.emit(trace.Record{PC: pc, Addr: addr, NonMem: e.nonMem})
+	e.buf = append(e.buf, trace.Record{PC: pc, Addr: addr, NonMem: e.nonMem})
 }
 
 // chase emits a load whose address depends on the previous memory
 // instruction, serializing it in the timing model.
 func (e *emitter) chase(pc mem.PC, addr mem.Addr) {
-	e.emit(trace.Record{PC: pc, Addr: addr, DependsOnPrev: true, NonMem: e.nonMem})
+	e.buf = append(e.buf, trace.Record{PC: pc, Addr: addr, DependsOnPrev: true, NonMem: e.nonMem})
 }
 
 func (e *emitter) store(pc mem.PC, addr mem.Addr) {
-	e.emit(trace.Record{PC: pc, Addr: addr, IsWrite: true, NonMem: e.nonMem})
+	e.buf = append(e.buf, trace.Record{PC: pc, Addr: addr, IsWrite: true, NonMem: e.nonMem})
 }
 
 // pcBase derives a stable, distinctive PC region for a workload from its

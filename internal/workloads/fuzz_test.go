@@ -25,8 +25,9 @@ func fuzzRecords(w Workload, fp float64, seed int64, n int) []trace.Record {
 // footprint) and checks the properties the simulator depends on:
 //
 //   - determinism: two traces built from the same (scale, seed) emit
-//     identical record streams, and Reset rewinds to the identical stream —
-//     the foundation of the golden-stats and parallel-vs-serial tests;
+//     identical record streams, and Reset after any k records reproduces the
+//     first k — the foundation of the golden-stats and parallel-vs-serial
+//     tests, and of trace.Looping's wrap-around;
 //   - address hygiene: every address lies in the generator arena region
 //     [arenaBase, arenaBase+2^31), so per-core striping in the simulator
 //     (stride 2^44) can never collide across cores;
@@ -34,11 +35,11 @@ func fuzzRecords(w Workload, fp float64, seed int64, n int) []trace.Record {
 //     within the arena bound above, so a fuzzed footprint cannot make a
 //     workload outgrow the address budget.
 func FuzzTraceGenerators(f *testing.F) {
-	f.Add(uint8(0), int64(1), uint8(10))
-	f.Add(uint8(3), int64(42), uint8(1))
-	f.Add(uint8(7), int64(-5), uint8(25))
-	f.Add(uint8(200), int64(1<<40), uint8(0))
-	f.Fuzz(func(t *testing.T, widx uint8, seed int64, fpRaw uint8) {
+	f.Add(uint8(0), int64(1), uint8(10), uint16(100))
+	f.Add(uint8(3), int64(42), uint8(1), uint16(chunkRecords))
+	f.Add(uint8(7), int64(-5), uint8(25), uint16(3999))
+	f.Add(uint8(200), int64(1<<40), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, widx uint8, seed int64, fpRaw uint8, resetAt uint16) {
 		ws := All()
 		w := ws[int(widx)%len(ws)]
 		// Footprint in (0, 0.32]: small enough to stay fast, varied enough
@@ -72,17 +73,17 @@ func FuzzTraceGenerators(f *testing.F) {
 				w.Name, fp, len(distinct))
 		}
 
-		// Reset must rewind to the same stream.
+		// Reset after k records must reproduce the first k.
+		k := int(resetAt) % (len(recs) + 1)
 		tr := w.NewTrace(Scale{Footprint: fp}, seed)
-		for i := 0; i < 100 && i < len(recs); i++ {
-			if r, ok := tr.Next(); !ok || r != recs[i] {
-				t.Fatalf("%s: pre-reset record %d diverges", w.Name, i)
+		for pass, what := range []string{"pre-reset", "post-reset"} {
+			if pass == 1 {
+				tr.Reset()
 			}
-		}
-		tr.Reset()
-		for i := 0; i < 100 && i < len(recs); i++ {
-			if r, ok := tr.Next(); !ok || r != recs[i] {
-				t.Fatalf("%s: post-reset record %d diverges from record stream", w.Name, i)
+			for i := 0; i < k; i++ {
+				if r, ok := tr.Next(); !ok || r != recs[i] {
+					t.Fatalf("%s: %s record %d of %d diverges", w.Name, what, i, k)
+				}
 			}
 		}
 	})

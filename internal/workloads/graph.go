@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"streamline/internal/mem"
-	"streamline/internal/trace"
 )
 
 // The graph family models the GAP benchmark suite: vertex-centric analytics
@@ -60,27 +59,27 @@ func buildGraph(n, avgDeg int, rng *rand.Rand) *graph {
 // sequence is the long repeating correlated stream temporal prefetchers
 // exist for. Variants layer dependent gathers and per-lap mutation on top.
 type gatherSource struct {
-	name    string
 	edges   int     // gathers per lap
 	hubs    int     // hot vertex lines (cache-resident head)
 	hotFrac float64 // fraction of gathers that touch the hot head
 	chase   bool    // dependent gathers (rank propagation via pointers)
 	mutate  float64 // fraction of the cold order reshuffled per lap
 	writeTo bool    // write a result line per 8 edges
-	nonMem  uint8
 
-	rng    *rand.Rand
-	isHot  []bool  // per edge slot
-	hotIdx []int32 // hub index per hot slot
-	cold   []int32 // permutation of cold lines over cold slots
-	hot    array
-	coldA  array
-	out    array
-	edgeA  array
+	rng     *rand.Rand
+	isHot   []bool  // per edge slot
+	hotIdx  []int32 // hub index per hot slot
+	cold    []int32 // permutation of cold lines over cold slots
+	coldPos int     // next cold slot of the current lap
+	hot     array
+	coldA   array
+	out     array
+	edgeA   array
 }
 
 func (g *gatherSource) Reset(rng *rand.Rand) {
 	g.rng = rng
+	g.coldPos = 0
 	g.isHot = make([]bool, g.edges)
 	g.hotIdx = make([]int32, g.edges)
 	nCold := 0
@@ -106,29 +105,29 @@ func (g *gatherSource) Reset(rng *rand.Rand) {
 	g.edgeA = a.array(g.edges, 4)
 }
 
-func (g *gatherSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: g.nonMem}
-	pc := pcBase(g.name)
-	edgePC, gatherPC, outPC := pc, pc+8, pc+16
-	coldPos := 0
-	for ei := 0; ei < g.edges; ei++ {
-		e.load(edgePC, g.edgeA.at(ei)) // sequential edge stream
-		var target mem.Addr
-		if g.isHot[ei] {
-			target = g.hot.at(int(g.hotIdx[ei]))
-		} else {
-			target = g.coldA.at(int(g.cold[coldPos]))
-			coldPos++
-		}
-		if g.chase {
-			e.chase(gatherPC, target)
-		} else {
-			e.load(gatherPC, target)
-		}
-		if g.writeTo && ei%8 == 7 {
-			e.store(outPC, g.out.at(ei/8))
-		}
+func (g *gatherSource) Steps() int { return g.edges }
+
+func (g *gatherSource) Step(ei int, e *emitter) {
+	e.load(e.pc, g.edgeA.at(ei)) // sequential edge stream
+	var target mem.Addr
+	if g.isHot[ei] {
+		target = g.hot.at(int(g.hotIdx[ei]))
+	} else {
+		target = g.coldA.at(int(g.cold[g.coldPos]))
+		g.coldPos++
 	}
+	if g.chase {
+		e.chase(e.pc+8, target)
+	} else {
+		e.load(e.pc+8, target)
+	}
+	if g.writeTo && ei%8 == 7 {
+		e.store(e.pc+16, g.out.at(ei/8))
+	}
+}
+
+func (g *gatherSource) EndLap() {
+	g.coldPos = 0
 	if g.mutate > 0 {
 		n := int(float64(len(g.cold)) * g.mutate)
 		for i := 0; i < n; i++ {
@@ -144,10 +143,8 @@ func (g *gatherSource) Lap(emit func(trace.Record)) {
 // exactly the unique-per-iteration stream of real BFS), and each visit
 // also streams the vertex's edge list.
 type bfsSource struct {
-	name   string
 	n      int
 	avgDeg int
-	nonMem uint8
 
 	g     *graph
 	order []int32 // precomputed BFS vertex visit order
@@ -199,63 +196,63 @@ func bfsOrder(g *graph, src int) []int32 {
 	return order
 }
 
-func (b *bfsSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: b.nonMem}
-	pc := pcBase(b.name)
-	edgePC, visitPC := pc, pc+8
-	for _, v := range b.order {
-		// The frontier-order dist access: irregular, once per vertex per
-		// lap, identical order across laps.
-		e.load(visitPC, b.dist.at(int(v)))
-		for ei := b.g.offsets[v]; ei < b.g.offsets[v+1]; ei++ {
-			e.load(edgePC, b.edgeA.at(int(ei)))
-		}
+func (b *bfsSource) Steps() int { return len(b.order) }
+
+func (b *bfsSource) Step(i int, e *emitter) {
+	v := b.order[i]
+	// The frontier-order dist access: irregular, once per vertex per
+	// lap, identical order across laps.
+	e.load(e.pc+8, b.dist.at(int(v)))
+	for ei := b.g.offsets[v]; ei < b.g.offsets[v+1]; ei++ {
+		e.load(e.pc, b.edgeA.at(int(ei)))
 	}
 }
 
+func (b *bfsSource) EndLap() {}
+
 func init() {
 	register(Workload{
-		Name: "pr", Suite: GAP, Irregular: true,
+		Name: "pr", Suite: GAP, Irregular: true, nonMem: 2,
 		Build: func(s Scale) LapSource {
-			return &gatherSource{name: "pr", edges: s.size(160 << 10),
-				hubs: s.size(8 << 10), hotFrac: 0.25, writeTo: true, nonMem: 2}
+			return &gatherSource{edges: s.size(160 << 10),
+				hubs: s.size(8 << 10), hotFrac: 0.25, writeTo: true}
 		},
 	})
 	register(Workload{
-		Name: "cc", Suite: GAP, Irregular: true,
+		Name: "cc", Suite: GAP, Irregular: true, nonMem: 2,
 		Build: func(s Scale) LapSource {
-			return &gatherSource{name: "cc", edges: s.size(128 << 10),
-				hubs: s.size(6 << 10), hotFrac: 0.3, mutate: 0.01, nonMem: 2}
+			return &gatherSource{edges: s.size(128 << 10),
+				hubs: s.size(6 << 10), hotFrac: 0.3, mutate: 0.01}
 		},
 	})
 	register(Workload{
-		Name: "bc", Suite: GAP, Irregular: true,
+		Name: "bc", Suite: GAP, Irregular: true, nonMem: 2,
 		Build: func(s Scale) LapSource {
-			return &gatherSource{name: "bc", edges: s.size(112 << 10),
+			return &gatherSource{edges: s.size(112 << 10),
 				hubs: s.size(6 << 10), hotFrac: 0.25, chase: true,
-				writeTo: true, nonMem: 2}
+				writeTo: true}
 		},
 	})
 	register(Workload{
-		Name: "bfs", Suite: GAP, Irregular: true,
+		Name: "bfs", Suite: GAP, Irregular: true, nonMem: 2,
 		Build: func(s Scale) LapSource {
-			return &bfsSource{name: "bfs", n: s.size(96 << 10), avgDeg: 4, nonMem: 2}
+			return &bfsSource{n: s.size(96 << 10), avgDeg: 4}
 		},
 	})
 	register(Workload{
-		Name: "tc", Suite: GAP, Irregular: true,
+		Name: "tc", Suite: GAP, Irregular: true, nonMem: 2,
 		Build: func(s Scale) LapSource {
 			// Triangle counting: dense dependent gathers over a hotter
 			// head (hub-hub edges dominate).
-			return &gatherSource{name: "tc", edges: s.size(96 << 10),
-				hubs: s.size(4 << 10), hotFrac: 0.4, chase: true, nonMem: 2}
+			return &gatherSource{edges: s.size(96 << 10),
+				hubs: s.size(4 << 10), hotFrac: 0.4, chase: true}
 		},
 	})
 	register(Workload{
-		Name: "sssp", Suite: GAP, Irregular: true,
+		Name: "sssp", Suite: GAP, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
 			// SSSP's bucketed relaxations: BFS-like order with denser edges.
-			return &bfsSource{name: "sssp", n: s.size(72 << 10), avgDeg: 6, nonMem: 3}
+			return &bfsSource{n: s.size(72 << 10), avgDeg: 6}
 		},
 	})
 }

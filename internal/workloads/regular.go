@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"streamline/internal/mem"
-	"streamline/internal/trace"
 )
 
 // The regular family models the streaming and strided SPEC workloads
@@ -17,19 +16,21 @@ import (
 // element granularity (eight touches per cache line, like real array code),
 // writing a fraction of elements (lbm-style read-modify-write streaming).
 type streamSource struct {
-	name    string
 	lines   int // lines per array
 	arrays  int
 	stride  int     // element stride within each sweep
 	storePW float64 // probability a touch is a store
-	nonMem  uint8
 
 	rng  *rand.Rand
 	arrs []array
+	arr  int // array being swept
+	elem int // next element of that array
 }
 
 func (s *streamSource) Reset(rng *rand.Rand) {
 	s.rng = rng
+	s.stride = max(s.stride, 1)
+	s.arr, s.elem = 0, 0
 	a := newArena()
 	s.arrs = make([]array, s.arrays)
 	for i := range s.arrs {
@@ -37,24 +38,26 @@ func (s *streamSource) Reset(rng *rand.Rand) {
 	}
 }
 
-func (s *streamSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: s.nonMem}
-	pc := pcBase(s.name)
-	stride := s.stride
-	if stride < 1 {
-		stride = 1
+func (s *streamSource) Steps() int {
+	return s.arrays * ((s.lines*8 + s.stride - 1) / s.stride)
+}
+
+// Step touches one element; the (arr, elem) cursor stands in for the nested
+// array and element loops.
+func (s *streamSource) Step(_ int, e *emitter) {
+	apc := e.pc + mem.PC(8*s.arr)
+	addr := s.arrs[s.arr].at(s.elem)
+	if s.storePW > 0 && s.rng.Float64() < s.storePW {
+		e.store(apc, addr)
+	} else {
+		e.load(apc, addr)
 	}
-	for ai, arr := range s.arrs {
-		apc := pc + mem.PC(8*ai)
-		for i := 0; i < s.lines*8; i += stride {
-			if s.storePW > 0 && s.rng.Float64() < s.storePW {
-				e.store(apc, arr.at(i))
-			} else {
-				e.load(apc, arr.at(i))
-			}
-		}
+	if s.elem += s.stride; s.elem >= s.lines*8 {
+		s.arr, s.elem = s.arr+1, 0
 	}
 }
+
+func (s *streamSource) EndLap() { s.arr, s.elem = 0, 0 }
 
 // stencilSource models roms/lbm-style structured-grid sweeps: for each
 // interior point, load a small neighborhood at fixed offsets (rows apart)
@@ -62,10 +65,8 @@ func (s *streamSource) Lap(emit func(trace.Record)) {
 // concurrent fixed strides — ideal for stride/Berti prefetchers, useless
 // for temporal ones.
 type stencilSource struct {
-	name   string
-	rows   int
-	cols   int // elements per row
-	nonMem uint8
+	rows int
+	cols int // elements per row
 
 	grid array
 	outg array
@@ -77,19 +78,19 @@ func (s *stencilSource) Reset(rng *rand.Rand) {
 	s.outg = a.array(s.rows*s.cols, 8)
 }
 
-func (s *stencilSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: s.nonMem}
-	pc := pcBase(s.name)
-	for r := 1; r < s.rows-1; r++ {
-		for c := 0; c < s.cols; c++ {
-			i := r*s.cols + c
-			e.load(pc, s.grid.at(i-s.cols)) // north
-			e.load(pc+8, s.grid.at(i))      // center
-			e.load(pc+16, s.grid.at(i+s.cols))
-			e.store(pc+24, s.outg.at(i))
-		}
-	}
+func (s *stencilSource) Steps() int { return (s.rows - 2) * s.cols }
+
+// Step computes one interior point; point p of the lap is grid cell p+cols,
+// which skips the north boundary row.
+func (s *stencilSource) Step(p int, e *emitter) {
+	i := p + s.cols
+	e.load(e.pc, s.grid.at(i-s.cols)) // north
+	e.load(e.pc+8, s.grid.at(i))      // center
+	e.load(e.pc+16, s.grid.at(i+s.cols))
+	e.store(e.pc+24, s.outg.at(i))
 }
+
+func (s *stencilSource) EndLap() {}
 
 // cacheResidentSource models bzip2-like low-MPKI behavior: a working set
 // that fits in the L2 with occasional excursions to a larger table. Almost
@@ -97,11 +98,9 @@ func (s *stencilSource) Lap(emit func(trace.Record)) {
 // wasted — this is the workload the paper says penalizes Streamline's 64
 // permanently allocated metadata sets.
 type cacheResidentSource struct {
-	name      string
 	hotLines  int // L2-resident working set
 	coldLines int // rarely-touched overflow table
 	steps     int
-	nonMem    uint8
 
 	rng  *rand.Rand
 	hot  array
@@ -115,58 +114,56 @@ func (c *cacheResidentSource) Reset(rng *rand.Rand) {
 	c.cold = a.array(c.coldLines, mem.LineSize)
 }
 
-func (c *cacheResidentSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: c.nonMem}
-	pc := pcBase(c.name)
-	for i := 0; i < c.steps; i++ {
-		e.load(pc, c.hot.at(c.rng.Intn(c.hotLines)))
-		if i&63 == 0 {
-			e.load(pc+8, c.cold.at(c.rng.Intn(c.coldLines)))
-		}
+func (c *cacheResidentSource) Steps() int { return c.steps }
+
+func (c *cacheResidentSource) Step(i int, e *emitter) {
+	e.load(e.pc, c.hot.at(c.rng.Intn(c.hotLines)))
+	if i&63 == 0 {
+		e.load(e.pc+8, c.cold.at(c.rng.Intn(c.coldLines)))
 	}
 }
 
+func (c *cacheResidentSource) EndLap() {}
+
 func init() {
 	register(Workload{
-		Name: "libquantum06", Suite: SPEC06, Irregular: false,
+		Name: "libquantum06", Suite: SPEC06, Irregular: false, nonMem: 2,
 		Build: func(s Scale) LapSource {
-			return &streamSource{name: "libquantum06", lines: s.size(96 << 10),
-				arrays: 2, storePW: 0.3, nonMem: 2}
+			return &streamSource{lines: s.size(96 << 10), arrays: 2, storePW: 0.3}
 		},
 	})
 	register(Workload{
-		Name: "lbm17", Suite: SPEC17, Irregular: false,
+		Name: "lbm17", Suite: SPEC17, Irregular: false, nonMem: 2,
 		Build: func(s Scale) LapSource {
-			return &streamSource{name: "lbm17", lines: s.size(48 << 10),
-				arrays: 4, storePW: 0.5, nonMem: 2}
+			return &streamSource{lines: s.size(48 << 10), arrays: 4, storePW: 0.5}
 		},
 	})
 	register(Workload{
-		Name: "roms17", Suite: SPEC17, Irregular: false,
+		Name: "roms17", Suite: SPEC17, Irregular: false, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &stencilSource{name: "roms17", rows: s.size(256), cols: 2048, nonMem: 3}
+			return &stencilSource{rows: s.size(256), cols: 2048}
 		},
 	})
 	register(Workload{
-		Name: "leslie3d06", Suite: SPEC06, Irregular: false,
+		Name: "leslie3d06", Suite: SPEC06, Irregular: false, nonMem: 3,
 		Build: func(s Scale) LapSource {
 			// Multi-stride fluid dynamics sweeps.
-			return &streamSource{name: "leslie3d06", lines: s.size(40 << 10),
-				arrays: 3, stride: 2, storePW: 0.25, nonMem: 3}
+			return &streamSource{lines: s.size(40 << 10),
+				arrays: 3, stride: 2, storePW: 0.25}
 		},
 	})
 	register(Workload{
-		Name: "cactu17", Suite: SPEC17, Irregular: false,
+		Name: "cactu17", Suite: SPEC17, Irregular: false, nonMem: 4,
 		Build: func(s Scale) LapSource {
 			// A wider stencil grid than roms.
-			return &stencilSource{name: "cactu17", rows: s.size(320), cols: 1536, nonMem: 4}
+			return &stencilSource{rows: s.size(320), cols: 1536}
 		},
 	})
 	register(Workload{
-		Name: "bzip206", Suite: SPEC06, Irregular: false,
+		Name: "bzip206", Suite: SPEC06, Irregular: false, nonMem: 4,
 		Build: func(s Scale) LapSource {
-			return &cacheResidentSource{name: "bzip206", hotLines: s.size(6 << 10),
-				coldLines: s.size(64 << 10), steps: 256 << 10, nonMem: 4}
+			return &cacheResidentSource{hotLines: s.size(6 << 10),
+				coldLines: s.size(64 << 10), steps: 256 << 10}
 		},
 	})
 }

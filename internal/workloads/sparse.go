@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"streamline/internal/mem"
-	"streamline/internal/trace"
 )
 
 // The sparse family models soplex/milc-style sparse linear algebra and
@@ -16,11 +15,9 @@ import (
 // signal with a sequential edge-index stream mixed in, like soplex's
 // simplex iterations.
 type spmvSource struct {
-	name   string
 	rows   int
 	nnzRow int
 	xLines int // size of the gathered vector in lines
-	nonMem uint8
 
 	cols []int32
 	colA array
@@ -54,27 +51,23 @@ func (s *spmvSource) Reset(rng *rand.Rand) {
 	s.y = a.array(s.rows, 8)
 }
 
-func (s *spmvSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: s.nonMem}
-	pc := pcBase(s.name)
-	colPC, xPC, yPC := pc, pc+8, pc+16
-	idx := 0
-	for r := 0; r < s.rows; r++ {
-		for k := 0; k < s.nnzRow; k++ {
-			e.load(colPC, s.colA.at(idx))
-			e.load(xPC, s.x.at(int(s.cols[idx])))
-			idx++
-		}
-		e.store(yPC, s.y.at(r))
+func (s *spmvSource) Steps() int { return s.rows }
+
+func (s *spmvSource) Step(r int, e *emitter) {
+	for idx := r * s.nnzRow; idx < (r+1)*s.nnzRow; idx++ {
+		e.load(e.pc, s.colA.at(idx))
+		e.load(e.pc+8, s.x.at(int(s.cols[idx])))
 	}
+	e.store(e.pc+16, s.y.at(r))
 }
+
+func (s *spmvSource) EndLap() {}
 
 // hashProbeSource models xz/gcc-style hash-table probing: keys arrive in a
 // low-repetition order, so probe addresses rarely recur in the same
 // sequence. Temporal prefetchers gain little here, and inaccurate ones
 // hurt — this workload separates the accuracy-aware designs from the rest.
 type hashProbeSource struct {
-	name      string
 	buckets   int
 	probes    int
 	repeat    float64 // fraction of the probe schedule replayed across laps
@@ -82,16 +75,21 @@ type hashProbeSource struct {
 	// replacing them with random keys (accumulates duplicates, the
 	// hostile case)
 	seqLines int // sequential literal stream interleaved per lap
-	nonMem   uint8
 
 	rng      *rand.Rand
 	schedule []int32
+	seqPer   int // literal lines per burst
+	seqPos   int // literal cursor of the current lap
 	table    array
 	seq      array
 }
 
 func (h *hashProbeSource) Reset(rng *rand.Rand) {
 	h.rng = rng
+	h.seqPer, h.seqPos = 0, 0
+	if h.seqLines > 0 {
+		h.seqPer = h.seqLines / (h.probes / 8)
+	}
 	a := newArena()
 	h.table = a.array(h.buckets, mem.LineSize)
 	h.seq = a.array(h.seqLines, mem.LineSize)
@@ -105,25 +103,21 @@ func (h *hashProbeSource) Reset(rng *rand.Rand) {
 	}
 }
 
-func (h *hashProbeSource) Lap(emit func(trace.Record)) {
-	e := &emitter{emit: emit, nonMem: h.nonMem}
-	pc := pcBase(h.name)
-	probePC, seqPC := pc, pc+8
-	seqPer := 0
-	if h.seqLines > 0 {
-		seqPer = h.seqLines / (h.probes / 8)
-	}
-	seqPos := 0
-	for i, b := range h.schedule {
-		e.chase(probePC, h.table.at(int(b)))
-		if seqPer > 0 && i&7 == 7 {
-			for j := 0; j < seqPer; j++ {
-				e.load(seqPC, h.seq.at(seqPos%h.seqLines))
-				seqPos++
-			}
+func (h *hashProbeSource) Steps() int { return len(h.schedule) }
+
+func (h *hashProbeSource) Step(i int, e *emitter) {
+	e.chase(e.pc, h.table.at(int(h.schedule[i])))
+	if h.seqPer > 0 && i&7 == 7 {
+		for j := 0; j < h.seqPer; j++ {
+			e.load(e.pc+8, h.seq.at(h.seqPos%h.seqLines))
+			h.seqPos++
 		}
 	}
-	// Rewrite the non-repeating portion of the schedule for the next lap.
+}
+
+// EndLap rewrites the non-repeating portion of the schedule for the next lap.
+func (h *hashProbeSource) EndLap() {
+	h.seqPos = 0
 	churn := int(float64(len(h.schedule)) * (1 - h.repeat))
 	if h.swapChurn {
 		for i := 0; i < churn/2; i++ {
@@ -140,35 +134,35 @@ func (h *hashProbeSource) Lap(emit func(trace.Record)) {
 
 func init() {
 	register(Workload{
-		Name: "soplex06", Suite: SPEC06, Irregular: true,
+		Name: "soplex06", Suite: SPEC06, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &spmvSource{name: "soplex06", rows: s.size(24 << 10),
-				nnzRow: 6, xLines: s.size(120 << 10), nonMem: 3}
+			return &spmvSource{rows: s.size(24 << 10),
+				nnzRow: 6, xLines: s.size(120 << 10)}
 		},
 	})
 	register(Workload{
-		Name: "milc06", Suite: SPEC06, Irregular: false,
+		Name: "milc06", Suite: SPEC06, Irregular: false, nonMem: 2,
 		Build: func(s Scale) LapSource {
 			// milc's gathers are larger-footprint but more local; model as
 			// SpMV with a smaller gather vector dominated by streaming.
-			return &spmvSource{name: "milc06", rows: s.size(48 << 10),
-				nnzRow: 3, xLines: s.size(16 << 10), nonMem: 2}
+			return &spmvSource{rows: s.size(48 << 10),
+				nnzRow: 3, xLines: s.size(16 << 10)}
 		},
 	})
 	register(Workload{
-		Name: "xz17", Suite: SPEC17, Irregular: true,
+		Name: "xz17", Suite: SPEC17, Irregular: true, nonMem: 3,
 		Build: func(s Scale) LapSource {
-			return &hashProbeSource{name: "xz17", buckets: s.size(96 << 10),
-				probes: s.size(96 << 10), repeat: 0.35, seqLines: s.size(8 << 10), nonMem: 3}
+			return &hashProbeSource{buckets: s.size(96 << 10),
+				probes: s.size(96 << 10), repeat: 0.35, seqLines: s.size(8 << 10)}
 		},
 	})
 	register(Workload{
-		Name: "gcc17", Suite: SPEC17, Irregular: true,
+		Name: "gcc17", Suite: SPEC17, Irregular: true, nonMem: 4,
 		Build: func(s Scale) LapSource {
 			// gcc's IR walks: hash probing with high cross-lap repetition.
-			return &hashProbeSource{name: "gcc17", buckets: s.size(64 << 10),
+			return &hashProbeSource{buckets: s.size(64 << 10),
 				probes: s.size(64 << 10), repeat: 0.9, swapChurn: true,
-				seqLines: s.size(4 << 10), nonMem: 4}
+				seqLines: s.size(4 << 10)}
 		},
 	})
 }

@@ -50,14 +50,26 @@ func (s Scale) size(base int) int {
 	return n
 }
 
-// LapSource generates a workload one "lap" (outer iteration) at a time.
-// Implementations rebuild all state in Reset and emit one lap of records per
-// Lap call; the laps loop forever (the simulator bounds instructions).
+// LapSource generates a workload one "lap" (outer iteration of the modelled
+// program) at a time, in resumable steps, so a trace never materializes more
+// than a chunk of a lap. The laps loop forever (the simulator bounds
+// instructions).
+//
+// Between two Resets the caller runs laps back to back: Step(0), Step(1), …,
+// Step(Steps()-1), then EndLap, then Step(0) of the next lap. Steps are never
+// skipped, repeated or reordered, so a source may carry cursors and its RNG
+// from one step to the next; a cursor that restarts each lap is rewound by
+// EndLap and by Reset.
 type LapSource interface {
 	// Reset rebuilds the workload's initial state from the given RNG.
 	Reset(rng *rand.Rand)
-	// Lap emits the records of the next outer iteration.
-	Lap(emit func(trace.Record))
+	// Steps returns the number of steps in a lap.
+	Steps() int
+	// Step emits the records of step i of the current lap: one iteration
+	// of the workload's outer loop, a handful of records.
+	Step(i int, e *emitter)
+	// EndLap applies the end-of-lap mutation, if the workload has one.
+	EndLap()
 }
 
 // Workload is a named, registered benchmark definition.
@@ -70,45 +82,83 @@ type Workload struct {
 	// benchmarks with at least 5% headroom under an idealized temporal
 	// prefetcher with unlimited metadata.
 	Irregular bool
+	// nonMem is the workload's compute density: the non-memory
+	// instructions preceding each memory instruction.
+	nonMem uint8
 	// Build constructs the workload's lap source at the given scale.
 	Build func(s Scale) LapSource
 }
 
-// lapTrace adapts a LapSource to trace.Trace, buffering one lap at a time so
-// arbitrarily long traces use bounded memory.
+// chunkRecords is how many records lapTrace generates ahead of the consumer.
+// It is a constant, not a knob: the record stream does not depend on it, and
+// any value from a few hundred up amortizes the per-chunk bookkeeping while
+// the chunk (24 bytes a record) still fits in the host's L1 beside the
+// simulator's own working set.
+const chunkRecords = 512
+
+// lapTrace adapts a LapSource to trace.Trace. It buffers one chunk — whole
+// steps, until chunkRecords are ready or the lap ends — in a buffer allocated
+// once per trace, so memory is bounded: a trace of any length or footprint
+// holds ~14 KB beside its source's own state, generates nothing past the
+// chunk being consumed, and Next never allocates.
 type lapTrace struct {
 	src  LapSource
 	seed int64
-	buf  []trace.Record
-	pos  int
+	e    emitter
+	pos  int // next unread record of e.buf
+	step int // next step of the current lap
 }
 
 // NewTrace returns an endless, resettable trace for the workload at the
 // given scale and seed. Wrap it with trace.NewLimit to bound instructions.
 func (w Workload) NewTrace(s Scale, seed int64) trace.Trace {
-	lt := &lapTrace{src: w.Build(s), seed: seed}
+	lt := &lapTrace{src: w.Build(s), seed: seed, e: w.emitter()}
 	lt.Reset()
 	return lt
 }
 
+// emitter returns the workload's emitter over an empty chunk. The headroom
+// beyond chunkRecords holds the records of the step that fills the chunk
+// (at most 13, but for the scan bursts of mcf at footprints under 0.02, where
+// append grows the buffer once to fit).
+func (w Workload) emitter() emitter {
+	return emitter{pc: pcBase(w.Name), nonMem: w.nonMem,
+		buf: make([]trace.Record, 0, chunkRecords+64)}
+}
+
 func (t *lapTrace) Reset() {
 	t.src.Reset(rand.New(rand.NewSource(t.seed)))
-	t.buf = t.buf[:0]
-	t.pos = 0
+	t.e.buf = t.e.buf[:0]
+	t.pos, t.step = 0, 0
 }
 
 func (t *lapTrace) Next() (trace.Record, bool) {
-	for t.pos >= len(t.buf) {
-		t.buf = t.buf[:0]
-		t.pos = 0
-		t.src.Lap(func(r trace.Record) { t.buf = append(t.buf, r) })
-		if len(t.buf) == 0 {
-			return trace.Record{}, false
-		}
+	if t.pos >= len(t.e.buf) && !t.refill() {
+		return trace.Record{}, false
 	}
-	r := t.buf[t.pos]
+	r := t.e.buf[t.pos]
 	t.pos++
 	return r, true
+}
+
+// refill generates the next chunk, crossing into the next lap when the
+// current one is exhausted. A lap that emits no record at all ends the trace.
+func (t *lapTrace) refill() bool {
+	t.e.buf, t.pos = t.e.buf[:0], 0
+	for {
+		first := t.step
+		for n := t.src.Steps(); t.step < n && len(t.e.buf) < chunkRecords; t.step++ {
+			t.src.Step(t.step, &t.e)
+		}
+		if len(t.e.buf) > 0 {
+			return true
+		}
+		t.src.EndLap()
+		t.step = 0
+		if first == 0 { // a whole lap, from its first step, stayed silent
+			return false
+		}
+	}
 }
 
 // registry of all workloads, populated by the generator files' init funcs.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"streamline/internal/mem"
@@ -93,28 +94,83 @@ func TestDeterminismAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestResetReplaysIdentically: Reset rewinds to the identical stream wherever
+// it lands — early in the first chunk, mid-chunk, on a chunk boundary, and in
+// the second lap after an end-of-lap mutation (a mcf06 lap at this footprint
+// is ~6.9k records) — and a second trace of the same workload pulled in
+// lockstep neither disturbs the first nor is disturbed by its Reset.
 func TestResetReplaysIdentically(t *testing.T) {
 	w, err := Get("mcf06")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := w.NewTrace(Scale{Footprint: 0.05}, 9)
-	first := make([]trace.Record, 1000)
-	for i := range first {
-		r, ok := tr.Next()
-		if !ok {
-			t.Fatal("trace ended early")
+	want := drain(t, w, 20_000, 9)
+	expect := func(tr trace.Trace, what string, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if r, ok := tr.Next(); !ok || r != want[i] {
+				t.Fatalf("%s: record %d is %+v (ok=%v), want %+v", what, i, r, ok, want[i])
+			}
 		}
-		first[i] = r
 	}
-	tr.Reset()
-	for i := range first {
-		r, ok := tr.Next()
-		if !ok {
-			t.Fatal("trace ended early after Reset")
+	for _, k := range []int{1000, chunkRecords + chunkRecords/2, 2 * chunkRecords, 9000} {
+		tr := w.NewTrace(Scale{Footprint: 0.05}, 9)
+		other := w.NewTrace(Scale{Footprint: 0.05}, 9)
+		for i := 0; i < k; i++ {
+			expect(tr, "before Reset", i, i+1)
+			expect(other, "interleaved trace", i, i+1)
 		}
-		if r != first[i] {
-			t.Fatalf("record %d differs after Reset", i)
+		tr.Reset()
+		for i := 0; i < k; i++ {
+			expect(tr, "after Reset", i, i+1)
+			expect(other, "interleaved trace after the other's Reset", k+i, k+i+1)
+		}
+		expect(tr, "past the reset point", k, len(want))
+	}
+}
+
+// TestTraceMemoryBounded: a trace holds one chunk however large the lap. At
+// footprint 1.0 a libquantum06 lap is 1.57M records — 38 MB as a whole-lap
+// buffer, ~200 MB allocated while growing it — so pulling more than a lap
+// within 256 KB, and steady-state Next without a single allocation, hold only
+// when nothing scales with the lap.
+func TestTraceMemoryBounded(t *testing.T) {
+	w, err := Get("libquantum06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := w.NewTrace(DefaultScale, 1)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 2_000_000; i++ {
+		if _, ok := tr.Next(); !ok {
+			t.Fatalf("trace ended after %d records", i)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 256<<10 {
+		t.Errorf("2M records allocated %d bytes, want <= 256 KB", got)
+	}
+	// Steady state, chunk refills and a lap wrap included.
+	if got := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 200_000; i++ {
+			tr.Next()
+		}
+	}); got != 0 {
+		t.Errorf("steady-state Next allocates %.1f times per 200k records, want 0", got)
+	}
+}
+
+// TestEmptyLapEndsTrace: a lap that emits no record ends the trace rather than
+// spinning, on every call, and trace.Looping passes the end through.
+func TestEmptyLapEndsTrace(t *testing.T) {
+	w := Workload{Name: "empty", Build: func(Scale) LapSource {
+		return &stencilSource{rows: 2, cols: 8} // no interior rows
+	}}
+	tr := trace.NewLooping(w.NewTrace(DefaultScale, 1))
+	for i := 0; i < 3; i++ {
+		if r, ok := tr.Next(); ok {
+			t.Fatalf("call %d: empty workload produced %+v", i, r)
 		}
 	}
 }
@@ -142,17 +198,17 @@ func TestChaseWorkloadsRepeatSequences(t *testing.T) {
 	w, _ := Get("sphinx06")
 	src := w.Build(Scale{Footprint: 0.02})
 	src.Reset(newTestRNG(3))
+	e := w.emitter()
 	lap := func() map[[2]mem.Line]bool {
-		var prev mem.Line
-		havePrev := false
+		e.buf = e.buf[:0]
+		for i := 0; i < src.Steps(); i++ {
+			src.Step(i, &e)
+		}
+		src.EndLap()
 		pairs := map[[2]mem.Line]bool{}
-		src.Lap(func(r trace.Record) {
-			l := mem.LineOf(r.Addr)
-			if havePrev {
-				pairs[[2]mem.Line{prev, l}] = true
-			}
-			prev, havePrev = l, true
-		})
+		for i := 1; i < len(e.buf); i++ {
+			pairs[[2]mem.Line{mem.LineOf(e.buf[i-1].Addr), mem.LineOf(e.buf[i].Addr)}] = true
+		}
 		return pairs
 	}
 	p1, p2 := lap(), lap()
