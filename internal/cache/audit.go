@@ -8,10 +8,10 @@ import (
 // ForEachLine visits every valid data line (outside reserved ways), for
 // cross-level invariant checks at the simulator layer.
 func (c *Cache) ForEachLine(f func(set, way int, l mem.Line)) {
-	for s := range c.sets {
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			if c.sets[s][w].valid {
-				f(s, w, c.sets[s][w].tag)
+	for s, lo := range c.reserved {
+		for w := lo; w < c.cfg.Ways; w++ {
+			if t := c.tags[s*c.cfg.Ways+w]; t != noLine {
+				f(s, w, t)
 			}
 		}
 	}
@@ -32,18 +32,14 @@ type LineState struct {
 // set-then-way order. Read-only; the differential oracle uses it to compare
 // the cache's contents against the reference model's.
 func (c *Cache) ForEachLineState(f func(LineState)) {
-	for s := range c.sets {
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			ln := &c.sets[s][w]
-			if ln.valid {
-				f(LineState{
-					Set: s, Way: w, Line: ln.tag,
-					Dirty: ln.dirty, Prefetched: ln.prefetched,
-					Src: ln.src, ReadyAt: ln.readyAt,
-				})
-			}
-		}
-	}
+	c.ForEachLine(func(s, w int, t mem.Line) {
+		ln := &c.lines[s*c.cfg.Ways+w]
+		f(LineState{
+			Set: s, Way: w, Line: t,
+			Dirty: ln.dirty, Prefetched: ln.prefetched,
+			Src: ln.src, ReadyAt: ln.readyAt,
+		})
+	})
 }
 
 // AuditScan verifies the cache's structural invariants against a, reporting
@@ -73,32 +69,31 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 	name := c.cfg.Name
 	valid := 0
 	var residentPF [NumSources]uint64
-	for s := range c.sets {
-		rsv := c.reserved[s]
+	for s, rsv := range c.reserved {
+		tags := c.tags[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
 		if rsv < 0 || rsv > c.cfg.Ways {
 			a.Reportf(now, name, "reservation-bounds",
 				"set %d reserves %d ways of %d", s, rsv, c.cfg.Ways)
 			continue
 		}
-		for w := 0; w < c.cfg.Ways; w++ {
-			ln := &c.sets[s][w]
-			if !ln.valid {
+		for w, t := range tags {
+			if t == noLine {
 				continue
 			}
 			valid++
-			if ln.prefetched && w >= rsv {
+			if ln := &c.lines[s*c.cfg.Ways+w]; ln.prefetched && w >= rsv {
 				residentPF[ln.src]++
 			}
 			if w < rsv {
 				a.Reportf(now, name, "data-in-reserved-way",
 					"set %d way %d holds line %#x inside the %d reserved ways",
-					s, w, uint64(ln.tag), rsv)
+					s, w, uint64(t), rsv)
 			}
 			for w2 := w + 1; w2 < c.cfg.Ways; w2++ {
-				if c.sets[s][w2].valid && c.sets[s][w2].tag == ln.tag {
+				if tags[w2] == t {
 					a.Reportf(now, name, "duplicate-line",
 						"set %d holds line %#x in ways %d and %d",
-						s, uint64(ln.tag), w, w2)
+						s, uint64(t), w, w2)
 				}
 			}
 		}

@@ -53,8 +53,7 @@ func TestAuditDetectsMSHRLeak(t *testing.T) {
 func TestAuditDetectsDuplicateLine(t *testing.T) {
 	c := propCache()
 	// Plant the same tag twice in one set, bypassing Fill's dedup.
-	c.sets[0][0] = line{tag: mem.Line(64), valid: true}
-	c.sets[0][1] = line{tag: mem.Line(64), valid: true}
+	c.tags[0], c.tags[1] = mem.Line(64), mem.Line(64)
 	c.occupied = c.OccupiedLines() // keep the balance check quiet
 	if r := auditRules(c); r["duplicate-line"] == 0 {
 		t.Fatalf("duplicate line not detected: %v", r)

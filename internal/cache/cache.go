@@ -137,13 +137,18 @@ func (s Stats) PrefetchAccuracy() float64 {
 	return Accuracy(s.UsefulPrefetches, s.PrefetchFills)
 }
 
+// noLine marks an empty way in Cache.tags. A line address is a byte address
+// shifted right by mem.LineShift, so its top bits are clear and no access can
+// carry the all-ones value.
+const noLine = ^mem.Line(0)
+
+// line is the cold state of one way, read only after its tag matched; the
+// tag itself lives in Cache.tags.
 type line struct {
-	tag        mem.Line
-	valid      bool
+	readyAt    uint64 // cycle at which the fill completes (late prefetches)
 	dirty      bool
 	prefetched bool
 	src        Source // issuing prefetcher (meaningful while prefetched)
-	readyAt    uint64 // cycle at which the fill completes (late prefetches)
 }
 
 // Victim describes a line displaced by a fill.
@@ -156,9 +161,13 @@ type Victim struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	repl replacement.Policy
+	cfg Config
+	// tags and lines are flat and set-major: way w of set s is index
+	// s*Ways+w. A tag walk reads only tags (noLine when the way is empty);
+	// lines holds the rest of a way's state.
+	tags  []mem.Line
+	lines []line
+	repl  replacement.Policy
 
 	// reserved[s] is the number of low-indexed ways of set s unavailable
 	// to data (owned by a metadata partition). Data occupies the rest.
@@ -205,17 +214,15 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, cfg.Sets),
+		tags:     make([]mem.Line, cfg.Sets*cfg.Ways),
+		lines:    make([]line, cfg.Sets*cfg.Ways),
 		repl:     cfg.Policy(cfg.Sets, cfg.Ways),
 		reserved: make([]int, cfg.Sets),
-		port: mem.RateLimiter{
-			BucketCycles: portWindow,
-			Capacity:     uint64(cfg.Ports) * portWindow,
-		},
-		mshr: make([]uint64, cfg.MSHRs),
+		port:     mem.NewRateLimiter(portWindow, uint64(cfg.Ports)*portWindow),
+		mshr:     make([]uint64, cfg.MSHRs),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+	for i := range c.tags {
+		c.tags[i] = noLine
 	}
 	return c
 }
@@ -228,6 +235,19 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 
 // SetOf returns the set index for a line.
 func (c *Cache) SetOf(l mem.Line) int { return int(uint64(l) & uint64(c.cfg.Sets-1)) }
+
+// find walks the data ways of l's set and returns the set and the way
+// holding l, -1 when absent.
+func (c *Cache) find(l mem.Line) (set, way int) {
+	set = c.SetOf(l)
+	base, lo := set*c.cfg.Ways, c.reserved[set]
+	for w, t := range c.tags[base+lo : base+c.cfg.Ways] {
+		if t == l {
+			return set, lo + w
+		}
+	}
+	return set, -1
+}
 
 // portWindow is the port rate limiter's bucket width in cycles: a cache
 // with P ports serves at most P*portWindow accesses per portWindow cycles.
@@ -332,60 +352,50 @@ func (c *Cache) LookupResident(now uint64, a mem.Access) (LookupResult, bool) {
 // prefetch bit, replacement, dirty marking) when the line is found and
 // touching nothing when it is not. Access/miss counting is the caller's.
 func (c *Cache) lookupHit(now uint64, a mem.Access) (LookupResult, bool) {
-	set := c.SetOf(a.Line())
-	demand := a.Kind.IsDemand()
-	for w := c.reserved[set]; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if !ln.valid || ln.tag != a.Line() {
-			continue
-		}
-		var res LookupResult
-		res.Hit = true
-		late := false
-		if ln.readyAt > now {
-			res.ExtraWait = ln.readyAt - now
-			if demand {
-				c.Stats.ExtraWaitCycles += res.ExtraWait
-				if ln.prefetched {
-					c.Stats.LatePrefetches++
-					late = true
-				}
-			}
-		}
-		if demand {
-			c.Stats.DemandHits++
-			if ln.prefetched {
-				res.WasPrefetched = true
-				ln.prefetched = false
-				c.Stats.UsefulPrefetches++
-				if late {
-					c.Stats.Sources[ln.src].UsefulLate++
-				} else {
-					c.Stats.Sources[ln.src].UsefulTimely++
-				}
-			}
-		} else if a.Kind == mem.Prefetch {
-			c.Stats.PrefetchHits++
-		}
-		if a.Kind == mem.Store {
-			ln.dirty = true
-		}
-		c.repl.Hit(set, w, replacement.Access{PC: a.PC, Line: a.Line()})
-		return res, true
+	set, w := c.find(a.Line())
+	if w < 0 {
+		return LookupResult{}, false
 	}
-	return LookupResult{}, false
+	ln := &c.lines[set*c.cfg.Ways+w]
+	demand := a.Kind.IsDemand()
+	res := LookupResult{Hit: true}
+	late := false
+	if ln.readyAt > now {
+		res.ExtraWait = ln.readyAt - now
+		if demand {
+			c.Stats.ExtraWaitCycles += res.ExtraWait
+			if ln.prefetched {
+				c.Stats.LatePrefetches++
+				late = true
+			}
+		}
+	}
+	if demand {
+		c.Stats.DemandHits++
+		if ln.prefetched {
+			res.WasPrefetched = true
+			ln.prefetched = false
+			c.Stats.UsefulPrefetches++
+			if late {
+				c.Stats.Sources[ln.src].UsefulLate++
+			} else {
+				c.Stats.Sources[ln.src].UsefulTimely++
+			}
+		}
+	} else if a.Kind == mem.Prefetch {
+		c.Stats.PrefetchHits++
+	}
+	if a.Kind == mem.Store {
+		ln.dirty = true
+	}
+	c.repl.Hit(set, w, replacement.Access{PC: a.PC, Line: a.Line()})
+	return res, true
 }
 
 // Probe reports whether the line is resident, without touching any state.
 func (c *Cache) Probe(l mem.Line) bool {
-	set := c.SetOf(l)
-	for w := c.reserved[set]; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if ln.valid && ln.tag == l {
-			return true
-		}
-	}
-	return false
+	_, w := c.find(l)
+	return w >= 0
 }
 
 // Fill installs a line, returning the displaced victim (Valid=false when an
@@ -394,16 +404,18 @@ func (c *Cache) Probe(l mem.Line) bool {
 // accounting and attributes its lifecycle to that prefetcher.
 func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 	prefetch := src != SrcDemand
-	set := c.SetOf(a.Line())
-	lo := c.reserved[set]
+	l := a.Line()
+	set := c.SetOf(l)
+	base, lo := set*c.cfg.Ways, c.reserved[set]
 	if lo >= c.cfg.Ways {
 		// The whole set is reserved for metadata; cannot cache the line.
 		return Victim{}
 	}
 	way := -1
 	for w := lo; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if ln.valid && ln.tag == a.Line() {
+		t := c.tags[base+w]
+		if t == l {
+			ln := &c.lines[base+w]
 			// Already present (e.g. a racing fill): refresh in place. A
 			// refresh is not a new install, so the resident copy keeps its
 			// dirty bit (else the pending writeback is lost), its
@@ -417,18 +429,18 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 			if readyAt < ln.readyAt {
 				ln.readyAt = readyAt
 			}
-			c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: a.Line()})
+			c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: l})
 			return Victim{}
 		}
-		if !ln.valid && way < 0 {
+		if t == noLine && way < 0 {
 			way = w
 		}
 	}
 	var victim Victim
 	if way < 0 {
-		way = c.repl.Victim(set, lo, replacement.Access{PC: a.PC, Line: a.Line()})
-		ln := &c.sets[set][way]
-		victim = Victim{Line: ln.tag, Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
+		way = c.repl.Victim(set, lo, replacement.Access{PC: a.PC, Line: l})
+		ln := &c.lines[base+way]
+		victim = Victim{Line: c.tags[base+way], Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
 		c.Stats.Evictions++
 		if ln.dirty {
 			c.Stats.Writebacks++
@@ -438,38 +450,32 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 			c.Stats.Sources[ln.src].EvictedUnused++
 		}
 		c.repl.Evict(set, way)
+	} else {
+		c.occupied++
 	}
 	if prefetch {
 		c.Stats.PrefetchFills++
 		c.Stats.Sources[src].Fills++
 	}
-	if !c.sets[set][way].valid {
-		c.occupied++
-	}
-	c.sets[set][way] = line{
-		tag:        a.Line(),
-		valid:      true,
+	c.tags[base+way] = l
+	c.lines[base+way] = line{
 		dirty:      a.Kind == mem.Store || a.Kind == mem.Writeback,
 		prefetched: prefetch,
 		src:        src,
 		readyAt:    readyAt,
 	}
-	c.repl.Fill(set, way, replacement.Access{PC: a.PC, Line: a.Line()})
+	c.repl.Fill(set, way, replacement.Access{PC: a.PC, Line: l})
 	return victim
 }
 
 // MarkDirty sets the dirty bit of a resident line (used when a writeback
 // from an upper level lands on a resident copy).
 func (c *Cache) MarkDirty(l mem.Line) bool {
-	set := c.SetOf(l)
-	for w := c.reserved[set]; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if ln.valid && ln.tag == l {
-			ln.dirty = true
-			return true
-		}
+	set, w := c.find(l)
+	if w >= 0 {
+		c.lines[set*c.cfg.Ways+w].dirty = true
 	}
-	return false
+	return w >= 0
 }
 
 // ReservedWays returns the number of ways of set s reserved for metadata.
@@ -489,8 +495,8 @@ func (c *Cache) Reserve(s, ways int) (flushed, dirty int) {
 	old := c.reserved[s]
 	c.reserved[s] = ways
 	for w := old; w < ways; w++ {
-		ln := &c.sets[s][w]
-		if ln.valid {
+		i := s*c.cfg.Ways + w
+		if ln := &c.lines[i]; c.tags[i] != noLine {
 			flushed++
 			if ln.dirty {
 				dirty++
@@ -504,7 +510,7 @@ func (c *Cache) Reserve(s, ways int) (flushed, dirty int) {
 				c.Stats.Sources[ln.src].EvictedUnused++
 			}
 			c.repl.Evict(s, w)
-			*ln = line{}
+			c.tags[i], *ln = noLine, line{}
 		}
 	}
 	c.occupied -= flushed
@@ -533,13 +539,7 @@ func (c *Cache) CountMeta(kind mem.Kind) {
 // OccupiedLines returns the number of valid data lines (diagnostics).
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			if c.sets[s][w].valid {
-				n++
-			}
-		}
-	}
+	c.ForEachLine(func(int, int, mem.Line) { n++ })
 	return n
 }
 
@@ -549,19 +549,15 @@ func (c *Cache) OccupiedLines() int {
 // reserved for metadata partitions. The scan is read-only; the telemetry
 // sampler uses it for the LLC occupancy series.
 func (c *Cache) OccupancyBreakdown() (demand, prefetched, reserved int) {
-	for s := range c.sets {
-		reserved += c.reserved[s]
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			ln := &c.sets[s][w]
-			if !ln.valid {
-				continue
-			}
-			if ln.prefetched {
-				prefetched++
-			} else {
-				demand++
-			}
-		}
+	for _, r := range c.reserved {
+		reserved += r
 	}
+	c.ForEachLineState(func(ls LineState) {
+		if ls.Prefetched {
+			prefetched++
+		} else {
+			demand++
+		}
+	})
 	return demand, prefetched, reserved
 }

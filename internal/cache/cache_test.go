@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -459,5 +460,29 @@ func TestReserveFlushCountsUnusedPrefetch(t *testing.T) {
 	ss := c.Stats.Sources[SrcTemporal]
 	if ss.Fills != ss.UsefulTimely+ss.UsefulLate+ss.EvictedUnused {
 		t.Errorf("lifecycle partition leaks: %+v", ss)
+	}
+}
+
+func TestSteadyStateNoAllocs(t *testing.T) {
+	// Lookup and Fill on a full cache touch only the flat tag, line and
+	// policy arrays.
+	c := New(Config{Name: "T", Sets: 16, Ways: 4, Latency: 1})
+	rng := rand.New(rand.NewSource(5))
+	// AllocsPerRun truncates its average, so one run is a batch and the
+	// result is the batch's whole allocation count.
+	batch := func() {
+		for i := 0; i < 5000; i++ {
+			a := mem.Access{Addr: mem.AddrOf(mem.Line(rng.Intn(512))), Kind: mem.Load}
+			if !c.Lookup(0, a).Hit {
+				c.Fill(a, 0, SrcDemand)
+			}
+		}
+	}
+	batch()
+	if c.OccupiedLines() != 64 || c.Stats.Evictions == 0 || c.Stats.DemandHits == 0 {
+		t.Fatalf("warm-up left the cache unfilled or unexercised: %d lines, %+v", c.OccupiedLines(), c.Stats)
+	}
+	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+		t.Errorf("%.0f allocs in 5000 Lookup+Fill pairs on a full cache, want 0", allocs)
 	}
 }

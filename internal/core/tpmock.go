@@ -17,7 +17,9 @@ import (
 type tpMockingjay struct {
 	slots int
 
-	etr [][]int8 // 3-bit signed: -4..3 scaled time remaining
+	// etr is each slot's 3-bit signed scaled time remaining (-4..3), flat
+	// and set-major (set*slots+slot) like the store's own keys.
+	etr []int8
 
 	rdp []int8 // predicted correlation reuse distance per hashed PC
 
@@ -52,14 +54,11 @@ type tpSampler struct {
 func NewTPMockingjay(sets, slots int) meta.EntryPolicy {
 	p := &tpMockingjay{
 		slots:       slots,
-		etr:         make([][]int8, sets),
+		etr:         make([]int8, sets*slots),
 		rdp:         make([]int8, 1<<tpRDPBits),
 		samplers:    make(map[int]*tpSampler),
 		clock:       make([]uint8, sets),
 		granularity: uint8(max(1, slots/4)),
-	}
-	for i := range p.etr {
-		p.etr[i] = make([]int8, slots)
 	}
 	for i := range p.rdp {
 		p.rdp[i] = -1
@@ -154,9 +153,10 @@ func (p *tpMockingjay) tick(set int) {
 		return
 	}
 	p.clock[set] = 0
-	for i := range p.etr[set] {
-		if p.etr[set][i] > tpMinETR {
-			p.etr[set][i]--
+	etr := p.etr[set*p.slots : (set+1)*p.slots]
+	for i := range etr {
+		if etr[i] > tpMinETR {
+			etr[i]--
 		}
 	}
 }
@@ -177,26 +177,27 @@ func (p *tpMockingjay) predict(pc mem.PC) int8 {
 func (p *tpMockingjay) Touch(set, slot int, a meta.EntryAccess) {
 	p.sample(set, a)
 	p.tick(set)
-	p.etr[set][slot] = p.predict(a.PC)
+	p.etr[set*p.slots+slot] = p.predict(a.PC)
 }
 
 func (p *tpMockingjay) Fill(set, slot int, a meta.EntryAccess) {
 	p.sample(set, a)
 	p.tick(set)
-	p.etr[set][slot] = p.predict(a.PC)
+	p.etr[set*p.slots+slot] = p.predict(a.PC)
 }
 
-func (p *tpMockingjay) Evict(set, slot int) { p.etr[set][slot] = 0 }
+func (p *tpMockingjay) Evict(set, slot int) { p.etr[set*p.slots+slot] = 0 }
 
 func (p *tpMockingjay) Victim(set, lo, hi int, _ meta.EntryAccess) int {
+	etr := p.etr[set*p.slots : set*p.slots+hi]
 	best, bestAbs := lo, int8(-1)
 	for c := lo; c < hi; c++ {
-		e := p.etr[set][c]
+		e := etr[c]
 		abs := e
 		if abs < 0 {
 			abs = -abs
 		}
-		if abs > bestAbs || (abs == bestAbs && e < 0 && p.etr[set][best] >= 0) {
+		if abs > bestAbs || (abs == bestAbs && e < 0 && etr[best] >= 0) {
 			best, bestAbs = c, abs
 		}
 	}

@@ -131,11 +131,11 @@ func New(cfg Config) *DRAM {
 		chanXfers: make([]uint64, cfg.Channels),
 	}
 	for ch := range d.chans {
-		d.chans[ch].busy = mem.RateLimiter{BucketCycles: 128, Capacity: 128}
+		d.chans[ch].busy = mem.NewRateLimiter(128, 128)
 		d.banks[ch] = make([]bank, cfg.RanksPerChannel*cfg.BanksPerRank)
 		for b := range d.banks[ch] {
 			d.banks[ch][b].openRow = -1
-			d.banks[ch][b].busy = mem.RateLimiter{BucketCycles: 512, Capacity: 512}
+			d.banks[ch][b].busy = mem.NewRateLimiter(512, 512)
 		}
 	}
 	return d

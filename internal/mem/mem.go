@@ -3,7 +3,10 @@
 // counters, and the access records that flow through the cache hierarchy.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache-line geometry. The entire simulator assumes 64-byte lines, matching
 // the configuration in Table II of the paper.
@@ -133,28 +136,40 @@ func HashPC(pc PC, nbits uint) uint64 {
 // stamped ahead of the demands that trigger them cannot stall unrelated
 // earlier-stamped work, which next-free ratchet models get badly wrong.
 type RateLimiter struct {
-	// BucketCycles is the bucket width in cycles.
-	BucketCycles uint64
-	// Capacity is the work (in cycles of occupancy) a bucket absorbs.
-	Capacity uint64
+	// shift is log2 of the bucket width in cycles; capacity is the work (in
+	// cycles of occupancy) a bucket absorbs. Both are set by NewRateLimiter
+	// only: a zero-value limiter has no capacity and Charge panics on it.
+	shift    uint
+	capacity uint64
 
 	epochs [8]uint64
 	load   [8]uint64
 }
 
+// NewRateLimiter returns a limiter whose buckets are bucketCycles wide and
+// absorb capacity cycles of occupancy each. The width must be a power of two
+// so that Charge, which every port, channel and bank access pays, locates a
+// bucket with a shift instead of a division.
+func NewRateLimiter(bucketCycles, capacity uint64) RateLimiter {
+	if bucketCycles == 0 || bucketCycles&(bucketCycles-1) != 0 {
+		panic(fmt.Sprintf("mem: rate limiter bucket width %d is not a power of two", bucketCycles))
+	}
+	return RateLimiter{shift: uint(bits.TrailingZeros64(bucketCycles)), capacity: capacity}
+}
+
 // Charge records cost cycles of occupancy at time now and returns the
 // queueing delay the access suffers.
 func (r *RateLimiter) Charge(now, cost uint64) uint64 {
-	e := now / r.BucketCycles
+	e := now >> r.shift
 	b := e % uint64(len(r.load))
 	if r.epochs[b] != e {
 		r.epochs[b] = e
 		r.load[b] = 0
 	}
 	r.load[b] += cost
-	if r.load[b] <= r.Capacity {
+	if r.load[b] <= r.capacity {
 		return 0
 	}
-	excess := r.load[b] - r.Capacity
-	return (e+1)*r.BucketCycles - now + excess*r.BucketCycles/r.Capacity
+	excess := r.load[b] - r.capacity
+	return (e+1)<<r.shift - now + excess<<r.shift/r.capacity
 }

@@ -37,17 +37,14 @@ func (s *Store) AuditScan(a *audit.Auditor, now uint64) {
 		a.Reportf(now, "meta", "structural-capacity",
 			"partition %dB exceeds structural capacity %dB", s.curBytes, s.maxBytes())
 	}
-	maxTargets := s.cfg.StreamLength
-	if s.cfg.Format != Stream {
-		maxTargets = 1
-	}
-	for set := range s.slots {
+	for set := 0; set < s.metaSets; set++ {
 		live := s.setLive(set) || !s.cfg.SetPartitioned
-		for idx := range s.slots[set] {
-			sl := &s.slots[set][idx]
-			if !sl.valid {
+		for idx := 0; idx < s.stride; idx++ {
+			i := set*s.stride + idx
+			if s.keys[i] == noKey {
 				continue
 			}
+			sl := &s.slots[i]
 			way := idx / s.epb
 			switch {
 			case !live:
@@ -58,10 +55,10 @@ func (s *Store) AuditScan(a *audit.Auditor, now uint64) {
 					"way %d of set %d beyond the %d allocated ways (trigger %#x)",
 					way, set, s.curWays, uint64(sl.trigger))
 			}
-			if len(sl.targets) < 1 || len(sl.targets) > maxTargets {
+			if sl.n < 1 || int(sl.n) > s.k {
 				a.Reportf(now, "meta", "entry-malformed",
 					"set %d entry for trigger %#x holds %d targets (want 1..%d)",
-					set, uint64(sl.trigger), len(sl.targets), maxTargets)
+					set, uint64(sl.trigger), sl.n, s.k)
 			}
 		}
 	}

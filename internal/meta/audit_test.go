@@ -2,6 +2,7 @@ package meta
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamline/internal/audit"
@@ -45,22 +46,17 @@ func TestAuditDetectsStructuralOverflow(t *testing.T) {
 
 func TestAuditDetectsMalformedEntry(t *testing.T) {
 	s := exercisedStore()
-	found := false
-scan:
-	for set := range s.slots {
-		for idx := range s.slots[set] {
-			if s.slots[set][idx].valid {
-				s.slots[set][idx].targets = nil
-				found = true
-				break scan
-			}
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(s.keys, func(k uint32) bool { return k != noKey })
+	if i < 0 {
 		t.Fatal("exercised store holds no valid entries")
 	}
+	s.slots[i].n = 0
 	if r := storeRules(s); r["entry-malformed"] == 0 {
 		t.Fatalf("target-less entry not detected: %v", r)
+	}
+	s.slots[i].n = uint8(s.k + 1)
+	if r := storeRules(s); r["entry-malformed"] == 0 {
+		t.Fatalf("entry longer than the format's stream not detected: %v", r)
 	}
 }
 

@@ -26,41 +26,41 @@ type EntryPolicy interface {
 }
 
 // EntryPolicyFactory builds an EntryPolicy for a store with the given
-// geometry (sets metadata sets, each with slots entry slots).
+// geometry (sets metadata sets, each with slots entry slots). Policies keep
+// per-slot state the way the store keeps its keys: one flat set-major array
+// indexed set*slots+slot.
 type EntryPolicyFactory func(sets, slots int) EntryPolicy
 
 // ---------------------------------------------------------------- LRU
 
 type entryLRU struct {
-	stamp [][]uint64
+	slots int
+	stamp []uint64
 	clock uint64
 }
 
 // NewEntryLRU returns entry-granularity LRU.
 func NewEntryLRU(sets, slots int) EntryPolicy {
-	p := &entryLRU{stamp: make([][]uint64, sets)}
-	for i := range p.stamp {
-		p.stamp[i] = make([]uint64, slots)
-	}
-	return p
+	return &entryLRU{slots: slots, stamp: make([]uint64, sets*slots)}
 }
 
 func (p *entryLRU) Name() string { return "entry-lru" }
 
 func (p *entryLRU) touch(set, slot int) {
 	p.clock++
-	p.stamp[set][slot] = p.clock
+	p.stamp[set*p.slots+slot] = p.clock
 }
 
 func (p *entryLRU) Touch(set, slot int, _ EntryAccess) { p.touch(set, slot) }
 func (p *entryLRU) Fill(set, slot int, _ EntryAccess)  { p.touch(set, slot) }
-func (p *entryLRU) Evict(set, slot int)                { p.stamp[set][slot] = 0 }
+func (p *entryLRU) Evict(set, slot int)                { p.stamp[set*p.slots+slot] = 0 }
 
 func (p *entryLRU) Victim(set, lo, hi int, _ EntryAccess) int {
-	best := lo
+	stamps := p.stamp[set*p.slots : set*p.slots+hi]
+	best, bestStamp := lo, stamps[lo]
 	for s := lo + 1; s < hi; s++ {
-		if p.stamp[set][s] < p.stamp[set][best] {
-			best = s
+		if stamps[s] < bestStamp {
+			best, bestStamp = s, stamps[s]
 		}
 	}
 	return best
@@ -69,7 +69,8 @@ func (p *entryLRU) Victim(set, lo, hi int, _ EntryAccess) int {
 // ---------------------------------------------------------------- SRRIP
 
 type entrySRRIP struct {
-	rrpv [][]uint8
+	slots int
+	rrpv  []uint8
 }
 
 const entryRRPVMax = 3
@@ -77,24 +78,21 @@ const entryRRPVMax = 3
 // NewEntrySRRIP returns entry-granularity SRRIP, Triangel's metadata
 // replacement policy.
 func NewEntrySRRIP(sets, slots int) EntryPolicy {
-	p := &entrySRRIP{rrpv: make([][]uint8, sets)}
+	p := &entrySRRIP{slots: slots, rrpv: make([]uint8, sets*slots)}
 	for i := range p.rrpv {
-		p.rrpv[i] = make([]uint8, slots)
-		for j := range p.rrpv[i] {
-			p.rrpv[i][j] = entryRRPVMax
-		}
+		p.rrpv[i] = entryRRPVMax
 	}
 	return p
 }
 
 func (p *entrySRRIP) Name() string { return "entry-srrip" }
 
-func (p *entrySRRIP) Touch(set, slot int, _ EntryAccess) { p.rrpv[set][slot] = 0 }
-func (p *entrySRRIP) Fill(set, slot int, _ EntryAccess)  { p.rrpv[set][slot] = entryRRPVMax - 1 }
-func (p *entrySRRIP) Evict(set, slot int)                { p.rrpv[set][slot] = entryRRPVMax }
+func (p *entrySRRIP) Touch(set, slot int, _ EntryAccess) { p.rrpv[set*p.slots+slot] = 0 }
+func (p *entrySRRIP) Fill(set, slot int, _ EntryAccess)  { p.rrpv[set*p.slots+slot] = entryRRPVMax - 1 }
+func (p *entrySRRIP) Evict(set, slot int)                { p.rrpv[set*p.slots+slot] = entryRRPVMax }
 
 func (p *entrySRRIP) Victim(set, lo, hi int, _ EntryAccess) int {
-	row := p.rrpv[set]
+	row := p.rrpv[set*p.slots : set*p.slots+hi]
 	for {
 		for s := lo; s < hi; s++ {
 			if row[s] >= entryRRPVMax {

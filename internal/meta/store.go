@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"slices"
 
 	"streamline/internal/mem"
 	"streamline/internal/telemetry"
@@ -67,14 +68,21 @@ type StoreConfig struct {
 	Policy EntryPolicyFactory
 }
 
+// noKey and noPartial mark an empty slot in Store.keys and Store.partial. A
+// trigger hash is at most 31 bits wide and a partial tag at most 15 (NewStore
+// refuses wider ones), so neither all-ones value is a hash of any trigger.
+const (
+	noKey     = ^uint32(0)
+	noPartial = ^uint16(0)
+)
+
+// slot is the cold half of an entry slot, read only after its key or its
+// partial tag matched.
 type slot struct {
-	valid   bool
-	conf    bool   // confidence bit: targets confirmed by a repeat store
-	hash    uint32 // hashed trigger tag (TriggerHashBits wide)
-	partial uint16 // partial tag stored in the LLC tag array
 	trigger mem.Line
-	targets []mem.Line
 	pc      mem.PC
+	n       uint8 // targets held, 1..Store.k
+	conf    bool  // confidence bit: targets confirmed by a repeat store
 }
 
 // Store is a partitionable on-chip metadata store hosted by the LLC.
@@ -93,8 +101,18 @@ type Store struct {
 	curSpacing int // set-partitioned: every curSpacing-th logical set is live
 	maxSpacing int
 
-	slots [][]slot // [logical set][way*epb+idx]
-	pol   EntryPolicy
+	// Slot storage is flat and set-major: slot way*epb+idx of logical set
+	// s is index s*stride+way*epb+idx of every array below. Scans read only
+	// the dense match arrays — keys (hashed trigger tag, TriggerHashBits
+	// wide) for Lookup and Insert, partial (the partial tag kept in the LLC
+	// tag array) for aliasing — and touch slots and targets on a match.
+	stride  int // slots per logical set
+	k       int // targets per slot
+	keys    []uint32
+	partial []uint16
+	slots   []slot
+	targets []mem.Line // slot i holds targets[i*k : i*k+slots[i].n]
+	pol     EntryPolicy
 
 	// lookupBuf backs the Targets slice of the Entry Lookup returns; it is
 	// valid until the next Lookup. Callers that retain an entry across
@@ -136,6 +154,10 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = llcSets * cfg.MetaWaysPerSet * mem.LineSize
 	}
+	if cfg.TriggerHashBits > 31 || cfg.PartialTagBits > 15 {
+		panic(fmt.Sprintf("meta: %d-bit trigger hash or %d-bit partial tag collides with the empty-slot keys",
+			cfg.TriggerHashBits, cfg.PartialTagBits))
+	}
 
 	s := &Store{
 		cfg:     cfg,
@@ -143,6 +165,10 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 		llcSets: llcSets,
 		llcWays: llcWays,
 		epb:     EntriesPerBlock(cfg.Format, cfg.StreamLength),
+		k:       1,
+	}
+	if cfg.Format == Stream {
+		s.k = cfg.StreamLength
 	}
 	maxBlocks := cfg.MaxBytes / mem.LineSize
 	if cfg.SetPartitioned {
@@ -166,11 +192,14 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 		}
 		s.maxSpacing = 1
 	}
-	s.slots = make([][]slot, s.metaSets)
-	for i := range s.slots {
-		s.slots[i] = make([]slot, s.maxWays*s.epb)
+	s.stride = s.maxWays * s.epb
+	n := s.metaSets * s.stride
+	s.keys, s.partial = make([]uint32, n), make([]uint16, n)
+	s.slots, s.targets = make([]slot, n), make([]mem.Line, n*s.k)
+	for i := range s.keys {
+		s.keys[i], s.partial[i] = noKey, noPartial
 	}
-	s.pol = cfg.Policy(s.metaSets, s.maxWays*s.epb)
+	s.pol = cfg.Policy(s.metaSets, s.stride)
 	s.applySize(s.maxBytes(), true)
 	return s
 }
@@ -302,17 +331,14 @@ func (s *Store) candidates(set int, t mem.Line) (lo, hi int, aliased bool, live 
 	}
 	// Tagged: any live way, but an existing entry with the same partial
 	// tag pins the incoming entry to its way.
-	pt := s.partialTag(t)
-	for w := 0; w < s.curWays; w++ {
-		for i := 0; i < s.epb; i++ {
-			sl := &s.slots[set][w*s.epb+i]
-			if sl.valid && sl.partial == pt && sl.trigger != t {
-				lo = w * s.epb
-				return lo, lo + s.epb, true, true
-			}
+	pt, base, hi := s.partialTag(t), set*s.stride, s.curWays*s.epb
+	for idx, p := range s.partial[base : base+hi] {
+		if p == pt && s.slots[base+idx].trigger != t {
+			lo = idx - idx%s.epb
+			return lo, lo + s.epb, true, true
 		}
 	}
-	return 0, s.curWays * s.epb, false, true
+	return 0, hi, false, true
 }
 
 // WouldFilter reports whether an entry with the given trigger would be
@@ -331,6 +357,23 @@ func (s *Store) WouldFilter(t mem.Line) bool {
 		return !ok
 	}
 	return false
+}
+
+// find scans slots [lo, hi) of a logical set for key and returns the flat
+// index of the first match, -1 when there is none.
+func (s *Store) find(set, lo, hi int, key uint32) int {
+	base := set * s.stride
+	for i, k := range s.keys[base+lo : base+hi] {
+		if k == key {
+			return base + lo + i
+		}
+	}
+	return -1
+}
+
+// targetsOf returns the targets held by the slot at flat index i.
+func (s *Store) targetsOf(i int) []mem.Line {
+	return s.targets[i*s.k : i*s.k+int(s.slots[i].n)]
 }
 
 // Lookup searches the store for the trigger's entry at cycle now, charging
@@ -353,15 +396,12 @@ func (s *Store) Lookup(now uint64, pc mem.PC, t mem.Line) (Entry, bool, uint64) 
 	}
 	lat := s.bridge.MetaAccess(now, mem.MetaRead)
 	s.Stats.Reads++
-	h := s.triggerHash(t)
-	for idx := lo; idx < hi; idx++ {
-		sl := &s.slots[set][idx]
-		if sl.valid && sl.hash == h {
-			s.Stats.TriggerHits++
-			s.pol.Touch(set, idx, EntryAccess{PC: pc, Trigger: t, FirstTarget: sl.targets[0]})
-			s.lookupBuf = append(s.lookupBuf[:0], sl.targets...)
-			return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: sl.conf}, true, lat
-		}
+	if i := s.find(set, lo, hi, s.triggerHash(t)); i >= 0 {
+		sl, targets := &s.slots[i], s.targetsOf(i)
+		s.Stats.TriggerHits++
+		s.pol.Touch(set, i-set*s.stride, EntryAccess{PC: pc, Trigger: t, FirstTarget: targets[0]})
+		s.lookupBuf = append(s.lookupBuf[:0], targets...)
+		return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: sl.conf}, true, lat
 	}
 	return Entry{}, false, lat
 }
@@ -389,74 +429,46 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 		s.Stats.AliasedInserts++
 	}
 	acc := EntryAccess{PC: pc, Trigger: e.Trigger, FirstTarget: e.Targets[0]}
-	h := s.triggerHash(e.Trigger)
+	h, base := s.triggerHash(e.Trigger), set*s.stride
 
 	// In-place update of an existing entry for this trigger. The
 	// confidence bit confirms on identical targets and clears otherwise.
-	for idx := lo; idx < hi; idx++ {
-		sl := &s.slots[set][idx]
-		if sl.valid && sl.hash == h {
-			same := len(sl.targets) == len(e.Targets)
-			if same {
-				for i := range sl.targets {
-					if sl.targets[i] != e.Targets[i] {
-						same = false
-						break
-					}
-				}
-			}
-			s.storeInto(set, idx, e, pc)
-			s.slots[set][idx].conf = same
-			s.pol.Touch(set, idx, acc)
-			s.Stats.Updates++
-			lat := s.bridge.MetaAccess(now, mem.MetaWrite)
-			s.Stats.Writes++
-			return lat, same
-		}
+	if i := s.find(set, lo, hi, h); i >= 0 {
+		same := slices.Equal(s.targetsOf(i), e.Targets)
+		s.storeInto(i, h, e, pc)
+		s.slots[i].conf = same
+		s.pol.Touch(set, i-base, acc)
+		s.Stats.Updates++
+		lat := s.bridge.MetaAccess(now, mem.MetaWrite)
+		s.Stats.Writes++
+		return lat, same
 	}
 	// Free slot, else victim.
-	target := -1
-	for idx := lo; idx < hi; idx++ {
-		if !s.slots[set][idx].valid {
-			target = idx
-			break
-		}
-	}
-	if target < 0 {
-		target = s.pol.Victim(set, lo, hi, acc)
-		s.pol.Evict(set, target)
+	i := s.find(set, lo, hi, noKey)
+	if i < 0 {
+		i = base + s.pol.Victim(set, lo, hi, acc)
+		s.pol.Evict(set, i-base)
 		s.Stats.Evictions++
 	}
-	s.storeInto(set, target, e, pc)
-	s.pol.Fill(set, target, acc)
+	s.storeInto(i, h, e, pc)
+	s.pol.Fill(set, i-base, acc)
 	s.Stats.Inserts++
 	lat := s.bridge.MetaAccess(now, mem.MetaWrite)
 	s.Stats.Writes++
 	return lat, false
 }
 
-func (s *Store) storeInto(set, idx int, e Entry, pc mem.PC) {
-	sl := &s.slots[set][idx]
-	k := s.cfg.StreamLength
-	if s.cfg.Format != Stream {
-		k = 1
-	}
-	targets := sl.targets
-	if cap(targets) < k {
-		targets = make([]mem.Line, 0, k)
-	}
-	targets = targets[:0]
-	for i := 0; i < k && i < len(e.Targets); i++ {
-		targets = append(targets, e.Targets[i])
-	}
-	*sl = slot{
-		valid:   true,
-		hash:    s.triggerHash(e.Trigger),
-		partial: s.partialTag(e.Trigger),
-		trigger: e.Trigger,
-		targets: targets,
-		pc:      pc,
-	}
+// storeInto writes e, whose trigger hashes to key, into the slot at flat
+// index i, truncating its targets to the format's k.
+func (s *Store) storeInto(i int, key uint32, e Entry, pc mem.PC) {
+	n := copy(s.targets[i*s.k:(i+1)*s.k], e.Targets)
+	s.keys[i], s.partial[i] = key, s.partialTag(e.Trigger)
+	s.slots[i] = slot{trigger: e.Trigger, pc: pc, n: uint8(n)}
+}
+
+// clear empties the slot at flat index i.
+func (s *Store) clear(i int) {
+	s.keys[i], s.partial[i], s.slots[i] = noKey, noPartial, slot{}
 }
 
 // Resize changes the partition to newBytes (rounded down to the scheme's
@@ -557,17 +569,18 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 	var movedBlocksOut uint64
 
 	blockDirty := make([]bool, s.maxWays)
-	for set := range s.slots {
+	for set := 0; set < s.metaSets; set++ {
 		setLiveNow := s.setLive(set) || !s.cfg.SetPartitioned
 		for i := range blockDirty {
 			blockDirty[i] = false
 		}
 		dirtyBlocks := 0
-		for idx := range s.slots[set] {
-			sl := &s.slots[set][idx]
-			if !sl.valid {
+		for idx := 0; idx < s.stride; idx++ {
+			i := set*s.stride + idx
+			if s.keys[i] == noKey {
 				continue
 			}
+			sl := &s.slots[i]
 			way := idx / s.epb
 			keep := setLiveNow && way < s.curWays
 			if keep && !s.cfg.Filtered {
@@ -602,7 +615,7 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 			if !s.cfg.Filtered {
 				// Rearranged stores relocate the entry.
 				toMove = append(toMove, moved{
-					e:  Entry{Trigger: sl.trigger, Targets: append([]mem.Line(nil), sl.targets...)},
+					e:  Entry{Trigger: sl.trigger, Targets: slices.Clone(s.targetsOf(i))},
 					pc: sl.pc,
 				})
 				if !blockDirty[way] {
@@ -613,7 +626,7 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 				s.Stats.DroppedResize++
 			}
 			s.pol.Evict(set, idx)
-			*sl = slot{targets: sl.targets[:0]}
+			s.clear(i)
 		}
 		movedBlocksOut += uint64(dirtyBlocks)
 	}
@@ -621,7 +634,9 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 	var movedBlocksIn uint64
 	if len(toMove) > 0 {
 		// Reinsert without charging normal insert traffic; count shuffle
-		// blocks instead.
+		// blocks instead. The reinsertion has no cycle of its own, so the
+		// cycle Resize stamps its event with survives it too.
+		lastNow := s.lastNow
 		saveReads, saveWrites := s.Stats.Reads, s.Stats.Writes
 		saveIns, saveUpd, saveEvict := s.Stats.Inserts, s.Stats.Updates, s.Stats.Evictions
 		saveFilt, saveAlias := s.Stats.FilteredInserts, s.Stats.AliasedInserts
@@ -631,6 +646,7 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 		s.Stats.Reads, s.Stats.Writes = saveReads, saveWrites
 		s.Stats.Inserts, s.Stats.Updates, s.Stats.Evictions = saveIns, saveUpd, saveEvict
 		s.Stats.FilteredInserts, s.Stats.AliasedInserts = saveFilt, saveAlias
+		s.lastNow = lastNow
 		movedBlocksIn = uint64((len(toMove) + s.epb - 1) / s.epb)
 	}
 
@@ -665,11 +681,9 @@ func (s *Store) updateReservations() {
 // Occupancy returns the number of valid entries (diagnostics).
 func (s *Store) Occupancy() int {
 	n := 0
-	for set := range s.slots {
-		for idx := range s.slots[set] {
-			if s.slots[set][idx].valid {
-				n++
-			}
+	for _, k := range s.keys {
+		if k != noKey {
+			n++
 		}
 	}
 	return n
@@ -697,16 +711,9 @@ func (s *Store) SchemeName() string {
 // such as the Figure 12b redundancy measurement.
 func (s *Store) DumpEntries() []Entry {
 	var out []Entry
-	for set := range s.slots {
-		for idx := range s.slots[set] {
-			sl := &s.slots[set][idx]
-			if !sl.valid {
-				continue
-			}
-			out = append(out, Entry{
-				Trigger: sl.trigger,
-				Targets: append([]mem.Line(nil), sl.targets...),
-			})
+	for i, k := range s.keys {
+		if k != noKey {
+			out = append(out, Entry{Trigger: s.slots[i].trigger, Targets: slices.Clone(s.targetsOf(i))})
 		}
 	}
 	return out

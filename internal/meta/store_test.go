@@ -1,10 +1,13 @@
 package meta
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"streamline/internal/mem"
+	"streamline/internal/telemetry"
 )
 
 // llc2MB mirrors the Table II LLC: 2048 sets x 16 ways = 2MB.
@@ -434,6 +437,69 @@ func TestFormatString(t *testing.T) {
 	for _, f := range []Format{Pairwise, PairwiseCompressed, Stream, Format(99)} {
 		if f.String() == "" {
 			t.Errorf("Format(%d).String() empty", f)
+		}
+	}
+}
+
+func TestResizeEventKeepsCycle(t *testing.T) {
+	// Resize has no cycle argument and stamps its telemetry event with the
+	// last Lookup/Insert cycle. A rearranged store reinserts the entries a
+	// resize misplaces; that reinsertion must not reset the stamp to 0.
+	var out bytes.Buffer
+	col := telemetry.New(telemetry.NewSink(&out), 0)
+	s := NewStore(triangelConfig(), llc2MB()) // RUW: rearranged, untagged, way-partitioned
+	s.SetTelemetry(col.Emitter("meta", 0))
+	rng := rand.New(rand.NewSource(3))
+	for now := uint64(0); now < 5000; now++ {
+		s.Insert(now, 1, Entry{Trigger: mem.Line(rng.Uint64() >> 16), Targets: []mem.Line{7}})
+	}
+	if moved := s.Resize(s.SizeBytes() / 2); moved == 0 {
+		t.Fatal("halving a rearranged store moved nothing; the test exercises no reinsertion")
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ev telemetry.EventRecord
+	line, _, _ := bytes.Cut(out.Bytes(), []byte("\n"))
+	if err := json.Unmarshal(line, &ev); err != nil {
+		t.Fatalf("first telemetry record %q: %v", line, err)
+	}
+	if ev.Event != "resize" || ev.Cycle != 4999 {
+		t.Errorf("resize event = %q at cycle %d, want \"resize\" at cycle 4999", ev.Event, ev.Cycle)
+	}
+}
+
+func TestStoreSteadyStateNoAllocs(t *testing.T) {
+	// A slot's targets live in the store's one targets array, so a store
+	// serves inserts (new, updating and evicting) and lookups without
+	// allocating, while it fills and once it is warm — in the tagged scheme
+	// and in the rearranged one alike.
+	for name, cfg := range map[string]StoreConfig{"FTS": streamlineConfig(), "RUW": triangelConfig()} {
+		s := NewStore(cfg, &NullBridge{Sets: 64, Ways: 16, Latency: 20})
+		rng := rand.New(rand.NewSource(11))
+		targets := []mem.Line{1, 2, 3, 4}
+		// AllocsPerRun truncates its average, so one run is a batch and the
+		// result is the batch's whole allocation count. Its unmeasured first
+		// call sizes the lookup buffer and leaves most slots still empty.
+		batch := func() {
+			for i := 0; i < 2000; i++ {
+				tr := mem.Line(rng.Intn(1 << 15))
+				targets[0] = tr + mem.Line(rng.Intn(2))
+				s.Insert(0, 1, Entry{Trigger: tr, Targets: targets})
+				s.Lookup(0, 1, mem.Line(rng.Intn(1<<15)))
+			}
+		}
+		if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+			t.Errorf("%s: %.0f allocs in 2000 Insert+Lookup pairs while the store fills, want 0", name, allocs)
+		}
+		for i := 0; i < 25; i++ {
+			batch()
+		}
+		if s.Stats.Evictions == 0 || s.Stats.Updates == 0 || s.Stats.TriggerHits == 0 {
+			t.Fatalf("%s: warm-up exercised no eviction, update or hit: %+v", name, s.Stats)
+		}
+		if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+			t.Errorf("%s: %.0f allocs in 2000 Insert+Lookup pairs on a warm store, want 0", name, allocs)
 		}
 	}
 }

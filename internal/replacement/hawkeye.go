@@ -11,8 +11,8 @@ import "streamline/internal/mem"
 type hawkeye struct {
 	sets, ways int
 
-	rrpv     [][]uint8 // 3-bit ages; rrpv==hawkeyeMaxAge marks cache-averse
-	linePC   [][]uint16
+	rrpv     []uint8 // 3-bit ages; rrpv==hawkeyeMaxAge marks cache-averse
+	linePC   []uint16
 	predict  []int8 // 3-bit saturating counters per PC signature
 	sampled  map[int]*optgenSet
 	interval int // sampled-set history window, in set accesses
@@ -39,18 +39,14 @@ type optgenSet struct {
 func NewHawkeye(sets, ways int) Policy {
 	p := &hawkeye{
 		sets: sets, ways: ways,
-		rrpv:     make([][]uint8, sets),
-		linePC:   make([][]uint16, sets),
+		rrpv:     make([]uint8, sets*ways),
+		linePC:   make([]uint16, sets*ways),
 		predict:  make([]int8, 1<<hawkeyeSigBits),
 		sampled:  make(map[int]*optgenSet),
 		interval: 8 * ways,
 	}
 	for i := range p.rrpv {
-		p.rrpv[i] = make([]uint8, ways)
-		p.linePC[i] = make([]uint16, ways)
-		for w := range p.rrpv[i] {
-			p.rrpv[i][w] = hawkeyeMaxAge
-		}
+		p.rrpv[i] = hawkeyeMaxAge
 	}
 	// Sample every 16th set (or every set for tiny structures).
 	stride := 16
@@ -123,47 +119,51 @@ func (p *hawkeye) friendly(pc mem.PC) bool { return p.predict[p.sig(pc)] >= 0 }
 
 func (p *hawkeye) Hit(set, way int, a Access) {
 	p.observe(set, a)
-	p.linePC[set][way] = p.sig(a.PC)
+	i := set*p.ways + way
+	p.linePC[i] = p.sig(a.PC)
 	if p.friendly(a.PC) {
-		p.rrpv[set][way] = 0
+		p.rrpv[i] = 0
 	} else {
-		p.rrpv[set][way] = hawkeyeMaxAge
+		p.rrpv[i] = hawkeyeMaxAge
 	}
 }
 
 func (p *hawkeye) Fill(set, way int, a Access) {
 	p.observe(set, a)
-	p.linePC[set][way] = p.sig(a.PC)
+	p.linePC[set*p.ways+way] = p.sig(a.PC)
+	rrpv := row(p.rrpv, set, p.ways)
 	if p.friendly(a.PC) {
 		// Age the other friendly lines so older ones become candidates.
-		for w, v := range p.rrpv[set] {
+		for w, v := range rrpv {
 			if w != way && v < hawkeyeMaxAge-1 {
-				p.rrpv[set][w] = v + 1
+				rrpv[w] = v + 1
 			}
 		}
-		p.rrpv[set][way] = 0
+		rrpv[way] = 0
 	} else {
-		p.rrpv[set][way] = hawkeyeMaxAge
+		rrpv[way] = hawkeyeMaxAge
 	}
 }
 
 func (p *hawkeye) Evict(set, way int) {
 	// Evicting a line inserted as friendly means the predictor overrated
 	// its PC; detrain so the PC loses protection.
-	if p.rrpv[set][way] < hawkeyeMaxAge {
-		s := p.linePC[set][way]
+	i := set*p.ways + way
+	if p.rrpv[i] < hawkeyeMaxAge {
+		s := p.linePC[i]
 		if p.predict[s] > hawkeyePredMin {
 			p.predict[s]--
 		}
 	}
-	p.rrpv[set][way] = hawkeyeMaxAge
+	p.rrpv[i] = hawkeyeMaxAge
 }
 
 func (p *hawkeye) Victim(set, lo int, _ Access) int {
 	// Prefer cache-averse lines, then the oldest friendly line.
 	best, bestAge := lo, -1
-	for w := lo; w < len(p.rrpv[set]); w++ {
-		v := p.rrpv[set][w]
+	rrpv := row(p.rrpv, set, p.ways)
+	for w := lo; w < len(rrpv); w++ {
+		v := rrpv[w]
 		if v == hawkeyeMaxAge {
 			return w
 		}

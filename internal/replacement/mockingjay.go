@@ -11,8 +11,8 @@ import "streamline/internal/mem"
 type mockingjay struct {
 	sets, ways int
 
-	etr    [][]int16
-	linePC [][]uint16
+	etr    []int16
+	linePC []uint16
 
 	rdp []int16 // predicted reuse distance per PC signature, in clock units
 
@@ -42,16 +42,12 @@ type mjSampler struct {
 func NewMockingjay(sets, ways int) Policy {
 	p := &mockingjay{
 		sets: sets, ways: ways,
-		etr:         make([][]int16, sets),
-		linePC:      make([][]uint16, sets),
+		etr:         make([]int16, sets*ways),
+		linePC:      make([]uint16, sets*ways),
 		rdp:         make([]int16, 1<<mjSigBits),
 		sampler:     make(map[int]*mjSampler),
 		clock:       make([]uint8, sets),
 		granularity: uint8(max(1, ways/2)),
-	}
-	for i := range p.etr {
-		p.etr[i] = make([]int16, ways)
-		p.linePC[i] = make([]uint16, ways)
 	}
 	for i := range p.rdp {
 		p.rdp[i] = -1 // untrained
@@ -147,9 +143,10 @@ func (p *mockingjay) tick(set int) {
 		return
 	}
 	p.clock[set] = 0
-	for w := range p.etr[set] {
-		if p.etr[set][w] > -mjMaxETR {
-			p.etr[set][w]--
+	etr := row(p.etr, set, p.ways)
+	for w := range etr {
+		if etr[w] > -mjMaxETR {
+			etr[w]--
 		}
 	}
 }
@@ -171,33 +168,34 @@ func (p *mockingjay) predictETR(pc mem.PC) int16 {
 func (p *mockingjay) Hit(set, way int, a Access) {
 	p.sample(set, a)
 	p.tick(set)
-	p.etr[set][way] = p.predictETR(a.PC)
-	p.linePC[set][way] = p.sig(a.PC)
+	p.etr[set*p.ways+way] = p.predictETR(a.PC)
+	p.linePC[set*p.ways+way] = p.sig(a.PC)
 }
 
 func (p *mockingjay) Fill(set, way int, a Access) {
 	p.sample(set, a)
 	p.tick(set)
-	p.etr[set][way] = p.predictETR(a.PC)
-	p.linePC[set][way] = p.sig(a.PC)
+	p.etr[set*p.ways+way] = p.predictETR(a.PC)
+	p.linePC[set*p.ways+way] = p.sig(a.PC)
 }
 
-func (p *mockingjay) Evict(set, way int) { p.etr[set][way] = 0 }
+func (p *mockingjay) Evict(set, way int) { p.etr[set*p.ways+way] = 0 }
 
 func (p *mockingjay) Victim(set, lo int, a Access) int {
 	// Bypass opportunity: if the incoming line is predicted a scan and no
 	// resident line is deader, Mockingjay would bypass; since our caller
 	// always installs, evict the max-|ETR| line.
 	best, bestAbs := lo, int16(-1)
-	for w := lo; w < len(p.etr[set]); w++ {
-		e := p.etr[set][w]
+	etr := row(p.etr, set, p.ways)
+	for w := lo; w < len(etr); w++ {
+		e := etr[w]
 		abs := e
 		if abs < 0 {
 			abs = -abs
 		}
 		// Prefer dead lines (negative ETR) on ties: they are already past
 		// their predicted reuse.
-		if abs > bestAbs || (abs == bestAbs && e < 0 && p.etr[set][best] >= 0) {
+		if abs > bestAbs || (abs == bestAbs && e < 0 && etr[best] >= 0) {
 			best, bestAbs = w, abs
 		}
 	}

@@ -37,6 +37,12 @@ type Policy interface {
 // Factory constructs a policy for a structure with the given geometry.
 type Factory func(sets, ways int) Policy
 
+// row returns set's ways of a per-way state array. Every policy keeps such
+// state flat and set-major, one array per field indexed set*ways+way like the
+// cache's own tag array, so a victim scan reads one contiguous run and a
+// policy is one allocation per field, not one per set.
+func row[T any](a []T, set, ways int) []T { return a[set*ways : (set+1)*ways] }
+
 // Factories maps policy names to constructors, for configuration by name.
 var Factories = map[string]Factory{
 	"lru":        NewLRU,
@@ -52,35 +58,33 @@ var Factories = map[string]Factory{
 // ---------------------------------------------------------------- LRU
 
 type lru struct {
-	stamp [][]uint64
+	ways  int
+	stamp []uint64
 	clock uint64
 }
 
 // NewLRU returns a least-recently-used policy.
 func NewLRU(sets, ways int) Policy {
-	p := &lru{stamp: make([][]uint64, sets)}
-	for i := range p.stamp {
-		p.stamp[i] = make([]uint64, ways)
-	}
-	return p
+	return &lru{ways: ways, stamp: make([]uint64, sets*ways)}
 }
 
 func (p *lru) Name() string { return "lru" }
 
 func (p *lru) touch(set, way int) {
 	p.clock++
-	p.stamp[set][way] = p.clock
+	p.stamp[set*p.ways+way] = p.clock
 }
 
 func (p *lru) Hit(set, way int, _ Access)  { p.touch(set, way) }
 func (p *lru) Fill(set, way int, _ Access) { p.touch(set, way) }
-func (p *lru) Evict(set, way int)          { p.stamp[set][way] = 0 }
+func (p *lru) Evict(set, way int)          { p.stamp[set*p.ways+way] = 0 }
 
 func (p *lru) Victim(set, lo int, _ Access) int {
-	best, bestStamp := lo, p.stamp[set][lo]
-	for w := lo; w < len(p.stamp[set]); w++ {
-		if p.stamp[set][w] < bestStamp {
-			best, bestStamp = w, p.stamp[set][w]
+	stamps := row(p.stamp, set, p.ways)
+	best, bestStamp := lo, stamps[lo]
+	for w := lo + 1; w < len(stamps); w++ {
+		if stamps[w] < bestStamp {
+			best, bestStamp = w, stamps[w]
 		}
 	}
 	return best
@@ -116,7 +120,8 @@ const (
 
 type srrip struct {
 	name string
-	rrpv [][]uint8
+	ways int
+	rrpv []uint8
 	// insertRRPV returns the insertion prediction for this fill; SRRIP and
 	// BRRIP differ only here, and DRRIP switches between them.
 	insertRRPV func(set int) uint8
@@ -145,34 +150,31 @@ func NewBRRIP(sets, ways int) Policy {
 }
 
 func newRRIPBase(name string, sets, ways int) *srrip {
-	p := &srrip{name: name, rrpv: make([][]uint8, sets)}
+	p := &srrip{name: name, ways: ways, rrpv: make([]uint8, sets*ways)}
 	for i := range p.rrpv {
-		p.rrpv[i] = make([]uint8, ways)
-		for w := range p.rrpv[i] {
-			p.rrpv[i][w] = rrpvMax
-		}
+		p.rrpv[i] = rrpvMax
 	}
 	return p
 }
 
 func (p *srrip) Name() string { return p.name }
 
-func (p *srrip) Hit(set, way int, _ Access) { p.rrpv[set][way] = 0 }
+func (p *srrip) Hit(set, way int, _ Access) { p.rrpv[set*p.ways+way] = 0 }
 
-func (p *srrip) Fill(set, way int, _ Access) { p.rrpv[set][way] = p.insertRRPV(set) }
+func (p *srrip) Fill(set, way int, _ Access) { p.rrpv[set*p.ways+way] = p.insertRRPV(set) }
 
-func (p *srrip) Evict(set, way int) { p.rrpv[set][way] = rrpvMax }
+func (p *srrip) Evict(set, way int) { p.rrpv[set*p.ways+way] = rrpvMax }
 
 func (p *srrip) Victim(set, lo int, _ Access) int {
-	row := p.rrpv[set]
+	rrpv := row(p.rrpv, set, p.ways)
 	for {
-		for w := lo; w < len(row); w++ {
-			if row[w] >= rrpvMax {
+		for w := lo; w < len(rrpv); w++ {
+			if rrpv[w] >= rrpvMax {
 				return w
 			}
 		}
-		for w := lo; w < len(row); w++ {
-			row[w]++
+		for w := lo; w < len(rrpv); w++ {
+			rrpv[w]++
 		}
 	}
 }
@@ -239,12 +241,13 @@ func (p *drrip) Fill(set, way int, a Access) {
 			p.psel++
 		}
 	}
+	i := set*p.s.ways + way // s and b share one geometry
 	if p.useBRRIP(set) {
 		p.b.Fill(set, way, a)
-		p.s.rrpv[set][way] = p.b.rrpv[set][way]
+		p.s.rrpv[i] = p.b.rrpv[i]
 	} else {
 		p.s.Fill(set, way, a)
-		p.b.rrpv[set][way] = p.s.rrpv[set][way]
+		p.b.rrpv[i] = p.s.rrpv[i]
 	}
 }
 
@@ -256,11 +259,11 @@ func (p *drrip) Evict(set, way int) {
 func (p *drrip) Victim(set, lo int, a Access) int {
 	if p.useBRRIP(set) {
 		v := p.b.Victim(set, lo, a)
-		copy(p.s.rrpv[set], p.b.rrpv[set])
+		copy(row(p.s.rrpv, set, p.s.ways), row(p.b.rrpv, set, p.b.ways))
 		return v
 	}
 	v := p.s.Victim(set, lo, a)
-	copy(p.b.rrpv[set], p.s.rrpv[set])
+	copy(row(p.b.rrpv, set, p.b.ways), row(p.s.rrpv, set, p.s.ways))
 	return v
 }
 
@@ -271,8 +274,8 @@ func (p *drrip) Victim(set, lo int, a Access) int {
 type ship struct {
 	*srrip
 	shct    []uint8 // 2-bit saturating counters per PC signature
-	sig     [][]uint16
-	reused  [][]bool
+	sig     []uint16
+	reused  []bool
 	sigBits uint
 }
 
@@ -281,16 +284,12 @@ func NewSHiP(sets, ways int) Policy {
 	p := &ship{
 		srrip:   newRRIPBase("ship", sets, ways),
 		sigBits: 12,
-		sig:     make([][]uint16, sets),
-		reused:  make([][]bool, sets),
+		sig:     make([]uint16, sets*ways),
+		reused:  make([]bool, sets*ways),
 	}
 	p.shct = make([]uint8, 1<<p.sigBits)
 	for i := range p.shct {
 		p.shct[i] = 1
-	}
-	for i := range p.sig {
-		p.sig[i] = make([]uint16, ways)
-		p.reused[i] = make([]bool, ways)
 	}
 	p.insertRRPV = func(int) uint8 { return rrpvDistant }
 	return p
@@ -304,9 +303,9 @@ func (p *ship) signature(a Access) uint16 {
 
 func (p *ship) Hit(set, way int, a Access) {
 	p.srrip.Hit(set, way, a)
-	if !p.reused[set][way] {
-		p.reused[set][way] = true
-		s := p.sig[set][way]
+	if i := set*p.ways + way; !p.reused[i] {
+		p.reused[i] = true
+		s := p.sig[i]
 		if p.shct[s] < 3 {
 			p.shct[s]++
 		}
@@ -314,19 +313,19 @@ func (p *ship) Hit(set, way int, a Access) {
 }
 
 func (p *ship) Fill(set, way int, a Access) {
-	s := p.signature(a)
-	p.sig[set][way] = s
-	p.reused[set][way] = false
+	s, i := p.signature(a), set*p.ways+way
+	p.sig[i] = s
+	p.reused[i] = false
 	if p.shct[s] == 0 {
-		p.rrpv[set][way] = rrpvDistant
+		p.rrpv[i] = rrpvDistant
 	} else {
-		p.rrpv[set][way] = rrpvLong
+		p.rrpv[i] = rrpvLong
 	}
 }
 
 func (p *ship) Evict(set, way int) {
-	if !p.reused[set][way] {
-		s := p.sig[set][way]
+	if i := set*p.ways + way; !p.reused[i] {
+		s := p.sig[i]
 		if p.shct[s] > 0 {
 			p.shct[s]--
 		}

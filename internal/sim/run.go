@@ -63,10 +63,6 @@ func (s *System) demandAccess(cs *coreState, t uint64, acc mem.Access) uint64 {
 	// is recorded below once known.
 	l1slot, l1delay := cs.l1d.MSHRReserve(now)
 	now += l1delay
-	complete := func(done uint64) uint64 {
-		cs.l1d.MSHRComplete(l1slot, done)
-		return done - t
-	}
 
 	// ---- L2
 	now += cs.l2.PortDelay(now, true)
@@ -76,15 +72,16 @@ func (s *System) demandAccess(cs *coreState, t uint64, acc mem.Access) uint64 {
 		s.fillL1(cs, acc, done)
 		s.trainL1(cs, now, acc, false)
 		s.trainL2(cs, now, acc, true, r2.WasPrefetched)
-		return complete(done)
+		cs.l1d.MSHRComplete(l1slot, done)
+		return done - t
 	}
 	l2slot, l2delay := cs.l2.MSHRReserve(now)
 	now += l2delay
 
 	// ---- LLC (shared)
 	now += s.llc.PortDelay(now, true)
-	if obs, ok := cs.tempf.(prefetch.LLCDataObserver); ok {
-		obs.ObserveLLCData(s.llc.SetOf(acc.Line()), acc.Line())
+	if cs.llcObs != nil {
+		cs.llcObs.ObserveLLCData(s.llc.SetOf(acc.Line()), acc.Line())
 	}
 	r3 := s.llc.Lookup(now, acc)
 	if r3.Hit {
@@ -94,7 +91,8 @@ func (s *System) demandAccess(cs *coreState, t uint64, acc mem.Access) uint64 {
 		s.fillL1(cs, acc, done)
 		s.trainL1(cs, now, acc, false)
 		s.trainL2(cs, now, acc, false, false)
-		return complete(done)
+		cs.l1d.MSHRComplete(l1slot, done)
+		return done - t
 	}
 	now += s.cfg.LLC.Latency
 
@@ -107,7 +105,8 @@ func (s *System) demandAccess(cs *coreState, t uint64, acc mem.Access) uint64 {
 	s.fillL1(cs, acc, done)
 	s.trainL1(cs, now, acc, false)
 	s.trainL2(cs, now, acc, false, false)
-	return complete(done)
+	cs.l1d.MSHRComplete(l1slot, done)
+	return done - t
 }
 
 // fillL1 installs a line into the core's L1D, handling the victim. The

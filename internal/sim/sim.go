@@ -114,6 +114,9 @@ type coreState struct {
 	l1pf  prefetch.Prefetcher
 	l2pf  prefetch.Prefetcher
 	tempf prefetch.Prefetcher
+	// llcObs is tempf when it watches LLC data accesses, resolved once at
+	// construction; nil otherwise.
+	llcObs prefetch.LLCDataObserver
 
 	reqBuf []prefetch.Request
 
@@ -248,6 +251,7 @@ func New(cfg Config) *System {
 		} else if cfg.TemporalDRAM != nil {
 			cs.tempf = cfg.TemporalDRAM(s.dram)
 		}
+		cs.llcObs, _ = cs.tempf.(prefetch.LLCDataObserver)
 		if sp, ok := cs.tempf.(storeProvider); ok {
 			if st := sp.Store(); st != nil {
 				st.SetTelemetry(col.Emitter("meta", c))
