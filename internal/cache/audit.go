@@ -125,7 +125,7 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 			"prefetch hits %d > prefetch accesses %d", st.PrefetchHits, st.PrefetchAccesses)
 	}
 	var fills, timely, late, evicted uint64
-	for _, ss := range st.Sources {
+	for _, ss := range &st.Sources {
 		fills += ss.Fills
 		timely += ss.UsefulTimely
 		late += ss.UsefulLate
@@ -154,7 +154,7 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 		a.Reportf(now, name, "source-sum",
 			"SrcDemand carries prefetch lifecycle counts %+v", d)
 	}
-	for src, ss := range st.Sources {
+	for src, ss := range &st.Sources {
 		if ss.Fills != ss.UsefulTimely+ss.UsefulLate+ss.EvictedUnused+residentPF[src] {
 			a.Reportf(now, name, "lifecycle-partition",
 				"source %s: fills %d != useful %d + evicted-unused %d + resident %d",

@@ -204,6 +204,9 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %s: ways must be positive, got %d", cfg.Name, cfg.Ways))
 	}
 	if cfg.Policy == nil {
+		if cfg.Ways > 16 {
+			panic(fmt.Sprintf("cache %s: the default LRU policy holds at most 16 ways, got %d; set Policy", cfg.Name, cfg.Ways))
+		}
 		cfg.Policy = replacement.NewLRU
 	}
 	if cfg.Ports <= 0 {

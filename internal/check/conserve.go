@@ -44,7 +44,7 @@ func CacheLaws(name string, st cache.Stats) []string {
 		fail("writebacks %d > evictions %d", st.Writebacks, st.Evictions)
 	}
 	var fills, timely, late, evicted uint64
-	for _, ss := range st.Sources {
+	for _, ss := range &st.Sources {
 		fills += ss.Fills
 		timely += ss.UsefulTimely
 		late += ss.UsefulLate
@@ -77,7 +77,7 @@ func CacheLaws(name string, st cache.Stats) []string {
 // resident). Valid only for statistics counted from an empty cache.
 func CacheWholeRunLaws(name string, st cache.Stats) []string {
 	v := CacheLaws(name, st)
-	for src, ss := range st.Sources {
+	for src, ss := range &st.Sources {
 		if ss.UsefulTimely+ss.UsefulLate+ss.EvictedUnused > ss.Fills {
 			v = append(v, fmt.Sprintf(
 				"%s: source %s useful %d + evicted-unused %d exceed fills %d",

@@ -101,13 +101,13 @@ func TestIssuedRingDeduplicates(t *testing.T) {
 
 func TestWasIssuedRing(t *testing.T) {
 	tu := &tuEntry{}
-	for i := 0; i < len(tu.issued)+10; i++ {
-		tu.markIssued(mem.Line(i + 1))
+	for i := 0; i < 64+10; i++ {
+		tu.issued.Mark(mem.Line(i + 1))
 	}
-	if tu.wasIssued(1) {
+	if tu.issued.Has(1) {
 		t.Error("oldest entry should have rotated out")
 	}
-	if !tu.wasIssued(mem.Line(len(tu.issued) + 10)) {
+	if !tu.issued.Has(64 + 10) {
 		t.Error("newest entry missing from ring")
 	}
 }

@@ -157,8 +157,7 @@ type tuEntry struct {
 
 	// Recently issued prefetch lines: used to detect whether the demand
 	// stream is following the prefetched path and to avoid duplicates.
-	issued    [64]mem.Line
-	issuedIdx int
+	issued prefetch.Issued
 
 	// The prefetch cursor: the stream position up to which prefetches
 	// have been issued. It persists across events so each event continues
@@ -509,21 +508,6 @@ func alignStreams(old meta.Entry, pos int, fresh meta.Entry, k int, buf []mem.Li
 
 // ---- prefetching ---------------------------------------------------------
 
-// wasIssued reports whether the PC recently issued a prefetch for l.
-func (tu *tuEntry) wasIssued(l mem.Line) bool {
-	for _, x := range tu.issued {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-func (tu *tuEntry) markIssued(l mem.Line) {
-	tu.issued[tu.issuedIdx] = l
-	tu.issuedIdx = (tu.issuedIdx + 1) % len(tu.issued)
-}
-
 // maxLead bounds how many issued-but-unconsumed prefetches a PC may have
 // outstanding — the prefetch distance, in stream positions. It also bounds
 // how much work a wrong-path excursion (a chain hop through an ambiguous
@@ -545,7 +529,7 @@ func (p *Prefetcher) prefetchChain(now uint64, pc mem.PC, tu *tuEntry, line mem.
 		return out
 	}
 	// Track whether the demand stream follows the prefetched path.
-	if tu.wasIssued(line) {
+	if tu.issued.Has(line) {
 		if tu.lead > 0 {
 			tu.lead--
 		}
@@ -609,11 +593,11 @@ func (p *Prefetcher) prefetchChain(now uint64, pc mem.PC, tu *tuEntry, line mem.
 		for j := pos; j < len(entry.Targets) && issued < budget && issued < deg && tu.lead < maxLead; j++ {
 			t := entry.Targets[j]
 			next = t
-			if tu.wasIssued(t) {
+			if tu.issued.Has(t) {
 				continue // already in flight
 			}
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(t), Delay: delay})
-			tu.markIssued(t)
+			tu.issued.Mark(t)
 			issued++
 			tu.lead++
 		}

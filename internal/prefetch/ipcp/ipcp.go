@@ -114,7 +114,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	p.gsWindow[p.gsNext] = line >> 5 // 2KB region
 	p.gsNext = (p.gsNext + 1) % len(p.gsWindow)
 	dense := 0
-	for _, r := range p.gsWindow {
+	for _, r := range &p.gsWindow {
 		if r == line>>5 {
 			dense++
 		}

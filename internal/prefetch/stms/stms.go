@@ -93,9 +93,9 @@ type Prefetcher struct {
 	clock  uint64
 	events uint64
 
-	// Per-PC issued rings for timeliness, as in the on-chip models.
-	issued    [64]mem.Line
-	issuedIdx int
+	// Recently issued lines, skipped for timeliness as in the on-chip
+	// models; one window for the whole prefetcher, not one per PC.
+	issued prefetch.Issued
 
 	Stats Stats
 }
@@ -139,20 +139,6 @@ func (p *Prefetcher) icacheFill(l mem.Line, pos int) {
 	slot := int(mem.HashLine64(l) % uint64(len(p.icache)))
 	p.clock++
 	p.icache[slot] = indexCacheEntry{valid: true, tag: l, pos: pos, lru: p.clock}
-}
-
-func (p *Prefetcher) wasIssued(l mem.Line) bool {
-	for _, x := range p.issued {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *Prefetcher) markIssued(l mem.Line) {
-	p.issued[p.issuedIdx] = l
-	p.issuedIdx = (p.issuedIdx + 1) % len(p.issued)
 }
 
 // Train implements prefetch.Prefetcher: append the miss to the GHB, look up
@@ -207,11 +193,11 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 			break // reached the present
 		}
 		t := p.ghb[pos]
-		if t == 0 || t == line || p.wasIssued(t) {
+		if t == 0 || t == line || p.issued.Has(t) {
 			continue
 		}
 		out = append(out, prefetch.Request{Addr: mem.AddrOf(t), Delay: delay})
-		p.markIssued(t)
+		p.issued.Mark(t)
 		issued++
 	}
 	return out

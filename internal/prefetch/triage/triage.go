@@ -93,22 +93,7 @@ type tuEntry struct {
 	tag    uint32
 	last   mem.Line
 	valid  bool
-	issued [64]mem.Line
-	next   int
-}
-
-func (tu *tuEntry) wasIssued(l mem.Line) bool {
-	for _, x := range tu.issued {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-func (tu *tuEntry) markIssued(l mem.Line) {
-	tu.issued[tu.next] = l
-	tu.next = (tu.next + 1) % len(tu.issued)
+	issued prefetch.Issued
 }
 
 // idealEntry is a correlation in the unlimited ideal store.
@@ -207,9 +192,9 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 			if !ok {
 				break
 			}
-			if !tu.wasIssued(e.target) {
+			if !tu.issued.Has(e.target) {
 				out = append(out, prefetch.Request{Addr: mem.AddrOf(e.target)})
-				tu.markIssued(e.target)
+				tu.issued.Mark(e.target)
 				issued++
 			}
 			cur = e.target
@@ -235,9 +220,9 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		delay += lat
 		enc := e.Targets[0]
 		target := p.lut.decode(int(uint64(enc)>>48), enc)
-		if !tu.wasIssued(target) {
+		if !tu.issued.Has(target) {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target), Delay: delay})
-			tu.markIssued(target)
+			tu.issued.Mark(target)
 			issued++
 		}
 		cur = target

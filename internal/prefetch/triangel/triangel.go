@@ -79,22 +79,7 @@ type tuEntry struct {
 
 	// Recently issued prefetch lines, skipped without spending degree so
 	// the chain runs ahead of the demand stream (timeliness).
-	issued    [64]mem.Line
-	issuedIdx int
-}
-
-func (tu *tuEntry) wasIssued(l mem.Line) bool {
-	for _, x := range tu.issued {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-func (tu *tuEntry) markIssued(l mem.Line) {
-	tu.issued[tu.issuedIdx] = l
-	tu.issuedIdx = (tu.issuedIdx + 1) % len(tu.issued)
+	issued prefetch.Issued
 }
 
 // hsEntry is a sampled correlation in the history sampler.
@@ -561,9 +546,9 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 			conf = e.Conf
 			p.mrbInsert(cur, target, e.Conf)
 		}
-		if !tu.wasIssued(target) {
+		if !tu.issued.Has(target) {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target), Delay: delay})
-			tu.markIssued(target)
+			tu.issued.Mark(target)
 			issued++
 		}
 		if !conf && hops > 0 {

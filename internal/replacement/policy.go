@@ -6,6 +6,8 @@
 package replacement
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"streamline/internal/mem"
@@ -57,37 +59,69 @@ var Factories = map[string]Factory{
 
 // ---------------------------------------------------------------- LRU
 
+// lru is exact least-recently-used in constant time: each set packs its
+// recency order into one word instead of keeping a timestamp per way.
 type lru struct {
-	ways  int
-	stamp []uint64
-	clock uint64
+	ways int
+	sets []lruSet
 }
 
-// NewLRU returns a least-recently-used policy.
+// lruSet is one set's recency state. order holds the way numbers as nibbles,
+// most recently used in the low nibble; the set's own ways permute within the
+// low `ways` nibbles and the nibbles above them never move. cold marks ways
+// evicted (or never filled) since their last touch: they rank below every
+// touched way, lowest index first, wherever order still holds them.
+type lruSet struct {
+	order uint64
+	cold  uint16
+}
+
+// NewLRU returns a least-recently-used policy. It panics above 16 ways, the
+// most a set's packed order holds.
 func NewLRU(sets, ways int) Policy {
-	return &lru{ways: ways, stamp: make([]uint64, sets*ways)}
+	if ways > 16 {
+		panic(fmt.Sprintf("replacement: lru supports at most 16 ways, got %d", ways))
+	}
+	p := &lru{ways: ways, sets: make([]lruSet, sets)}
+	for i := range p.sets {
+		p.sets[i] = lruSet{order: 0xfedc_ba98_7654_3210, cold: 1<<ways - 1}
+	}
+	return p
 }
 
 func (p *lru) Name() string { return "lru" }
 
+// touch makes way the set's most recent: it finds the way's nibble and
+// rotates it to the front, moving the more recent ways up one place.
 func (p *lru) touch(set, way int) {
-	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
+	s := &p.sets[set]
+	s.cold &^= 1 << way
+	w := uint64(way)
+	if s.order&15 == w {
+		return
+	}
+	// The nibbles of x are zero exactly where order holds way; the lowest
+	// marker bit of the zero-nibble test is always a true match.
+	const ones, highs = 0x1111_1111_1111_1111, 0x8888_8888_8888_8888
+	x := s.order ^ w*ones
+	at := uint(bits.TrailingZeros64((x-ones)&^x&highs)) - 3
+	s.order = s.order&^(1<<(at+4)-1) | s.order&(1<<at-1)<<4 | w
 }
 
 func (p *lru) Hit(set, way int, _ Access)  { p.touch(set, way) }
 func (p *lru) Fill(set, way int, _ Access) { p.touch(set, way) }
-func (p *lru) Evict(set, way int)          { p.stamp[set*p.ways+way] = 0 }
+func (p *lru) Evict(set, way int)          { p.sets[set].cold |= 1 << way }
 
 func (p *lru) Victim(set, lo int, _ Access) int {
-	stamps := row(p.stamp, set, p.ways)
-	best, bestStamp := lo, stamps[lo]
-	for w := lo + 1; w < len(stamps); w++ {
-		if stamps[w] < bestStamp {
-			best, bestStamp = w, stamps[w]
+	s := p.sets[set]
+	if cold := s.cold >> lo << lo; cold != 0 {
+		return bits.TrailingZeros16(cold)
+	}
+	for i := p.ways - 1; ; i-- {
+		if w := int(s.order >> (4 * i) & 15); w >= lo {
+			return w
 		}
 	}
-	return best
 }
 
 // ---------------------------------------------------------------- Random

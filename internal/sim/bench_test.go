@@ -44,7 +44,7 @@ func BenchmarkKernel(b *testing.B) {
 // warmup and every set-indexed structure is a handful of flat arrays, so
 // what remains is construction cost amortized over a short run; the
 // ceilings hold about 2x headroom over current values (allocs: 0.0009,
-// 0.0022, 0.0020, 0.0032; bytes: 12, 26, 24, 33) while failing loudly on a
+// 0.0022, 0.0020, 0.0032; bytes: 11, 26, 24, 32) while failing loudly on a
 // per-record allocation regression. Earlier rates, for scale: 0.8-2.1
 // allocs/record before the hot path was made allocation-free, then 0.02-0.18
 // while each set, and each metadata slot's targets, was its own allocation.
@@ -56,7 +56,7 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 		t.Skip("full kernel runs")
 	}
 	ceilings := map[string]struct{ allocs, bytes float64 }{
-		"1core-base-sphinx06":       {0.002, 25},
+		"1core-base-sphinx06":       {0.002, 22},
 		"1core-streamline-sphinx06": {0.005, 52},
 		"1core-triangel-mcf06":      {0.004, 48},
 		"4core-streamline-mix":      {0.007, 65},
