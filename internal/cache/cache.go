@@ -290,7 +290,9 @@ func (c *Cache) MSHRReserve(start uint64) (slot int, delay uint64) {
 	}
 	slot = c.mshrI
 	c.mshr[slot] = start + delay // placeholder until MSHRComplete
-	c.mshrI = (c.mshrI + 1) % len(c.mshr)
+	if c.mshrI++; c.mshrI == len(c.mshr) {
+		c.mshrI = 0
+	}
 	c.Stats.MSHRStallCycles += delay
 	c.mshrPending++
 	if delay > 0 && c.tel.Enabled(telemetry.Debug) {

@@ -8,7 +8,10 @@
 // prefetching valuable.
 package cpu
 
-import "streamline/internal/audit"
+import (
+	"streamline/internal/audit"
+	"streamline/internal/mem"
+)
 
 // Config describes the core, per Table II (6-wide, 352-entry ROB).
 type Config struct {
@@ -27,7 +30,8 @@ type robEntry struct {
 
 // Core tracks one hardware context's timing state.
 type Core struct {
-	cfg Config
+	cfg   Config
+	width mem.Divisor // cfg.Width, for Advance
 
 	// fetchFP is the fetch-cycle clock in 1/256-cycle fixed point, so a
 	// 6-wide core advances 256/6 per instruction without float drift.
@@ -60,7 +64,7 @@ func New(cfg Config) *Core {
 	if cfg.ROB <= 0 {
 		cfg.ROB = DefaultConfig.ROB
 	}
-	return &Core{cfg: cfg, rob: make([]robEntry, cfg.ROB/4+1)}
+	return &Core{cfg: cfg, width: mem.NewDivisor(cfg.Width), rob: make([]robEntry, cfg.ROB/4+1)}
 }
 
 // Now returns the core's current front-end cycle.
@@ -73,7 +77,7 @@ func (c *Core) Instructions() uint64 { return c.instrs }
 // configured width.
 func (c *Core) Advance(n uint64) {
 	c.instrs += n
-	c.fetchFP += n * 256 / uint64(c.cfg.Width)
+	c.fetchFP += c.width.Div(n * 256)
 }
 
 // BeginMem dispatches a memory operation and returns the cycle at which it
@@ -91,7 +95,9 @@ func (c *Core) BeginMem(dependsOnPrev bool) uint64 {
 		if now := c.Now(); e.done > now {
 			c.stall += e.done - now
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 	}
 	t := c.Now()
@@ -108,12 +114,15 @@ func (c *Core) EndMem(done uint64, isLoad bool) {
 	if c.aud != nil {
 		c.auditEndMem(c.aud, done)
 	}
-	tail := (c.head + c.count) % len(c.rob)
+	tail := c.head + c.count // count <= len(rob): one wrap at most
+	if tail >= len(c.rob) {
+		tail -= len(c.rob)
+	}
 	c.rob[tail] = robEntry{done: done, instrIdx: c.instrs}
 	if c.count < len(c.rob) {
 		c.count++
-	} else {
-		c.head = (c.head + 1) % len(c.rob)
+	} else if c.head++; c.head == len(c.rob) {
+		c.head = 0
 	}
 	if isLoad {
 		c.lastMemDone = done

@@ -106,6 +106,8 @@ type DRAM struct {
 	cfg   Config
 	chans []channel
 	banks [][]bank // [channel][rank*banksPerRank+bank]
+	// route's divisors, from cfg
+	nChans, rowLines, nBanks mem.Divisor
 
 	// chanXfers shadow-counts line transfers per channel for the audit
 	// subsystem's bandwidth-conservation check (every access must be
@@ -129,6 +131,9 @@ func New(cfg Config) *DRAM {
 		chans:     make([]channel, cfg.Channels),
 		banks:     make([][]bank, cfg.Channels),
 		chanXfers: make([]uint64, cfg.Channels),
+		nChans:    mem.NewDivisor(cfg.Channels),
+		rowLines:  mem.NewDivisor(cfg.RowLines),
+		nBanks:    mem.NewDivisor(cfg.RanksPerChannel * cfg.BanksPerRank),
 	}
 	for ch := range d.chans {
 		d.chans[ch].busy = mem.NewRateLimiter(128, 128)
@@ -148,14 +153,9 @@ func (d *DRAM) Config() Config { return d.cfg }
 // channels at line granularity for bandwidth; within a channel, RowLines
 // consecutive lines share a row.
 func (d *DRAM) route(l mem.Line) (ch, bk int, row int64) {
-	v := uint64(l)
-	ch = int(v % uint64(d.cfg.Channels))
-	v /= uint64(d.cfg.Channels)
-	rowIdx := v / uint64(d.cfg.RowLines)
-	nbanks := uint64(d.cfg.RanksPerChannel * d.cfg.BanksPerRank)
-	bk = int(rowIdx % nbanks)
-	row = int64(rowIdx / nbanks)
-	return
+	v, c := d.nChans.DivMod(uint64(l))
+	r, b := d.nBanks.DivMod(d.rowLines.Div(v))
+	return int(c), int(b), int64(r)
 }
 
 // Write enqueues a writeback of one line at cycle now. Writebacks drain

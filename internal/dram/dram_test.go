@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 
 	"streamline/internal/mem"
@@ -143,6 +144,38 @@ func TestRouteDeterministicAndInRange(t *testing.T) {
 		ch, bk, row := d.route(mem.Line(i * 37))
 		if ch < 0 || ch >= 4 || bk < 0 || bk >= 16 || row < 0 {
 			t.Fatalf("route out of range: ch=%d bk=%d row=%d", ch, bk, row)
+		}
+	}
+}
+
+// TestRouteMatchesDivisionForm: route's reciprocal arithmetic must place every
+// line where the divisions it replaced did — for every core count's geometry,
+// odd geometries, and line addresses from the dense low range up past the
+// per-core address stride (2⁴⁴ bytes, so bit 38 of a line) of an 8-core run.
+func TestRouteMatchesDivisionForm(t *testing.T) {
+	cfgs := []Config{ConfigFor(1), ConfigFor(2), ConfigFor(4), ConfigFor(8),
+		{Channels: 3, RanksPerChannel: 1, BanksPerRank: 5, RowLines: 100},
+		{Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, RowLines: 1}}
+	rng := rand.New(rand.NewSource(21))
+	for _, cfg := range cfgs {
+		d := New(cfg)
+		check := func(l mem.Line) {
+			v := uint64(l)
+			wantCh := int(v % uint64(cfg.Channels))
+			rowIdx := v / uint64(cfg.Channels) / uint64(cfg.RowLines)
+			nbanks := uint64(cfg.RanksPerChannel * cfg.BanksPerRank)
+			wantBk, wantRow := int(rowIdx%nbanks), int64(rowIdx/nbanks)
+			if ch, bk, row := d.route(l); ch != wantCh || bk != wantBk || row != wantRow {
+				t.Fatalf("%+v: route(%#x) = (%d, %d, %d), want (%d, %d, %d)", cfg, v, ch, bk, row, wantCh, wantBk, wantRow)
+			}
+		}
+		for l := mem.Line(0); l < 100_000; l++ {
+			check(l)
+		}
+		for i := 0; i < 200_000; i++ {
+			core := mem.Line(rng.Intn(8)) << 38
+			check(core + mem.Line(rng.Uint64()>>uint(26+rng.Intn(30))))
+			check(mem.Line(rng.Uint64() >> 6)) // any line a 64-bit address can name
 		}
 	}
 }

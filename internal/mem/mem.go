@@ -5,6 +5,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -126,6 +127,32 @@ func HashPC(pc PC, nbits uint) uint64 {
 	x ^= x >> 29
 	return x & ((1 << nbits) - 1)
 }
+
+// Divisor divides by a value fixed at construction without a hardware divide
+// on the per-record path: it returns ⌊m·(n+1)/2⁶⁴⌋ for the round-down
+// reciprocal m = ⌊(2⁶⁴−1)/d⌋. That falls short of (n+1)/d by at most (n+1)/2⁶⁴,
+// so while (n+1)·d ≤ 2⁶⁴, which n < m guarantees, it lies in [n/d, (n+1)/d) and
+// its floor is ⌊n/d⌋ exactly (Lemire's fastdiv in the increment variant: no
+// special case for d = 1 or a power of two). Larger operands divide.
+type Divisor struct{ d, m uint64 }
+
+// NewDivisor returns the divisor d; a d of zero panics, dividing by it.
+func NewDivisor(d int) Divisor { return Divisor{uint64(d), math.MaxUint64 / uint64(d)} }
+
+// Div returns n / d.
+func (r Divisor) Div(n uint64) uint64 {
+	if n < r.m {
+		q, _ := bits.Mul64(r.m, n+1)
+		return q
+	}
+	return n / r.d
+}
+
+// DivMod returns n / d and n % d.
+func (r Divisor) DivMod(n uint64) (q, rem uint64) { q = r.Div(n); return q, n - q*r.d }
+
+// Mod returns n % d.
+func (r Divisor) Mod(n uint64) uint64 { return n - r.Div(n)*r.d }
 
 // RateLimiter models a throughput-limited resource (a cache port, a DRAM
 // channel or bank) as a fluid of work accumulated in coarse time buckets.

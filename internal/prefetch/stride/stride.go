@@ -36,6 +36,7 @@ type entry struct {
 type Prefetcher struct {
 	cfg   Config
 	table []entry
+	size  mem.Divisor // len(table), for Train's index
 }
 
 // New returns a stride prefetcher.
@@ -52,7 +53,7 @@ func New(cfg Config) *Prefetcher {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = DefaultConfig.Threshold
 	}
-	return &Prefetcher{cfg: cfg, table: make([]entry, cfg.TableSize)}
+	return &Prefetcher{cfg: cfg, table: make([]entry, cfg.TableSize), size: mem.NewDivisor(cfg.TableSize)}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -60,7 +61,7 @@ func (p *Prefetcher) Name() string { return "ip-stride" }
 
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
-	idx := int(mem.HashPC(ev.PC, 16)) % len(p.table)
+	idx := p.size.Mod(mem.HashPC(ev.PC, 16))
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	line := ev.Line()
 	e := &p.table[idx]

@@ -10,6 +10,8 @@
 package triangel
 
 import (
+	"math/bits"
+
 	"streamline/internal/mem"
 	"streamline/internal/meta"
 	"streamline/internal/prefetch"
@@ -100,13 +102,16 @@ type scsEntry struct {
 	pcSig   uint32
 }
 
-// mrbEntry caches a recently fetched metadata entry.
+// mrbEntry caches a recently fetched metadata entry. The MRB is an exact LRU
+// and never invalidates: slots fill in index order, then the least recently
+// used is replaced. newer and older link the recency ring through the sentinel
+// slot 0 (its older is the most, its newer the least recently used entry);
+// next chains one hash bucket's entries, ending at 0.
 type mrbEntry struct {
-	valid   bool
-	conf    bool
-	trigger mem.Line
-	target  mem.Line
-	lru     uint64
+	conf               bool
+	trigger            mem.Line
+	target             mem.Line
+	newer, older, next int32
 }
 
 // Prefetcher is the Triangel temporal prefetcher.
@@ -118,7 +123,9 @@ type Prefetcher struct {
 	tu  []tuEntry
 	hs  [][]hsEntry
 	scs []scsEntry
-	mrb []mrbEntry
+	// mrb: the sentinel, then the entries in use; mrbHead: bucket → first slot.
+	mrb     []mrbEntry
+	mrbHead []int32
 
 	pcConf pcConfTable
 
@@ -259,7 +266,9 @@ func New(cfg Config, bridge meta.Bridge) *Prefetcher {
 		tu:    make([]tuEntry, cfg.TUSize),
 		hs:    make([][]hsEntry, cfg.HSSets),
 		scs:   make([]scsEntry, cfg.SCSSize),
-		mrb:   make([]mrbEntry, cfg.MRBSize),
+		mrb:   make([]mrbEntry, 1, cfg.MRBSize+1),
+		// one bucket per entry, rounded up to a power of two
+		mrbHead: make([]int32, 1<<bits.Len(uint(cfg.MRBSize-1))),
 	}
 	for i := range p.hs {
 		p.hs[i] = make([]hsEntry, cfg.HSWays)
@@ -428,39 +437,51 @@ func (p *Prefetcher) hsInsert(trigger, target mem.Line, pcSig uint32, dist uint8
 
 // ---- metadata reuse buffer --------------------------------------------
 
-func (p *Prefetcher) mrbLookup(trigger mem.Line) (mem.Line, bool, bool) {
-	for i := range p.mrb {
-		e := &p.mrb[i]
-		if e.valid && e.trigger == trigger {
-			p.clock++
-			e.lru = p.clock
-			return e.target, e.conf, true
-		}
-	}
-	return 0, false, false
+func (p *Prefetcher) mrbBucket(trigger mem.Line) *int32 {
+	return &p.mrbHead[uint64(trigger)*0x9e3779b97f4a7c15>>32&uint64(len(p.mrbHead)-1)]
 }
 
-func (p *Prefetcher) mrbInsert(trigger, target mem.Line, conf bool) {
-	victim := 0
-	for i := range p.mrb {
-		e := &p.mrb[i]
-		if e.valid && e.trigger == trigger {
-			e.target = target
-			e.conf = conf
-			p.clock++
-			e.lru = p.clock
-			return
-		}
-		if !e.valid {
-			victim = i
-			break
-		}
-		if e.lru < p.mrb[victim].lru {
-			victim = i
+// mrbLookup returns trigger's entry, now the most recently used, or nil.
+func (p *Prefetcher) mrbLookup(trigger mem.Line) *mrbEntry {
+	for i := *p.mrbBucket(trigger); i != 0; i = p.mrb[i].next {
+		if e := &p.mrb[i]; e.trigger == trigger {
+			p.mrbTouch(i)
+			return e
 		}
 	}
-	p.clock++
-	p.mrb[victim] = mrbEntry{valid: true, conf: conf, trigger: trigger, target: target, lru: p.clock}
+	return nil
+}
+
+// mrbTouch moves slot i to the recent end of the list.
+func (p *Prefetcher) mrbTouch(i int32) {
+	m, e := p.mrb, &p.mrb[i]
+	m[e.newer].older, m[e.older].newer = e.older, e.newer
+	e.newer, e.older = 0, m[0].older
+	m[e.older].newer, m[0].older = i, i
+}
+
+// mrbInsert caches trigger's entry, over the least recently used if full.
+func (p *Prefetcher) mrbInsert(trigger, target mem.Line, conf bool) *mrbEntry {
+	e := p.mrbLookup(trigger)
+	if e == nil {
+		i := int32(len(p.mrb))
+		if len(p.mrb) < cap(p.mrb) {
+			p.mrb = append(p.mrb, mrbEntry{newer: i, older: i}) // linked to itself
+		} else {
+			i = p.mrb[0].newer // the victim leaves its bucket's chain
+			l := p.mrbBucket(p.mrb[i].trigger)
+			for *l != i {
+				l = &p.mrb[*l].next
+			}
+			*l = p.mrb[i].next
+		}
+		e = &p.mrb[i]
+		b := p.mrbBucket(trigger)
+		e.trigger, e.next, *b = trigger, *b, i
+		p.mrbTouch(i)
+	}
+	e.target, e.conf = target, conf
+	return e
 }
 
 // ---- main operation ----------------------------------------------------
@@ -511,7 +532,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		// Store the correlation only for PCs whose metadata gets reused
 		// — this is the bypass that protects mcf's scans.
 		if int(st.reuseConf) >= p.cfg.ReuseThreshold {
-			if t, _, ok := p.mrbLookup(trigger); !ok || t != line {
+			if e := p.mrbLookup(trigger); e == nil || e.target != line {
 				p.insTarget[0] = line
 				_, conf := p.store.Insert(ev.Now, ev.PC, meta.Entry{
 					Trigger: trigger, Targets: p.insTarget[:],
@@ -533,8 +554,8 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	var delay uint64
 	issued := 0
 	for hops := 0; issued < deg && hops < deg+8; hops++ {
-		target, conf, hit := p.mrbLookup(cur)
-		if hit {
+		m := p.mrbLookup(cur)
+		if m != nil {
 			p.MRBHits++
 		} else {
 			e, found, lat := p.store.Lookup(ev.Now+delay, ev.PC, cur)
@@ -542,10 +563,9 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 				break
 			}
 			delay += lat
-			target = e.Targets[0]
-			conf = e.Conf
-			p.mrbInsert(cur, target, e.Conf)
+			m = p.mrbInsert(cur, e.Targets[0], e.Conf)
 		}
+		target, conf := m.target, m.conf
 		if !tu.issued.Has(target) {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target), Delay: delay})
 			tu.issued.Mark(target)

@@ -187,3 +187,83 @@ func TestIssuedRingPreventsDuplicates(t *testing.T) {
 		t.Errorf("%d of %d addresses re-issued excessively", dups, len(seen))
 	}
 }
+
+// scanMRB is the metadata reuse buffer as it was before it was indexed: a
+// scan for the trigger, and on a miss the first free slot, else the slot with
+// the oldest stamp. Test-only reference, sharing no code with the real one.
+type scanMRB struct {
+	e     []scanMRBEntry
+	clock uint64
+}
+
+type scanMRBEntry struct {
+	valid, conf     bool
+	trigger, target mem.Line
+	lru             uint64
+}
+
+func (m *scanMRB) lookup(trigger mem.Line) (mem.Line, bool, bool) {
+	for i := range m.e {
+		if e := &m.e[i]; e.valid && e.trigger == trigger {
+			m.clock++
+			e.lru = m.clock
+			return e.target, e.conf, true
+		}
+	}
+	return 0, false, false
+}
+
+func (m *scanMRB) insert(trigger, target mem.Line, conf bool) {
+	victim := 0
+	for i := range m.e {
+		e := &m.e[i]
+		if e.valid && e.trigger == trigger {
+			m.clock++
+			e.target, e.conf, e.lru = target, conf, m.clock
+			return
+		}
+		if !e.valid {
+			victim = i
+			break
+		}
+		if e.lru < m.e[victim].lru {
+			victim = i
+		}
+	}
+	m.clock++
+	e := &m.e[victim]
+	e.valid, e.conf, e.trigger, e.target, e.lru = true, conf, trigger, target, m.clock
+}
+
+// TestMRBMatchesScanReference drives the indexed MRB and the scanned one with
+// the same random lookups and inserts and compares every answer — at the
+// default size, at sizes that are not powers of two, and at one entry. The
+// trigger range is a few times the capacity, so hits, updates in place and
+// LRU replacements all occur, and bucket chains hold several entries.
+func TestMRBMatchesScanReference(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 31, 32, 33, 100, 300} {
+		cfg := DefaultConfig()
+		cfg.MetaBytes, cfg.MRBSize = 128<<10, size
+		p := New(cfg, testBridge())
+		ref := &scanMRB{e: make([]scanMRBEntry, size)}
+		rng := rand.New(rand.NewSource(int64(size)))
+		for i := 0; i < 200_000; i++ {
+			trigger := mem.Line(rng.Intn(3*size+2)) << uint(rng.Intn(2)*20)
+			if rng.Intn(3) == 0 {
+				target, conf := mem.Line(rng.Uint32()), rng.Intn(2) == 0
+				p.mrbInsert(trigger, target, conf)
+				ref.insert(trigger, target, conf)
+				continue
+			}
+			wantTarget, wantConf, wantHit := ref.lookup(trigger)
+			e := p.mrbLookup(trigger)
+			if (e != nil) != wantHit || (wantHit && (e.target != wantTarget || e.conf != wantConf)) {
+				t.Fatalf("size %d op %d: lookup(%#x) = %+v, reference (%#x, %v, hit %v)",
+					size, i, trigger, e, wantTarget, wantConf, wantHit)
+			}
+		}
+		if len(p.mrb) != size+1 {
+			t.Errorf("size %d: buffer holds %d entries beside the sentinel", size, len(p.mrb)-1)
+		}
+	}
+}

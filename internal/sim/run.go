@@ -19,11 +19,13 @@ const accuracyEpoch = 2048
 // step executes one trace record on core cs. It returns false when the
 // trace is exhausted.
 func (s *System) step(cs *coreState) bool {
-	rec, ok := cs.tr.Next()
-	if !ok {
-		return false
+	if cs.pos == len(cs.recs) {
+		if cs.recs, cs.pos = cs.tr.NextChunk(), 0; len(cs.recs) == 0 {
+			return false
+		}
 	}
-	rec.Addr += coreAddrStride * mem.Addr(cs.id)
+	rec := &cs.recs[cs.pos] // read-only: the run belongs to the trace
+	cs.pos++
 
 	cs.core.Advance(rec.Instructions())
 	t := cs.core.BeginMem(rec.DependsOnPrev)
@@ -32,7 +34,7 @@ func (s *System) step(cs *coreState) bool {
 	if rec.IsWrite {
 		kind = mem.Store
 	}
-	acc := mem.Access{PC: rec.PC, Addr: rec.Addr, Kind: kind, Core: cs.id}
+	acc := mem.Access{PC: rec.PC, Addr: rec.Addr + coreAddrStride*mem.Addr(cs.id), Kind: kind, Core: cs.id}
 	lat := s.demandAccess(cs, t, acc)
 
 	done := t + lat

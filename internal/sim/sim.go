@@ -109,7 +109,7 @@ type coreState struct {
 	core  *cpu.Core
 	l1d   *cache.Cache
 	l2    *cache.Cache
-	tr    trace.Trace
+	tr    *trace.Looping
 	done  bool
 	l1pf  prefetch.Prefetcher
 	l2pf  prefetch.Prefetcher
@@ -119,6 +119,10 @@ type coreState struct {
 	llcObs prefetch.LLCDataObserver
 
 	reqBuf []prefetch.Request
+
+	// recs is tr's latest run, valid until tr's next call; pos its next unread record.
+	recs []trace.Record
+	pos  int
 
 	// epoch accuracy feedback for the temporal prefetcher
 	lastFills, lastUseful uint64
@@ -268,7 +272,8 @@ func (s *System) SetTrace(core int, tr trace.Trace) {
 	if core < 0 || core >= len(s.cores) {
 		panic(fmt.Sprintf("sim: core %d out of range", core))
 	}
-	s.cores[core].tr = trace.NewLooping(tr)
+	cs := s.cores[core]
+	cs.tr, cs.recs, cs.pos = trace.NewLooping(tr), nil, 0
 }
 
 // LLC exposes the shared LLC (diagnostics and tests).

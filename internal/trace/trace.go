@@ -47,6 +47,15 @@ type Trace interface {
 	Reset()
 }
 
+// Chunker is an optional capability of a Trace: NextChunk consumes and returns
+// the next run of unread records, empty only at end of trace, so a consumer
+// pays one dynamic call per run, not per record. The run is read-only and valid
+// until the next call on the trace; calls may interleave with Next. Looping,
+// which wraps every simulated trace, collects runs from inner traces without it.
+type Chunker interface {
+	NextChunk() []Record
+}
+
 // Slice is an in-memory trace over a fixed record slice.
 type Slice struct {
 	recs []Record
@@ -66,6 +75,13 @@ func (s *Slice) Next() (Record, bool) {
 	return r, true
 }
 
+// NextChunk implements Chunker: the rest of the slice.
+func (s *Slice) NextChunk() []Record {
+	c := s.recs[s.pos:]
+	s.pos = len(s.recs)
+	return c
+}
+
 // Reset implements Trace.
 func (s *Slice) Reset() { s.pos = 0 }
 
@@ -77,12 +93,40 @@ func (s *Slice) Len() int { return len(s.recs) }
 // one finishes its measured instruction budget.
 type Looping struct {
 	inner Trace
+	buf   []Record // runs collected from an inner trace that is no Chunker
 	// Laps counts how many times the inner trace wrapped around.
 	Laps int
 }
 
 // NewLooping returns a trace that replays inner forever.
 func NewLooping(inner Trace) *Looping { return &Looping{inner: inner} }
+
+// NextChunk implements Chunker; as in Next, asking past a lap's end wraps.
+func (l *Looping) NextChunk() []Record {
+	c := l.innerChunk()
+	if len(c) == 0 {
+		l.inner.Reset()
+		l.Laps++
+		c = l.innerChunk()
+	}
+	return c
+}
+
+func (l *Looping) innerChunk() []Record {
+	if c, ok := l.inner.(Chunker); ok {
+		return c.NextChunk()
+	}
+	if l.buf == nil { // first use: 64 records amortize the consumer's call
+		l.buf = make([]Record, 0, 64)
+	}
+	l.buf = l.buf[:0]
+	for r, ok := l.inner.Next(); ok; r, ok = l.inner.Next() {
+		if l.buf = append(l.buf, r); len(l.buf) == cap(l.buf) {
+			break
+		}
+	}
+	return l.buf
+}
 
 // Next implements Trace. It never returns false unless the inner trace is
 // empty.

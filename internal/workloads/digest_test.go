@@ -35,12 +35,45 @@ func traceDigest(t *testing.T, tr trace.Trace, n int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// chunkReader reads a trace through its trace.Chunker capability, one run at
+// a time. With mix set it takes 0 to 4 records through Next before each run,
+// so runs start at every offset of the generator's chunk.
+type chunkReader struct {
+	tr    trace.Trace
+	run   []trace.Record // unread rest of the last run; dies at the next call on tr
+	mix   bool
+	calls int
+	nexts int // records still to take through Next before the next run
+}
+
+func (c *chunkReader) Next() (trace.Record, bool) {
+	if len(c.run) == 0 {
+		if c.nexts > 0 {
+			c.nexts--
+			return c.tr.Next()
+		}
+		if c.calls++; c.mix {
+			c.nexts = c.calls % 5
+		}
+		if c.run = c.tr.(trace.Chunker).NextChunk(); len(c.run) == 0 {
+			return trace.Record{}, false
+		}
+	}
+	r := c.run[0]
+	c.run = c.run[1:]
+	return r, true
+}
+
+func (c *chunkReader) Reset() { c.tr.Reset(); c.run, c.nexts = nil, 0 }
+
 // TestTraceDigestGolden pins the record stream of every registered workload.
 // Each row of testdata/trace_digests.txt covers two whole laps plus 100k
 // records, so it crosses two end-of-lap mutations. The file was generated
 // from the whole-lap generators that preceded the streaming ones; a row moves
 // only when a generator's output changes, which invalidates every recorded
-// experiment number (see EXPERIMENTS.md).
+// experiment number (see EXPERIMENTS.md). Every row is read three ways — through
+// Next, through NextChunk, and through both interleaved — and all three must
+// produce the pinned stream: the simulator reads runs, the tools read records.
 func TestTraceDigestGolden(t *testing.T) {
 	f, err := os.Open("testdata/trace_digests.txt")
 	if err != nil {
@@ -73,8 +106,15 @@ func TestTraceDigestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := traceDigest(t, w.NewTrace(Scale{Footprint: fp}, seed), n); got != want {
-				t.Errorf("digest of the first %d records is %s, want %s", n, got, want)
+			fresh := func() trace.Trace { return w.NewTrace(Scale{Footprint: fp}, seed) }
+			for how, tr := range map[string]trace.Trace{
+				"Next":        fresh(),
+				"NextChunk":   &chunkReader{tr: fresh()},
+				"interleaved": &chunkReader{tr: fresh(), mix: true},
+			} {
+				if got := traceDigest(t, tr, n); got != want {
+					t.Errorf("%s: digest of the first %d records is %s, want %s", how, n, got, want)
+				}
 			}
 		})
 	}

@@ -141,6 +141,16 @@ func (t *lapTrace) Next() (trace.Record, bool) {
 	return r, true
 }
 
+// NextChunk implements trace.Chunker: the unread rest of the chunk, not a copy.
+func (t *lapTrace) NextChunk() []trace.Record {
+	if t.pos >= len(t.e.buf) && !t.refill() {
+		return nil
+	}
+	c := t.e.buf[t.pos:]
+	t.pos = len(t.e.buf)
+	return c
+}
+
 // refill generates the next chunk, crossing into the next lap when the
 // current one is exhausted. A lap that emits no record at all ends the trace.
 func (t *lapTrace) refill() bool {

@@ -172,6 +172,34 @@ func TestEmptyLapEndsTrace(t *testing.T) {
 		if r, ok := tr.Next(); ok {
 			t.Fatalf("call %d: empty workload produced %+v", i, r)
 		}
+		if c := tr.NextChunk(); len(c) != 0 {
+			t.Fatalf("call %d: empty workload produced a run of %d records", i, len(c))
+		}
+	}
+}
+
+// TestChunkIsTheGeneratorsBuffer: a workload trace hands out the unread rest of
+// the chunk it generated into — no copy, nothing generated for the occasion —
+// and steady-state NextChunk allocates nothing.
+func TestChunkIsTheGeneratorsBuffer(t *testing.T) {
+	w, err := Get("lbm17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt := w.NewTrace(Scale{Footprint: 0.1}, 1).(*lapTrace)
+	for i := 0; i < 3; i++ {
+		lt.Next()
+	}
+	step := lt.step
+	c := lt.NextChunk()
+	if len(c) != len(lt.e.buf)-3 || &c[0] != &lt.e.buf[3] {
+		t.Fatalf("run of %d records at %p, want the %d unread ones at %p", len(c), &c[0], len(lt.e.buf)-3, &lt.e.buf[3])
+	}
+	if lt.step != step {
+		t.Errorf("handing out a generated chunk ran the generator from step %d to %d", step, lt.step)
+	}
+	if got := testing.AllocsPerRun(100, func() { lt.NextChunk() }); got != 0 {
+		t.Errorf("steady-state NextChunk allocates %.1f times per call, want 0", got)
 	}
 }
 
