@@ -16,17 +16,19 @@
 //     prefetcher name maps to its slot and constructor
 //   - internal/workloads — synthetic SPEC/GAP-like benchmark suite
 //   - internal/exp — the experiment harness (one runner per table/figure):
-//     scale.go sizing and arms, runner.go the memoizing runner, pool.go the
-//     fan-out, failures.go/stats.go/table.go the reporting helpers
+//     scale.go sizing and arms, runner.go the memoizing runner, sweep.go the
+//     arms x units sweep every experiment asks for its simulations through,
+//     failures.go/stats.go/table.go the reporting helpers
 //   - internal/serve — the simulation-as-a-service layer behind cmd/streamd
 //   - internal/metrics — counters/gauges/histograms with Prometheus text
 //     exposition, shared by the daemon and the sweep runner
 //   - cmd/{streamsim,experiments,tracegen,streamd} — executables
 //   - examples/ — runnable scenarios built on the public pieces
 //
-// The benchmarks in bench_test.go regenerate a reduced version of every
-// table and figure; `go run ./cmd/experiments -run all` produces the full
-// set, and `-scale paper` uses the Table II hierarchy with full synthetic
-// footprints. DESIGN.md maps every experiment to the modules that implement
-// it; EXPERIMENTS.md records paper-reported versus measured results.
+// `go run ./cmd/experiments -run all` regenerates every table and figure
+// (`-scale micro` in seconds, `-scale paper` on the Table II hierarchy with
+// full synthetic footprints); `go run ./benchmark` measures the simulator
+// and the harness themselves. DESIGN.md maps every experiment to the modules
+// that implement it; EXPERIMENTS.md records paper-reported versus measured
+// results.
 package streamline

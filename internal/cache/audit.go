@@ -54,11 +54,7 @@ func (c *Cache) ForEachLineState(f func(LineState)) {
 //     scan, so every install, eviction, and reservation flush was accounted;
 //   - MSHR hygiene: every MSHRReserve was matched by an MSHRComplete (leak
 //     detection; the scan runs between accesses, when none are in flight);
-//   - counter identities: demand hits + misses = accesses, useful
-//     prefetches never exceed demand hits, writebacks never exceed
-//     evictions, prefetch hits never exceed prefetch accesses;
-//   - source-sum identities: the aggregate prefetch counters equal the sum
-//     of their per-source attributions, and SrcDemand carries none;
+//   - the counter and source-sum identities of Stats.CounterLaws;
 //   - lifecycle partition: per source, fills = useful + evicted-unused +
 //     still-resident prefetched lines (counted by the same scan), so no
 //     prefetched line ever leaves the cache unaccounted.
@@ -106,23 +102,51 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 		a.Reportf(now, name, "mshr-leak",
 			"%d MSHR reservation(s) never completed", c.mshrPending)
 	}
-	st := c.Stats
+	st := &c.Stats
+	st.CounterLaws(func(rule, format string, args ...any) {
+		a.Reportf(now, name, rule, format, args...)
+	})
+	for src, ss := range &st.Sources {
+		if ss.Fills != ss.UsefulTimely+ss.UsefulLate+ss.EvictedUnused+residentPF[src] {
+			a.Reportf(now, name, "lifecycle-partition",
+				"source %s: fills %d != useful %d + evicted-unused %d + resident %d",
+				Source(src), ss.Fills, ss.UsefulTimely+ss.UsefulLate,
+				ss.EvictedUnused, residentPF[src])
+		}
+	}
+}
+
+// CounterLaws reports every counter identity st breaks, as an audit rule name
+// and a message, and formats nothing while they all hold. The identities are
+// window-safe — both sides of each move in the same simulator step — so they
+// hold for a running cache (AuditScan), for a whole run, and for the delta
+// over any measured window (check.CacheLaws):
+//
+//   - demand hits + misses = accesses; prefetch hits never exceed prefetch
+//     accesses, useful prefetches demand hits, late prefetches useful ones,
+//     or writebacks evictions;
+//   - the aggregate prefetch counters equal the sum of their per-source
+//     attributions, and SrcDemand carries none.
+func (st *Stats) CounterLaws(fail func(rule, format string, args ...any)) {
 	if st.DemandHits+st.DemandMisses != st.DemandAccesses {
-		a.Reportf(now, name, "demand-accounting",
-			"hits %d + misses %d != accesses %d",
+		fail("demand-accounting", "demand hits %d + misses %d != accesses %d",
 			st.DemandHits, st.DemandMisses, st.DemandAccesses)
 	}
+	if st.PrefetchHits > st.PrefetchAccesses {
+		fail("prefetch-hit-accounting", "prefetch hits %d > prefetch accesses %d",
+			st.PrefetchHits, st.PrefetchAccesses)
+	}
 	if st.UsefulPrefetches > st.DemandHits {
-		a.Reportf(now, name, "useful-exceeds-hits",
-			"useful prefetches %d > demand hits %d", st.UsefulPrefetches, st.DemandHits)
+		fail("useful-exceeds-hits", "useful prefetches %d > demand hits %d",
+			st.UsefulPrefetches, st.DemandHits)
+	}
+	if st.LatePrefetches > st.UsefulPrefetches {
+		fail("late-exceeds-useful", "late prefetches %d > useful prefetches %d",
+			st.LatePrefetches, st.UsefulPrefetches)
 	}
 	if st.Writebacks > st.Evictions {
-		a.Reportf(now, name, "writebacks-exceed-evictions",
-			"writebacks %d > evictions %d", st.Writebacks, st.Evictions)
-	}
-	if st.PrefetchHits > st.PrefetchAccesses {
-		a.Reportf(now, name, "prefetch-hit-accounting",
-			"prefetch hits %d > prefetch accesses %d", st.PrefetchHits, st.PrefetchAccesses)
+		fail("writebacks-exceed-evictions", "writebacks %d > evictions %d",
+			st.Writebacks, st.Evictions)
 	}
 	var fills, timely, late, evicted uint64
 	for _, ss := range &st.Sources {
@@ -132,34 +156,22 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 		evicted += ss.EvictedUnused
 	}
 	if fills != st.PrefetchFills {
-		a.Reportf(now, name, "source-sum",
-			"per-source fills sum to %d, aggregate PrefetchFills is %d", fills, st.PrefetchFills)
+		fail("source-sum", "per-source fills sum to %d, aggregate PrefetchFills is %d",
+			fills, st.PrefetchFills)
 	}
 	if timely+late != st.UsefulPrefetches {
-		a.Reportf(now, name, "source-sum",
-			"per-source useful sum to %d, aggregate UsefulPrefetches is %d",
+		fail("source-sum", "per-source useful sum to %d, aggregate UsefulPrefetches is %d",
 			timely+late, st.UsefulPrefetches)
 	}
 	if late != st.LatePrefetches {
-		a.Reportf(now, name, "source-sum",
-			"per-source useful-late sum to %d, aggregate LatePrefetches is %d",
+		fail("source-sum", "per-source useful-late sum to %d, aggregate LatePrefetches is %d",
 			late, st.LatePrefetches)
 	}
 	if evicted != st.UnusedPrefetches {
-		a.Reportf(now, name, "source-sum",
-			"per-source evicted-unused sum to %d, aggregate UnusedPrefetches is %d",
+		fail("source-sum", "per-source evicted-unused sum to %d, aggregate UnusedPrefetches is %d",
 			evicted, st.UnusedPrefetches)
 	}
 	if d := st.Sources[SrcDemand]; d != (SourceStats{}) {
-		a.Reportf(now, name, "source-sum",
-			"SrcDemand carries prefetch lifecycle counts %+v", d)
-	}
-	for src, ss := range &st.Sources {
-		if ss.Fills != ss.UsefulTimely+ss.UsefulLate+ss.EvictedUnused+residentPF[src] {
-			a.Reportf(now, name, "lifecycle-partition",
-				"source %s: fills %d != useful %d + evicted-unused %d + resident %d",
-				Source(src), ss.Fills, ss.UsefulTimely+ss.UsefulLate,
-				ss.EvictedUnused, residentPF[src])
-		}
+		fail("source-sum", "SrcDemand carries prefetch lifecycle counts %+v", d)
 	}
 }

@@ -20,54 +20,14 @@ import (
 // useful + evicted" only holds when counting starts from an empty cache.
 // Apply them only when the statistics cover a run from cycle zero.
 
-// CacheLaws checks the window-safe identities of one cache level's stats.
-// It returns a description of each violated law (empty means all hold).
+// CacheLaws checks the window-safe identities of one cache level's stats —
+// cache.Stats.CounterLaws, the list the runtime audit reports too. It returns
+// a description of each violated law (empty means all hold).
 func CacheLaws(name string, st cache.Stats) []string {
 	var v []string
-	fail := func(format string, args ...any) {
-		v = append(v, fmt.Sprintf("%s: ", name)+fmt.Sprintf(format, args...))
-	}
-	if st.DemandHits+st.DemandMisses != st.DemandAccesses {
-		fail("demand hits %d + misses %d != accesses %d",
-			st.DemandHits, st.DemandMisses, st.DemandAccesses)
-	}
-	if st.PrefetchHits > st.PrefetchAccesses {
-		fail("prefetch hits %d > prefetch accesses %d", st.PrefetchHits, st.PrefetchAccesses)
-	}
-	if st.UsefulPrefetches > st.DemandHits {
-		fail("useful prefetches %d > demand hits %d", st.UsefulPrefetches, st.DemandHits)
-	}
-	if st.LatePrefetches > st.UsefulPrefetches {
-		fail("late prefetches %d > useful prefetches %d", st.LatePrefetches, st.UsefulPrefetches)
-	}
-	if st.Writebacks > st.Evictions {
-		fail("writebacks %d > evictions %d", st.Writebacks, st.Evictions)
-	}
-	var fills, timely, late, evicted uint64
-	for _, ss := range &st.Sources {
-		fills += ss.Fills
-		timely += ss.UsefulTimely
-		late += ss.UsefulLate
-		evicted += ss.EvictedUnused
-	}
-	if fills != st.PrefetchFills {
-		fail("per-source fills sum to %d, aggregate PrefetchFills is %d", fills, st.PrefetchFills)
-	}
-	if timely+late != st.UsefulPrefetches {
-		fail("per-source useful sum to %d, aggregate UsefulPrefetches is %d",
-			timely+late, st.UsefulPrefetches)
-	}
-	if late != st.LatePrefetches {
-		fail("per-source useful-late sum to %d, aggregate LatePrefetches is %d",
-			late, st.LatePrefetches)
-	}
-	if evicted != st.UnusedPrefetches {
-		fail("per-source evicted-unused sum to %d, aggregate UnusedPrefetches is %d",
-			evicted, st.UnusedPrefetches)
-	}
-	if d := st.Sources[cache.SrcDemand]; d != (cache.SourceStats{}) {
-		fail("SrcDemand carries prefetch lifecycle counts %+v", d)
-	}
+	st.CounterLaws(func(_, format string, args ...any) {
+		v = append(v, name+": "+fmt.Sprintf(format, args...))
+	})
 	return v
 }
 

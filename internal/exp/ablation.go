@@ -5,6 +5,7 @@ import (
 
 	"streamline/internal/core"
 	"streamline/internal/meta"
+	"streamline/internal/workloads"
 )
 
 // This file regenerates Figure 14 (the component ablation) and Figure 15
@@ -75,28 +76,18 @@ func init() {
 			t := Table{ID: "fig14", Title: "ablation: coverage / accuracy / speedup (irregular subset)",
 				Columns: []string{"arm", "coverage", "accuracy", "speedup"}}
 			base := baseArm("stride", "")
-			ws := r.Scale.irregular()
 			variants := ablationVariants()
-			r.Precompute(Singles(append([]Arm{base}, variants...), ws))
+			g := r.Sweep(append([]Arm{base}, variants...),
+				SingleUnits(workloads.Names(r.Scale.irregular())))[0]
 			for _, arm := range variants {
-				var cov, acc, spd []float64
-				for _, w := range ws {
-					b, okB := r.TryRun(base, w.Name)
-					res, okA := r.TryRun(arm, w.Name)
-					if !okB || !okA {
-						continue // gapped workload: excluded from this arm's means
-					}
-					cov = append(cov, Coverage(b, res))
-					spd = append(spd, Speedup(b, res))
-					if res.Cores[0].L2.PrefetchFills > 0 {
-						acc = append(acc, Accuracy(res))
-					}
-				}
-				if len(cov) == 0 {
+				// A gapped workload is excluded from this arm's means.
+				rows := g.Rows(base, arm)
+				if len(rows) == 0 {
 					t.AddRow(arm.Name, GapCell, GapCell, GapCell)
 					continue
 				}
-				t.AddRow(arm.Name, Pct(Mean(cov)), Pct(Mean(acc)), F(Geomean(spd)))
+				t.AddRow(arm.Name, Pct(Mean(over(rows, Coverage, 0, 1))),
+					Pct(Mean(accuracies(rows, 1))), F(Geomean(over(rows, Speedup, 0, 1))))
 			}
 			t.Notes = append(t.Notes,
 				"paper: unopt alone beats Triangel's coverage by 7.6 pp; MB+SA and TSP+TP-MJ are synergistic pairs; removing any component costs performance")
@@ -107,14 +98,11 @@ func init() {
 		Run: func(r *Runner) []Table {
 			t := Table{ID: "fig15", Title: "small partitions: filtering, realignment, skew, hybrid",
 				Columns: []string{"arm", "size", "coverage", "speedup", "filtered-inserts"}}
-			base := baseArm("stride", "")
-			ws := r.Scale.irregular()
-			mb := r.Scale.MetaBytes
-			fracVariants := map[int][]Arm{}
-			all := []Arm{base}
-			for _, frac := range []int{2, 4} {
-				sz := mb / frac
-				variants := []Arm{
+			fracs := []int{2, 4}
+			arms := []Arm{baseArm("stride", "")}
+			for _, frac := range fracs {
+				sz := r.Scale.MetaBytes / frac
+				arms = append(arms,
 					streamlineArm(fmt.Sprintf("unfiltered-%d", frac), "stride", "",
 						func(o *core.Options) { o.FixedBytes = sz; o.Unfiltered = true }),
 					streamlineArm(fmt.Sprintf("filtered-norealign-%d", frac), "stride", "",
@@ -124,35 +112,24 @@ func init() {
 					streamlineArm(fmt.Sprintf("skewed-%d", frac), "stride", "",
 						func(o *core.Options) { o.FixedBytes = sz; o.Skewed = true }),
 					streamlineArm(fmt.Sprintf("hybrid-%d", frac), "stride", "",
-						func(o *core.Options) { o.FixedBytes = sz; o.Hybrid = true }),
-				}
-				fracVariants[frac] = variants
-				all = append(all, variants...)
+						func(o *core.Options) { o.FixedBytes = sz; o.Hybrid = true }))
 			}
-			r.Precompute(Singles(all, ws))
-			for _, frac := range []int{2, 4} {
-				sz := mb / frac
-				for _, arm := range fracVariants[frac] {
-					var spd, cov []float64
-					var filtered uint64
-					for _, w := range ws {
-						b, okB := r.TryRun(base, w.Name)
-						res, okA := r.TryRun(arm, w.Name)
-						if !okB || !okA {
-							continue // gapped workload: excluded from this arm's means
-						}
-						spd = append(spd, Speedup(b, res))
-						cov = append(cov, Coverage(b, res))
-						filtered += res.Cores[0].Meta.FilteredInserts
-					}
-					if len(spd) == 0 {
-						t.AddRow(arm.Name, fmt.Sprintf("%dKB", sz>>10),
-							GapCell, GapCell, GapCell)
-						continue
-					}
-					t.AddRow(arm.Name, fmt.Sprintf("%dKB", sz>>10),
-						Pct(Mean(cov)), F(Geomean(spd)), fmt.Sprint(filtered))
+			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
+			perSize := (len(arms) - 1) / len(fracs)
+			for i, arm := range arms[1:] {
+				size := fmt.Sprintf("%dKB", r.Scale.MetaBytes/fracs[i/perSize]>>10)
+				// A gapped workload is excluded from this arm's means.
+				rows := g.Rows(arms[0], arm)
+				if len(rows) == 0 {
+					t.AddRow(arm.Name, size, GapCell, GapCell, GapCell)
+					continue
 				}
+				var filtered uint64
+				for _, row := range rows {
+					filtered += row[1].res.Cores[0].Meta.FilteredInserts
+				}
+				t.AddRow(arm.Name, size, Pct(Mean(over(rows, Coverage, 0, 1))),
+					F(Geomean(over(rows, Speedup, 0, 1))), fmt.Sprint(filtered))
 			}
 			t.Notes = append(t.Notes,
 				"paper: realignment recoups 72-79% of filtering's loss; skewed indexing recovers it all; hybrid partitioning beats unfiltered at small sizes")

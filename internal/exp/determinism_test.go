@@ -57,8 +57,8 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 func TestSameSeedSameStats(t *testing.T) {
 	sc := microScale()
 	arm := streamlineArm("streamline", "stride", "", nil)
-	a := NewRunner(sc).Run(arm, "sphinx06")
-	b := NewRunner(sc).Run(arm, "sphinx06")
+	a := runCell(NewRunner(sc), arm, "sphinx06").res
+	b := runCell(NewRunner(sc), arm, "sphinx06").res
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed produced different results:\n%+v\nvs\n%+v", a, b)
 	}
@@ -66,7 +66,7 @@ func TestSameSeedSameStats(t *testing.T) {
 	// above proves nothing.
 	sc2 := sc
 	sc2.Seed += 1
-	c := NewRunner(sc2).Run(arm, "sphinx06")
+	c := runCell(NewRunner(sc2), arm, "sphinx06").res
 	if reflect.DeepEqual(a, c) {
 		t.Error("changing the seed left the result identical; seed is not wired through")
 	}

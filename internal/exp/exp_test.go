@@ -165,8 +165,8 @@ func TestRunnerMemoization(t *testing.T) {
 	sc.Measure = 100_000
 	r := NewRunner(sc)
 	arm := baseArm("stride", "")
-	a := r.Run(arm, "bzip206")
-	b := r.Run(arm, "bzip206")
+	a := runCell(r, arm, "bzip206").res
+	b := runCell(r, arm, "bzip206").res
 	if a.Cores[0].Cycles != b.Cores[0].Cycles {
 		t.Error("memoized run returned different result")
 	}

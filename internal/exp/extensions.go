@@ -86,21 +86,19 @@ func init() {
 				h, cov float64
 			}
 			ws := r.Scale.workloadList()
-			r.Precompute(Singles([]Arm{base, ideal}, ws))
-			headrooms := ParallelMap(r, ws,
+			g := r.Sweep([]Arm{base, ideal}, SingleUnits(workloads.Names(ws)))[0]
+			headrooms, ok := ParallelMap(r, ws,
 				func(w workloads.Workload) string { return "headroom|" + w.Name },
 				func(w workloads.Workload) float64 { return idealHeadroom(w, r.Scale, 300_000) })
 			var rows []row
 			var gapped []workloads.Workload
-			for i, w := range ws {
-				b, okB := r.TryRun(base, w.Name)
-				resI, okI := r.TryRun(ideal, w.Name)
-				if !okB || !okI || r.Gapped("headroom|"+w.Name) {
-					gapped = append(gapped, w)
+			for i, sims := range g.Aligned(base, ideal) {
+				if sims == nil || !ok[i] {
+					gapped = append(gapped, ws[i])
 					continue
 				}
-				h := Speedup(b, resI) - 1
-				rows = append(rows, row{w, h, headrooms[i]})
+				h := Speedup(sims[0].res, sims[1].res) - 1
+				rows = append(rows, row{ws[i], h, headrooms[i]})
 			}
 			sort.Slice(rows, func(i, j int) bool { return rows[i].h > rows[j].h })
 			agree := 0
@@ -135,29 +133,23 @@ func init() {
 			base := baseArm("stride", "")
 			tri := triangelArm("triangel", "stride", "", nil)
 			plain := streamlineArm("streamline", "stride", "", nil)
-			byp := streamlineArm("streamline+bypass", "stride", "",
-				func(o *core.Options) { o.Bypass = true })
+			byp := kept(streamlineArm("streamline+bypass", "stride", "",
+				func(o *core.Options) { o.Bypass = true }))
 			// Scan-heavy mcf-likes plus one scan-free control.
 			names := []string{"mcf06", "mcf17", "sphinx06"}
-			r.Precompute(SingleNames([]Arm{base, tri, plain}, names),
-				keepSystems(SingleNames([]Arm{byp}, names)))
-			for _, name := range names {
-				b, okB := r.TryRun(base, name)
-				resT, okT := r.TryRun(tri, name)
-				resP, okP := r.TryRun(plain, name)
-				resB, sys := r.runWithSystem(byp, name)
-				if !okB || !okT || !okP || sys == nil {
-					t.AddRow(name, GapCell, GapCell, GapCell, GapCell)
+			g := r.Sweep([]Arm{base, tri, plain, byp}, SingleUnits(names))[0]
+			for i, row := range g.Aligned(base, tri, plain, byp) {
+				if row == nil {
+					t.AddRow(names[i], GapCell, GapCell, GapCell, GapCell)
 					continue
 				}
-				rt := Speedup(b, resT)
-				rs := Speedup(b, resP)
-				rb := Speedup(b, resB)
+				b := row[0].res
 				var bypassed uint64
-				if p := streamlineOf(sys); p != nil {
+				if p := streamlineOf(row[3].sys); p != nil {
 					bypassed = p.Stats.BypassedInserts
 				}
-				t.AddRow(name, F(rt), F(rs), F(rb), fmt.Sprint(bypassed))
+				t.AddRow(names[i], F(Speedup(b, row[1].res)), F(Speedup(b, row[2].res)),
+					F(Speedup(b, row[3].res)), fmt.Sprint(bypassed))
 			}
 			t.Notes = append(t.Notes,
 				"Section V-B1: Triangel wins mcf only because it bypasses scan PCs; this extension gives Streamline the same protection")
@@ -173,14 +165,14 @@ func init() {
 				Columns: []string{"workload", "suite", "lines", "pcs", "multiplicity",
 					"pair-stability", "sequential", "dependent", "stores"}}
 			ws := r.Scale.workloadList()
-			analyses := ParallelMap(r, ws,
+			analyses, ok := ParallelMap(r, ws,
 				func(w workloads.Workload) string { return "analyze|" + w.Name },
 				func(w workloads.Workload) workloads.Analysis {
 					return workloads.Analyze(w, workloads.Scale{Footprint: r.Scale.Footprint},
 						r.Scale.Seed, 500_000)
 				})
 			for i, w := range ws {
-				if r.Gapped("analyze|" + w.Name) {
+				if !ok[i] {
 					t.AddRow(w.Name, string(w.Suite), GapCell, GapCell, GapCell,
 						GapCell, GapCell, GapCell, GapCell)
 					continue
@@ -208,28 +200,21 @@ func init() {
 			base := baseArm("stride", "")
 			tri := triangelArm("triangel", "stride", "", nil)
 			str := streamlineArm("streamline", "stride", "", nil)
-			off := stmsArm()
-			ws := r.Scale.irregular()
-			r.Precompute(Singles([]Arm{base, tri, str}, ws), keepSystems(Singles([]Arm{off}, ws)))
-			for _, w := range ws {
-				b, okB := r.TryRun(base, w.Name)
-				resT, okT := r.TryRun(tri, w.Name)
-				resS, okS := r.TryRun(str, w.Name)
-				resO, sys := r.runWithSystem(off, w.Name)
-				if !okB || !okT || !okS || sys == nil {
-					t.AddRow(w.Name, GapCell, GapCell, GapCell, GapCell, GapCell)
+			off := kept(stmsArm())
+			names := workloads.Names(r.Scale.irregular())
+			g := r.Sweep([]Arm{base, tri, str, off}, SingleUnits(names))[0]
+			for i, row := range g.Aligned(base, tri, str, off) {
+				if row == nil {
+					t.AddRow(names[i], GapCell, GapCell, GapCell, GapCell, GapCell)
 					continue
 				}
-				rt := Speedup(b, resT)
-				rs := Speedup(b, resS)
-				ro := Speedup(b, resO)
+				b, resS := row[0].res, row[2].res
 				var offchip uint64
-				if p, ok := sys.TemporalOf(0).(*stms.Prefetcher); ok {
+				if p, ok := row[3].sys.TemporalOf(0).(*stms.Prefetcher); ok {
 					offchip = p.Stats.OffchipTraffic()
 				}
-				onchip := resS.Cores[0].Meta.Traffic()
-				t.AddRow(w.Name, F(ro), F(rt), F(rs),
-					fmt.Sprint(offchip), fmt.Sprint(onchip))
+				t.AddRow(names[i], F(Speedup(b, row[3].res)), F(Speedup(b, row[1].res)), F(Speedup(b, resS)),
+					fmt.Sprint(offchip), fmt.Sprint(resS.Cores[0].Meta.Traffic()))
 			}
 			t.Notes = append(t.Notes,
 				"Section II-A: off-chip temporal prefetchers spend DRAM bandwidth and latency on metadata; the on-chip designs confine it to the LLC")
@@ -246,35 +231,17 @@ func init() {
 			// (~15-60 of the 128KB regions at small scale): a 4-entry LUT
 			// recycles constantly, 16 occasionally, 2^20 never.
 			lutSizes := []int{4, 16, 1 << 20}
-			arms := make(map[int]Arm, len(lutSizes))
+			arms := []Arm{base}
 			for _, lutSize := range lutSizes {
-				lutSize := lutSize
-				arms[lutSize] = Arm{Name: fmt.Sprintf("triage-lut%d", lutSize),
+				arms = append(arms, Arm{Name: fmt.Sprintf("triage-lut%d", lutSize),
 					Apply: func(cfg *sim.Config, sc Scale) {
 						attach(cfg, "stride")
 						cfg.Temporal = sim.Triage(sc.knobs(),
 							func(c *triage.Config) { c.LUTSize = lutSize })
-					}}
+					}})
 			}
-			all := []Arm{base}
-			for _, lutSize := range lutSizes {
-				all = append(all, arms[lutSize])
-			}
-			r.Precompute(Singles(all, r.Scale.irregular()))
-			for _, lutSize := range lutSizes {
-				arm := arms[lutSize]
-				var spd, acc []float64
-				for _, w := range r.Scale.irregular() {
-					b, okB := r.TryRun(base, w.Name)
-					res, okA := r.TryRun(arm, w.Name)
-					if !okB || !okA {
-						continue // gapped workload: excluded from this arm's means
-					}
-					spd = append(spd, Speedup(b, res))
-					if res.Cores[0].L2.PrefetchFills > 0 {
-						acc = append(acc, Accuracy(res))
-					}
-				}
+			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
+			for i, lutSize := range lutSizes {
 				label := "tiny LUT (heavy recycling)"
 				switch lutSize {
 				case 16:
@@ -282,13 +249,15 @@ func init() {
 				case 1 << 20:
 					label = "effectively uncompressed"
 				}
-				if len(spd) == 0 {
+				// A gapped workload is excluded from this arm's means.
+				rows := g.Rows(base, arms[1+i])
+				if len(rows) == 0 {
 					t.AddRow(label, fmt.Sprint(lutSize != 1<<20), fmt.Sprint(lutSize),
 						GapCell, GapCell)
 					continue
 				}
 				t.AddRow(label, fmt.Sprint(lutSize != 1<<20), fmt.Sprint(lutSize),
-					F(Geomean(spd)), Pct(Mean(acc)))
+					F(Geomean(over(rows, Speedup, 0, 1))), Pct(Mean(accuracies(rows, 1))))
 			}
 			t.Notes = append(t.Notes,
 				"Triangel's authors report LUT compression significantly reduces Triage's accuracy; LUT slot recycling silently redirects old correlations")

@@ -42,12 +42,6 @@ func (l *failureLog) add(key string, err error) {
 	l.metrics.GapInc()
 }
 
-func (l *failureLog) has(key string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.keys[key]
-}
-
 // sortedCopy returns fails sorted by key: recording order follows pool
 // scheduling and is not deterministic, the sorted view is.
 func sortedCopy(fails []JobFailure) []JobFailure {
@@ -72,21 +66,6 @@ func (r *Runner) DrainFailures() []JobFailure {
 	newFails := r.fails.order[r.fails.drained:]
 	r.fails.drained = len(r.fails.order)
 	return sortedCopy(newFails)
-}
-
-// Gapped reports whether the job with this key failed permanently. For
-// simulation jobs it answers only after the sim was attempted (Precompute
-// or a direct Run), which every experiment does before aggregating.
-func (r *Runner) Gapped(key string) bool { return r.fails.has(key) }
-
-// GapRun reports whether a single-workload simulation is a gap.
-func (r *Runner) GapRun(arm Arm, workload string) bool {
-	return r.GapMix(arm, []string{workload}, 1, 0)
-}
-
-// GapMix reports whether a mix simulation is a gap.
-func (r *Runner) GapMix(arm Arm, mix []string, cores int, bwFactor float64) bool {
-	return r.fails.has(simKey(arm, mix, cores, bwFactor))
 }
 
 // GapCell is the table cell marking a value whose simulation failed.

@@ -58,7 +58,7 @@ func goldenArm(name string) Arm {
 func checkGolden(t *testing.T, r *Runner) {
 	t.Helper()
 	for _, g := range goldenStats {
-		res := r.Run(goldenArm(g.arm), g.workload)
+		res := runCell(r, goldenArm(g.arm), g.workload).res
 		c := res.Cores[0]
 		got := []struct {
 			name string
@@ -94,23 +94,20 @@ func TestGoldenStatsSerial(t *testing.T) {
 	checkGolden(t, r)
 }
 
-// TestGoldenStatsParallel runs the same four simulations through an
-// oversubscribed worker pool (8 workers for 4 jobs) and demands the same
-// exact counters: the pool must not perturb results.
+// TestGoldenStatsParallel sweeps the golden arms over the golden workloads
+// on an oversubscribed worker pool (8 workers) and demands the same exact
+// counters: the pool must not perturb results.
 func TestGoldenStatsParallel(t *testing.T) {
 	r := NewRunner(goldenScale())
 	r.Jobs = 8
-	var sims []Sim
-	for _, g := range goldenStats {
-		sims = append(sims, Sim{Arm: goldenArm(g.arm), Mix: []string{g.workload}, Cores: 1})
-	}
-	r.Precompute(sims)
+	r.Sweep([]Arm{goldenArm("none"), goldenArm("streamline"), goldenArm("triangel")},
+		SingleUnits(r.Scale.Workloads))
 	checkGolden(t, r)
 }
 
-// TestGoldenStatsConcurrentCallers hammers RunMix directly from many
-// goroutines (no Precompute dedup in front), exercising the single-flight
-// memo: every caller must observe the same exact result.
+// TestGoldenStatsConcurrentCallers hammers single cells directly from many
+// goroutines (no pool and no sweep dedup in front), exercising the
+// single-flight memo: every caller must observe the same exact result.
 func TestGoldenStatsConcurrentCallers(t *testing.T) {
 	r := NewRunner(goldenScale())
 	var wg sync.WaitGroup
@@ -120,7 +117,7 @@ func TestGoldenStatsConcurrentCallers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res := r.Run(goldenArm(g.arm), g.workload)
+				res := runCell(r, goldenArm(g.arm), g.workload).res
 				if got := res.Cores[0].Cycles; got != g.cycles {
 					t.Errorf("%s/%s: cycles = %d, want %d", g.arm, g.workload, got, g.cycles)
 				}

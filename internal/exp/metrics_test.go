@@ -26,7 +26,7 @@ func TestSweepMetricsAccounting(t *testing.T) {
 	r := NewRunner(sc)
 	r.Store = st
 	m := r.EnableMetrics(metrics.NewRegistry())
-	if _, ok := r.TryRun(arm, wl); !ok {
+	if runCell(r, arm, wl).err != nil {
 		t.Fatal("simulation failed")
 	}
 	if m.Completed.Value() != 1 || m.Attempts.Count() != 1 {
@@ -49,7 +49,7 @@ func TestSweepMetricsAccounting(t *testing.T) {
 	r2 := NewRunner(sc)
 	r2.Store = st2
 	m2 := r2.EnableMetrics(metrics.NewRegistry())
-	if _, ok := r2.TryRun(arm, wl); !ok {
+	if runCell(r2, arm, wl).err != nil {
 		t.Fatal("replayed simulation failed")
 	}
 	if m2.Replayed.Value() != 1 || m2.Completed.Value() != 0 {
@@ -60,7 +60,7 @@ func TestSweepMetricsAccounting(t *testing.T) {
 	r3 := NewRunner(sc)
 	r3.FailKey = "doomed"
 	m3 := r3.EnableMetrics(metrics.NewRegistry())
-	res := ParallelMap(r3, []int{1, 2},
+	res, ok := ParallelMap(r3, []int{1, 2},
 		func(i int) string {
 			if i == 1 {
 				return "doomed-job"
@@ -74,8 +74,11 @@ func TestSweepMetricsAccounting(t *testing.T) {
 	if res[1] != 4 {
 		t.Errorf("unaffected job returned %d, want 4", res[1])
 	}
-	if !r3.Gapped("doomed-job") {
-		t.Error("failure log does not report the gapped key")
+	if ok[0] || !ok[1] {
+		t.Errorf("ok = %v, want only the doomed job reported failed", ok)
+	}
+	if fails := r3.Failures(); len(fails) != 1 || fails[0].Key != "doomed-job" {
+		t.Errorf("failure log = %v, want the gapped key", fails)
 	}
 
 	// Derived runners inherit the wiring: the fault policy hook is copied and

@@ -5,6 +5,7 @@ import (
 
 	"streamline/internal/core"
 	"streamline/internal/prefetch/triangel"
+	"streamline/internal/sim"
 	"streamline/internal/workloads"
 )
 
@@ -19,43 +20,63 @@ func standardArms() (base, tri, str Arm) {
 		streamlineArm("streamline", "stride", "", nil)
 }
 
-// suiteSpeedups runs the three arms across a workload list and returns a
-// table of per-workload and per-suite speedups.
-func suiteSpeedups(r *Runner, id, title string, ws []workloads.Workload, base, tri, str Arm) Table {
+// over maps a baseline-relative statistic across rows: stat of each row's
+// arm pf against its arm base, by position in the row.
+func over(rows []Row, stat func(base, pf sim.Result) float64, base, pf int) []float64 {
+	out := make([]float64, len(rows))
+	for i, row := range rows {
+		out[i] = stat(row[base].res, row[pf].res)
+	}
+	return out
+}
+
+// accuracies returns arm i's L2 prefetch accuracy on each row where it
+// filled any prefetch at all.
+func accuracies(rows []Row, i int) []float64 {
+	var out []float64
+	for _, row := range rows {
+		if res := row[i].res; res.Cores[0].L2.PrefetchFills > 0 {
+			out = append(out, Accuracy(res))
+		}
+	}
+	return out
+}
+
+// suiteSpeedups renders a sweep of the three arms across a workload list
+// (g's units, in ws order) as per-workload and per-suite speedups.
+func suiteSpeedups(g Grid, id, title string, ws []workloads.Workload, base, tri, str Arm) Table {
 	t := Table{ID: id, Title: title,
 		Columns: []string{"workload", "suite", "triangel", "streamline", "delta(pp)"}}
 	type group struct{ tri, str []float64 }
 	groups := map[workloads.Suite]*group{}
 	var allT, allS, irrT, irrS []float64
-	for _, w := range ws {
-		b, okB := r.TryRun(base, w.Name)
-		resT, okT := r.TryRun(tri, w.Name)
-		resS, okS := r.TryRun(str, w.Name)
-		if !okB || !okT || !okS {
+	for i, row := range g.Aligned(base, tri, str) {
+		w := ws[i]
+		if row == nil {
 			// A failed arm leaves an explicit gap; the workload is excluded
 			// from every aggregate below so the means stay meaningful.
 			t.AddRow(w.Name, string(w.Suite), GapCell, GapCell, GapCell)
 			continue
 		}
-		rt := Speedup(b, resT)
-		rs := Speedup(b, resS)
+		rt := Speedup(row[0].res, row[1].res)
+		rs := Speedup(row[0].res, row[2].res)
 		t.AddRow(w.Name, string(w.Suite), F(rt), F(rs), fmt.Sprintf("%+.1f", (rs-rt)*100))
-		g := groups[w.Suite]
-		if g == nil {
-			g = &group{}
-			groups[w.Suite] = g
+		sg := groups[w.Suite]
+		if sg == nil {
+			sg = &group{}
+			groups[w.Suite] = sg
 		}
-		g.tri = append(g.tri, rt)
-		g.str = append(g.str, rs)
+		sg.tri = append(sg.tri, rt)
+		sg.str = append(sg.str, rs)
 		allT, allS = append(allT, rt), append(allS, rs)
 		if w.Irregular {
 			irrT, irrS = append(irrT, rt), append(irrS, rs)
 		}
 	}
 	for _, suite := range []workloads.Suite{workloads.SPEC06, workloads.SPEC17, workloads.GAP} {
-		if g, ok := groups[suite]; ok {
-			t.AddRow("geomean-"+string(suite), "", F(Geomean(g.tri)), F(Geomean(g.str)),
-				fmt.Sprintf("%+.1f", (Geomean(g.str)-Geomean(g.tri))*100))
+		if sg, ok := groups[suite]; ok {
+			t.AddRow("geomean-"+string(suite), "", F(Geomean(sg.tri)), F(Geomean(sg.str)),
+				fmt.Sprintf("%+.1f", (Geomean(sg.str)-Geomean(sg.tri))*100))
 		}
 	}
 	t.AddRow("geomean-irregular", "", F(Geomean(irrT)), F(Geomean(irrS)),
@@ -67,13 +88,26 @@ func suiteSpeedups(r *Runner, id, title string, ws []workloads.Workload, base, t
 	return t
 }
 
+// mixGeomeanRow adds one row of Triangel's and Streamline's geomean
+// throughput speedup over rows of (base, triangel, streamline) — the mixes
+// where all three ran; a gapped mix is excluded from the geomean.
+func mixGeomeanRow(t *Table, label string, rows []Row) {
+	if len(rows) == 0 {
+		t.AddRow(label, GapCell, GapCell, GapCell)
+		return
+	}
+	gt := Geomean(over(rows, ThroughputSpeedup, 0, 1))
+	gs := Geomean(over(rows, ThroughputSpeedup, 0, 2))
+	t.AddRow(label, F(gt), F(gs), fmt.Sprintf("%+.1f", (gs-gt)*100))
+}
+
 func init() {
 	register(Experiment{ID: "fig9", Title: "Single-core speedup: Streamline vs Triangel",
 		Run: func(r *Runner) []Table {
 			base, tri, str := standardArms()
 			ws := r.Scale.workloadList()
-			r.Precompute(Singles([]Arm{base, tri, str}, ws))
-			return []Table{suiteSpeedups(r, "fig9", "single-core speedups (L1 stride baseline)",
+			g := r.Sweep([]Arm{base, tri, str}, SingleUnits(workloads.Names(ws)))[0]
+			return []Table{suiteSpeedups(g, "fig9", "single-core speedups (L1 stride baseline)",
 				ws, base, tri, str)}
 		}})
 
@@ -82,38 +116,18 @@ func init() {
 			base, tri, str := standardArms()
 			t := Table{ID: "fig10a", Title: "multi-core throughput speedup",
 				Columns: []string{"cores", "triangel", "streamline", "delta(pp)"}}
-			mixesFor := func(cores int) []workloads.Mix {
+			coreCounts := []int{2, 4, 8}
+			var groups [][]Unit
+			for _, cores := range coreCounts {
 				mixCount := r.Scale.MixCount
 				if cores == 8 {
 					mixCount = max(2, mixCount/2)
 				}
-				return workloads.Mixes(mixCount, cores, r.Scale.Seed)
+				groups = append(groups,
+					MixUnits(workloads.Mixes(mixCount, cores, r.Scale.Seed), cores, 0))
 			}
-			var sims [][]Sim
-			for _, cores := range []int{2, 4, 8} {
-				sims = append(sims, MixSims([]Arm{base, tri, str}, mixesFor(cores), cores, 0))
-			}
-			r.Precompute(sims...)
-			for _, cores := range []int{2, 4, 8} {
-				mixes := mixesFor(cores)
-				var ts, ss []float64
-				for _, m := range mixes {
-					names := workloads.Names(m.Members)
-					b, okB := r.TryRunMix(base, names, cores, 0)
-					resT, okT := r.TryRunMix(tri, names, cores, 0)
-					resS, okS := r.TryRunMix(str, names, cores, 0)
-					if !okB || !okT || !okS {
-						continue // gapped mix: excluded from the geomean
-					}
-					ts = append(ts, ThroughputSpeedup(b, resT))
-					ss = append(ss, ThroughputSpeedup(b, resS))
-				}
-				if len(ts) == 0 {
-					t.AddRow(fmt.Sprint(cores), GapCell, GapCell, GapCell)
-					continue
-				}
-				gt, gs := Geomean(ts), Geomean(ss)
-				t.AddRow(fmt.Sprint(cores), F(gt), F(gs), fmt.Sprintf("%+.1f", (gs-gt)*100))
+			for i, g := range r.Sweep([]Arm{base, tri, str}, groups...) {
+				mixGeomeanRow(&t, fmt.Sprint(coreCounts[i]), g.Rows(base, tri, str))
 			}
 			t.Notes = append(t.Notes, "paper: Streamline wins by 7.2/6.9/6.7 pp at 2/4/8 cores")
 			return []Table{t}
@@ -123,28 +137,24 @@ func init() {
 		Run: func(r *Runner) []Table {
 			base, tri, str := standardArms()
 			mixes := workloads.Mixes(r.Scale.MixCount, 4, r.Scale.Seed)
-			r.Precompute(MixSims([]Arm{base, tri, str}, mixes, 4, 0))
+			g := r.Sweep([]Arm{base, tri, str}, MixUnits(mixes, 4, 0))[0]
 			t := Table{ID: "fig10b", Title: "4-core mixes: Streamline vs Triangel",
 				Columns: []string{"mix", "triangel", "streamline", "winner"}}
 			wins, scored := 0, 0
-			for _, m := range mixes {
-				names := workloads.Names(m.Members)
-				b, okB := r.TryRunMix(base, names, 4, 0)
-				resT, okT := r.TryRunMix(tri, names, 4, 0)
-				resS, okS := r.TryRunMix(str, names, 4, 0)
-				if !okB || !okT || !okS {
-					t.AddRow(fmt.Sprintf("mix%02d", m.ID), GapCell, GapCell, GapCell)
+			for i, row := range g.Aligned(base, tri, str) {
+				if row == nil {
+					t.AddRow(fmt.Sprintf("mix%02d", mixes[i].ID), GapCell, GapCell, GapCell)
 					continue
 				}
-				st := ThroughputSpeedup(b, resT)
-				ss := ThroughputSpeedup(b, resS)
+				st := ThroughputSpeedup(row[0].res, row[1].res)
+				ss := ThroughputSpeedup(row[0].res, row[2].res)
 				winner := "triangel"
 				if ss >= st {
 					winner = "streamline"
 					wins++
 				}
 				scored++
-				t.AddRow(fmt.Sprintf("mix%02d", m.ID), F(st), F(ss), winner)
+				t.AddRow(fmt.Sprintf("mix%02d", mixes[i].ID), F(st), F(ss), winner)
 			}
 			if scored == 0 {
 				t.AddRow("win-rate", "", "", GapCell)
@@ -160,33 +170,14 @@ func init() {
 			base, tri, str := standardArms()
 			mixes := workloads.Mixes(max(2, r.Scale.MixCount/2), 4, r.Scale.Seed)
 			bws := []float64{0.25, 0.5, 1.0, 2.0}
-			var sims [][]Sim
+			var groups [][]Unit
 			for _, bw := range bws {
-				sims = append(sims, MixSims([]Arm{base, tri, str}, mixes, 4, bw))
+				groups = append(groups, MixUnits(mixes, 4, bw))
 			}
-			r.Precompute(sims...)
 			t := Table{ID: "fig10c", Title: "speedup vs DRAM bandwidth (4-core)",
 				Columns: []string{"bandwidth", "triangel", "streamline", "delta(pp)"}}
-			for _, bw := range bws {
-				var ts, ss []float64
-				for _, m := range mixes {
-					names := workloads.Names(m.Members)
-					b, okB := r.TryRunMix(base, names, 4, bw)
-					resT, okT := r.TryRunMix(tri, names, 4, bw)
-					resS, okS := r.TryRunMix(str, names, 4, bw)
-					if !okB || !okT || !okS {
-						continue // gapped mix: excluded from the geomean
-					}
-					ts = append(ts, ThroughputSpeedup(b, resT))
-					ss = append(ss, ThroughputSpeedup(b, resS))
-				}
-				if len(ts) == 0 {
-					t.AddRow(fmt.Sprintf("%.2fx", bw), GapCell, GapCell, GapCell)
-					continue
-				}
-				gt, gs := Geomean(ts), Geomean(ss)
-				t.AddRow(fmt.Sprintf("%.2fx", bw), F(gt), F(gs),
-					fmt.Sprintf("%+.1f", (gs-gt)*100))
+			for i, g := range r.Sweep([]Arm{base, tri, str}, groups...) {
+				mixGeomeanRow(&t, fmt.Sprintf("%.2fx", bws[i]), g.Rows(base, tri, str))
 			}
 			t.Notes = append(t.Notes,
 				"paper: 1.1-2.7 pp margins at low bandwidth, 3-3.3 pp at moderate")
@@ -196,30 +187,22 @@ func init() {
 	register(Experiment{ID: "fig10de", Title: "Prefetch coverage and accuracy",
 		Run: func(r *Runner) []Table {
 			base, tri, str := standardArms()
-			r.Precompute(Singles([]Arm{base, tri, str}, r.Scale.workloadList()))
+			names := workloads.Names(r.Scale.workloadList())
+			g := r.Sweep([]Arm{base, tri, str}, SingleUnits(names))[0]
 			t := Table{ID: "fig10de", Title: "L2 coverage / accuracy per workload",
 				Columns: []string{"workload", "tri-cov", "str-cov", "tri-acc", "str-acc"}}
-			var tc, sc, ta, sa []float64
-			for _, w := range r.Scale.workloadList() {
-				b, okB := r.TryRun(base, w.Name)
-				rt, okT := r.TryRun(tri, w.Name)
-				rs, okS := r.TryRun(str, w.Name)
-				if !okB || !okT || !okS {
-					t.AddRow(w.Name, GapCell, GapCell, GapCell, GapCell)
+			for i, row := range g.Aligned(base, tri, str) {
+				if row == nil {
+					t.AddRow(names[i], GapCell, GapCell, GapCell, GapCell)
 					continue
 				}
-				ct, cs := Coverage(b, rt), Coverage(b, rs)
-				at, as := Accuracy(rt), Accuracy(rs)
-				t.AddRow(w.Name, Pct(ct), Pct(cs), Pct(at), Pct(as))
-				tc, sc = append(tc, ct), append(sc, cs)
-				if rt.Cores[0].L2.PrefetchFills > 0 {
-					ta = append(ta, at)
-				}
-				if rs.Cores[0].L2.PrefetchFills > 0 {
-					sa = append(sa, as)
-				}
+				b, rt, rs := row[0].res, row[1].res, row[2].res
+				t.AddRow(names[i], Pct(Coverage(b, rt)), Pct(Coverage(b, rs)),
+					Pct(Accuracy(rt)), Pct(Accuracy(rs)))
 			}
-			t.AddRow("mean", Pct(Mean(tc)), Pct(Mean(sc)), Pct(Mean(ta)), Pct(Mean(sa)))
+			rows := g.Rows(base, tri, str)
+			t.AddRow("mean", Pct(Mean(over(rows, Coverage, 0, 1))), Pct(Mean(over(rows, Coverage, 0, 2))),
+				Pct(Mean(accuracies(rows, 1))), Pct(Mean(accuracies(rows, 2))))
 			t.Notes = append(t.Notes, "paper: Streamline +12.5 pp coverage, +3.6 pp accuracy")
 			return []Table{t}
 		}})
@@ -228,42 +211,28 @@ func init() {
 		Run: func(r *Runner) []Table {
 			t := Table{ID: "fig10f", Title: "speedup vs max degree (irregular subset)",
 				Columns: []string{"degree", "triangel", "streamline"}}
-			ws := r.Scale.irregular()
-			base := baseArm("stride", "")
 			degs := []int{1, 2, 4, 8}
-			degArms := map[int][2]Arm{}
-			all := []Arm{base}
+			arms := []Arm{baseArm("stride", "")}
 			for _, deg := range degs {
-				deg := deg
-				tri := triangelArm(fmt.Sprintf("triangel-d%d", deg), "stride", "",
-					func(c *triangel.Config) { c.MaxDegree = deg })
-				str := streamlineArm(fmt.Sprintf("streamline-d%d", deg), "stride", "",
-					func(o *core.Options) {
-						o.MaxDegree = deg
-						o.DisableDegreeControl = true
-					})
-				degArms[deg] = [2]Arm{tri, str}
-				all = append(all, tri, str)
+				arms = append(arms,
+					triangelArm(fmt.Sprintf("triangel-d%d", deg), "stride", "",
+						func(c *triangel.Config) { c.MaxDegree = deg }),
+					streamlineArm(fmt.Sprintf("streamline-d%d", deg), "stride", "",
+						func(o *core.Options) {
+							o.MaxDegree = deg
+							o.DisableDegreeControl = true
+						}))
 			}
-			r.Precompute(Singles(all, ws))
-			for _, deg := range degs {
-				tri, str := degArms[deg][0], degArms[deg][1]
-				var ts, ss []float64
-				for _, w := range ws {
-					b, okB := r.TryRun(base, w.Name)
-					resT, okT := r.TryRun(tri, w.Name)
-					resS, okS := r.TryRun(str, w.Name)
-					if !okB || !okT || !okS {
-						continue // gapped workload: excluded from the geomean
-					}
-					ts = append(ts, Speedup(b, resT))
-					ss = append(ss, Speedup(b, resS))
-				}
-				if len(ts) == 0 {
+			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
+			for i, deg := range degs {
+				// A gapped workload is excluded from both geomeans.
+				rows := g.Rows(arms[0], arms[1+2*i], arms[2+2*i])
+				if len(rows) == 0 {
 					t.AddRow(fmt.Sprint(deg), GapCell, GapCell)
 					continue
 				}
-				t.AddRow(fmt.Sprint(deg), F(Geomean(ts)), F(Geomean(ss)))
+				t.AddRow(fmt.Sprint(deg), F(Geomean(over(rows, Speedup, 0, 1))),
+					F(Geomean(over(rows, Speedup, 0, 2))))
 			}
 			t.Notes = append(t.Notes,
 				"paper: Triangel insensitive to degree; Streamline peaks at its stream length (4)")
@@ -275,40 +244,23 @@ func init() {
 			base := baseArm("berti", "")
 			tri := triangelArm("triangel+berti", "berti", "", nil)
 			str := streamlineArm("streamline+berti", "berti", "", nil)
-			arms := []Arm{base, tri, str}
-			sims := [][]Sim{Singles(arms, r.Scale.workloadList())}
-			for _, cores := range []int{2, 4} {
+			ws := r.Scale.workloadList()
+			coreCounts := []int{2, 4}
+			groups := [][]Unit{SingleUnits(workloads.Names(ws))}
+			for _, cores := range coreCounts {
 				mixes := workloads.Mixes(max(2, r.Scale.MixCount/2), cores, r.Scale.Seed)
-				sims = append(sims, MixSims(arms, mixes, cores, 0))
+				groups = append(groups, MixUnits(mixes, cores, 0))
 			}
-			r.Precompute(sims...)
-			single := suiteSpeedups(r, "fig11a", "single-core speedups (Berti L1D baseline)",
-				r.Scale.workloadList(), base, tri, str)
+			grids := r.Sweep([]Arm{base, tri, str}, groups...)
+			single := suiteSpeedups(grids[0], "fig11a", "single-core speedups (Berti L1D baseline)",
+				ws, base, tri, str)
 			single.Notes = append(single.Notes,
 				"paper: Streamline 22% vs Triangel 20.1% vs Berti-only 19.1%")
 
 			multi := Table{ID: "fig11b", Title: "multi-core with Berti",
 				Columns: []string{"cores", "triangel", "streamline", "delta(pp)"}}
-			for _, cores := range []int{2, 4} {
-				mixes := workloads.Mixes(max(2, r.Scale.MixCount/2), cores, r.Scale.Seed)
-				var ts, ss []float64
-				for _, m := range mixes {
-					names := workloads.Names(m.Members)
-					b, okB := r.TryRunMix(base, names, cores, 0)
-					resT, okT := r.TryRunMix(tri, names, cores, 0)
-					resS, okS := r.TryRunMix(str, names, cores, 0)
-					if !okB || !okT || !okS {
-						continue // gapped mix: excluded from the geomean
-					}
-					ts = append(ts, ThroughputSpeedup(b, resT))
-					ss = append(ss, ThroughputSpeedup(b, resS))
-				}
-				if len(ts) == 0 {
-					multi.AddRow(fmt.Sprint(cores), GapCell, GapCell, GapCell)
-					continue
-				}
-				gt, gs := Geomean(ts), Geomean(ss)
-				multi.AddRow(fmt.Sprint(cores), F(gt), F(gs), fmt.Sprintf("%+.1f", (gs-gt)*100))
+			for i, cores := range coreCounts {
+				mixGeomeanRow(&multi, fmt.Sprint(cores), grids[1+i].Rows(base, tri, str))
 			}
 			multi.Notes = append(multi.Notes,
 				"paper: with Berti, Triangel adds ~0 in multi-core; Streamline adds 3.8-4.1 pp")
@@ -321,43 +273,27 @@ func init() {
 				Columns: []string{"l2pf", "base", "triangel", "streamline"}}
 			cov := Table{ID: "fig11d", Title: "added coverage over the L2 prefetcher",
 				Columns: []string{"l2pf", "triangel", "streamline"}}
-			ws := r.Scale.irregular()
-			plain := baseArm("stride", "")
 			l2s := []string{"ipcp", "bingo", "spp"}
-			l2Arms := map[string][3]Arm{}
-			all := []Arm{plain}
+			arms := []Arm{baseArm("stride", "")}
 			for _, l2 := range l2s {
-				base := baseArm("stride", l2)
-				tri := triangelArm("triangel+"+l2, "stride", l2, nil)
-				str := streamlineArm("streamline+"+l2, "stride", l2, nil)
-				l2Arms[l2] = [3]Arm{base, tri, str}
-				all = append(all, base, tri, str)
+				arms = append(arms, baseArm("stride", l2),
+					triangelArm("triangel+"+l2, "stride", l2, nil),
+					streamlineArm("streamline+"+l2, "stride", l2, nil))
 			}
-			r.Precompute(Singles(all, ws))
-			for _, l2 := range l2s {
-				base, tri, str := l2Arms[l2][0], l2Arms[l2][1], l2Arms[l2][2]
-				var bs, ts, ss, tcov, scov []float64
-				for _, w := range ws {
-					p, okP := r.TryRun(plain, w.Name)
-					b, okB := r.TryRun(base, w.Name)
-					rt, okT := r.TryRun(tri, w.Name)
-					rs, okS := r.TryRun(str, w.Name)
-					if !okP || !okB || !okT || !okS {
-						continue // gapped workload: excluded from both aggregates
-					}
-					bs = append(bs, Speedup(p, b))
-					ts = append(ts, Speedup(p, rt))
-					ss = append(ss, Speedup(p, rs))
-					tcov = append(tcov, Coverage(b, rt))
-					scov = append(scov, Coverage(b, rs))
-				}
-				if len(bs) == 0 {
+			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
+			for i, l2 := range l2s {
+				// Plain stride, then this L2 prefetcher alone, under Triangel
+				// and under Streamline; a workload gapped in any of the four
+				// is excluded from both tables.
+				rows := g.Rows(arms[0], arms[1+3*i], arms[2+3*i], arms[3+3*i])
+				if len(rows) == 0 {
 					t.AddRow(l2, GapCell, GapCell, GapCell)
 					cov.AddRow(l2, GapCell, GapCell)
 					continue
 				}
-				t.AddRow(l2, F(Geomean(bs)), F(Geomean(ts)), F(Geomean(ss)))
-				cov.AddRow(l2, Pct(Mean(tcov)), Pct(Mean(scov)))
+				t.AddRow(l2, F(Geomean(over(rows, Speedup, 0, 1))),
+					F(Geomean(over(rows, Speedup, 0, 2))), F(Geomean(over(rows, Speedup, 0, 3))))
+				cov.AddRow(l2, Pct(Mean(over(rows, Coverage, 1, 2))), Pct(Mean(over(rows, Coverage, 1, 3))))
 			}
 			t.Notes = append(t.Notes,
 				"paper: Streamline beats Triangel by 1.1/2.4/1.0 pp over IPCP/Bingo/SPP-PPF")

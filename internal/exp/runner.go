@@ -1,7 +1,7 @@
 package exp
 
 // This file is the sweep runner: one memo table that single-flights every
-// simulation and one path that builds and runs a simulation. pool.go fans
+// simulation and one path that builds and runs a simulation. sweep.go fans
 // simulations out over the worker pool.
 
 import (
@@ -21,9 +21,9 @@ import (
 )
 
 // Runner executes arms with memoization so shared baselines are simulated
-// once per harness invocation. Run and RunMix are safe for concurrent use:
-// each simulation is single-flighted by its memo key, so a result is
-// computed exactly once no matter how many goroutines ask for it.
+// once per harness invocation. Sweep is safe for concurrent use: each
+// simulation is single-flighted by its memo key, so a result is computed
+// exactly once no matter how many goroutines ask for it.
 type Runner struct {
 	Scale    Scale
 	Progress io.Writer
@@ -34,7 +34,7 @@ type Runner struct {
 	// checkpointed to Store stay durable. Nil means background (never
 	// canceled).
 	Ctx context.Context
-	// Jobs bounds the worker pool used by Precompute and ParallelMap.
+	// Jobs bounds the worker pool used by Sweep and ParallelMap.
 	// Zero or negative means GOMAXPROCS; 1 reproduces the serial harness.
 	Jobs int
 	// JobProgress, when non-nil, receives per-job completion lines (done
@@ -89,9 +89,11 @@ type Runner struct {
 
 // memoEntry single-flights one simulation. A failed job memoizes its error:
 // res stays the zero Result (the gap value), sys stays nil, and err records
-// why. sys is set only for a Sim that asked to keep its system, which must
-// then be treated as read-only.
+// why. sys is set only for a system-retaining arm, and must then be treated
+// as read-only.
 type memoEntry struct {
+	key  string
+	sim  Sim
 	once sync.Once
 	res  sim.Result
 	sys  *sim.System
@@ -179,87 +181,56 @@ func (r *Runner) ctx() context.Context {
 
 // ---- simulations -----------------------------------------------------------
 
-// Sim identifies one simulation job: an arm applied to a workload mix at a
-// core count and bandwidth factor. It is the unit of parallelism the
-// experiment runners fan out over.
-type Sim struct {
-	Arm   Arm
+// Unit is a simulation without its arm: a workload mix at a core count and
+// bandwidth factor (nonzero scales DRAM bandwidth, Figure 10c).
+type Unit struct {
 	Mix   []string
 	Cores int
 	BW    float64
-	// KeepSystem retains the simulated system next to the result so an
-	// experiment can read prefetcher-internal state after the run. Such
-	// sims are single-workload, single-core, and are never replayed from
-	// the store — a *sim.System cannot be serialized — but they are
-	// deterministic, so recomputing them on resume still yields
-	// byte-identical output.
-	KeepSystem bool
 }
 
-func simKey(arm Arm, mix []string, cores int, bwFactor float64) string {
-	return fmt.Sprintf("%s|%s|%d|%.3f", arm.Name, strings.Join(mix, ","), cores, bwFactor)
+// Sim identifies one simulation job: an arm applied to a unit. It is the
+// unit of parallelism Sweep fans out over. A system-retaining arm's sims are
+// single-workload, single-core, and are never replayed from the store — a
+// *sim.System cannot be serialized — but they are deterministic, so
+// recomputing them on resume still yields byte-identical output.
+type Sim struct {
+	Arm Arm
+	Unit
 }
 
 // key is the sim's memo, job and failure key.
 func (s Sim) key() string {
-	if s.KeepSystem {
+	if s.Arm.keepSystem {
 		return s.Arm.Name + "|" + s.Mix[0]
 	}
-	return simKey(s.Arm, s.Mix, s.Cores, s.BW)
+	return fmt.Sprintf("%s|%s|%d|%.3f", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, s.BW)
 }
 
-// Run executes one arm on a single workload (1 core).
-func (r *Runner) Run(arm Arm, workload string) sim.Result {
-	return r.RunMix(arm, []string{workload}, 1, 0)
-}
-
-// TryRun is Run reporting success (see TryRunMix).
-func (r *Runner) TryRun(arm Arm, workload string) (sim.Result, bool) {
-	return r.TryRunMix(arm, []string{workload}, 1, 0)
-}
-
-// RunMix executes one arm on a multi-programmed mix. bwFactor scales DRAM
-// bandwidth when nonzero (Figure 10c). A permanently failed simulation
-// (panic, exhausted retries, timeout) returns the zero Result — the gap
-// value — and records a JobFailure; callers that must distinguish use
-// TryRunMix or GapMix.
-func (r *Runner) RunMix(arm Arm, mix []string, cores int, bwFactor float64) sim.Result {
-	res, _ := r.TryRunMix(arm, mix, cores, bwFactor)
-	return res
-}
-
-// TryRunMix is RunMix reporting success: ok is false when the simulation
-// failed permanently under the fault policy (res is then the zero Result).
-func (r *Runner) TryRunMix(arm Arm, mix []string, cores int, bwFactor float64) (res sim.Result, ok bool) {
-	e := r.run(Sim{Arm: arm, Mix: mix, Cores: cores, BW: bwFactor})
-	return e.res, e.err == nil
-}
-
-// runWithSystem runs one arm on one workload and returns both the result
-// and the system, so prefetcher-internal state can be inspected. On
-// permanent failure the system is nil and callers must degrade.
-func (r *Runner) runWithSystem(arm Arm, workload string) (sim.Result, *sim.System) {
-	e := r.run(Sim{Arm: arm, Mix: []string{workload}, Cores: 1, KeepSystem: true})
-	return e.res, e.sys
-}
-
-// run returns the sim's memo entry, computing it first if no one has.
-func (r *Runner) run(s Sim) *memoEntry {
+// entry returns the sim's memo entry, and whether this call created it: the
+// creator owes the entry a run.
+func (r *Runner) entry(s Sim) (e *memoEntry, fresh bool) {
 	key := s.key()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e, found := r.memo[key]
 	if !found {
-		e = &memoEntry{}
+		e = &memoEntry{key: key, sim: s}
 		r.memo[key] = e
 	}
-	r.mu.Unlock()
+	return e, !found
+}
+
+// run computes the entry's simulation unless someone has, or waits for
+// whoever is. A permanently failed simulation (panic, exhausted retries,
+// timeout) memoizes its error and records a JobFailure.
+func (r *Runner) run(e *memoEntry) {
 	e.once.Do(func() {
-		e.res, e.sys, e.err = r.computeOrReplay(key, s)
+		e.res, e.sys, e.err = r.computeOrReplay(e.key, e.sim)
 		if e.err != nil {
-			r.fails.add(key, e.err)
+			r.fails.add(e.key, e.err)
 		}
 	})
-	return e
 }
 
 // computeOrReplay returns the stored result for key when the store holds a
@@ -268,7 +239,7 @@ func (r *Runner) run(s Sim) *memoEntry {
 // simulation is a pure function of (scale, arm, mix, cores, bwFactor) and
 // the store key hashes all of them.
 func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, error) {
-	persist := r.Store != nil && !s.KeepSystem
+	persist := r.Store != nil && !s.Arm.keepSystem
 	var sk string
 	if persist {
 		sk = r.storeKey(key)
@@ -291,7 +262,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 	o, err := runner.Execute(r.ctx(), r.Fault, nil, key,
 		func(ctx context.Context) (outcome, error) {
 			r.maybeInjectFailure(key)
-			res, sys, err := r.simulate(ctx, s)
+			res, sys, err := r.simulate(ctx, key, s)
 			return outcome{res, sys}, err
 		})
 	if err != nil {
@@ -326,7 +297,7 @@ func (r *Runner) maybeInjectFailure(key string) {
 // Everything it touches is job-private: the config is a value copy of the
 // scale, the system and its traces are constructed here, and the workload
 // registry is only read — which is what makes concurrent runs race-free.
-func (r *Runner) simulate(ctx context.Context, s Sim) (sim.Result, *sim.System, error) {
+func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *sim.System, error) {
 	cfg := r.Scale.baseConfig(s.Cores)
 	if s.BW > 0 {
 		cfg.DRAM = cfg.DRAM.ScaleBandwidth(s.BW)
@@ -334,8 +305,8 @@ func (r *Runner) simulate(ctx context.Context, s Sim) (sim.Result, *sim.System, 
 	s.Arm.Apply(&cfg, r.Scale)
 	// Audit labels and telemetry file names mark a system-retaining run
 	// apart from the plain run of the same arm and workload.
-	label := s.key()
-	if s.KeepSystem {
+	label := key
+	if s.Arm.keepSystem {
 		label += "|sys"
 	}
 	r.attachAudit(&cfg, label)
@@ -347,7 +318,7 @@ func (r *Runner) simulate(ctx context.Context, s Sim) (sim.Result, *sim.System, 
 	}
 	r.logf("  [%s] %s x%d\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores)
 	res, err := sys.RunCtx(ctx, 0, nil)
-	if err != nil || !s.KeepSystem {
+	if err != nil || !s.Arm.keepSystem {
 		return res, nil, err
 	}
 	return res, sys, nil

@@ -156,6 +156,16 @@ func (sc Scale) knobs() sim.Knobs {
 type Arm struct {
 	Name  string
 	Apply func(cfg *sim.Config, sc Scale)
+	// keepSystem retains each simulated system next to its result (see kept).
+	keepSystem bool
+}
+
+// kept marks the arm system-retaining, so an experiment can read
+// prefetcher-internal state after its runs (Row's sys). Such an arm runs
+// single workloads only, under the key "arm|workload".
+func kept(a Arm) Arm {
+	a.keepSystem = true
+	return a
 }
 
 // attach configures cfg with the named knob-free engines from the engine

@@ -44,24 +44,17 @@ func init() {
 			}
 			t := Table{ID: "fig13a", Title: "speedup vs metadata budget (irregular subset)",
 				Columns: []string{"arm", "geomean-speedup", "mean-coverage"}}
-			ws := r.Scale.irregular()
-			r.Precompute(Singles(append([]Arm{base}, arms...), ws))
+			g := r.Sweep(append([]Arm{base}, arms...),
+				SingleUnits(workloads.Names(r.Scale.irregular())))[0]
 			for _, arm := range arms {
-				var spd, cov []float64
-				for _, w := range ws {
-					b, okB := r.TryRun(base, w.Name)
-					res, okA := r.TryRun(arm, w.Name)
-					if !okB || !okA {
-						continue // gapped workload: excluded from this arm's means
-					}
-					spd = append(spd, Speedup(b, res))
-					cov = append(cov, Coverage(b, res))
-				}
-				if len(spd) == 0 {
+				// A gapped workload is excluded from this arm's means.
+				rows := g.Rows(base, arm)
+				if len(rows) == 0 {
 					t.AddRow(arm.Name, GapCell, GapCell)
 					continue
 				}
-				t.AddRow(arm.Name, F(Geomean(spd)), Pct(Mean(cov)))
+				t.AddRow(arm.Name, F(Geomean(over(rows, Speedup, 0, 1))),
+					Pct(Mean(over(rows, Coverage, 0, 1))))
 			}
 			t.Notes = append(t.Notes,
 				"paper: Streamline at 0.5MB matches Triangel at 1MB, and beats Triangel-Ideal (dedicated 1MB)")
@@ -70,49 +63,39 @@ func init() {
 
 	register(Experiment{ID: "fig13b", Title: "Metadata traffic",
 		Run: func(r *Runner) []Table {
-			mb := r.Scale.MetaBytes
 			t := Table{ID: "fig13b", Title: "LLC metadata traffic (blocks) vs partition size",
 				Columns: []string{"size", "triangel", "streamline", "ratio"}}
-			ws := r.Scale.irregular()
+			units := SingleUnits(workloads.Names(r.Scale.irregular()))
 			fracs := []int{8, 4, 2, 1}
-			fracArms := map[int][2]Arm{}
-			var all []Arm
+			var arms []Arm
 			for _, frac := range fracs {
-				sz := mb / frac
-				tri := triangelArm(fmt.Sprintf("triangel-%dKB", sz>>10), "stride", "",
-					func(c *triangel.Config) { c.FixedBytes = sz })
-				str := streamlineArm(fmt.Sprintf("streamline-%dKB", sz>>10), "stride", "",
-					func(o *core.Options) { o.FixedBytes = sz })
-				fracArms[frac] = [2]Arm{tri, str}
-				all = append(all, tri, str)
+				sz := r.Scale.MetaBytes / frac
+				arms = append(arms,
+					triangelArm(fmt.Sprintf("triangel-%dKB", sz>>10), "stride", "",
+						func(c *triangel.Config) { c.FixedBytes = sz }),
+					streamlineArm(fmt.Sprintf("streamline-%dKB", sz>>10), "stride", "",
+						func(o *core.Options) { o.FixedBytes = sz }))
 			}
-			r.Precompute(Singles(all, ws))
-			for _, frac := range fracs {
-				sz := mb / frac
-				tri, str := fracArms[frac][0], fracArms[frac][1]
-				var tt, st uint64
-				gapped := false
-				for _, w := range ws {
-					resT, okT := r.TryRun(tri, w.Name)
-					resS, okS := r.TryRun(str, w.Name)
-					if !okT || !okS {
-						gapped = true
-						continue
-					}
-					tt += resT.Cores[0].Meta.Traffic()
-					st += resS.Cores[0].Meta.Traffic()
-				}
-				if gapped {
+			g := r.Sweep(arms, units)[0]
+			for i, frac := range fracs {
+				size := fmt.Sprintf("%dKB", r.Scale.MetaBytes/frac>>10)
+				rows := g.Rows(arms[2*i], arms[2*i+1])
+				if len(rows) < len(units) {
 					// Traffic totals are sums, not means: one missing workload
 					// silently skews the ratio, so the whole row is a gap.
-					t.AddRow(fmt.Sprintf("%dKB", sz>>10), GapCell, GapCell, GapCell)
+					t.AddRow(size, GapCell, GapCell, GapCell)
 					continue
+				}
+				var tt, st uint64
+				for _, row := range rows {
+					tt += row[0].res.Cores[0].Meta.Traffic()
+					st += row[1].res.Cores[0].Meta.Traffic()
 				}
 				ratio := 0.0
 				if tt > 0 {
 					ratio = float64(st) / float64(tt)
 				}
-				t.AddRow(fmt.Sprintf("%dKB", sz>>10), fmt.Sprint(tt), fmt.Sprint(st), Pct(ratio))
+				t.AddRow(size, fmt.Sprint(tt), fmt.Sprint(st), Pct(ratio))
 			}
 			t.Notes = append(t.Notes,
 				"paper: Streamline's traffic is 61% of Triangel's at 1MB and 13% at 0.125MB")
@@ -153,24 +136,18 @@ func init() {
 				streamlineArm("streamline-tpmj", "stride", "",
 					func(o *core.Options) { o.FixedBytes = mb }),
 			}
-			pressured.Precompute(Singles(append([]Arm{base}, arms...), ws))
+			g := pressured.Sweep(append([]Arm{base}, arms...), SingleUnits(workloads.Names(ws)))[0]
 			for _, arm := range arms {
-				var cov, acc, util []float64
-				for _, w := range ws {
-					b, okB := pressured.TryRun(base, w.Name)
-					res, okA := pressured.TryRun(arm, w.Name)
-					if !okB || !okA {
-						continue // gapped workload: excluded from this arm's means
-					}
-					c := Coverage(b, res)
-					a := Accuracy(res)
-					cov = append(cov, c)
-					acc = append(acc, a)
-					util = append(util, c*a)
-				}
-				if len(cov) == 0 {
+				// A gapped workload is excluded from this arm's means.
+				rows := g.Rows(base, arm)
+				if len(rows) == 0 {
 					t.AddRow(arm.Name, GapCell, GapCell, GapCell)
 					continue
+				}
+				var cov, acc, util []float64
+				for _, row := range rows {
+					c, a := Coverage(row[0].res, row[1].res), Accuracy(row[1].res)
+					cov, acc, util = append(cov, c), append(acc, a), append(util, c*a)
 				}
 				t.AddRow(arm.Name, Pct(Mean(cov)), Pct(Mean(acc)), Pct(Mean(util)))
 			}
@@ -183,7 +160,7 @@ func init() {
 				Columns: []string{"workload", "min-trig", "min-corr", "tpmin-trig", "tpmin-corr"}}
 			capEntries := mb / 2 / mem.LineSize * meta.CorrelationsPerBlock(meta.Pairwise, 0)
 			type oraclePair struct{ min, tpmin replacement.OracleStats }
-			replays := ParallelMap(r, ws,
+			replays, ok := ParallelMap(r, ws,
 				func(w workloads.Workload) string { return "oracle|" + w.Name },
 				func(w workloads.Workload) oraclePair {
 					stream := correlationStream(w, r.Scale, 200_000)
@@ -193,7 +170,7 @@ func init() {
 					}
 				})
 			for i, w := range ws {
-				if r.Gapped("oracle|" + w.Name) {
+				if !ok[i] {
 					o.AddRow(w.Name, GapCell, GapCell, GapCell, GapCell)
 					continue
 				}

@@ -7,6 +7,7 @@ import (
 	"streamline/internal/mem"
 	"streamline/internal/meta"
 	"streamline/internal/sim"
+	"streamline/internal/workloads"
 )
 
 // This file regenerates Figure 12: the stream-length sweep (missed
@@ -24,43 +25,29 @@ func init() {
 		Run: func(r *Runner) []Table {
 			t := Table{ID: "fig12a", Title: "stream length: capacity, missed triggers, coverage",
 				Columns: []string{"length", "corr/block", "missed-triggers", "coverage", "speedup"}}
-			ws := r.Scale.irregular()
-			base := baseArm("stride", "")
 			lengths := []int{2, 3, 4, 5, 8, 16}
-			lenArms := map[int]Arm{}
-			all := []Arm{base}
+			arms := []Arm{baseArm("stride", "")}
 			for _, k := range lengths {
-				k := k
-				lenArms[k] = streamlineArm(fmt.Sprintf("streamline-len%d", k), "stride", "",
-					func(o *core.Options) { o.StreamLength = k; o.MaxDegree = min(k, 4) })
-				all = append(all, lenArms[k])
+				arms = append(arms, streamlineArm(fmt.Sprintf("streamline-len%d", k), "stride", "",
+					func(o *core.Options) { o.StreamLength = k; o.MaxDegree = min(k, 4) }))
 			}
-			r.Precompute(Singles(all, ws))
-			for _, k := range lengths {
-				arm := lenArms[k]
-				var cov, spd, missed []float64
-				for _, w := range ws {
-					b, okB := r.TryRun(base, w.Name)
-					res, okA := r.TryRun(arm, w.Name)
-					if !okB || !okA {
-						continue // gapped workload: excluded from the means
-					}
-					cov = append(cov, Coverage(b, res))
-					spd = append(spd, Speedup(b, res))
-					m := res.Cores[0].Meta
-					if m.Lookups > 0 {
+			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
+			for i, k := range lengths {
+				perBlock := fmt.Sprint(meta.CorrelationsPerBlock(meta.Stream, k))
+				// A gapped workload is excluded from the means.
+				rows := g.Rows(arms[0], arms[1+i])
+				if len(rows) == 0 {
+					t.AddRow(fmt.Sprint(k), perBlock, GapCell, GapCell, GapCell)
+					continue
+				}
+				var missed []float64
+				for _, row := range rows {
+					if m := row[1].res.Cores[0].Meta; m.Lookups > 0 {
 						missed = append(missed, 1-m.TriggerHitRate())
 					}
 				}
-				if len(cov) == 0 {
-					t.AddRow(fmt.Sprint(k),
-						fmt.Sprint(meta.CorrelationsPerBlock(meta.Stream, k)),
-						GapCell, GapCell, GapCell)
-					continue
-				}
-				t.AddRow(fmt.Sprint(k),
-					fmt.Sprint(meta.CorrelationsPerBlock(meta.Stream, k)),
-					Pct(Mean(missed)), Pct(Mean(cov)), F(Geomean(spd)))
+				t.AddRow(fmt.Sprint(k), perBlock, Pct(Mean(missed)),
+					Pct(Mean(over(rows, Coverage, 0, 1))), F(Geomean(over(rows, Speedup, 0, 1))))
 			}
 			t.Notes = append(t.Notes,
 				"paper: coverage peaks at length 4 (31.5%); missed triggers jump from 6.8% to 25.8% past length 4")
@@ -71,28 +58,26 @@ func init() {
 		Run: func(r *Runner) []Table {
 			t := Table{ID: "fig12b", Title: "metadata redundancy with/without stream alignment",
 				Columns: []string{"workload", "redundancy(no-SA)", "redundancy(SA)", "benign-share"}}
-			noSA := streamlineArm("streamline-noSA-fixed", "stride", "", func(o *core.Options) {
+			noSA := kept(streamlineArm("streamline-noSA-fixed", "stride", "", func(o *core.Options) {
 				o.DisableAlignment = true
 				o.FixedBytes = o.MetaBytes
-			})
-			withSA := streamlineArm("streamline-SA-fixed", "stride", "", func(o *core.Options) {
+			}))
+			withSA := kept(streamlineArm("streamline-SA-fixed", "stride", "", func(o *core.Options) {
 				o.FixedBytes = o.MetaBytes
-			})
-			ws := r.Scale.irregular()
-			r.Precompute(keepSystems(Singles([]Arm{noSA, withSA}, ws)))
+			}))
+			names := workloads.Names(r.Scale.irregular())
+			g := r.Sweep([]Arm{noSA, withSA}, SingleUnits(names))[0]
 			var rn, rs []float64
-			for _, w := range ws {
-				_, sysN := r.runWithSystem(noSA, w.Name)
-				_, sysS := r.runWithSystem(withSA, w.Name)
-				if sysN == nil || sysS == nil {
+			for i, row := range g.Aligned(noSA, withSA) {
+				if row == nil {
 					// A failed system-retaining run leaves no prefetcher state
 					// to inspect: gap the row, exclude it from the means.
-					t.AddRow(w.Name, GapCell, GapCell, GapCell)
+					t.AddRow(names[i], GapCell, GapCell, GapCell)
 					continue
 				}
-				redN, _ := redundancy(streamlineOf(sysN).Store().DumpEntries())
-				redS, benign := redundancy(streamlineOf(sysS).Store().DumpEntries())
-				t.AddRow(w.Name, Pct(redN), Pct(redS), Pct(benign))
+				redN, _ := redundancy(streamlineOf(row[0].sys).Store().DumpEntries())
+				redS, benign := redundancy(streamlineOf(row[1].sys).Store().DumpEntries())
+				t.AddRow(names[i], Pct(redN), Pct(redS), Pct(benign))
 				rn, rs = append(rn, redN), append(rs, redS)
 			}
 			if len(rn) == 0 {
@@ -109,30 +94,25 @@ func init() {
 		Run: func(r *Runner) []Table {
 			t := Table{ID: "fig12c", Title: "buffer size: alignment rate and coverage",
 				Columns: []string{"buffer", "alignment-rate", "coverage", "speedup"}}
-			ws := r.Scale.irregular()
-			base := baseArm("stride", "")
 			sizes := []int{1, 2, 3, 4, 6}
-			sizeArms := map[int]Arm{}
-			var sysArms []Arm
+			arms := []Arm{baseArm("stride", "")}
 			for _, n := range sizes {
-				n := n
-				sizeArms[n] = streamlineArm(fmt.Sprintf("streamline-mb%d", n), "stride", "",
-					func(o *core.Options) { o.MetaBufferSize = n })
-				sysArms = append(sysArms, sizeArms[n])
+				arms = append(arms, kept(streamlineArm(fmt.Sprintf("streamline-mb%d", n), "stride", "",
+					func(o *core.Options) { o.MetaBufferSize = n })))
 			}
-			r.Precompute(Singles([]Arm{base}, ws), keepSystems(Singles(sysArms, ws)))
-			for _, n := range sizes {
-				arm := sizeArms[n]
-				var ar, cov, spd []float64
-				for _, w := range ws {
-					b, okB := r.TryRun(base, w.Name)
-					res, sys := r.runWithSystem(arm, w.Name)
-					if !okB || sys == nil {
-						continue // gapped workload: excluded from the means
-					}
-					cov = append(cov, Coverage(b, res))
-					spd = append(spd, Speedup(b, res))
-					if p := streamlineOf(sys); p != nil && p.Stats.CompletedStreams > 0 {
+			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
+			for i, n := range sizes {
+				// A workload gapped under the baseline or under this buffer
+				// size is excluded from all three means, so the systems read
+				// below are exactly the ones whose results are averaged.
+				rows := g.Rows(arms[0], arms[1+i])
+				if len(rows) == 0 {
+					t.AddRow(fmt.Sprint(n), GapCell, GapCell, GapCell)
+					continue
+				}
+				var ar []float64
+				for _, row := range rows {
+					if p := streamlineOf(row[1].sys); p != nil && p.Stats.CompletedStreams > 0 {
 						// Alignment rate relative to ALL completed entries:
 						// a small buffer finds few of the overlaps that
 						// exist, which is the effect the sweep measures.
@@ -140,11 +120,8 @@ func init() {
 							float64(p.Stats.CompletedStreams))
 					}
 				}
-				if len(cov) == 0 {
-					t.AddRow(fmt.Sprint(n), GapCell, GapCell, GapCell)
-					continue
-				}
-				t.AddRow(fmt.Sprint(n), Pct(Mean(ar)), Pct(Mean(cov)), F(Geomean(spd)))
+				t.AddRow(fmt.Sprint(n), Pct(Mean(ar)), Pct(Mean(over(rows, Coverage, 0, 1))),
+					F(Geomean(over(rows, Speedup, 0, 1))))
 			}
 			t.Notes = append(t.Notes,
 				"paper: a 1-entry buffer aligns 11% of redundant entries, a 3-entry buffer 67%; larger buffers add no coverage")

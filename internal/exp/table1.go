@@ -98,35 +98,35 @@ func init() {
 				"RTS": "assoc ok, expensive repart",
 				"FTS": "assoc ok, cheap (ours)",
 			}
-			type schemeRow struct {
-				name       string
+			type scheme struct {
+				name string
+				cfg  meta.StoreConfig
+			}
+			var schemes []scheme
+			for _, cfg := range schemeConfigs(mb) {
+				st := meta.NewStore(cfg, &meta.NullBridge{Sets: llcSets, Ways: llcWays})
+				schemes = append(schemes, scheme{st.SchemeName(), cfg})
+			}
+			type measured struct {
 				small, big float64
 				traffic    uint64
 			}
-			rows := ParallelMap(r, schemeConfigs(mb),
-				func(cfg meta.StoreConfig) string {
-					return "scheme|" + meta.NewStore(cfg, &meta.NullBridge{Sets: llcSets, Ways: llcWays}).SchemeName()
-				},
-				func(cfg meta.StoreConfig) schemeRow {
-					st := meta.NewStore(cfg, &meta.NullBridge{Sets: llcSets, Ways: llcWays})
-					return schemeRow{
-						name:    st.SchemeName(),
-						small:   schemeRetention(cfg, llcSets, llcWays, mb/8, r.Scale.Seed),
-						big:     schemeRetention(cfg, llcSets, llcWays, mb, r.Scale.Seed),
-						traffic: schemeResizeTraffic(cfg, llcSets, llcWays, r.Scale.Seed),
+			rows, ok := ParallelMap(r, schemes,
+				func(s scheme) string { return "scheme|" + s.name },
+				func(s scheme) measured {
+					return measured{
+						small:   schemeRetention(s.cfg, llcSets, llcWays, mb/8, r.Scale.Seed),
+						big:     schemeRetention(s.cfg, llcSets, llcWays, mb, r.Scale.Seed),
+						traffic: schemeResizeTraffic(s.cfg, llcSets, llcWays, r.Scale.Seed),
 					}
 				})
-			for i, row := range rows {
-				if row.name == "" {
-					// A zero-valued row means the scheme's job failed; the
-					// key still names the scheme, so recover the label.
-					cfg := schemeConfigs(mb)[i]
-					name := meta.NewStore(cfg, &meta.NullBridge{Sets: llcSets, Ways: llcWays}).SchemeName()
-					t.AddRow(name, GapCell, GapCell, GapCell, verdicts[name])
+			for i, s := range schemes {
+				if !ok[i] {
+					t.AddRow(s.name, GapCell, GapCell, GapCell, verdicts[s.name])
 					continue
 				}
-				t.AddRow(row.name, Pct(row.small), Pct(row.big),
-					fmt.Sprint(row.traffic), verdicts[row.name])
+				t.AddRow(s.name, Pct(rows[i].small), Pct(rows[i].big),
+					fmt.Sprint(rows[i].traffic), verdicts[s.name])
 			}
 			t.Notes = append(t.Notes,
 				"Table I: only FTS avoids low associativity at both sizes AND expensive repartitioning")
@@ -169,7 +169,8 @@ func init() {
 				Columns: []string{"tag-bits", "aliased-inserts", "rate", "halving-ratio"}}
 			llcSets := r.Scale.LLCSets
 			const n = 120_000
-			aliased := ParallelMap(r, []int{4, 5, 6, 7, 8, 10, 12},
+			widths := []int{4, 5, 6, 7, 8, 10, 12}
+			aliased, ok := ParallelMap(r, widths,
 				func(bits int) string { return fmt.Sprintf("aliasing|%d-bit", bits) },
 				func(bits int) uint64 {
 					st := meta.NewStore(meta.StoreConfig{
@@ -187,8 +188,8 @@ func init() {
 					return st.Stats.AliasedInserts
 				})
 			prev := 0.0
-			for i, bits := range []int{4, 5, 6, 7, 8, 10, 12} {
-				if r.Gapped(fmt.Sprintf("aliasing|%d-bit", bits)) {
+			for i, bits := range widths {
+				if !ok[i] {
 					t.AddRow(fmt.Sprint(bits), GapCell, GapCell, GapCell)
 					prev = 0 // the next ratio would compare across the gap
 					continue

@@ -16,7 +16,7 @@ func telemetryScale() Scale {
 	return sc
 }
 
-// runTelemetrySweep precomputes a small sweep with per-simulation telemetry
+// runTelemetrySweep runs a small sweep with per-simulation telemetry
 // files under dir, on a 4-worker pool.
 func runTelemetrySweep(t *testing.T, dir string) {
 	t.Helper()
@@ -28,7 +28,7 @@ func runTelemetrySweep(t *testing.T, dir string) {
 		baseArm("stride", ""),
 		streamlineArm("streamline", "stride", "", nil),
 	}
-	r.Precompute(SingleNames(arms, []string{"sphinx06", "mcf06", "pr"}))
+	r.Sweep(arms, SingleUnits([]string{"sphinx06", "mcf06", "pr"}))
 	if err := r.TelemetryErr(); err != nil {
 		t.Fatal(err)
 	}

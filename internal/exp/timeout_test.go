@@ -24,14 +24,13 @@ func TestSweepTimeoutGapsAndLeaksNothing(t *testing.T) {
 	r.Jobs = 2
 	r.Fault = runner.FaultPolicy{Timeout: 30 * time.Millisecond}
 	base := baseArm("stride", "")
-	str := streamlineArm("streamline", "stride", "", nil)
-	r.Precompute(SingleNames([]Arm{base}, []string{"sphinx06"}),
-		keepSystems(SingleNames([]Arm{str}, []string{"sphinx06"})))
+	str := kept(streamlineArm("streamline", "stride", "", nil))
+	g := r.Sweep([]Arm{base, str}, SingleUnits([]string{"sphinx06"}))[0]
 
-	if _, ok := r.TryRun(base, "sphinx06"); ok || !r.GapRun(base, "sphinx06") {
+	if g.Aligned(base)[0] != nil || len(g.Rows(base)) != 0 {
 		t.Error("timed-out run was not recorded as a gap")
 	}
-	if _, sys := r.runWithSystem(str, "sphinx06"); sys != nil {
+	if g.Aligned(str)[0] != nil || g.column(str)[0].sys != nil {
 		t.Error("timed-out system-retaining run kept a system")
 	}
 	fails := r.Failures()

@@ -1,6 +1,10 @@
 package replacement
 
-import "streamline/internal/mem"
+import (
+	"container/heap"
+
+	"streamline/internal/mem"
+)
 
 // This file implements the offline oracles of Section IV-D1. Belady's MIN,
 // applied to temporal-prefetch metadata the way Triage did, maximizes
@@ -107,11 +111,10 @@ func ReplayOracle(stream []Correlation, capacity int, kind OracleKind) OracleSta
 		}
 	}
 
-	type entry struct {
-		target  mem.Line
-		nextUse int
-	}
-	store := make(map[mem.Line]entry, capacity)
+	// Residents sit in a max-heap on eviction order, so picking a victim is
+	// the root and a trigger hit re-sorts one entry in place.
+	store := make(map[mem.Line]*oracleEntry, capacity)
+	residents := make(oracleHeap, 0, capacity)
 
 	var stats OracleStats
 	for i, c := range stream {
@@ -122,7 +125,8 @@ func ReplayOracle(stream []Correlation, capacity int, kind OracleKind) OracleSta
 				stats.CorrelationHits++
 			}
 			// Update in place: new target, new future-use time.
-			store[c.Trigger] = entry{target: c.Target, nextUse: nextUse[i]}
+			e.target, e.nextUse = c.Target, nextUse[i]
+			heap.Fix(&residents, e.idx)
 			continue
 		}
 		if nextUse[i] == oracleNever {
@@ -131,27 +135,62 @@ func ReplayOracle(stream []Correlation, capacity int, kind OracleKind) OracleSta
 			// correlations that never recur.
 			continue
 		}
-		if len(store) >= capacity {
-			// Evict the entry used furthest in the future; ties break by
-			// trigger value so the replay is deterministic despite map
-			// iteration order.
-			var victim mem.Line
-			worst := -1
-			for t, e := range store {
-				if e.nextUse > worst || (e.nextUse == worst && t < victim) {
-					worst = e.nextUse
-					victim = t
-				}
-			}
-			if worst <= nextUse[i] && worst != oracleNever {
-				// The incoming entry is the furthest-future one: bypass.
-				continue
-			}
-			delete(store, victim)
+		if len(residents) < capacity {
+			e := &oracleEntry{trigger: c.Trigger, target: c.Target, nextUse: nextUse[i]}
+			store[c.Trigger] = e
+			heap.Push(&residents, e)
+			continue
 		}
-		store[c.Trigger] = entry{target: c.Target, nextUse: nextUse[i]}
+		victim := residents[0]
+		if victim.nextUse <= nextUse[i] && victim.nextUse != oracleNever {
+			// The incoming entry is the furthest-future one: bypass.
+			continue
+		}
+		// The incoming entry takes the victim's place at the root.
+		delete(store, victim.trigger)
+		victim.trigger, victim.target, victim.nextUse = c.Trigger, c.Target, nextUse[i]
+		store[c.Trigger] = victim
+		heap.Fix(&residents, 0)
 	}
 	return stats
+}
+
+// oracleEntry is one resident correlation; idx is its position in the heap.
+type oracleEntry struct {
+	trigger, target mem.Line
+	nextUse, idx    int
+}
+
+// oracleHeap orders residents by eviction preference: the entry used
+// furthest in the future first. Next-use positions are distinct except among
+// entries that are never used again (a trigger hit can leave one resident);
+// those tie-break to the lower trigger so the replay is deterministic.
+type oracleHeap []*oracleEntry
+
+func (h oracleHeap) Len() int { return len(h) }
+func (h oracleHeap) Less(i, j int) bool {
+	if h[i].nextUse != h[j].nextUse {
+		return h[i].nextUse > h[j].nextUse
+	}
+	return h[i].trigger < h[j].trigger
+}
+func (h oracleHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *oracleHeap) Push(x any) {
+	e := x.(*oracleEntry)
+	e.idx = len(*h)
+	*h = append(*h, e)
+}
+
+// Pop is never called — a victim is replaced at the root, not removed — but
+// heap.Interface requires it.
+func (h *oracleHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // CorrelationsOf converts an address stream into the correlation stream a

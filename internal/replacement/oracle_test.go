@@ -146,3 +146,100 @@ func TestZeroCapacity(t *testing.T) {
 		t.Error("lookups should still be counted")
 	}
 }
+
+// replayOracleScan is the replay ReplayOracle's heap replaced, kept as its
+// reference: the same store, but every victim found by scanning the whole
+// map. It shares no code with the fast path.
+func replayOracleScan(stream []Correlation, capacity int, kind OracleKind) OracleStats {
+	if capacity <= 0 {
+		return OracleStats{Lookups: uint64(len(stream))}
+	}
+	nextUse := make([]int, len(stream))
+	lastTrig := map[mem.Line]int{}
+	lastCorr := map[Correlation]int{}
+	for i := len(stream) - 1; i >= 0; i-- {
+		n, ok := lastTrig[stream[i].Trigger]
+		if kind == TPMIN {
+			n, ok = lastCorr[stream[i]]
+		}
+		if !ok {
+			n = oracleNever
+		}
+		nextUse[i] = n
+		lastTrig[stream[i].Trigger] = i
+		lastCorr[stream[i]] = i
+	}
+
+	type entry struct {
+		target  mem.Line
+		nextUse int
+	}
+	store := make(map[mem.Line]entry, capacity)
+	var stats OracleStats
+	for i, c := range stream {
+		stats.Lookups++
+		if e, ok := store[c.Trigger]; ok {
+			stats.TriggerHits++
+			if e.target == c.Target {
+				stats.CorrelationHits++
+			}
+			store[c.Trigger] = entry{target: c.Target, nextUse: nextUse[i]}
+			continue
+		}
+		if nextUse[i] == oracleNever {
+			continue
+		}
+		if len(store) >= capacity {
+			var victim mem.Line
+			worst := -1
+			for t, e := range store {
+				if e.nextUse > worst || (e.nextUse == worst && t < victim) {
+					worst = e.nextUse
+					victim = t
+				}
+			}
+			if worst <= nextUse[i] && worst != oracleNever {
+				continue
+			}
+			delete(store, victim)
+		}
+		store[c.Trigger] = entry{target: c.Target, nextUse: nextUse[i]}
+	}
+	return stats
+}
+
+// TestReplayOracleMatchesScanReference replays random streams through the
+// heap and the scan at capacities 1-64 under both oracles. The streams mix a
+// hot set whose triggers are overwritten again and again (so TP-MIN leaves
+// never-reused entries resident and the trigger tie-break decides), a stable
+// loop, and fresh lines that never recur.
+func TestReplayOracleMatchesScanReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hot := 2 + rng.Intn(40)
+		lines := make([]mem.Line, 600+rng.Intn(600))
+		fresh := mem.Line(1 << 20)
+		for i := range lines {
+			switch rng.Intn(4) {
+			case 0:
+				lines[i] = mem.Line(rng.Intn(hot))
+			case 1:
+				lines[i] = fresh
+				fresh++
+			default:
+				lines[i] = mem.Line(1000 + i%(hot*3))
+			}
+		}
+		stream := CorrelationsOf(lines)
+		for _, kind := range []OracleKind{MIN, TPMIN} {
+			for _, capacity := range []int{1, 2, 3, 1 + rng.Intn(64), 64} {
+				got := ReplayOracle(stream, capacity, kind)
+				want := replayOracleScan(stream, capacity, kind)
+				if got != want {
+					t.Fatalf("seed %d, %v, capacity %d: heap replay %+v, scan reference %+v",
+						seed, kind, capacity, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,43 +1,9 @@
 package sim
 
 import (
-	"io"
 	"runtime"
 	"testing"
-
-	"streamline/internal/telemetry"
-	"streamline/internal/workloads"
 )
-
-// BenchmarkKernel measures the per-trace-record cost of the simulation
-// kernel on each representative scenario. Custom metrics normalize per
-// record: ns/record and records/sec come from the wall clock, allocs/record
-// from the allocator's Mallocs counter.
-func BenchmarkKernel(b *testing.B) {
-	for _, k := range kernelScenarios() {
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			var records uint64
-			for i := 0; i < b.N; i++ {
-				_, recs, err := k.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				records += recs
-			}
-			runtime.ReadMemStats(&ms1)
-			if records == 0 {
-				b.Fatal("kernel executed no records")
-			}
-			el := b.Elapsed()
-			b.ReportMetric(float64(el.Nanoseconds())/float64(records), "ns/record")
-			b.ReportMetric(float64(records)/el.Seconds(), "records/sec")
-			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(records), "allocs/record")
-		})
-	}
-}
 
 // TestKernelAllocsPerRecordCeiling pins the allocation rate of each kernel
 // scenario, in mallocs and in bytes. The hot path is allocation-free after
@@ -85,44 +51,4 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 			t.Errorf("%s: %.1f alloc bytes/record exceeds ceiling %.0f", k.name, got, ceil.bytes)
 		}
 	}
-}
-
-// benchmarkRun measures a full simulation; newCollector nil benchmarks the
-// disabled path (the overhead telemetry must not add), non-nil the
-// instrumented one.
-func benchmarkRun(b *testing.B, newCollector func() *telemetry.Collector) {
-	w, err := workloads.Get("sphinx06")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := smallConfig(1)
-		cfg.WarmupInstructions = 50_000
-		cfg.MeasureInstructions = 200_000
-		cfg.L1DPrefetcher = strideFactory
-		cfg.Temporal = streamlineFactory
-		var col *telemetry.Collector
-		if newCollector != nil {
-			col = newCollector()
-			cfg.Telemetry = col
-		}
-		sys := New(cfg)
-		sys.RunTrace(w.NewTrace(workloads.Scale{Footprint: 0.1}, 1))
-		if col != nil {
-			if err := col.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkRunTelemetryOff(b *testing.B) {
-	benchmarkRun(b, nil)
-}
-
-func BenchmarkRunTelemetryOn(b *testing.B) {
-	benchmarkRun(b, func() *telemetry.Collector {
-		return telemetry.New(telemetry.NewSink(io.Discard), 50_000)
-	})
 }

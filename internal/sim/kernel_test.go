@@ -1,11 +1,10 @@
 package sim
 
-// This file defines the kernel benchmark scenarios: small, representative
-// simulations used to track the per-trace-record cost of the simulation
-// kernel (System.step -> demandAccess -> cache Lookup/Fill -> dram.Access ->
-// prefetcher Train). They back BenchmarkKernel and the allocation ceiling in
-// bench_test.go; the repository benchmark (`go run ./benchmark`) is the
-// tracked end-to-end measurement.
+// This file defines the kernel scenarios: small, representative simulations
+// of the per-trace-record path (System.step -> demandAccess -> cache
+// Lookup/Fill -> dram.Access -> prefetcher Train). They back the allocation
+// ceiling in bench_test.go; the repository benchmark (`go run ./benchmark`)
+// is the tracked measurement of the same path's time.
 
 // kernelScenario is one representative kernel benchmark configuration: a
 // core count, a workload per core, and instruction budgets on the scaled
