@@ -18,9 +18,9 @@
 // simulation is persisted (fsynced, checksummed) to the sweep directory, and
 // a resumed run's stdout is byte-identical to an uninterrupted one.
 //
-// A permanently failing job (panic, exhausted -job-retries, -job-timeout)
-// does not abort the sweep: its cells render as GAP, the affected tables are
-// annotated, and the process exits nonzero after completing everything else.
+// A failing job (error, panic, -job-timeout) does not abort the sweep: its
+// cells render as GAP, the affected tables are annotated, and the process
+// exits nonzero after completing everything else.
 package main
 
 import (
@@ -60,11 +60,9 @@ func main() {
 
 		checkpoint = flag.String("checkpoint", "", "persist completed simulations into this sweep directory (created if needed; reopening resumes it)")
 		resumeDir  = flag.String("resume", "", "resume a sweep: replay completed simulations from this existing sweep directory, run the rest, keep checkpointing into it")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt wall-clock bound for one simulation (0: unbounded); a timed-out job becomes a GAP")
-		jobRetries = flag.Int("job-retries", 0, "additional attempts for a transiently failing simulation")
-		jobBackoff = flag.Duration("job-backoff", time.Second, "pause before a job's first retry, doubling per retry")
+		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock bound for one simulation (0: unbounded); a timed-out job becomes a GAP")
 
-		progress    = flag.Duration("progress", 0, "print a sweep-progress line (jobs completed/failed/retried/gapped/replayed) to stderr at this interval (0: off)")
+		progress    = flag.Duration("progress", 0, "print a sweep-progress line (jobs completed/failed/gapped/replayed) to stderr at this interval (0: off)")
 		metricsDest = flag.String("metrics", "", "write the final metrics exposition to this file at exit ('-' for stderr)")
 
 		telDir     = flag.String("telemetry-dir", "", "write per-simulation telemetry JSONL files into this directory")
@@ -143,7 +141,7 @@ func main() {
 	r.Jobs = *jobs
 	r.Check = *check
 	r.Store = st
-	r.Fault = runner.FaultPolicy{Timeout: *jobTimeout, Retries: *jobRetries, Backoff: *jobBackoff}
+	r.Fault = runner.FaultPolicy{Timeout: *jobTimeout}
 	r.FailKey = os.Getenv("EXPERIMENTS_FAIL_KEY")
 
 	// EnableMetrics must follow the Fault assignment (it hooks the policy).
@@ -308,8 +306,8 @@ func startProgress(ivl time.Duration, m *runner.Metrics) func() {
 
 // progressLine renders one sweep-progress report from the runner counters.
 func progressLine(m *runner.Metrics) string {
-	line := fmt.Sprintf("progress: %d completed, %d failed, %d retried, %d gapped, %d replayed",
-		m.Completed.Value(), m.Failed.Value(), m.Retries.Value(), m.Gapped.Value(), m.Replayed.Value())
+	line := fmt.Sprintf("progress: %d completed, %d failed, %d gapped, %d replayed",
+		m.Completed.Value(), m.Failed.Value(), m.Gapped.Value(), m.Replayed.Value())
 	if m.Attempts.Count() > 0 {
 		mean := time.Duration(m.Attempts.Mean() * float64(time.Second))
 		line += fmt.Sprintf(", mean attempt %v", mean.Round(time.Millisecond))

@@ -22,7 +22,7 @@
 //   - internal/serve — the simulation-as-a-service layer behind cmd/streamd
 //   - internal/metrics — counters/gauges/histograms with Prometheus text
 //     exposition, shared by the daemon and the sweep runner
-//   - cmd/{streamsim,experiments,tracegen,streamd} — executables
+//   - cmd/{streamsim,experiments,streamd} — executables
 //   - examples/ — runnable scenarios built on the public pieces
 //
 // `go run ./cmd/experiments -run all` regenerates every table and figure

@@ -48,16 +48,13 @@ func CacheWholeRunLaws(name string, st cache.Stats) []string {
 	return v
 }
 
-// DRAMLaws checks DRAM counter identities: every read resolves to exactly
-// one of row hit, row miss, or row conflict (window-safe: the outcome is
-// classified in the same step the read is counted).
+// DRAMLaws checks the window-safe DRAM counter identities —
+// dram.Stats.CounterLaws, the list the runtime audit reports too.
 func DRAMLaws(name string, d dram.Stats) []string {
 	var v []string
-	if d.RowHits+d.RowMisses+d.RowConflicts != d.Reads {
-		v = append(v, fmt.Sprintf(
-			"%s: row hits %d + misses %d + conflicts %d != reads %d",
-			name, d.RowHits, d.RowMisses, d.RowConflicts, d.Reads))
-	}
+	d.CounterLaws(func(_, format string, args ...any) {
+		v = append(v, name+": "+fmt.Sprintf(format, args...))
+	})
 	return v
 }
 

@@ -312,16 +312,3 @@ func (r *RefCache) OccupiedLines() int {
 	}
 	return n
 }
-
-// ResidentPrefetchedBySource counts still-unused prefetched lines per source.
-func (r *RefCache) ResidentPrefetchedBySource() [cache.NumSources]uint64 {
-	var out [cache.NumSources]uint64
-	for s := range r.lines {
-		for w := r.reserved[s]; w < r.ways; w++ {
-			if ln := r.lines[s][w]; ln.valid && ln.prefetched {
-				out[ln.src]++
-			}
-		}
-	}
-	return out
-}

@@ -35,9 +35,19 @@ func (d *DRAM) AuditScan(a *audit.Auditor, now uint64) {
 		a.Reportf(now, "dram", "channel-conservation",
 			"per-channel transfers sum to %d, accesses total %d", xfers, total)
 	}
-	if outcomes := d.Stats.RowHits + d.Stats.RowMisses + d.Stats.RowConflicts; outcomes != d.Stats.Reads {
-		a.Reportf(now, "dram", "row-outcome-accounting",
-			"row hits %d + misses %d + conflicts %d != reads %d",
-			d.Stats.RowHits, d.Stats.RowMisses, d.Stats.RowConflicts, d.Stats.Reads)
+	d.Stats.CounterLaws(func(rule, format string, args ...any) {
+		a.Reportf(now, "dram", rule, format, args...)
+	})
+}
+
+// CounterLaws reports every counter identity s breaks, as an audit rule name
+// and a message: every read resolves to exactly one of row hit, row miss, or
+// row conflict. The law is window-safe — the outcome is classified in the
+// same step the read is counted — so it holds for a running model
+// (AuditScan) and for the delta over any measured window (check.DRAMLaws).
+func (s Stats) CounterLaws(fail func(rule, format string, args ...any)) {
+	if s.RowHits+s.RowMisses+s.RowConflicts != s.Reads {
+		fail("row-outcome-accounting", "row hits %d + misses %d + conflicts %d != reads %d",
+			s.RowHits, s.RowMisses, s.RowConflicts, s.Reads)
 	}
 }

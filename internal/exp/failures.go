@@ -1,7 +1,7 @@
 package exp
 
-// This file is the sweep's failure accounting: which jobs failed
-// permanently, and how their gaps are marked in the tables.
+// This file is the sweep's failure accounting: which jobs failed, and how
+// their gaps are marked in the tables.
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 	"streamline/internal/exp/runner"
 )
 
-// JobFailure records one permanently failed job: its result is a
+// JobFailure records one failed job: its result is a
 // zero-valued gap in every table that consumes it.
 type JobFailure struct {
 	Key string

@@ -61,10 +61,9 @@ type Runner struct {
 	// against their content hash; simulations are deterministic, so a
 	// resumed sweep's tables are byte-identical to an uninterrupted run.
 	Store *store.Store
-	// Fault bounds each simulation job: per-attempt timeout, bounded
-	// retry with backoff, and panic isolation. With the zero value a
-	// panicking arm still degrades to a recorded gap instead of aborting
-	// the sweep (see Failures).
+	// Fault bounds each simulation job: a timeout and panic isolation.
+	// With the zero value a panicking arm still degrades to a recorded
+	// gap instead of aborting the sweep (see Failures).
 	Fault runner.FaultPolicy
 	// FailKey, when non-empty, makes any job whose key contains it panic
 	// at the start of its computation — the fault-injection hook behind
@@ -222,8 +221,8 @@ func (r *Runner) entry(s Sim) (e *memoEntry, fresh bool) {
 }
 
 // run computes the entry's simulation unless someone has, or waits for
-// whoever is. A permanently failed simulation (panic, exhausted retries,
-// timeout) memoizes its error and records a JobFailure.
+// whoever is. A failed simulation (error, panic, timeout) memoizes its
+// error and records a JobFailure.
 func (r *Runner) run(e *memoEntry) {
 	e.once.Do(func() {
 		e.res, e.sys, e.err = r.computeOrReplay(e.key, e.sim)
@@ -259,7 +258,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 		res sim.Result
 		sys *sim.System
 	}
-	o, err := runner.Execute(r.ctx(), r.Fault, nil, key,
+	o, err := runner.Execute(r.ctx(), r.Fault, key,
 		func(ctx context.Context) (outcome, error) {
 			r.maybeInjectFailure(key)
 			res, sys, err := r.simulate(ctx, key, s)
@@ -314,7 +313,7 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 	defer finish()
 	sys := sim.New(cfg)
 	if err := sys.AttachWorkloads(s.Mix, r.Scale.Footprint, r.Scale.Seed); err != nil {
-		return sim.Result{}, nil, runner.Permanent(err)
+		return sim.Result{}, nil, err
 	}
 	r.logf("  [%s] %s x%d\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores)
 	res, err := sys.RunCtx(ctx, 0, nil)

@@ -10,29 +10,29 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamline/internal/metrics"
 )
 
-// fakeClock scripts time for the fault machinery: SleepCtx records the
-// requested backoff durations (returning immediately, or ctx.Err() when the
-// context is already cancelled), and After returns a channel the test fires
-// on demand — so timeout behavior is exercised without real waiting.
-type fakeClock struct {
+// fakeTimer scripts the timeout timer: each armed timeout is a channel the
+// test fires on demand, so timeout behavior is exercised without real
+// waiting.
+type fakeTimer struct {
 	mu     sync.Mutex
-	sleeps []time.Duration
 	afters []chan time.Time
-	armed  chan struct{} // one token per After call; buffered past any test's attempt count so After never blocks
+	armed  chan struct{} // one token per armed timeout; buffered past any test's attempt count so after never blocks
 }
 
-func newFakeClock() *fakeClock { return &fakeClock{armed: make(chan struct{}, 64)} }
-
-func (c *fakeClock) SleepCtx(ctx context.Context, d time.Duration) error {
-	c.mu.Lock()
-	c.sleeps = append(c.sleeps, d)
-	c.mu.Unlock()
-	return ctx.Err()
+// scriptTimeouts swaps the package timer for a fakeTimer until the test
+// ends.
+func scriptTimeouts(t *testing.T) *fakeTimer {
+	c := &fakeTimer{armed: make(chan struct{}, 64)}
+	after = c.after
+	t.Cleanup(func() { after = time.After })
+	return c
 }
 
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
+func (c *fakeTimer) after(time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	c.mu.Lock()
 	c.afters = append(c.afters, ch)
@@ -44,7 +44,7 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 // fireTimeout fires the i-th timer, first waiting for Execute to arm it:
 // the attempt's goroutine can report "started" before Execute reaches its
 // select.
-func (c *fakeClock) fireTimeout(i int) {
+func (c *fakeTimer) fireTimeout(i int) {
 	<-c.armed
 	c.mu.Lock()
 	ch := c.afters[i]
@@ -52,159 +52,38 @@ func (c *fakeClock) fireTimeout(i int) {
 	ch <- time.Time{}
 }
 
-func (c *fakeClock) sleepLog() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.sleeps...)
-}
-
-// TestRetryFailNTimesThenSucceed: a job failing transiently N times succeeds
-// within N retries, and each retry is preceded by a doubling backoff.
-func TestRetryFailNTimesThenSucceed(t *testing.T) {
-	clock := newFakeClock()
+// TestErrorRunsOnce: a job returning a plain error is attempted exactly
+// once, its error passes through unchanged, and it is counted Failed.
+func TestErrorRunsOnce(t *testing.T) {
+	m := NewMetrics(metrics.NewRegistry())
+	boom := errors.New("boom")
 	attempts := 0
-	got, err := Execute(context.Background(),
-		FaultPolicy{Retries: 3, Backoff: 10 * time.Millisecond}, clock, "flaky",
+	_, err := Execute(context.Background(), FaultPolicy{Metrics: m}, "doomed",
 		func(context.Context) (int, error) {
 			attempts++
-			if attempts <= 2 {
-				return 0, fmt.Errorf("transient %d", attempts)
-			}
-			return 42, nil
+			return 0, boom
 		})
-	if err != nil || got != 42 {
-		t.Fatalf("got %d, %v; want 42, nil", got, err)
+	if err != boom {
+		t.Fatalf("err = %v, want the job's own error", err)
 	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3", attempts)
+	if attempts != 1 {
+		t.Errorf("attempts = %d, want 1", attempts)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	sleeps := clock.sleepLog()
-	if len(sleeps) != len(want) {
-		t.Fatalf("backoffs = %v, want %v", sleeps, want)
-	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Errorf("backoff[%d] = %v, want %v (doubling)", i, sleeps[i], want[i])
-		}
-	}
-}
-
-// TestBackoffSleepRespectsCancellation: cancelling the context while a
-// retry backoff is in progress aborts the sleep immediately. Regression:
-// the sleep used to be unconditional, so a cancelled sweep still sat out
-// the full (exponentially growing) pause before noticing.
-func TestBackoffSleepRespectsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	failed := make(chan struct{}, 4)
-	done := make(chan error, 1)
-	go func() {
-		// Real clock on purpose: the hour-long backoff is the trap. The
-		// fix returns as soon as cancel fires; the old code sleeps it out.
-		_, err := Execute(ctx,
-			FaultPolicy{Retries: 2, Backoff: time.Hour}, nil, "slow-retry",
-			func(context.Context) (int, error) {
-				failed <- struct{}{}
-				return 0, errors.New("transient")
-			})
-		done <- err
-	}()
-	<-failed // first attempt has failed; Execute is entering the backoff
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Execute still sleeping 5s after cancellation")
-	}
-	if len(failed) != 0 {
-		t.Errorf("job was retried %d time(s) after cancellation", len(failed))
-	}
-}
-
-// TestBackoffCapsDoubling: the doubling backoff saturates at maxBackoff
-// instead of overflowing time.Duration. Regression: backoff << (attempt-1)
-// wraps negative after ~60 doublings, and a negative sleep returns
-// immediately — a hot retry loop precisely when the longest pauses were
-// requested.
-func TestBackoffCapsDoubling(t *testing.T) {
-	cases := []struct {
-		base    time.Duration
-		attempt int
-		want    time.Duration
-	}{
-		{10 * time.Millisecond, 1, 10 * time.Millisecond},
-		{10 * time.Millisecond, 2, 20 * time.Millisecond},
-		{30 * time.Second, 2, time.Minute},  // doubles exactly to the cap
-		{30 * time.Second, 3, time.Minute},  // saturates
-		{time.Second, 40, time.Minute},      // would be ~35k years unchecked
-		{time.Second, 64, time.Minute},      // shift >= word width
-		{time.Nanosecond, 100, time.Minute}, // extreme shift, still saturates
-		{5 * time.Minute, 1, time.Minute},   // base alone above the cap
-		{0, 3, 0},
-	}
-	for _, c := range cases {
-		got := backoffFor(c.base, c.attempt)
-		if got != c.want {
-			t.Errorf("backoffFor(%v, %d) = %v, want %v", c.base, c.attempt, got, c.want)
-		}
-		if got < 0 {
-			t.Errorf("backoffFor(%v, %d) went negative: %v", c.base, c.attempt, got)
-		}
-	}
-
-	// End to end: the recorded pauses saturate rather than overflow.
-	clock := newFakeClock()
-	_, err := Execute(context.Background(),
-		FaultPolicy{Retries: 3, Backoff: 30 * time.Second}, clock, "capped",
-		func(context.Context) (int, error) { return 0, errors.New("transient") })
-	if err == nil {
-		t.Fatal("want final transient error")
-	}
-	want := []time.Duration{30 * time.Second, time.Minute, time.Minute}
-	sleeps := clock.sleepLog()
-	if len(sleeps) != len(want) {
-		t.Fatalf("backoffs = %v, want %v", sleeps, want)
-	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Errorf("backoff[%d] = %v, want %v (saturating)", i, sleeps[i], want[i])
-		}
-	}
-}
-
-// TestRetryNeverSucceeds: a persistently failing job is attempted exactly
-// 1+Retries times and reports the final error.
-func TestRetryNeverSucceeds(t *testing.T) {
-	clock := newFakeClock()
-	attempts := 0
-	_, err := Execute(context.Background(),
-		FaultPolicy{Retries: 2, Backoff: time.Millisecond}, clock, "doomed",
-		func(context.Context) (int, error) {
-			attempts++
-			return 0, fmt.Errorf("failure %d", attempts)
-		})
-	if err == nil || !strings.Contains(err.Error(), "failure 3") {
-		t.Fatalf("err = %v, want the final attempt's error", err)
-	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", attempts)
+	if m.Failed.Value() != 1 || m.Completed.Value() != 0 || m.Retries.Value() != 0 {
+		t.Errorf("failed/completed/retries = %d/%d/%d, want 1/0/0",
+			m.Failed.Value(), m.Completed.Value(), m.Retries.Value())
 	}
 }
 
 // TestTimeoutIsPermanent: a job hanging past the timeout yields a
-// *TimeoutError and is NOT retried — a hang is assumed to repeat.
+// *TimeoutError after exactly one attempt.
 func TestTimeoutIsPermanent(t *testing.T) {
-	clock := newFakeClock()
+	clock := scriptTimeouts(t)
 	started := make(chan struct{}, 8)
 	done := make(chan error, 1)
 	go func() {
 		_, err := Execute(context.Background(),
-			FaultPolicy{Timeout: time.Second, Retries: 5, Backoff: time.Millisecond},
-			clock, "hung",
+			FaultPolicy{Timeout: time.Second}, "hung",
 			func(ctx context.Context) (int, error) {
 				started <- struct{}{}
 				<-ctx.Done()
@@ -227,24 +106,16 @@ func TestTimeoutIsPermanent(t *testing.T) {
 	if te.Key != "hung" || te.After != time.Second {
 		t.Errorf("TimeoutError = %+v, want key 'hung' after 1s", te)
 	}
-	if !IsPermanent(err) {
-		t.Error("timeout should be permanent")
-	}
 	if len(started) != 0 {
-		t.Errorf("job was retried after a timeout: %d extra attempts", len(started))
-	}
-	if sleeps := clock.sleepLog(); len(sleeps) != 0 {
-		t.Errorf("backoff slept %v despite permanent failure", sleeps)
+		t.Errorf("job ran again after a timeout: %d extra attempts", len(started))
 	}
 }
 
-// TestPanicIsPermanent: a panicking job is attempted once, never retried,
-// and the panic value is preserved in the error.
+// TestPanicIsPermanent: a panicking job is attempted once and the panic
+// value is preserved in the error.
 func TestPanicIsPermanent(t *testing.T) {
-	clock := newFakeClock()
 	attempts := 0
-	_, err := Execute(context.Background(),
-		FaultPolicy{Retries: 4, Backoff: time.Millisecond}, clock, "bomb",
+	_, err := Execute(context.Background(), FaultPolicy{}, "bomb",
 		func(context.Context) (int, error) {
 			attempts++
 			panic("kaboom")
@@ -252,39 +123,8 @@ func TestPanicIsPermanent(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want the panic value", err)
 	}
-	if !IsPermanent(err) {
-		t.Error("panic should be permanent")
-	}
 	if attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry after panic)", attempts)
-	}
-}
-
-// TestPermanentWrapping: Permanent-marked errors stop the retry loop, and
-// Permanent(nil) stays nil.
-func TestPermanentWrapping(t *testing.T) {
-	if Permanent(nil) != nil {
-		t.Error("Permanent(nil) != nil")
-	}
-	boom := errors.New("boom")
-	if !IsPermanent(Permanent(boom)) {
-		t.Error("Permanent(err) not detected")
-	}
-	if IsPermanent(boom) {
-		t.Error("plain error detected as permanent")
-	}
-	if !errors.Is(Permanent(boom), boom) {
-		t.Error("Permanent does not unwrap to the original error")
-	}
-	attempts := 0
-	_, err := Execute(context.Background(),
-		FaultPolicy{Retries: 3}, newFakeClock(), "perm",
-		func(context.Context) (int, error) {
-			attempts++
-			return 0, Permanent(boom)
-		})
-	if !errors.Is(err, boom) || attempts != 1 {
-		t.Errorf("err=%v attempts=%d; want boom after exactly 1 attempt", err, attempts)
+		t.Errorf("attempts = %d, want 1", attempts)
 	}
 }
 
@@ -326,7 +166,7 @@ func TestRunAllContinuesPastFailures(t *testing.T) {
 // key and panic value, so callers can map the failure class (the daemon's
 // HTTP status codes) without string matching.
 func TestPanicErrorIsTyped(t *testing.T) {
-	_, err := Execute(context.Background(), FaultPolicy{}, nil, "bomb",
+	_, err := Execute(context.Background(), FaultPolicy{}, "bomb",
 		func(context.Context) (int, error) { panic("kaboom") })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -335,23 +175,20 @@ func TestPanicErrorIsTyped(t *testing.T) {
 	if pe.Key != "bomb" || pe.Value != "kaboom" {
 		t.Errorf("PanicError = %+v, want key bomb / value kaboom", pe)
 	}
-	if !IsPermanent(err) {
-		t.Error("panic error should be permanent")
-	}
 }
 
 // TestCooperativeTimeoutWaitsForUnwind: a timed-out attempt's context is
-// cancelled and Execute WAITS for fn to unwind before
-// returning the permanent *TimeoutError — no goroutine is abandoned, so the
-// worker slot Execute held is genuinely free when the error surfaces.
+// cancelled and Execute WAITS for fn to unwind before returning the
+// *TimeoutError — no goroutine is abandoned, so the worker slot Execute held
+// is genuinely free when the error surfaces.
 func TestCooperativeTimeoutWaitsForUnwind(t *testing.T) {
-	clock := newFakeClock()
+	clock := scriptTimeouts(t)
 	started := make(chan struct{})
 	var unwound atomic.Bool
 	done := make(chan error, 1)
 	go func() {
 		_, err := Execute(context.Background(),
-			FaultPolicy{Timeout: time.Second}, clock, "coop",
+			FaultPolicy{Timeout: time.Second}, "coop",
 			func(ctx context.Context) (int, error) {
 				close(started)
 				<-ctx.Done() // the engine stopping at its next epoch boundary
@@ -371,9 +208,6 @@ func TestCooperativeTimeoutWaitsForUnwind(t *testing.T) {
 		if te.Key != "coop" || te.After != time.Second {
 			t.Errorf("TimeoutError = %+v, want key coop / after 1s", te)
 		}
-		if !IsPermanent(err) {
-			t.Error("cooperative timeout should be permanent (never retried)")
-		}
 		if !unwound.Load() {
 			t.Error("Execute returned before fn unwound; goroutine abandoned")
 		}
@@ -385,14 +219,14 @@ func TestCooperativeTimeoutWaitsForUnwind(t *testing.T) {
 // TestCooperativeParentCancel: cancelling the caller's context surfaces
 // ctx.Err() (not a TimeoutError), and still waits for fn to unwind.
 func TestCooperativeParentCancel(t *testing.T) {
-	clock := newFakeClock()
+	scriptTimeouts(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var unwound atomic.Bool
 	done := make(chan error, 1)
 	go func() {
 		_, err := Execute(ctx,
-			FaultPolicy{Timeout: time.Hour}, clock, "coop-cancel",
+			FaultPolicy{Timeout: time.Hour}, "coop-cancel",
 			func(ctx context.Context) (int, error) {
 				close(started)
 				<-ctx.Done()
@@ -419,8 +253,9 @@ func TestCooperativeParentCancel(t *testing.T) {
 // TestCooperativeSuccess: a cooperative job that completes within its
 // timeout passes its value through untouched.
 func TestCooperativeSuccess(t *testing.T) {
+	scriptTimeouts(t)
 	got, err := Execute(context.Background(),
-		FaultPolicy{Timeout: time.Second}, newFakeClock(), "ok",
+		FaultPolicy{Timeout: time.Second}, "ok",
 		func(context.Context) (int, error) { return 7, nil })
 	if err != nil || got != 7 {
 		t.Fatalf("got %d, %v; want 7, nil", got, err)
@@ -431,14 +266,14 @@ func TestCooperativeSuccess(t *testing.T) {
 // goroutines behind — each timed-out attempt unwinds before Execute returns,
 // so the count settles back to the baseline.
 func TestCooperativeNoGoroutineLeak(t *testing.T) {
+	clock := scriptTimeouts(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		clock := newFakeClock()
 		started := make(chan struct{})
 		ret := make(chan struct{})
 		go func() {
 			Execute(context.Background(),
-				FaultPolicy{Timeout: time.Second}, clock, "leak",
+				FaultPolicy{Timeout: time.Second}, "leak",
 				func(ctx context.Context) (int, error) {
 					close(started)
 					<-ctx.Done()
@@ -447,7 +282,7 @@ func TestCooperativeNoGoroutineLeak(t *testing.T) {
 			close(ret)
 		}()
 		<-started
-		clock.fireTimeout(0)
+		clock.fireTimeout(i)
 		<-ret
 	}
 	// Settle: scheduling may lag a moment behind channel operations.

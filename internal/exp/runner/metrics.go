@@ -12,12 +12,12 @@ import (
 // daemon's cache-miss computations alike. Resolve it with NewMetrics and
 // hand it to FaultPolicy.Metrics; a nil *Metrics disables everything.
 type Metrics struct {
-	// Completed counts jobs whose final attempt succeeded.
+	// Completed counts jobs that succeeded.
 	Completed *metrics.Counter
-	// Failed counts jobs that failed permanently (panic, timeout,
-	// exhausted retries).
+	// Failed counts jobs that failed (error, panic, timeout).
 	Failed *metrics.Counter
-	// Retries counts additional attempts after a transient failure.
+	// Retries stays registered for existing readers of the exposition;
+	// Execute runs every job once, so it reads 0.
 	Retries *metrics.Counter
 	// Gapped counts failed jobs the sweep layer degraded to GAP cells
 	// (incremented by internal/exp's failure log, not by Execute).
@@ -36,11 +36,11 @@ type Metrics struct {
 func NewMetrics(reg *metrics.Registry) *Metrics {
 	return &Metrics{
 		Completed: reg.Counter("runner_jobs_completed_total",
-			"jobs whose final attempt succeeded"),
+			"jobs that succeeded"),
 		Failed: reg.Counter("runner_jobs_failed_total",
-			"jobs that failed permanently (panic, timeout, exhausted retries)"),
+			"jobs that failed (error, panic, timeout)"),
 		Retries: reg.Counter("runner_job_retries_total",
-			"additional attempts after a transient failure"),
+			"always 0: jobs are not retried"),
 		Gapped: reg.Counter("runner_jobs_gapped_total",
 			"failed jobs degraded to GAP cells by the sweep layer"),
 		Replayed: reg.Counter("runner_jobs_replayed_total",
@@ -67,12 +67,6 @@ func (m *Metrics) completed() {
 func (m *Metrics) failed() {
 	if m != nil {
 		m.Failed.Inc()
-	}
-}
-
-func (m *Metrics) retried() {
-	if m != nil {
-		m.Retries.Inc()
 	}
 }
 

@@ -14,7 +14,7 @@
 //     other job still completes — the pool never wedges;
 //   - cancelling the caller's context stops feeding new jobs promptly.
 //
-// Timeouts and retries are not the pool's business: a job that needs them
+// Timeouts are not the pool's business: a job that needs one
 // calls Execute (see fault.go) itself, as internal/exp's simulations do.
 package runner
 

@@ -62,18 +62,28 @@ func (s *Store) AuditScan(a *audit.Auditor, now uint64) {
 			}
 		}
 	}
-	st := s.Stats
+	s.Stats.CounterLaws(func(rule, format string, args ...any) {
+		a.Reportf(now, "meta", rule, format, args...)
+	})
+}
+
+// CounterLaws reports every traffic identity st breaks, as an audit rule
+// name and a message: every lookup was either filtered or charged one LLC
+// read, every insert/update charged one LLC write, and trigger hits never
+// exceed lookups. Both sides of each move in the same store call, so the
+// identities hold at every step (AuditScan, the prefetcher conformance
+// harness).
+func (st Stats) CounterLaws(fail func(rule, format string, args ...any)) {
 	if st.Reads+st.FilteredLookups != st.Lookups {
-		a.Reportf(now, "meta", "lookup-accounting",
-			"reads %d + filtered %d != lookups %d", st.Reads, st.FilteredLookups, st.Lookups)
+		fail("lookup-accounting", "reads %d + filtered %d != lookups %d",
+			st.Reads, st.FilteredLookups, st.Lookups)
 	}
 	if st.Writes != st.Inserts+st.Updates {
-		a.Reportf(now, "meta", "write-accounting",
-			"writes %d != inserts %d + updates %d", st.Writes, st.Inserts, st.Updates)
+		fail("write-accounting", "writes %d != inserts %d + updates %d",
+			st.Writes, st.Inserts, st.Updates)
 	}
 	if st.TriggerHits > st.Lookups {
-		a.Reportf(now, "meta", "hit-accounting",
-			"trigger hits %d > lookups %d", st.TriggerHits, st.Lookups)
+		fail("hit-accounting", "trigger hits %d > lookups %d", st.TriggerHits, st.Lookups)
 	}
 }
 

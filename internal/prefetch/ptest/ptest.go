@@ -9,6 +9,7 @@
 package ptest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -119,18 +120,9 @@ func Exercise(t *testing.T, mk func() prefetch.Prefetcher) {
 				}
 			}
 			prev = cur
-			if st.Reads+st.FilteredLookups != st.Lookups {
-				t.Fatalf("event %d: reads %d + filtered %d != lookups %d",
-					i, st.Reads, st.FilteredLookups, st.Lookups)
-			}
-			if st.Writes != st.Inserts+st.Updates {
-				t.Fatalf("event %d: writes %d != inserts %d + updates %d",
-					i, st.Writes, st.Inserts, st.Updates)
-			}
-			if st.TriggerHits > st.Lookups {
-				t.Fatalf("event %d: trigger hits %d > lookups %d",
-					i, st.TriggerHits, st.Lookups)
-			}
+			st.CounterLaws(func(_, format string, args ...any) {
+				t.Fatalf("event %d: %s", i, fmt.Sprintf(format, args...))
+			})
 		}
 	}
 	if p1.Name() == "" {

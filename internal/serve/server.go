@@ -526,18 +526,18 @@ func (s *Server) compute(ctx context.Context, seq uint64, key string, sp Spec, f
 
 		tSim := time.Now()
 		pol := runner.FaultPolicy{Timeout: s.cfg.JobTimeout, Metrics: s.jobMetrics}
-		res, err = runner.Execute(ctx, pol, nil, sp.ID(),
+		res, err = runner.Execute(ctx, pol, sp.ID(),
 			func(ctx context.Context) (sim.Result, error) {
 				if hook := s.getComputeHook(); hook != nil {
 					hook(key)
 				}
 				cfg, err := sp.Config()
 				if err != nil {
-					return sim.Result{}, runner.Permanent(err)
+					return sim.Result{}, err
 				}
 				sys, err := sp.NewSystem(cfg)
 				if err != nil {
-					return sim.Result{}, runner.Permanent(err)
+					return sim.Result{}, err
 				}
 				return sys.RunCtx(ctx, 0, func(p sim.Progress) {
 					f.records.Store(p.Records)

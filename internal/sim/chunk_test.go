@@ -72,47 +72,30 @@ func diffResults(a, b Result) string {
 	return out.String()
 }
 
-// TestReaderTraceRunsThroughFallback: a trace file read back by trace.Reader
-// has no chunk capability; simulating it must equal simulating the records it
-// holds from memory (trace.Slice, the zero-copy path).
+// TestReaderTraceRunsThroughFallback: a trace with no chunk capability (a
+// Next-only wrapper over a trace.Slice) must simulate exactly like the same
+// records read as runs (trace.Slice, the zero-copy path).
 func TestReaderTraceRunsThroughFallback(t *testing.T) {
 	w, err := workloads.Get("pr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file bytes.Buffer
-	tw, err := trace.NewWriter(&file)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var recs []trace.Record
 	src := trace.NewLimit(w.NewTrace(workloads.Scale{Footprint: 0.05}, 3), 60_000)
 	for r, ok := src.Next(); ok; r, ok = src.Next() {
-		if err := tw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.ReadAll(bytes.NewReader(file.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := trace.NewReader(bytes.NewReader(file.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+		recs = append(recs, r)
 	}
 	run := func(tr trace.Trace) Result {
 		cfg := smallConfig(1)
-		cfg.WarmupInstructions, cfg.MeasureInstructions = 30_000, 120_000 // 2.5 laps of the file
+		cfg.WarmupInstructions, cfg.MeasureInstructions = 30_000, 120_000 // 2.5 laps of the records
 		cfg.L1DPrefetcher = strideFactory
 		return New(cfg).RunTrace(tr)
 	}
-	fromFile, fromMemory := run(rd), run(trace.NewSlice(recs))
-	if !reflect.DeepEqual(fromFile, fromMemory) {
-		t.Error("simulating a trace file differs from simulating its records from memory")
+	nextOnly, chunked := run(nextOnlyTrace{trace.NewSlice(recs)}), run(trace.NewSlice(recs))
+	if !reflect.DeepEqual(nextOnly, chunked) {
+		t.Error("simulating records one Next at a time differs from simulating them as runs")
 	}
-	if fromFile.Cores[0].Instructions == 0 {
+	if nextOnly.Cores[0].Instructions == 0 {
 		t.Error("nothing measured")
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -69,37 +68,17 @@ func sameRecords(t *testing.T, what string, got, want []Record) {
 // TestChunksEqualNextStream checks, for every way a simulation can receive a
 // trace, that the concatenated runs are the Next stream with the same lap
 // count — chunks alone and interleaved with Next, over the zero-copy Slice
-// and over the fallback that serves a Next-only wrapper, a Limit and a Reader.
+// and over the fallback that serves a Next-only wrapper and a Limit.
 func TestChunksEqualNextStream(t *testing.T) {
 	recs := sampleRecords(150, 7) // not a multiple of the fallback's run
-	var file bytes.Buffer
-	w, err := NewWriter(&file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	var limitInstr uint64
 	for _, r := range recs[:100] {
 		limitInstr += r.Instructions()
 	}
 	inners := map[string]func() Trace{
-		"slice":     func() Trace { return NewSlice(recs) },
-		"next-only": func() Trace { return nextOnly{NewSlice(recs)} },
-		"limit":     func() Trace { return NewLimit(NewSlice(recs), limitInstr) },
-		"reader": func() Trace {
-			r, err := NewReader(bytes.NewReader(file.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		},
+		"slice":      func() Trace { return NewSlice(recs) },
+		"next-only":  func() Trace { return nextOnly{NewSlice(recs)} },
+		"limit":      func() Trace { return NewLimit(NewSlice(recs), limitInstr) },
 		"one-record": func() Trace { return NewSlice(recs[:1]) },
 	}
 	const n = 1000 // several laps of each

@@ -1,20 +1,12 @@
 // Package trace defines the instruction-trace abstraction consumed by the
 // simulator. A trace is a stream of Record values, each describing one
 // memory-referencing instruction together with the number of non-memory
-// instructions that precede it. Traces are produced either by the synthetic
-// workload generators in internal/workloads or read back from a compact
-// binary file written by Writer.
+// instructions that precede it. Traces are produced by the synthetic workload
+// generators in internal/workloads; Slice replays records held in memory, and
+// Looping and Limit shape any trace into the stream a core consumes.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
-	"streamline/internal/mem"
-)
+import "streamline/internal/mem"
 
 // Record describes one memory-referencing instruction in program order.
 type Record struct {
@@ -177,156 +169,4 @@ func (l *Limit) Next() (Record, bool) {
 func (l *Limit) Reset() {
 	l.inner.Reset()
 	l.used = 0
-}
-
-// File format: a little-endian stream of fixed-size records behind a short
-// header. The format is deliberately trivial — the simulator is the only
-// consumer — but it lets long synthetic traces be generated once and reused.
-const (
-	fileMagic   = 0x53544c4e // "STLN"
-	fileVersion = 1
-	recordBytes = 8 + 8 + 1 + 1 // pc, addr, flags, nonmem
-)
-
-const (
-	flagWrite = 1 << 0
-	flagDep   = 1 << 1
-)
-
-// Writer serializes records to an io.Writer in the trace file format.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-}
-
-// NewWriter writes the file header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], fileVersion)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	var buf [recordBytes]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(r.PC))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(r.Addr))
-	var flags byte
-	if r.IsWrite {
-		flags |= flagWrite
-	}
-	if r.DependsOnPrev {
-		flags |= flagDep
-	}
-	buf[16] = flags
-	buf[17] = r.NonMem
-	if _, err := w.w.Write(buf[:]); err != nil {
-		return fmt.Errorf("trace: writing record %d: %w", w.count, err)
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush flushes buffered records to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Reader decodes a trace file produced by Writer. It implements Trace only
-// over an io.ReadSeeker (for Reset); use ReadAll for one-shot decoding.
-type Reader struct {
-	rs  io.ReadSeeker
-	br  *bufio.Reader
-	err error
-}
-
-// ErrBadHeader is returned when a trace file does not start with the
-// expected magic number and version.
-var ErrBadHeader = errors.New("trace: bad file header")
-
-// NewReader validates the header and returns a Reader positioned at the
-// first record.
-func NewReader(rs io.ReadSeeker) (*Reader, error) {
-	r := &Reader{rs: rs}
-	if err := r.rewind(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *Reader) rewind() error {
-	if _, err := r.rs.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("trace: seeking to start: %w", err)
-	}
-	r.br = bufio.NewReader(r.rs)
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return fmt.Errorf("trace: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != fileMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != fileVersion {
-		return ErrBadHeader
-	}
-	r.err = nil
-	return nil
-}
-
-// Next implements Trace.
-func (r *Reader) Next() (Record, bool) {
-	if r.err != nil {
-		return Record{}, false
-	}
-	var buf [recordBytes]byte
-	if _, err := io.ReadFull(r.br, buf[:]); err != nil {
-		r.err = err
-		return Record{}, false
-	}
-	return Record{
-		PC:            mem.PC(binary.LittleEndian.Uint64(buf[0:8])),
-		Addr:          mem.Addr(binary.LittleEndian.Uint64(buf[8:16])),
-		IsWrite:       buf[16]&flagWrite != 0,
-		DependsOnPrev: buf[16]&flagDep != 0,
-		NonMem:        buf[17],
-	}, true
-}
-
-// Reset implements Trace.
-func (r *Reader) Reset() {
-	if err := r.rewind(); err != nil {
-		r.err = err
-	}
-}
-
-// Err returns the first error encountered while reading, excluding io.EOF.
-func (r *Reader) Err() error {
-	if r.err == io.EOF {
-		return nil
-	}
-	return r.err
-}
-
-// ReadAll decodes every record from rs into memory.
-func ReadAll(rs io.ReadSeeker) ([]Record, error) {
-	r, err := NewReader(rs)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	if err := r.Err(); err != nil && err != io.ErrUnexpectedEOF {
-		return nil, err
-	}
-	return recs, nil
 }

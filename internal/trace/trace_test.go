@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"streamline/internal/mem"
 )
@@ -105,95 +102,5 @@ func TestRecordInstructions(t *testing.T) {
 	}
 	if got := (Record{NonMem: 255}).Instructions(); got != 256 {
 		t.Errorf("Instructions() = %d, want 256", got)
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	recs := sampleRecords(1000, 3)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 1000 {
-		t.Errorf("Count() = %d, want 1000", w.Count())
-	}
-
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatal("file round trip changed records")
-	}
-}
-
-func TestReaderImplementsResettableTrace(t *testing.T) {
-	recs := sampleRecords(5, 4)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr Trace = r
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; ; i++ {
-			rec, ok := tr.Next()
-			if !ok {
-				if i != 5 {
-					t.Fatalf("pass %d ended after %d records", pass, i)
-				}
-				break
-			}
-			if rec != recs[i] {
-				t.Fatalf("pass %d record %d mismatch", pass, i)
-			}
-		}
-		tr.Reset()
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a trace file"))); err == nil {
-		t.Fatal("NewReader accepted garbage header")
-	}
-}
-
-func TestFileRoundTripProperty(t *testing.T) {
-	f := func(pc, addr uint64, w, dep bool, nm uint8) bool {
-		rec := Record{PC: mem.PC(pc), Addr: mem.Addr(addr), IsWrite: w,
-			DependsOnPrev: dep, NonMem: nm}
-		var buf bytes.Buffer
-		wr, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		if wr.Write(rec) != nil || wr.Flush() != nil {
-			return false
-		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()))
-		return err == nil && len(got) == 1 && got[0] == rec
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

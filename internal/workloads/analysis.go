@@ -7,8 +7,8 @@ import (
 
 // Analysis summarizes the temporal structure of a workload's access stream:
 // the quantities that determine how prefetchable it is. The experiment
-// harness and tracegen use it to document the suite, and tests use it to
-// pin each generator's archetype.
+// harness uses it to document the suite, and tests use it to pin each
+// generator's archetype.
 type Analysis struct {
 	// Records and Instructions counted over the analyzed window.
 	Records      uint64

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -11,26 +12,30 @@ import (
 	"streamline/internal/trace"
 )
 
-// traceDigest returns the SHA-256 of the trace file (header included) that
-// holds the next n records of tr.
+// traceDigest returns the SHA-256 of the next n records of tr in the
+// encoding the golden file was made with: an 8-byte header (magic "STLN",
+// version 1, little-endian) and then 18 bytes per record — PC, address,
+// flags (bit 0 store, bit 1 depends-on-previous), non-memory count.
 func traceDigest(t *testing.T, tr trace.Trace, n int) string {
 	t.Helper()
 	h := sha256.New()
-	tw, err := trace.NewWriter(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := binary.LittleEndian.AppendUint32(nil, 0x53544c4e)
+	h.Write(binary.LittleEndian.AppendUint32(buf, 1))
 	for i := 0; i < n; i++ {
 		r, ok := tr.Next()
 		if !ok {
 			t.Fatalf("trace ended after %d of %d records", i, n)
 		}
-		if err := tw.Write(r); err != nil {
-			t.Fatal(err)
+		var flags byte
+		if r.IsWrite {
+			flags |= 1
 		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
+		if r.DependsOnPrev {
+			flags |= 2
+		}
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(r.PC))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Addr))
+		h.Write(append(buf, flags, r.NonMem))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -73,7 +78,7 @@ func (c *chunkReader) Reset() { c.tr.Reset(); c.run, c.nexts = nil, 0 }
 // only when a generator's output changes, which invalidates every recorded
 // experiment number (see EXPERIMENTS.md). Every row is read three ways — through
 // Next, through NextChunk, and through both interleaved — and all three must
-// produce the pinned stream: the simulator reads runs, the tools read records.
+// produce the pinned stream: the simulator reads runs, Analyze reads records.
 func TestTraceDigestGolden(t *testing.T) {
 	f, err := os.Open("testdata/trace_digests.txt")
 	if err != nil {
