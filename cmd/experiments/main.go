@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"streamline/internal/exp"
@@ -62,7 +61,6 @@ func main() {
 		resumeDir  = flag.String("resume", "", "resume a sweep: replay completed simulations from this existing sweep directory, run the rest, keep checkpointing into it")
 		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock bound for one simulation (0: unbounded); a timed-out job becomes a GAP")
 
-		progress    = flag.Duration("progress", 0, "print a sweep-progress line (jobs completed/failed/gapped/replayed) to stderr at this interval (0: off)")
 		metricsDest = flag.String("metrics", "", "write the final metrics exposition to this file at exit ('-' for stderr)")
 
 		telDir     = flag.String("telemetry-dir", "", "write per-simulation telemetry JSONL files into this directory")
@@ -146,10 +144,8 @@ func main() {
 
 	// EnableMetrics must follow the Fault assignment (it hooks the policy).
 	reg := metrics.NewRegistry()
-	jm := r.EnableMetrics(reg)
-	stopProgress := startProgress(*progress, jm)
+	r.EnableMetrics(reg)
 	exit := func(code int) {
-		stopProgress()
 		if err := writeMetrics(*metricsDest, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
 			if code == 0 {
@@ -269,50 +265,6 @@ func main() {
 		exit(1)
 	}
 	exit(0)
-}
-
-// startProgress launches the periodic sweep-progress reporter: every ivl it
-// prints one line of runner counters to stderr (never stdout, which must stay
-// byte-identical across configurations). The returned stop function waits
-// for the reporter goroutine so no line races the final exit.
-func startProgress(ivl time.Duration, m *runner.Metrics) func() {
-	if ivl <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(ivl)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				fmt.Fprintln(os.Stderr, progressLine(m))
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
-	}
-}
-
-// progressLine renders one sweep-progress report from the runner counters.
-func progressLine(m *runner.Metrics) string {
-	line := fmt.Sprintf("progress: %d completed, %d failed, %d gapped, %d replayed",
-		m.Completed.Value(), m.Failed.Value(), m.Gapped.Value(), m.Replayed.Value())
-	if m.Attempts.Count() > 0 {
-		mean := time.Duration(m.Attempts.Mean() * float64(time.Second))
-		line += fmt.Sprintf(", mean attempt %v", mean.Round(time.Millisecond))
-	}
-	return line
 }
 
 // writeMetrics renders the final exposition at exit: to stderr for '-', or

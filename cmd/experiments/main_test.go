@@ -143,9 +143,9 @@ func TestInjectedFailureDegrades(t *testing.T) {
 	}
 }
 
-// TestMetricsLeaveStdoutIdentical: -progress and -metrics are pure
-// observability — stdout stays byte-identical with them on, the progress
-// line lands on stderr, and the exposition file accounts every job.
+// TestMetricsLeaveStdoutIdentical: -metrics is pure observability — stdout
+// stays byte-identical with it on, and the exposition file accounts every
+// job.
 func TestMetricsLeaveStdoutIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs micro-scale simulations in child processes")
@@ -158,16 +158,12 @@ func TestMetricsLeaveStdoutIdentical(t *testing.T) {
 	}
 
 	dest := filepath.Join(t.TempDir(), "metrics.txt")
-	out, errOut, code := run(t, nil,
-		append(args, "-progress", "1ms", "-metrics", dest)...)
+	out, errOut, code := run(t, nil, append(args, "-metrics", dest)...)
 	if code != 0 {
 		t.Fatalf("instrumented run exited %d\nstderr:\n%s", code, errOut)
 	}
 	if out != wantOut {
-		t.Errorf("-progress/-metrics changed stdout:\n--- want ---\n%s\n--- got ---\n%s", wantOut, out)
-	}
-	if !strings.Contains(errOut, "progress: ") || !strings.Contains(errOut, "completed") {
-		t.Errorf("no progress line on stderr:\n%s", errOut)
+		t.Errorf("-metrics changed stdout:\n--- want ---\n%s\n--- got ---\n%s", wantOut, out)
 	}
 
 	data, err := os.ReadFile(dest)

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -32,7 +33,6 @@ import (
 
 	"streamline/internal/exp/store"
 	"streamline/internal/serve"
-	"streamline/internal/telemetry"
 )
 
 func main() {
@@ -45,21 +45,14 @@ func main() {
 		maxBody      = flag.Int64("max-body", 1<<20, "request body cap in bytes")
 		checkpoint   = flag.String("checkpoint", "", "durable result store directory (created if needed; same record format as experiments -checkpoint)")
 		drainWait    = flag.Duration("drain-timeout", time.Minute, "how long a SIGTERM drain waits for in-flight simulations")
-		telOut       = flag.String("telemetry", "", "write per-request lifecycle events as JSONL to this file")
-		telLevel     = flag.String("telemetry-level", "info", "minimum event severity to record: debug|info|warn")
 		accessOut    = flag.String("access-log", "", "write one structured JSONL record per request to this file")
 		slowReq      = flag.Duration("slow-request", 0, "requests at or over this wall clock carry their full stage breakdown in the access log (0: never)")
 	)
 	flag.Parse()
 
-	sev, err := telemetry.ParseSeverity(*telLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	var st *store.Store
 	if *checkpoint != "" {
+		var err error
 		st, err = store.Create(*checkpoint, serve.ServiceManifest())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -69,43 +62,29 @@ func main() {
 			st.Dir(), st.Loaded(), st.Quarantined())
 	}
 
-	var col *telemetry.Collector
-	var telFile *os.File
-	if *telOut != "" {
-		f, err := os.Create(*telOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		telFile = f
-		sink := telemetry.NewConcurrentSink(f)
-		sink.SetMinSeverity(sev)
-		col = telemetry.New(sink, 0)
-	}
-
-	var accessSink *telemetry.Sink
-	var accessFile *os.File
-	if *accessOut != "" {
-		f, err := os.Create(*accessOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		accessFile = f
-		accessSink = telemetry.NewConcurrentSink(f)
-	}
-
-	srv := serve.New(serve.Config{
+	cfg := serve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		JobTimeout:   *jobTimeout,
 		MaxBodyBytes: *maxBody,
 		CacheEntries: *cacheEntries,
 		Store:        st,
-		Telemetry:    col,
-		AccessLog:    accessSink,
 		SlowRequest:  *slowReq,
-	})
+	}
+	// bufio.Writer keeps its first error, so the exit flush reports any
+	// record the log failed to take.
+	var accessFile *os.File
+	var accessLog *bufio.Writer
+	if *accessOut != "" {
+		f, err := os.Create(*accessOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		accessFile, accessLog = f, bufio.NewWriter(f)
+		cfg.AccessLog = accessLog
+	}
+	srv := serve.New(cfg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -119,7 +98,9 @@ func main() {
 	hs := &http.Server{Handler: srv.Handler()}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	shutdown := make(chan struct{})
 	go func() {
+		defer close(shutdown)
 		sig := <-sigs
 		fmt.Fprintf(os.Stderr, "streamd: %v, draining\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
@@ -145,25 +126,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if col != nil {
-		if err := col.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "streamd: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if telFile != nil {
-		telFile.Close()
-	}
-	if accessSink != nil {
-		// Flush, not Close: the access log is pure JSONL records, no
-		// trailing summary.
-		if err := accessSink.Flush(); err != nil {
+	if accessLog != nil {
+		// Serve returned when Shutdown began; Shutdown itself returns once
+		// every handler has written its record (or at the drain deadline).
+		<-shutdown
+		if err := errors.Join(accessLog.Flush(), accessFile.Close()); err != nil {
 			fmt.Fprintf(os.Stderr, "streamd: access log: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if accessFile != nil {
-		accessFile.Close()
 	}
 	fmt.Fprintln(os.Stderr, "streamd: drained, bye")
 }

@@ -299,8 +299,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 }
 
 // TestDaemonFlagValidation: bad invocations exit 2 before binding a socket.
+// The access log is the daemon's one per-request record; there is no
+// -telemetry flag.
 func TestDaemonFlagValidation(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-telemetry-level", "loud")
+	cmd := exec.Command(os.Args[0], "-telemetry", "x")
 	cmd.Env = append(os.Environ(), "STREAMD_BE_MAIN=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -309,7 +311,7 @@ func TestDaemonFlagValidation(t *testing.T) {
 	if !ok || ee.ExitCode() != 2 {
 		t.Fatalf("exit = %v, want code 2", err)
 	}
-	if !strings.Contains(stderr.String(), "unknown severity") {
+	if !strings.Contains(stderr.String(), "flag provided but not defined") {
 		t.Errorf("stderr: %q", stderr.String())
 	}
 }

@@ -54,25 +54,25 @@ type Auditor struct {
 	Seed int64
 	// Label identifies the run (arm, workload mix, core count) in reports.
 	Label string
-	// Limit bounds the retained violations; further ones are counted but
-	// dropped, so a systematically broken run cannot exhaust memory.
-	Limit int
 	// OnViolation, when set, observes every violation as it is reported —
 	// including ones past the retention limit. The simulator uses it to
 	// mirror violations into the telemetry event trace.
 	OnViolation func(Violation)
 
+	// limit bounds the retained violations; further ones are counted but
+	// dropped, so a systematically broken run cannot exhaust memory.
+	limit      int
 	violations []Violation
 	total      uint64
 	scans      uint64
 }
 
-// DefaultLimit is the violation retention bound when Limit is unset.
+// DefaultLimit is the violation retention bound when limit is unset.
 const DefaultLimit = 64
 
 // New returns an Auditor for a run with the given seed.
 func New(seed int64) *Auditor {
-	return &Auditor{Seed: seed, Limit: DefaultLimit}
+	return &Auditor{Seed: seed, limit: DefaultLimit}
 }
 
 // Reportf records one violation. It is safe to call on a nil Auditor (a
@@ -91,7 +91,7 @@ func (a *Auditor) Reportf(cycle uint64, component, rule, format string, args ...
 	if a.OnViolation != nil {
 		a.OnViolation(v)
 	}
-	limit := a.Limit
+	limit := a.limit
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
@@ -117,7 +117,7 @@ func (a *Auditor) Scans() uint64 {
 	return a.scans
 }
 
-// Total returns the total violation count, including ones dropped past Limit.
+// Total returns the total violation count, including ones dropped past the retention limit.
 func (a *Auditor) Total() uint64 {
 	if a == nil {
 		return 0

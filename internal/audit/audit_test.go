@@ -34,7 +34,7 @@ func TestReportfRecordsAndFormats(t *testing.T) {
 
 func TestRetentionLimitCapsStorageNotCount(t *testing.T) {
 	a := New(1)
-	a.Limit = 3
+	a.limit = 3
 	for i := 0; i < 10; i++ {
 		a.Reportf(uint64(i), "dram", "rule", "v%d", i)
 	}

@@ -1,14 +1,14 @@
 // Package metrics is the repo's dependency-free instrumentation core: named
-// counters, gauges, and fixed-bucket histograms behind a race-safe registry
-// with deterministic Prometheus-style text exposition. One registry serves
-// both runtime surfaces — the serving daemon scrapes it at GET /metricz, the
-// experiment harness renders it into periodic progress lines and a final
-// dump — so the daemon and the batch path share one metrics vocabulary.
+// counters, sampled gauges, and fixed-bucket histograms behind a race-safe
+// registry with deterministic Prometheus-style text exposition. One registry
+// serves both runtime surfaces — the serving daemon scrapes it at GET
+// /metricz, the experiment harness dumps it at exit — so the daemon and the
+// batch path share one metrics vocabulary.
 //
 // Design constraints, mirroring internal/telemetry's:
 //
 //  1. The hot path is lock-free. Instrument handles are resolved once at
-//     wiring time; Inc/Add/Set/Observe are a few atomic operations with no
+//     wiring time; Inc/Observe are a few atomic operations with no
 //     registry involvement, so instrumented request handling and job
 //     execution never contend on a registry lock.
 //  2. Exposition is deterministic in format. Families are sorted by name,
@@ -87,32 +87,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed buckets. Bucket semantics follow
 // Prometheus: an observation v lands in the first bucket whose upper bound
@@ -144,7 +120,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Mean returns Sum/Count, or 0 with no observations — the figure behind the
-// sweep progress line's average attempt latency.
+// daemon's Retry-After estimate.
 func (h *Histogram) Mean() float64 {
 	n := h.Count()
 	if n == 0 {
@@ -157,7 +133,6 @@ func (h *Histogram) Mean() float64 {
 type series struct {
 	labels    string // canonical rendering, "" or `{a="b",c="d"}`
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -196,16 +171,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// Gauge returns the gauge named name with the given labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, gaugeKind, nil, labels)
-	if s.gauge == nil {
-		panic(fmt.Sprintf("metrics: %s%s is a gauge func, not a settable gauge", name, s.labels))
-	}
-	return s.gauge
-}
-
 // Histogram returns the histogram named name with the given labels, creating
 // it with the given bucket upper bounds (which must be sorted ascending and
 // non-empty) on first use. Re-requests must pass an identical layout.
@@ -238,7 +203,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.register(name, help, gaugeKind, labels, &series{gaugeFn: fn})
 }
 
-// lookup is the get-or-create path behind Counter/Gauge/Histogram.
+// lookup is the get-or-create path behind Counter/Histogram.
 func (r *Registry) lookup(name, help string, k kind, bounds []float64, labels []Label) *series {
 	key := labelSignature(labels)
 	r.mu.Lock()
@@ -251,8 +216,6 @@ func (r *Registry) lookup(name, help string, k kind, bounds []float64, labels []
 	switch k {
 	case counterKind:
 		s.counter = &Counter{}
-	case gaugeKind:
-		s.gauge = &Gauge{}
 	case histogramKind:
 		s.hist = &Histogram{
 			bounds:  f.bounds,
@@ -449,13 +412,7 @@ func (f *family) writeText(b *strings.Builder) {
 			}
 			fmt.Fprintf(b, "%s%s %s\n", f.name, s.labels, strconv.FormatUint(v, 10))
 		case gaugeKind:
-			v := 0.0
-			if s.gaugeFn != nil {
-				v = s.gaugeFn()
-			} else {
-				v = s.gauge.Value()
-			}
-			fmt.Fprintf(b, "%s%s %s\n", f.name, s.labels, formatFloat(v))
+			fmt.Fprintf(b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gaugeFn()))
 		case histogramKind:
 			s.hist.writeText(b, f.name, s.labels)
 		}

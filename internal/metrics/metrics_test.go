@@ -4,6 +4,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -13,13 +14,16 @@ import (
 // /metricz golden checks and any scraper config depend on it.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_last_total", "sorts last").Add(7)
+	last := r.Counter("zz_last_total", "sorts last")
+	for range 7 {
+		last.Inc()
+	}
 	c := r.Counter("requests_total", "requests by outcome", L("outcome", "ok"))
-	c.Add(3)
+	for range 3 {
+		c.Inc()
+	}
 	r.Counter("requests_total", "requests by outcome", L("outcome", "err")).Inc()
-	g := r.Gauge("queue_depth", "admitted unfinished work")
-	g.Set(4)
-	g.Add(-1.5)
+	r.GaugeFunc("queue_depth", "admitted unfinished work", func() float64 { return 4 - 1.5 })
 	r.GaugeFunc("cache_entries", "live entries", func() float64 { return 12 })
 	h := r.Histogram("latency_seconds", "request latency", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -111,7 +115,7 @@ func wantPanic(t *testing.T, what string, fn func()) {
 func TestMisusePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "")
-	wantPanic(t, "kind mismatch", func() { r.Gauge("c_total", "") })
+	wantPanic(t, "kind mismatch", func() { r.GaugeFunc("c_total", "", func() float64 { return 0 }) })
 	r.Histogram("h_seconds", "", []float64{1, 2})
 	wantPanic(t, "bucket mismatch", func() { r.Histogram("h_seconds", "", []float64{1, 3}) })
 	wantPanic(t, "empty buckets", func() { r.Histogram("h2_seconds", "", nil) })
@@ -164,18 +168,19 @@ func CheckExposition(t *testing.T, text string) {
 // -race this is the registry's central safety proof.
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
+	var depth atomic.Int64
+	r.GaugeFunc("depth", "", func() float64 { return float64(depth.Load()) })
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := r.Counter("ops_total", "", L("kind", "write"))
-			g := r.Gauge("depth", "")
 			h := r.Histogram("lat_seconds", "", LatencyBuckets)
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				depth.Add(1)
+				depth.Add(-1)
 				h.Observe(float64(j) * 1e-4)
 			}
 		}()
@@ -197,9 +202,6 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("ops_total", "", L("kind", "write")).Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Gauge("depth", "").Value(); got != 0 {
-		t.Errorf("gauge = %g, want 0", got)
-	}
 	if got := r.Histogram("lat_seconds", "", LatencyBuckets).Count(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
@@ -208,6 +210,9 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	CheckExposition(t, b.String())
+	if !strings.Contains(b.String(), "\ndepth 0\n") {
+		t.Errorf("gauge func not sampled at 0:\n%s", b.String())
+	}
 }
 
 // TestHistogramBoundarySemantics: observations exactly on a bound count into

@@ -1,14 +1,15 @@
 package serve
 
-import "time"
+import (
+	"encoding/json"
+	"time"
+)
 
 // This file is the daemon's structured access log: one JSONL record per
-// /simulate request, written through a telemetry.Sink (build it with
-// telemetry.NewConcurrentSink — handlers emit from many goroutines) via its
-// foreign-record path, so the log shares the sink's buffered, mutex-guarded,
-// first-error-sticky emission. Each record carries the same request ID the
-// response exposes as X-Streamd-Request, which also keys the per-request
-// lifecycle events in the -telemetry trace — one ID threads all three.
+// /simulate request, the one per-request record the daemon keeps. Each line
+// is written to Config.AccessLog in a single Write under a server mutex, so
+// lines from concurrent handlers never interleave. Each record carries the
+// same request ID the response exposes as X-Streamd-Request.
 
 // AccessRecord is one request's access-log line.
 type AccessRecord struct {
@@ -40,6 +41,11 @@ type AccessRecord struct {
 	// requests. Compute-side stages (queueWait onward) appear only on the
 	// request that owned the computation.
 	Stages *StageTimings `json:"stages,omitempty"`
+	// Error is the failure text, when there is one: the decode error of an
+	// invalid request, the computation's error on every waiter of a failed
+	// or canceled flight, or the store's persist error on a request that is
+	// otherwise computed.
+	Error string `json:"error,omitempty"`
 }
 
 // StageTimings is a request's per-stage span breakdown in microseconds.
@@ -62,6 +68,7 @@ type accessSpan struct {
 	t0     time.Time
 	spec   string
 	stages StageTimings
+	err    string
 }
 
 // us returns d in whole microseconds, flooring at 1 so a recorded stage is
@@ -74,8 +81,9 @@ func us(d time.Duration) int64 {
 }
 
 // finish closes the span: observes the total-latency histogram and, when an
-// access log is configured, emits the record (with the stage breakdown when
-// the request met the slow threshold).
+// access log is configured, writes the record (with the stage breakdown when
+// the request met the slow threshold). Write errors are the writer's to keep
+// (see Config.AccessLog).
 func (s *Server) finish(sp *accessSpan, status int, outcome, tier string, bytes int) {
 	elapsed := time.Since(sp.t0)
 	s.metrics.request.Observe(elapsed.Seconds())
@@ -91,11 +99,16 @@ func (s *Server) finish(sp *accessSpan, status int, outcome, tier string, bytes 
 		Tier:       tier,
 		Bytes:      bytes,
 		DurationUs: us(elapsed),
+		Error:      sp.err,
 	}
 	if s.cfg.SlowRequest > 0 && elapsed >= s.cfg.SlowRequest {
 		rec.Slow = true
 		stages := sp.stages
 		rec.Stages = &stages
 	}
-	s.cfg.AccessLog.Record(rec)
+	line, _ := json.Marshal(rec) // plain strings and numbers: cannot fail
+	line = append(line, '\n')
+	s.logMu.Lock()
+	s.cfg.AccessLog.Write(line)
+	s.logMu.Unlock()
 }

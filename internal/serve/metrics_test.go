@@ -7,14 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"streamline/internal/exp/store"
 	"streamline/internal/metrics"
-	"streamline/internal/telemetry"
 )
 
 // scrapeLine matches one non-comment exposition line: name{labels} value.
@@ -115,7 +116,9 @@ func TestMetriczExposition(t *testing.T) {
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	own := reg.Counter("my_own_total", "caller instrument")
-	own.Add(42)
+	for range 42 {
+		own.Inc()
+	}
 	s := New(Config{Metrics: reg})
 	if s.Metrics() != reg {
 		t.Fatal("server did not adopt the supplied registry")
@@ -355,8 +358,7 @@ func postID(t *testing.T, url, body string) (int, string, []byte, string) {
 // request that owned the computation carries compute-side stages.
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
-	sink := telemetry.NewConcurrentSink(&buf)
-	s := New(Config{AccessLog: sink, SlowRequest: time.Nanosecond})
+	s := New(Config{AccessLog: &buf, SlowRequest: time.Nanosecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -377,20 +379,9 @@ func TestAccessLog(t *testing.T) {
 	}
 	ids = append(ids, id)
 
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("access log holds %d lines, want 3:\n%s", len(lines), buf.String())
-	}
-	var recs []AccessRecord
-	for i, line := range lines {
-		var rec AccessRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, line)
-		}
-		recs = append(recs, rec)
+	recs, _ := accessRecords(t, &buf)
+	if len(recs) != 3 {
+		t.Fatalf("access log holds %d lines, want 3:\n%s", len(recs), buf.String())
 	}
 
 	for i, rec := range recs {
@@ -436,5 +427,190 @@ func TestAccessLog(t *testing.T) {
 	defer ts2.Close()
 	if _, _, bare := post(t, ts2.URL, tinyBody); !bytes.Equal(bare, cold) {
 		t.Errorf("response bodies differ with access logging enabled:\n--- logged ---\n%s\n--- bare ---\n%s", cold, bare)
+	}
+}
+
+// accessRecords parses an access log, failing t on any line that is not one
+// JSON record; it returns the records and their raw lines.
+func accessRecords(t *testing.T, log *bytes.Buffer) ([]AccessRecord, []string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	recs := make([]AccessRecord, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &recs[i]); err != nil {
+			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, line)
+		}
+	}
+	return recs, lines
+}
+
+// postStatus is post for goroutines other than the test's: it returns the
+// status and any transport error instead of failing the test.
+func postStatus(url, body string) (int, error) {
+	resp, err := http.Post(url+"/simulate", "application/json", strings.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
+// TestAccessLogErrors: the error text a request failed with reaches its
+// access record — the decode error of an invalid body, the computation's
+// error on every waiter of a failed flight, and the store's persist error on
+// a request that is otherwise computed.
+func TestAccessLogErrors(t *testing.T) {
+	t.Run("invalid", func(t *testing.T) {
+		var buf bytes.Buffer
+		ts := httptest.NewServer(New(Config{AccessLog: &buf}).Handler())
+		defer ts.Close()
+		status, _, body := post(t, ts.URL, "{")
+		var doc struct{ Error string }
+		if err := json.Unmarshal(body, &doc); err != nil || status != http.StatusBadRequest {
+			t.Fatalf("invalid: status %d body %s", status, body)
+		}
+		recs, _ := accessRecords(t, &buf)
+		if recs[0].Outcome != "invalid" || recs[0].Error == "" || recs[0].Error != doc.Error {
+			t.Errorf("invalid record %+v, want the response's error %q", recs[0], doc.Error)
+		}
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		var buf bytes.Buffer
+		s := New(Config{AccessLog: &buf})
+		release := make(chan struct{})
+		s.SetComputeHook(func(string) {
+			<-release
+			panic("kaboom")
+		})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		statuses := make(chan int, 2)
+		for range 2 {
+			go func() {
+				status, err := postStatus(ts.URL, tinyBody)
+				if err != nil {
+					t.Error(err)
+				}
+				statuses <- status
+			}()
+		}
+		waitFor(t, "the duplicate to collapse", func() bool { return s.Counters().Collapsed == 1 })
+		close(release)
+		for range 2 {
+			if status := <-statuses; status != http.StatusInternalServerError {
+				t.Errorf("panicking computation answered %d, want 500", status)
+			}
+		}
+		recs, _ := accessRecords(t, &buf)
+		if len(recs) != 2 {
+			t.Fatalf("access log holds %d records, want 2:\n%s", len(recs), buf.String())
+		}
+		for i, rec := range recs {
+			if rec.Outcome != "failed" || !strings.Contains(rec.Error, "kaboom") {
+				t.Errorf("waiter %d record %+v, want outcome failed carrying the panic", i, rec)
+			}
+		}
+		if recs[0].Error != recs[1].Error {
+			t.Errorf("waiters of one flight logged different errors: %q vs %q", recs[0].Error, recs[1].Error)
+		}
+	})
+
+	t.Run("store-error", func(t *testing.T) {
+		st, err := store.Create(t.TempDir(), ServiceManifest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil { // PutRaw now fails with os.ErrInvalid
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		ts := httptest.NewServer(New(Config{Store: st, AccessLog: &buf}).Handler())
+		defer ts.Close()
+		if status, tier, _ := post(t, ts.URL, tinyBody); status != http.StatusOK || tier != "none" {
+			t.Fatalf("computed despite a closed store: status %d tier %q, want 200/none", status, tier)
+		}
+		recs, _ := accessRecords(t, &buf)
+		if recs[0].Outcome != "computed" || recs[0].Error != os.ErrInvalid.Error() {
+			t.Errorf("record %+v, want outcome computed with error %q", recs[0], os.ErrInvalid)
+		}
+	})
+}
+
+// accessKeyOrder is the access record's key order. A record carries a
+// subsequence of it, and "error" only when the request failed.
+var accessKeyOrder = []string{"type", "id", "spec", "status", "outcome", "tier", "bytes", "durationUs", "slow", "stages", "error"}
+
+// checkKeyOrder fails t unless line's top-level keys follow accessKeyOrder.
+func checkKeyOrder(t *testing.T, line string) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatal(err)
+	}
+	next := 0
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for next < len(accessKeyOrder) && accessKeyOrder[next] != tok {
+			next++
+		}
+		if next == len(accessKeyOrder) {
+			t.Fatalf("key %q out of order in %s", tok, line)
+		}
+		next++
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAccessLogConcurrentWriters: many handlers finish at once, yet every
+// line of the log is one whole record and there is one line per request (run
+// under -race to prove the server serializes its writes).
+func TestAccessLogConcurrentWriters(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Config{AccessLog: &buf, SlowRequest: time.Nanosecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const goroutines, perG = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				body := tinyBody
+				if i%2 == 1 {
+					body = "{"
+				}
+				if _, err := postStatus(ts.URL, body); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	recs, lines := accessRecords(t, &buf)
+	if len(recs) != goroutines*perG {
+		t.Fatalf("access log holds %d records, want %d", len(recs), goroutines*perG)
+	}
+	ids := make(map[string]bool, len(recs))
+	for i, rec := range recs {
+		checkKeyOrder(t, lines[i])
+		if rec.Type != "access" || ids[rec.ID] {
+			t.Errorf("record %d: type %q, ID %q seen before", i, rec.Type, rec.ID)
+		}
+		ids[rec.ID] = true
+		if (rec.Outcome == "invalid") != (rec.Error != "") {
+			t.Errorf("record %d: outcome %q with error %q", i, rec.Outcome, rec.Error)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -17,7 +18,6 @@ import (
 	"streamline/internal/exp/store"
 	"streamline/internal/metrics"
 	"streamline/internal/sim"
-	"streamline/internal/telemetry"
 )
 
 // Config sizes one Server. Zero values select the documented defaults.
@@ -43,15 +43,11 @@ type Config struct {
 	// every computed response is persisted (fsynced, checksummed) and
 	// replayed byte-identically across restarts.
 	Store *store.Store
-	// Telemetry, when non-nil, receives one per-request lifecycle event
-	// (component "serve"). Build its sink with telemetry.NewConcurrentSink:
-	// handlers emit from many goroutines.
-	Telemetry *telemetry.Collector
 	// AccessLog, when non-nil, receives one AccessRecord JSONL line per
-	// /simulate request (see accesslog.go). Build it with
-	// telemetry.NewConcurrentSink — handlers emit from many goroutines —
-	// and finalize with its Flush, not Close.
-	AccessLog *telemetry.Sink
+	// /simulate request (see accesslog.go), each in a single Write; the
+	// server serializes the writes. Write errors are not reported back:
+	// give it a writer that remembers them, such as a bufio.Writer.
+	AccessLog io.Writer
 	// SlowRequest, when positive, promotes the full stage breakdown of any
 	// request at least this slow into its access-log record.
 	SlowRequest time.Duration
@@ -133,10 +129,12 @@ type Server struct {
 
 	hookMu      sync.Mutex
 	computeHook func(key string)
+
+	logMu sync.Mutex // serializes AccessLog writes
 }
 
 // flight is one in-progress computation; concurrent identical requests wait
-// on done and share its response. status, body, outcome, and stages are
+// on done and share its response. status, body, outcome, err, and stages are
 // written by the computing goroutine before done closes, so waiters that
 // observed the close may read them (the originating request promotes stages
 // into its access record).
@@ -145,7 +143,10 @@ type flight struct {
 	status  int
 	body    []byte
 	outcome string
-	stages  StageTimings
+	// err is the computation's error text, or on success the store's
+	// persist error; empty when neither happened.
+	err    string
+	stages StageTimings
 
 	// cancel stops the computation cooperatively: the engine halts at its
 	// next epoch boundary and nothing is cached. The last disconnecting
@@ -198,8 +199,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// requestID builds the ID exposed as X-Streamd-Request and threaded through
-// the access log and per-request telemetry events.
+// requestID builds the ID exposed as X-Streamd-Request and repeated in the
+// request's access record.
 func (s *Server) requestID(seq uint64) string {
 	return fmt.Sprintf("%s-%06d", s.boot, seq)
 }
@@ -289,12 +290,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// event emits one request-lifecycle telemetry event; seq (the request's
-// arrival number) stands in for the cycle field.
-func (s *Server) event(seq uint64, outcome, detail string) {
-	s.cfg.Telemetry.Eventf(seq, -1, "serve", outcome, telemetry.Info, "%s", detail)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !allowGetHead(w, r) {
 		return
@@ -352,9 +347,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a simulation request to /simulate")
 		return
 	}
-	seq := s.seq.Add(1)
 	s.requests.Add(1)
-	span := &accessSpan{id: s.requestID(seq), t0: time.Now()}
+	span := &accessSpan{id: s.requestID(s.seq.Add(1)), t0: time.Now()}
 	w.Header().Set("X-Streamd-Request", span.id)
 
 	tDecode := time.Now()
@@ -369,8 +363,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &mbe) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		s.event(seq, "invalid", err.Error())
-		n := writeError(w, status, err.Error())
+		span.err = err.Error()
+		n := writeError(w, status, span.err)
 		s.finish(span, status, "invalid", "", n)
 		return
 	}
@@ -396,13 +390,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	switch lookupTier {
 	case "memory":
 		s.memHits.Add(1)
-		s.event(seq, "hit-memory", sp.ID())
 		respond(w, body, "memory")
 		s.finish(span, http.StatusOK, "memory-hit", "memory", len(body))
 		return
 	case "store":
 		s.storeHits.Add(1)
-		s.event(seq, "hit-store", sp.ID())
 		respond(w, body, "store")
 		s.finish(span, http.StatusOK, "store-hit", "store", len(body))
 		return
@@ -413,7 +405,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		f.waiters++
 		s.mu.Unlock()
 		s.collapsed.Add(1)
-		s.event(seq, "collapsed", sp.ID())
 		s.settle(w, r, span, f, "flight", "collapsed")
 		return
 	}
@@ -421,7 +412,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		queued := s.queued
 		s.mu.Unlock()
 		s.drainRefused.Add(1)
-		s.event(seq, "drain-refused", sp.ID())
 		w.Header().Set("Retry-After", s.retryAfter(queued))
 		n := writeError(w, http.StatusServiceUnavailable, "draining")
 		s.finish(span, http.StatusServiceUnavailable, "drain-refused", "", n)
@@ -431,7 +421,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		queued := s.queued
 		s.mu.Unlock()
 		s.rejected.Add(1)
-		s.event(seq, "rejected", sp.ID())
 		w.Header().Set("Retry-After", s.retryAfter(queued))
 		n := writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("queue full (%d computations admitted)", s.cfg.QueueDepth))
@@ -445,7 +434,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.compute(fctx, seq, key, sp, f, time.Now())
+	go s.compute(fctx, key, sp, f, time.Now())
 	s.settle(w, r, span, f, "none", "computed")
 }
 
@@ -482,6 +471,11 @@ func (s *Server) settle(w http.ResponseWriter, r *http.Request, span *accessSpan
 			span.stages.MarshalUs = f.stages.MarshalUs
 			span.stages.PersistUs = f.stages.PersistUs
 		}
+		// A failed flight's error reaches every waiter; a persist error
+		// only the request that owned the computation.
+		if tier == "none" || f.status != http.StatusOK {
+			span.err = f.err
+		}
 		if f.status == http.StatusOK {
 			respond(w, f.body, tier)
 			s.finish(span, f.status, outcome, tier, len(f.body))
@@ -511,7 +505,7 @@ func (s *Server) settle(w http.ResponseWriter, r *http.Request, span *accessSpan
 // ctx is the flight's context: canceling it (last waiter gone, drain
 // deadline) stops the engine at its next epoch boundary, and the partial
 // result is never cached.
-func (s *Server) compute(ctx context.Context, seq uint64, key string, sp Spec, f *flight, admitted time.Time) {
+func (s *Server) compute(ctx context.Context, key string, sp Spec, f *flight, admitted time.Time) {
 	defer s.wg.Done()
 	defer f.cancel() // release the flight context on every path
 
@@ -570,20 +564,18 @@ func (s *Server) compute(ctx context.Context, seq uint64, key string, sp Spec, f
 		case errors.As(err, &te):
 			s.failed.Add(1)
 			outcome, status = "failed", http.StatusGatewayTimeout
-			s.event(seq, "failed", sp.ID()+": "+err.Error())
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			s.canceled.Add(1)
 			outcome, status = "canceled", http.StatusServiceUnavailable
 			err = errors.New("simulation canceled before completion")
-			s.event(seq, "canceled", sp.ID())
 		default:
 			s.failed.Add(1)
 			outcome, status = "failed", http.StatusInternalServerError
-			s.event(seq, "failed", sp.ID()+": "+err.Error())
 		}
+		f.err = err.Error()
 		doc, _ := json.Marshal(struct {
 			Error string `json:"error"`
-		}{err.Error()})
+		}{f.err})
 		body = doc
 	} else {
 		// Persist before publishing: a client that saw this response can
@@ -591,7 +583,7 @@ func (s *Server) compute(ctx context.Context, seq uint64, key string, sp Spec, f
 		if s.cfg.Store != nil {
 			tPersist := time.Now()
 			if perr := s.cfg.Store.PutRaw(key, sp.ID(), body); perr != nil {
-				s.event(seq, "store-error", perr.Error())
+				f.err = perr.Error()
 			}
 			persist := time.Since(tPersist)
 			f.stages.PersistUs = us(persist)
@@ -599,7 +591,6 @@ func (s *Server) compute(ctx context.Context, seq uint64, key string, sp Spec, f
 		}
 		s.cache.add(key, body)
 		s.computed.Add(1)
-		s.event(seq, "computed", sp.ID())
 	}
 
 	f.status = status

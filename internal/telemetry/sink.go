@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
 // DefaultEventLimit bounds retained event records per sink so a pathological
@@ -15,17 +14,12 @@ import (
 // by instructions/interval.
 const DefaultEventLimit = 4096
 
-// Sink serializes telemetry records to w as JSON Lines. A sink from NewSink
-// is not safe for concurrent use; give each simulated system its own Sink
-// (the experiment runner does), or use NewConcurrentSink when multiple
-// goroutines share one (the serving daemon's request handlers). A nil *Sink
-// is a valid no-op sink.
+// Sink serializes telemetry records to w as JSON Lines. It is not safe for
+// concurrent use; give each simulated system its own Sink (the experiment
+// runner does). A nil *Sink is a valid no-op sink.
 type Sink struct {
 	w   *bufio.Writer
 	err error
-
-	// mu, when non-nil, serializes record emission (NewConcurrentSink).
-	mu *sync.Mutex
 
 	minSev Severity
 	limit  int
@@ -46,43 +40,11 @@ func NewSink(w io.Writer) *Sink {
 	}
 }
 
-// NewConcurrentSink returns a sink like NewSink whose record emission and
-// close are mutex-protected, so handlers on many goroutines can share it.
-// The severity and limit setters are still setup-time only: call them before
-// the first record is emitted.
-func NewConcurrentSink(w io.Writer) *Sink {
-	s := NewSink(w)
-	s.mu = &sync.Mutex{}
-	return s
-}
-
-// lock acquires the emission mutex when this sink is concurrent; the
-// returned function releases it (a no-op for single-goroutine sinks).
-func (s *Sink) lock() func() {
-	if s == nil || s.mu == nil {
-		return func() {}
-	}
-	s.mu.Lock()
-	return s.mu.Unlock
-}
-
 // SetMinSeverity sets the lowest severity of event records to retain.
 func (s *Sink) SetMinSeverity(sev Severity) {
 	if s != nil {
 		s.minSev = sev
 	}
-}
-
-// SetEventLimit overrides the retained-event bound (<=0 restores the
-// default).
-func (s *Sink) SetEventLimit(n int) {
-	if s == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultEventLimit
-	}
-	s.limit = n
 }
 
 func (s *Sink) wants(sev Severity) bool {
@@ -106,56 +68,21 @@ func (s *Sink) emit(v any) {
 	s.err = s.w.WriteByte('\n')
 }
 
-// Record writes one foreign record as a JSONL line, outside the
-// event/interval accounting: no severity filter, no retention bound, and no
-// contribution to the closing summary. It serves JSONL streams that are not
-// simulator telemetry — the daemon's access log — but want the same
-// buffered, mutex-guarded, first-error-sticky emission. Pair with Flush
-// rather than Close so the stream stays homogeneous (one record shape, no
-// trailing summary line).
-func (s *Sink) Record(v any) {
-	if s == nil {
-		return
-	}
-	defer s.lock()()
-	s.emit(v)
-}
-
-// Flush writes buffered output without the closing summary record — the
-// finalizer for sinks carrying foreign records (see Record), where a
-// summary line would corrupt the stream. It returns the first error
-// encountered over the sink's lifetime.
-func (s *Sink) Flush() error {
-	if s == nil {
-		return nil
-	}
-	defer s.lock()()
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
 // Interval writes one interval record (never filtered or dropped).
 func (s *Sink) Interval(r IntervalRecord) {
 	if s == nil {
 		return
 	}
-	defer s.lock()()
 	s.intervals++
 	s.emit(r)
 }
 
-// Event writes one event record, applying the severity filter and the
-// retention bound.
+// Event writes one event record under the retention bound. The severity
+// filter is the caller's: Collector.Eventf asks wants first.
 func (s *Sink) Event(e EventRecord) {
 	if s == nil {
 		return
 	}
-	if !s.wants(severityOf(e.Severity)) {
-		return
-	}
-	defer s.lock()()
 	if s.events >= uint64(s.limit) {
 		if s.dropped == nil {
 			s.dropped = make(map[string]uint64)
@@ -166,15 +93,6 @@ func (s *Sink) Event(e EventRecord) {
 	}
 	s.events++
 	s.emit(e)
-}
-
-// severityOf parses a record's severity string, defaulting to Info on
-// unknown values so foreign records are not silently filtered.
-func severityOf(s string) Severity {
-	if sev, err := ParseSeverity(s); err == nil {
-		return sev
-	}
-	return Info
 }
 
 // summaryRecord closes the trace with totals, so a reader knows whether the
@@ -200,7 +118,6 @@ func (s *Sink) Close() error {
 	if s == nil {
 		return nil
 	}
-	defer s.lock()()
 	sum := summaryRecord{
 		Type:      "summary",
 		Intervals: s.intervals,

@@ -2,8 +2,9 @@
 // interval sampler that turns the hierarchy's cumulative counters into a
 // per-core time series, and a structured event trace for discrete
 // occurrences (metadata resizes, accuracy-epoch deliveries, MSHR-full
-// stalls, DRAM row conflicts, audit violations). Both share one bounded,
-// severity-filtered JSONL sink.
+// stalls, DRAM row conflicts, audit violations). Both go to one bounded,
+// severity-filtered JSONL sink per simulation, written from the goroutine
+// that runs it.
 //
 // The design constraints mirror internal/audit's, in order:
 //
