@@ -55,9 +55,8 @@ func (c *Cache) ForEachLineState(f func(LineState)) {
 //   - MSHR hygiene: every MSHRReserve was matched by an MSHRComplete (leak
 //     detection; the scan runs between accesses, when none are in flight);
 //   - the counter and source-sum identities of Stats.CounterLaws;
-//   - lifecycle partition: per source, fills = useful + evicted-unused +
-//     still-resident prefetched lines (counted by the same scan), so no
-//     prefetched line ever leaves the cache unaccounted.
+//   - Stats.LifecycleLaw, exact: the same scan counts the resident
+//     prefetched lines.
 func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 	if a == nil {
 		return
@@ -102,17 +101,31 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 		a.Reportf(now, name, "mshr-leak",
 			"%d MSHR reservation(s) never completed", c.mshrPending)
 	}
-	st := &c.Stats
-	st.CounterLaws(func(rule, format string, args ...any) {
+	fail := func(rule, format string, args ...any) {
 		a.Reportf(now, name, rule, format, args...)
-	})
+	}
+	c.Stats.CounterLaws(fail)
+	c.Stats.LifecycleLaw(&residentPF, fail)
+}
+
+// LifecycleLaw reports each source whose prefetched lines left the cache
+// unaccounted: every fill ends useful, evicted unused, or still resident.
+// With resident, the per-source resident prefetched lines a scan counted
+// (AuditScan), the law is exact; with nil (sim.Result.Laws) it is the bound
+// fills >= useful + evicted-unused. Both need counts kept from an empty cache.
+func (st *Stats) LifecycleLaw(resident *[NumSources]uint64, fail func(rule, format string, args ...any)) {
 	for src, ss := range &st.Sources {
-		if ss.Fills != ss.UsefulTimely+ss.UsefulLate+ss.EvictedUnused+residentPF[src] {
-			a.Reportf(now, name, "lifecycle-partition",
-				"source %s: fills %d != useful %d + evicted-unused %d + resident %d",
-				Source(src), ss.Fills, ss.UsefulTimely+ss.UsefulLate,
-				ss.EvictedUnused, residentPF[src])
+		useful := ss.UsefulTimely + ss.UsefulLate
+		left := useful + ss.EvictedUnused
+		if resident == nil && left <= ss.Fills || resident != nil && left+resident[src] == ss.Fills {
+			continue
 		}
+		var res any = ">= 0"
+		if resident != nil {
+			res = resident[src]
+		}
+		fail("lifecycle-partition", "source %s: fills %d != useful %d + evicted-unused %d + resident %v",
+			Source(src), ss.Fills, useful, ss.EvictedUnused, res)
 	}
 }
 
@@ -120,7 +133,7 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 // and a message, and formats nothing while they all hold. The identities are
 // window-safe — both sides of each move in the same simulator step — so they
 // hold for a running cache (AuditScan), for a whole run, and for the delta
-// over any measured window (check.CacheLaws):
+// over any measured window (check.SimLaws):
 //
 //   - demand hits + misses = accesses; prefetch hits never exceed prefetch
 //     accesses, useful prefetches demand hits, late prefetches useful ones,

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAuditReportsLateExceedingUseful: the runtime audit reports the one
-// counter law it used to leave to check.CacheLaws. The perturbation keeps
+// counter law it used to leave to the result checker. The perturbation keeps
 // every source sum balanced, so only the bound can catch it.
 func TestAuditReportsLateExceedingUseful(t *testing.T) {
 	c := pfCache()

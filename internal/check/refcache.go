@@ -11,13 +11,15 @@
 //     in one of the two implementations (the reference is deliberately
 //     written for obviousness, so in practice: in the real one).
 //
-//   - Conservation laws (CacheLaws, CoreLaws, SimLaws): counter identities
-//     that must hold over every sim.Result — hits+misses=accesses, the
-//     per-source partition of prefetch fills into useful / evicted-unused /
-//     still-resident, DRAM reads equal to LLC misses plus metadata traffic.
-//     The paper's figures are all *relative* miss/coverage/traffic numbers,
-//     so a silent off-by-one in any of these corrupts every reproduced
-//     claim; the laws make such a slip fail a test instead.
+//   - Conservation laws (SimLaws): counter identities that must hold over
+//     every sim.Result — hits+misses=accesses, the per-source partition of
+//     prefetch fills into useful / evicted-unused / still-resident, DRAM
+//     reads equal to LLC misses plus metadata traffic. The laws themselves
+//     live with the counters they relate (the Stats.CounterLaws lists,
+//     cache.Stats.LifecycleLaw, sim.Result.Laws); SimLaws applies them to a
+//     result. The paper's figures are all *relative* miss/coverage/traffic
+//     numbers, so a silent off-by-one in any of these corrupts every
+//     reproduced claim; the laws make such a slip fail a test instead.
 //
 //   - Metamorphic transforms (tests in this package): address translation
 //     and warm-split/concatenation identities that relate the results of

@@ -44,7 +44,7 @@ func (d *DRAM) AuditScan(a *audit.Auditor, now uint64) {
 // and a message: every read resolves to exactly one of row hit, row miss, or
 // row conflict. The law is window-safe — the outcome is classified in the
 // same step the read is counted — so it holds for a running model
-// (AuditScan) and for the delta over any measured window (check.DRAMLaws).
+// (AuditScan) and for the delta over any measured window (check.SimLaws).
 func (s Stats) CounterLaws(fail func(rule, format string, args ...any)) {
 	if s.RowHits+s.RowMisses+s.RowConflicts != s.Reads {
 		fail("row-outcome-accounting", "row hits %d + misses %d + conflicts %d != reads %d",

@@ -9,25 +9,35 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"streamline/internal/audit"
 	"streamline/internal/sim"
 	"streamline/internal/telemetry"
 )
 
+// instruments is what a runner's simulations leave for AuditSummary and
+// TelemetryErr: every auditor and the first telemetry I/O error. A derived
+// runner shares its parent's, so the summary covers both.
+type instruments struct {
+	mu       sync.Mutex
+	auditors []*audit.Auditor
+	telErr   error
+}
+
 // attachAudit arms cfg with a fresh auditor when Check is set, labeling it
-// with the simulation's memo key so a violation traces back to its run. The
+// with the simulation's label so a violation traces back to its run. The
 // auditor is retained for AuditSummary.
-func (r *Runner) attachAudit(cfg *sim.Config, key string) {
+func (r *Runner) attachAudit(cfg *sim.Config, label string) {
 	if !r.Check {
 		return
 	}
 	a := audit.New(r.Scale.Seed)
-	a.Label = key
+	a.Label = label
 	cfg.Audit = a
-	r.audMu.Lock()
-	r.auditors = append(r.auditors, a)
-	r.audMu.Unlock()
+	r.inst.mu.Lock()
+	r.inst.auditors = append(r.inst.auditors, a)
+	r.inst.mu.Unlock()
 }
 
 // attachTelemetry arms cfg with a collector writing to this simulation's own
@@ -35,11 +45,11 @@ func (r *Runner) attachAudit(cfg *sim.Config, key string) {
 // after the run (writes the closing summary record and closes the file). When
 // telemetry is off, both are no-ops. File I/O errors are retained for
 // TelemetryErr rather than failing the simulation.
-func (r *Runner) attachTelemetry(cfg *sim.Config, key string) func() {
+func (r *Runner) attachTelemetry(cfg *sim.Config, label string) func() {
 	if r.TelemetryDir == "" {
 		return func() {}
 	}
-	f, err := os.Create(filepath.Join(r.TelemetryDir, telemetryFileName(key)))
+	f, err := os.Create(filepath.Join(r.TelemetryDir, telemetryFileName(label)))
 	if err != nil {
 		r.telemetryFail(err)
 		return func() {}
@@ -60,11 +70,12 @@ func (r *Runner) attachTelemetry(cfg *sim.Config, key string) func() {
 	}
 }
 
-// telemetryFileName maps a memo key to a stable filename: every character
-// outside [A-Za-z0-9._+-] becomes '_', and distinct simulations have distinct
-// keys, so a sweep's file set is deterministic across runs and Jobs values.
-func telemetryFileName(key string) string {
-	s := []byte(key)
+// telemetryFileName maps a simulation's label to a stable filename: every
+// character outside [A-Za-z0-9._+-] becomes '_', and distinct simulations
+// have distinct labels, so a sweep's file set is deterministic across runs
+// and Jobs values.
+func telemetryFileName(label string) string {
+	s := []byte(label)
 	for i, c := range s {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
@@ -77,18 +88,18 @@ func telemetryFileName(key string) string {
 }
 
 func (r *Runner) telemetryFail(err error) {
-	r.telMu.Lock()
-	if r.telErr == nil {
-		r.telErr = err
+	r.inst.mu.Lock()
+	if r.inst.telErr == nil {
+		r.inst.telErr = err
 	}
-	r.telMu.Unlock()
+	r.inst.mu.Unlock()
 }
 
 // TelemetryErr returns the first telemetry I/O error encountered, or nil.
 func (r *Runner) TelemetryErr() error {
-	r.telMu.Lock()
-	defer r.telMu.Unlock()
-	return r.telErr
+	r.inst.mu.Lock()
+	defer r.inst.mu.Unlock()
+	return r.inst.telErr
 }
 
 // AuditSummary writes the findings of every audited simulation to w (full
@@ -96,10 +107,9 @@ func (r *Runner) TelemetryErr() error {
 // scheduling does not reorder output) and returns the total violation count.
 // Zero simulations audited means Check was never set.
 func (r *Runner) AuditSummary(w io.Writer) int {
-	r.audMu.Lock()
-	auds := make([]*audit.Auditor, len(r.auditors))
-	copy(auds, r.auditors)
-	r.audMu.Unlock()
+	r.inst.mu.Lock()
+	auds := append([]*audit.Auditor(nil), r.inst.auditors...)
+	r.inst.mu.Unlock()
 	sort.Slice(auds, func(i, j int) bool { return auds[i].Label < auds[j].Label })
 	total := 0
 	for _, a := range auds {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"streamline/internal/audit"
 	"streamline/internal/exp/runner"
 	"streamline/internal/exp/store"
 	"streamline/internal/metrics"
@@ -46,11 +45,12 @@ type Runner struct {
 	// byte-identical either way — and AuditSummary reports what they found.
 	Check bool
 	// TelemetryDir, when non-empty, writes each simulation's interval
-	// samples and events as JSONL to <dir>/<memo key>.jsonl. Every
-	// simulation gets its own file and runs at most once (single-flighted
-	// by memo key), so the output is parallel-safe and its content
-	// deterministic for any Jobs value. Instrumentation is read-only —
-	// result tables are byte-identical either way.
+	// samples and events as JSONL to <dir>/<audit label>.jsonl (the memo
+	// key, plus the suffixes simulate adds). Every simulation gets its own
+	// file and runs at most once (single-flighted by memo key), so the
+	// output is parallel-safe and its content deterministic for any Jobs
+	// value. Instrumentation is read-only — result tables are
+	// byte-identical either way.
 	TelemetryDir string
 	// SampleInterval is the measured instructions between telemetry samples
 	// per core; zero means a tenth of the scale's measured window.
@@ -74,11 +74,10 @@ type Runner struct {
 	mu    sync.Mutex
 	memo  map[string]*memoEntry
 
-	audMu    sync.Mutex
-	auditors []*audit.Auditor
-
-	telMu  sync.Mutex
-	telErr error
+	// inst collects the audit and telemetry outcomes; suffix sets a derived
+	// runner's audit labels and telemetry files apart from its parent's.
+	inst   *instruments
+	suffix string
 
 	fails    *failureLog
 	resumed  atomic.Int64
@@ -104,24 +103,31 @@ func NewRunner(sc Scale) *Runner {
 	return &Runner{
 		Scale: sc,
 		memo:  make(map[string]*memoEntry),
+		inst:  &instruments{},
 		fails: newFailureLog(),
 	}
 }
 
 // Derived returns a runner at a modified scale that shares this runner's
-// pool sizing, progress sinks, fault policy, result store, and failure log
-// — for studies that rerun arms under a perturbed scale (fig13c's
-// capacity-pressured runner). Store keys embed the scale fingerprint, so
-// the two runners' records never collide.
+// pool sizing, progress sinks, fault policy, result store, instrumentation
+// and failure log — for studies that rerun arms under a perturbed scale
+// (fig13c's capacity-pressured runner). Store keys embed the scale
+// fingerprint, so the two runners' records never collide; audit labels and
+// telemetry file names carry a suffix from it, so neither do those.
 func (r *Runner) Derived(sc Scale) *Runner {
 	nr := NewRunner(sc)
 	nr.Progress = r.Progress
 	nr.Ctx = r.Ctx
 	nr.Jobs = r.Jobs
 	nr.JobProgress = r.JobProgress
+	nr.Check = r.Check
+	nr.TelemetryDir = r.TelemetryDir
+	nr.SampleInterval = r.SampleInterval
 	nr.Store = r.Store
 	nr.Fault = r.Fault
 	nr.FailKey = r.FailKey
+	nr.inst = r.inst
+	nr.suffix = r.suffix + "|scale-" + store.Key(sc.Fingerprint())[:8]
 	nr.fails = r.fails
 	return nr
 }
@@ -302,9 +308,10 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 		cfg.DRAM = cfg.DRAM.ScaleBandwidth(s.BW)
 	}
 	s.Arm.Apply(&cfg, r.Scale)
-	// Audit labels and telemetry file names mark a system-retaining run
-	// apart from the plain run of the same arm and workload.
-	label := key
+	// Audit labels and telemetry file names mark a derived runner's run and
+	// a system-retaining run apart from the plain run of the same arm and
+	// workload.
+	label := key + r.suffix
 	if s.Arm.keepSystem {
 		label += "|sys"
 	}

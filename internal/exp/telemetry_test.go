@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -81,6 +83,42 @@ func TestTelemetryDirParallelDeterministic(t *testing.T) {
 		if len(b1) == 0 {
 			t.Errorf("%s: empty telemetry file", f1[i])
 		}
+	}
+}
+
+// TestDerivedRunnerSharesInstrumentation: a derived runner's simulations are
+// audited and write telemetry like the parent's, into the parent's summary,
+// under names that keep the same memo key at two scales apart. The two runs
+// are concurrent, as a parent's pool and a derived one's can be.
+func TestDerivedRunnerSharesInstrumentation(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRunner(Micro)
+	r.Check = true
+	r.TelemetryDir = dir
+	psc := Micro
+	psc.Footprint *= 1.4
+	arm := baseArm("stride", "")
+	var wg sync.WaitGroup
+	for _, rr := range []*Runner{r, r.Derived(psc)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if runCell(rr, arm, "sphinx06").err != nil {
+				t.Error("simulation failed")
+			}
+		}()
+	}
+	wg.Wait()
+	if err := r.TelemetryErr(); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if n := r.AuditSummary(&sb); n != 0 || sb.String() != "audit: 2 simulation(s) audited, 0 violation(s)\n" {
+		t.Errorf("audit summary = %q (%d violations), want both runs audited", sb.String(), n)
+	}
+	files := listFiles(t, dir)
+	if len(files) != 2 || files[0] != "base+stride_sphinx06_1_0.000.jsonl" {
+		t.Errorf("telemetry files = %v, want the parent's base+stride_sphinx06_1_0.000.jsonl and a derived one", files)
 	}
 }
 

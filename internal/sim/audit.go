@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+
 	"streamline/internal/audit"
+	"streamline/internal/cache"
 	"streamline/internal/mem"
 	"streamline/internal/meta"
+	"streamline/internal/prefetch/stms"
 )
 
 // defaultAuditInterval is the number of trace records between periodic full
@@ -109,5 +113,75 @@ func (s *System) auditPartitions(a *audit.Auditor, now uint64) {
 	if got != want {
 		a.Reportf(now, "sim", "partition-sum",
 			"LLC reserves %d blocks but stores account for %d", got, want)
+	}
+}
+
+// MetaDRAMTraffic is DRAM traffic temporal-prefetcher metadata issued
+// directly, past the LLC: only STMS has any (its index and GHB are off-chip).
+type MetaDRAMTraffic struct {
+	Reads  uint64
+	Writes uint64
+}
+
+// metaDRAMTraffic sums every core's off-chip metadata traffic of the run.
+func (s *System) metaDRAMTraffic() MetaDRAMTraffic {
+	var t MetaDRAMTraffic
+	for _, cs := range s.cores {
+		if p, ok := cs.tempf.(*stms.Prefetcher); ok {
+			t.Reads += p.Stats.IndexReads + p.Stats.GHBReads
+			t.Writes += p.Stats.IndexWrites + p.Stats.GHBWrites
+		}
+	}
+	return t
+}
+
+// Laws reports every cross-level law r breaks, as an audit rule name and a
+// message; each level's own identities are its Stats.CounterLaws. meta is
+// the run's off-chip metadata traffic; wholeRun marks per-core counts kept
+// from cycle zero (no warmup), as Result's LLC and DRAM always are.
+//
+//   - engine-fills: an issued prefetch installs one line at its engine's
+//     level in the same step, so per engine fills = issues in any window;
+//   - engine-issue-sum: per-engine issues sum to the core total;
+//   - dram-read-ledger: DRAM reads = LLC demand misses + LLC prefetch
+//     misses + metadata reads, exactly (the LLC has no MSHRs to merge misses);
+//   - dram-write-bound: DRAM writes >= LLC writebacks + metadata writes
+//     (flushes and upper-level writebacks that miss the LLC add more);
+//   - lifecycle-partition: cache.Stats.LifecycleLaw's bound on the LLC, and
+//     on every L1D and L2 when wholeRun.
+func (r Result) Laws(meta MetaDRAMTraffic, wholeRun bool, fail func(rule, format string, args ...any)) {
+	lifecycle := func(name string, st *cache.Stats) {
+		st.LifecycleLaw(nil, func(rule, format string, args ...any) {
+			fail(rule, name+": "+format, args...)
+		})
+	}
+	for i, cr := range r.Cores {
+		var issued uint64
+		for _, p := range cr.Prefetchers {
+			issued += p.Issued
+			if p.Fills != p.Issued {
+				fail("engine-fills", "core%d: engine %s filled %d lines for %d issued prefetches",
+					i, p.Source, p.Fills, p.Issued)
+			}
+		}
+		if issued != cr.PrefetchesIssued {
+			fail("engine-issue-sum", "core%d: per-engine issues sum to %d, core total is %d",
+				i, issued, cr.PrefetchesIssued)
+		}
+		if wholeRun {
+			lifecycle(fmt.Sprintf("core%d/L1D", i), &cr.L1D)
+			lifecycle(fmt.Sprintf("core%d/L2", i), &cr.L2)
+		}
+	}
+	lifecycle("LLC", &r.LLC)
+	prefetchMisses := r.LLC.PrefetchAccesses - r.LLC.PrefetchHits
+	if r.DRAM.Reads != r.LLC.DemandMisses+prefetchMisses+meta.Reads {
+		fail("dram-read-ledger",
+			"DRAM reads %d != LLC demand misses %d + prefetch misses %d + metadata reads %d",
+			r.DRAM.Reads, r.LLC.DemandMisses, prefetchMisses, meta.Reads)
+	}
+	if r.DRAM.Writes < r.LLC.Writebacks+meta.Writes {
+		fail("dram-write-bound", "DRAM writes %d < LLC writebacks %d + metadata writes %d",
+			r.DRAM.Writes, r.LLC.Writebacks, meta.Writes)
 	}
 }

@@ -196,7 +196,8 @@ func (e *Engine) Progress() Progress {
 }
 
 // Finish drives any remaining records to completion, runs the final audit
-// scan, and returns the measured-phase results. It is idempotent.
+// scan and the result's laws, and returns the measured-phase results. It is
+// idempotent.
 func (e *Engine) Finish() Result {
 	if e.finished {
 		return e.result
@@ -205,7 +206,8 @@ func (e *Engine) Finish() Result {
 		e.Step(math.MaxUint64)
 	}
 	s := e.s
-	if s.cfg.Audit != nil {
+	e.result = s.collect()
+	if a := s.cfg.Audit; a != nil {
 		var end uint64
 		for _, cs := range s.cores {
 			if f := cs.core.Finish(); f > end {
@@ -213,8 +215,10 @@ func (e *Engine) Finish() Result {
 			}
 		}
 		s.auditScan(end)
+		e.result.Laws(s.metaDRAMTraffic(), s.cfg.WarmupInstructions == 0, func(rule, format string, args ...any) {
+			a.Reportf(end, "sim", rule, format, args...)
+		})
 	}
-	e.result = s.collect()
 	e.finished = true
 	return e.result
 }

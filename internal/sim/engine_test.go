@@ -4,8 +4,8 @@ package sim_test
 // any epoch size must produce a Result bit-identical to Run(), because Run is
 // the same engine driven to completion. The suite covers every prefetcher arm
 // and a spread of epoch sizes (single-record, prime, the default, and
-// whole-run), plus the conservation laws and the cancellation/progress
-// contracts of RunCtx.
+// whole-run), plus a clean audit of every stepped run and the
+// cancellation/progress contracts of RunCtx.
 
 import (
 	"context"
@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"streamline/internal/check"
 	"streamline/internal/sim"
 )
 
@@ -41,7 +40,7 @@ func TestEngineSteppedEquivalence(t *testing.T) {
 		// running the full 9x7 matrix four extra times.
 		workload := families[i%len(families)]
 		t.Run(arm.name+"/"+workload, func(t *testing.T) {
-			oneshot, aud, _ := runConformanceSys(t, arm, workload)
+			oneshot, aud := runConformance(t, arm, workload)
 			if n := aud.Total(); n != 0 {
 				var sb strings.Builder
 				aud.WriteReport(&sb)
@@ -62,17 +61,12 @@ func TestEngineSteppedEquivalence(t *testing.T) {
 						t.Errorf("stepped result differs from Run():\n%s",
 							diffSummary(oneshot, stepped))
 					}
+					// The audit, the result's laws included, must hold on a
+					// run assembled from steps, not just on the one-shot path.
 					if n := aud.Total(); n != 0 {
 						var sb strings.Builder
 						aud.WriteReport(&sb)
 						t.Errorf("stepped run: %d audit violations:\n%s", n, sb.String())
-					}
-					// The conservation laws must hold on a run assembled
-					// from steps, not just on the one-shot path. Warmup is
-					// zero in the conformance config, so the whole-run laws
-					// apply.
-					for _, v := range check.SimLaws(stepped, metaDRAMTraffic(sys), true) {
-						t.Errorf("conservation law violated on stepped run: %s", v)
 					}
 				})
 			}
@@ -150,7 +144,7 @@ func TestEngineProgress(t *testing.T) {
 // records and leaves the later full run bit-identical.
 func TestEngineStepZero(t *testing.T) {
 	arm := conformanceArms()[0]
-	oneshot, _, _ := runConformanceSys(t, arm, "bfs")
+	oneshot, _ := runConformance(t, arm, "bfs")
 
 	sys, _ := buildConformanceSys(t, arm, "bfs")
 	eng := sys.Engine()
@@ -172,7 +166,7 @@ func TestEngineStepZero(t *testing.T) {
 // zero Result.
 func TestRunCtx(t *testing.T) {
 	arm := conformanceArms()[0]
-	oneshot, _, _ := runConformanceSys(t, arm, "omnetpp06")
+	oneshot, _ := runConformance(t, arm, "omnetpp06")
 
 	t.Run("uncanceled-matches-run", func(t *testing.T) {
 		sys, _ := buildConformanceSys(t, arm, "omnetpp06")
