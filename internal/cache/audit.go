@@ -8,8 +8,8 @@ import (
 // ForEachLine visits every valid data line (outside reserved ways), for
 // cross-level invariant checks at the simulator layer.
 func (c *Cache) ForEachLine(f func(set, way int, l mem.Line)) {
-	for s, lo := range c.reserved {
-		for w := lo; w < c.cfg.Ways; w++ {
+	for s := 0; s < c.cfg.Sets; s++ {
+		for w := c.ReservedWays(s); w < c.cfg.Ways; w++ {
 			if t := c.tags[s*c.cfg.Ways+w]; t != noLine {
 				f(s, w, t)
 			}
@@ -49,7 +49,10 @@ func (c *Cache) ForEachLineState(f func(LineState)) {
 //   - tag-array soundness: no duplicate valid line within a set, and no
 //     valid data line inside a metadata-reserved way region (the
 //     metadata/data exclusion the LLC partitioning relies on);
-//   - reservation legality: 0 <= reserved ways <= associativity;
+//   - fingerprint-row agreement: each byte of a set's row is the
+//     fingerprint of its way's tag on a valid way, rowEmpty on an empty
+//     way, and rowReserved exactly on the reserved prefix and the padding —
+//     the row decides hits, so a stale byte would turn a hit into a miss;
 //   - fill/eviction balance: incrementally tracked occupancy equals a full
 //     scan, so every install, eviction, and reservation flush was accounted;
 //   - MSHR hygiene: every MSHRReserve was matched by an MSHRComplete (leak
@@ -64,12 +67,22 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 	name := c.cfg.Name
 	valid := 0
 	var residentPF [NumSources]uint64
-	for s, rsv := range c.reserved {
+	for s := 0; s < c.cfg.Sets; s++ {
 		tags := c.tags[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
-		if rsv < 0 || rsv > c.cfg.Ways {
-			a.Reportf(now, name, "reservation-bounds",
-				"set %d reserves %d ways of %d", s, rsv, c.cfg.Ways)
-			continue
+		rsv := c.ReservedWays(s)
+		for w := 0; w < c.words*8; w++ {
+			want := uint64(rowReserved)
+			if w >= rsv && w < c.cfg.Ways {
+				want = rowEmpty
+				if tags[w] != noLine {
+					want = fingerprint(tags[w])
+				}
+			}
+			if got := c.row(s)[w>>3] >> (w & 7 * 8) & 0xFF; got != want {
+				a.Reportf(now, name, "fingerprint-row",
+					"set %d way %d row byte %#x, want %#x (%d reserved ways of %d)",
+					s, w, got, want, rsv, c.cfg.Ways)
+			}
 		}
 		for w, t := range tags {
 			if t == noLine {

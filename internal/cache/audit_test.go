@@ -52,8 +52,11 @@ func TestAuditDetectsMSHRLeak(t *testing.T) {
 
 func TestAuditDetectsDuplicateLine(t *testing.T) {
 	c := propCache()
-	// Plant the same tag twice in one set, bypassing Fill's dedup.
-	c.tags[0], c.tags[1] = mem.Line(64), mem.Line(64)
+	// Plant the same line twice in one set, bypassing Fill's dedup.
+	for w := 0; w < 2; w++ {
+		c.tags[w] = mem.Line(64)
+		c.setRow(0, w, fingerprint(64))
+	}
 	c.occupied = c.OccupiedLines() // keep the balance check quiet
 	if r := auditRules(c); r["duplicate-line"] == 0 {
 		t.Fatalf("duplicate line not detected: %v", r)
@@ -62,9 +65,45 @@ func TestAuditDetectsDuplicateLine(t *testing.T) {
 
 func TestAuditDetectsDataInReservedWay(t *testing.T) {
 	c := propCache()
-	c.reserved[0] = 2 // reserve over resident lines without flushing
+	// Reserve over resident lines without flushing them.
+	c.setRow(0, 0, rowReserved)
+	c.setRow(0, 1, rowReserved)
 	if r := auditRules(c); r["data-in-reserved-way"] == 0 {
 		t.Fatalf("stranded data line in reserved region not detected: %v", r)
+	}
+}
+
+// TestAuditDetectsStaleFingerprintRow: the row decides hits, so every byte
+// that disagrees with the tags must fire the rule — a wrong fingerprint or an
+// empty mark on a valid way (a hit turned miss), a reserved mark after a data
+// way, and a padding byte that is not rowReserved.
+func TestAuditDetectsStaleFingerprintRow(t *testing.T) {
+	// propCache's set 0 holds lines 0 and 20 in ways 0 and 1; ways 2 and 3
+	// are empty, and bytes 4..7 of its one-word row are padding.
+	for _, tc := range []struct {
+		name string
+		way  int
+		b    uint64
+	}{
+		{"wrong-fingerprint", 0, fingerprint(0) ^ 1},
+		{"valid-marked-empty", 1, rowEmpty},
+		{"reserved-after-data", 2, rowReserved},
+		{"empty-marked-valid", 3, fingerprint(0)},
+		{"padding-marked-empty", 5, rowEmpty},
+	} {
+		c := propCache()
+		if r := auditRules(c); len(r) != 0 {
+			t.Fatalf("clean cache reports violations: %v", r)
+		}
+		c.setRow(0, tc.way, tc.b)
+		if r := auditRules(c); r["fingerprint-row"] == 0 {
+			t.Errorf("%s: stale row byte not detected: %v", tc.name, r)
+		}
+	}
+	c := propCache()
+	c.setRow(0, 1, rowEmpty)
+	if c.Probe(20) {
+		t.Error("line 20 still hits with its row byte marked empty")
 	}
 }
 

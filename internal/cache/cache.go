@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"streamline/internal/mem"
 	"streamline/internal/replacement"
@@ -142,6 +143,34 @@ func (s Stats) PrefetchAccuracy() float64 {
 // carry the all-ones value.
 const noLine = ^mem.Line(0)
 
+// Every set has a fingerprint row: one byte per way, padded to whole 64-bit
+// words, that decides hit or miss before any tag is read. A byte 0x00–0x7F is
+// the fingerprint of the way's line, rowEmpty an empty data way, rowReserved a
+// way reserved for metadata or padding. Reserve reserves the low ways, so the
+// row's leading run of rowReserved bytes is the reservation's only record.
+const (
+	rowEmpty    = 0x80
+	rowReserved = 0xFF
+
+	lsb uint64 = 0x0101010101010101 // one in every byte of a row word
+	msb uint64 = 0x8080808080808080 // the top bit of every byte
+)
+
+// fingerprint is the top 7 bits of a multiplicative hash of l: never
+// rowEmpty or rowReserved, so an empty, reserved or padding byte can match no
+// line. No simulated decision depends on its value.
+func fingerprint(l mem.Line) uint64 { return uint64(l) * 0x9E3779B97F4A7C15 >> 57 }
+
+// zeroBytes sets the top bit of every zero byte of x. It may also set it on a
+// byte above a zero byte, never misses one, and its lowest set bit is always
+// exact. XORed with a broadcast fingerprint, a row word yields the ways worth a
+// tag compare; a byte with its top bit set, that is an empty, reserved or
+// padding way, is never flagged.
+func zeroBytes(x uint64) uint64 { return (x - lsb) &^ x & msb }
+
+// firstByte is the index of the byte holding m's lowest set bit.
+func firstByte(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
+
 // line is the cold state of one way, read only after its tag matched; the
 // tag itself lives in Cache.tags.
 type line struct {
@@ -163,15 +192,15 @@ type Victim struct {
 type Cache struct {
 	cfg Config
 	// tags and lines are flat and set-major: way w of set s is index
-	// s*Ways+w. A tag walk reads only tags (noLine when the way is empty);
-	// lines holds the rest of a way's state.
+	// s*Ways+w. tags holds noLine when the way is empty; lines holds the rest
+	// of a way's state. rows holds the fingerprint rows, words uint64s per
+	// set: a tag walk reads its set's row and compares only the tags whose
+	// fingerprint matched.
 	tags  []mem.Line
 	lines []line
+	rows  []uint64
+	words int
 	repl  replacement.Policy
-
-	// reserved[s] is the number of low-indexed ways of set s unavailable
-	// to data (owned by a metadata partition). Data occupies the rest.
-	reserved []int
 
 	port  mem.RateLimiter
 	mshr  []uint64 // ring of outstanding miss completion times
@@ -215,19 +244,36 @@ func New(cfg Config) *Cache {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 8
 	}
+	words := (cfg.Ways + 7) / 8
 	c := &Cache{
-		cfg:      cfg,
-		tags:     make([]mem.Line, cfg.Sets*cfg.Ways),
-		lines:    make([]line, cfg.Sets*cfg.Ways),
-		repl:     cfg.Policy(cfg.Sets, cfg.Ways),
-		reserved: make([]int, cfg.Sets),
-		port:     mem.NewRateLimiter(portWindow, uint64(cfg.Ports)*portWindow),
-		mshr:     make([]uint64, cfg.MSHRs),
+		cfg:   cfg,
+		tags:  make([]mem.Line, cfg.Sets*cfg.Ways),
+		lines: make([]line, cfg.Sets*cfg.Ways),
+		rows:  make([]uint64, cfg.Sets*words),
+		words: words,
+		repl:  cfg.Policy(cfg.Sets, cfg.Ways),
+		port:  mem.NewRateLimiter(portWindow, uint64(cfg.Ports)*portWindow),
+		mshr:  make([]uint64, cfg.MSHRs),
 	}
 	for i := range c.tags {
 		c.tags[i] = noLine
 	}
+	for i := range c.rows {
+		c.rows[i] = rowReserved * lsb
+	}
+	for s := 0; s < cfg.Sets; s++ {
+		c.Reserve(s, 0) // a wholly reserved row released is an empty one
+	}
 	return c
+}
+
+// row returns set s's fingerprint row; byte b of word i is way i*8+b.
+func (c *Cache) row(s int) []uint64 { return c.rows[s*c.words : (s+1)*c.words] }
+
+// setRow sets way w's byte of set s's row to b.
+func (c *Cache) setRow(s, w int, b uint64) {
+	i, sh := s*c.words+w>>3, w&7*8
+	c.rows[i] = c.rows[i]&^(0xFF<<sh) | b<<sh
 }
 
 // Config returns the cache's configuration.
@@ -239,14 +285,16 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 // SetOf returns the set index for a line.
 func (c *Cache) SetOf(l mem.Line) int { return int(uint64(l) & uint64(c.cfg.Sets-1)) }
 
-// find walks the data ways of l's set and returns the set and the way
-// holding l, -1 when absent.
+// find returns l's set and the way holding l, -1 when absent. It tests eight
+// ways per row word and compares a tag only where the fingerprint matched.
 func (c *Cache) find(l mem.Line) (set, way int) {
 	set = c.SetOf(l)
-	base, lo := set*c.cfg.Ways, c.reserved[set]
-	for w, t := range c.tags[base+lo : base+c.cfg.Ways] {
-		if t == l {
-			return set, lo + w
+	base, fp := set*c.cfg.Ways, fingerprint(l)*lsb
+	for i, word := range c.row(set) {
+		for m := zeroBytes(word ^ fp); m != 0; m &= m - 1 {
+			if w := i*8 + firstByte(m); c.tags[base+w] == l {
+				return set, w
+			}
 		}
 	}
 	return set, -1
@@ -410,39 +458,40 @@ func (c *Cache) Probe(l mem.Line) bool {
 func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 	prefetch := src != SrcDemand
 	l := a.Line()
-	set := c.SetOf(l)
-	base, lo := set*c.cfg.Ways, c.reserved[set]
-	if lo >= c.cfg.Ways {
-		// The whole set is reserved for metadata; cannot cache the line.
+	set, w := c.find(l)
+	base := set * c.cfg.Ways
+	if w >= 0 {
+		ln := &c.lines[base+w]
+		// Already present (e.g. a racing fill): refresh in place. A
+		// refresh is not a new install, so the resident copy keeps its
+		// dirty bit (else the pending writeback is lost), its
+		// prefetched/src attribution (a prefetch landing on a
+		// demand-owned line earns no coverage credit, and no
+		// PrefetchFills/Sources fill is counted — the line was filled
+		// once), and whichever fill completes first.
+		if a.Kind == mem.Store || a.Kind == mem.Writeback {
+			ln.dirty = true
+		}
+		if readyAt < ln.readyAt {
+			ln.readyAt = readyAt
+		}
+		c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: l})
 		return Victim{}
 	}
 	way := -1
-	for w := lo; w < c.cfg.Ways; w++ {
-		t := c.tags[base+w]
-		if t == l {
-			ln := &c.lines[base+w]
-			// Already present (e.g. a racing fill): refresh in place. A
-			// refresh is not a new install, so the resident copy keeps its
-			// dirty bit (else the pending writeback is lost), its
-			// prefetched/src attribution (a prefetch landing on a
-			// demand-owned line earns no coverage credit, and no
-			// PrefetchFills/Sources fill is counted — the line was filled
-			// once), and whichever fill completes first.
-			if a.Kind == mem.Store || a.Kind == mem.Writeback {
-				ln.dirty = true
-			}
-			if readyAt < ln.readyAt {
-				ln.readyAt = readyAt
-			}
-			c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: l})
-			return Victim{}
-		}
-		if t == noLine && way < 0 {
-			way = w
+	for i, word := range c.row(set) {
+		if m := zeroBytes(word ^ rowEmpty*lsb); m != 0 {
+			way = i*8 + firstByte(m) // the lowest flag is exact
+			break
 		}
 	}
 	var victim Victim
 	if way < 0 {
+		lo := c.ReservedWays(set)
+		if lo >= c.cfg.Ways {
+			// The whole set is reserved for metadata; cannot cache the line.
+			return Victim{}
+		}
 		way = c.repl.Victim(set, lo, replacement.Access{PC: a.PC, Line: l})
 		ln := &c.lines[base+way]
 		victim = Victim{Line: c.tags[base+way], Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
@@ -463,6 +512,7 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 		c.Stats.Sources[src].Fills++
 	}
 	c.tags[base+way] = l
+	c.setRow(set, way, fingerprint(l))
 	c.lines[base+way] = line{
 		dirty:      a.Kind == mem.Store || a.Kind == mem.Writeback,
 		prefetched: prefetch,
@@ -483,8 +533,19 @@ func (c *Cache) MarkDirty(l mem.Line) bool {
 	return w >= 0
 }
 
-// ReservedWays returns the number of ways of set s reserved for metadata.
-func (c *Cache) ReservedWays(s int) int { return c.reserved[s] }
+// ReservedWays returns the number of ways of set s reserved for metadata:
+// the leading run of rowReserved bytes of its row, capped at the
+// associativity (a fully reserved row runs on into the padding).
+func (c *Cache) ReservedWays(s int) int {
+	n := 0
+	for _, word := range c.row(s) {
+		k := firstByte(^word) // bytes below ^word's lowest set bit are rowReserved
+		if n += k; k < 8 {
+			break
+		}
+	}
+	return min(n, c.cfg.Ways)
+}
 
 // Reserve changes the number of reserved ways in set s to ways, flushing any
 // data lines occupying the newly reserved region. It returns the number of
@@ -497,9 +558,12 @@ func (c *Cache) Reserve(s, ways int) (flushed, dirty int) {
 	if ways > c.cfg.Ways {
 		ways = c.cfg.Ways
 	}
-	old := c.reserved[s]
-	c.reserved[s] = ways
+	old := c.ReservedWays(s)
+	for w := ways; w < old; w++ {
+		c.setRow(s, w, rowEmpty)
+	}
 	for w := old; w < ways; w++ {
+		c.setRow(s, w, rowReserved)
 		i := s*c.cfg.Ways + w
 		if ln := &c.lines[i]; c.tags[i] != noLine {
 			flushed++
@@ -523,7 +587,7 @@ func (c *Cache) Reserve(s, ways int) (flushed, dirty int) {
 }
 
 // DataWays returns the number of ways of set s available to data.
-func (c *Cache) DataWays(s int) int { return c.cfg.Ways - c.reserved[s] }
+func (c *Cache) DataWays(s int) int { return c.cfg.Ways - c.ReservedWays(s) }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.cfg.Sets }
@@ -554,8 +618,8 @@ func (c *Cache) OccupiedLines() int {
 // reserved for metadata partitions. The scan is read-only; the telemetry
 // sampler uses it for the LLC occupancy series.
 func (c *Cache) OccupancyBreakdown() (demand, prefetched, reserved int) {
-	for _, r := range c.reserved {
-		reserved += r
+	for s := 0; s < c.cfg.Sets; s++ {
+		reserved += c.ReservedWays(s)
 	}
 	c.ForEachLineState(func(ls LineState) {
 		if ls.Prefetched {

@@ -18,6 +18,10 @@ func FuzzDifferentialCache(f *testing.F) {
 	f.Add([]byte{2, 0, 7, 2, 8, 7, 4, 2, 1, 12, 2, 2, 5, 2, 0})                          // stores, writebacks, dirty
 	f.Add([]byte{0, 7, 15, 0, 15, 7, 6, 15, 1, 6, 15, 0, 14, 8, 2})                      // resident lookups + probes
 	f.Add([]byte{4, 3, 11, 3, 11, 40, 0, 11, 0, 7, 11, 4, 3, 11, 7, 7, 11, 0, 0, 11, 0}) // reserve churn over a live line
+	// Lines 4 and 148 share a set and a row fingerprint, so only their tags
+	// tell them apart: fills, lookups, a whole-set reserve and its release.
+	f.Add([]byte{0, 7, 4, 4, 0, 4, 148, 1, 0, 148, 0, 0, 4, 0, 7, 4, 1, 16, 4, 0, 0, 148, 0, 3, 4, 5,
+		6, 4, 0, 6, 148, 1, 7, 4, 8, 4, 148, 0, 7, 4, 0, 4, 148, 2, 4, 4, 0, 5, 4, 0, 1, 4, 0, 0, 148, 0})
 	if f.Failed() {
 		return
 	}

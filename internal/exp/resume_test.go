@@ -177,3 +177,43 @@ func TestFailKeyDegradesToGap(t *testing.T) {
 		t.Errorf("DrainFailures not idempotent: %v", extra)
 	}
 }
+
+// TestDerivedRunnerSharesCheckpoint: a derived runner's replays count in its
+// parent's ResumedJobs, and its store write failures reach the parent's
+// StoreErr — without both, -resume under-reports what it replayed and a sweep
+// whose checkpoint is incomplete exits 0.
+func TestDerivedRunnerSharesCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs micro-scale simulations")
+	}
+	psc := Micro
+	psc.Footprint *= 1.4
+	arm := baseArm("stride", "")
+	st, err := store.Create(t.TempDir(), resumeManifest(Micro))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Micro)
+	r.Store = st
+	if runCell(r.Derived(psc), arm, "sphinx06").err != nil || st.Len() != 1 {
+		t.Fatalf("derived run did not checkpoint: %d record(s)", st.Len())
+	}
+	if err := r.StoreErr(); err != nil {
+		t.Fatalf("store error on a healthy store: %v", err)
+	}
+	// A closed store still replays but refuses writes.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewRunner(Micro)
+	r2.Store = st
+	if runCell(r2.Derived(psc), arm, "sphinx06").err != nil || r2.ResumedJobs() != 1 {
+		t.Errorf("parent counts %d replay(s) of its derived runner's 1", r2.ResumedJobs())
+	}
+	if runCell(r2.Derived(psc), arm, "mcf06").err != nil {
+		t.Fatal("simulation failed")
+	}
+	if r2.StoreErr() == nil {
+		t.Error("a derived runner's failed checkpoint write left the parent's StoreErr nil")
+	}
+}

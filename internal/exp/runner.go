@@ -79,10 +79,17 @@ type Runner struct {
 	inst   *instruments
 	suffix string
 
-	fails    *failureLog
-	resumed  atomic.Int64
-	storeMu  sync.Mutex
-	storeErr error
+	fails *failureLog
+	ckpt  *checkpointLog
+}
+
+// checkpointLog counts the results replayed from the store and keeps the
+// first store I/O error. It is shared between a runner and its Derived
+// runners so ResumedJobs and StoreErr cover the whole sweep.
+type checkpointLog struct {
+	resumed atomic.Int64
+	mu      sync.Mutex
+	err     error
 }
 
 // memoEntry single-flights one simulation. A failed job memoizes its error:
@@ -105,12 +112,13 @@ func NewRunner(sc Scale) *Runner {
 		memo:  make(map[string]*memoEntry),
 		inst:  &instruments{},
 		fails: newFailureLog(),
+		ckpt:  &checkpointLog{},
 	}
 }
 
 // Derived returns a runner at a modified scale that shares this runner's
-// pool sizing, progress sinks, fault policy, result store, instrumentation
-// and failure log — for studies that rerun arms under a perturbed scale
+// pool sizing, progress sinks, fault policy, result store with its replay
+// count and first error, instrumentation and failure log — for studies that rerun arms under a perturbed scale
 // (fig13c's capacity-pressured runner). Store keys embed the scale
 // fingerprint, so the two runners' records never collide; audit labels and
 // telemetry file names carry a suffix from it, so neither do those.
@@ -129,6 +137,7 @@ func (r *Runner) Derived(sc Scale) *Runner {
 	nr.inst = r.inst
 	nr.suffix = r.suffix + "|scale-" + store.Key(sc.Fingerprint())[:8]
 	nr.fails = r.fails
+	nr.ckpt = r.ckpt
 	return nr
 }
 
@@ -149,23 +158,23 @@ func (r *Runner) EnableMetrics(reg *metrics.Registry) *runner.Metrics {
 
 // ResumedJobs returns how many simulations were replayed from the store
 // instead of recomputed.
-func (r *Runner) ResumedJobs() int { return int(r.resumed.Load()) }
+func (r *Runner) ResumedJobs() int { return int(r.ckpt.resumed.Load()) }
 
 func (r *Runner) storeFail(err error) {
-	r.storeMu.Lock()
-	if r.storeErr == nil {
-		r.storeErr = err
+	r.ckpt.mu.Lock()
+	if r.ckpt.err == nil {
+		r.ckpt.err = err
 	}
-	r.storeMu.Unlock()
+	r.ckpt.mu.Unlock()
 }
 
 // StoreErr returns the first store I/O error encountered, or nil. A store
 // write failure does not fail the simulation that produced the result, but
 // the sweep must report it: the checkpoint is incomplete.
 func (r *Runner) StoreErr() error {
-	r.storeMu.Lock()
-	defer r.storeMu.Unlock()
-	return r.storeErr
+	r.ckpt.mu.Lock()
+	defer r.ckpt.mu.Unlock()
+	return r.ckpt.err
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -251,7 +260,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 		if payload, found := r.Store.Get(sk); found {
 			var res sim.Result
 			if err := json.Unmarshal(payload, &res); err == nil {
-				r.resumed.Add(1)
+				r.ckpt.resumed.Add(1)
 				r.Fault.Metrics.ReplayInc()
 				r.logf("  [cached] %s\n", key)
 				return res, nil, nil

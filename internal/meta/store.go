@@ -77,9 +77,11 @@ const (
 )
 
 // slot is the cold half of an entry slot, read only after its key or its
-// partial tag matched.
+// partial tag matched. It carries the entry's first target, so a pairwise hit
+// reads the key row and this one record.
 type slot struct {
 	trigger mem.Line
+	first   mem.Line // target 1
 	pc      mem.PC
 	n       uint8 // targets held, 1..Store.k
 	conf    bool  // confidence bit: targets confirmed by a repeat store
@@ -111,7 +113,7 @@ type Store struct {
 	keys    []uint32
 	partial []uint16
 	slots   []slot
-	targets []mem.Line // slot i holds targets[i*k : i*k+slots[i].n]
+	targets []mem.Line // targets 2..n of slot i, at stride k-1 (empty when k = 1)
 	pol     EntryPolicy
 
 	// lookupBuf backs the Targets slice of the Entry Lookup returns; it is
@@ -195,7 +197,7 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 	s.stride = s.maxWays * s.epb
 	n := s.metaSets * s.stride
 	s.keys, s.partial = make([]uint32, n), make([]uint16, n)
-	s.slots, s.targets = make([]slot, n), make([]mem.Line, n*s.k)
+	s.slots, s.targets = make([]slot, n), make([]mem.Line, n*(s.k-1))
 	for i := range s.keys {
 		s.keys[i], s.partial[i] = noKey, noPartial
 	}
@@ -371,9 +373,16 @@ func (s *Store) find(set, lo, hi int, key uint32) int {
 	return -1
 }
 
-// targetsOf returns the targets held by the slot at flat index i.
+// rest returns targets 2..n of the slot at flat index i.
+func (s *Store) rest(i int) []mem.Line {
+	j := i * (s.k - 1)
+	return s.targets[j : j+int(s.slots[i].n)-1]
+}
+
+// targetsOf returns a fresh copy of the targets held by the slot at flat
+// index i.
 func (s *Store) targetsOf(i int) []mem.Line {
-	return s.targets[i*s.k : i*s.k+int(s.slots[i].n)]
+	return append(append(make([]mem.Line, 0, s.slots[i].n), s.slots[i].first), s.rest(i)...)
 }
 
 // Lookup searches the store for the trigger's entry at cycle now, charging
@@ -397,10 +406,11 @@ func (s *Store) Lookup(now uint64, pc mem.PC, t mem.Line) (Entry, bool, uint64) 
 	lat := s.bridge.MetaAccess(now, mem.MetaRead)
 	s.Stats.Reads++
 	if i := s.find(set, lo, hi, s.triggerHash(t)); i >= 0 {
-		sl, targets := &s.slots[i], s.targetsOf(i)
+		sl := &s.slots[i]
 		s.Stats.TriggerHits++
-		s.pol.Touch(set, i-set*s.stride, EntryAccess{PC: pc, Trigger: t, FirstTarget: targets[0]})
-		s.lookupBuf = append(s.lookupBuf[:0], targets...)
+		s.pol.Touch(set, i-set*s.stride, EntryAccess{PC: pc, Trigger: t, FirstTarget: sl.first})
+		buf := slices.Grow(s.lookupBuf[:0], int(sl.n))
+		s.lookupBuf = append(append(buf, sl.first), s.rest(i)...)
 		return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: sl.conf}, true, lat
 	}
 	return Entry{}, false, lat
@@ -434,7 +444,7 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 	// In-place update of an existing entry for this trigger. The
 	// confidence bit confirms on identical targets and clears otherwise.
 	if i := s.find(set, lo, hi, h); i >= 0 {
-		same := slices.Equal(s.targetsOf(i), e.Targets)
+		same := s.slots[i].first == e.Targets[0] && slices.Equal(s.rest(i), e.Targets[1:])
 		s.storeInto(i, h, e, pc)
 		s.slots[i].conf = same
 		s.pol.Touch(set, i-base, acc)
@@ -461,9 +471,10 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 // storeInto writes e, whose trigger hashes to key, into the slot at flat
 // index i, truncating its targets to the format's k.
 func (s *Store) storeInto(i int, key uint32, e Entry, pc mem.PC) {
-	n := copy(s.targets[i*s.k:(i+1)*s.k], e.Targets)
+	j := i * (s.k - 1)
+	n := 1 + copy(s.targets[j:j+s.k-1], e.Targets[1:])
 	s.keys[i], s.partial[i] = key, s.partialTag(e.Trigger)
-	s.slots[i] = slot{trigger: e.Trigger, pc: pc, n: uint8(n)}
+	s.slots[i] = slot{trigger: e.Trigger, first: e.Targets[0], pc: pc, n: uint8(n)}
 }
 
 // clear empties the slot at flat index i.
@@ -615,7 +626,7 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 			if !s.cfg.Filtered {
 				// Rearranged stores relocate the entry.
 				toMove = append(toMove, moved{
-					e:  Entry{Trigger: sl.trigger, Targets: slices.Clone(s.targetsOf(i))},
+					e:  Entry{Trigger: sl.trigger, Targets: s.targetsOf(i)},
 					pc: sl.pc,
 				})
 				if !blockDirty[way] {
@@ -713,7 +724,7 @@ func (s *Store) DumpEntries() []Entry {
 	var out []Entry
 	for i, k := range s.keys {
 		if k != noKey {
-			out = append(out, Entry{Trigger: s.slots[i].trigger, Targets: slices.Clone(s.targetsOf(i))})
+			out = append(out, Entry{Trigger: s.slots[i].trigger, Targets: s.targetsOf(i)})
 		}
 	}
 	return out

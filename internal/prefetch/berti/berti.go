@@ -81,11 +81,13 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	e := &p.table[idx]
 	if !e.valid || e.tag != tag {
-		*e = entry{
-			tag: tag, valid: true,
-			hist:   make([]histEntry, p.cfg.HistoryLen),
-			deltas: make([]deltaScore, 0, p.cfg.MaxDeltas),
+		// The displaced PC's slices are reused: hist past histN is never read.
+		hist, deltas := e.hist, e.deltas[:0]
+		if hist == nil {
+			hist = make([]histEntry, p.cfg.HistoryLen)
+			deltas = make([]deltaScore, 0, p.cfg.MaxDeltas)
 		}
+		*e = entry{tag: tag, valid: true, hist: hist, deltas: deltas}
 	}
 
 	// Score deltas against history entries old enough to have been timely

@@ -112,3 +112,27 @@ func TestDefaults(t *testing.T) {
 		t.Error("defaults not applied")
 	}
 }
+
+// TestReplacementAllocatesNothing: PCs that collide on one table index evict
+// each other on every access, and each replacement reuses the evicted
+// entry's history and delta slices.
+func TestReplacementAllocatesNothing(t *testing.T) {
+	p := New(DefaultConfig)
+	idx := func(pc mem.PC) int { return int(mem.HashPC(pc, 16)) % len(p.table) }
+	a, b := mem.PC(0x400000), mem.PC(0x400004)
+	for idx(b) != idx(a) || mem.HashPC(b, 24) == mem.HashPC(a, 24) {
+		b += 4
+	}
+	buf := make([]prefetch.Request, 0, DefaultConfig.MaxIssue)
+	now := uint64(0)
+	train := func() {
+		for _, pc := range []mem.PC{a, b} {
+			now += 100
+			buf = p.Train(prefetch.Event{Now: now, PC: pc, Addr: mem.AddrOf(mem.Line(now))}, buf[:0])
+		}
+	}
+	train()
+	if n := testing.AllocsPerRun(100, train); n != 0 {
+		t.Errorf("%v allocations per pair of colliding Train calls, want 0", n)
+	}
+}
