@@ -6,7 +6,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -24,6 +23,8 @@ import (
 // simulation is single-flighted by its memo key, so a result is computed
 // exactly once no matter how many goroutines ask for it.
 type Runner struct {
+	// Scale is fixed at construction: NewRunner keeps its fingerprint in
+	// scaleFP for the store keys, so nothing assigns it afterwards.
 	Scale    Scale
 	Progress io.Writer
 	// Ctx, when non-nil, cancels the sweep cooperatively: in-flight
@@ -76,8 +77,9 @@ type Runner struct {
 
 	// inst collects the audit and telemetry outcomes; suffix sets a derived
 	// runner's audit labels and telemetry files apart from its parent's.
-	inst   *instruments
-	suffix string
+	inst    *instruments
+	suffix  string
+	scaleFP string
 
 	fails *failureLog
 	ckpt  *checkpointLog
@@ -108,11 +110,12 @@ type memoEntry struct {
 // NewRunner returns a runner at the given scale.
 func NewRunner(sc Scale) *Runner {
 	return &Runner{
-		Scale: sc,
-		memo:  make(map[string]*memoEntry),
-		inst:  &instruments{},
-		fails: newFailureLog(),
-		ckpt:  &checkpointLog{},
+		Scale:   sc,
+		memo:    make(map[string]*memoEntry),
+		inst:    &instruments{},
+		scaleFP: sc.Fingerprint(),
+		fails:   newFailureLog(),
+		ckpt:    &checkpointLog{},
 	}
 }
 
@@ -135,7 +138,7 @@ func (r *Runner) Derived(sc Scale) *Runner {
 	nr.Fault = r.Fault
 	nr.FailKey = r.FailKey
 	nr.inst = r.inst
-	nr.suffix = r.suffix + "|scale-" + store.Key(sc.Fingerprint())[:8]
+	nr.suffix = r.suffix + "|scale-" + store.Key(nr.scaleFP)[:8]
 	nr.fails = r.fails
 	nr.ckpt = r.ckpt
 	return nr
@@ -259,7 +262,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 		sk = r.storeKey(key)
 		if payload, found := r.Store.Get(sk); found {
 			var res sim.Result
-			if err := json.Unmarshal(payload, &res); err == nil {
+			if err := decodeResult(payload, &res); err == nil {
 				r.ckpt.resumed.Add(1)
 				r.Fault.Metrics.ReplayInc()
 				r.logf("  [cached] %s\n", key)
@@ -294,7 +297,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 // key: the scale fingerprint is mixed in so runners at different scales
 // (fig13c's pressured Derived runner) can share one store without collisions.
 func (r *Runner) storeKey(key string) string {
-	return store.Key("simresult", r.Scale.Fingerprint(), key)
+	return store.Key("simresult", r.scaleFP, key)
 }
 
 // maybeInjectFailure panics when fault injection targets this job — the

@@ -7,8 +7,8 @@
 //   - results.jsonl — one fsynced record per completed job, keyed by a
 //     canonical content hash and carrying a SHA-256 checksum of its payload;
 //   - quarantine.jsonl — records that failed validation on open (truncated
-//     tails from a crash, bit flips, conflicting duplicates), kept for
-//     forensics and never replayed.
+//     tails from a crash, bit flips, conflicting duplicates, lines the store
+//     did not write byte for byte), kept for forensics and never replayed.
 //
 // The durability contract: a record is either fully present and
 // checksum-valid, or it is quarantined on the next open — a killed process
@@ -88,42 +88,83 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DecodeRecord parses and validates one results.jsonl line. It returns an
-// error for anything that must not be replayed: malformed JSON, a missing
-// or malformed key or checksum, or a payload that does not hash to its
-// checksum.
+// DecodeRecord parses and validates one results.jsonl line. It accepts only
+// the line the store writes for a record, byte for byte:
+// {"key":"<64 hex>","id":<string>,"sha256":"<64 hex>","payload":<value>}.
+// Anything else, or a payload that does not hash to its checksum, is an
+// error and must not be replayed. The returned Payload aliases line.
 func DecodeRecord(line []byte) (Record, error) {
-	var r Record
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return Record{}, fmt.Errorf("malformed record: %w", err)
-	}
-	// A line holding a record followed by trailing junk is not a record we
-	// wrote; reject it rather than silently dropping the junk.
-	if err := trailingData(dec); err != nil {
-		return Record{}, err
-	}
-	if !validHex(r.Key) {
+	// The fields in the order mustMarshal writes them. The key and checksum
+	// are hex, and a canonical id escapes every quote, so no field holds the
+	// separator after it.
+	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
+	key, rest, ok2 := bytes.Cut(rest, []byte(`","id":`))
+	id, rest, ok3 := bytes.Cut(rest, []byte(`,"sha256":"`))
+	sum, rest, ok4 := bytes.Cut(rest, []byte(`","payload":`))
+	payload, ok5 := bytes.CutSuffix(rest, []byte("}"))
+	r := Record{Key: string(key), Sum: string(sum), Payload: payload}
+	switch {
+	case !ok || !ok2 || !ok3 || !ok4 || !ok5 || json.Unmarshal(id, &r.ID) != nil:
+		return Record{}, notRecord(line)
+	case !validHex(r.Key):
 		return Record{}, fmt.Errorf("malformed record key %q", r.Key)
-	}
-	if !validHex(r.Sum) {
+	case !validHex(r.Sum):
 		return Record{}, fmt.Errorf("malformed record checksum %q", r.Sum)
-	}
-	if len(r.Payload) == 0 {
-		return Record{}, errors.New("record has no payload")
+	case !json.Valid(payload):
+		return Record{}, errors.New("malformed record: payload is not a JSON value")
 	}
 	if err := r.Verify(); err != nil {
 		return Record{}, err
 	}
+	// The line is mustMarshal(r) exactly when the id and the payload are
+	// encoded as json.Marshal encodes them: the rest was matched above.
+	if canon, _ := json.Marshal(r.ID); !bytes.Equal(canon, id) || !compacted(payload) {
+		return Record{}, errNonCanonical
+	}
 	return r, nil
 }
 
-func trailingData(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after record")
+var errNonCanonical = errors.New("non-canonical record line: JSON, but not the store's encoding of a record")
+
+// notRecord is the error for a line without the store's record layout: a
+// JSON line (reordered fields, whitespace, escapes) is non-canonical,
+// anything else (a truncated tail, a flipped quote) malformed.
+func notRecord(line []byte) error {
+	if json.Valid(line) {
+		return errNonCanonical
 	}
-	return nil
+	return errors.New("malformed record: not JSON")
+}
+
+// compacted reports whether the valid JSON value p is unchanged by the
+// compaction json.Marshal applies to a json.RawMessage: no whitespace
+// outside strings, and none of the characters it escapes for HTML.
+func compacted(p []byte) bool {
+	// Tabs and line breaks are never inside a valid string; the others are
+	// escaped wherever they are.
+	for _, c := range []string{"\t", "\n", "\r", "<", ">", "&", "\u2028", "\u2029"} {
+		if bytes.Contains(p, []byte(c)) {
+			return false
+		}
+	}
+	if bytes.IndexByte(p, ' ') < 0 {
+		return true
+	}
+	// A space stays only inside a string.
+	inString := false
+	for i := 0; i < len(p); i++ {
+		switch p[i] {
+		case '"':
+			inString = !inString
+		case '\\': // only inside a string: skip the escaped byte
+			i++
+		case ' ':
+			if !inString {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func validHex(s string) bool {
@@ -220,9 +261,9 @@ func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
 
 // load reads results.jsonl, keeping every checksum-valid record and
 // quarantining the rest. Duplicate keys with identical payloads keep the
-// first copy; conflicting duplicates distrust both. If anything was
-// quarantined, the records file is compacted atomically so the next open
-// starts clean.
+// first copy; conflicting duplicates distrust the key: both copies and every
+// later copy are quarantined. If anything was quarantined, the records file
+// is compacted atomically so the next open starts clean.
 func (s *Store) load() error {
 	f, err := os.Open(s.path(recordsName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -235,6 +276,7 @@ func (s *Store) load() error {
 
 	var bad []badLine
 	order := []string{} // first-seen key order, for a faithful compaction
+	distrusted := map[string]bool{}
 	r := bufio.NewReader(f)
 	for {
 		line, err := r.ReadBytes('\n')
@@ -244,15 +286,18 @@ func (s *Store) load() error {
 				// Blank lines carry no data; drop silently.
 			} else if rec, derr := DecodeRecord(trimmed); derr != nil {
 				bad = append(bad, badLine{trimmed, derr.Error()})
+			} else if distrusted[rec.Key] {
+				bad = append(bad, badLine{trimmed, "record for a key with conflicting copies"})
 			} else if prev, dup := s.records[rec.Key]; dup {
 				if bytes.Equal(prev.Payload, rec.Payload) {
 					bad = append(bad, badLine{trimmed, "duplicate record (identical payload; first copy kept)"})
 				} else {
 					// Two valid records disagree about the same job:
-					// neither can be trusted.
+					// no copy of it can be trusted.
 					bad = append(bad, badLine{trimmed, "conflicting duplicate record"})
 					bad = append(bad, badLine{mustMarshal(prev), "conflicting duplicate record (first copy)"})
 					delete(s.records, rec.Key)
+					distrusted[rec.Key] = true
 				}
 			} else {
 				s.records[rec.Key] = rec
