@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -78,14 +79,19 @@ func payloadSum(p []byte) string {
 }
 
 // Key derives the canonical content hash for a job from its identifying
-// parts. Parts are length-prefixed before hashing, so no concatenation of
-// distinct part lists can collide.
+// parts: the hex SHA-256 of every part written as "<len>:<part>|". Parts are
+// length-prefixed before hashing, so no concatenation of distinct part lists
+// can collide.
 func Key(parts ...string) string {
-	h := sha256.New()
+	var buf [256]byte
+	b := buf[:0]
 	for _, p := range parts {
-		fmt.Fprintf(h, "%d:%s|", len(p), p)
+		b = strconv.AppendInt(b, int64(len(p)), 10)
+		b = append(append(append(b, ':'), p...), '|')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	return string(hex.AppendEncode(out[:0], sum[:]))
 }
 
 // DecodeRecord parses and validates one results.jsonl line. It accepts only

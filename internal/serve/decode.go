@@ -8,14 +8,14 @@ import (
 	"io"
 )
 
-// DecodeRequest parses one simulation request from r: strict JSON (unknown
-// fields and trailing data rejected, mirroring the sweep store's record
-// decoder), then Normalize — so the returned Spec is always validated,
-// defaulted, and safe to Key and simulate. The caller bounds r (the HTTP
-// handler wraps the body in http.MaxBytesReader).
-func DecodeRequest(r io.Reader) (Spec, error) {
+// DecodeRequestBytes parses one simulation request body: strict JSON
+// (unknown fields and trailing data rejected, mirroring the sweep store's
+// record decoder), then Normalize — so the returned Spec is always
+// validated, defaulted, and safe to Key and simulate. The caller bounds the
+// body (the HTTP handler reads it through http.MaxBytesReader).
+func DecodeRequestBytes(data []byte) (Spec, error) {
 	var sp Spec
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
 		return Spec{}, fmt.Errorf("malformed request: %w", err)
@@ -27,9 +27,4 @@ func DecodeRequest(r io.Reader) (Spec, error) {
 		return Spec{}, err
 	}
 	return sp, nil
-}
-
-// DecodeRequestBytes is DecodeRequest over a byte slice.
-func DecodeRequestBytes(data []byte) (Spec, error) {
-	return DecodeRequest(bytes.NewReader(data))
 }

@@ -2,18 +2,39 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
+
+// refID is the fmt form Spec.ID appends without fmt.
+func refID(sp Spec) string {
+	return fmt.Sprintf("%s|%s|%s|%s|x%d|fp%g|w%d|m%d|meta%d|llc%d|seed%d",
+		sp.Workload, sp.L1, sp.L2, sp.Temporal, sp.Cores, sp.Footprint,
+		sp.Warmup, sp.Measure, sp.MetaKB, sp.LLCSets, sp.Seed)
+}
+
+// refKey is the fmt.Fprintf form of store.Key, salted as Spec.Key salts it.
+func refKey(id string) string {
+	h := sha256.New()
+	for _, p := range []string{"streamd-sim", FormatFingerprint, id} {
+		fmt.Fprintf(h, "%d:%s|", len(p), p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // FuzzRequestDecode feeds arbitrary bytes through the daemon's request
 // decoder and checks its safety properties: it never panics, everything it
 // accepts is a fully normalized spec whose identity is deterministic, and an
 // accepted spec survives a marshal/decode round trip unchanged — the
-// invariant the content-addressed cache rests on.
+// invariant the content-addressed cache rests on. Its ID and key equal their
+// fmt reference forms (refID, refKey), and a server's request memo resolves
+// the body twice to the same spec, ID and key.
 //
 // The seed corpus under testdata/fuzz/FuzzRequestDecode covers the
 // interesting classes: a valid minimal request, a fully specified one, an
@@ -29,7 +50,13 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"workload":"sphinx06"} {}`))
 	f.Add([]byte(`{"workload":"sphinx06","footprint":1e-300}`))
 	f.Add([]byte{})
+	for _, fp := range []float64{1e-05, 0.1, 1.0 / 3, 1} {
+		f.Add([]byte(`{"workload":"mcf06","footprint":` + strconv.FormatFloat(fp, 'g', -1, 64) + `}`))
+	}
+	f.Add([]byte(`{"workload":"sphinx06","seed":-9223372036854775808}`))
+	f.Add([]byte(`{"workload":"sphinx06","warmup":` + strconv.Itoa(MaxInstructions-1) + `,"measure":1}`))
 
+	srv := New(Config{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := DecodeRequestBytes(data)
 		if err != nil {
@@ -62,6 +89,22 @@ func FuzzRequestDecode(f *testing.F) {
 		}
 		if rt != sp || rt.Key() != key {
 			t.Fatalf("round trip changed the spec:\n got %+v\nwas %+v", rt, sp)
+		}
+		// The appended ID and key are byte for byte their fmt forms.
+		id := sp.ID()
+		if want := refID(sp); id != want {
+			t.Fatalf("ID %q, fmt form %q", id, want)
+		}
+		if want := refKey(id); key != want {
+			t.Fatalf("key %s, fmt form %s", key, want)
+		}
+		// The memo resolves the body to the decoder's answer, twice.
+		want := resolved{spec: sp, id: id, key: key}
+		for i := 0; i < 2; i++ {
+			got, err := srv.memo.resolve(data)
+			if err != nil || got != want {
+				t.Fatalf("resolution %d: %+v, %v; want %+v", i, got, err, want)
+			}
 		}
 	})
 }

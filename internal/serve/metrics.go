@@ -18,7 +18,7 @@ import (
 // request, recorded into streamd_request_stage_seconds{stage=...} and — for
 // slow requests — into the access log's stage breakdown.
 const (
-	stageDecode    = "decode"     // read + strict-parse + normalize the request body
+	stageDecode    = "decode"     // read the body + resolve it: a memo lookup, else strict-parse + normalize
 	stageLookup    = "lookup"     // memory LRU probe, then durable store probe
 	stageQueueWait = "queue_wait" // admission until a worker slot is acquired
 	stageSimulate  = "simulate"   // the simulation itself, under the fault policy

@@ -95,6 +95,10 @@ type Status struct {
 	// StoreRecords is the durable tier's record count, or -1 without one.
 	StoreRecords  int     `json:"storeRecords"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
+	// MemoHits counts requests whose body resolved from the request memo,
+	// MemoEntries the bodies it holds; neither is part of Counters.
+	MemoHits    uint64 `json:"memoHits"`
+	MemoEntries int    `json:"memoEntries"`
 }
 
 // Server executes validated simulation requests on a bounded worker pool
@@ -104,6 +108,7 @@ type Status struct {
 type Server struct {
 	cfg   Config
 	cache *resultCache
+	memo  requestMemo
 	sem   chan struct{} // worker slots
 
 	mu       sync.Mutex
@@ -161,6 +166,61 @@ type flight struct {
 	records atomic.Uint64
 }
 
+// requestMemo maps exact request-body bytes to their resolution, so a
+// repeated body skips the JSON decode, Normalize, ID and key. It holds only
+// bodies that decoded — an invalid body is decoded, and answers the same
+// error, every time — of at most memoMaxBody bytes (a canonical Spec body is
+// under 300), and at most memoMaxEntries of them: a full memo is cleared.
+// Spec holds only values, so entries are shared read-only.
+type requestMemo struct {
+	mu   sync.Mutex
+	m    map[string]resolved
+	hits atomic.Uint64
+}
+
+const memoMaxBody, memoMaxEntries = 4 << 10, 4096
+
+// resolved is a decoded request with the ID and result key derived from it.
+type resolved struct {
+	spec    Spec
+	id, key string
+}
+
+// resolve returns body's resolution, from the memo when body has been seen.
+func (m *requestMemo) resolve(body []byte) (resolved, error) {
+	memoable := len(body) <= memoMaxBody
+	if memoable {
+		m.mu.Lock()
+		r, ok := m.m[string(body)]
+		m.mu.Unlock()
+		if ok {
+			m.hits.Add(1)
+			return r, nil
+		}
+	}
+	sp, err := DecodeRequestBytes(body)
+	if err != nil {
+		return resolved{}, err
+	}
+	r := resolved{spec: sp, id: sp.ID()}
+	r.key = keyOf(r.id)
+	if memoable {
+		m.mu.Lock()
+		if len(m.m) >= memoMaxEntries {
+			clear(m.m)
+		}
+		m.m[string(body)] = r
+		m.mu.Unlock()
+	}
+	return r, nil
+}
+
+func (m *requestMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}
+
 // New returns a server over cfg with defaults applied.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
@@ -178,6 +238,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newResultCache(cfg.CacheEntries),
+		memo:    requestMemo{m: make(map[string]resolved)},
 		sem:     make(chan struct{}, cfg.Workers),
 		flights: make(map[string]*flight),
 		start:   time.Now(),
@@ -200,9 +261,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // requestID builds the ID exposed as X-Streamd-Request and repeated in the
-// request's access record.
+// request's access record: "%s-%06d" of the boot nonce and seq, in fmt's terms.
 func (s *Server) requestID(seq uint64) string {
-	return fmt.Sprintf("%s-%06d", s.boot, seq)
+	var buf, digits [32]byte
+	b := append(append(buf[:0], s.boot...), '-')
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // SetComputeHook installs fn, invoked at the start of every cache-miss
@@ -251,6 +318,8 @@ func (s *Server) Status() Status {
 		CacheEntries:  s.cache.len(),
 		StoreRecords:  -1,
 		UptimeSeconds: time.Since(s.start).Seconds(),
+		MemoHits:      s.memo.hits.Load(),
+		MemoEntries:   s.memo.len(),
 	}
 	if s.cfg.Store != nil {
 		st.StoreRecords = s.cfg.Store.Len()
@@ -351,8 +420,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	span := &accessSpan{id: s.requestID(s.seq.Add(1)), t0: time.Now()}
 	w.Header().Set("X-Streamd-Request", span.id)
 
+	// The decode stage reads the body and resolves it, through the memo.
 	tDecode := time.Now()
-	sp, err := DecodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var req resolved
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		err = fmt.Errorf("malformed request: %w", err)
+	} else {
+		req, err = s.memo.resolve(raw)
+	}
 	decode := time.Since(tDecode)
 	span.stages.DecodeUs = us(decode)
 	s.metrics.observeStage(stageDecode, decode)
@@ -368,8 +444,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.finish(span, status, "invalid", "", n)
 		return
 	}
-	span.spec = sp.ID()
-	key := sp.Key()
+	span.spec = req.id
+	key := req.key
 
 	// Tiers 1 and 2: the in-memory LRU, then the durable store
 	// (checksum-verified by Get). Both probes share the lookup span.
@@ -434,7 +510,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.compute(fctx, key, sp, f, time.Now())
+	go s.compute(fctx, req, f, time.Now())
 	s.settle(w, r, span, f, "none", "computed")
 }
 
@@ -505,9 +581,10 @@ func (s *Server) settle(w http.ResponseWriter, r *http.Request, span *accessSpan
 // ctx is the flight's context: canceling it (last waiter gone, drain
 // deadline) stops the engine at its next epoch boundary, and the partial
 // result is never cached.
-func (s *Server) compute(ctx context.Context, key string, sp Spec, f *flight, admitted time.Time) {
+func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted time.Time) {
 	defer s.wg.Done()
 	defer f.cancel() // release the flight context on every path
+	sp, key := req.spec, req.key
 
 	var res sim.Result
 	var err error
@@ -520,7 +597,7 @@ func (s *Server) compute(ctx context.Context, key string, sp Spec, f *flight, ad
 
 		tSim := time.Now()
 		pol := runner.FaultPolicy{Timeout: s.cfg.JobTimeout, Metrics: s.jobMetrics}
-		res, err = runner.Execute(ctx, pol, sp.ID(),
+		res, err = runner.Execute(ctx, pol, req.id,
 			func(ctx context.Context) (sim.Result, error) {
 				if hook := s.getComputeHook(); hook != nil {
 					hook(key)
@@ -582,7 +659,7 @@ func (s *Server) compute(ctx context.Context, key string, sp Spec, f *flight, ad
 		// rely on a restart replaying it (PutRaw fsyncs).
 		if s.cfg.Store != nil {
 			tPersist := time.Now()
-			if perr := s.cfg.Store.PutRaw(key, sp.ID(), body); perr != nil {
+			if perr := s.cfg.Store.PutRaw(key, req.id, body); perr != nil {
 				f.err = perr.Error()
 			}
 			persist := time.Since(tPersist)

@@ -385,6 +385,12 @@ func TestInvalidRequests(t *testing.T) {
 		if status != http.StatusRequestEntityTooLarge {
 			t.Errorf("status %d, want 413\n%s", status, body)
 		}
+		// A valid object that fits, followed by bytes that do not: the
+		// whole body is over the limit, so 413, not "trailing data".
+		status, _, body = post(t, tss.URL, `{"workload":"sphinx06"}`+strings.Repeat(" ", 32))
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("valid object with oversized tail: status %d, want 413\n%s", status, body)
+		}
 	})
 
 	t.Run("wrong method", func(t *testing.T) {

@@ -21,6 +21,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"streamline/internal/cache"
@@ -181,7 +182,7 @@ func (sp *Spec) Normalize() error {
 	if sp.Cores < 1 || sp.Cores > MaxCores {
 		return fmt.Errorf("cores must be between 1 and %d, got %d", MaxCores, sp.Cores)
 	}
-	if sp.Footprint <= 0 || sp.Footprint > 1 {
+	if !(sp.Footprint > 0 && sp.Footprint <= 1) { // so that NaN fails too
 		return fmt.Errorf("footprint must be in (0, 1], got %g", sp.Footprint)
 	}
 	if sp.Measure < 1 {
@@ -203,19 +204,31 @@ func (sp *Spec) Normalize() error {
 }
 
 // ID is the canonical human-readable identity of a normalized spec; two
-// requests that simulate the same configuration have equal IDs.
+// requests that simulate the same configuration have equal IDs. It is
+// "%s|%s|%s|%s|x%d|fp%g|w%d|m%d|meta%d|llc%d|seed%d" in fmt's terms.
 func (sp Spec) ID() string {
-	return fmt.Sprintf("%s|%s|%s|%s|x%d|fp%g|w%d|m%d|meta%d|llc%d|seed%d",
-		sp.Workload, sp.L1, sp.L2, sp.Temporal, sp.Cores, sp.Footprint,
-		sp.Warmup, sp.Measure, sp.MetaKB, sp.LLCSets, sp.Seed)
+	var buf [128]byte
+	b := append(buf[:0], sp.Workload...)
+	for _, s := range [...]string{sp.L1, sp.L2, sp.Temporal} {
+		b = append(append(b, '|'), s...)
+	}
+	b = strconv.AppendInt(append(b, "|x"...), int64(sp.Cores), 10)
+	b = strconv.AppendFloat(append(b, "|fp"...), sp.Footprint, 'g', -1, 64)
+	b = strconv.AppendUint(append(b, "|w"...), sp.Warmup, 10)
+	b = strconv.AppendUint(append(b, "|m"...), sp.Measure, 10)
+	b = strconv.AppendInt(append(b, "|meta"...), int64(sp.MetaKB), 10)
+	b = strconv.AppendInt(append(b, "|llc"...), int64(sp.LLCSets), 10)
+	b = strconv.AppendInt(append(b, "|seed"...), sp.Seed, 10)
+	return string(b)
 }
 
 // Key is the content-addressed result key for a normalized spec — the same
 // length-prefixed SHA-256 scheme the sweep store uses, salted with the
 // format fingerprint.
-func (sp Spec) Key() string {
-	return store.Key("streamd-sim", FormatFingerprint, sp.ID())
-}
+func (sp Spec) Key() string { return keyOf(sp.ID()) }
+
+// keyOf is Key for a spec whose ID is already known.
+func keyOf(id string) string { return store.Key("streamd-sim", FormatFingerprint, id) }
 
 // ServiceManifest is the manifest under which streamd opens its result
 // store: a fixed pseudo-scale naming the request format, so a daemon pointed

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,7 @@ func TestNormalizeValidation(t *testing.T) {
 		{"too many cores", func(s *Spec) { s.Cores = MaxCores + 1 }, "cores must be between"},
 		{"negative footprint", func(s *Spec) { s.Footprint = -0.5 }, "footprint must be in (0, 1]"},
 		{"footprint over one", func(s *Spec) { s.Footprint = 1.5 }, "footprint must be in (0, 1]"},
+		{"NaN footprint", func(s *Spec) { s.Footprint = math.NaN() }, "footprint must be in (0, 1], got NaN"},
 		{"instruction budget", func(s *Spec) { s.Warmup = MaxInstructions; s.Measure = 2 },
 			"warmup+measure must not exceed"},
 		{"metaKb too large", func(s *Spec) { s.MetaKB = MaxMetaKB + 1 }, "metaKb must be between"},
@@ -102,6 +104,22 @@ func TestSpecIdentity(t *testing.T) {
 	b.Seed = 7
 	if a.Key() == b.Key() {
 		t.Error("seed change did not move the content address")
+	}
+}
+
+// TestSpecKeyGolden pins the content address of the minimal request, as the
+// fmt-based ID and key computed it: a byte drift in Spec.ID or store.Key
+// would orphan every record a daemon's store already holds.
+func TestSpecKeyGolden(t *testing.T) {
+	sp, err := DecodeRequestBytes([]byte(`{"workload":"sphinx06"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sp.ID(), "sphinx06|stride|none|none|x1|fp0.1|w400000|m1200000|meta128|llc256|seed1"; got != want {
+		t.Errorf("ID %q, want %q", got, want)
+	}
+	if got, want := sp.Key(), "98e295c2b40690fafffddd96bbc3b1a6d9dacfd2e1c3e3fa37fb79da83ac70f0"; got != want {
+		t.Errorf("Key %s, want %s", got, want)
 	}
 }
 

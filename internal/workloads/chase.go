@@ -50,10 +50,17 @@ func (c *chaseSource) Reset(rng *rand.Rand) {
 // randomCycle returns a single-cycle permutation of n elements, so a chase
 // starting anywhere visits every node before repeating.
 func randomCycle(n int, rng *rand.Rand) []int32 {
-	order := rng.Perm(n)
+	// rng.Perm(n)'s own loop, kept in int32: the same draws and the same
+	// final RNG state, without Perm's 8-byte-per-node []int.
+	order := make([]int32, n)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
+	}
 	next := make([]int32, n)
 	for i := 0; i < n; i++ {
-		next[order[i]] = int32(order[(i+1)%n])
+		next[order[i]] = order[(i+1)%n]
 	}
 	return next
 }
