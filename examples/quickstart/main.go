@@ -24,7 +24,7 @@ func main() {
 	cfg.LLC.Sets = 256 // 256KB LLC
 	cfg.WarmupInstructions = 400_000
 	cfg.MeasureInstructions = 1_200_000
-	cfg.L1DPrefetcher = func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }
+	cfg.L1DPrefetcher = func() prefetch.Prefetcher { return stride.New() }
 
 	// The workload: a pointer chase whose node-visit order repeats every
 	// lap — the irregular-but-repetitive pattern temporal prefetching

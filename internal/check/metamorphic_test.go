@@ -113,7 +113,7 @@ func metamorphicConfig() sim.Config {
 	cfg.L2.Sets = 64
 	cfg.WarmupInstructions = 0
 	cfg.MeasureInstructions = 10_000
-	cfg.L1DPrefetcher = func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }
+	cfg.L1DPrefetcher = func() prefetch.Prefetcher { return stride.New() }
 	return cfg
 }
 

@@ -113,15 +113,12 @@ func TestWasIssuedRing(t *testing.T) {
 }
 
 func TestOptionsDefaultsApplied(t *testing.T) {
-	p := New(Options{}, testBridge())
+	p := New(DefaultOptions(), testBridge())
 	if p.opt.StreamLength != 4 {
-		t.Errorf("zero options stream length = %d, want 4 (defaults)", p.opt.StreamLength)
+		t.Errorf("default stream length = %d, want 4", p.opt.StreamLength)
 	}
-	o := DefaultOptions()
-	o.MaxDegree = 0
-	p2 := New(o, testBridge())
-	if p2.opt.MaxDegree != p2.opt.StreamLength {
-		t.Errorf("MaxDegree default = %d, want stream length", p2.opt.MaxDegree)
+	if p.opt.MaxDegree != p.opt.StreamLength {
+		t.Errorf("default MaxDegree = %d, want the stream length", p.opt.MaxDegree)
 	}
 }
 

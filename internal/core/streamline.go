@@ -23,12 +23,10 @@ import (
 type Options struct {
 	// StreamLength is the targets per stream entry (4; Figure 12a sweeps).
 	StreamLength int
-	// TUSize is the number of training-unit entries.
-	TUSize int
 	// MetaBufferSize is the per-PC stream metadata buffer capacity
 	// (3; Figure 12c sweeps; 0 disables it, the "- MB" ablation).
 	MetaBufferSize int
-	// MaxDegree bounds prefetching (defaults to StreamLength).
+	// MaxDegree bounds prefetching (4, the stream length).
 	MaxDegree int
 	// MetaBytes is the maximum metadata partition size (1MB).
 	MetaBytes int
@@ -38,14 +36,6 @@ type Options struct {
 	// MinSets is the permanently allocated metadata set count (64), the
 	// floor that keeps sampling alive at the 0MB decision.
 	MinSets int
-	// InstabilityEpoch is the per-PC degree-control period (1024).
-	InstabilityEpoch int
-	// DegreeCuts are the instability thresholds: fewer than DegreeCuts[0]
-	// buffer insertions per epoch prefetches at full degree, and so on
-	// (400/600/800).
-	DegreeCuts [3]int
-	// ResizeEpoch is the partitioner period in sampled accesses (2^15).
-	ResizeEpoch uint64
 
 	// DisableAlignment turns off stream alignment (the "- SA" ablation).
 	DisableAlignment bool
@@ -74,17 +64,28 @@ type Options struct {
 	Bypass bool
 }
 
+// The paper's Streamline configuration, fixed in every variant.
+const (
+	// tuSize is the number of training-unit entries.
+	tuSize = 256
+	// instabilityEpoch is the per-PC degree-control period in accesses.
+	instabilityEpoch = 1024
+	// cutFull, cutLess1 and cutLess2 are the instability thresholds: fewer
+	// than cutFull buffer insertions per epoch prefetches at full degree,
+	// fewer than cutLess1 at one less, fewer than cutLess2 at two less.
+	cutFull, cutLess1, cutLess2 = 400, 600, 800
+	// resizeEpoch is the partitioner period in sampled accesses.
+	resizeEpoch = 1 << 15
+)
+
 // DefaultOptions returns the paper's Streamline configuration.
 func DefaultOptions() Options {
 	return Options{
-		StreamLength:     4,
-		TUSize:           256,
-		MetaBufferSize:   3,
-		MetaBytes:        1 << 20,
-		MinSets:          64,
-		InstabilityEpoch: 1024,
-		DegreeCuts:       [3]int{400, 600, 800},
-		ResizeEpoch:      1 << 15,
+		StreamLength:   4,
+		MetaBufferSize: 3,
+		MaxDegree:      4,
+		MetaBytes:      1 << 20,
+		MinSets:        64,
 	}
 }
 
@@ -198,15 +199,12 @@ type Prefetcher struct {
 
 // New constructs Streamline over the given LLC metadata bridge.
 func New(opt Options, bridge meta.Bridge) *Prefetcher {
-	if opt.StreamLength <= 0 {
-		opt = DefaultOptions()
-	}
-	if opt.MaxDegree <= 0 {
-		opt.MaxDegree = opt.StreamLength
-	}
-	if opt.TUSize <= 0 {
-		opt.TUSize = 256
-	}
+	return newPrefetcher(opt, bridge, resizeEpoch)
+}
+
+// newPrefetcher is New with the partitioner's epoch as a parameter, so tests
+// can reach other values.
+func newPrefetcher(opt Options, bridge meta.Bridge, epoch uint64) *Prefetcher {
 	if opt.MetaBufferSize == 0 {
 		// The instability metric counts metadata-buffer insertions; with
 		// no buffer every access inserts, which would read as maximal
@@ -232,7 +230,7 @@ func New(opt Options, bridge meta.Bridge) *Prefetcher {
 	p := &Prefetcher{
 		opt:   opt,
 		store: meta.NewStore(storeCfg, bridge),
-		tu:    make([]tuEntry, opt.TUSize),
+		tu:    make([]tuEntry, tuSize),
 	}
 	p.minBytes = opt.MinSets * 8 * mem.LineSize
 	if p.minBytes > opt.MetaBytes {
@@ -255,8 +253,7 @@ func New(opt Options, bridge meta.Bridge) *Prefetcher {
 		LLCWays:         llcWays,
 		MetaWaysPerSet:  8,
 		EntriesPerBlock: meta.EntriesPerBlock(meta.Stream, opt.StreamLength),
-		EpochAccesses:   opt.ResizeEpoch,
-		DataWeight:      16,
+		EpochAccesses:   epoch,
 		MetaWeight:      weight,
 	})
 	if opt.FixedBytes > 0 {
@@ -290,7 +287,7 @@ func (p *Prefetcher) ObserveLLCData(set int, line mem.Line) {
 }
 
 func (p *Prefetcher) tuFor(pc mem.PC) *tuEntry {
-	idx := int(mem.HashPC(pc, 16)) % len(p.tu)
+	idx := mem.HashPC(pc, 16) % tuSize
 	tag := uint32(mem.HashPC(pc, 24))
 	tu := &p.tu[idx]
 	if !tu.valid || tu.tag != tag {
@@ -616,18 +613,16 @@ func (p *Prefetcher) prefetchChain(now uint64, pc mem.PC, tu *tuEntry, line mem.
 // updateDegree applies stability-based degree control (Section IV-E6).
 func (p *Prefetcher) updateDegree(tu *tuEntry) {
 	tu.accessCtr++
-	if tu.accessCtr < p.opt.InstabilityEpoch {
+	if tu.accessCtr < instabilityEpoch {
 		return
 	}
-	// Scale thresholds to the epoch length so shorter test epochs work.
-	scale := func(cut int) int { return cut * p.opt.InstabilityEpoch / 1024 }
 	ins := tu.insertCtr
 	switch {
-	case ins < scale(p.opt.DegreeCuts[0]):
+	case ins < cutFull:
 		tu.degree = p.opt.MaxDegree
-	case ins < scale(p.opt.DegreeCuts[1]):
+	case ins < cutLess1:
 		tu.degree = max(1, p.opt.MaxDegree-1)
-	case ins < scale(p.opt.DegreeCuts[2]):
+	case ins < cutLess2:
 		tu.degree = max(1, p.opt.MaxDegree-2)
 	default:
 		tu.degree = 1

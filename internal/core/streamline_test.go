@@ -152,9 +152,7 @@ func TestDisableAlignment(t *testing.T) {
 }
 
 func TestDegreeControlDropsUnstablePC(t *testing.T) {
-	o := DefaultOptions()
-	o.InstabilityEpoch = 128
-	p := New(o, testBridge())
+	p := New(DefaultOptions(), testBridge())
 	// Random-ish non-repeating lines: every prefetch attempt misses the
 	// buffer and fetches (or fails); instability should drive degree to 1.
 	var lines []mem.Line
@@ -171,9 +169,7 @@ func TestDegreeControlDropsUnstablePC(t *testing.T) {
 }
 
 func TestDegreeControlKeepsStablePC(t *testing.T) {
-	o := DefaultOptions()
-	o.InstabilityEpoch = 128
-	p := New(o, testBridge())
+	p := New(DefaultOptions(), testBridge())
 	lap := seq(3000, 512)
 	for i := 0; i < 4; i++ {
 		feed(p, 1, lap)
@@ -332,9 +328,7 @@ func TestDefaultSchemeIsFTS(t *testing.T) {
 
 func TestDynamicPartitionRespectsMinimumSets(t *testing.T) {
 	o := DefaultOptions()
-	o.ResizeEpoch = 64 // decide quickly
-	b := testBridge()
-	p := New(o, b)
+	p := newPrefetcher(o, testBridge(), 64) // decide quickly
 	// Pure data pressure, no reusable triggers: the partitioner should
 	// shrink toward 0, floored at MinSets worth of bytes.
 	x := uint64(7)

@@ -22,9 +22,9 @@ func checkDivisor(t *testing.T, d int, n uint64) {
 }
 
 // TestDivisorExhaustiveSmall covers every divisor the simulator uses (widths,
-// table sizes, channel, row and bank counts are all at most 1024) against
-// every 16-bit operand: the whole domain of stride's HashPC(pc, 16) index and
-// of Advance's n*256 for a uint8 NonMem.
+// channel, row and bank counts are all at most 1024) against every 16-bit
+// operand, which includes the whole domain of Advance's n*256 for a uint8
+// NonMem.
 func TestDivisorExhaustiveSmall(t *testing.T) {
 	maxD := 1024
 	if testing.Short() {

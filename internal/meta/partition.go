@@ -40,15 +40,18 @@ type PartitionerConfig struct {
 	EntriesPerBlock int
 	// EpochAccesses is the decision period in observed accesses (2^15).
 	EpochAccesses uint64
-	// DataWeight scores one data hit (16).
-	DataWeight float64
 	// MetaWeight scores one trigger hit given current prefetch accuracy.
 	// Triangel passes a constant function; Streamline passes the banded
 	// table of Section IV-E4.
 	MetaWeight func(accuracy float64) float64
-	// SampleShift samples every 2^SampleShift-th set (6: every 64th).
-	SampleShift uint
 }
+
+const (
+	// dataWeight scores one data hit.
+	dataWeight = 16
+	// sampleShift samples every 2^sampleShift-th set (every 64th).
+	sampleShift = 6
+)
 
 // StreamlineMetaWeight is the paper's accuracy-banded increment table:
 // 10-25% accuracy scores 2, 25-50% scores 3, 50-70% scores 4, 70-90%
@@ -106,6 +109,8 @@ func (s *lruStack) touch(tag uint64) int {
 // data-plus-metadata utility.
 type Partitioner struct {
 	cfg PartitionerConfig
+	// shift is the set-sampling exponent: sampleShift outside tests.
+	shift uint
 
 	dataATD  map[int]*lruStack
 	dataHist []uint64 // stack position histogram over LLC ways
@@ -120,17 +125,11 @@ type Partitioner struct {
 
 // NewPartitioner returns a partitioner starting at the largest size.
 func NewPartitioner(cfg PartitionerConfig) *Partitioner {
-	if cfg.DataWeight == 0 {
-		cfg.DataWeight = 16
-	}
 	if cfg.MetaWeight == nil {
 		cfg.MetaWeight = EqualMetaWeight
 	}
 	if cfg.EpochAccesses == 0 {
 		cfg.EpochAccesses = 1 << 15
-	}
-	if cfg.SampleShift == 0 {
-		cfg.SampleShift = 6
 	}
 	if cfg.EntriesPerBlock == 0 {
 		cfg.EntriesPerBlock = 12
@@ -138,6 +137,7 @@ func NewPartitioner(cfg PartitionerConfig) *Partitioner {
 	maxEntries := cfg.maxEntriesPerSet()
 	p := &Partitioner{
 		cfg:      cfg,
+		shift:    sampleShift,
 		dataATD:  make(map[int]*lruStack),
 		dataHist: make([]uint64, cfg.LLCWays+1),
 		metaATD:  make(map[int]*lruStack),
@@ -177,7 +177,7 @@ func sampleKey(m map[int]*lruStack, set int, shift uint, depth int) *lruStack {
 // ObserveData feeds an LLC data access (set index and line) into the data
 // shadow directory.
 func (p *Partitioner) ObserveData(set int, line mem.Line) {
-	st := sampleKey(p.dataATD, set, p.cfg.SampleShift, p.cfg.LLCWays)
+	st := sampleKey(p.dataATD, set, p.shift, p.cfg.LLCWays)
 	if st == nil {
 		return
 	}
@@ -193,7 +193,7 @@ func (p *Partitioner) ObserveData(set int, line mem.Line) {
 // set) into the metadata shadow directory.
 func (p *Partitioner) ObserveTrigger(logicalSet int, trigger mem.Line) {
 	depth := p.cfg.maxEntriesPerSet()
-	st := sampleKey(p.metaATD, logicalSet, p.cfg.SampleShift, depth)
+	st := sampleKey(p.metaATD, logicalSet, p.shift, depth)
 	if st == nil {
 		return
 	}
@@ -270,7 +270,7 @@ func (p *Partitioner) Tick() (int, bool) {
 	mw := p.cfg.MetaWeight(p.accuracy)
 	for _, size := range p.cfg.Sizes {
 		ways, frac := p.metaWaysAt(size)
-		score := p.cfg.DataWeight*p.dataHits(p.cfg.LLCWays-ways, frac) +
+		score := dataWeight*p.dataHits(p.cfg.LLCWays-ways, frac) +
 			mw*p.trigHits(size)
 		if score > bestScore {
 			best, bestScore = size, score

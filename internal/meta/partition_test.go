@@ -16,14 +16,20 @@ func partCfg(mode PartitionMode, weight func(float64) float64) PartitionerConfig
 		MetaWaysPerSet:  8,
 		EntriesPerBlock: 4,
 		EpochAccesses:   4096,
-		DataWeight:      16,
 		MetaWeight:      weight,
-		SampleShift:     2,
 	}
 }
 
+// newPart builds a partitioner that samples every 4th set, so the short
+// streams below profile enough sets to decide.
+func newPart(mode PartitionMode, weight func(float64) float64) *Partitioner {
+	p := NewPartitioner(partCfg(mode, weight))
+	p.shift = 2
+	return p
+}
+
 func TestPartitionerShrinksUnderPureDataUtility(t *testing.T) {
-	p := NewPartitioner(partCfg(SetMode, StreamlineMetaWeight))
+	p := newPart(SetMode, StreamlineMetaWeight)
 	rng := rand.New(rand.NewSource(1))
 	// Data with short stack distances (fits in few ways), no trigger reuse.
 	for i := 0; i < 50000; i++ {
@@ -39,7 +45,7 @@ func TestPartitionerShrinksUnderPureDataUtility(t *testing.T) {
 }
 
 func TestPartitionerGrowsUnderTriggerUtility(t *testing.T) {
-	p := NewPartitioner(partCfg(SetMode, StreamlineMetaWeight))
+	p := newPart(SetMode, StreamlineMetaWeight)
 	p.ObserveAccuracy(0.95) // metadata hits score 8
 	rng := rand.New(rand.NewSource(2))
 	// Reused triggers (small per-set population, re-touched) and data with
@@ -60,7 +66,7 @@ func TestAccuracyScalingChangesDecision(t *testing.T) {
 	// equal weighting (Triangel) keeps it. Construct a marginal case:
 	// trigger hits and data hits both present.
 	run := func(weight func(float64) float64, acc float64) int {
-		p := NewPartitioner(partCfg(SetMode, weight))
+		p := newPart(SetMode, weight)
 		p.ObserveAccuracy(acc)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 60000; i++ {
@@ -123,7 +129,7 @@ func TestLRUStackDistances(t *testing.T) {
 }
 
 func TestTickHonorsEpoch(t *testing.T) {
-	p := NewPartitioner(partCfg(SetMode, EqualMetaWeight))
+	p := newPart(SetMode, EqualMetaWeight)
 	for i := 0; i < 100; i++ {
 		if _, changed := p.Tick(); changed {
 			t.Fatal("Tick decided before any observations")
@@ -134,7 +140,7 @@ func TestTickHonorsEpoch(t *testing.T) {
 func TestWayModeCapacityScaling(t *testing.T) {
 	// In way mode, smaller sizes shrink per-set capacity; trigger hits at
 	// small sizes must be no greater than at large sizes.
-	p := NewPartitioner(partCfg(WayMode, EqualMetaWeight))
+	p := newPart(WayMode, EqualMetaWeight)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 20000; i++ {
 		set := rng.Intn(64) * 4

@@ -10,33 +10,23 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// Config parameterizes Berti.
-type Config struct {
-	// TableSize is the number of tracked PCs.
-	TableSize int
-	// HistoryLen is the per-PC access history depth.
-	HistoryLen int
-	// MaxDeltas is how many candidate deltas each PC scores.
-	MaxDeltas int
-	// TimelyCycles is the fill latency a delta must beat to count as
+// The paper's setup.
+const (
+	// tableSize is the number of tracked PCs.
+	tableSize = 256
+	// historyLen is the per-PC access history depth.
+	historyLen = 16
+	// maxDeltas is how many candidate deltas each PC scores.
+	maxDeltas = 8
+	// timelyCycles is the fill latency a delta must beat to count as
 	// timely (roughly the L2/LLC round trip).
-	TimelyCycles uint64
-	// IssueThreshold is the minimum coverage score (0..63) to prefetch a
+	timelyCycles = 60
+	// issueThreshold is the minimum coverage score (0..63) to prefetch a
 	// delta.
-	IssueThreshold int
-	// MaxIssue bounds prefetches per access.
-	MaxIssue int
-}
-
-// DefaultConfig returns a configuration matching the paper's setup.
-var DefaultConfig = Config{
-	TableSize:      256,
-	HistoryLen:     16,
-	MaxDeltas:      8,
-	TimelyCycles:   60,
-	IssueThreshold: 30,
-	MaxIssue:       4,
-}
+	issueThreshold = 30
+	// maxIssue bounds prefetches per access.
+	maxIssue = 4
+)
 
 type histEntry struct {
 	line mem.Line
@@ -59,17 +49,11 @@ type entry struct {
 
 // Prefetcher is the Berti local-delta prefetcher.
 type Prefetcher struct {
-	cfg   Config
-	table []entry
+	table [tableSize]entry
 }
 
 // New returns a Berti instance.
-func New(cfg Config) *Prefetcher {
-	if cfg.TableSize <= 0 {
-		cfg = DefaultConfig
-	}
-	return &Prefetcher{cfg: cfg, table: make([]entry, cfg.TableSize)}
-}
+func New() *Prefetcher { return &Prefetcher{} }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "berti" }
@@ -77,15 +61,15 @@ func (p *Prefetcher) Name() string { return "berti" }
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
-	idx := int(mem.HashPC(ev.PC, 16)) % len(p.table)
+	idx := mem.HashPC(ev.PC, 16) % tableSize
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	e := &p.table[idx]
 	if !e.valid || e.tag != tag {
 		// The displaced PC's slices are reused: hist past histN is never read.
 		hist, deltas := e.hist, e.deltas[:0]
 		if hist == nil {
-			hist = make([]histEntry, p.cfg.HistoryLen)
-			deltas = make([]deltaScore, 0, p.cfg.MaxDeltas)
+			hist = make([]histEntry, historyLen)
+			deltas = make([]deltaScore, 0, maxDeltas)
 		}
 		*e = entry{tag: tag, valid: true, hist: hist, deltas: deltas}
 	}
@@ -94,14 +78,14 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	// launch points for this access.
 	for i := 0; i < e.histN; i++ {
 		h := e.hist[i]
-		if ev.Now-h.at < p.cfg.TimelyCycles {
+		if ev.Now-h.at < timelyCycles {
 			continue
 		}
 		d := int64(line) - int64(h.line)
 		if d == 0 {
 			continue
 		}
-		e.bump(d, p.cfg.MaxDeltas)
+		e.bump(d)
 	}
 	e.seen++
 	if e.seen >= 64 {
@@ -121,10 +105,10 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	// Issue the confident deltas.
 	issued := 0
 	for _, ds := range e.deltas {
-		if issued >= p.cfg.MaxIssue {
+		if issued >= maxIssue {
 			break
 		}
-		if ds.score < p.cfg.IssueThreshold {
+		if ds.score < issueThreshold {
 			continue
 		}
 		target := int64(line) + ds.delta
@@ -139,7 +123,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 
 // bump increments a delta's coverage score, tracking at most maxDeltas
 // candidates and evicting the weakest.
-func (e *entry) bump(d int64, maxDeltas int) {
+func (e *entry) bump(d int64) {
 	weakest, weakestScore := -1, 1<<30
 	for i := range e.deltas {
 		if e.deltas[i].delta == d {

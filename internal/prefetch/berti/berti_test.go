@@ -18,7 +18,7 @@ func drive(p *Prefetcher, pc mem.PC, lines []mem.Line, gap uint64) []prefetch.Re
 }
 
 func TestLearnsTimelyDelta(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	for i := 0; i < 300; i++ {
 		lines = append(lines, mem.Line(1000+i))
@@ -40,16 +40,15 @@ func TestLearnsTimelyDelta(t *testing.T) {
 }
 
 func TestTimelinessFiltersTightDeltas(t *testing.T) {
-	cfg := DefaultConfig
-	cfg.TimelyCycles = 1000
-	p := New(cfg)
+	p := New()
 	var lines []mem.Line
 	for i := 0; i < 100; i++ {
 		lines = append(lines, mem.Line(1000+i))
 	}
-	// 10 cycles per access: only deltas >= 100 lines back are timely, and
-	// the history is only 16 deep, so nothing should qualify.
-	reqs := drive(p, 1, lines, 10)
+	// 3 cycles per access: only deltas >= 20 lines back beat the 60-cycle
+	// timeliness bar, and the history is only 16 deep, so nothing should
+	// qualify.
+	reqs := drive(p, 1, lines, 3)
 	if len(reqs) != 0 {
 		t.Errorf("%d prefetches from untimely deltas", len(reqs))
 	}
@@ -58,7 +57,7 @@ func TestTimelinessFiltersTightDeltas(t *testing.T) {
 func TestMultipleDeltas(t *testing.T) {
 	// A two-phase pattern: +3 / +5 alternating; Berti should learn the +8
 	// composite or the individual deltas and prefetch something useful.
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	l := mem.Line(5000)
 	for i := 0; i < 400; i++ {
@@ -90,7 +89,7 @@ func TestMultipleDeltas(t *testing.T) {
 }
 
 func TestRandomStreamStaysQuiet(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	x := uint64(7)
 	var lines []mem.Line
 	for i := 0; i < 500; i++ {
@@ -103,27 +102,17 @@ func TestRandomStreamStaysQuiet(t *testing.T) {
 	}
 }
 
-func TestDefaults(t *testing.T) {
-	p := New(Config{})
-	if p.Name() != "berti" {
-		t.Errorf("name = %q", p.Name())
-	}
-	if p.cfg.HistoryLen != DefaultConfig.HistoryLen {
-		t.Error("defaults not applied")
-	}
-}
-
 // TestReplacementAllocatesNothing: PCs that collide on one table index evict
 // each other on every access, and each replacement reuses the evicted
 // entry's history and delta slices.
 func TestReplacementAllocatesNothing(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	idx := func(pc mem.PC) int { return int(mem.HashPC(pc, 16)) % len(p.table) }
 	a, b := mem.PC(0x400000), mem.PC(0x400004)
 	for idx(b) != idx(a) || mem.HashPC(b, 24) == mem.HashPC(a, 24) {
 		b += 4
 	}
-	buf := make([]prefetch.Request, 0, DefaultConfig.MaxIssue)
+	buf := make([]prefetch.Request, 0, maxIssue)
 	now := uint64(0)
 	train := func() {
 		for _, pc := range []mem.PC{a, b} {

@@ -8,20 +8,14 @@ import (
 	"streamline/internal/prefetch/ptest"
 )
 
+func factory() prefetch.Prefetcher { return berti.New() }
+
 func TestConformance(t *testing.T) {
-	cfgs := map[string]berti.Config{
-		"default": berti.DefaultConfig,
-	}
-	for name, cfg := range cfgs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			ptest.Exercise(t, func() prefetch.Prefetcher { return berti.New(cfg) })
-		})
-	}
+	t.Run("default", func(t *testing.T) { ptest.Exercise(t, factory) })
 }
 
 // TestOracle runs this engine's request stream against the differential
 // cache oracle (see ptest.Oracle).
 func TestOracle(t *testing.T) {
-	ptest.Oracle(t, func() prefetch.Prefetcher { return berti.New(berti.DefaultConfig) })
+	ptest.Oracle(t, factory)
 }

@@ -10,18 +10,15 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// Config parameterizes Bingo.
-type Config struct {
-	// RegionLines is the spatial region size in lines (32: 2KB).
-	RegionLines int
-	// TrackerSize is the number of regions tracked concurrently.
-	TrackerSize int
-	// HistorySize is the footprint history capacity.
-	HistorySize int
-}
-
-// DefaultConfig matches the published 2KB-region configuration.
-var DefaultConfig = Config{RegionLines: 32, TrackerSize: 64, HistorySize: 4096}
+// The published 2KB-region configuration.
+const (
+	// regionLines is the spatial region size in lines (32: 2KB).
+	regionLines = 32
+	// trackerSize is the number of regions tracked concurrently.
+	trackerSize = 64
+	// historySize is the footprint history capacity.
+	historySize = 4096
+)
 
 type tracker struct {
 	valid     bool
@@ -39,22 +36,16 @@ type history struct {
 
 // Prefetcher is the Bingo spatial prefetcher.
 type Prefetcher struct {
-	cfg      Config
-	trackers []tracker
+	trackers [trackerSize]tracker
 	longHist map[uint64]uint32 // PC+address -> footprint
 	shortHis []history         // PC+offset hashed
 	clock    uint64
 }
 
 // New returns a Bingo instance.
-func New(cfg Config) *Prefetcher {
-	if cfg.RegionLines <= 0 {
-		cfg = DefaultConfig
-	}
+func New() *Prefetcher {
 	return &Prefetcher{
-		cfg:      cfg,
-		trackers: make([]tracker, cfg.TrackerSize),
-		longHist: make(map[uint64]uint32, cfg.HistorySize),
+		longHist: make(map[uint64]uint32, historySize),
 		shortHis: make([]history, 1<<14),
 	}
 }
@@ -73,7 +64,7 @@ func (p *Prefetcher) shortKey(pc mem.PC, offset int) int {
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
-	region := line / mem.Line(p.cfg.RegionLines) * mem.Line(p.cfg.RegionLines)
+	region := line / regionLines * regionLines
 	offset := int(line - region)
 	p.clock++
 
@@ -114,7 +105,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 			}
 		}
 		if ok {
-			for b := 0; b < p.cfg.RegionLines; b++ {
+			for b := 0; b < regionLines; b++ {
 				if fp&(1<<uint(b)) != 0 && b != offset {
 					out = append(out, prefetch.Request{
 						Addr: mem.AddrOf(region + mem.Line(b)),
@@ -133,9 +124,9 @@ func (p *Prefetcher) commit(t *tracker) {
 	if popcount(t.footprint) < 2 {
 		return // single-line regions carry no spatial signal
 	}
-	if len(p.longHist) >= p.cfg.HistorySize {
+	if len(p.longHist) >= historySize {
 		// Cheap wholesale aging: drop the table when full.
-		p.longHist = make(map[uint64]uint32, p.cfg.HistorySize)
+		p.longHist = make(map[uint64]uint32, historySize)
 	}
 	p.longHist[p.longKey(t.pc, t.region, t.offset)] = t.footprint
 	p.shortHis[p.shortKey(t.pc, t.offset)] = history{footprint: t.footprint, valid: true}

@@ -31,7 +31,7 @@ func footprintWorkload(regions int) []mem.Line {
 }
 
 func TestReplaysLearnedFootprint(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	// Train across enough regions to evict trackers into history, then
 	// fresh regions should be prefetched on first touch.
 	lines := footprintWorkload(400)
@@ -54,7 +54,7 @@ func TestReplaysLearnedFootprint(t *testing.T) {
 }
 
 func TestSingleLineRegionsNotStored(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	for r := 0; r < 300; r++ {
 		lines = append(lines, mem.Line(r*32)) // one touch per region
@@ -62,15 +62,5 @@ func TestSingleLineRegionsNotStored(t *testing.T) {
 	reqs := drive(p, 1, lines)
 	if len(reqs) != 0 {
 		t.Errorf("%d prefetches from single-line footprints", len(reqs))
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	p := New(Config{})
-	if p.Name() != "bingo" {
-		t.Errorf("name = %q", p.Name())
-	}
-	if p.cfg.RegionLines != 32 {
-		t.Error("defaults not applied")
 	}
 }

@@ -8,20 +8,14 @@ import (
 	"streamline/internal/prefetch/ptest"
 )
 
+func factory() prefetch.Prefetcher { return ipcp.New() }
+
 func TestConformance(t *testing.T) {
-	cfgs := map[string]ipcp.Config{
-		"default": ipcp.DefaultConfig,
-	}
-	for name, cfg := range cfgs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			ptest.Exercise(t, func() prefetch.Prefetcher { return ipcp.New(cfg) })
-		})
-	}
+	t.Run("default", func(t *testing.T) { ptest.Exercise(t, factory) })
 }
 
 // TestOracle runs this engine's request stream against the differential
 // cache oracle (see ptest.Oracle).
 func TestOracle(t *testing.T) {
-	ptest.Oracle(t, func() prefetch.Prefetcher { return ipcp.New(ipcp.DefaultConfig) })
+	ptest.Oracle(t, factory)
 }

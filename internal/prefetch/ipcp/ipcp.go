@@ -10,16 +10,17 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// Config parameterizes IPCP.
-type Config struct {
-	TableSize int
-	CSDegree  int
-	CPLXDepth int // lookahead depth through the delta signature table
-	GSDegree  int
-}
-
-// DefaultConfig matches the published configuration's intent.
-var DefaultConfig = Config{TableSize: 256, CSDegree: 4, CPLXDepth: 3, GSDegree: 4}
+// The published configuration's intent.
+const (
+	// tableSize is the number of tracked instruction pointers.
+	tableSize = 256
+	// csDegree is how many strides ahead the constant-stride class prefetches.
+	csDegree = 4
+	// cplxDepth is the lookahead depth through the delta signature table.
+	cplxDepth = 3
+	// gsDegree is how many lines ahead the global-stream class prefetches.
+	gsDegree = 4
+)
 
 type ipEntry struct {
 	tag      uint32
@@ -38,26 +39,17 @@ type cplxEntry struct {
 
 // Prefetcher is the IPCP prefetcher.
 type Prefetcher struct {
-	cfg  Config
-	ips  []ipEntry
+	ips  [tableSize]ipEntry
 	cplx []cplxEntry // indexed by signature
 
 	// Global stream detector: recent line window occupancy.
-	gsWindow  [32]mem.Line
-	gsNext    int
-	gsDenseCt int
+	gsWindow [32]mem.Line
+	gsNext   int
 }
 
 // New returns an IPCP instance.
-func New(cfg Config) *Prefetcher {
-	if cfg.TableSize <= 0 {
-		cfg = DefaultConfig
-	}
-	return &Prefetcher{
-		cfg:  cfg,
-		ips:  make([]ipEntry, cfg.TableSize),
-		cplx: make([]cplxEntry, 1<<12),
-	}
+func New() *Prefetcher {
+	return &Prefetcher{cplx: make([]cplxEntry, 1<<12)}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -70,7 +62,7 @@ func nextSig(sig uint16, delta int64) uint16 {
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
-	idx := int(mem.HashPC(ev.PC, 16)) % len(p.ips)
+	idx := mem.HashPC(ev.PC, 16) % tableSize
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	e := &p.ips[idx]
 	if !e.valid || e.tag != tag {
@@ -126,7 +118,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	switch {
 	case e.strideOK >= 2 && e.stride != 0:
 		// Constant stride: the strongest class.
-		for d := 1; d <= p.cfg.CSDegree; d++ {
+		for d := 1; d <= csDegree; d++ {
 			t := int64(line) + e.stride*int64(d)
 			if t <= 0 {
 				break
@@ -137,7 +129,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		// Complex stride: walk the signature chain.
 		cur := int64(line)
 		s := sig
-		for i := 0; i < p.cfg.CPLXDepth; i++ {
+		for i := 0; i < cplxDepth; i++ {
 			ce := p.cplx[s]
 			if ce.conf < 2 || ce.delta == 0 {
 				break
@@ -151,7 +143,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		}
 	case dense >= 24:
 		// Global stream: prefetch ahead in the region.
-		for d := 1; d <= p.cfg.GSDegree; d++ {
+		for d := 1; d <= gsDegree; d++ {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(line + mem.Line(d))})
 		}
 	}

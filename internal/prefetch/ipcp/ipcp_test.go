@@ -17,7 +17,7 @@ func drive(p *Prefetcher, pc mem.PC, lines []mem.Line) []prefetch.Request {
 }
 
 func TestConstantStrideClass(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	for i := 0; i < 20; i++ {
 		lines = append(lines, mem.Line(100+i*5))
@@ -34,7 +34,7 @@ func TestConstantStrideClass(t *testing.T) {
 
 func TestComplexStrideClass(t *testing.T) {
 	// A repeating delta pattern +1,+2,+3 defeats CS but trains CPLX.
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	l := mem.Line(1000)
 	deltas := []int64{1, 2, 3}
@@ -62,7 +62,7 @@ func TestComplexStrideClass(t *testing.T) {
 }
 
 func TestRandomQuiet(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	x := uint64(3)
 	var lines []mem.Line
 	for i := 0; i < 500; i++ {
@@ -72,12 +72,5 @@ func TestRandomQuiet(t *testing.T) {
 	reqs := drive(p, 1, lines)
 	if len(reqs) > 60 {
 		t.Errorf("%d prefetches on random stream", len(reqs))
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	p := New(Config{})
-	if p.Name() != "ipcp" {
-		t.Errorf("name = %q", p.Name())
 	}
 }

@@ -8,20 +8,14 @@ import (
 	"streamline/internal/prefetch/spp"
 )
 
+func factory() prefetch.Prefetcher { return spp.New() }
+
 func TestConformance(t *testing.T) {
-	cfgs := map[string]spp.Config{
-		"default": spp.DefaultConfig,
-	}
-	for name, cfg := range cfgs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			ptest.Exercise(t, func() prefetch.Prefetcher { return spp.New(cfg) })
-		})
-	}
+	t.Run("default", func(t *testing.T) { ptest.Exercise(t, factory) })
 }
 
 // TestOracle runs this engine's request stream against the differential
 // cache oracle (see ptest.Oracle).
 func TestOracle(t *testing.T) {
-	ptest.Oracle(t, func() prefetch.Prefetcher { return spp.New(spp.DefaultConfig) })
+	ptest.Oracle(t, factory)
 }

@@ -11,29 +11,20 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// Config parameterizes SPP-PPF.
-type Config struct {
-	// PageLines is the spatial scope of signatures (64: 4KB pages).
-	PageLines int
-	// Trackers is the number of concurrently tracked pages.
-	Trackers int
-	// LookaheadDepth bounds the signature chain walk.
-	LookaheadDepth int
-	// PathThreshold is the minimum multiplicative path confidence
+// The published design's intent.
+const (
+	// pageLines is the spatial scope of signatures (64: 4KB pages).
+	pageLines = 64
+	// numTrackers is the number of concurrently tracked pages.
+	numTrackers = 64
+	// lookaheadDepth bounds the signature chain walk.
+	lookaheadDepth = 4
+	// pathThreshold is the minimum multiplicative path confidence
 	// (percent) to continue prefetching.
-	PathThreshold int
-	// FilterThreshold is the perceptron acceptance threshold.
-	FilterThreshold int
-}
-
-// DefaultConfig matches the published design's intent.
-var DefaultConfig = Config{
-	PageLines:       64,
-	Trackers:        64,
-	LookaheadDepth:  4,
-	PathThreshold:   25,
-	FilterThreshold: 0,
-}
+	pathThreshold = 25
+	// filterThreshold is the perceptron acceptance threshold.
+	filterThreshold = 0
+)
 
 type pageTracker struct {
 	valid  bool
@@ -108,8 +99,7 @@ type issuedRecord struct {
 
 // Prefetcher is the SPP-PPF prefetcher.
 type Prefetcher struct {
-	cfg      Config
-	trackers []pageTracker
+	trackers [numTrackers]pageTracker
 	patterns map[uint16]*patternEntry
 	filter   *perceptron
 	issued   []issuedRecord
@@ -118,13 +108,8 @@ type Prefetcher struct {
 }
 
 // New returns an SPP-PPF instance.
-func New(cfg Config) *Prefetcher {
-	if cfg.PageLines <= 0 {
-		cfg = DefaultConfig
-	}
+func New() *Prefetcher {
 	return &Prefetcher{
-		cfg:      cfg,
-		trackers: make([]pageTracker, cfg.Trackers),
 		patterns: make(map[uint16]*patternEntry),
 		filter:   newPerceptron(),
 		issued:   make([]issuedRecord, 256),
@@ -141,8 +126,8 @@ func sigNext(sig uint16, delta int64) uint16 {
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
-	page := line / mem.Line(p.cfg.PageLines)
-	offset := int(line % mem.Line(p.cfg.PageLines))
+	page := line / pageLines
+	offset := int(line % pageLines)
 	p.clock++
 
 	// Filter training: a demand access to a line we recently prefetched
@@ -198,7 +183,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	conf := 100
 	sig := tr.sig
 	cur := int64(offset)
-	for depth := 0; depth < p.cfg.LookaheadDepth; depth++ {
+	for depth := 0; depth < lookaheadDepth; depth++ {
 		pe, ok := p.patterns[sig]
 		// Require minimum support and a majority delta before trusting a
 		// signature; fresh or churning signatures (conf trivially high)
@@ -207,15 +192,15 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 			break
 		}
 		conf = conf * pe.count * 100 / pe.total / 100
-		if conf < p.cfg.PathThreshold {
+		if conf < pathThreshold {
 			break
 		}
 		cur += pe.delta
-		if cur < 0 || cur >= int64(p.cfg.PageLines) {
+		if cur < 0 || cur >= pageLines {
 			break // SPP stops at page boundaries
 		}
-		target := mem.Line(uint64(page)*uint64(p.cfg.PageLines)) + mem.Line(cur)
-		if p.filter.score(ev.PC, sig, pe.delta) >= p.cfg.FilterThreshold {
+		target := page*pageLines + mem.Line(cur)
+		if p.filter.score(ev.PC, sig, pe.delta) >= filterThreshold {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target)})
 			p.remember(target, ev.PC, sig, pe.delta)
 		}

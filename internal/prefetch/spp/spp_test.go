@@ -17,7 +17,7 @@ func drive(p *Prefetcher, pc mem.PC, lines []mem.Line) []prefetch.Request {
 }
 
 func TestUnitStrideWithinPages(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	for i := 0; i < 1000; i++ {
 		lines = append(lines, mem.Line(i))
@@ -42,7 +42,7 @@ func TestUnitStrideWithinPages(t *testing.T) {
 }
 
 func TestStopsAtPageBoundaries(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var lines []mem.Line
 	for i := 0; i < 640; i++ {
 		lines = append(lines, mem.Line(i))
@@ -57,7 +57,7 @@ func TestStopsAtPageBoundaries(t *testing.T) {
 }
 
 func TestLowConfidencePatternsSuppressed(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	x := uint64(11)
 	var lines []mem.Line
 	for i := 0; i < 800; i++ {
@@ -73,7 +73,7 @@ func TestLowConfidencePatternsSuppressed(t *testing.T) {
 }
 
 func TestPerceptronLearnsFromOutcomes(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	// Issue and confirm a stream: weights should become nonnegative for
 	// the stream's features and stay usable.
 	var lines []mem.Line
@@ -83,12 +83,5 @@ func TestPerceptronLearnsFromOutcomes(t *testing.T) {
 	reqs := drive(p, 1, lines)
 	if len(reqs) == 0 {
 		t.Fatal("filter rejected a perfectly predictable stream")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	p := New(Config{})
-	if p.Name() != "spp-ppf" {
-		t.Errorf("name = %q", p.Name())
 	}
 }

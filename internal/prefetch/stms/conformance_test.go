@@ -11,7 +11,7 @@ import (
 
 func TestConformance(t *testing.T) {
 	ptest.Exercise(t, func() prefetch.Prefetcher {
-		return stms.New(stms.DefaultConfig(), dram.New(dram.ConfigFor(1)))
+		return stms.New(dram.New(dram.ConfigFor(1)))
 	})
 }
 
@@ -19,7 +19,7 @@ func TestConformance(t *testing.T) {
 // and checks its off-chip statistics never decrease and always satisfy the
 // traffic identity (OffchipTraffic is exactly the sum of its parts).
 func TestStatsMonotonicConsistent(t *testing.T) {
-	p := stms.New(stms.DefaultConfig(), dram.New(dram.ConfigFor(1)))
+	p := stms.New(dram.New(dram.ConfigFor(1)))
 	var prev stms.Stats
 	var buf []prefetch.Request
 	for i, ev := range ptest.Stream() {
@@ -54,6 +54,6 @@ func TestStatsMonotonicConsistent(t *testing.T) {
 // cache oracle (see ptest.Oracle).
 func TestOracle(t *testing.T) {
 	ptest.Oracle(t, func() prefetch.Prefetcher {
-		return stms.New(stms.DefaultConfig(), dram.New(dram.ConfigFor(1)))
+		return stms.New(dram.New(dram.ConfigFor(1)))
 	})
 }

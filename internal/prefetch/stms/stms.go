@@ -23,35 +23,23 @@ type DRAM interface {
 	Write(now uint64, l mem.Line)
 }
 
-// Config parameterizes STMS.
-type Config struct {
-	// GHBEntries is the history buffer capacity (off-chip; large).
-	GHBEntries int
-	// IndexCacheEntries is the small on-chip cache of index-table rows.
-	IndexCacheEntries int
-	// StreamChunk is how many history entries one metadata read returns
+// The published design's intent.
+const (
+	// ghbEntries is the history buffer capacity (off-chip; large).
+	ghbEntries = 1 << 20
+	// indexCacheEntries is the small on-chip cache of index-table rows.
+	indexCacheEntries = 1024
+	// streamChunk is how many history entries one metadata read returns
 	// (read amortization: a chunk is contiguous in DRAM).
-	StreamChunk int
-	// MaxDegree bounds prefetches per trigger.
-	MaxDegree int
-	// SamplePeriod writes only one in N history appends to DRAM
+	streamChunk = 16
+	// maxDegree bounds prefetches per trigger.
+	maxDegree = 4
+	// samplePeriod writes only one in N history appends to DRAM
 	// (probabilistic write amortization).
-	SamplePeriod int
-	// MetadataBase is the line address region where metadata lives.
-	MetadataBase mem.Line
-}
-
-// DefaultConfig mirrors the published design's intent.
-func DefaultConfig() Config {
-	return Config{
-		GHBEntries:        1 << 20,
-		IndexCacheEntries: 1024,
-		StreamChunk:       16,
-		MaxDegree:         4,
-		SamplePeriod:      2,
-		MetadataBase:      1 << 40,
-	}
-}
+	samplePeriod = 2
+	// metadataBase is the line address region where metadata lives.
+	metadataBase mem.Line = 1 << 40
+)
 
 // Stats counts the prefetcher's off-chip metadata activity.
 type Stats struct {
@@ -81,7 +69,6 @@ type indexCacheEntry struct {
 
 // Prefetcher is the STMS-style off-chip temporal prefetcher.
 type Prefetcher struct {
-	cfg  Config
 	dram DRAM
 
 	// The functional metadata (what DRAM "contains").
@@ -89,7 +76,7 @@ type Prefetcher struct {
 	head  int
 	index map[mem.Line]int // address -> latest GHB position
 
-	icache []indexCacheEntry
+	icache [indexCacheEntries]indexCacheEntry
 	clock  uint64
 	events uint64
 
@@ -101,16 +88,11 @@ type Prefetcher struct {
 }
 
 // New constructs the prefetcher over the given DRAM.
-func New(cfg Config, d DRAM) *Prefetcher {
-	if cfg.GHBEntries <= 0 {
-		cfg = DefaultConfig()
-	}
+func New(d DRAM) *Prefetcher {
 	return &Prefetcher{
-		cfg:    cfg,
-		dram:   d,
-		ghb:    make([]mem.Line, cfg.GHBEntries),
-		index:  make(map[mem.Line]int),
-		icache: make([]indexCacheEntry, cfg.IndexCacheEntries),
+		dram:  d,
+		ghb:   make([]mem.Line, ghbEntries),
+		index: make(map[mem.Line]int),
 	}
 }
 
@@ -120,12 +102,12 @@ func (p *Prefetcher) Name() string { return "stms" }
 // metaLine maps a metadata structure offset to a DRAM line for traffic
 // accounting (index rows and GHB chunks are line-sized).
 func (p *Prefetcher) metaLine(offset int) mem.Line {
-	return p.cfg.MetadataBase + mem.Line(offset)
+	return metadataBase + mem.Line(offset)
 }
 
 // icacheLookup checks the on-chip index cache.
 func (p *Prefetcher) icacheLookup(l mem.Line) (int, bool) {
-	slot := int(mem.HashLine64(l) % uint64(len(p.icache)))
+	slot := mem.HashLine64(l) % indexCacheEntries
 	e := &p.icache[slot]
 	if e.valid && e.tag == l {
 		p.clock++
@@ -136,7 +118,7 @@ func (p *Prefetcher) icacheLookup(l mem.Line) (int, bool) {
 }
 
 func (p *Prefetcher) icacheFill(l mem.Line, pos int) {
-	slot := int(mem.HashLine64(l) % uint64(len(p.icache)))
+	slot := mem.HashLine64(l) % indexCacheEntries
 	p.clock++
 	p.icache[slot] = indexCacheEntry{valid: true, tag: l, pos: pos, lru: p.clock}
 }
@@ -153,10 +135,10 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	prevPos, hadPrev := p.index[line]
 	p.index[line] = p.head
 	myPos := p.head
-	p.head = (p.head + 1) % len(p.ghb)
+	p.head = (p.head + 1) % ghbEntries
 	// Write amortization: appends coalesce; only sampled appends (and
 	// their index update) pay a DRAM write.
-	if p.events%uint64(p.cfg.SamplePeriod) == 0 {
+	if p.events%samplePeriod == 0 {
 		p.dram.Write(ev.Now, p.metaLine(myPos/8)) // 8 GHB entries per line
 		p.Stats.GHBWrites++
 		p.dram.Write(ev.Now, p.metaLine(1<<20+int(mem.HashLine64(line)%(1<<19))))
@@ -178,17 +160,16 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		p.Stats.IndexReads++
 	}
 
-	// Stream fetch: StreamChunk entries = chunk/8 line reads from the GHB.
-	chunkLines := (p.cfg.StreamChunk + 7) / 8
-	for i := 0; i < chunkLines; i++ {
+	// Stream fetch: streamChunk entries = chunk/8 line reads from the GHB.
+	for i := 0; i < (streamChunk+7)/8; i++ {
 		delay += p.dram.Access(ev.Now+delay, p.metaLine(prevPos/8+i), false)
 		p.Stats.GHBReads++
 	}
 	p.Stats.StreamsFollowed++
 
 	issued := 0
-	for i := 1; i <= p.cfg.StreamChunk && issued < p.cfg.MaxDegree; i++ {
-		pos := (prevPos + i) % len(p.ghb)
+	for i := 1; i <= streamChunk && issued < maxDegree; i++ {
+		pos := (prevPos + i) % ghbEntries
 		if pos == p.head {
 			break // reached the present
 		}

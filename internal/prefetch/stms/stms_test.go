@@ -52,7 +52,7 @@ func laps(l []mem.Line, n int) []mem.Line {
 
 func TestLearnsRepeatingStream(t *testing.T) {
 	d := &fakeDRAM{}
-	p := New(DefaultConfig(), d)
+	p := New(d)
 	l := lap(5000, 1)
 	reqs := drive(p, laps(l, 4))
 	if len(reqs) < len(l) {
@@ -75,7 +75,7 @@ func TestLearnsRepeatingStream(t *testing.T) {
 
 func TestGeneratesOffchipTraffic(t *testing.T) {
 	d := &fakeDRAM{}
-	p := New(DefaultConfig(), d)
+	p := New(d)
 	drive(p, laps(lap(3000, 2), 3))
 	if p.Stats.OffchipTraffic() == 0 {
 		t.Fatal("no off-chip metadata traffic recorded")
@@ -89,21 +89,19 @@ func TestGeneratesOffchipTraffic(t *testing.T) {
 }
 
 func TestWriteSamplingAmortizes(t *testing.T) {
-	// With SamplePeriod N, GHB writes must be about events/N.
-	cfg := DefaultConfig()
-	cfg.SamplePeriod = 8
+	// One in samplePeriod history appends pays a GHB write.
 	d := &fakeDRAM{}
-	p := New(cfg, d)
+	p := New(d)
 	n := 8000
 	drive(p, lap(n, 3))
-	if p.Stats.GHBWrites > uint64(n/8+8) {
-		t.Errorf("GHB writes %d exceed sampled rate for %d events", p.Stats.GHBWrites, n)
+	if p.Stats.GHBWrites != uint64(n/samplePeriod) {
+		t.Errorf("GHB writes %d for %d events, want %d", p.Stats.GHBWrites, n, n/samplePeriod)
 	}
 }
 
 func TestIndexCacheReducesIndexReads(t *testing.T) {
 	d := &fakeDRAM{}
-	p := New(DefaultConfig(), d)
+	p := New(d)
 	// A small hot set: the index cache should absorb most index lookups.
 	var lines []mem.Line
 	rng := rand.New(rand.NewSource(4))
@@ -122,7 +120,7 @@ func TestIndexCacheReducesIndexReads(t *testing.T) {
 
 func TestMetadataDelayPropagatesToRequests(t *testing.T) {
 	d := &fakeDRAM{}
-	p := New(DefaultConfig(), d)
+	p := New(d)
 	l := lap(2000, 5)
 	drive(p, l)
 	reqs := drive(p, l)
@@ -137,15 +135,5 @@ func TestMetadataDelayPropagatesToRequests(t *testing.T) {
 	}
 	if withDelay == 0 {
 		t.Error("no request carries off-chip metadata latency")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	p := New(Config{}, &fakeDRAM{})
-	if p.Name() != "stms" {
-		t.Errorf("name = %q", p.Name())
-	}
-	if p.cfg.GHBEntries != DefaultConfig().GHBEntries {
-		t.Error("defaults not applied")
 	}
 }

@@ -8,20 +8,14 @@ import (
 	"streamline/internal/prefetch/stride"
 )
 
+func factory() prefetch.Prefetcher { return stride.New() }
+
 func TestConformance(t *testing.T) {
-	cfgs := map[string]stride.Config{
-		"default": stride.DefaultConfig,
-	}
-	for name, cfg := range cfgs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			ptest.Exercise(t, func() prefetch.Prefetcher { return stride.New(cfg) })
-		})
-	}
+	t.Run("default", func(t *testing.T) { ptest.Exercise(t, factory) })
 }
 
 // TestOracle runs this engine's request stream against the differential
 // cache oracle (see ptest.Oracle).
 func TestOracle(t *testing.T) {
-	ptest.Oracle(t, func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) })
+	ptest.Oracle(t, factory)
 }

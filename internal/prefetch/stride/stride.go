@@ -9,20 +9,16 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// Config parameterizes the prefetcher.
-type Config struct {
-	// TableSize is the number of tracked PCs (direct-mapped).
-	TableSize int
-	// Degree is how many strides ahead to prefetch.
-	Degree int
-	// ConfidenceMax saturates the per-PC stride confidence.
-	ConfidenceMax int
-	// Threshold is the confidence needed to issue.
-	Threshold int
-}
-
-// DefaultConfig matches the baseline configuration.
-var DefaultConfig = Config{TableSize: 256, Degree: 3, ConfidenceMax: 3, Threshold: 2}
+const (
+	// tableSize is the number of tracked PCs (direct-mapped).
+	tableSize = 256
+	// degree is how many strides ahead to prefetch (Table II: degree 3).
+	degree = 3
+	// confidenceMax saturates the per-PC stride confidence.
+	confidenceMax = 3
+	// threshold is the confidence needed to issue.
+	threshold = 2
+)
 
 type entry struct {
 	tag    uint32
@@ -34,34 +30,18 @@ type entry struct {
 
 // Prefetcher is the IP-stride prefetcher.
 type Prefetcher struct {
-	cfg   Config
-	table []entry
-	size  mem.Divisor // len(table), for Train's index
+	table [tableSize]entry
 }
 
 // New returns a stride prefetcher.
-func New(cfg Config) *Prefetcher {
-	if cfg.TableSize <= 0 {
-		cfg.TableSize = DefaultConfig.TableSize
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = DefaultConfig.Degree
-	}
-	if cfg.ConfidenceMax <= 0 {
-		cfg.ConfidenceMax = DefaultConfig.ConfidenceMax
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = DefaultConfig.Threshold
-	}
-	return &Prefetcher{cfg: cfg, table: make([]entry, cfg.TableSize), size: mem.NewDivisor(cfg.TableSize)}
-}
+func New() *Prefetcher { return &Prefetcher{} }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "ip-stride" }
 
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
-	idx := p.size.Mod(mem.HashPC(ev.PC, 16))
+	idx := mem.HashPC(ev.PC, 16) % tableSize
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	line := ev.Line()
 	e := &p.table[idx]
@@ -74,7 +54,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		return out // same line: sub-line strides carry no prefetch signal
 	}
 	if s == e.stride {
-		if e.conf < p.cfg.ConfidenceMax {
+		if e.conf < confidenceMax {
 			e.conf++
 		}
 	} else {
@@ -85,8 +65,8 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		}
 	}
 	e.last = line
-	if e.conf >= p.cfg.Threshold && e.stride != 0 {
-		for d := 1; d <= p.cfg.Degree; d++ {
+	if e.conf >= threshold && e.stride != 0 {
+		for d := 1; d <= degree; d++ {
 			target := int64(line) + e.stride*int64(d)
 			if target < 0 {
 				break

@@ -17,7 +17,7 @@ func drive(p *Prefetcher, pc mem.PC, addrs []mem.Addr) []prefetch.Request {
 }
 
 func TestDetectsUnitLineStride(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var addrs []mem.Addr
 	for i := 0; i < 10; i++ {
 		addrs = append(addrs, mem.Addr(i*64))
@@ -35,7 +35,7 @@ func TestDetectsUnitLineStride(t *testing.T) {
 }
 
 func TestIgnoresSubLineAccesses(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var addrs []mem.Addr
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, mem.Addr(i*8)) // 8B stride: 8 accesses per line
@@ -54,7 +54,7 @@ func TestIgnoresSubLineAccesses(t *testing.T) {
 }
 
 func TestDetectsLargeStride(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	var addrs []mem.Addr
 	for i := 0; i < 10; i++ {
 		addrs = append(addrs, mem.Addr(i*4096)) // 64-line stride
@@ -70,7 +70,7 @@ func TestDetectsLargeStride(t *testing.T) {
 }
 
 func TestNoPrefetchOnRandom(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	x := uint64(12345)
 	var addrs []mem.Addr
 	for i := 0; i < 200; i++ {
@@ -84,7 +84,7 @@ func TestNoPrefetchOnRandom(t *testing.T) {
 }
 
 func TestPerPCIsolation(t *testing.T) {
-	p := New(DefaultConfig)
+	p := New()
 	// PC 1 strides by +1 line, PC 2 by -2 lines, interleaved.
 	var reqs []prefetch.Request
 	var buf []prefetch.Request
@@ -96,15 +96,5 @@ func TestPerPCIsolation(t *testing.T) {
 	}
 	if len(reqs) == 0 {
 		t.Fatal("interleaved strided PCs produced no prefetches")
-	}
-}
-
-func TestZeroConfigDefaults(t *testing.T) {
-	p := New(Config{})
-	if p.cfg.Degree != DefaultConfig.Degree {
-		t.Errorf("degree default = %d", p.cfg.Degree)
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
 	}
 }

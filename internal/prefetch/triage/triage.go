@@ -17,33 +17,27 @@ import (
 	"streamline/internal/prefetch"
 )
 
+// The paper's Triage configuration.
+const (
+	// tuSize is the number of training-unit entries.
+	tuSize = 256
+	// maxDegree bounds the prefetch chain.
+	maxDegree = 4
+)
+
 // Config parameterizes Triage.
 type Config struct {
-	// TUSize is the number of training-unit entries.
-	TUSize int
-	// MaxDegree bounds the prefetch chain (4).
-	MaxDegree int
-	// MetaBytes is the metadata partition size (resized every
-	// ResizeEpoch accesses toward the best trigger hit rate).
+	// MetaBytes is the metadata partition size. Triage holds it for the
+	// whole run: the model has no partitioner, so the partition is never
+	// resized (a known divergence, see EXPERIMENTS.md).
 	MetaBytes int
-	// ResizeEpoch is Triage's repartitioning period (50K accesses).
-	ResizeEpoch uint64
 	// LUTSize is the target-compression lookup table capacity (1024).
 	LUTSize int
-	// Ideal gives unlimited, uncompressed, dedicated metadata — the
-	// variant that defines the irregular subset.
-	Ideal bool
 }
 
 // DefaultConfig returns the paper's Triage configuration.
 func DefaultConfig() Config {
-	return Config{
-		TUSize:      256,
-		MaxDegree:   4,
-		MetaBytes:   1 << 20,
-		ResizeEpoch: 50_000,
-		LUTSize:     1024,
-	}
+	return Config{MetaBytes: 1 << 20, LUTSize: 1024}
 }
 
 // lut is the target-region lookup table: regions (line >> 11) are assigned
@@ -103,14 +97,13 @@ type idealEntry struct {
 
 // Prefetcher is the Triage temporal prefetcher.
 type Prefetcher struct {
-	cfg   Config
 	store *meta.Store
 	lut   *lut
 	tu    []tuEntry
 
+	// ideal, when non-nil, is the unlimited dedicated store of the ideal
+	// variant, which then has neither store nor lut.
 	ideal map[mem.Line]idealEntry
-
-	accesses uint64
 
 	// insTarget backs the one-element Targets slice of pairwise inserts;
 	// the store copies what it keeps.
@@ -119,38 +112,30 @@ type Prefetcher struct {
 
 // New constructs Triage over the given LLC bridge.
 func New(cfg Config, bridge meta.Bridge) *Prefetcher {
-	if cfg.TUSize <= 0 {
-		cfg = DefaultConfig()
-	}
-	p := &Prefetcher{
-		cfg: cfg,
-		tu:  make([]tuEntry, cfg.TUSize),
+	return &Prefetcher{
+		tu:  make([]tuEntry, tuSize),
 		lut: newLUT(cfg.LUTSize),
+		store: meta.NewStore(meta.StoreConfig{
+			Format:         meta.PairwiseCompressed,
+			MetaWaysPerSet: 8,
+			MaxBytes:       cfg.MetaBytes,
+			Policy:         meta.NewEntryLRU, // stands in for Triage's Hawkeye-managed metadata
+		}, bridge),
 	}
-	if cfg.Ideal {
-		p.ideal = make(map[mem.Line]idealEntry)
-		return p
-	}
-	p.store = meta.NewStore(meta.StoreConfig{
-		Format:         meta.PairwiseCompressed,
-		MetaWaysPerSet: 8,
-		MaxBytes:       cfg.MetaBytes,
-		Policy:         meta.NewEntryLRU, // stands in for Triage's Hawkeye-managed metadata
-	}, bridge)
-	return p
 }
 
 // NewIdeal returns the unlimited-metadata Triage used to define the
-// irregular subset.
+// irregular subset: uncompressed correlations in dedicated storage.
 func NewIdeal() *Prefetcher {
-	cfg := DefaultConfig()
-	cfg.Ideal = true
-	return New(cfg, &meta.NullBridge{Sets: 2048, Ways: 16})
+	return &Prefetcher{
+		tu:    make([]tuEntry, tuSize),
+		ideal: make(map[mem.Line]idealEntry),
+	}
 }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string {
-	if p.cfg.Ideal {
+	if p.ideal != nil {
 		return "triage-ideal"
 	}
 	return "triage"
@@ -168,10 +153,9 @@ func (p *Prefetcher) MetaStats() meta.Stats {
 // record the correlation from the PC's previous access and chase the chain.
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
-	idx := int(mem.HashPC(ev.PC, 16)) % len(p.tu)
+	idx := mem.HashPC(ev.PC, 16) % tuSize
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	tu := &p.tu[idx]
-	p.accesses++
 
 	if !tu.valid || tu.tag != tag {
 		*tu = tuEntry{tag: tag, last: line, valid: true}
@@ -183,11 +167,11 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		return out
 	}
 
-	if p.cfg.Ideal {
+	if p.ideal != nil {
 		p.ideal[trigger] = idealEntry{target: line}
 		cur := line
 		issued := 0
-		for hops := 0; issued < p.cfg.MaxDegree && hops < p.cfg.MaxDegree+16; hops++ {
+		for hops := 0; issued < maxDegree && hops < maxDegree+16; hops++ {
 			e, ok := p.ideal[cur]
 			if !ok {
 				break
@@ -212,7 +196,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	cur := line
 	var delay uint64
 	issued := 0
-	for hops := 0; issued < p.cfg.MaxDegree && hops < p.cfg.MaxDegree+8; hops++ {
+	for hops := 0; issued < maxDegree && hops < maxDegree+8; hops++ {
 		e, found, lat := p.store.Lookup(ev.Now+delay, ev.PC, cur)
 		if !found {
 			break

@@ -17,24 +17,30 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// Config parameterizes Triangel.
-type Config struct {
-	// TUSize is the number of training-unit entries (per-PC state).
-	TUSize int
-	// HSSets and HSWays shape the history sampler.
-	HSSets, HSWays int
-	// SCSSize is the second-chance sampler capacity.
-	SCSSize int
-	// SampleShift is the initial per-PC sampling period exponent: one in
-	// 2^SampleShift training events enters the HS. The period adapts per
+// The paper's Triangel configuration.
+const (
+	// tuSize is the number of training-unit entries (per-PC state).
+	tuSize = 256
+	// hsSets and hsWays shape the history sampler.
+	hsSets, hsWays = 32, 4
+	// scsSize is the second-chance sampler capacity.
+	scsSize = 16
+	// sampleShift is the initial per-PC sampling period exponent: one in
+	// 2^sampleShift training events enters the HS. The period adapts per
 	// PC (Triangel's 4-bit dynamic sampling rate): unused evictions grow
 	// it until sampled correlations survive to their reuse.
-	SampleShift uint8
-	// ReuseThreshold gates metadata insertion: PCs whose correlations are
+	sampleShift = 7
+	// reuseThreshold gates metadata insertion: PCs whose correlations are
 	// not reused (scans) are bypassed. Range 0..15.
-	ReuseThreshold int
-	// MRBSize is the metadata reuse buffer capacity (entries).
-	MRBSize int
+	reuseThreshold = 6
+	// mrbSize is the metadata reuse buffer capacity (entries).
+	mrbSize = 32
+	// resizeEpoch is the dynamic partitioner's decision period (accesses).
+	resizeEpoch = 50_000
+)
+
+// Config parameterizes Triangel.
+type Config struct {
 	// MaxDegree bounds the prefetch chain (4 in the paper).
 	MaxDegree int
 	// MetaBytes is the maximum metadata partition size (1MB).
@@ -42,33 +48,14 @@ type Config struct {
 	// FixedBytes pins the partition and disables dynamic partitioning
 	// when positive (used by the storage-efficiency sweeps).
 	FixedBytes int
-	// ResizeEpoch is the dynamic partitioner's decision period.
-	ResizeEpoch uint64
-	// Lookahead enables distance-2 correlation for pattern-confident PCs.
-	Lookahead bool
 	// Policy overrides the metadata replacement policy (default SRRIP,
 	// per the Triangel paper; Figure 13c swaps in TP-Mockingjay).
 	Policy meta.EntryPolicyFactory
-	// StoreOverride replaces the whole store configuration (used by the
-	// Table I partitioning-scheme sweep); nil uses Triangel's RUW store.
-	StoreOverride *meta.StoreConfig
 }
 
 // DefaultConfig returns the paper's Triangel configuration.
 func DefaultConfig() Config {
-	return Config{
-		TUSize:         256,
-		HSSets:         32,
-		HSWays:         4,
-		SCSSize:        16,
-		SampleShift:    7,
-		ReuseThreshold: 6,
-		MRBSize:        32,
-		MaxDegree:      4,
-		MetaBytes:      1 << 20,
-		ResizeEpoch:    50_000,
-		Lookahead:      true,
-	}
+	return Config{MaxDegree: 4, MetaBytes: 1 << 20}
 }
 
 // tuEntry is one PC's training state.
@@ -121,17 +108,16 @@ type Prefetcher struct {
 	part  *meta.Partitioner
 
 	tu  []tuEntry
-	hs  [][]hsEntry
-	scs []scsEntry
+	hs  [hsSets][hsWays]hsEntry
+	scs [scsSize]scsEntry
 	// mrb: the sentinel, then the entries in use; mrbHead: bucket → first slot.
 	mrb     []mrbEntry
 	mrbHead []int32
 
 	pcConf pcConfTable
 
-	clock    uint64
-	scsNext  int
-	accesses uint64
+	clock   uint64
+	scsNext int
 
 	// insTarget backs the one-element Targets slice of pairwise inserts;
 	// the store copies what it keeps.
@@ -229,7 +215,7 @@ func (t *pcConfTable) grow() {
 }
 
 // lookahead applies hysteresis: engage at pattern >= 12, disengage < 6.
-func (st *pcState) lookahead(*Prefetcher) bool {
+func (st *pcState) lookahead() bool {
 	if st.laMode {
 		if st.patternConf < 6 {
 			st.laMode = false
@@ -242,9 +228,12 @@ func (st *pcState) lookahead(*Prefetcher) bool {
 
 // New constructs a Triangel instance over the given LLC bridge.
 func New(cfg Config, bridge meta.Bridge) *Prefetcher {
-	if cfg.TUSize <= 0 {
-		cfg = DefaultConfig()
-	}
+	return newPrefetcher(cfg, bridge, mrbSize, resizeEpoch)
+}
+
+// newPrefetcher is New with the MRB capacity and the partitioner's epoch
+// as parameters, so tests can reach other values.
+func newPrefetcher(cfg Config, bridge meta.Bridge, mrbEntries int, epoch uint64) *Prefetcher {
 	storeCfg := meta.StoreConfig{
 		Format:         meta.Pairwise,
 		Tagged:         false,
@@ -257,21 +246,13 @@ func New(cfg Config, bridge meta.Bridge) *Prefetcher {
 	if storeCfg.Policy == nil {
 		storeCfg.Policy = meta.NewEntrySRRIP
 	}
-	if cfg.StoreOverride != nil {
-		storeCfg = *cfg.StoreOverride
-	}
 	p := &Prefetcher{
 		cfg:   cfg,
 		store: meta.NewStore(storeCfg, bridge),
-		tu:    make([]tuEntry, cfg.TUSize),
-		hs:    make([][]hsEntry, cfg.HSSets),
-		scs:   make([]scsEntry, cfg.SCSSize),
-		mrb:   make([]mrbEntry, 1, cfg.MRBSize+1),
+		tu:    make([]tuEntry, tuSize),
+		mrb:   make([]mrbEntry, 1, mrbEntries+1),
 		// one bucket per entry, rounded up to a power of two
-		mrbHead: make([]int32, 1<<bits.Len(uint(cfg.MRBSize-1))),
-	}
-	for i := range p.hs {
-		p.hs[i] = make([]hsEntry, cfg.HSWays)
+		mrbHead: make([]int32, 1<<bits.Len(uint(mrbEntries-1))),
 	}
 	_, llcWays := bridge.Geometry()
 	sizes := make([]int, 0, 9)
@@ -285,8 +266,7 @@ func New(cfg Config, bridge meta.Bridge) *Prefetcher {
 		LLCWays:         llcWays,
 		MetaWaysPerSet:  storeCfg.MetaWaysPerSet,
 		EntriesPerBlock: meta.EntriesPerBlock(storeCfg.Format, storeCfg.StreamLength),
-		EpochAccesses:   cfg.ResizeEpoch,
-		DataWeight:      16,
+		EpochAccesses:   epoch,
 		MetaWeight:      meta.EqualMetaWeight,
 	})
 	if cfg.FixedBytes > 0 {
@@ -318,7 +298,7 @@ func (p *Prefetcher) conf(sig uint32) *pcState {
 		return st
 	}
 	// New PCs start mildly trusted so cold workloads begin training.
-	return p.pcConf.insert(sig, pcState{reuseConf: 8, patternConf: 8, sampleShift: p.cfg.SampleShift})
+	return p.pcConf.insert(sig, pcState{reuseConf: 8, patternConf: 8, sampleShift: sampleShift})
 }
 
 func bump(v *int8, d int8) {
@@ -351,7 +331,7 @@ func (p *Prefetcher) degree(st *pcState) int {
 // ---- history sampler -------------------------------------------------
 
 func (p *Prefetcher) hsSet(trigger mem.Line) int {
-	return int(mem.HashLine64(trigger)>>40) % len(p.hs)
+	return int(mem.HashLine64(trigger)>>40) % hsSets
 }
 
 // hsProbeTrigger checks whether a trigger has a sampled correlation at the
@@ -361,7 +341,7 @@ func (p *Prefetcher) hsSet(trigger mem.Line) int {
 // match — a lookahead (distance-2) sample validated against the distance-1
 // successor would falsely demerit a perfectly stable stream.
 func (p *Prefetcher) hsProbeTrigger(trigger, actualNext mem.Line, dist uint8) {
-	set := p.hs[p.hsSet(trigger)]
+	set := &p.hs[p.hsSet(trigger)]
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.trigger == trigger && e.dist == dist {
@@ -403,7 +383,7 @@ func (p *Prefetcher) hsProbeTrigger(trigger, actualNext mem.Line, dist uint8) {
 // hsInsert samples a correlation into the history sampler, demoting the
 // owner of any unused victim and giving the victim a second chance.
 func (p *Prefetcher) hsInsert(trigger, target mem.Line, pcSig uint32, dist uint8) {
-	set := p.hs[p.hsSet(trigger)]
+	set := &p.hs[p.hsSet(trigger)]
 	victim := 0
 	for i := range set {
 		e := &set[i]
@@ -429,7 +409,7 @@ func (p *Prefetcher) hsInsert(trigger, target mem.Line, pcSig uint32, dist uint8
 			vs.sampleShift++
 		}
 		p.scs[p.scsNext] = scsEntry{valid: true, trigger: v.trigger, pcSig: v.pcSig}
-		p.scsNext = (p.scsNext + 1) % len(p.scs)
+		p.scsNext = (p.scsNext + 1) % scsSize
 	}
 	p.clock++
 	*v = hsEntry{valid: true, trigger: trigger, target: target, pcSig: pcSig, dist: dist, lru: p.clock}
@@ -491,11 +471,9 @@ func (p *Prefetcher) mrbInsert(trigger, target mem.Line, conf bool) *mrbEntry {
 func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
 	pcSig := uint32(mem.HashPC(ev.PC, 24))
-	idx := int(mem.HashPC(ev.PC, 16)) % len(p.tu)
+	idx := mem.HashPC(ev.PC, 16) % tuSize
 	tu := &p.tu[idx]
 	st := p.conf(pcSig)
-
-	p.accesses++
 
 	if !tu.valid || tu.tag != pcSig {
 		*tu = tuEntry{tag: pcSig, last0: line, valid: true}
@@ -507,7 +485,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	// metadata store is not churned by mode flapping.
 	dist := uint8(1)
 	trigger := tu.last0
-	if p.cfg.Lookahead && tu.haveLast1 && st.lookahead(p) {
+	if tu.haveLast1 && st.lookahead() {
 		trigger = tu.last1
 		dist = 2
 	}
@@ -531,7 +509,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 
 		// Store the correlation only for PCs whose metadata gets reused
 		// — this is the bypass that protects mcf's scans.
-		if int(st.reuseConf) >= p.cfg.ReuseThreshold {
+		if st.reuseConf >= reuseThreshold {
 			if e := p.mrbLookup(trigger); e == nil || e.target != line {
 				p.insTarget[0] = line
 				_, conf := p.store.Insert(ev.Now, ev.PC, meta.Entry{

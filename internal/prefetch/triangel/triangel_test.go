@@ -88,8 +88,8 @@ func TestScanPCBypassed(t *testing.T) {
 	}
 	drive(p, 9, lines)
 	st := p.conf(uint32(mem.HashPC(9, 24)))
-	if st.reuseConf >= int8(p.cfg.ReuseThreshold) {
-		t.Errorf("scan PC reuseConf = %d, want < %d (bypass)", st.reuseConf, p.cfg.ReuseThreshold)
+	if st.reuseConf >= reuseThreshold {
+		t.Errorf("scan PC reuseConf = %d, want < %d (bypass)", st.reuseConf, reuseThreshold)
 	}
 	// Inserts must stop growing once confidence collapses: compare totals
 	// in the second half against the first.
@@ -125,8 +125,7 @@ func TestMRBReducesMetadataReads(t *testing.T) {
 func TestDynamicResizeGeneratesRearrangeTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MetaBytes = 128 << 10
-	cfg.ResizeEpoch = 4096
-	p := New(cfg, testBridge())
+	p := newPrefetcher(cfg, testBridge(), mrbSize, 4096)
 	// Alternate phases of temporal-friendly and data-friendly behavior to
 	// push the partitioner around.
 	lap := chaseLap(6000, 5)
@@ -243,8 +242,8 @@ func (m *scanMRB) insert(trigger, target mem.Line, conf bool) {
 func TestMRBMatchesScanReference(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 31, 32, 33, 100, 300} {
 		cfg := DefaultConfig()
-		cfg.MetaBytes, cfg.MRBSize = 128<<10, size
-		p := New(cfg, testBridge())
+		cfg.MetaBytes = 128 << 10
+		p := newPrefetcher(cfg, testBridge(), size, resizeEpoch)
 		ref := &scanMRB{e: make([]scanMRBEntry, size)}
 		rng := rand.New(rand.NewSource(int64(size)))
 		for i := 0; i < 200_000; i++ {

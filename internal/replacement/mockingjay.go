@@ -11,8 +11,7 @@ import "streamline/internal/mem"
 type mockingjay struct {
 	sets, ways int
 
-	etr    []int16
-	linePC []uint16
+	etr []int16
 
 	rdp []int16 // predicted reuse distance per PC signature, in clock units
 
@@ -43,7 +42,6 @@ func NewMockingjay(sets, ways int) Policy {
 	p := &mockingjay{
 		sets: sets, ways: ways,
 		etr:         make([]int16, sets*ways),
-		linePC:      make([]uint16, sets*ways),
 		rdp:         make([]int16, 1<<mjSigBits),
 		sampler:     make(map[int]*mjSampler),
 		clock:       make([]uint8, sets),
@@ -169,14 +167,12 @@ func (p *mockingjay) Hit(set, way int, a Access) {
 	p.sample(set, a)
 	p.tick(set)
 	p.etr[set*p.ways+way] = p.predictETR(a.PC)
-	p.linePC[set*p.ways+way] = p.sig(a.PC)
 }
 
 func (p *mockingjay) Fill(set, way int, a Access) {
 	p.sample(set, a)
 	p.tick(set)
 	p.etr[set*p.ways+way] = p.predictETR(a.PC)
-	p.linePC[set*p.ways+way] = p.sig(a.PC)
 }
 
 func (p *mockingjay) Evict(set, way int) { p.etr[set*p.ways+way] = 0 }

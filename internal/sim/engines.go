@@ -64,15 +64,15 @@ type EngineRow struct {
 }
 
 var engineTable = []EngineRow{
-	{Name: "stride", Slot: SlotL1, perCore: func() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }},
-	{Name: "berti", Slot: SlotL1, perCore: func() prefetch.Prefetcher { return berti.New(berti.DefaultConfig) }},
-	{Name: "ipcp", Slot: SlotL2, perCore: func() prefetch.Prefetcher { return ipcp.New(ipcp.DefaultConfig) }},
-	{Name: "bingo", Slot: SlotL2, perCore: func() prefetch.Prefetcher { return bingo.New(bingo.DefaultConfig) }},
-	{Name: "spp", Slot: SlotL2, perCore: func() prefetch.Prefetcher { return spp.New(spp.DefaultConfig) }},
+	{Name: "stride", Slot: SlotL1, perCore: func() prefetch.Prefetcher { return stride.New() }},
+	{Name: "berti", Slot: SlotL1, perCore: func() prefetch.Prefetcher { return berti.New() }},
+	{Name: "ipcp", Slot: SlotL2, perCore: func() prefetch.Prefetcher { return ipcp.New() }},
+	{Name: "bingo", Slot: SlotL2, perCore: func() prefetch.Prefetcher { return bingo.New() }},
+	{Name: "spp", Slot: SlotL2, perCore: func() prefetch.Prefetcher { return spp.New() }},
 	{Name: "triage", Slot: SlotLLC, llc: func(k Knobs) TemporalFactory { return Triage(k, nil) }},
 	{Name: "triangel", Slot: SlotLLC, llc: func(k Knobs) TemporalFactory { return Triangel(k, nil) }},
 	{Name: "streamline", Slot: SlotLLC, Bypass: true, llc: func(k Knobs) TemporalFactory { return Streamline(k, nil) }},
-	{Name: "stms", Slot: SlotDRAM, offchip: func(d *dram.DRAM) prefetch.Prefetcher { return stms.New(stms.DefaultConfig(), d) }},
+	{Name: "stms", Slot: SlotDRAM, offchip: func(d *dram.DRAM) prefetch.Prefetcher { return stms.New(d) }},
 }
 
 // Engines returns the table's rows in table order (the order option lists

@@ -32,7 +32,7 @@ func traceFor(t *testing.T, name string, seed int64) trace.Trace {
 	return w.NewTrace(workloads.Scale{Footprint: 0.1}, seed)
 }
 
-func strideFactory() prefetch.Prefetcher { return stride.New(stride.DefaultConfig) }
+func strideFactory() prefetch.Prefetcher { return stride.New() }
 
 // oneShotTrace yields its records once; Reset does not rewind, modeling a
 // source that cannot replay (e.g. a stream whose rewind failed).

@@ -55,7 +55,7 @@ func TestL2AndTemporalPrefetchersCoexist(t *testing.T) {
 	cfg := smallConfig(1)
 	cfg.WarmupInstructions = 200_000
 	cfg.MeasureInstructions = 400_000
-	cfg.L2Prefetcher = func() prefetch.Prefetcher { return ipcp.New(ipcp.DefaultConfig) }
+	cfg.L2Prefetcher = func() prefetch.Prefetcher { return ipcp.New() }
 	cfg.Temporal = streamlineFactory
 	res := New(cfg).RunTrace(traceFor(t, "sphinx06", 31))
 	if res.Cores[0].IPC <= 0 {
