@@ -1,5 +1,5 @@
 // Package cache implements the set-associative caches of the simulated
-// hierarchy: tag arrays with pluggable replacement, prefetch bits for
+// hierarchy: tag arrays with LRU replacement, prefetch bits for
 // coverage/accuracy accounting, MSHR occupancy and port contention for
 // timing, and — for the LLC — way reservation hooks that carve out the
 // temporal prefetchers' metadata partitions.
@@ -18,7 +18,8 @@ import (
 type Config struct {
 	// Name labels the level in reports ("L1D", "L2", "LLC").
 	Name string
-	// Sets and Ways define the geometry; Sets must be a power of two.
+	// Sets and Ways define the geometry; Sets must be a power of two and
+	// Ways at most 16, the most the packed LRU order holds.
 	Sets, Ways int
 	// Latency is the access latency in cycles.
 	Latency uint64
@@ -26,8 +27,6 @@ type Config struct {
 	MSHRs int
 	// Ports is the number of read/write ports (accesses per cycle).
 	Ports int
-	// Policy constructs the replacement policy; nil defaults to LRU.
-	Policy replacement.Factory
 }
 
 // SizeBytes returns the data capacity of the configured cache.
@@ -200,7 +199,7 @@ type Cache struct {
 	lines []line
 	rows  []uint64
 	words int
-	repl  replacement.Policy
+	repl  *replacement.LRU
 
 	port  mem.RateLimiter
 	mshr  []uint64 // ring of outstanding miss completion times
@@ -229,14 +228,8 @@ func New(cfg Config) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", cfg.Name, cfg.Sets))
 	}
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive, got %d", cfg.Name, cfg.Ways))
-	}
-	if cfg.Policy == nil {
-		if cfg.Ways > 16 {
-			panic(fmt.Sprintf("cache %s: the default LRU policy holds at most 16 ways, got %d; set Policy", cfg.Name, cfg.Ways))
-		}
-		cfg.Policy = replacement.NewLRU
+	if cfg.Ways <= 0 || cfg.Ways > 16 {
+		panic(fmt.Sprintf("cache %s: ways must be between 1 and 16, got %d", cfg.Name, cfg.Ways))
 	}
 	if cfg.Ports <= 0 {
 		cfg.Ports = 1
@@ -251,7 +244,7 @@ func New(cfg Config) *Cache {
 		lines: make([]line, cfg.Sets*cfg.Ways),
 		rows:  make([]uint64, cfg.Sets*words),
 		words: words,
-		repl:  cfg.Policy(cfg.Sets, cfg.Ways),
+		repl:  replacement.NewLRU(cfg.Sets, cfg.Ways),
 		port:  mem.NewRateLimiter(portWindow, uint64(cfg.Ports)*portWindow),
 		mshr:  make([]uint64, cfg.MSHRs),
 	}
@@ -441,7 +434,7 @@ func (c *Cache) lookupHit(now uint64, a mem.Access) (LookupResult, bool) {
 	if a.Kind == mem.Store {
 		ln.dirty = true
 	}
-	c.repl.Hit(set, w, replacement.Access{PC: a.PC, Line: a.Line()})
+	c.repl.Touch(set, w)
 	return res, true
 }
 
@@ -475,7 +468,7 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 		if readyAt < ln.readyAt {
 			ln.readyAt = readyAt
 		}
-		c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: l})
+		c.repl.Touch(set, w)
 		return Victim{}
 	}
 	way := -1
@@ -492,7 +485,7 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 			// The whole set is reserved for metadata; cannot cache the line.
 			return Victim{}
 		}
-		way = c.repl.Victim(set, lo, replacement.Access{PC: a.PC, Line: l})
+		way = c.repl.Victim(set, lo)
 		ln := &c.lines[base+way]
 		victim = Victim{Line: c.tags[base+way], Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
 		c.Stats.Evictions++
@@ -519,7 +512,7 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 		src:        src,
 		readyAt:    readyAt,
 	}
-	c.repl.Fill(set, way, replacement.Access{PC: a.PC, Line: l})
+	c.repl.Touch(set, way)
 	return victim
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"streamline/internal/mem"
-	"streamline/internal/replacement"
 )
 
 func testConfig() Config {
@@ -396,16 +395,23 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two sets did not panic")
-		}
-	}()
-	New(Config{Name: "bad", Sets: 3, Ways: 1})
+	for _, cfg := range []Config{
+		{Name: "bad", Sets: 3, Ways: 1},
+		{Name: "bad", Sets: 4, Ways: 17},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d sets x %d ways did not panic", cfg.Sets, cfg.Ways)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestSetOfProperty(t *testing.T) {
-	c := New(Config{Name: "p", Sets: 64, Ways: 2, Policy: replacement.NewLRU})
+	c := New(Config{Name: "p", Sets: 64, Ways: 2})
 	f := func(l uint64) bool {
 		s := c.SetOf(mem.Line(l))
 		return s >= 0 && s < 64 && s == int(l%64)

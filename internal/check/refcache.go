@@ -4,8 +4,8 @@
 // outside it, three ways:
 //
 //   - A reference cache (RefCache): a tiny functional model of
-//     internal/cache under exact LRU — no timing, no replacement-policy
-//     plumbing, no incremental bookkeeping — replayed in lockstep against
+//     internal/cache under exact LRU — no timing, no packed recency order,
+//     no incremental bookkeeping — replayed in lockstep against
 //     the real implementation by Shadow, which compares every hit/miss,
 //     victim, dirty-bit, and statistics decision. Any divergence is a bug
 //     in one of the two implementations (the reference is deliberately

@@ -18,8 +18,7 @@ const maxMismatches = 32
 // recorded mismatch is a divergence between internal/cache and the
 // spelled-out LRU semantics in RefCache.
 //
-// The real cache must be running plain LRU (Shadow forces Policy nil), and
-// timing-only features (ports, MSHRs) must not be exercised through the
+// Timing-only features (ports, MSHRs) must not be exercised through the
 // shadowed entry points — the reference model has no notion of them.
 type Shadow struct {
 	Real *cache.Cache
@@ -30,11 +29,8 @@ type Shadow struct {
 	mismatches []string
 }
 
-// NewShadow builds a shadowed cache pair with the given geometry. The
-// replacement policy is forced to LRU: that is the only policy the reference
-// model defines.
+// NewShadow builds a shadowed cache pair with the given geometry.
 func NewShadow(cfg cache.Config) *Shadow {
-	cfg.Policy = nil
 	return &Shadow{
 		Real: cache.New(cfg),
 		Ref:  NewRef(cfg.Sets, cfg.Ways),

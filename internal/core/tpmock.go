@@ -75,8 +75,6 @@ func NewTPMockingjay(sets, slots int) meta.EntryPolicy {
 	return p
 }
 
-func (p *tpMockingjay) Name() string { return "tp-mockingjay" }
-
 func corrHash(a meta.EntryAccess) uint16 {
 	// Hash the full correlation: trigger AND first target. This is the
 	// TP-MIN reformulation — MIN would hash only the trigger.

@@ -10,8 +10,6 @@ package meta
 // policies here are the baselines: entry-granularity LRU and the SRRIP that
 // Triangel uses for its metadata.
 type EntryPolicy interface {
-	// Name identifies the policy.
-	Name() string
 	// Touch records a lookup hit on a slot.
 	Touch(set, slot int, a EntryAccess)
 	// Fill records installation of a new entry in a slot.
@@ -43,8 +41,6 @@ type entryLRU struct {
 func NewEntryLRU(sets, slots int) EntryPolicy {
 	return &entryLRU{slots: slots, stamp: make([]uint64, sets*slots)}
 }
-
-func (p *entryLRU) Name() string { return "entry-lru" }
 
 func (p *entryLRU) touch(set, slot int) {
 	p.clock++
@@ -84,8 +80,6 @@ func NewEntrySRRIP(sets, slots int) EntryPolicy {
 	}
 	return p
 }
-
-func (p *entrySRRIP) Name() string { return "entry-srrip" }
 
 func (p *entrySRRIP) Touch(set, slot int, _ EntryAccess) { p.rrpv[set*p.slots+slot] = 0 }
 func (p *entrySRRIP) Fill(set, slot int, _ EntryAccess)  { p.rrpv[set*p.slots+slot] = entryRRPVMax - 1 }

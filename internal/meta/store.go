@@ -58,9 +58,6 @@ type StoreConfig struct {
 	// entry. Entries matching on all of it must share a way; Section V-D5
 	// reports 3.8%% of correlations alias at this width.
 	PartialTagBits int
-	// TriggerHashBits is the width of the hashed trigger match (10 in
-	// Triage/Triangel/Streamline); aliases cause mispredictions.
-	TriggerHashBits int
 	// MaxBytes is the maximum partition size, fixing the filtered index
 	// function.
 	MaxBytes int
@@ -68,8 +65,12 @@ type StoreConfig struct {
 	Policy EntryPolicyFactory
 }
 
+// triggerHashBits is the width of the hashed trigger match (10 in
+// Triage/Triangel/Streamline); aliases cause mispredictions.
+const triggerHashBits = 10
+
 // noKey and noPartial mark an empty slot in Store.keys and Store.partial. A
-// trigger hash is at most 31 bits wide and a partial tag at most 15 (NewStore
+// trigger hash is triggerHashBits wide and a partial tag at most 15 (NewStore
 // refuses wider ones), so neither all-ones value is a hash of any trigger.
 const (
 	noKey     = ^uint32(0)
@@ -105,7 +106,7 @@ type Store struct {
 
 	// Slot storage is flat and set-major: slot way*epb+idx of logical set
 	// s is index s*stride+way*epb+idx of every array below. Scans read only
-	// the dense match arrays — keys (hashed trigger tag, TriggerHashBits
+	// the dense match arrays — keys (hashed trigger tag, triggerHashBits
 	// wide) for Lookup and Insert, partial (the partial tag kept in the LLC
 	// tag array) for aliasing — and touch slots and targets on a match.
 	stride  int // slots per logical set
@@ -147,18 +148,14 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 	if cfg.PartialTagBits <= 0 {
 		cfg.PartialTagBits = 10
 	}
-	if cfg.TriggerHashBits <= 0 {
-		cfg.TriggerHashBits = 10
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = NewEntryLRU
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = llcSets * cfg.MetaWaysPerSet * mem.LineSize
 	}
-	if cfg.TriggerHashBits > 31 || cfg.PartialTagBits > 15 {
-		panic(fmt.Sprintf("meta: %d-bit trigger hash or %d-bit partial tag collides with the empty-slot keys",
-			cfg.TriggerHashBits, cfg.PartialTagBits))
+	if cfg.PartialTagBits > 15 {
+		panic(fmt.Sprintf("meta: a %d-bit partial tag collides with the empty-slot tag", cfg.PartialTagBits))
 	}
 
 	s := &Store{
@@ -234,7 +231,7 @@ func (s *Store) StreamLength() int { return s.cfg.StreamLength }
 // hashed trigger tag, [32,38+) the partial tag, [48,58) the second-level
 // way index, and [58,60) drive skewed indexing.
 func (s *Store) triggerHash(t mem.Line) uint32 {
-	return uint32(mem.HashLine64(t)>>22) & (1<<uint(s.cfg.TriggerHashBits) - 1)
+	return uint32(mem.HashLine64(t)>>22) & (1<<triggerHashBits - 1)
 }
 
 func (s *Store) partialTag(t mem.Line) uint16 {

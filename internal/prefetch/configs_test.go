@@ -15,9 +15,10 @@ import (
 
 // TestEngineConfigFieldsVary holds the engines to the rule "with one value
 // in use, ask for a constant": every exported field of an engine's Config or
-// Options (internal/prefetch/*, internal/core) and of meta.PartitionerConfig
-// must take at least two values in the module's non-test code. A setting
-// with one value belongs in an unexported constant of its package.
+// Options (internal/prefetch/*, internal/core), of meta.PartitionerConfig and
+// of cache.Config must take at least two values in the module's non-test
+// code. A setting with one value belongs in an unexported constant of its
+// package.
 //
 // The count is syntactic, over every non-test file of the module. A field's
 // values are the constants it is assigned in keyed literals and in
@@ -71,6 +72,8 @@ func isCensusType(dir, name string) bool {
 		return name == "PartitionerConfig"
 	case dir == "internal/core":
 		return name == "Options"
+	case dir == "internal/cache":
+		return name == "Config"
 	case strings.HasPrefix(dir, "internal/prefetch/"):
 		return name == "Config"
 	}

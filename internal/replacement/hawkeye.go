@@ -64,8 +64,6 @@ func NewHawkeye(sets, ways int) Policy {
 	return p
 }
 
-func (p *hawkeye) Name() string { return "hawkeye" }
-
 func (p *hawkeye) sig(pc mem.PC) uint16 { return uint16(mem.HashPC(pc, hawkeyeSigBits)) }
 
 // observe feeds an access to OPTgen for sampled sets, returning the trained

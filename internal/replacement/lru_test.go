@@ -48,7 +48,7 @@ func TestLRUMatchesStampReference(t *testing.T) {
 			set, way := rng.Intn(sets), rng.Intn(ways)
 			switch r := rng.Intn(100); {
 			case r < 30:
-				p.Hit(set, way, Access{})
+				p.Touch(set, way)
 				ref.touch(set, way)
 			case r < 40:
 				// Re-touch the most recent way: the early-return path.
@@ -58,27 +58,27 @@ func TestLRUMatchesStampReference(t *testing.T) {
 						way = w
 					}
 				}
-				p.Hit(set, way, Access{})
+				p.Touch(set, way)
 				ref.touch(set, way)
 			case r < 55:
-				p.Fill(set, way, Access{})
+				p.Touch(set, way)
 				ref.touch(set, way)
 			case r < 70:
 				p.Evict(set, way)
 				ref.evict(set, way)
 			case r < 80:
 				lo := rng.Intn(ways)
-				v := p.Victim(set, lo, Access{})
+				v := p.Victim(set, lo)
 				if want := ref.victim(set, lo); v != want {
 					t.Fatalf("%d ways, op %d: Victim(%d, %d) = %d, stamp LRU says %d", ways, op, set, lo, v, want)
 				}
 				p.Evict(set, v)
 				ref.evict(set, v)
-				p.Fill(set, v, Access{})
+				p.Touch(set, v)
 				ref.touch(set, v)
 			}
 			for lo := 0; lo < ways; lo++ {
-				if got, want := p.Victim(set, lo, Access{}), ref.victim(set, lo); got != want {
+				if got, want := p.Victim(set, lo), ref.victim(set, lo); got != want {
 					t.Fatalf("%d ways, op %d: Victim(%d, %d) = %d, stamp LRU says %d", ways, op, set, lo, got, want)
 				}
 			}

@@ -65,8 +65,6 @@ func NewMockingjay(sets, ways int) Policy {
 	return p
 }
 
-func (p *mockingjay) Name() string { return "mockingjay" }
-
 func (p *mockingjay) sig(pc mem.PC) uint16 { return uint16(mem.HashPC(pc, mjSigBits)) }
 
 // trainRDP blends an observed reuse distance into the predictor with the

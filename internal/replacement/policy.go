@@ -1,7 +1,9 @@
-// Package replacement implements the cache replacement policies used across
-// the simulator: LRU and RRIP variants for the data caches, SHiP, Hawkeye
-// and Mockingjay for the LLC studies, and the Belady MIN / TP-MIN offline
-// oracles the paper uses to reason about temporal-prefetch metadata
+// Package replacement implements cache replacement. LRU is the policy every
+// data cache runs (internal/cache calls it directly). SRRIP, BRRIP, DRRIP,
+// SHiP, Hawkeye and Mockingjay sit behind Policy and Factories: no simulated
+// cache uses them; they remain for the benchmark's replacement probes and
+// the victim digests that pin them. The Belady MIN / TP-MIN offline oracles
+// are what the paper uses to reason about temporal-prefetch metadata
 // (Section IV-D1, Figure 6, Figure 13c).
 package replacement
 
@@ -22,8 +24,6 @@ type Access struct {
 // Policy decides victims within a set-associative structure. The caller owns
 // validity; Victim is only consulted when every way in the set is valid.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Hit is invoked when an access hits in (set, way).
 	Hit(set, way int, a Access)
 	// Fill is invoked when a new line is installed in (set, way).
@@ -47,8 +47,7 @@ func row[T any](a []T, set, ways int) []T { return a[set*ways : (set+1)*ways] }
 
 // Factories maps policy names to constructors, for configuration by name.
 var Factories = map[string]Factory{
-	"lru":        NewLRU,
-	"random":     NewRandom,
+	"lru":        func(sets, ways int) Policy { return lruPolicy{NewLRU(sets, ways)} },
 	"srrip":      NewSRRIP,
 	"brrip":      NewBRRIP,
 	"drrip":      NewDRRIP,
@@ -59,9 +58,9 @@ var Factories = map[string]Factory{
 
 // ---------------------------------------------------------------- LRU
 
-// lru is exact least-recently-used in constant time: each set packs its
+// LRU is exact least-recently-used in constant time: each set packs its
 // recency order into one word instead of keeping a timestamp per way.
-type lru struct {
+type LRU struct {
 	ways int
 	sets []lruSet
 }
@@ -78,22 +77,21 @@ type lruSet struct {
 
 // NewLRU returns a least-recently-used policy. It panics above 16 ways, the
 // most a set's packed order holds.
-func NewLRU(sets, ways int) Policy {
+func NewLRU(sets, ways int) *LRU {
 	if ways > 16 {
 		panic(fmt.Sprintf("replacement: lru supports at most 16 ways, got %d", ways))
 	}
-	p := &lru{ways: ways, sets: make([]lruSet, sets)}
+	p := &LRU{ways: ways, sets: make([]lruSet, sets)}
 	for i := range p.sets {
 		p.sets[i] = lruSet{order: 0xfedc_ba98_7654_3210, cold: 1<<ways - 1}
 	}
 	return p
 }
 
-func (p *lru) Name() string { return "lru" }
-
-// touch makes way the set's most recent: it finds the way's nibble and
-// rotates it to the front, moving the more recent ways up one place.
-func (p *lru) touch(set, way int) {
+// Touch makes way the set's most recent, on a hit or a fill: it finds the
+// way's nibble and rotates it to the front, moving the more recent ways up
+// one place.
+func (p *LRU) Touch(set, way int) {
 	s := &p.sets[set]
 	s.cold &^= 1 << way
 	w := uint64(way)
@@ -108,11 +106,12 @@ func (p *lru) touch(set, way int) {
 	s.order = s.order&^(1<<(at+4)-1) | s.order&(1<<at-1)<<4 | w
 }
 
-func (p *lru) Hit(set, way int, _ Access)  { p.touch(set, way) }
-func (p *lru) Fill(set, way int, _ Access) { p.touch(set, way) }
-func (p *lru) Evict(set, way int)          { p.sets[set].cold |= 1 << way }
+// Evict marks way cold when it is invalidated or replaced.
+func (p *LRU) Evict(set, way int) { p.sets[set].cold |= 1 << way }
 
-func (p *lru) Victim(set, lo int, _ Access) int {
+// Victim selects the way to evict among ways [lo, ways) of set: the lowest
+// cold way, else the least recently touched.
+func (p *LRU) Victim(set, lo int) int {
 	s := p.sets[set]
 	if cold := s.cold >> lo << lo; cold != 0 {
 		return bits.TrailingZeros16(cold)
@@ -124,24 +123,12 @@ func (p *lru) Victim(set, lo int, _ Access) int {
 	}
 }
 
-// ---------------------------------------------------------------- Random
+// lruPolicy adapts LRU to Policy, for configuration by name.
+type lruPolicy struct{ *LRU }
 
-type random struct {
-	ways int
-	rng  *rand.Rand
-}
-
-// NewRandom returns a uniformly random replacement policy (deterministic
-// per construction, for reproducibility).
-func NewRandom(sets, ways int) Policy {
-	return &random{ways: ways, rng: rand.New(rand.NewSource(int64(sets)<<16 | int64(ways)))}
-}
-
-func (p *random) Name() string                   { return "random" }
-func (p *random) Hit(int, int, Access)           {}
-func (p *random) Fill(int, int, Access)          {}
-func (p *random) Evict(int, int)                 {}
-func (p *random) Victim(_, lo int, _ Access) int { return lo + p.rng.Intn(p.ways-lo) }
+func (p lruPolicy) Hit(set, way int, _ Access)       { p.Touch(set, way) }
+func (p lruPolicy) Fill(set, way int, _ Access)      { p.Touch(set, way) }
+func (p lruPolicy) Victim(set, lo int, _ Access) int { return p.LRU.Victim(set, lo) }
 
 // ---------------------------------------------------------------- SRRIP
 
@@ -153,7 +140,6 @@ const (
 )
 
 type srrip struct {
-	name string
 	ways int
 	rrpv []uint8
 	// insertRRPV returns the insertion prediction for this fill; SRRIP and
@@ -164,7 +150,7 @@ type srrip struct {
 // NewSRRIP returns Static RRIP with 2-bit re-reference predictions, the
 // policy Triangel uses for its metadata (Jaleel et al., ISCA 2010).
 func NewSRRIP(sets, ways int) Policy {
-	p := newRRIPBase("srrip", sets, ways)
+	p := newRRIPBase(sets, ways)
 	p.insertRRPV = func(int) uint8 { return rrpvLong }
 	return p
 }
@@ -172,7 +158,7 @@ func NewSRRIP(sets, ways int) Policy {
 // NewBRRIP returns Bimodal RRIP: inserts at distant re-reference except for
 // a 1/32 chance of a long insertion.
 func NewBRRIP(sets, ways int) Policy {
-	p := newRRIPBase("brrip", sets, ways)
+	p := newRRIPBase(sets, ways)
 	rng := rand.New(rand.NewSource(int64(sets)*31 + int64(ways)))
 	p.insertRRPV = func(int) uint8 {
 		if rng.Intn(32) == 0 {
@@ -183,15 +169,13 @@ func NewBRRIP(sets, ways int) Policy {
 	return p
 }
 
-func newRRIPBase(name string, sets, ways int) *srrip {
-	p := &srrip{name: name, ways: ways, rrpv: make([]uint8, sets*ways)}
+func newRRIPBase(sets, ways int) *srrip {
+	p := &srrip{ways: ways, rrpv: make([]uint8, sets*ways)}
 	for i := range p.rrpv {
 		p.rrpv[i] = rrpvMax
 	}
 	return p
 }
-
-func (p *srrip) Name() string { return p.name }
 
 func (p *srrip) Hit(set, way int, _ Access) { p.rrpv[set*p.ways+way] = 0 }
 
@@ -233,8 +217,6 @@ func NewDRRIP(sets, ways int) Policy {
 		leaderMask: 63,
 	}
 }
-
-func (p *drrip) Name() string { return "drrip" }
 
 // leader returns +1 for SRRIP leader sets, -1 for BRRIP leaders, 0 otherwise.
 func (p *drrip) leader(set int) int {
@@ -316,7 +298,7 @@ type ship struct {
 // NewSHiP returns the SHiP-PC insertion policy over an SRRIP backbone.
 func NewSHiP(sets, ways int) Policy {
 	p := &ship{
-		srrip:   newRRIPBase("ship", sets, ways),
+		srrip:   newRRIPBase(sets, ways),
 		sigBits: 12,
 		sig:     make([]uint16, sets*ways),
 		reused:  make([]bool, sets*ways),
@@ -328,8 +310,6 @@ func NewSHiP(sets, ways int) Policy {
 	p.insertRRPV = func(int) uint8 { return rrpvDistant }
 	return p
 }
-
-func (p *ship) Name() string { return "ship" }
 
 func (p *ship) signature(a Access) uint16 {
 	return uint16(mem.HashPC(a.PC, p.sigBits))

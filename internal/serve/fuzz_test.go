@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"streamline/internal/audit"
 )
 
 // refID is the fmt form Spec.ID appends without fmt.
@@ -105,6 +107,42 @@ func FuzzRequestDecode(f *testing.F) {
 			if err != nil || got != want {
 				t.Fatalf("resolution %d: %+v, %v; want %+v", i, got, err, want)
 			}
+		}
+	})
+}
+
+// FuzzSpecBuilds holds Normalize to what it promises: a spec it accepts
+// builds. Whenever Normalize accepts a spec, Config and NewSystem succeed and
+// a 500 + 500 instruction audited run completes without a panic and with no
+// audit violation, sim.Result.Laws included. The seeds cover every core count
+// up to MaxCores, accepted and rejected, across the temporal arms, plus the
+// L1 and L2 prefetchers and the smallest and largest LLC sets.
+func FuzzSpecBuilds(f *testing.F) {
+	temporals := []string{"none", "streamline", "triangel", "triage", "stms"}
+	for cores := 1; cores <= MaxCores; cores++ {
+		f.Add("mcf06", "stride", "none", temporals[cores%len(temporals)], cores, 0.01, 8, 16, int64(cores))
+	}
+	f.Add("pr", "berti", "spp", "streamline-bypass", 2, 0.02, 64, 64, int64(1))
+	f.Add("sphinx06", "none", "bingo", "streamline", 1, 0.01, 16, MaxLLCSets, int64(3))
+	f.Fuzz(func(t *testing.T, workload, l1, l2, temporal string, cores int, footprint float64, metaKB, llcSets int, seed int64) {
+		sp := Spec{Workload: workload, L1: l1, L2: l2, Temporal: temporal, Cores: cores,
+			Footprint: footprint, Warmup: 500, Measure: 500, MetaKB: metaKB, LLCSets: llcSets, Seed: seed}
+		if sp.Normalize() != nil {
+			return
+		}
+		cfg, err := sp.Config()
+		if err != nil {
+			t.Fatalf("Config of accepted spec %s: %v", sp.ID(), err)
+		}
+		a := audit.New(sp.Seed)
+		cfg.Audit = a
+		sys, err := sp.NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("NewSystem of accepted spec %s: %v", sp.ID(), err)
+		}
+		sys.Run()
+		for _, v := range a.Violations() {
+			t.Errorf("%s: %v", sp.ID(), v)
 		}
 	})
 }

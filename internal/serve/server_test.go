@@ -354,6 +354,9 @@ func TestInvalidRequests(t *testing.T) {
 		{"trailing data", `{"workload":"sphinx06"} {}`, http.StatusBadRequest, "trailing data"},
 		{"unknown workload", `{"workload":"nope"}`, http.StatusBadRequest, "unknown workload"},
 		{"negative cores", `{"workload":"sphinx06","cores":-3}`, http.StatusBadRequest, "cores must be"},
+		{"3 cores", `{"workload":"sphinx06","cores":3}`, http.StatusBadRequest, "1, 2, 4, 8 or 16"},
+		{"5 cores", `{"workload":"sphinx06","cores":5}`, http.StatusBadRequest, "1, 2, 4, 8 or 16"},
+		{"6 cores", `{"workload":"sphinx06","cores":6}`, http.StatusBadRequest, "1, 2, 4, 8 or 16"},
 		{"bad llcSets", `{"workload":"sphinx06","llcSets":100}`, http.StatusBadRequest, "power of two"},
 	}
 	for _, tc := range cases {

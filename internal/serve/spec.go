@@ -179,8 +179,10 @@ func (sp *Spec) Normalize() error {
 			return err
 		}
 	}
-	if sp.Cores < 1 || sp.Cores > MaxCores {
-		return fmt.Errorf("cores must be between 1 and %d, got %d", MaxCores, sp.Cores)
+	// The shared LLC has Cores x LLCSets sets, which must be a power of two.
+	if sp.Cores < 1 || sp.Cores > MaxCores || sp.Cores&(sp.Cores-1) != 0 {
+		return fmt.Errorf("cores must be between 1 and %d and a power of two (1, 2, 4, 8 or 16), got %d",
+			MaxCores, sp.Cores)
 	}
 	if !(sp.Footprint > 0 && sp.Footprint <= 1) { // so that NaN fails too
 		return fmt.Errorf("footprint must be in (0, 1], got %g", sp.Footprint)

@@ -36,9 +36,6 @@ type Scale struct {
 	Footprint float64
 }
 
-// DefaultScale is the calibrated scale used by the experiment harness.
-var DefaultScale = Scale{Footprint: 1.0}
-
 func (s Scale) size(base int) int {
 	if s.Footprint <= 0 {
 		return base
@@ -197,28 +194,6 @@ func All() []Workload {
 		out = append(out, w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// BySuite returns the workloads of one suite, sorted by name.
-func BySuite(s Suite) []Workload {
-	var out []Workload
-	for _, w := range All() {
-		if w.Suite == s {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// IrregularSubset returns the workloads in the paper's irregular subset.
-func IrregularSubset() []Workload {
-	var out []Workload
-	for _, w := range All() {
-		if w.Irregular {
-			out = append(out, w)
-		}
-	}
 	return out
 }
 

@@ -15,13 +15,21 @@ func TestRegistryComplete(t *testing.T) {
 	if n := len(All()); n < 15 {
 		t.Fatalf("only %d workloads registered, want >= 15", n)
 	}
-	for _, suite := range []Suite{SPEC06, SPEC17, GAP} {
-		if len(BySuite(suite)) < 4 {
-			t.Errorf("suite %s has %d workloads, want >= 4", suite, len(BySuite(suite)))
+	suites := map[Suite]int{}
+	irregular := 0
+	for _, w := range All() {
+		suites[w.Suite]++
+		if w.Irregular {
+			irregular++
 		}
 	}
-	if len(IrregularSubset()) < 6 {
-		t.Errorf("irregular subset has %d workloads, want >= 6", len(IrregularSubset()))
+	for _, suite := range []Suite{SPEC06, SPEC17, GAP} {
+		if suites[suite] < 4 {
+			t.Errorf("suite %s has %d workloads, want >= 4", suite, suites[suite])
+		}
+	}
+	if irregular < 6 {
+		t.Errorf("irregular subset has %d workloads, want >= 6", irregular)
 	}
 }
 
@@ -139,7 +147,7 @@ func TestTraceMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := w.NewTrace(DefaultScale, 1)
+	tr := w.NewTrace(Scale{Footprint: 1}, 1)
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < 2_000_000; i++ {
@@ -167,7 +175,7 @@ func TestEmptyLapEndsTrace(t *testing.T) {
 	w := Workload{Name: "empty", Build: func(Scale) LapSource {
 		return &stencilSource{rows: 2, cols: 8} // no interior rows
 	}}
-	tr := trace.NewLooping(w.NewTrace(DefaultScale, 1))
+	tr := trace.NewLooping(w.NewTrace(Scale{Footprint: 1}, 1))
 	for i := 0; i < 3; i++ {
 		if r, ok := tr.Next(); ok {
 			t.Fatalf("call %d: empty workload produced %+v", i, r)
