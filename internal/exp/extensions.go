@@ -233,12 +233,8 @@ func init() {
 			lutSizes := []int{4, 16, 1 << 20}
 			arms := []Arm{base}
 			for _, lutSize := range lutSizes {
-				arms = append(arms, Arm{Name: fmt.Sprintf("triage-lut%d", lutSize),
-					Apply: func(cfg *sim.Config, sc Scale) {
-						attach(cfg, "stride")
-						cfg.Temporal = sim.Triage(sc.knobs(),
-							func(c *triage.Config) { c.LUTSize = lutSize })
-					}})
+				arms = append(arms, triageArm(fmt.Sprintf("triage-lut%d", lutSize), "stride", "",
+					func(c *triage.Config) { c.LUTSize = lutSize }))
 			}
 			g := r.Sweep(arms, SingleUnits(workloads.Names(r.Scale.irregular())))[0]
 			for i, lutSize := range lutSizes {

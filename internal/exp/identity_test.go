@@ -1,0 +1,290 @@
+package exp
+
+import (
+	"bytes"
+	"context"
+	"reflect"
+	"regexp"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"streamline/internal/core"
+	"streamline/internal/exp/store"
+	"streamline/internal/meta"
+	"streamline/internal/metrics"
+	"streamline/internal/prefetch/triage"
+	"streamline/internal/prefetch/triangel"
+	"streamline/internal/sim"
+)
+
+// mustIdentity returns the arm's identity at Micro, failing the test when
+// the arm has none.
+func mustIdentity(t *testing.T, a Arm) armConfig {
+	t.Helper()
+	id, ok := a.identity(Micro)
+	if !ok {
+		t.Fatalf("%s: no identity", a.Name)
+	}
+	return id
+}
+
+// TestArmIdentityCoversEveryField: perturbing any field of a temporal
+// engine's resolved configuration changes the arm's identity. The fields are
+// walked by reflection, so a field added later fails here until the
+// identity states it (and perturb knows its kind).
+func TestArmIdentityCoversEveryField(t *testing.T) {
+	// perturb changes one field to a value its default does not have.
+	perturb := func(t *testing.T, name string, v reflect.Value) {
+		switch {
+		case v.Kind() == reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		case v.Type() == reflect.TypeOf(meta.EntryPolicyFactory(nil)):
+			// LRU is neither engine's default.
+			v.Set(reflect.ValueOf(meta.EntryPolicyFactory(meta.NewEntryLRU)))
+		default:
+			t.Fatalf("field %s has kind %s: state it in the arm identity, then perturb it here", name, v.Kind())
+		}
+	}
+	engines := []struct {
+		name string
+		typ  reflect.Type
+		arm  func(mod func(reflect.Value)) Arm
+	}{
+		{"streamline", reflect.TypeOf(core.Options{}), func(mod func(reflect.Value)) Arm {
+			return streamlineArm("x", "stride", "", func(o *core.Options) { mod(reflect.ValueOf(o).Elem()) })
+		}},
+		{"triangel", reflect.TypeOf(triangel.Config{}), func(mod func(reflect.Value)) Arm {
+			return triangelArm("x", "stride", "", func(c *triangel.Config) { mod(reflect.ValueOf(c).Elem()) })
+		}},
+		{"triage", reflect.TypeOf(triage.Config{}), func(mod func(reflect.Value)) Arm {
+			return triageArm("x", "stride", "", func(c *triage.Config) { mod(reflect.ValueOf(c).Elem()) })
+		}},
+	}
+	for _, e := range engines {
+		base := mustIdentity(t, e.arm(func(reflect.Value) {}))
+		for i := range e.typ.NumField() {
+			name := e.name + "." + e.typ.Field(i).Name
+			got := mustIdentity(t, e.arm(func(v reflect.Value) { perturb(t, name, v.Field(i)) }))
+			if got == base {
+				t.Errorf("%s: perturbing it leaves the identity %+v", name, got)
+			}
+		}
+	}
+
+	// The non-temporal parts: engine names, metadata placement, scale knobs.
+	std := mustIdentity(t, streamlineArm("x", "stride", "", nil))
+	for _, a := range []Arm{
+		streamlineArm("x", "berti", "", nil),
+		streamlineArm("x", "stride", "ipcp", nil),
+		dedicated(streamlineArm("x", "stride", "", nil)),
+	} {
+		if mustIdentity(t, a) == std {
+			t.Errorf("%s: identity equals the plain Streamline arm's", a.Name)
+		}
+	}
+	if mustIdentity(t, stmsArm()) == mustIdentity(t, baseArm("stride", "")) {
+		t.Error("stms and base+stride share an identity")
+	}
+	bigger := Micro
+	bigger.MetaBytes *= 2
+	if id, _ := streamlineArm("x", "stride", "", nil).identity(bigger); id == std {
+		t.Error("the scale's metadata budget does not reach the identity")
+	}
+}
+
+// TestArmIdentityPolicies: an omitted metadata policy is the engine's
+// explicit default, a factory the identity cannot name leaves the arm with
+// no identity, and so do a hand-written Apply and a kept arm.
+func TestArmIdentityPolicies(t *testing.T) {
+	if mustIdentity(t, triangelArm("a", "stride", "", nil)) !=
+		mustIdentity(t, triangelArm("b", "stride", "", func(c *triangel.Config) { c.Policy = meta.NewEntrySRRIP })) {
+		t.Error("Triangel: omitted policy differs from explicit SRRIP")
+	}
+	if mustIdentity(t, streamlineArm("a", "stride", "", nil)) !=
+		mustIdentity(t, streamlineArm("b", "stride", "", func(o *core.Options) { o.Policy = core.NewTPMockingjay })) {
+		t.Error("Streamline: omitted policy differs from explicit TP-Mockingjay")
+	}
+	if mustIdentity(t, triangelArm("a", "stride", "", nil)) ==
+		mustIdentity(t, triangelArm("b", "stride", "", func(c *triangel.Config) { c.Policy = core.NewTPMockingjay })) {
+		t.Error("Triangel: TP-Mockingjay shares SRRIP's identity")
+	}
+	closure := func(sets, slots int) meta.EntryPolicy { return meta.NewEntrySRRIP(sets, slots) }
+	for _, a := range []Arm{
+		streamlineArm("closure", "stride", "", func(o *core.Options) { o.Policy = closure }),
+		triangelArm("closure", "stride", "", func(c *triangel.Config) { c.Policy = closure }),
+		{Name: "hand-written", Apply: func(cfg *sim.Config, sc Scale) { attach(cfg, "stride") }},
+		kept(streamlineArm("kept", "stride", "", nil)),
+	} {
+		if id, ok := a.identity(Micro); ok {
+			t.Errorf("%s: identity %+v, want none", a.Name, id)
+		}
+	}
+}
+
+// TestMergedArmsSimulateIdentically runs every experiment at micro scale on
+// one runner, checks that exactly the expected labels reused another
+// label's simulation, and then simulates every label of each merged group
+// directly — no memo, no reuse — to check that the reused results are the
+// ones each label computes on its own, bit for bit.
+func TestMergedArmsSimulateIdentically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at micro scale")
+	}
+	var log bytes.Buffer
+	r := NewRunner(Micro)
+	r.Progress = &log
+	for _, e := range All() {
+		e.Run(r)
+	}
+	if fails := r.DrainFailures(); len(fails) != 0 {
+		t.Fatalf("failures: %v", fails)
+	}
+
+	// Group the labels each merge line joins: "  [label] mix xN = leader".
+	merge := regexp.MustCompile(`(?m)^  \[(.+)\] (\S+) x\d+ = (.+)$`)
+	group := map[string]int{} // label -> group number
+	var groups [][]string
+	merges := 0
+	for _, m := range merge.FindAllStringSubmatch(log.String(), -1) {
+		label, leader := m[1], m[3]
+		if m[2] != "sphinx06" {
+			t.Errorf("merge on %s, want only the irregular subset's sphinx06", m[2])
+		}
+		merges++
+		g, ok := group[leader]
+		if !ok {
+			g = len(groups)
+			groups = append(groups, []string{leader})
+			group[leader] = g
+		}
+		groups[g] = append(groups[g], label)
+		group[label] = g
+	}
+	for _, g := range groups {
+		sort.Strings(g)
+	}
+	slices.SortFunc(groups, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
+	want := [][]string{
+		{"filtered-realign-2", "streamline-0.5x", "streamline-64KB"},
+		{"filtered-realign-4", "streamline-32KB"},
+		{"streamline", "streamline-len4"},
+		{"streamline-128KB", "streamline-1x"},
+		{"triangel", "triangel-d4"},
+		{"triangel-128KB", "triangel-1x"},
+	}
+	if merges != 7 || !reflect.DeepEqual(groups, want) {
+		t.Fatalf("%d merges in groups %v, want 7 in %v", merges, groups, want)
+	}
+
+	arms := map[string]Arm{}
+	for _, e := range r.memo {
+		if !e.sim.Arm.keepsSystem() {
+			arms[e.sim.Arm.Name] = e.sim.Arm
+		}
+	}
+	direct := NewRunner(Micro)
+	unit := SingleUnits([]string{"sphinx06"})[0]
+	for _, g := range groups {
+		var first sim.Result
+		for i, label := range g {
+			s := Sim{arms[label], unit}
+			res, _, err := direct.simulate(context.Background(), s.key(), s)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if i == 0 {
+				first = res
+			} else if !reflect.DeepEqual(res, first) {
+				t.Errorf("%s and %s share an identity but simulate differently", g[0], label)
+			}
+		}
+	}
+}
+
+// TestMergedArmsKeepTheirStoreKeys: a cold sweep whose arms restate two
+// configurations under four labels simulates twice but stores one record
+// per label, and a fresh runner over that store replays every record.
+func TestMergedArmsKeepTheirStoreKeys(t *testing.T) {
+	arms := []Arm{
+		triangelArm("triangel", "stride", "", nil),
+		triangelArm("triangel-d4", "stride", "", func(c *triangel.Config) { c.MaxDegree = 4 }),
+		streamlineArm("streamline", "stride", "", nil),
+		streamlineArm("streamline-len4", "stride", "", func(o *core.Options) { o.StreamLength = 4 }),
+	}
+	units := SingleUnits([]string{"sphinx06"})
+	dir := t.TempDir()
+	st, err := store.Create(dir, resumeManifest(Micro))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Micro)
+	r.Store = st
+	r.Jobs = 4
+	m := r.EnableMetrics(metrics.NewRegistry())
+	cold := r.Sweep(arms, units)[0].Rows(arms...)
+	if got := m.Completed.Value(); got != 2 {
+		t.Errorf("cold sweep simulated %d times, want 2 (two configurations)", got)
+	}
+	if st.Len() != len(arms) {
+		t.Errorf("store holds %d records, want one per label (%d)", st.Len(), len(arms))
+	}
+	for _, a := range arms {
+		if _, ok := st.Get(r.storeKey((Sim{a, units[0]}).key())); !ok {
+			t.Errorf("%s: no record under its own key", a.Name)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, resumeManifest(Micro))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	r2 := NewRunner(Micro)
+	r2.Store = st2
+	m2 := r2.EnableMetrics(metrics.NewRegistry())
+	resumed := r2.Sweep(arms, units)[0].Rows(arms...)
+	if r2.ResumedJobs() != st2.Len() || m2.Completed.Value() != 0 {
+		t.Errorf("resume replayed %d of %d records and simulated %d times, want all and none",
+			r2.ResumedJobs(), st2.Len(), m2.Completed.Value())
+	}
+	for i := range arms {
+		if !reflect.DeepEqual(cold[0][i].res, resumed[0][i].res) {
+			t.Errorf("%s: replayed result differs from the cold one", arms[i].Name)
+		}
+	}
+}
+
+// TestMergedArmsKeepTheirFailures: a failure stays with the label it hit.
+// Fault injection on either of two labels that restate one configuration
+// gaps that label only, whichever of them leads, and the other label's
+// result is its own simulation's.
+func TestMergedArmsKeepTheirFailures(t *testing.T) {
+	tri := triangelArm("triangel", "stride", "", nil)
+	d4 := triangelArm("triangel-d4", "stride", "", func(c *triangel.Config) { c.MaxDegree = 4 })
+	units := SingleUnits([]string{"sphinx06"})
+	for _, failed := range []Arm{tri, d4} {
+		for _, arms := range [][]Arm{{tri, d4}, {d4, tri}} {
+			r := NewRunner(Micro)
+			r.Jobs = 2
+			r.FailKey = (Sim{failed, units[0]}).key()
+			m := r.EnableMetrics(metrics.NewRegistry())
+			aligned := r.Sweep(arms, units)[0]
+			for _, a := range arms {
+				rows := aligned.Rows(a)
+				if gapped := len(rows) == 0; gapped != (a.Name == failed.Name) {
+					t.Errorf("fail key %q, order %s first: %s gapped=%v", r.FailKey, arms[0].Name, a.Name, gapped)
+				}
+			}
+			if got := m.Completed.Value(); got != 1 {
+				t.Errorf("fail key %q: %d simulations completed, want 1", r.FailKey, got)
+			}
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package exp
 
 // This file is the sweep runner: one memo table that single-flights every
-// simulation and one path that builds and runs a simulation. sweep.go fans
-// simulations out over the worker pool.
+// simulation by label, one table that single-flights it by what it builds,
+// and one path that builds and runs a simulation. sweep.go fans simulations
+// out over the worker pool.
 
 import (
 	"context"
@@ -21,7 +22,11 @@ import (
 // Runner executes arms with memoization so shared baselines are simulated
 // once per harness invocation. Sweep is safe for concurrent use: each
 // simulation is single-flighted by its memo key, so a result is computed
-// exactly once no matter how many goroutines ask for it.
+// exactly once no matter how many goroutines ask for it. A label that misses
+// the store is also single-flighted by its arm's identity (see
+// Arm.identity): a sensitivity arm that restates another arm's
+// configuration under a new name takes that arm's result, and still stores
+// it under its own key.
 type Runner struct {
 	// Scale is fixed at construction: NewRunner keeps its fingerprint in
 	// scaleFP for the store keys, so nothing assigns it afterwards.
@@ -42,16 +47,20 @@ type Runner struct {
 	// line order follows completion order and is not deterministic.
 	JobProgress io.Writer
 	// Check enables the runtime invariant audit on every simulation the
-	// runner performs. The checks are read-only — result tables are
-	// byte-identical either way — and AuditSummary reports what they found.
+	// runner computes; a label that reuses another label's result (see
+	// compute) is audited through that label's run. The checks are
+	// read-only — result tables are byte-identical either way — and
+	// AuditSummary reports what they found.
 	Check bool
-	// TelemetryDir, when non-empty, writes each simulation's interval
-	// samples and events as JSONL to <dir>/<audit label>.jsonl (the memo
-	// key, plus the suffixes simulate adds). Every simulation gets its own
-	// file and runs at most once (single-flighted by memo key), so the
-	// output is parallel-safe and its content deterministic for any Jobs
-	// value. Instrumentation is read-only — result tables are
-	// byte-identical either way.
+	// TelemetryDir, when non-empty, writes each computed simulation's
+	// interval samples and events as JSONL to <dir>/<audit label>.jsonl (the
+	// memo key, plus the suffixes simulate adds). Every computed simulation
+	// gets its own file and runs at most once, so the output is
+	// parallel-safe and its content deterministic for any Jobs value. A label
+	// that reuses another label's result writes no file of its own; which of
+	// two such labels writes it is fixed by experiment order, and would
+	// depend on scheduling only if one sweep listed both. Instrumentation
+	// is read-only — result tables are byte-identical either way.
 	TelemetryDir string
 	// SampleInterval is the measured instructions between telemetry samples
 	// per core; zero means a tenth of the scale's measured window.
@@ -74,6 +83,9 @@ type Runner struct {
 	logMu sync.Mutex
 	mu    sync.Mutex
 	memo  map[string]*memoEntry
+	// configs single-flights each configuration's simulation across the
+	// labels that restate it; guarded by mu.
+	configs map[configKey]*configRun
 
 	// inst collects the audit and telemetry outcomes; suffix sets a derived
 	// runner's audit labels and telemetry files apart from its parent's.
@@ -107,11 +119,28 @@ type memoEntry struct {
 	err  error
 }
 
+// configKey is one simulation by what it builds: an arm identity on a unit,
+// which the memo key's "mix|cores|bw" suffix names.
+type configKey struct {
+	arm  armConfig
+	unit string
+}
+
+// configRun is the simulation of one configKey, led by the first label that
+// missed the store with it. res is valid after done closes, and only when ok.
+type configRun struct {
+	leader string // the leading arm's Name
+	done   chan struct{}
+	res    sim.Result
+	ok     bool
+}
+
 // NewRunner returns a runner at the given scale.
 func NewRunner(sc Scale) *Runner {
 	return &Runner{
 		Scale:   sc,
 		memo:    make(map[string]*memoEntry),
+		configs: make(map[configKey]*configRun),
 		inst:    &instruments{},
 		scaleFP: sc.Fingerprint(),
 		fails:   newFailureLog(),
@@ -218,7 +247,7 @@ type Sim struct {
 
 // key is the sim's memo, job and failure key.
 func (s Sim) key() string {
-	if s.Arm.keepSystem {
+	if s.Arm.keepsSystem() {
 		return s.Arm.Name + "|" + s.Mix[0]
 	}
 	return fmt.Sprintf("%s|%s|%d|%.3f", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, s.BW)
@@ -251,12 +280,12 @@ func (r *Runner) run(e *memoEntry) {
 }
 
 // computeOrReplay returns the stored result for key when the store holds a
-// validated record for it, and otherwise computes the simulation under the
-// fault policy and checkpoints the result. Replay is sound because a
+// validated record for it, and otherwise computes the simulation (see
+// compute) and checkpoints the result under key. Replay is sound because a
 // simulation is a pure function of (scale, arm, mix, cores, bwFactor) and
 // the store key hashes all of them.
 func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, error) {
-	persist := r.Store != nil && !s.Arm.keepSystem
+	persist := r.Store != nil && !s.Arm.keepsSystem()
 	var sk string
 	if persist {
 		sk = r.storeKey(key)
@@ -272,6 +301,74 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 			// recompute rather than replay anything questionable.
 		}
 	}
+	res, sys, err := r.compute(key, s)
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	if persist {
+		if perr := r.Store.Put(sk, key, res); perr != nil {
+			r.storeFail(perr)
+		}
+	}
+	return res, sys, nil
+}
+
+// compute returns the simulation's result, running it only when no other
+// label has: a label whose arm restates another's configuration on the same
+// unit takes the result of whichever simulated it first, or waits for the
+// one simulating it. A failed simulation is never shared — the next label of
+// its configuration simulates afresh — so fault injection, timeouts and
+// panics stay with the label they hit, and a label fault injection targets
+// always runs its own job.
+func (r *Runner) compute(key string, s Sim) (sim.Result, *sim.System, error) {
+	id, ok := s.Arm.identity(r.Scale)
+	if !ok || r.injects(key) {
+		return r.execute(key, s)
+	}
+	ck := configKey{id, key[len(s.Arm.Name)+1:]}
+	for {
+		r.mu.Lock()
+		c, found := r.configs[ck]
+		if !found {
+			c = &configRun{leader: s.Arm.Name, done: make(chan struct{})}
+			r.configs[ck] = c
+		}
+		r.mu.Unlock()
+		if !found {
+			return r.lead(key, s, ck, c)
+		}
+		select {
+		case <-c.done:
+		case <-r.ctx().Done():
+			return sim.Result{}, nil, r.ctx().Err()
+		}
+		if c.ok {
+			r.logf("  [%s] %s x%d = %s\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, c.leader)
+			return c.res, nil, nil
+		}
+		// The leader failed and withdrew c: lead or follow afresh.
+	}
+}
+
+// lead simulates c's configuration as label key, publishes the result to
+// the labels waiting on c, and withdraws c unless it succeeded, so no label
+// reuses a failure.
+func (r *Runner) lead(key string, s Sim, ck configKey, c *configRun) (sim.Result, *sim.System, error) {
+	defer func() {
+		if !c.ok {
+			r.mu.Lock()
+			delete(r.configs, ck)
+			r.mu.Unlock()
+		}
+		close(c.done)
+	}()
+	res, sys, err := r.execute(key, s)
+	c.res, c.ok = res, err == nil
+	return res, sys, err
+}
+
+// execute runs the simulation under the fault policy.
+func (r *Runner) execute(key string, s Sim) (sim.Result, *sim.System, error) {
 	type outcome struct {
 		res sim.Result
 		sys *sim.System
@@ -282,15 +379,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 			res, sys, err := r.simulate(ctx, key, s)
 			return outcome{res, sys}, err
 		})
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	if persist {
-		if perr := r.Store.Put(sk, key, o.res); perr != nil {
-			r.storeFail(perr)
-		}
-	}
-	return o.res, o.sys, nil
+	return o.res, o.sys, err
 }
 
 // storeKey derives the content-addressed store key for a simulation memo
@@ -300,10 +389,15 @@ func (r *Runner) storeKey(key string) string {
 	return store.Key("simresult", r.scaleFP, key)
 }
 
+// injects reports whether fault injection targets the job key.
+func (r *Runner) injects(key string) bool {
+	return r.FailKey != "" && strings.Contains(key, r.FailKey)
+}
+
 // maybeInjectFailure panics when fault injection targets this job — the
 // hook behind FailKey and the EXPERIMENTS_FAIL_KEY harness.
 func (r *Runner) maybeInjectFailure(key string) {
-	if r.FailKey != "" && strings.Contains(key, r.FailKey) {
+	if r.injects(key) {
 		panic(fmt.Sprintf("injected failure for job %q (fail key %q)", key, r.FailKey))
 	}
 }
@@ -324,7 +418,7 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 	// a system-retaining run apart from the plain run of the same arm and
 	// workload.
 	label := key + r.suffix
-	if s.Arm.keepSystem {
+	if s.Arm.keepsSystem() {
 		label += "|sys"
 	}
 	r.attachAudit(&cfg, label)
@@ -336,7 +430,7 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 	}
 	r.logf("  [%s] %s x%d\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores)
 	res, err := sys.RunCtx(ctx, 0, nil)
-	if err != nil || !s.Arm.keepSystem {
+	if err != nil || !s.Arm.keepsSystem() {
 		return res, nil, err
 	}
 	return res, sys, nil

@@ -6,9 +6,12 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"streamline/internal/core"
+	"streamline/internal/meta"
+	"streamline/internal/prefetch/triage"
 	"streamline/internal/prefetch/triangel"
 	"streamline/internal/sim"
 	"streamline/internal/workloads"
@@ -151,20 +154,115 @@ func (sc Scale) knobs() sim.Knobs {
 
 // ---- arms ------------------------------------------------------------
 
-// Arm is one system configuration under test. Name must uniquely identify
-// the configuration: results are memoized by (arm, workload(s), cores).
+// Arm is one system configuration under test. Name is what a figure calls
+// it: results are memoized and stored by (Name, workload(s), cores), so Name
+// must uniquely identify the configuration among a runner's arms. An arm's
+// identity is what it builds (see identity): two arms with one identity
+// restate one configuration under two names, and the runner simulates it
+// once for both.
 type Arm struct {
 	Name  string
 	Apply func(cfg *sim.Config, sc Scale)
-	// keepSystem retains each simulated system next to its result (see kept).
+	// spec is what an arm builder states about the arm; nil for a
+	// hand-written Apply. A wrapper that changes what Apply builds must
+	// state the change in a copy (as dedicated does), or two configurations
+	// would share one simulation. A pointer keeps Arm at four words: Sim
+	// holds an Arm, and every memo lookup copies a Sim.
+	spec *armSpec
+}
+
+// armSpec is what an arm builder states about an arm.
+type armSpec struct {
+	// builds holds the engine names and metadata placement; identity
+	// fills in its temporal field.
+	builds armConfig
+	// tune is the temporal engine's mod: a func(*core.Options),
+	// func(*triangel.Config) or func(*triage.Config), possibly a typed nil.
+	// An untyped nil means no LLC temporal engine.
+	tune any
+	// keepSystem retains each simulated system next to its result (see
+	// kept).
 	keepSystem bool
+}
+
+// keepsSystem reports whether the arm retains its simulated systems.
+func (a Arm) keepsSystem() bool { return a.spec != nil && a.spec.keepSystem }
+
+// armConfig is what an arm builds, whatever a figure calls it: its engine
+// names, where its metadata lives, and its temporal engine's fully resolved
+// configuration.
+type armConfig struct {
+	l1, l2, offchip string
+	dedicated       bool
+	// temporal renders the LLC temporal engine's resolved configuration
+	// ("" without one): defaults, then the scale's knobs, then the arm's mod,
+	// from the resolution function the engine is built from.
+	temporal string
+}
+
+// identity returns what the arm builds at sc, and false when only its Name
+// can tell it apart: a hand-written Apply, a kept arm (its retained system
+// is its own), or a metadata policy identity cannot name. Arms with equal
+// identities simulate bit-identically on every unit.
+func (a Arm) identity(sc Scale) (armConfig, bool) {
+	if a.spec == nil || a.spec.keepSystem {
+		return armConfig{}, false
+	}
+	id, ok := a.spec.builds, true
+	switch tune := a.spec.tune.(type) {
+	case func(*triage.Config):
+		id.temporal = fmt.Sprintf("triage%+v", sim.TriageConfig(sc.knobs(), tune))
+	case func(*triangel.Config):
+		c := sim.TriangelConfig(sc.knobs(), tune)
+		var policy string
+		policy, ok = policyName(c.Policy, meta.NewEntrySRRIP)
+		c.Policy = nil
+		id.temporal = fmt.Sprintf("triangel%+v/%s", c, policy)
+	case func(*core.Options):
+		o := sim.StreamlineOptions(sc.knobs(), tune)
+		var policy string
+		policy, ok = policyName(o.Policy, core.NewTPMockingjay)
+		o.Policy = nil
+		id.temporal = fmt.Sprintf("streamline%+v/%s", o, policy)
+	}
+	return id, ok
+}
+
+// entryPolicies names the metadata replacement policies an identity can
+// state.
+var entryPolicies = []struct {
+	name string
+	new  meta.EntryPolicyFactory
+}{
+	{"lru", meta.NewEntryLRU},
+	{"srrip", meta.NewEntrySRRIP},
+	{"tp-mockingjay", core.NewTPMockingjay},
+}
+
+// policyName names the metadata policy f, reading nil as the engine's
+// default def. Functions compare only by code pointer, so any other factory
+// — a closure above all, whose captured state the pointer does not cover —
+// is unnamed: false.
+func policyName(f, def meta.EntryPolicyFactory) (string, bool) {
+	if f == nil {
+		f = def
+	}
+	code := reflect.ValueOf(f).Pointer()
+	for _, p := range entryPolicies {
+		if reflect.ValueOf(p.new).Pointer() == code {
+			return p.name, true
+		}
+	}
+	return "", false
 }
 
 // kept marks the arm system-retaining, so an experiment can read
 // prefetcher-internal state after its runs (Row's sys). Such an arm runs
 // single workloads only, under the key "arm|workload".
 func kept(a Arm) Arm {
-	a.keepSystem = true
+	// A kept arm has no identity (its system is its own), so it needs
+	// nothing else from the spec.
+	a.spec = &armSpec{keepSystem: true}
 	return a
 }
 
@@ -192,30 +290,36 @@ func baseArm(l1, l2 string) Arm {
 	}
 	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
 		attach(cfg, l1, l2)
-	}}
+	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}}}
 }
 
 // stmsArm is the off-chip STMS baseline behind a stride L1D prefetcher.
 func stmsArm() Arm {
 	return Arm{Name: "stms", Apply: func(cfg *sim.Config, sc Scale) {
 		attach(cfg, "stride", "stms")
-	}}
+	}, spec: &armSpec{builds: armConfig{l1: "stride", offchip: "stms"}}}
 }
 
-// triangelArm builds a Triangel arm; mod may adjust the configuration and
-// must be reflected in name.
+// triageArm builds a Triage arm; mod may adjust the configuration.
+func triageArm(name, l1, l2 string, mod func(*triage.Config)) Arm {
+	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
+		attach(cfg, l1, l2)
+		cfg.Temporal = sim.Triage(sc.knobs(), mod)
+	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}, tune: mod}}
+}
+
+// triangelArm builds a Triangel arm; mod may adjust the configuration.
 func triangelArm(name, l1, l2 string, mod func(*triangel.Config)) Arm {
 	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
 		attach(cfg, l1, l2)
 		cfg.Temporal = sim.Triangel(sc.knobs(), mod)
-	}}
+	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}, tune: mod}}
 }
 
-// streamlineArm builds a Streamline arm; mod may adjust the options and must
-// be reflected in name.
+// streamlineArm builds a Streamline arm; mod may adjust the options.
 func streamlineArm(name, l1, l2 string, mod func(*core.Options)) Arm {
 	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
 		attach(cfg, l1, l2)
 		cfg.Temporal = sim.Streamline(sc.knobs(), mod)
-	}}
+	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}, tune: mod}}
 }

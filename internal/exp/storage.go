@@ -20,11 +20,18 @@ import (
 // dedicated wraps an arm so its temporal metadata lives in dedicated
 // storage instead of LLC capacity (Triangel-Ideal).
 func dedicated(a Arm) Arm {
-	inner := a.Apply
-	return Arm{Name: a.Name + "-ideal", Apply: func(cfg *sim.Config, sc Scale) {
-		inner(cfg, sc)
+	apply := a.Apply
+	a.Name += "-ideal"
+	a.Apply = func(cfg *sim.Config, sc Scale) {
+		apply(cfg, sc)
 		cfg.DedicatedMetadata = true
-	}}
+	}
+	if a.spec != nil {
+		spec := *a.spec
+		spec.builds.dedicated = true
+		a.spec = &spec
+	}
+	return a
 }
 
 func init() {

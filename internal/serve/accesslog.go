@@ -24,7 +24,7 @@ type AccessRecord struct {
 	// before the response was ready (outcome "abandoned").
 	Status int `json:"status"`
 	// Outcome is the request's accounting class: invalid, memory-hit,
-	// store-hit, collapsed, computed, failed, canceled, rejected,
+	// store-hit, collapsed, computed, failed, panic, canceled, rejected,
 	// drain-refused, or abandoned.
 	Outcome string `json:"outcome"`
 	// Tier is the serving cache tier (none, memory, store, flight) for
@@ -42,8 +42,9 @@ type AccessRecord struct {
 	// request that owned the computation.
 	Stages *StageTimings `json:"stages,omitempty"`
 	// Error is the failure text, when there is one: the decode error of an
-	// invalid request, the computation's error on every waiter of a failed
-	// or canceled flight, or the store's persist error on a request that is
+	// invalid request, the computation's error on every waiter of a failed,
+	// panicked or canceled flight (a panic's text reaches only this log, not
+	// the response), or the store's persist error on a request that is
 	// otherwise computed.
 	Error string `json:"error,omitempty"`
 }

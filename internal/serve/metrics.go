@@ -62,6 +62,7 @@ func newServerMetrics(s *Server, reg *metrics.Registry) *serverMetrics {
 		"collapsed":     s.collapsed.Load,
 		"computed":      s.computed.Load,
 		"failed":        s.failed.Load,
+		"panic":         s.panicked.Load,
 		"canceled":      s.canceled.Load,
 		"rejected":      s.rejected.Load,
 		"drain_refused": s.drainRefused.Load,

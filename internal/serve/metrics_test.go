@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -508,8 +509,8 @@ func TestAccessLogErrors(t *testing.T) {
 			t.Fatalf("access log holds %d records, want 2:\n%s", len(recs), buf.String())
 		}
 		for i, rec := range recs {
-			if rec.Outcome != "failed" || !strings.Contains(rec.Error, "kaboom") {
-				t.Errorf("waiter %d record %+v, want outcome failed carrying the panic", i, rec)
+			if rec.Outcome != "panic" || !strings.Contains(rec.Error, "kaboom") {
+				t.Errorf("waiter %d record %+v, want outcome panic carrying the panic", i, rec)
 			}
 		}
 		if recs[0].Error != recs[1].Error {
@@ -536,6 +537,51 @@ func TestAccessLogErrors(t *testing.T) {
 			t.Errorf("record %+v, want outcome computed with error %q", recs[0], os.ErrInvalid)
 		}
 	})
+}
+
+// TestPanicIsItsOwnOutcome: a computation that panics is a server bug, not
+// a failed simulation. It answers 500 without the panic text, counts as
+// Panicked (not Failed) in Counters, /statusz and the exposition, and is
+// cached nowhere, so the next identical request computes again.
+func TestPanicIsItsOwnOutcome(t *testing.T) {
+	s := New(Config{})
+	var panics atomic.Int32
+	s.SetComputeHook(func(string) {
+		if panics.Add(1) == 1 {
+			panic("kaboom")
+		}
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status, _, body := post(t, ts.URL, tinyBody)
+	if status != http.StatusInternalServerError || strings.Contains(string(body), "kaboom") {
+		t.Errorf("panicking computation answered %d %s, want 500 without the panic text", status, body)
+	}
+	if status, tier, _ := post(t, ts.URL, tinyBody); status != http.StatusOK || tier != "none" {
+		t.Errorf("request after the panic answered %d from tier %q, want 200 computed", status, tier)
+	}
+	waitFor(t, "the queue to drain", func() bool { return s.Status().Queued == 0 })
+	if c := s.Counters(); c.Panicked != 1 || c.Failed != 0 || c.Computed != 1 {
+		t.Errorf("counters %+v, want panicked=1 failed=0 computed=1", c)
+	}
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Panicked != 1 {
+		t.Errorf("/statusz panicked = %d (%v), want 1", st.Panicked, err)
+	}
+	text := scrape(t, ts.URL)
+	for _, want := range []string{
+		`streamd_responses_total{outcome="panic"} 1`,
+		`streamd_responses_total{outcome="failed"} 0`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
 }
 
 // accessKeyOrder is the access record's key order. A record carries a

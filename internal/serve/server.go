@@ -61,7 +61,7 @@ type Config struct {
 // Counters is a snapshot of the server's request accounting. Every request
 // lands in exactly one of: Invalid, MemoryHits, StoreHits, Collapsed,
 // Rejected, DrainRefused, or the computation outcomes
-// Computed/Failed/Canceled.
+// Computed/Failed/Panicked/Canceled.
 type Counters struct {
 	Requests   uint64 `json:"requests"`
 	Invalid    uint64 `json:"invalid"`
@@ -70,6 +70,9 @@ type Counters struct {
 	Collapsed  uint64 `json:"collapsed"`
 	Computed   uint64 `json:"computed"`
 	Failed     uint64 `json:"failed"`
+	// Panicked counts computations that panicked: a server bug, not a bad
+	// request, so it is kept apart from Failed. Each answered 500.
+	Panicked uint64 `json:"panicked"`
 	// Canceled counts computations stopped before completion — every waiter
 	// disconnected, or the drain deadline passed. Canceled results are never
 	// cached.
@@ -130,7 +133,7 @@ type Server struct {
 
 	requests, invalid, memHits, storeHits atomic.Uint64
 	collapsed, computed, failed, rejected atomic.Uint64
-	canceled, drainRefused                atomic.Uint64
+	panicked, canceled, drainRefused      atomic.Uint64
 
 	hookMu      sync.Mutex
 	computeHook func(key string)
@@ -297,6 +300,7 @@ func (s *Server) Counters() Counters {
 		Collapsed:    s.collapsed.Load(),
 		Computed:     s.computed.Load(),
 		Failed:       s.failed.Load(),
+		Panicked:     s.panicked.Load(),
 		Canceled:     s.canceled.Load(),
 		Rejected:     s.rejected.Load(),
 		DrainRefused: s.drainRefused.Load(),
@@ -325,7 +329,7 @@ func (s *Server) Status() Status {
 		st.StoreRecords = s.cfg.Store.Len()
 	}
 	hits := st.MemoryHits + st.StoreHits + st.Collapsed
-	if total := hits + st.Computed + st.Failed + st.Canceled; total > 0 {
+	if total := hits + st.Computed + st.Failed + st.Panicked + st.Canceled; total > 0 {
 		st.HitRate = float64(hits) / float64(total)
 	}
 	return st
@@ -637,7 +641,13 @@ func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted 
 	}
 	if err != nil {
 		var te *runner.TimeoutError
+		var pe *runner.PanicError
 		switch {
+		case errors.As(err, &pe):
+			// A recovered panic is a server bug: the access log records the
+			// panic, the client learns only that the server failed.
+			s.panicked.Add(1)
+			outcome, status = "panic", http.StatusInternalServerError
 		case errors.As(err, &te):
 			s.failed.Add(1)
 			outcome, status = "failed", http.StatusGatewayTimeout
@@ -650,9 +660,13 @@ func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted 
 			outcome, status = "failed", http.StatusInternalServerError
 		}
 		f.err = err.Error()
+		msg := f.err
+		if pe != nil {
+			msg = "internal error: the simulation panicked"
+		}
 		doc, _ := json.Marshal(struct {
 			Error string `json:"error"`
-		}{f.err})
+		}{msg})
 		body = doc
 	} else {
 		// Persist before publishing: a client that saw this response can

@@ -79,51 +79,65 @@ var engineTable = []EngineRow{
 // and the conformance suite enumerate them).
 func Engines() []EngineRow { return engineTable }
 
-// Triage builds the Triage factory: defaults, then knobs, then tune (which
-// may be nil) for sweep arms that vary a setting the knobs do not cover.
+// TriageConfig resolves the configuration a Triage factory builds:
+// defaults, then knobs, then tune (which may be nil) for sweep arms that vary
+// a setting the knobs do not cover. Triage builds from it, so a sweep arm
+// that states what it builds from it cannot drift from what is built.
+func TriageConfig(k Knobs, tune func(*triage.Config)) triage.Config {
+	c := triage.DefaultConfig()
+	if k.MetaBytes > 0 {
+		c.MetaBytes = k.MetaBytes
+	}
+	if tune != nil {
+		tune(&c)
+	}
+	return c
+}
+
+// TriangelConfig is TriageConfig's counterpart for Triangel.
+func TriangelConfig(k Knobs, tune func(*triangel.Config)) triangel.Config {
+	c := triangel.DefaultConfig()
+	if k.MetaBytes > 0 {
+		c.MetaBytes = k.MetaBytes
+	}
+	if tune != nil {
+		tune(&c)
+	}
+	return c
+}
+
+// StreamlineOptions is TriageConfig's counterpart for Streamline.
+func StreamlineOptions(k Knobs, tune func(*core.Options)) core.Options {
+	o := core.DefaultOptions()
+	if k.MetaBytes > 0 {
+		o.MetaBytes = k.MetaBytes
+	}
+	if k.MinSets > 0 {
+		o.MinSets = k.MinSets
+	}
+	o.Bypass = k.Bypass
+	if tune != nil {
+		tune(&o)
+	}
+	return o
+}
+
+// Triage builds the Triage factory from TriageConfig(k, tune).
 func Triage(k Knobs, tune func(*triage.Config)) TemporalFactory {
-	return func(b meta.Bridge) prefetch.Prefetcher {
-		c := triage.DefaultConfig()
-		if k.MetaBytes > 0 {
-			c.MetaBytes = k.MetaBytes
-		}
-		if tune != nil {
-			tune(&c)
-		}
-		return triage.New(c, b)
-	}
+	c := TriageConfig(k, tune)
+	return func(b meta.Bridge) prefetch.Prefetcher { return triage.New(c, b) }
 }
 
-// Triangel is Triage's counterpart for Triangel.
+// Triangel builds the Triangel factory from TriangelConfig(k, tune).
 func Triangel(k Knobs, tune func(*triangel.Config)) TemporalFactory {
-	return func(b meta.Bridge) prefetch.Prefetcher {
-		c := triangel.DefaultConfig()
-		if k.MetaBytes > 0 {
-			c.MetaBytes = k.MetaBytes
-		}
-		if tune != nil {
-			tune(&c)
-		}
-		return triangel.New(c, b)
-	}
+	c := TriangelConfig(k, tune)
+	return func(b meta.Bridge) prefetch.Prefetcher { return triangel.New(c, b) }
 }
 
-// Streamline is Triage's counterpart for Streamline.
+// Streamline builds the Streamline factory from StreamlineOptions(k, tune).
 func Streamline(k Knobs, tune func(*core.Options)) TemporalFactory {
-	return func(b meta.Bridge) prefetch.Prefetcher {
-		o := core.DefaultOptions()
-		if k.MetaBytes > 0 {
-			o.MetaBytes = k.MetaBytes
-		}
-		if k.MinSets > 0 {
-			o.MinSets = k.MinSets
-		}
-		o.Bypass = k.Bypass
-		if tune != nil {
-			tune(&o)
-		}
-		return core.New(o, b)
-	}
+	o := StreamlineOptions(k, tune)
+	return func(b meta.Bridge) prefetch.Prefetcher { return core.New(o, b) }
 }
 
 // Attach configures cfg to build the named engine, with knobs k, in the
