@@ -155,18 +155,14 @@ func main() {
 	// Stepping does not perturb the statistics: a completed run is
 	// bit-identical to one-shot sys.Run().
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	eng := sys.Engine()
-	for !eng.Done() {
-		if ctx.Err() != nil {
-			p := eng.Progress()
-			fmt.Fprintf(os.Stderr, "canceled after %d records (%.1f%% of measure)\n",
-				p.Records, 100*p.MeasuredFraction())
-			exit(130)
-		}
-		eng.Step(sim.DefaultEpoch)
+	var last sim.Progress
+	res, err := sys.RunCtx(ctx, 0, func(p sim.Progress) { last = p })
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "canceled after %d records (%.1f%% of measure)\n",
+			last.Records, 100*last.MeasuredFraction())
+		exit(130)
 	}
 	stopSignals()
-	res := eng.Finish()
 
 	fmt.Printf("workload=%s cores=%d l1=%s l2=%s temporal=%s\n",
 		sp.Workload, sp.Cores, sp.L1, sp.L2, sp.Temporal)

@@ -313,14 +313,6 @@ func (c *Cache) PortDelay(now uint64, demand bool) uint64 {
 	return delay
 }
 
-// MSHRDelay reserves an MSHR for a miss starting at start that completes at
-// ready, returning the delay (if any) until an MSHR frees up.
-func (c *Cache) MSHRDelay(start, ready uint64) uint64 {
-	slot, delay := c.MSHRReserve(start)
-	c.MSHRComplete(slot, ready+delay)
-	return delay
-}
-
 // MSHRReserve claims an MSHR for a miss beginning at start, returning the
 // slot and the stall (if any) until one frees. The caller must complete the
 // reservation with MSHRComplete once the fill time is known.

@@ -203,12 +203,14 @@ func TestPortDelayToleratesOutOfOrderTimestamps(t *testing.T) {
 func TestMSHROccupancy(t *testing.T) {
 	c := New(testConfig()) // 4 MSHRs
 	for i := 0; i < 4; i++ {
-		if d := c.MSHRDelay(0, 100); d != 0 {
+		slot, d := c.MSHRReserve(0)
+		if d != 0 {
 			t.Fatalf("miss %d delayed %d with free MSHRs", i, d)
 		}
+		c.MSHRComplete(slot, 100)
 	}
 	// Fifth concurrent miss waits for the oldest (ready at 100).
-	if d := c.MSHRDelay(0, 100); d != 100 {
+	if _, d := c.MSHRReserve(0); d != 100 {
 		t.Errorf("5th miss delayed %d, want 100", d)
 	}
 }

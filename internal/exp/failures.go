@@ -6,9 +6,6 @@ package exp
 import (
 	"fmt"
 	"sort"
-	"sync"
-
-	"streamline/internal/exp/runner"
 )
 
 // JobFailure records one failed job: its result is a
@@ -18,28 +15,16 @@ type JobFailure struct {
 	Err error
 }
 
-// failureLog accumulates failed job keys. It is shared between a runner and
-// its Derived runners so a sweep's degradation summary is complete.
-type failureLog struct {
-	mu      sync.Mutex
-	order   []JobFailure
-	keys    map[string]bool
-	drained int
-	// metrics, when set by EnableMetrics, counts each newly gapped key.
-	metrics *runner.Metrics
-}
-
-func newFailureLog() *failureLog { return &failureLog{keys: make(map[string]bool)} }
-
-func (l *failureLog) add(key string, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.keys[key] {
+// fail records a failed job, once per key, and counts its gap.
+func (r *Runner) fail(key string, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.failed[key] {
 		return
 	}
-	l.keys[key] = true
-	l.order = append(l.order, JobFailure{Key: key, Err: err})
-	l.metrics.GapInc()
+	r.failed[key] = true
+	r.failures = append(r.failures, JobFailure{Key: key, Err: err})
+	r.Fault.Metrics.GapInc()
 }
 
 // sortedCopy returns fails sorted by key: recording order follows pool
@@ -52,19 +37,19 @@ func sortedCopy(fails []JobFailure) []JobFailure {
 
 // Failures returns every failure recorded so far, sorted by job key.
 func (r *Runner) Failures() []JobFailure {
-	r.fails.mu.Lock()
-	defer r.fails.mu.Unlock()
-	return sortedCopy(r.fails.order)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sortedCopy(r.failures)
 }
 
 // DrainFailures returns the failures recorded since the previous drain,
 // sorted by job key. cmd/experiments calls it after each experiment to
 // annotate that experiment's tables with its gaps.
 func (r *Runner) DrainFailures() []JobFailure {
-	r.fails.mu.Lock()
-	defer r.fails.mu.Unlock()
-	newFails := r.fails.order[r.fails.drained:]
-	r.fails.drained = len(r.fails.order)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	newFails := r.failures[r.drained:]
+	r.drained = len(r.failures)
 	return sortedCopy(newFails)
 }
 

@@ -9,21 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"streamline/internal/audit"
 	"streamline/internal/sim"
 	"streamline/internal/telemetry"
 )
-
-// instruments is what a runner's simulations leave for AuditSummary and
-// TelemetryErr: every auditor and the first telemetry I/O error. A derived
-// runner shares its parent's, so the summary covers both.
-type instruments struct {
-	mu       sync.Mutex
-	auditors []*audit.Auditor
-	telErr   error
-}
 
 // attachAudit arms cfg with a fresh auditor when Check is set, labeling it
 // with the simulation's label so a violation traces back to its run. The
@@ -35,9 +25,9 @@ func (r *Runner) attachAudit(cfg *sim.Config, label string) {
 	a := audit.New(r.Scale.Seed)
 	a.Label = label
 	cfg.Audit = a
-	r.inst.mu.Lock()
-	r.inst.auditors = append(r.inst.auditors, a)
-	r.inst.mu.Unlock()
+	r.mu.Lock()
+	r.auditors = append(r.auditors, a)
+	r.mu.Unlock()
 }
 
 // attachTelemetry arms cfg with a collector writing to this simulation's own
@@ -88,18 +78,18 @@ func telemetryFileName(label string) string {
 }
 
 func (r *Runner) telemetryFail(err error) {
-	r.inst.mu.Lock()
-	if r.inst.telErr == nil {
-		r.inst.telErr = err
+	r.mu.Lock()
+	if r.telErr == nil {
+		r.telErr = err
 	}
-	r.inst.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // TelemetryErr returns the first telemetry I/O error encountered, or nil.
 func (r *Runner) TelemetryErr() error {
-	r.inst.mu.Lock()
-	defer r.inst.mu.Unlock()
-	return r.inst.telErr
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.telErr
 }
 
 // AuditSummary writes the findings of every audited simulation to w (full
@@ -107,9 +97,9 @@ func (r *Runner) TelemetryErr() error {
 // scheduling does not reorder output) and returns the total violation count.
 // Zero simulations audited means Check was never set.
 func (r *Runner) AuditSummary(w io.Writer) int {
-	r.inst.mu.Lock()
-	auds := append([]*audit.Auditor(nil), r.inst.auditors...)
-	r.inst.mu.Unlock()
+	r.mu.Lock()
+	auds := append([]*audit.Auditor(nil), r.auditors...)
+	r.mu.Unlock()
 	sort.Slice(auds, func(i, j int) bool { return auds[i].Label < auds[j].Label })
 	total := 0
 	for _, a := range auds {

@@ -80,15 +80,4 @@ func TestSweepMetricsAccounting(t *testing.T) {
 	if fails := r3.Failures(); len(fails) != 1 || fails[0].Key != "doomed-job" {
 		t.Errorf("failure log = %v, want the gapped key", fails)
 	}
-
-	// Derived runners inherit the wiring: the fault policy hook is copied and
-	// the shared failure log keeps counting on the same instruments.
-	d := r3.Derived(sc)
-	if d.Fault.Metrics != m3 {
-		t.Error("derived runner lost the metrics hook")
-	}
-	ParallelMap(d, []int{3}, func(int) string { return "doomed-too" }, func(i int) int { return i })
-	if m3.Gapped.Value() != 2 {
-		t.Errorf("gapped after derived failure = %d, want 2", m3.Gapped.Value())
-	}
 }

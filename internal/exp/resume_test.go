@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,16 +180,22 @@ func TestFailKeyDegradesToGap(t *testing.T) {
 	}
 }
 
-// TestDerivedRunnerSharesCheckpoint: a derived runner's replays count in its
-// parent's ResumedJobs, and its store write failures reach the parent's
-// StoreErr — without both, -resume under-reports what it replayed and a sweep
-// whose checkpoint is incomplete exits 0.
-func TestDerivedRunnerSharesCheckpoint(t *testing.T) {
+// pressuredUnits returns sphinx06 unpressured and under fig13c's capacity
+// pressure.
+func pressuredUnits() []Unit {
+	units := SingleUnits([]string{"sphinx06", "sphinx06"})
+	units[1].FP = 1.4
+	return units
+}
+
+// TestPressuredUnitCheckpoint: a pressured unit is a simulation of its own —
+// its result differs from the unpressured one's, both are checkpointed under
+// their own keys, a fresh runner over the store replays both, and a failed
+// checkpoint write of a pressured run reaches StoreErr.
+func TestPressuredUnitCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs micro-scale simulations")
 	}
-	psc := Micro
-	psc.Footprint *= 1.4
 	arm := baseArm("stride", "")
 	st, err := store.Create(t.TempDir(), resumeManifest(Micro))
 	if err != nil {
@@ -195,8 +203,12 @@ func TestDerivedRunnerSharesCheckpoint(t *testing.T) {
 	}
 	r := NewRunner(Micro)
 	r.Store = st
-	if runCell(r.Derived(psc), arm, "sphinx06").err != nil || st.Len() != 1 {
-		t.Fatalf("derived run did not checkpoint: %d record(s)", st.Len())
+	rows := r.Sweep([]Arm{arm}, pressuredUnits())[0].Aligned(arm)
+	if rows[0] == nil || rows[1] == nil || st.Len() != 2 {
+		t.Fatalf("sweep did not checkpoint both units: %d record(s)", st.Len())
+	}
+	if reflect.DeepEqual(rows[0][0].res, rows[1][0].res) {
+		t.Error("the pressured unit's result equals the unpressured one's")
 	}
 	if err := r.StoreErr(); err != nil {
 		t.Fatalf("store error on a healthy store: %v", err)
@@ -207,13 +219,49 @@ func TestDerivedRunnerSharesCheckpoint(t *testing.T) {
 	}
 	r2 := NewRunner(Micro)
 	r2.Store = st
-	if runCell(r2.Derived(psc), arm, "sphinx06").err != nil || r2.ResumedJobs() != 1 {
-		t.Errorf("parent counts %d replay(s) of its derived runner's 1", r2.ResumedJobs())
+	replayed := r2.Sweep([]Arm{arm}, pressuredUnits())[0].Aligned(arm)
+	if r2.ResumedJobs() != 2 {
+		t.Errorf("fresh runner replayed %d result(s), want 2", r2.ResumedJobs())
 	}
-	if runCell(r2.Derived(psc), arm, "mcf06").err != nil {
+	for u := range rows {
+		if replayed[u] == nil || !reflect.DeepEqual(replayed[u][0].res, rows[u][0].res) {
+			t.Errorf("unit %d: replayed result differs from the computed one", u)
+		}
+	}
+	mcf := SingleUnits([]string{"mcf06"})
+	mcf[0].FP = 1.4
+	if r2.Sweep([]Arm{arm}, mcf)[0].Aligned(arm)[0] == nil {
 		t.Fatal("simulation failed")
 	}
 	if r2.StoreErr() == nil {
-		t.Error("a derived runner's failed checkpoint write left the parent's StoreErr nil")
+		t.Error("a pressured run's failed checkpoint write left StoreErr nil")
+	}
+}
+
+// TestFailuresNotedPerExperiment runs fig9 and then fig13c on one runner the
+// way cmd/experiments does, with the shared baseline's sphinx06 job failing.
+// fig13c runs that arm under capacity pressure, a job of its own: each
+// experiment's gaps carry that experiment's note, and the runner holds both
+// failures.
+func TestFailuresNotedPerExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs micro-scale simulations")
+	}
+	r := NewRunner(Micro)
+	r.FailKey = "base+stride|sphinx06"
+	for _, c := range []struct{ id, key string }{
+		{"fig9", "base+stride|sphinx06|1|0.000"},
+		{"fig13c", "base+stride|sphinx06|1|0.000|fp1.400"},
+	} {
+		out := renderWithRunner(t, r, c.id)
+		if !strings.Contains(out, GapCell) {
+			t.Errorf("%s: no %s cell:\n%s", c.id, GapCell, out)
+		}
+		if note := fmt.Sprintf("GAP: job %q failed", c.key); !strings.Contains(out, note) {
+			t.Errorf("%s: gap note %s missing:\n%s", c.id, note, out)
+		}
+	}
+	if fails := r.Failures(); len(fails) != 2 {
+		t.Errorf("runner holds %d failure(s), want 2: %v", len(fails), fails)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"streamline/internal/audit"
 	"streamline/internal/exp/runner"
 	"streamline/internal/exp/store"
 	"streamline/internal/metrics"
@@ -54,8 +55,8 @@ type Runner struct {
 	Check bool
 	// TelemetryDir, when non-empty, writes each computed simulation's
 	// interval samples and events as JSONL to <dir>/<audit label>.jsonl (the
-	// memo key, plus the suffixes simulate adds). Every computed simulation
-	// gets its own file and runs at most once, so the output is
+	// memo key, plus "|sys" for a system-retaining run). Every computed
+	// simulation gets its own file and runs at most once, so the output is
 	// parallel-safe and its content deterministic for any Jobs value. A label
 	// that reuses another label's result writes no file of its own; which of
 	// two such labels writes it is fixed by experiment order, and would
@@ -81,29 +82,24 @@ type Runner struct {
 	FailKey string
 
 	logMu sync.Mutex
-	mu    sync.Mutex
-	memo  map[string]*memoEntry
+	// mu guards the memo, the configs table and what the sweep's
+	// simulations leave behind: the failures, the auditors and the first
+	// store and telemetry I/O errors.
+	mu   sync.Mutex
+	memo map[string]*memoEntry
 	// configs single-flights each configuration's simulation across the
-	// labels that restate it; guarded by mu.
+	// labels that restate it.
 	configs map[configKey]*configRun
+	// failures holds every failed job in recording order, failed their
+	// keys, and drained how many of them DrainFailures has returned.
+	failures         []JobFailure
+	failed           map[string]bool
+	drained          int
+	auditors         []*audit.Auditor
+	storeErr, telErr error
 
-	// inst collects the audit and telemetry outcomes; suffix sets a derived
-	// runner's audit labels and telemetry files apart from its parent's.
-	inst    *instruments
-	suffix  string
-	scaleFP string
-
-	fails *failureLog
-	ckpt  *checkpointLog
-}
-
-// checkpointLog counts the results replayed from the store and keeps the
-// first store I/O error. It is shared between a runner and its Derived
-// runners so ResumedJobs and StoreErr cover the whole sweep.
-type checkpointLog struct {
 	resumed atomic.Int64
-	mu      sync.Mutex
-	err     error
+	scaleFP string
 }
 
 // memoEntry single-flights one simulation. A failed job memoizes its error:
@@ -120,7 +116,7 @@ type memoEntry struct {
 }
 
 // configKey is one simulation by what it builds: an arm identity on a unit,
-// which the memo key's "mix|cores|bw" suffix names.
+// which the memo key's part after the arm name ("mix|cores|bw[|fp]") names.
 type configKey struct {
 	arm  armConfig
 	unit string
@@ -141,72 +137,40 @@ func NewRunner(sc Scale) *Runner {
 		Scale:   sc,
 		memo:    make(map[string]*memoEntry),
 		configs: make(map[configKey]*configRun),
-		inst:    &instruments{},
+		failed:  make(map[string]bool),
 		scaleFP: sc.Fingerprint(),
-		fails:   newFailureLog(),
-		ckpt:    &checkpointLog{},
 	}
 }
 
-// Derived returns a runner at a modified scale that shares this runner's
-// pool sizing, progress sinks, fault policy, result store with its replay
-// count and first error, instrumentation and failure log — for studies that rerun arms under a perturbed scale
-// (fig13c's capacity-pressured runner). Store keys embed the scale
-// fingerprint, so the two runners' records never collide; audit labels and
-// telemetry file names carry a suffix from it, so neither do those.
-func (r *Runner) Derived(sc Scale) *Runner {
-	nr := NewRunner(sc)
-	nr.Progress = r.Progress
-	nr.Ctx = r.Ctx
-	nr.Jobs = r.Jobs
-	nr.JobProgress = r.JobProgress
-	nr.Check = r.Check
-	nr.TelemetryDir = r.TelemetryDir
-	nr.SampleInterval = r.SampleInterval
-	nr.Store = r.Store
-	nr.Fault = r.Fault
-	nr.FailKey = r.FailKey
-	nr.inst = r.inst
-	nr.suffix = r.suffix + "|scale-" + store.Key(nr.scaleFP)[:8]
-	nr.fails = r.fails
-	nr.ckpt = r.ckpt
-	return nr
-}
-
 // EnableMetrics resolves the runner_job_* instrument family on reg and wires
-// it into this runner: Execute-level accounting via the fault policy, gap
-// counting via the failure log, and replay counting via the resume path.
-// Call it after assigning Fault (assigning Fault later would discard the
-// hook). Derived runners inherit the wiring — the fault policy is copied and
-// the failure log is shared — so a sweep's counters are complete.
+// it into this runner's fault policy, which counts Execute-level outcomes,
+// gaps and replays. Call it after assigning Fault (assigning Fault later
+// would discard the hook).
 func (r *Runner) EnableMetrics(reg *metrics.Registry) *runner.Metrics {
 	m := runner.NewMetrics(reg)
 	r.Fault.Metrics = m
-	r.fails.mu.Lock()
-	r.fails.metrics = m
-	r.fails.mu.Unlock()
 	return m
 }
 
 // ResumedJobs returns how many simulations were replayed from the store
 // instead of recomputed.
-func (r *Runner) ResumedJobs() int { return int(r.ckpt.resumed.Load()) }
+func (r *Runner) ResumedJobs() int { return int(r.resumed.Load()) }
 
 func (r *Runner) storeFail(err error) {
-	r.ckpt.mu.Lock()
-	if r.ckpt.err == nil {
-		r.ckpt.err = err
+	r.mu.Lock()
+	if r.storeErr == nil {
+		r.storeErr = err
 	}
-	r.ckpt.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // StoreErr returns the first store I/O error encountered, or nil. A store
 // write failure does not fail the simulation that produced the result, but
 // the sweep must report it: the checkpoint is incomplete.
 func (r *Runner) StoreErr() error {
-	r.ckpt.mu.Lock()
-	defer r.ckpt.mu.Unlock()
-	return r.ckpt.err
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.storeErr
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -227,12 +191,15 @@ func (r *Runner) ctx() context.Context {
 
 // ---- simulations -----------------------------------------------------------
 
-// Unit is a simulation without its arm: a workload mix at a core count and
-// bandwidth factor (nonzero scales DRAM bandwidth, Figure 10c).
+// Unit is a simulation without its arm: a workload mix at a core count,
+// bandwidth factor (nonzero scales DRAM bandwidth, Figure 10c) and footprint
+// factor (nonzero scales the workloads' footprint: Figure 13c's capacity
+// pressure).
 type Unit struct {
 	Mix   []string
 	Cores int
 	BW    float64
+	FP    float64
 }
 
 // Sim identifies one simulation job: an arm applied to a unit. It is the
@@ -245,12 +212,19 @@ type Sim struct {
 	Unit
 }
 
-// key is the sim's memo, job and failure key.
+// key is the sim's memo, job and failure key. Only a nonzero footprint
+// factor is spelled in it, as a trailing "|fp<factor>".
 func (s Sim) key() string {
+	var k string
 	if s.Arm.keepsSystem() {
-		return s.Arm.Name + "|" + s.Mix[0]
+		k = s.Arm.Name + "|" + s.Mix[0]
+	} else {
+		k = fmt.Sprintf("%s|%s|%d|%.3f", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, s.BW)
 	}
-	return fmt.Sprintf("%s|%s|%d|%.3f", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, s.BW)
+	if s.FP != 0 {
+		k += fmt.Sprintf("|fp%.3f", s.FP)
+	}
+	return k
 }
 
 // entry returns the sim's memo entry, and whether this call created it: the
@@ -274,7 +248,7 @@ func (r *Runner) run(e *memoEntry) {
 	e.once.Do(func() {
 		e.res, e.sys, e.err = r.computeOrReplay(e.key, e.sim)
 		if e.err != nil {
-			r.fails.add(e.key, e.err)
+			r.fail(e.key, e.err)
 		}
 	})
 }
@@ -282,7 +256,7 @@ func (r *Runner) run(e *memoEntry) {
 // computeOrReplay returns the stored result for key when the store holds a
 // validated record for it, and otherwise computes the simulation (see
 // compute) and checkpoints the result under key. Replay is sound because a
-// simulation is a pure function of (scale, arm, mix, cores, bwFactor) and
+// simulation is a pure function of (scale, arm, mix, cores, bw, fp) and
 // the store key hashes all of them.
 func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, error) {
 	persist := r.Store != nil && !s.Arm.keepsSystem()
@@ -292,7 +266,7 @@ func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, er
 		if payload, found := r.Store.Get(sk); found {
 			var res sim.Result
 			if err := decodeResult(payload, &res); err == nil {
-				r.ckpt.resumed.Add(1)
+				r.resumed.Add(1)
 				r.Fault.Metrics.ReplayInc()
 				r.logf("  [cached] %s\n", key)
 				return res, nil, nil
@@ -383,8 +357,8 @@ func (r *Runner) execute(key string, s Sim) (sim.Result, *sim.System, error) {
 }
 
 // storeKey derives the content-addressed store key for a simulation memo
-// key: the scale fingerprint is mixed in so runners at different scales
-// (fig13c's pressured Derived runner) can share one store without collisions.
+// key: the scale fingerprint is mixed in so a store never replays a result
+// computed at another scale.
 func (r *Runner) storeKey(key string) string {
 	return store.Key("simresult", r.scaleFP, key)
 }
@@ -414,18 +388,21 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 		cfg.DRAM = cfg.DRAM.ScaleBandwidth(s.BW)
 	}
 	s.Arm.Apply(&cfg, r.Scale)
-	// Audit labels and telemetry file names mark a derived runner's run and
-	// a system-retaining run apart from the plain run of the same arm and
-	// workload.
-	label := key + r.suffix
+	// Audit labels and telemetry file names mark a system-retaining run
+	// apart from the plain run of the same arm and workload.
+	label := key
 	if s.Arm.keepsSystem() {
 		label += "|sys"
 	}
 	r.attachAudit(&cfg, label)
 	finish := r.attachTelemetry(&cfg, label)
 	defer finish()
+	footprint := r.Scale.Footprint
+	if s.FP != 0 {
+		footprint *= s.FP
+	}
 	sys := sim.New(cfg)
-	if err := sys.AttachWorkloads(s.Mix, r.Scale.Footprint, r.Scale.Seed); err != nil {
+	if err := sys.AttachWorkloads(s.Mix, footprint, r.Scale.Seed); err != nil {
 		return sim.Result{}, nil, err
 	}
 	r.logf("  [%s] %s x%d\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores)

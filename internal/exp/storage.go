@@ -113,16 +113,12 @@ func init() {
 		Run: func(r *Runner) []Table {
 			// Part 1: each store's realized utility (coverage x accuracy,
 			// the observable analogue of correlation hit rate) under each
-			// replacement policy, on capacity-pressured workloads where
-			// replacement actually decides what survives.
+			// replacement policy, on capacity-pressured workloads (their
+			// footprint x1.4) where replacement actually decides what
+			// survives.
 			mb := r.Scale.MetaBytes
 			t := Table{ID: "fig13c", Title: "metadata replacement: coverage / accuracy / utility",
 				Columns: []string{"arm", "coverage", "accuracy", "corr-utility"}}
-			psc := r.Scale
-			psc.Footprint = r.Scale.Footprint * 1.4
-			// Derived shares the parent's store and failure log, so pressured
-			// runs checkpoint/resume and gap like everything else.
-			pressured := r.Derived(psc)
 			base := baseArm("stride", "")
 			ws := r.Scale.irregular()
 			arms := []Arm{
@@ -143,7 +139,11 @@ func init() {
 				streamlineArm("streamline-tpmj", "stride", "",
 					func(o *core.Options) { o.FixedBytes = mb }),
 			}
-			g := pressured.Sweep(append([]Arm{base}, arms...), SingleUnits(workloads.Names(ws)))[0]
+			pressured := SingleUnits(workloads.Names(ws))
+			for i := range pressured {
+				pressured[i].FP = 1.4
+			}
+			g := r.Sweep(append([]Arm{base}, arms...), pressured)[0]
 			for _, arm := range arms {
 				// A gapped workload is excluded from this arm's means.
 				rows := g.Rows(base, arm)

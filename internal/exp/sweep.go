@@ -81,7 +81,7 @@ func runPool[R any](r *Runner, jobs []runner.Job[R]) ([]R, []error) {
 	res, errs := runner.RunAll(r.ctx(), opts, jobs)
 	for i, err := range errs {
 		if err != nil {
-			r.fails.add(jobs[i].Key, err)
+			r.fail(jobs[i].Key, err)
 		}
 	}
 	return res, errs

@@ -3,9 +3,9 @@ package exp
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -86,29 +86,21 @@ func TestTelemetryDirParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestDerivedRunnerSharesInstrumentation: a derived runner's simulations are
-// audited and write telemetry like the parent's, into the parent's summary,
-// under names that keep the same memo key at two scales apart. The two runs
-// are concurrent, as a parent's pool and a derived one's can be.
-func TestDerivedRunnerSharesInstrumentation(t *testing.T) {
+// TestPressuredUnitInstrumentation: a pressured and an unpressured sphinx06
+// unit in one sweep, on a 2-worker pool, are both audited and write
+// telemetry files of their own.
+func TestPressuredUnitInstrumentation(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRunner(Micro)
+	r.Jobs = 2
 	r.Check = true
 	r.TelemetryDir = dir
-	psc := Micro
-	psc.Footprint *= 1.4
 	arm := baseArm("stride", "")
-	var wg sync.WaitGroup
-	for _, rr := range []*Runner{r, r.Derived(psc)} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if runCell(rr, arm, "sphinx06").err != nil {
-				t.Error("simulation failed")
-			}
-		}()
+	for u, row := range r.Sweep([]Arm{arm}, pressuredUnits())[0].Aligned(arm) {
+		if row == nil {
+			t.Errorf("unit %d: simulation failed", u)
+		}
 	}
-	wg.Wait()
 	if err := r.TelemetryErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +108,9 @@ func TestDerivedRunnerSharesInstrumentation(t *testing.T) {
 	if n := r.AuditSummary(&sb); n != 0 || sb.String() != "audit: 2 simulation(s) audited, 0 violation(s)\n" {
 		t.Errorf("audit summary = %q (%d violations), want both runs audited", sb.String(), n)
 	}
-	files := listFiles(t, dir)
-	if len(files) != 2 || files[0] != "base+stride_sphinx06_1_0.000.jsonl" {
-		t.Errorf("telemetry files = %v, want the parent's base+stride_sphinx06_1_0.000.jsonl and a derived one", files)
+	want := []string{"base+stride_sphinx06_1_0.000.jsonl", "base+stride_sphinx06_1_0.000_fp1.400.jsonl"}
+	if files := listFiles(t, dir); !reflect.DeepEqual(files, want) {
+		t.Errorf("telemetry files = %v, want %v", files, want)
 	}
 }
 

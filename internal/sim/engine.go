@@ -34,12 +34,6 @@ type Progress struct {
 	// instruction bounds from the Config.
 	WarmupTarget uint64
 	Target       uint64
-	// Measuring reports whether every core has finished warmup and is in
-	// the measured window.
-	Measuring bool
-	// Cycle is the clock of the core the engine will step next; after
-	// completion it is the latest core's finish cycle.
-	Cycle uint64
 	// Done reports whether every core has completed its run.
 	Done bool
 }
@@ -160,16 +154,9 @@ func (e *Engine) Progress() Progress {
 		Target:       e.total,
 		Done:         e.next == nil,
 	}
-	measuring := true
 	found := false
 	for _, cs := range e.s.cores {
-		if cs.tr == nil {
-			continue
-		}
-		if !cs.measured {
-			measuring = false
-		}
-		if cs.done {
+		if cs.tr == nil || cs.done {
 			continue
 		}
 		if !found || cs.core.Instructions() < p.Instructions {
@@ -181,16 +168,6 @@ func (e *Engine) Progress() Progress {
 		p.Instructions = e.total
 	} else if p.Instructions > e.total {
 		p.Instructions = e.total
-	}
-	p.Measuring = measuring
-	if e.next != nil {
-		p.Cycle = e.next.core.Now()
-	} else {
-		for _, cs := range e.s.cores {
-			if f := cs.core.Finish(); f > p.Cycle {
-				p.Cycle = f
-			}
-		}
 	}
 	return p
 }
