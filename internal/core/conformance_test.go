@@ -26,3 +26,11 @@ func TestConformance(t *testing.T) {
 func TestOracle(t *testing.T) {
 	ptest.Oracle(t, confFactory)
 }
+
+// TestTUWindowResetsOnPCChange checks the training unit's issued-line windows
+// (see ptest.WindowReset).
+func TestTUWindowResetsOnPCChange(t *testing.T) {
+	p := core.New(core.DefaultOptions(), &meta.NullBridge{Sets: 256, Ways: 16, Latency: 20})
+	a, b := ptest.SharedEntryPCs(core.TUSize)
+	ptest.WindowReset(t, a, b, p.Claim, p.Window)
+}

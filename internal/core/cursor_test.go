@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
@@ -100,7 +101,7 @@ func TestIssuedRingDeduplicates(t *testing.T) {
 }
 
 func TestWasIssuedRing(t *testing.T) {
-	tu := &tuEntry{}
+	tu := &tuEntry{issued: new(prefetch.Issued)}
 	for i := 0; i < 64+10; i++ {
 		tu.issued.Mark(mem.Line(i + 1))
 	}
@@ -141,5 +142,13 @@ func TestStreamLengthSweepCapacity(t *testing.T) {
 		if got := p.store.StreamLength(); got != k {
 			t.Errorf("store stream length = %d, want %d", got, k)
 		}
+	}
+}
+
+// TestTUEntrySize guards the training unit's host budget: each entry holds
+// a pointer to its issued-line window, not the 648 B window itself.
+func TestTUEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(tuEntry{}); got > 152 {
+		t.Errorf("tuEntry is %d B, budget 152", got)
 	}
 }

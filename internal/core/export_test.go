@@ -1,0 +1,18 @@
+package core
+
+import (
+	"streamline/internal/mem"
+	"streamline/internal/prefetch"
+)
+
+// TUSize is the training unit's entry count, for the external tests.
+const TUSize = tuSize
+
+// Window returns the issued-line window of pc's training-unit entry.
+func (p *Prefetcher) Window(pc mem.PC) *prefetch.Issued {
+	return p.tu[mem.HashPC(pc, 16)%tuSize].issued
+}
+
+// Claim makes pc the owner of its training-unit entry, as its first
+// training event does.
+func (p *Prefetcher) Claim(pc mem.PC) { p.tuFor(pc) }

@@ -158,7 +158,8 @@ type tuEntry struct {
 
 	// Recently issued prefetch lines: used to detect whether the demand
 	// stream is following the prefetched path and to avoid duplicates.
-	issued prefetch.Issued
+	// Allocated when a PC first claims the entry.
+	issued *prefetch.Issued
 
 	// The prefetch cursor: the stream position up to which prefetches
 	// have been issued. It persists across events so each event continues
@@ -296,6 +297,7 @@ func (p *Prefetcher) tuFor(pc mem.PC) *tuEntry {
 			valid:  true,
 			hist:   make([]mem.Line, p.opt.StreamLength+2),
 			mb:     make([]mbSlot, p.opt.MetaBufferSize),
+			issued: prefetch.ResetIssued(tu.issued),
 			degree: p.opt.MaxDegree,
 		}
 		tu.cur.Targets = make([]mem.Line, 0, p.opt.StreamLength)

@@ -55,10 +55,10 @@ func (s *Store) AuditScan(a *audit.Auditor, now uint64) {
 					"way %d of set %d beyond the %d allocated ways (trigger %#x)",
 					way, set, s.curWays, uint64(sl.trigger))
 			}
-			if sl.n < 1 || int(sl.n) > s.k {
+			if n := s.count(i); n < 1 || n > s.k {
 				a.Reportf(now, "meta", "entry-malformed",
 					"set %d entry for trigger %#x holds %d targets (want 1..%d)",
-					set, uint64(sl.trigger), sl.n, s.k)
+					set, uint64(sl.trigger), n, s.k)
 			}
 		}
 	}

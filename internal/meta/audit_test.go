@@ -46,15 +46,15 @@ func TestAuditDetectsStructuralOverflow(t *testing.T) {
 
 func TestAuditDetectsMalformedEntry(t *testing.T) {
 	s := exercisedStore()
-	i := slices.IndexFunc(s.keys, func(k uint32) bool { return k != noKey })
+	i := slices.IndexFunc(s.keys, func(k uint16) bool { return k != noKey })
 	if i < 0 {
 		t.Fatal("exercised store holds no valid entries")
 	}
-	s.slots[i].n = 0
+	s.info[i] = 0
 	if r := storeRules(s); r["entry-malformed"] == 0 {
 		t.Fatalf("target-less entry not detected: %v", r)
 	}
-	s.slots[i].n = uint8(s.k + 1)
+	s.info[i] = uint8(s.k + 1)
 	if r := storeRules(s); r["entry-malformed"] == 0 {
 		t.Fatalf("entry longer than the format's stream not detected: %v", r)
 	}

@@ -73,9 +73,13 @@ const triggerHashBits = 10
 // trigger hash is triggerHashBits wide and a partial tag at most 15 (NewStore
 // refuses wider ones), so neither all-ones value is a hash of any trigger.
 const (
-	noKey     = ^uint32(0)
+	noKey     = ^uint16(0)
 	noPartial = ^uint16(0)
 )
+
+// The largest trigger hash, 1<<triggerHashBits - 1, must stay below noKey:
+// this constant overflows uint, and the package fails to compile, otherwise.
+const _ = uint(noKey) - 1<<triggerHashBits
 
 // slot is the cold half of an entry slot, read only after its key or its
 // partial tag matched. It carries the entry's first target, so a pairwise hit
@@ -84,9 +88,15 @@ type slot struct {
 	trigger mem.Line
 	first   mem.Line // target 1
 	pc      mem.PC
-	n       uint8 // targets held, 1..Store.k
-	conf    bool  // confidence bit: targets confirmed by a repeat store
 }
+
+// A slot's byte in Store.info holds its target count, 1..Store.k, in the low
+// seven bits and its confidence bit (targets confirmed by a repeat store) in
+// confBit; 0 marks an empty slot.
+const (
+	confBit   = 0x80
+	maxTarget = confBit - 1
+)
 
 // Store is a partitionable on-chip metadata store hosted by the LLC.
 type Store struct {
@@ -108,12 +118,14 @@ type Store struct {
 	// s is index s*stride+way*epb+idx of every array below. Scans read only
 	// the dense match arrays — keys (hashed trigger tag, triggerHashBits
 	// wide) for Lookup and Insert, partial (the partial tag kept in the LLC
-	// tag array) for aliasing — and touch slots and targets on a match.
+	// tag array, allocated only for tagged stores) for aliasing — and touch
+	// slots, info and targets on a match.
 	stride  int // slots per logical set
 	k       int // targets per slot
-	keys    []uint32
-	partial []uint16
+	keys    []uint16
+	partial []uint16 // nil unless cfg.Tagged
 	slots   []slot
+	info    []uint8    // target count and confidence bit, see confBit
 	targets []mem.Line // targets 2..n of slot i, at stride k-1 (empty when k = 1)
 	pol     EntryPolicy
 
@@ -157,6 +169,9 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 	if cfg.PartialTagBits > 15 {
 		panic(fmt.Sprintf("meta: a %d-bit partial tag collides with the empty-slot tag", cfg.PartialTagBits))
 	}
+	if cfg.Format == Stream && cfg.StreamLength > maxTarget {
+		panic(fmt.Sprintf("meta: a %d-target stream overflows a slot's target count", cfg.StreamLength))
+	}
 
 	s := &Store{
 		cfg:     cfg,
@@ -193,10 +208,16 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 	}
 	s.stride = s.maxWays * s.epb
 	n := s.metaSets * s.stride
-	s.keys, s.partial = make([]uint32, n), make([]uint16, n)
-	s.slots, s.targets = make([]slot, n), make([]mem.Line, n*(s.k-1))
+	s.keys, s.slots, s.info = make([]uint16, n), make([]slot, n), make([]uint8, n)
+	s.targets = make([]mem.Line, n*(s.k-1))
 	for i := range s.keys {
-		s.keys[i], s.partial[i] = noKey, noPartial
+		s.keys[i] = noKey
+	}
+	if cfg.Tagged {
+		s.partial = make([]uint16, n)
+		for i := range s.partial {
+			s.partial[i] = noPartial
+		}
 	}
 	s.pol = cfg.Policy(s.metaSets, s.stride)
 	s.applySize(s.maxBytes(), true)
@@ -230,8 +251,8 @@ func (s *Store) StreamLength() int { return s.cfg.StreamLength }
 // of one 64-bit line hash: bits [0,22) index the set, [22,32) form the
 // hashed trigger tag, [32,38+) the partial tag, [48,58) the second-level
 // way index, and [58,60) drive skewed indexing.
-func (s *Store) triggerHash(t mem.Line) uint32 {
-	return uint32(mem.HashLine64(t)>>22) & (1<<triggerHashBits - 1)
+func (s *Store) triggerHash(t mem.Line) uint16 {
+	return uint16(mem.HashLine64(t)>>22) & (1<<triggerHashBits - 1)
 }
 
 func (s *Store) partialTag(t mem.Line) uint16 {
@@ -360,7 +381,7 @@ func (s *Store) WouldFilter(t mem.Line) bool {
 
 // find scans slots [lo, hi) of a logical set for key and returns the flat
 // index of the first match, -1 when there is none.
-func (s *Store) find(set, lo, hi int, key uint32) int {
+func (s *Store) find(set, lo, hi int, key uint16) int {
 	base := set * s.stride
 	for i, k := range s.keys[base+lo : base+hi] {
 		if k == key {
@@ -370,16 +391,19 @@ func (s *Store) find(set, lo, hi int, key uint32) int {
 	return -1
 }
 
+// count returns the number of targets the slot at flat index i holds.
+func (s *Store) count(i int) int { return int(s.info[i] &^ confBit) }
+
 // rest returns targets 2..n of the slot at flat index i.
 func (s *Store) rest(i int) []mem.Line {
 	j := i * (s.k - 1)
-	return s.targets[j : j+int(s.slots[i].n)-1]
+	return s.targets[j : j+s.count(i)-1]
 }
 
 // targetsOf returns a fresh copy of the targets held by the slot at flat
 // index i.
 func (s *Store) targetsOf(i int) []mem.Line {
-	return append(append(make([]mem.Line, 0, s.slots[i].n), s.slots[i].first), s.rest(i)...)
+	return append(append(make([]mem.Line, 0, s.count(i)), s.slots[i].first), s.rest(i)...)
 }
 
 // Lookup searches the store for the trigger's entry at cycle now, charging
@@ -406,9 +430,9 @@ func (s *Store) Lookup(now uint64, pc mem.PC, t mem.Line) (Entry, bool, uint64) 
 		sl := &s.slots[i]
 		s.Stats.TriggerHits++
 		s.pol.Touch(set, i-set*s.stride, EntryAccess{PC: pc, Trigger: t, FirstTarget: sl.first})
-		buf := slices.Grow(s.lookupBuf[:0], int(sl.n))
+		buf := slices.Grow(s.lookupBuf[:0], s.count(i))
 		s.lookupBuf = append(append(buf, sl.first), s.rest(i)...)
-		return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: sl.conf}, true, lat
+		return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: s.info[i]&confBit != 0}, true, lat
 	}
 	return Entry{}, false, lat
 }
@@ -422,15 +446,29 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 		return 0, false
 	}
 	s.lastNow = now
+	placed, same := s.place(pc, e)
+	if !placed {
+		return 0, false
+	}
+	lat := s.bridge.MetaAccess(now, mem.MetaWrite)
+	s.Stats.Writes++
+	return lat, same
+}
+
+// place writes a valid entry into the store without charging the bridge: it
+// updates the trigger's entry in place, fills a free slot or evicts a victim.
+// It reports whether the entry was stored (false when filtered) and whether
+// an in-place update confirmed identical targets.
+func (s *Store) place(pc mem.PC, e Entry) (placed, same bool) {
 	set, live := s.currentSet(e.Trigger)
 	if !live {
 		s.Stats.FilteredInserts++
-		return 0, false
+		return false, false
 	}
 	lo, hi, aliased, ok := s.candidates(set, e.Trigger)
 	if !ok {
 		s.Stats.FilteredInserts++
-		return 0, false
+		return false, false
 	}
 	if aliased {
 		s.Stats.AliasedInserts++
@@ -443,12 +481,12 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 	if i := s.find(set, lo, hi, h); i >= 0 {
 		same := s.slots[i].first == e.Targets[0] && slices.Equal(s.rest(i), e.Targets[1:])
 		s.storeInto(i, h, e, pc)
-		s.slots[i].conf = same
+		if same {
+			s.info[i] |= confBit
+		}
 		s.pol.Touch(set, i-base, acc)
 		s.Stats.Updates++
-		lat := s.bridge.MetaAccess(now, mem.MetaWrite)
-		s.Stats.Writes++
-		return lat, same
+		return true, same
 	}
 	// Free slot, else victim.
 	i := s.find(set, lo, hi, noKey)
@@ -460,23 +498,28 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 	s.storeInto(i, h, e, pc)
 	s.pol.Fill(set, i-base, acc)
 	s.Stats.Inserts++
-	lat := s.bridge.MetaAccess(now, mem.MetaWrite)
-	s.Stats.Writes++
-	return lat, false
+	return true, false
 }
 
 // storeInto writes e, whose trigger hashes to key, into the slot at flat
-// index i, truncating its targets to the format's k.
-func (s *Store) storeInto(i int, key uint32, e Entry, pc mem.PC) {
+// index i, truncating its targets to the format's k and clearing the
+// confidence bit.
+func (s *Store) storeInto(i int, key uint16, e Entry, pc mem.PC) {
 	j := i * (s.k - 1)
 	n := 1 + copy(s.targets[j:j+s.k-1], e.Targets[1:])
-	s.keys[i], s.partial[i] = key, s.partialTag(e.Trigger)
-	s.slots[i] = slot{trigger: e.Trigger, first: e.Targets[0], pc: pc, n: uint8(n)}
+	s.keys[i], s.info[i] = key, uint8(n)
+	if s.partial != nil {
+		s.partial[i] = s.partialTag(e.Trigger)
+	}
+	s.slots[i] = slot{trigger: e.Trigger, first: e.Targets[0], pc: pc}
 }
 
 // clear empties the slot at flat index i.
 func (s *Store) clear(i int) {
-	s.keys[i], s.partial[i], s.slots[i] = noKey, noPartial, slot{}
+	s.keys[i], s.info[i], s.slots[i] = noKey, 0, slot{}
+	if s.partial != nil {
+		s.partial[i] = noPartial
+	}
 }
 
 // Resize changes the partition to newBytes (rounded down to the scheme's
@@ -641,20 +684,13 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 
 	var movedBlocksIn uint64
 	if len(toMove) > 0 {
-		// Reinsert without charging normal insert traffic; count shuffle
-		// blocks instead. The reinsertion has no cycle of its own, so the
-		// cycle Resize stamps its event with survives it too.
-		lastNow := s.lastNow
-		saveReads, saveWrites := s.Stats.Reads, s.Stats.Writes
-		saveIns, saveUpd, saveEvict := s.Stats.Inserts, s.Stats.Updates, s.Stats.Evictions
-		saveFilt, saveAlias := s.Stats.FilteredInserts, s.Stats.AliasedInserts
+		// Reinsert without the bridge or the insert counters: the shuffle
+		// blocks below are the whole cost of a rearrangement.
+		stats := s.Stats
 		for _, m := range toMove {
-			s.Insert(0, m.pc, m.e)
+			s.place(m.pc, m.e)
 		}
-		s.Stats.Reads, s.Stats.Writes = saveReads, saveWrites
-		s.Stats.Inserts, s.Stats.Updates, s.Stats.Evictions = saveIns, saveUpd, saveEvict
-		s.Stats.FilteredInserts, s.Stats.AliasedInserts = saveFilt, saveAlias
-		s.lastNow = lastNow
+		s.Stats = stats
 		movedBlocksIn = uint64((len(toMove) + s.epb - 1) / s.epb)
 	}
 

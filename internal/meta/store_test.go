@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/telemetry"
@@ -217,6 +219,36 @@ func TestRearrangedResizeShufflesTriangelStyle(t *testing.T) {
 	}
 	if s.Occupancy() > occBefore {
 		t.Error("occupancy grew across a shrink")
+	}
+}
+
+func TestRearrangedResizeChargesNoBridgeAccess(t *testing.T) {
+	// A rearranging resize pays for its moves in shuffle blocks
+	// (RearrangeReads/RearrangeWrites). Its reinsertion must not also reach
+	// the bridge: in the simulator every bridge access charges the LLC's
+	// port at its cycle and counts a metadata access there.
+	for _, scheme := range []string{"RUW", "RUS", "RTW", "RTS"} {
+		cfg := digestSchemes()[scheme]
+		cfg.Format, cfg.MetaWaysPerSet, cfg.MaxBytes = Pairwise, 8, 64<<10
+		bridge := &NullBridge{Sets: 256, Ways: 16, Latency: 20}
+		s := NewStore(cfg, bridge)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 20000; i++ {
+			tr := mem.Line(rng.Uint64() >> 16)
+			s.Insert(uint64(i), 1, Entry{Trigger: tr, Targets: []mem.Line{tr + 1}})
+		}
+		reads, writes, stats := bridge.Reads, bridge.Writes, s.Stats
+		if s.Resize(32<<10) == 0 || s.Stats.RearrangeWrites == 0 {
+			t.Fatalf("%s: halving the store moved nothing; the test exercises no reinsertion", scheme)
+		}
+		if bridge.Reads != reads || bridge.Writes != writes {
+			t.Errorf("%s: resize made %d bridge reads and %d bridge writes, want 0 and 0",
+				scheme, bridge.Reads-reads, bridge.Writes-writes)
+		}
+		if s.Stats.Writes != stats.Writes || s.Stats.Inserts != stats.Inserts {
+			t.Errorf("%s: resize counted %d writes and %d inserts, want 0 and 0",
+				scheme, s.Stats.Writes-stats.Writes, s.Stats.Inserts-stats.Inserts)
+		}
 	}
 }
 
@@ -500,6 +532,48 @@ func TestStoreSteadyStateNoAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
 			t.Errorf("%s: %.0f allocs in 2000 Insert+Lookup pairs on a warm store, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSlotSize guards a slot's cold record: trigger, first target and PC.
+// The target count and the confidence bit live in the dense info bytes.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got > 24 {
+		t.Errorf("slot is %d B, budget 24", got)
+	}
+}
+
+// statelessPolicy keeps no per-slot state, so a store built with it
+// allocates only its own arrays.
+type statelessPolicy struct{}
+
+func (statelessPolicy) Touch(int, int, EntryAccess)            {}
+func (statelessPolicy) Fill(int, int, EntryAccess)             {}
+func (statelessPolicy) Victim(_, lo, _ int, _ EntryAccess) int { return lo }
+func (statelessPolicy) Evict(int, int)                         {}
+
+// TestNewStoreBytesPerSlot measures the host bytes NewStore allocates per
+// entry slot, without the entry policy's state: a 2-byte key, the 24-byte
+// slot record, the info byte, the 2-byte partial tag of tagged stores and
+// 8 bytes per target beyond the first.
+func TestNewStoreBytesPerSlot(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    StoreConfig
+		budget float64
+	}{
+		{"RUW-pairwise", triangelConfig(), 27.5},
+		{"FTS-stream4", streamlineConfig(), 53.5},
+	} {
+		c.cfg.Policy = func(int, int) EntryPolicy { return statelessPolicy{} }
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		s := NewStore(c.cfg, llc2MB())
+		runtime.ReadMemStats(&ms1)
+		if got := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(len(s.keys)); got > c.budget {
+			t.Errorf("%s: NewStore allocates %.2f B per slot, budget %.1f", c.name, got, c.budget)
 		}
 	}
 }

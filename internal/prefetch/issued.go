@@ -49,6 +49,18 @@ func (w *Issued) Has(l mem.Line) bool {
 	return true
 }
 
+// ResetIssued returns w emptied to the zero value in place, or a new window
+// when w is nil. The temporal prefetchers' training-unit entries take their
+// window this way when a PC claims them, so an entry no PC has claimed holds
+// none and a claimed one reuses its window across PC changes.
+func ResetIssued(w *Issued) *Issued {
+	if w == nil {
+		return new(Issued)
+	}
+	*w = Issued{}
+	return w
+}
+
 // Mark records l as issued, displacing the oldest line of the window.
 func (w *Issued) Mark(l mem.Line) {
 	s, b := uint8(w.n%issuedLines), issuedBucket(l)

@@ -42,8 +42,8 @@ func oneBucket(n int) []mem.Line {
 }
 
 // lockstep applies one operation to both windows: a probe of l (compared), a
-// mark, a double mark, or a reset to the zero value, as the prefetchers'
-// `*tu = tuEntry{…}` does on a PC change.
+// mark, a double mark, or a reset to the zero value, as ResetIssued does when
+// a PC claims a prefetcher's training-unit entry.
 func lockstep(t testing.TB, w *Issued, r *issuedRing, kind int, l mem.Line) {
 	switch {
 	case kind < 55:
@@ -59,7 +59,8 @@ func lockstep(t testing.TB, w *Issued, r *issuedRing, kind int, l mem.Line) {
 		r.mark(l)
 		r.mark(l)
 	case kind == 99 && l%16 == 0:
-		*w, *r = Issued{}, issuedRing{}
+		ResetIssued(w)
+		*r = issuedRing{}
 	}
 }
 
@@ -122,8 +123,9 @@ func TestIssuedZeroValue(t *testing.T) {
 	}
 }
 
-// TestIssuedSize guards the budget: three arms allocate 256 windows each per
-// simulation, so the index may add no more than 136 B to the 520 B ring.
+// TestIssuedSize guards the budget: three arms hold up to 256 windows each per
+// simulation, one for every training-unit entry a PC has claimed, so the
+// index may add no more than 136 B to the 520 B ring.
 func TestIssuedSize(t *testing.T) {
 	if got := unsafe.Sizeof(Issued{}); got > 656 {
 		t.Errorf("Issued is %d B, budget 656", got)

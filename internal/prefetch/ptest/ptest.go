@@ -170,3 +170,56 @@ func Oracle(t *testing.T, mk func() prefetch.Prefetcher) {
 		t.Errorf("differential divergence after %d ops: %s", sh.Ops(), m)
 	}
 }
+
+// SharedEntryPCs returns two PCs that index the same entry of a training unit
+// of the given size under different tags, as the temporal prefetchers hash
+// them (mem.HashPC to 16 bits for the index, to 24 bits for the tag).
+func SharedEntryPCs(size uint64) (a, b mem.PC) {
+	a = 0x400000
+	for b = a + 4; ; b += 4 {
+		if mem.HashPC(a, 16)%size == mem.HashPC(b, 16)%size && mem.HashPC(a, 24) != mem.HashPC(b, 24) {
+			return a, b
+		}
+	}
+}
+
+// WindowReset checks that a training-unit entry's issued-line window reads
+// exactly as a fresh one once another PC claims the entry. claim makes its PC
+// the owner of its entry; window returns the entry's window, nil when no PC
+// has claimed it yet; a and b share an entry (SharedEntryPCs).
+func WindowReset(t *testing.T, a, b mem.PC, claim func(mem.PC), window func(mem.PC) *prefetch.Issued) {
+	t.Helper()
+	if window(a) != nil {
+		t.Fatal("an entry no PC has claimed holds an issued-line window")
+	}
+	claim(a)
+	w := window(a)
+	if w == nil {
+		t.Fatal("claiming an entry gave it no issued-line window")
+	}
+	for l := mem.Line(1); l <= 10; l++ {
+		w.Mark(l)
+	}
+	claim(b)
+	if window(b) != w {
+		t.Error("a PC change allocated a new window instead of resetting the entry's own")
+	}
+	if *w != (prefetch.Issued{}) {
+		t.Fatal("a PC change left the previous PC's marks in the window")
+	}
+	for l := mem.Line(1); l <= 10; l++ {
+		if w.Has(l) {
+			t.Errorf("line %d reads as issued after the PC change", l)
+		}
+	}
+	// The zero window's quirk: line 0 reads as issued until 64 marks.
+	for i := 0; i < 64; i++ {
+		if !w.Has(0) {
+			t.Fatalf("line 0 reads as not issued after %d marks, want 64", i)
+		}
+		w.Mark(mem.Line(100 + i))
+	}
+	if w.Has(0) {
+		t.Error("line 0 reads as issued after 64 marks")
+	}
+}

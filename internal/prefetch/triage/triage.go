@@ -82,12 +82,13 @@ func (l *lut) decode(idx int, low mem.Line) mem.Line {
 
 // tuEntry tracks a PC's last access and its recently issued prefetches
 // (skipped without spending degree, so the chain runs ahead of the demand
-// stream — the lead that makes prefetches timely).
+// stream — the lead that makes prefetches timely). The window is allocated
+// when a PC first claims the entry.
 type tuEntry struct {
 	tag    uint32
 	last   mem.Line
 	valid  bool
-	issued prefetch.Issued
+	issued *prefetch.Issued
 }
 
 // idealEntry is a correlation in the unlimited ideal store.
@@ -158,7 +159,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	tu := &p.tu[idx]
 
 	if !tu.valid || tu.tag != tag {
-		*tu = tuEntry{tag: tag, last: line, valid: true}
+		*tu = tuEntry{tag: tag, last: line, valid: true, issued: prefetch.ResetIssued(tu.issued)}
 		return out
 	}
 	trigger := tu.last

@@ -2,6 +2,7 @@ package triage
 
 import (
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/meta"
@@ -99,4 +100,12 @@ func TestMetaStatsExposed(t *testing.T) {
 		t.Error("no metadata writes recorded")
 	}
 	var _ prefetch.MetaReporter = p
+}
+
+// TestTUEntrySize guards the training unit's host budget: each entry holds
+// a pointer to its issued-line window, not the 648 B window itself.
+func TestTUEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(tuEntry{}); got > 32 {
+		t.Errorf("tuEntry is %d B, budget 32", got)
+	}
 }

@@ -3,6 +3,7 @@ package triangel_test
 import (
 	"testing"
 
+	"streamline/internal/mem"
 	"streamline/internal/meta"
 	"streamline/internal/prefetch"
 	"streamline/internal/prefetch/ptest"
@@ -34,4 +35,13 @@ func TestOracle(t *testing.T) {
 	ptest.Oracle(t, func() prefetch.Prefetcher {
 		return triangel.New(triangel.DefaultConfig(), &meta.NullBridge{Sets: 256, Ways: 16, Latency: 20})
 	})
+}
+
+// TestTUWindowResetsOnPCChange checks the training unit's issued-line windows
+// (see ptest.WindowReset).
+func TestTUWindowResetsOnPCChange(t *testing.T) {
+	p := triangel.New(triangel.DefaultConfig(), &meta.NullBridge{Sets: 256, Ways: 16, Latency: 20})
+	a, b := ptest.SharedEntryPCs(triangel.TUSize)
+	claim := func(pc mem.PC) { p.Train(prefetch.Event{PC: pc, Addr: 1 << 26}, nil) }
+	ptest.WindowReset(t, a, b, claim, p.Window)
 }

@@ -67,8 +67,9 @@ type tuEntry struct {
 	haveLast1 bool
 
 	// Recently issued prefetch lines, skipped without spending degree so
-	// the chain runs ahead of the demand stream (timeliness).
-	issued prefetch.Issued
+	// the chain runs ahead of the demand stream (timeliness); allocated
+	// when a PC first claims the entry.
+	issued *prefetch.Issued
 }
 
 // hsEntry is a sampled correlation in the history sampler.
@@ -476,7 +477,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	st := p.conf(pcSig)
 
 	if !tu.valid || tu.tag != pcSig {
-		*tu = tuEntry{tag: pcSig, last0: line, valid: true}
+		*tu = tuEntry{tag: pcSig, last0: line, valid: true, issued: prefetch.ResetIssued(tu.issued)}
 		p.maybeResize()
 		return out
 	}

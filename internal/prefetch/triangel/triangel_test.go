@@ -3,6 +3,7 @@ package triangel
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/meta"
@@ -264,5 +265,13 @@ func TestMRBMatchesScanReference(t *testing.T) {
 		if len(p.mrb) != size+1 {
 			t.Errorf("size %d: buffer holds %d entries beside the sentinel", size, len(p.mrb)-1)
 		}
+	}
+}
+
+// TestTUEntrySize guards the training unit's host budget: each entry holds
+// a pointer to its issued-line window, not the 648 B window itself.
+func TestTUEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(tuEntry{}); got > 40 {
+		t.Errorf("tuEntry is %d B, budget 40", got)
 	}
 }
