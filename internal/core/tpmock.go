@@ -23,7 +23,7 @@ type tpMockingjay struct {
 
 	rdp []int8 // predicted correlation reuse distance per hashed PC
 
-	samplers    map[int]*tpSampler
+	samplers    []*tpSampler // per set, nil for an unsampled set
 	clock       []uint8
 	granularity uint8
 }
@@ -56,7 +56,7 @@ func NewTPMockingjay(sets, slots int) meta.EntryPolicy {
 		slots:       slots,
 		etr:         make([]int8, sets*slots),
 		rdp:         make([]int8, 1<<tpRDPBits),
-		samplers:    make(map[int]*tpSampler),
+		samplers:    make([]*tpSampler, sets),
 		clock:       make([]uint8, sets),
 		granularity: uint8(max(1, slots/4)),
 	}
@@ -114,8 +114,8 @@ func (p *tpMockingjay) train(sig uint8, observed int8) {
 // its reuse distance; evicting a never-reused correlation trains its PC
 // toward scan treatment.
 func (p *tpMockingjay) sample(set int, a meta.EntryAccess) {
-	s, ok := p.samplers[set]
-	if !ok {
+	s := p.samplers[set]
+	if s == nil {
 		return
 	}
 	s.now++

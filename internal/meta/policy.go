@@ -8,7 +8,9 @@ package meta
 //
 // Streamline's TP-Mockingjay implements this interface in internal/core; the
 // policies here are the baselines: entry-granularity LRU and the SRRIP that
-// Triangel uses for its metadata.
+// Triangel uses for its metadata. Of these, only TP-Mockingjay reads
+// EntryAccess.PC; the store treats every policy outside this package as one
+// that does.
 type EntryPolicy interface {
 	// Touch records a lookup hit on a slot.
 	Touch(set, slot int, a EntryAccess)
@@ -29,22 +31,57 @@ type EntryPolicy interface {
 // indexed set*slots+slot.
 type EntryPolicyFactory func(sets, slots int) EntryPolicy
 
+// pcBlind marks the policies that never read EntryAccess.PC, so a store
+// handing them an entry it reinserts on a resize need not keep its PC.
+type pcBlind interface{ pcBlind() }
+
 // ---------------------------------------------------------------- LRU
 
+// entryLRU stamps each slot with its set's clock at every touch; the valid
+// slot with the lowest stamp is least recent, and 0 marks an invalid slot.
+// Victims are chosen within one set, so each set keeps its own 16-bit clock,
+// and a set whose clock would wrap renumbers its stamps by rank first.
 type entryLRU struct {
 	slots int
-	stamp []uint64
-	clock uint64
+	stamp []uint16
+	clock []uint16 // per set
 }
 
 // NewEntryLRU returns entry-granularity LRU.
 func NewEntryLRU(sets, slots int) EntryPolicy {
-	return &entryLRU{slots: slots, stamp: make([]uint64, sets*slots)}
+	return &entryLRU{slots: slots, stamp: make([]uint16, sets*slots), clock: make([]uint16, sets)}
 }
 
+func (*entryLRU) pcBlind() {}
+
 func (p *entryLRU) touch(set, slot int) {
-	p.clock++
-	p.stamp[set*p.slots+slot] = p.clock
+	c := p.clock[set]
+	if c == ^uint16(0) {
+		c = renumber(p.stamp[set*p.slots : (set+1)*p.slots])
+	}
+	c++
+	p.clock[set], p.stamp[set*p.slots+slot] = c, c
+}
+
+// renumber replaces the nonzero stamps of row, which are distinct, by their
+// ranks 1..m in the same order, and returns m. It works in place: the r-th
+// smallest of distinct positive stamps is at least r, so before round r the
+// stamps still to rank are exactly those of at least r.
+func renumber(row []uint16) uint16 {
+	var r uint16
+	for {
+		least := -1
+		for i, v := range row {
+			if v > r && (least < 0 || v < row[least]) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return r
+		}
+		r++
+		row[least] = r
+	}
 }
 
 func (p *entryLRU) Touch(set, slot int, _ EntryAccess) { p.touch(set, slot) }
@@ -80,6 +117,8 @@ func NewEntrySRRIP(sets, slots int) EntryPolicy {
 	}
 	return p
 }
+
+func (*entrySRRIP) pcBlind() {}
 
 func (p *entrySRRIP) Touch(set, slot int, _ EntryAccess) { p.rrpv[set*p.slots+slot] = 0 }
 func (p *entrySRRIP) Fill(set, slot int, _ EntryAccess)  { p.rrpv[set*p.slots+slot] = entryRRPVMax - 1 }

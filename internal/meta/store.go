@@ -87,7 +87,6 @@ const _ = uint(noKey) - 1<<triggerHashBits
 type slot struct {
 	trigger mem.Line
 	first   mem.Line // target 1
-	pc      mem.PC
 }
 
 // A slot's byte in Store.info holds its target count, 1..Store.k, in the low
@@ -119,7 +118,8 @@ type Store struct {
 	// the dense match arrays — keys (hashed trigger tag, triggerHashBits
 	// wide) for Lookup and Insert, partial (the partial tag kept in the LLC
 	// tag array, allocated only for tagged stores) for aliasing — and touch
-	// slots, info and targets on a match.
+	// slots, info and targets on a match. pcs holds the PC that last stored
+	// each entry, which only a resize's reinsertion reads.
 	stride  int // slots per logical set
 	k       int // targets per slot
 	keys    []uint16
@@ -127,6 +127,7 @@ type Store struct {
 	slots   []slot
 	info    []uint8    // target count and confidence bit, see confBit
 	targets []mem.Line // targets 2..n of slot i, at stride k-1 (empty when k = 1)
+	pcs     []mem.PC   // nil unless the store rearranges and its policy reads PCs
 	pol     EntryPolicy
 
 	// lookupBuf backs the Targets slice of the Entry Lookup returns; it is
@@ -220,6 +221,11 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 		}
 	}
 	s.pol = cfg.Policy(s.metaSets, s.stride)
+	// Only a rearranging resize reinserts an entry, and only a policy that
+	// reads EntryAccess.PC can tell which PC it is handed there.
+	if _, blind := s.pol.(pcBlind); !cfg.Filtered && !blind {
+		s.pcs = make([]mem.PC, n)
+	}
 	s.applySize(s.maxBytes(), true)
 	return s
 }
@@ -511,7 +517,10 @@ func (s *Store) storeInto(i int, key uint16, e Entry, pc mem.PC) {
 	if s.partial != nil {
 		s.partial[i] = s.partialTag(e.Trigger)
 	}
-	s.slots[i] = slot{trigger: e.Trigger, first: e.Targets[0], pc: pc}
+	s.slots[i] = slot{trigger: e.Trigger, first: e.Targets[0]}
+	if s.pcs != nil {
+		s.pcs[i] = pc
+	}
 }
 
 // clear empties the slot at flat index i.
@@ -664,11 +673,13 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 				continue
 			}
 			if !s.cfg.Filtered {
-				// Rearranged stores relocate the entry.
-				toMove = append(toMove, moved{
-					e:  Entry{Trigger: sl.trigger, Targets: s.targetsOf(i)},
-					pc: sl.pc,
-				})
+				// Rearranged stores relocate the entry, under its
+				// stored PC when the policy reads one and 0 otherwise.
+				m := moved{e: Entry{Trigger: sl.trigger, Targets: s.targetsOf(i)}}
+				if s.pcs != nil {
+					m.pc = s.pcs[i]
+				}
+				toMove = append(toMove, m)
 				if !blockDirty[way] {
 					blockDirty[way] = true
 					dirtyBlocks++

@@ -3,6 +3,7 @@ package meta
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -536,35 +537,62 @@ func TestStoreSteadyStateNoAllocs(t *testing.T) {
 	}
 }
 
-// TestSlotSize guards a slot's cold record: trigger, first target and PC.
-// The target count and the confidence bit live in the dense info bytes.
+// TestSlotSize guards a slot's cold record: trigger and first target. The
+// target count and the confidence bit live in the dense info bytes, and the
+// inserting PC, where the store keeps it at all, in its own array.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got > 24 {
-		t.Errorf("slot is %d B, budget 24", got)
+	if got := unsafe.Sizeof(slot{}); got > 16 {
+		t.Errorf("slot is %d B, budget 16", got)
 	}
 }
 
-// statelessPolicy keeps no per-slot state, so a store built with it
-// allocates only its own arrays.
+// statelessPolicy keeps no per-slot state and reads no PC, so a store built
+// with it allocates only its own arrays and no PC array.
 type statelessPolicy struct{}
 
 func (statelessPolicy) Touch(int, int, EntryAccess)            {}
 func (statelessPolicy) Fill(int, int, EntryAccess)             {}
 func (statelessPolicy) Victim(_, lo, _ int, _ EntryAccess) int { return lo }
 func (statelessPolicy) Evict(int, int)                         {}
+func (statelessPolicy) pcBlind()                               {}
+
+// TestPCArrayOnlyWhereAResizeCanHandItOn checks that a store keeps its
+// entries' PCs only when it rearranges on a resize and its policy is not one
+// of the PC-blind ones: entry-LRU, entry-SRRIP and every filtered store keep
+// none.
+func TestPCArrayOnlyWhereAResizeCanHandItOn(t *testing.T) {
+	reading := func(sets, slots int) EntryPolicy {
+		return &pcRecorder{inner: NewEntryLRU(sets, slots), w: io.Discard}
+	}
+	for name, cfg := range digestSchemes() {
+		for pname, pol := range map[string]EntryPolicyFactory{
+			"lru": NewEntryLRU, "srrip": NewEntrySRRIP, "pc-reading": reading,
+		} {
+			cfg.Policy, cfg.MetaWaysPerSet, cfg.MaxBytes = pol, 8, 64<<10
+			s := NewStore(cfg, &NullBridge{Sets: 256, Ways: 16, Latency: 20})
+			want := 0
+			if pname == "pc-reading" && !cfg.Filtered {
+				want = len(s.keys)
+			}
+			if len(s.pcs) != want || (want == 0) != (s.pcs == nil) {
+				t.Errorf("%s with %s: PC array of %d slots, want %d", name, pname, len(s.pcs), want)
+			}
+		}
+	}
+}
 
 // TestNewStoreBytesPerSlot measures the host bytes NewStore allocates per
-// entry slot, without the entry policy's state: a 2-byte key, the 24-byte
-// slot record, the info byte, the 2-byte partial tag of tagged stores and
-// 8 bytes per target beyond the first.
+// entry slot, without the entry policy's state and under a PC-blind policy:
+// a 2-byte key, the 16-byte slot record, the info byte, the 2-byte partial
+// tag of tagged stores and 8 bytes per target beyond the first.
 func TestNewStoreBytesPerSlot(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		cfg    StoreConfig
 		budget float64
 	}{
-		{"RUW-pairwise", triangelConfig(), 27.5},
-		{"FTS-stream4", streamlineConfig(), 53.5},
+		{"RUW-pairwise", triangelConfig(), 19.5},
+		{"FTS-stream4", streamlineConfig(), 45.5},
 	} {
 		c.cfg.Policy = func(int, int) EntryPolicy { return statelessPolicy{} }
 		var ms0, ms1 runtime.MemStats

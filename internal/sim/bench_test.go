@@ -10,7 +10,7 @@ import (
 // warmup and every set-indexed structure is a handful of flat arrays, so
 // what remains is construction cost amortized over a short run; the
 // ceilings hold about 2x headroom over current values (allocs: 0.0009,
-// 0.0021, 0.0014, 0.0032; bytes: 8.6, 18.7, 15.9, 24.5) while failing loudly
+// 0.0021, 0.0014, 0.0032; bytes: 8.6, 17.4, 12.8, 22.1) while failing loudly
 // on a per-record allocation regression. Earlier rates, for scale: 0.8-2.1
 // allocs/record before the hot path was made allocation-free, then 0.02-0.18
 // while each set, and each metadata slot's targets, was its own allocation.
@@ -18,16 +18,18 @@ import (
 // such as the whole-lap trace buffers that once put these scenarios at 78,
 // 98, 54 and 269 B/record without moving the count, or the 32 B metadata
 // slots and the inline issued-line window of every training-unit entry that
-// put the three temporal scenarios at 23.4, 23.0 and 31.3 B/record.
+// put the three temporal scenarios at 23.4, 23.0 and 31.3 B/record, then a
+// PC in every slot record and a 64-bit entry-LRU stamp per slot that held
+// them at 18.7, 15.9 and 24.5.
 func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel runs")
 	}
 	ceilings := map[string]struct{ allocs, bytes float64 }{
 		"1core-base-sphinx06":       {0.002, 18},
-		"1core-streamline-sphinx06": {0.005, 38},
-		"1core-triangel-mcf06":      {0.004, 32},
-		"4core-streamline-mix":      {0.007, 50},
+		"1core-streamline-sphinx06": {0.005, 35},
+		"1core-triangel-mcf06":      {0.004, 26},
+		"4core-streamline-mix":      {0.007, 44},
 	}
 	for _, k := range kernelScenarios() {
 		ceil, ok := ceilings[k.name]

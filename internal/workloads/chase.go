@@ -47,17 +47,23 @@ func (c *chaseSource) Reset(rng *rand.Rand) {
 	}
 }
 
+// perm32 returns rng.Perm(n) as []int32: it runs Perm's own loop, so it makes
+// the same draws and leaves the same RNG state, without Perm's 8-byte-per-
+// element []int.
+func perm32(n int, rng *rand.Rand) []int32 {
+	m := make([]int32, n)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = int32(i)
+	}
+	return m
+}
+
 // randomCycle returns a single-cycle permutation of n elements, so a chase
 // starting anywhere visits every node before repeating.
 func randomCycle(n int, rng *rand.Rand) []int32 {
-	// rng.Perm(n)'s own loop, kept in int32: the same draws and the same
-	// final RNG state, without Perm's 8-byte-per-node []int.
-	order := make([]int32, n)
-	for i := 0; i < n; i++ {
-		j := rng.Intn(i + 1)
-		order[i] = order[j]
-		order[j] = int32(i)
-	}
+	order := perm32(n, rng)
 	next := make([]int32, n)
 	for i := 0; i < n; i++ {
 		next[order[i]] = order[(i+1)%n]
@@ -142,10 +148,7 @@ func (p *poolSource) Reset(rng *rand.Rand) {
 	p.hotObjs = a.array(p.hot, mem.LineSize)
 	// The schedule is a permutation: each event object is handled once per
 	// lap, in a fixed irregular order (an event calendar's steady state).
-	p.schedule = make([]int32, p.events)
-	for i, v := range rng.Perm(p.events) {
-		p.schedule[i] = int32(v)
-	}
+	p.schedule = perm32(p.events, rng)
 }
 
 func (p *poolSource) Steps() int { return len(p.schedule) }

@@ -23,17 +23,12 @@ type graph struct {
 // in-degree distribution is skewed (preferential attachment-ish), mirroring
 // the power-law structure of the GAP inputs.
 func buildGraph(n, avgDeg int, rng *rand.Rand) *graph {
-	deg := make([]int32, n)
-	total := 0
-	for i := range deg {
-		d := 1 + rng.Intn(2*avgDeg-1) // mean avgDeg, min 1
-		deg[i] = int32(d)
-		total += d
-	}
-	g := &graph{n: n, offsets: make([]int32, n+1), edges: make([]int32, total)}
+	g := &graph{n: n, offsets: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
-		g.offsets[i+1] = g.offsets[i] + deg[i]
+		d := 1 + rng.Intn(2*avgDeg-1) // mean avgDeg, min 1
+		g.offsets[i+1] = g.offsets[i] + int32(d)
 	}
+	g.edges = make([]int32, g.offsets[n])
 	// Skewed endpoint sampling: a fourth-power uniform sample concentrates
 	// in-edges on low vertex ids, giving the heavy-tailed in-degree
 	// distribution of real graphs. The hot endpoints stay cache-resident,
@@ -93,11 +88,7 @@ func (g *gatherSource) Reset(rng *rand.Rand) {
 			nCold++
 		}
 	}
-	perm := rng.Perm(nCold)
-	g.cold = make([]int32, 0, nCold)
-	for _, p := range perm {
-		g.cold = append(g.cold, int32(p))
-	}
+	g.cold = perm32(nCold, rng)
 	a := newArena()
 	g.hot = a.array(g.hubs, mem.LineSize)
 	g.coldA = a.array(nCold, mem.LineSize)
@@ -164,31 +155,25 @@ func (b *bfsSource) Reset(rng *rand.Rand) {
 // unreached vertices appended in id order (GAP BFS re-seeds components).
 func bfsOrder(g *graph, src int) []int32 {
 	seen := make([]bool, g.n)
+	// A vertex is visited in the order it is enqueued, so order is its own
+	// FIFO queue: order[head:] are the enqueued vertices not yet visited.
 	order := make([]int32, 0, g.n)
-	queue := make([]int32, 0, g.n)
-	enqueue := func(v int32) {
-		if !seen[v] {
-			seen[v] = true
-			queue = append(queue, v)
+	for i := -1; i < g.n; i++ {
+		root := src
+		if i >= 0 {
+			root = i
 		}
-	}
-	enqueue(int32(src))
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		order = append(order, v)
-		for ei := g.offsets[v]; ei < g.offsets[v+1]; ei++ {
-			enqueue(g.edges[ei])
+		if seen[root] {
+			continue
 		}
-	}
-	for v := 0; v < g.n; v++ {
-		if !seen[v] {
-			seen[int32(v)] = true
-			queue = append(queue, int32(v))
-			for head := len(queue) - 1; head < len(queue); head++ {
-				u := queue[head]
-				order = append(order, u)
-				for ei := g.offsets[u]; ei < g.offsets[u+1]; ei++ {
-					enqueue(g.edges[ei])
+		seen[root] = true
+		order = append(order, int32(root))
+		for head := len(order) - 1; head < len(order); head++ {
+			v := order[head]
+			for ei := g.offsets[v]; ei < g.offsets[v+1]; ei++ {
+				if u := g.edges[ei]; !seen[u] {
+					seen[u] = true
+					order = append(order, u)
 				}
 			}
 		}

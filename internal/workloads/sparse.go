@@ -34,14 +34,14 @@ func (s *spmvSource) Reset(rng *rand.Rand) {
 	// makes real sparse gather streams temporally prefetchable.
 	hotLines := s.xLines / 16
 	coldLines := s.xLines - hotLines
-	perm := rng.Perm(coldLines)
+	perm := perm32(coldLines, rng)
 	pos := 0
 	for i := range s.cols {
 		if rng.Float64() < 0.25 || pos >= len(perm) {
 			u := rng.Float64()
 			s.cols[i] = int32(u * u * float64(hotLines))
 		} else {
-			s.cols[i] = int32(hotLines + perm[pos])
+			s.cols[i] = int32(hotLines) + perm[pos]
 			pos++
 		}
 	}
@@ -97,9 +97,9 @@ func (h *hashProbeSource) Reset(rng *rand.Rand) {
 	// (hash keys rarely repeat back-to-back); cross-lap churn models new
 	// keys displacing old ones.
 	h.schedule = make([]int32, h.probes)
-	perm := rng.Perm(h.buckets)
+	perm := perm32(h.buckets, rng)
 	for i := range h.schedule {
-		h.schedule[i] = int32(perm[i%len(perm)])
+		h.schedule[i] = perm[i%len(perm)]
 	}
 }
 
