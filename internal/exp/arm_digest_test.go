@@ -7,11 +7,8 @@ import (
 	"testing"
 
 	"streamline/internal/core"
-	"streamline/internal/meta"
-	"streamline/internal/prefetch"
 	"streamline/internal/prefetch/triage"
 	"streamline/internal/prefetch/triangel"
-	"streamline/internal/sim"
 )
 
 // TestArmDigestGolden pins, bit for bit, the engine variants that only the
@@ -26,12 +23,6 @@ func TestArmDigestGolden(t *testing.T) {
 	}
 	triangelVariant := func(name string, mod func(*triangel.Config)) Arm {
 		return triangelArm(name, "stride", "", mod)
-	}
-	temporal := func(name string, f sim.TemporalFactory) Arm {
-		return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-			attach(cfg, "stride")
-			cfg.Temporal = f
-		}}
 	}
 	cases := []struct {
 		arm  Arm
@@ -53,9 +44,9 @@ func TestArmDigestGolden(t *testing.T) {
 			"08784c37bece1f81e3373af8703c854466ab0eb3c62316c2ab2e9b6d10b8ab13"},
 		{triangelVariant("triangel-tp-mockingjay", func(c *triangel.Config) { c.Policy = core.NewTPMockingjay }),
 			"390087445b1a97da43450b94d302e4ad1445af0e119f5f012c4e63d8df9115a1"},
-		{temporal("triage-lut-256", sim.Triage(Micro.knobs(), func(c *triage.Config) { c.LUTSize = 256 })),
+		{triageArm("triage-lut-256", "stride", "", func(c *triage.Config) { c.LUTSize = 256 }),
 			"a84a3d19c72ad76585405a7e719716eac62fd7d9c8adf50a8c83c09c66570a30"},
-		{temporal("triage-ideal", func(meta.Bridge) prefetch.Prefetcher { return triage.NewIdeal() }),
+		{idealTriageArm(),
 			"d7aa1420bd192a025f77c009d57abb73452c7812ee97b8baf790673033d0a818"},
 	}
 	r := NewRunner(Micro)

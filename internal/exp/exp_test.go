@@ -182,7 +182,7 @@ func TestArmsProduceDistinctConfigs(t *testing.T) {
 	str := streamlineArm("streamline", "stride", "", nil)
 	for _, arm := range []Arm{base, tri, str} {
 		cfg := sc.baseConfig(1)
-		arm.Apply(&cfg, sc)
+		arm.apply(&cfg, sc)
 		switch arm.Name {
 		case "base+stride":
 			if cfg.Temporal != nil {

@@ -6,11 +6,9 @@ import (
 
 	"streamline/internal/core"
 	"streamline/internal/mem"
-	"streamline/internal/meta"
 	"streamline/internal/prefetch"
 	"streamline/internal/prefetch/stms"
 	"streamline/internal/prefetch/triage"
-	"streamline/internal/sim"
 	"streamline/internal/trace"
 	"streamline/internal/workloads"
 )
@@ -76,11 +74,7 @@ func init() {
 				Title:   "speedup headroom under unlimited-metadata Triage (>=5% defines the irregular subset)",
 				Columns: []string{"workload", "suite", "speedup-headroom", "ideal-coverage", "in-subset", "flagged-irregular"}}
 			base := baseArm("stride", "")
-			ideal := Arm{Name: "triage-ideal", Apply: func(cfg *sim.Config, sc Scale) {
-				attach(cfg, "stride")
-				cfg.Temporal = func(meta.Bridge) prefetch.Prefetcher { return triage.NewIdeal() }
-				cfg.DedicatedMetadata = true
-			}}
+			ideal := idealTriageArm()
 			type row struct {
 				w      workloads.Workload
 				h, cov float64

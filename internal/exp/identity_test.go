@@ -98,7 +98,7 @@ func TestArmIdentityCoversEveryField(t *testing.T) {
 
 // TestArmIdentityPolicies: an omitted metadata policy is the engine's
 // explicit default, a factory the identity cannot name leaves the arm with
-// no identity, and so do a hand-written Apply and a kept arm.
+// no identity, and a kept arm has none either.
 func TestArmIdentityPolicies(t *testing.T) {
 	if mustIdentity(t, triangelArm("a", "stride", "", nil)) !=
 		mustIdentity(t, triangelArm("b", "stride", "", func(c *triangel.Config) { c.Policy = meta.NewEntrySRRIP })) {
@@ -116,7 +116,6 @@ func TestArmIdentityPolicies(t *testing.T) {
 	for _, a := range []Arm{
 		streamlineArm("closure", "stride", "", func(o *core.Options) { o.Policy = closure }),
 		triangelArm("closure", "stride", "", func(c *triangel.Config) { c.Policy = closure }),
-		{Name: "hand-written", Apply: func(cfg *sim.Config, sc Scale) { attach(cfg, "stride") }},
 		kept(streamlineArm("kept", "stride", "", nil)),
 	} {
 		if id, ok := a.identity(Micro); ok {
@@ -127,9 +126,10 @@ func TestArmIdentityPolicies(t *testing.T) {
 
 // TestMergedArmsSimulateIdentically runs every experiment at micro scale on
 // one runner, checks that exactly the expected labels reused another
-// label's simulation, and then simulates every label of each merged group
-// directly — no memo, no reuse — to check that the reused results are the
-// ones each label computes on its own, bit for bit.
+// label's simulation and that every label states one configuration, and then
+// simulates every label of each merged group directly — no memo, no reuse —
+// to check that the reused results are the ones each label computes on its
+// own, bit for bit.
 func TestMergedArmsSimulateIdentically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at micro scale")
@@ -142,6 +142,32 @@ func TestMergedArmsSimulateIdentically(t *testing.T) {
 	}
 	if fails := r.DrainFailures(); len(fails) != 0 {
 		t.Fatalf("failures: %v", fails)
+	}
+
+	// Every arm states what it builds, and one label never names two
+	// configurations: the memo is keyed by label, so a second configuration
+	// under a label would silently take the first one's results. Two such arms
+	// on one unit share one entry, so this sees a label across units, and a
+	// kept arm beside its plain runs: a kept arm has no identity of its own,
+	// so it is compared as the arm it keeps.
+	arms := map[string]Arm{}
+	stated := map[string]armConfig{}
+	for _, e := range r.memo {
+		a := e.sim.Arm
+		spec := *a.spec
+		spec.keep = false
+		id, ok := Arm{Name: a.Name, spec: &spec}.identity(Micro)
+		if !ok {
+			t.Errorf("%s: no identity", a.Name)
+			continue
+		}
+		if prev, seen := stated[a.Name]; seen && prev != id {
+			t.Errorf("%s names two configurations: %+v and %+v", a.Name, prev, id)
+		}
+		stated[a.Name] = id
+		if !a.spec.keep {
+			arms[a.Name] = a
+		}
 	}
 
 	// Group the labels each merge line joins: "  [label] mix xN = leader".
@@ -180,12 +206,6 @@ func TestMergedArmsSimulateIdentically(t *testing.T) {
 		t.Fatalf("%d merges in groups %v, want 7 in %v", merges, groups, want)
 	}
 
-	arms := map[string]Arm{}
-	for _, e := range r.memo {
-		if !e.sim.Arm.keepsSystem() {
-			arms[e.sim.Arm.Name] = e.sim.Arm
-		}
-	}
 	direct := NewRunner(Micro)
 	unit := SingleUnits([]string{"sphinx06"})[0]
 	for _, g := range groups {

@@ -216,7 +216,7 @@ type Sim struct {
 // factor is spelled in it, as a trailing "|fp<factor>".
 func (s Sim) key() string {
 	var k string
-	if s.Arm.keepsSystem() {
+	if s.Arm.spec.keep {
 		k = s.Arm.Name + "|" + s.Mix[0]
 	} else {
 		k = fmt.Sprintf("%s|%s|%d|%.3f", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, s.BW)
@@ -259,7 +259,7 @@ func (r *Runner) run(e *memoEntry) {
 // simulation is a pure function of (scale, arm, mix, cores, bw, fp) and
 // the store key hashes all of them.
 func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, error) {
-	persist := r.Store != nil && !s.Arm.keepsSystem()
+	persist := r.Store != nil && !s.Arm.spec.keep
 	var sk string
 	if persist {
 		sk = r.storeKey(key)
@@ -387,11 +387,11 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 	if s.BW > 0 {
 		cfg.DRAM = cfg.DRAM.ScaleBandwidth(s.BW)
 	}
-	s.Arm.Apply(&cfg, r.Scale)
+	s.Arm.apply(&cfg, r.Scale)
 	// Audit labels and telemetry file names mark a system-retaining run
 	// apart from the plain run of the same arm and workload.
 	label := key
-	if s.Arm.keepsSystem() {
+	if s.Arm.spec.keep {
 		label += "|sys"
 	}
 	r.attachAudit(&cfg, label)
@@ -407,7 +407,7 @@ func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *
 	}
 	r.logf("  [%s] %s x%d\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores)
 	res, err := sys.RunCtx(ctx, 0, nil)
-	if err != nil || !s.Arm.keepsSystem() {
+	if err != nil || !s.Arm.spec.keep {
 		return res, nil, err
 	}
 	return res, sys, nil

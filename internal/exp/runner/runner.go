@@ -52,9 +52,8 @@ type Options struct {
 // RunAll executes jobs on a bounded worker pool and returns their results
 // indexed identically to jobs. It degrades instead of aborting: a failing or
 // panicking job does not cancel the rest, and every job's outcome is
-// reported individually. When ctx ends, the pool stops handing out jobs: a
-// job handed out but not yet started reports ctx.Err(), and one never handed
-// out keeps a zero result and a nil error.
+// reported individually. When ctx ends, the pool stops handing out jobs, and
+// every job it did not start keeps a zero result and reports ctx.Err().
 func RunAll[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []error) {
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
@@ -70,7 +69,7 @@ func RunAll[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []err
 	}
 
 	// feed serves job indices in order; it closes when all are handed out
-	// or the context is cancelled (skipping the rest).
+	// or the context is cancelled, failing the rest with ctx.Err() first.
 	feed := make(chan int)
 	go func() {
 		defer close(feed)
@@ -78,6 +77,9 @@ func RunAll[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, []err
 			select {
 			case feed <- i:
 			case <-ctx.Done():
+				for j := i; j < len(jobs); j++ {
+					errs[j] = ctx.Err()
+				}
 				return
 			}
 		}

@@ -195,6 +195,31 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestPreCanceledContext: under a context canceled before the run, no job
+// runs, and every one reports the context's error with a zero result —
+// also those the pool never hands out.
+func TestPreCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int32
+	jobs := make([]Job[int], 100)
+	for i := range jobs {
+		jobs[i] = Job[int]{Key: fmt.Sprintf("job%d", i), Run: func(context.Context) (int, error) {
+			ran.Add(1)
+			return 1, nil
+		}}
+	}
+	res, errs := RunAll(ctx, Options{Workers: 2}, jobs)
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) || res[i] != 0 {
+			t.Errorf("job %d: result %d, error %v; want 0 and context.Canceled", i, res[i], err)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d jobs ran under a canceled context", n)
+	}
+}
+
 // TestEmptyAndDefaults: zero jobs and defaulted worker counts are fine.
 func TestEmptyAndDefaults(t *testing.T) {
 	res, errs := RunAll[int](context.Background(), Options{}, nil)

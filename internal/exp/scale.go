@@ -11,6 +11,7 @@ import (
 
 	"streamline/internal/core"
 	"streamline/internal/meta"
+	"streamline/internal/prefetch"
 	"streamline/internal/prefetch/triage"
 	"streamline/internal/prefetch/triangel"
 	"streamline/internal/sim"
@@ -156,41 +157,39 @@ func (sc Scale) knobs() sim.Knobs {
 
 // Arm is one system configuration under test. Name is what a figure calls
 // it: results are memoized and stored by (Name, workload(s), cores), so Name
-// must uniquely identify the configuration among a runner's arms. An arm's
-// identity is what it builds (see identity): two arms with one identity
-// restate one configuration under two names, and the runner simulates it
-// once for both.
+// must uniquely identify the configuration among a runner's arms. What apply
+// builds and what identity states come from one resolution of its spec: two
+// arms with one identity restate one configuration under two names, and the
+// runner simulates it once for both.
 type Arm struct {
-	Name  string
-	Apply func(cfg *sim.Config, sc Scale)
-	// spec is what an arm builder states about the arm; nil for a
-	// hand-written Apply. A wrapper that changes what Apply builds must
-	// state the change in a copy (as dedicated does), or two configurations
-	// would share one simulation. A pointer keeps Arm at four words: Sim
-	// holds an Arm, and every memo lookup copies a Sim.
+	Name string
+	// spec is a pointer so Arm stays at three words: Sim holds an Arm, and
+	// every memo lookup copies a Sim.
 	spec *armSpec
 }
 
-// armSpec is what an arm builder states about an arm.
+// armSpec is everything an arm builds; resolve states each of its fields.
 type armSpec struct {
-	// builds holds the engine names and metadata placement; identity
-	// fills in its temporal field.
-	builds armConfig
-	// tune is the temporal engine's mod: a func(*core.Options),
-	// func(*triangel.Config) or func(*triage.Config), possibly a typed nil.
-	// An untyped nil means no LLC temporal engine.
-	tune any
-	// keepSystem retains each simulated system next to its result (see
-	// kept).
-	keepSystem bool
+	// l1 and l2 name knob-free engines of the engine table ("" is none).
+	l1, l2 string
+	// temporal is the temporal engine: nil for none, "stms" (the off-chip
+	// engine of the engine table), idealTriage{}, or a builder's mod — a
+	// func(*core.Options), func(*triangel.Config) or func(*triage.Config),
+	// possibly a typed nil.
+	temporal any
+	// dedicated puts the temporal metadata in dedicated storage instead of
+	// LLC capacity.
+	dedicated bool
+	// keep retains each simulated system next to its result (see kept).
+	keep bool
 }
 
-// keepsSystem reports whether the arm retains its simulated systems.
-func (a Arm) keepsSystem() bool { return a.spec != nil && a.spec.keepSystem }
+// idealTriage is the temporal engine of the unlimited-metadata Triage.
+type idealTriage struct{}
 
 // armConfig is what an arm builds, whatever a figure calls it: its engine
-// names, where its metadata lives, and its temporal engine's fully resolved
-// configuration.
+// names, where its metadata lives, and its LLC temporal engine's fully
+// resolved configuration.
 type armConfig struct {
 	l1, l2, offchip string
 	dedicated       bool
@@ -200,32 +199,61 @@ type armConfig struct {
 	temporal string
 }
 
-// identity returns what the arm builds at sc, and false when only its Name
-// can tell it apart: a hand-written Apply, a kept arm (its retained system
-// is its own), or a metadata policy identity cannot name. Arms with equal
-// identities simulate bit-identically on every unit.
-func (a Arm) identity(sc Scale) (armConfig, bool) {
-	if a.spec == nil || a.spec.keepSystem {
-		return armConfig{}, false
-	}
-	id, ok := a.spec.builds, true
-	switch tune := a.spec.tune.(type) {
+// resolve maps the spec at sc to its identity, whether that names the arm
+// (not a kept arm, whose system is its own, nor a metadata policy
+// policyName cannot name), and the LLC temporal factory, nil without one.
+func (s *armSpec) resolve(sc Scale) (id armConfig, named bool, llc sim.TemporalFactory) {
+	id = armConfig{l1: s.l1, l2: s.l2, dedicated: s.dedicated}
+	named = !s.keep
+	k := sc.knobs()
+	switch t := s.temporal.(type) {
+	case string:
+		id.offchip = t
+	case idealTriage:
+		id.temporal = "triage-ideal"
+		llc = func(meta.Bridge) prefetch.Prefetcher { return triage.NewIdeal() }
 	case func(*triage.Config):
-		id.temporal = fmt.Sprintf("triage%+v", sim.TriageConfig(sc.knobs(), tune))
+		id.temporal = fmt.Sprintf("triage%+v", sim.TriageConfig(k, t))
+		llc = sim.Triage(k, t)
 	case func(*triangel.Config):
-		c := sim.TriangelConfig(sc.knobs(), tune)
-		var policy string
-		policy, ok = policyName(c.Policy, meta.NewEntrySRRIP)
+		c := sim.TriangelConfig(k, t)
+		policy, ok := policyName(c.Policy, meta.NewEntrySRRIP)
 		c.Policy = nil
 		id.temporal = fmt.Sprintf("triangel%+v/%s", c, policy)
+		named = named && ok
+		llc = sim.Triangel(k, t)
 	case func(*core.Options):
-		o := sim.StreamlineOptions(sc.knobs(), tune)
-		var policy string
-		policy, ok = policyName(o.Policy, core.NewTPMockingjay)
+		o := sim.StreamlineOptions(k, t)
+		policy, ok := policyName(o.Policy, core.NewTPMockingjay)
 		o.Policy = nil
 		id.temporal = fmt.Sprintf("streamline%+v/%s", o, policy)
+		named = named && ok
+		llc = sim.Streamline(k, t)
 	}
-	return id, ok
+	return id, named, llc
+}
+
+// apply configures cfg to build the arm at sc. Its engine names come from
+// code, so one the engine table lacks is a bug.
+func (a Arm) apply(cfg *sim.Config, sc Scale) {
+	id, _, llc := a.spec.resolve(sc)
+	for _, n := range []string{id.l1, id.l2, id.offchip} {
+		if n == "" {
+			continue
+		}
+		if err := sim.Attach(cfg, n, sim.Knobs{}); err != nil {
+			panic(err)
+		}
+	}
+	cfg.Temporal, cfg.DedicatedMetadata = llc, id.dedicated
+}
+
+// identity returns what the arm builds at sc, and false when only its Name
+// can tell it apart. Arms with equal identities simulate bit-identically on
+// every unit.
+func (a Arm) identity(sc Scale) (armConfig, bool) {
+	id, named, _ := a.spec.resolve(sc)
+	return id, named
 }
 
 // entryPolicies names the metadata replacement policies an identity can
@@ -260,23 +288,17 @@ func policyName(f, def meta.EntryPolicyFactory) (string, bool) {
 // prefetcher-internal state after its runs (Row's sys). Such an arm runs
 // single workloads only, under the key "arm|workload".
 func kept(a Arm) Arm {
-	// A kept arm has no identity (its system is its own), so it needs
-	// nothing else from the spec.
-	a.spec = &armSpec{keepSystem: true}
-	return a
+	spec := *a.spec
+	spec.keep = true
+	return Arm{Name: a.Name, spec: &spec}
 }
 
-// attach configures cfg with the named knob-free engines from the engine
-// table ("" is none). Arm definitions are code, so an unknown name is a bug.
-func attach(cfg *sim.Config, names ...string) {
-	for _, n := range names {
-		if n == "" {
-			continue
-		}
-		if err := sim.Attach(cfg, n, sim.Knobs{}); err != nil {
-			panic(err)
-		}
-	}
+// dedicated moves the arm's temporal metadata from LLC capacity to dedicated
+// storage (Triangel-Ideal).
+func dedicated(a Arm) Arm {
+	spec := *a.spec
+	spec.dedicated = true
+	return Arm{Name: a.Name + "-ideal", spec: &spec}
 }
 
 // baseArm is the no-temporal baseline with the given L1/L2 prefetchers.
@@ -288,38 +310,31 @@ func baseArm(l1, l2 string) Arm {
 	if l2 != "" {
 		name += "+" + l2
 	}
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		attach(cfg, l1, l2)
-	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}}}
+	return Arm{Name: name, spec: &armSpec{l1: l1, l2: l2}}
 }
 
 // stmsArm is the off-chip STMS baseline behind a stride L1D prefetcher.
 func stmsArm() Arm {
-	return Arm{Name: "stms", Apply: func(cfg *sim.Config, sc Scale) {
-		attach(cfg, "stride", "stms")
-	}, spec: &armSpec{builds: armConfig{l1: "stride", offchip: "stms"}}}
+	return Arm{Name: "stms", spec: &armSpec{l1: "stride", temporal: "stms"}}
+}
+
+// idealTriageArm is the unlimited-metadata Triage in dedicated storage behind
+// a stride L1D prefetcher: the headroom that defines the irregular subset.
+func idealTriageArm() Arm {
+	return Arm{Name: "triage-ideal", spec: &armSpec{l1: "stride", temporal: idealTriage{}, dedicated: true}}
 }
 
 // triageArm builds a Triage arm; mod may adjust the configuration.
 func triageArm(name, l1, l2 string, mod func(*triage.Config)) Arm {
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		attach(cfg, l1, l2)
-		cfg.Temporal = sim.Triage(sc.knobs(), mod)
-	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}, tune: mod}}
+	return Arm{Name: name, spec: &armSpec{l1: l1, l2: l2, temporal: mod}}
 }
 
 // triangelArm builds a Triangel arm; mod may adjust the configuration.
 func triangelArm(name, l1, l2 string, mod func(*triangel.Config)) Arm {
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		attach(cfg, l1, l2)
-		cfg.Temporal = sim.Triangel(sc.knobs(), mod)
-	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}, tune: mod}}
+	return Arm{Name: name, spec: &armSpec{l1: l1, l2: l2, temporal: mod}}
 }
 
 // streamlineArm builds a Streamline arm; mod may adjust the options.
 func streamlineArm(name, l1, l2 string, mod func(*core.Options)) Arm {
-	return Arm{Name: name, Apply: func(cfg *sim.Config, sc Scale) {
-		attach(cfg, l1, l2)
-		cfg.Temporal = sim.Streamline(sc.knobs(), mod)
-	}, spec: &armSpec{builds: armConfig{l1: l1, l2: l2}, tune: mod}}
+	return Arm{Name: name, spec: &armSpec{l1: l1, l2: l2, temporal: mod}}
 }

@@ -8,7 +8,6 @@ import (
 	"streamline/internal/meta"
 	"streamline/internal/prefetch/triangel"
 	"streamline/internal/replacement"
-	"streamline/internal/sim"
 	"streamline/internal/workloads"
 )
 
@@ -16,23 +15,6 @@ import (
 // Triangel's budget, Triangel-Ideal with dedicated storage), metadata
 // traffic across partition sizes, and the utility-aware replacement study
 // (TP-Mockingjay in the stores, MIN vs TP-MIN as offline oracles).
-
-// dedicated wraps an arm so its temporal metadata lives in dedicated
-// storage instead of LLC capacity (Triangel-Ideal).
-func dedicated(a Arm) Arm {
-	apply := a.Apply
-	a.Name += "-ideal"
-	a.Apply = func(cfg *sim.Config, sc Scale) {
-		apply(cfg, sc)
-		cfg.DedicatedMetadata = true
-	}
-	if a.spec != nil {
-		spec := *a.spec
-		spec.builds.dedicated = true
-		a.spec = &spec
-	}
-	return a
-}
 
 func init() {
 	register(Experiment{ID: "fig13a", Title: "Storage efficiency",

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -169,5 +170,31 @@ func TestSweepCanceledContextLeavesGaps(t *testing.T) {
 	}
 	if m.Completed.Value() != 0 {
 		t.Errorf("%d simulations completed under a canceled context", m.Completed.Value())
+	}
+}
+
+// TestParallelMapCanceledContextLeavesGaps: under a canceled context every
+// item of a ParallelMap is a gap with one recorded failure, whether or not
+// the pool handed its job out.
+func TestParallelMapCanceledContextLeavesGaps(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunner(Micro)
+	r.Ctx = ctx
+	r.Jobs = 2
+	items := make([]int, 100)
+	for i := range items {
+		items[i] = i
+	}
+	_, ok := ParallelMap(r, items,
+		func(i int) string { return fmt.Sprintf("item|%d", i) },
+		func(i int) int { return i })
+	for i, o := range ok {
+		if o {
+			t.Errorf("item %d succeeded under a canceled context", i)
+		}
+	}
+	if n := len(r.Failures()); n != len(items) {
+		t.Errorf("%d failures recorded, want one per item (%d)", n, len(items))
 	}
 }
