@@ -190,7 +190,10 @@ type Prefetcher struct {
 	// does not allocate. Each backs at most one live Entry at a time:
 	// trainBuf the completed stream, realignBuf a realigned copy of it,
 	// alignBuf the merge of a buffered entry with the fresh one. Every
-	// consumer (store.Insert, mbInsert) copies the targets it keeps.
+	// consumer (store.Insert, mbInsert) copies the targets it keeps, so
+	// all three are dead once train returns, and prefetchChain reuses
+	// trainBuf for a store hit's targets when the PC has no metadata
+	// buffer to copy them into.
 	trainBuf   []mem.Line
 	realignBuf []mem.Line
 	alignBuf   []mem.Line
@@ -329,19 +332,20 @@ func (tu *tuEntry) mbFind(addr mem.Line) (slot *mbSlot, pos int, ok bool) {
 	return nil, 0, false
 }
 
-func (p *Prefetcher) mbInsert(tu *tuEntry, e meta.Entry) {
+// mbClaim returns the buffer slot that takes trigger's entry — the valid
+// slot already holding trigger, else the first invalid slot, else the least
+// recently used one — marked valid and most recently used, with its trigger
+// set. The caller writes the targets and the confidence bit into the slot's
+// own target buffer. It returns nil when the PC has no buffer.
+func (p *Prefetcher) mbClaim(tu *tuEntry, trigger mem.Line) *mbSlot {
 	if len(tu.mb) == 0 {
-		return
+		return nil
 	}
 	p.clock++
 	victim := 0
 	for i := range tu.mb {
 		s := &tu.mb[i]
-		if s.valid && s.e.Trigger == e.Trigger {
-			s.setEntry(e, p.clock)
-			return
-		}
-		if !s.valid {
+		if !s.valid || s.e.Trigger == trigger {
 			victim = i
 			break
 		}
@@ -349,19 +353,17 @@ func (p *Prefetcher) mbInsert(tu *tuEntry, e meta.Entry) {
 			victim = i
 		}
 	}
-	tu.mb[victim].setEntry(e, p.clock)
-	tu.mb[victim].valid = true
+	s := &tu.mb[victim]
+	s.valid, s.lru, s.e.Trigger = true, p.clock, trigger
+	return s
 }
 
-// setEntry copies e into the slot, reusing the slot's target buffer: the
-// entries handed to mbInsert are backed by scratch buffers (the store's
-// lookup buffer, the training unit's stream scratch) that the next store
-// or train operation overwrites.
-func (s *mbSlot) setEntry(e meta.Entry, clock uint64) {
-	s.e.Trigger = e.Trigger
-	s.e.Conf = e.Conf
-	s.e.Targets = append(s.e.Targets[:0], e.Targets...)
-	s.lru = clock
+// mbInsert copies e, whose targets live in a scratch buffer the next train
+// operation overwrites, into the PC's metadata buffer.
+func (p *Prefetcher) mbInsert(tu *tuEntry, e meta.Entry) {
+	if s := p.mbClaim(tu, e.Trigger); s != nil {
+		s.e.Targets, s.e.Conf = append(s.e.Targets[:0], e.Targets...), e.Conf
+	}
 }
 
 // ---- training -----------------------------------------------------------
@@ -567,15 +569,22 @@ func (p *Prefetcher) prefetchChain(now uint64, pc mem.PC, tu *tuEntry, line mem.
 			if p.bypass != nil {
 				p.bypass.observeLookup(cur)
 			}
-			e, found, lat := p.store.Lookup(now+delay, pc, cur)
+			hit, found, lat := p.store.Lookup(now+delay, pc, cur)
 			if !found {
 				break
 			}
 			p.Stats.StoreFetches++
 			delay += lat
-			entry = e
+			// The hit's targets are copied once: into the buffer slot
+			// that keeps them, or into trainBuf for a PC without one.
+			if s := p.mbClaim(tu, hit.Trigger()); s != nil {
+				s.e.Targets, s.e.Conf = hit.AppendTargets(s.e.Targets[:0]), hit.Conf()
+				entry = s.e
+			} else {
+				p.trainBuf = hit.AppendTargets(p.trainBuf[:0])
+				entry = meta.Entry{Trigger: hit.Trigger(), Targets: p.trainBuf, Conf: hit.Conf()}
+			}
 			pos = 0
-			p.mbInsert(tu, entry)
 		}
 		// An unconfirmed entry (its trigger recurs with different
 		// continuations, or it has not yet been re-validated by a second

@@ -93,7 +93,8 @@ func storeDigest(cfg StoreConfig, seed int64) string {
 			lat, conf := s.Insert(now, pc, Entry{Trigger: t, Targets: targets})
 			fmt.Fprintf(h, "I %d %v\n", lat, conf)
 		case r < 8800:
-			e, ok, lat := s.Lookup(now, pc, t)
+			hit, ok, lat := s.Lookup(now, pc, t)
+			e := entryOf(hit, ok)
 			fmt.Fprintf(h, "L %d %v %v %v %d\n", e.Trigger, e.Targets, e.Conf, ok, lat)
 		case r < 9995:
 			fmt.Fprintf(h, "W %v\n", s.WouldFilter(t))

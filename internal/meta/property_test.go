@@ -32,12 +32,12 @@ func TestPropertyLookupAfterInsertFindsEntry(t *testing.T) {
 		tr := mem.Line(trig)
 		e := Entry{Trigger: tr, Targets: []mem.Line{1, 2, 3, 4}}
 		st.Insert(0, 1, e)
-		got, ok, _ := st.Lookup(0, 1, tr)
+		hit, ok, _ := st.Lookup(0, 1, tr)
 		if st.WouldFilter(tr) {
 			return !ok // filtered triggers are never stored
 		}
 		// The trigger hash can alias, but a lone insert must be found.
-		return ok && len(got.Targets) == 4 && got.Targets[0] == 1
+		return ok && len(hit.AppendTargets(nil)) == 4 && hit.First() == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

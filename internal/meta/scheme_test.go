@@ -102,7 +102,7 @@ func TestConfidenceBitLifecycle(t *testing.T) {
 		t.Error("identical re-insert did not confirm")
 	}
 	got, _, _ := s.Lookup(0, 1, 77)
-	if !got.Conf {
+	if !got.Conf() {
 		t.Error("lookup does not see the confirmed bit")
 	}
 	e2 := Entry{Trigger: 77, Targets: []mem.Line{9, 8, 7, 6}}
@@ -110,7 +110,7 @@ func TestConfidenceBitLifecycle(t *testing.T) {
 		t.Error("different targets kept confidence")
 	}
 	got, _, _ = s.Lookup(0, 1, 77)
-	if got.Conf {
+	if got.Conf() {
 		t.Error("confidence bit not cleared by a retargeting store")
 	}
 }

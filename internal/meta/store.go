@@ -130,12 +130,6 @@ type Store struct {
 	pcs     []mem.PC   // nil unless the store rearranges and its policy reads PCs
 	pol     EntryPolicy
 
-	// lookupBuf backs the Targets slice of the Entry Lookup returns; it is
-	// valid until the next Lookup. Callers that retain an entry across
-	// store operations must copy the targets (Streamline's metadata
-	// buffer does).
-	lookupBuf []mem.Line
-
 	// tel receives resize events; nil (the default) disables them. lastNow
 	// tracks the most recent Lookup/Insert cycle so Resize — which has no
 	// cycle argument of its own — can timestamp its event.
@@ -254,23 +248,24 @@ func (s *Store) CapacityCorrelations() int {
 func (s *Store) StreamLength() int { return s.cfg.StreamLength }
 
 // The store derives its several index functions from disjoint bit ranges
-// of one 64-bit line hash: bits [0,22) index the set, [22,32) form the
-// hashed trigger tag, [32,38+) the partial tag, [48,58) the second-level
-// way index, and [58,60) drive skewed indexing.
-func (s *Store) triggerHash(t mem.Line) uint16 {
-	return uint16(mem.HashLine64(t)>>22) & (1<<triggerHashBits - 1)
+// of one 64-bit line hash, mem.HashLine64 of the trigger, which each store
+// operation computes once and hands to the functions below: bits [0,22)
+// index the set, [22,32) form the hashed trigger tag, [32,38+) the partial
+// tag, [48,58) the second-level way index, and [58,60) drive skewed
+// indexing.
+func keyOf(h uint64) uint16 {
+	return uint16(h>>22) & (1<<triggerHashBits - 1)
 }
 
-func (s *Store) partialTag(t mem.Line) uint16 {
+func (s *Store) partialTag(h uint64) uint16 {
 	// A different bit slice than the trigger hash, as the partial tag
 	// lives in the LLC tag store.
-	return uint16(mem.HashLine64(t)>>32) & (1<<uint(s.cfg.PartialTagBits) - 1)
+	return uint16(h>>32) & (1<<uint(s.cfg.PartialTagBits) - 1)
 }
 
-// logicalSet maps a trigger to its logical metadata set under the FIXED
-// maximum-size index function.
-func (s *Store) logicalSet(t mem.Line) int {
-	h := mem.HashLine64(t)
+// logicalSet maps a trigger hash to its logical metadata set under the
+// FIXED maximum-size index function.
+func (s *Store) logicalSet(h uint64) int {
 	set := int((h & (1<<22 - 1)) % uint64(s.metaSets))
 	if s.cfg.Skewed {
 		// Bias toward logical sets that survive shrinking: clear 0, 1 or 2
@@ -284,7 +279,7 @@ func (s *Store) logicalSet(t mem.Line) int {
 
 // LogicalSetOf exposes the fixed trigger-to-set index function for
 // components that sample trigger locality (the dynamic partitioners).
-func (s *Store) LogicalSetOf(t mem.Line) int { return s.logicalSet(t) }
+func (s *Store) LogicalSetOf(t mem.Line) int { return s.logicalSet(mem.HashLine64(t)) }
 
 // setLive reports whether a logical set is inside the current partition.
 func (s *Store) setLive(logical int) bool {
@@ -301,11 +296,11 @@ func (s *Store) setLive(logical int) bool {
 	return logical%step == 0
 }
 
-// currentSet maps a trigger to the logical set it occupies under the
+// currentSet maps a trigger hash to the logical set it occupies under the
 // CURRENT index function (rearranged stores re-index on resize; filtered
 // stores always use logicalSet and may filter).
-func (s *Store) currentSet(t mem.Line) (logical int, live bool) {
-	logical = s.logicalSet(t)
+func (s *Store) currentSet(h uint64) (logical int, live bool) {
+	logical = s.logicalSet(h)
 	if s.cfg.Filtered {
 		return logical, s.setLive(logical)
 	}
@@ -325,30 +320,31 @@ func (s *Store) currentSet(t mem.Line) (logical int, live bool) {
 	return (logical % liveSets) * step, s.curWays > 0
 }
 
-// wayOf returns the way an entry must occupy for untagged stores under the
-// current (rearranged) or maximum (filtered) way-index function, and
-// whether the trigger is filtered out (filtered way-partitioning).
-func (s *Store) wayOf(t mem.Line) (way int, live bool) {
-	h := int(mem.HashLine64(t) >> 48 & (1<<10 - 1))
+// wayOf returns the way an entry with trigger hash h must occupy for
+// untagged stores under the current (rearranged) or maximum (filtered)
+// way-index function, and whether the trigger is filtered out (filtered
+// way-partitioning).
+func (s *Store) wayOf(h uint64) (way int, live bool) {
+	w := int(h >> 48 & (1<<10 - 1))
 	if s.cfg.Filtered {
-		way = h % s.maxWays
+		way = w % s.maxWays
 		return way, way < s.curWays
 	}
 	if s.curWays == 0 {
 		return 0, false
 	}
-	return h % s.curWays, true
+	return w % s.curWays, true
 }
 
-// candidates returns the contiguous slot range [lo, hi) the trigger's entry
-// may occupy within its logical set, honoring the two-level index (untagged)
-// or partial-tag aliasing (tagged). Every placement constraint resolves to a
-// contiguous range — a whole way's slots or every live slot — so no index
-// list is materialized. It also reports whether aliasing constrained a
-// tagged placement.
-func (s *Store) candidates(set int, t mem.Line) (lo, hi int, aliased bool, live bool) {
+// candidates returns the contiguous slot range [lo, hi) the entry of
+// trigger t, hashing to h, may occupy within its logical set, honoring the
+// two-level index (untagged) or partial-tag aliasing (tagged). Every
+// placement constraint resolves to a contiguous range — a whole way's slots
+// or every live slot — so no index list is materialized. It also reports
+// whether aliasing constrained a tagged placement.
+func (s *Store) candidates(set int, t mem.Line, h uint64) (lo, hi int, aliased bool, live bool) {
 	if !s.cfg.Tagged {
-		way, ok := s.wayOf(t)
+		way, ok := s.wayOf(h)
 		if !ok || way >= s.curWays {
 			return 0, 0, false, false
 		}
@@ -357,7 +353,7 @@ func (s *Store) candidates(set int, t mem.Line) (lo, hi int, aliased bool, live 
 	}
 	// Tagged: any live way, but an existing entry with the same partial
 	// tag pins the incoming entry to its way.
-	pt, base, hi := s.partialTag(t), set*s.stride, s.curWays*s.epb
+	pt, base, hi := s.partialTag(h), set*s.stride, s.curWays*s.epb
 	for idx, p := range s.partial[base : base+hi] {
 		if p == pt && s.slots[base+idx].trigger != t {
 			lo = idx - idx%s.epb
@@ -374,12 +370,12 @@ func (s *Store) WouldFilter(t mem.Line) bool {
 	if !s.cfg.Filtered {
 		return false
 	}
-	logical := s.logicalSet(t)
-	if !s.setLive(logical) {
+	h := mem.HashLine64(t)
+	if !s.setLive(s.logicalSet(h)) {
 		return true
 	}
 	if !s.cfg.Tagged && !s.cfg.SetPartitioned {
-		_, ok := s.wayOf(t)
+		_, ok := s.wayOf(h)
 		return !ok
 	}
 	return false
@@ -397,6 +393,21 @@ func (s *Store) find(set, lo, hi int, key uint16) int {
 	return -1
 }
 
+// findOrFree scans flat slots [lo, hi) once for key and returns the first
+// slot holding it and the first empty slot, each -1 when there is none.
+func (s *Store) findOrFree(lo, hi int, key uint16) (match, free int) {
+	free = -1
+	for i, k := range s.keys[lo:hi] {
+		if k == key {
+			return lo + i, free
+		}
+		if k == noKey && free < 0 {
+			free = lo + i
+		}
+	}
+	return -1, free
+}
+
 // count returns the number of targets the slot at flat index i holds.
 func (s *Store) count(i int) int { return int(s.info[i] &^ confBit) }
 
@@ -409,38 +420,61 @@ func (s *Store) rest(i int) []mem.Line {
 // targetsOf returns a fresh copy of the targets held by the slot at flat
 // index i.
 func (s *Store) targetsOf(i int) []mem.Line {
-	return append(append(make([]mem.Line, 0, s.count(i)), s.slots[i].first), s.rest(i)...)
+	return Hit{s, i}.AppendTargets(make([]mem.Line, 0, s.count(i)))
+}
+
+// Hit is a view of the slot a Lookup matched: it reads the entry in place
+// instead of copying it out. It stays valid until the store's next Insert or
+// Resize, either of which may overwrite or move the slot; a Lookup changes
+// only replacement-policy state and leaves earlier hits valid.
+type Hit struct {
+	s *Store
+	i int // flat slot index
+}
+
+// Trigger returns the trigger the entry was stored under. Lookups match a
+// hash of the trigger, so an aliasing entry's trigger differs from the line
+// looked up.
+func (h Hit) Trigger() mem.Line { return h.s.slots[h.i].trigger }
+
+// First returns the entry's first target.
+func (h Hit) First() mem.Line { return h.s.slots[h.i].first }
+
+// Conf returns the entry's confidence bit (see Entry.Conf).
+func (h Hit) Conf() bool { return h.s.info[h.i]&confBit != 0 }
+
+// AppendTargets appends the entry's targets to buf, which the caller owns,
+// and returns the extended slice.
+func (h Hit) AppendTargets(buf []mem.Line) []mem.Line {
+	return append(append(buf, h.s.slots[h.i].first), h.s.rest(h.i)...)
 }
 
 // Lookup searches the store for the trigger's entry at cycle now, charging
 // one LLC metadata read unless filtered indexing proves statically that the
-// trigger cannot be present. It returns the entry, whether it was found, and
-// the lookup latency. The entry's Targets slice is backed by a buffer owned
-// by the store and is only valid until the next Lookup.
-func (s *Store) Lookup(now uint64, pc mem.PC, t mem.Line) (Entry, bool, uint64) {
+// trigger cannot be present. It returns a view of the matched entry, whether
+// it was found, and the lookup latency.
+func (s *Store) Lookup(now uint64, pc mem.PC, t mem.Line) (Hit, bool, uint64) {
 	s.Stats.Lookups++
 	s.lastNow = now
-	set, live := s.currentSet(t)
+	h := mem.HashLine64(t)
+	set, live := s.currentSet(h)
 	if !live {
 		s.Stats.FilteredLookups++
-		return Entry{}, false, 0
+		return Hit{}, false, 0
 	}
-	lo, hi, _, ok := s.candidates(set, t)
+	lo, hi, _, ok := s.candidates(set, t, h)
 	if !ok {
 		s.Stats.FilteredLookups++
-		return Entry{}, false, 0
+		return Hit{}, false, 0
 	}
 	lat := s.bridge.MetaAccess(now, mem.MetaRead)
 	s.Stats.Reads++
-	if i := s.find(set, lo, hi, s.triggerHash(t)); i >= 0 {
-		sl := &s.slots[i]
+	if i := s.find(set, lo, hi, keyOf(h)); i >= 0 {
 		s.Stats.TriggerHits++
-		s.pol.Touch(set, i-set*s.stride, EntryAccess{PC: pc, Trigger: t, FirstTarget: sl.first})
-		buf := slices.Grow(s.lookupBuf[:0], s.count(i))
-		s.lookupBuf = append(append(buf, sl.first), s.rest(i)...)
-		return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: s.info[i]&confBit != 0}, true, lat
+		s.pol.Touch(set, i-set*s.stride, EntryAccess{PC: pc, Trigger: t, FirstTarget: s.slots[i].first})
+		return Hit{s, i}, true, lat
 	}
-	return Entry{}, false, lat
+	return Hit{}, false, lat
 }
 
 // Insert writes an entry at cycle now, charging one LLC metadata write
@@ -466,12 +500,13 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 // It reports whether the entry was stored (false when filtered) and whether
 // an in-place update confirmed identical targets.
 func (s *Store) place(pc mem.PC, e Entry) (placed, same bool) {
-	set, live := s.currentSet(e.Trigger)
+	h := mem.HashLine64(e.Trigger)
+	set, live := s.currentSet(h)
 	if !live {
 		s.Stats.FilteredInserts++
 		return false, false
 	}
-	lo, hi, aliased, ok := s.candidates(set, e.Trigger)
+	lo, hi, aliased, ok := s.candidates(set, e.Trigger, h)
 	if !ok {
 		s.Stats.FilteredInserts++
 		return false, false
@@ -480,11 +515,12 @@ func (s *Store) place(pc mem.PC, e Entry) (placed, same bool) {
 		s.Stats.AliasedInserts++
 	}
 	acc := EntryAccess{PC: pc, Trigger: e.Trigger, FirstTarget: e.Targets[0]}
-	h, base := s.triggerHash(e.Trigger), set*s.stride
+	base := set * s.stride
 
 	// In-place update of an existing entry for this trigger. The
 	// confidence bit confirms on identical targets and clears otherwise.
-	if i := s.find(set, lo, hi, h); i >= 0 {
+	i, free := s.findOrFree(base+lo, base+hi, keyOf(h))
+	if i >= 0 {
 		same := s.slots[i].first == e.Targets[0] && slices.Equal(s.rest(i), e.Targets[1:])
 		s.storeInto(i, h, e, pc)
 		if same {
@@ -495,8 +531,7 @@ func (s *Store) place(pc mem.PC, e Entry) (placed, same bool) {
 		return true, same
 	}
 	// Free slot, else victim.
-	i := s.find(set, lo, hi, noKey)
-	if i < 0 {
+	if i = free; i < 0 {
 		i = base + s.pol.Victim(set, lo, hi, acc)
 		s.pol.Evict(set, i-base)
 		s.Stats.Evictions++
@@ -507,15 +542,15 @@ func (s *Store) place(pc mem.PC, e Entry) (placed, same bool) {
 	return true, false
 }
 
-// storeInto writes e, whose trigger hashes to key, into the slot at flat
+// storeInto writes e, whose trigger hashes to h, into the slot at flat
 // index i, truncating its targets to the format's k and clearing the
 // confidence bit.
-func (s *Store) storeInto(i int, key uint16, e Entry, pc mem.PC) {
+func (s *Store) storeInto(i int, h uint64, e Entry, pc mem.PC) {
 	j := i * (s.k - 1)
 	n := 1 + copy(s.targets[j:j+s.k-1], e.Targets[1:])
-	s.keys[i], s.info[i] = key, uint8(n)
+	s.keys[i], s.info[i] = keyOf(h), uint8(n)
 	if s.partial != nil {
-		s.partial[i] = s.partialTag(e.Trigger)
+		s.partial[i] = s.partialTag(h)
 	}
 	s.slots[i] = slot{trigger: e.Trigger, first: e.Targets[0]}
 	if s.pcs != nil {
@@ -646,13 +681,14 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 			if keep && !s.cfg.Filtered {
 				// Rearranged: does the index function still place the
 				// entry here?
-				nset, nlive := s.currentSet(sl.trigger)
+				h := mem.HashLine64(sl.trigger)
+				nset, nlive := s.currentSet(h)
 				if !nlive {
 					keep = false
 				} else if nset != set {
 					keep = false
 				} else if !s.cfg.Tagged {
-					nway, wlive := s.wayOf(sl.trigger)
+					nway, wlive := s.wayOf(h)
 					if !wlive || nway != way {
 						keep = false
 					}
@@ -663,7 +699,7 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 				if s.cfg.SetPartitioned {
 					keep = s.setLive(set)
 				} else if !s.cfg.Tagged {
-					nway, wlive := s.wayOf(sl.trigger)
+					nway, wlive := s.wayOf(mem.HashLine64(sl.trigger))
 					keep = wlive && nway == way && way < s.curWays
 				} else {
 					keep = way < s.curWays

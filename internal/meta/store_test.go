@@ -64,11 +64,20 @@ func TestStreamHolds33PercentMore(t *testing.T) {
 	}
 }
 
+// entryOf copies a Lookup's view into an Entry, the zero Entry on a miss.
+func entryOf(h Hit, ok bool) Entry {
+	if !ok {
+		return Entry{}
+	}
+	return Entry{Trigger: h.Trigger(), Targets: h.AppendTargets(nil), Conf: h.Conf()}
+}
+
 func TestInsertLookupRoundTrip(t *testing.T) {
 	s := NewStore(streamlineConfig(), llc2MB())
 	e := Entry{Trigger: 100, Targets: []mem.Line{101, 102, 103, 104}}
 	s.Insert(0, 1, e)
-	got, ok, _ := s.Lookup(0, 1, 100)
+	hit, ok, _ := s.Lookup(0, 1, 100)
+	got := entryOf(hit, ok)
 	if !ok {
 		t.Fatal("lookup missed a just-inserted trigger")
 	}
@@ -83,7 +92,8 @@ func TestInsertLookupRoundTrip(t *testing.T) {
 func TestPairwiseStoresOneTarget(t *testing.T) {
 	s := NewStore(triangelConfig(), llc2MB())
 	s.Insert(0, 1, Entry{Trigger: 7, Targets: []mem.Line{8, 9, 10}})
-	got, ok, _ := s.Lookup(0, 1, 7)
+	hit, ok, _ := s.Lookup(0, 1, 7)
+	got := entryOf(hit, ok)
 	if !ok || len(got.Targets) != 1 || got.Targets[0] != 8 {
 		t.Errorf("pairwise entry = %+v, ok=%v", got, ok)
 	}
@@ -96,9 +106,9 @@ func TestUpdateInPlace(t *testing.T) {
 	if s.Stats.Inserts != 1 || s.Stats.Updates != 1 {
 		t.Errorf("inserts/updates = %d/%d, want 1/1", s.Stats.Inserts, s.Stats.Updates)
 	}
-	got, ok, _ := s.Lookup(0, 1, 5)
-	if !ok || got.Targets[0] != 9 {
-		t.Errorf("updated entry = %+v", got)
+	hit, ok, _ := s.Lookup(0, 1, 5)
+	if !ok || hit.First() != 9 {
+		t.Errorf("updated entry = %+v", entryOf(hit, ok))
 	}
 	if s.Occupancy() != 1 {
 		t.Errorf("occupancy = %d, want 1", s.Occupancy())
@@ -438,10 +448,10 @@ func TestEvictionWhenSetFull(t *testing.T) {
 	cfg := streamlineConfig()
 	s := NewStore(cfg, llc2MB())
 	// Find 40 triggers sharing one logical set (8 ways x 4 entries = 32).
-	target := s.logicalSet(12345)
+	target := s.LogicalSetOf(12345)
 	var triggers []mem.Line
 	for tr := mem.Line(0); len(triggers) < 40; tr++ {
-		if s.logicalSet(tr) == target {
+		if s.LogicalSetOf(tr) == target {
 			triggers = append(triggers, tr)
 		}
 	}
@@ -513,7 +523,7 @@ func TestStoreSteadyStateNoAllocs(t *testing.T) {
 		targets := []mem.Line{1, 2, 3, 4}
 		// AllocsPerRun truncates its average, so one run is a batch and the
 		// result is the batch's whole allocation count. Its unmeasured first
-		// call sizes the lookup buffer and leaves most slots still empty.
+		// call leaves most slots still empty.
 		batch := func() {
 			for i := 0; i < 2000; i++ {
 				tr := mem.Line(rng.Intn(1 << 15))

@@ -12,6 +12,8 @@
 package triage
 
 import (
+	"math/bits"
+
 	"streamline/internal/mem"
 	"streamline/internal/meta"
 	"streamline/internal/prefetch"
@@ -41,36 +43,86 @@ func DefaultConfig() Config {
 }
 
 // lut is the target-region lookup table: regions (line >> 11) are assigned
-// 10-bit indices; recycling an index corrupts the correlations that still
-// reference it.
+// 10-bit indices round-robin; recycling an index corrupts the correlations
+// that still reference it.
 type lut struct {
 	regions []uint64 // index -> region
-	gen     []uint32 // bump on recycle
-	byReg   map[uint64]int
 	next    int
+
+	// byReg is the reverse index, region -> LUT index: an open-addressed,
+	// linearly probed table of indices into regions, at most half full,
+	// keyed by the region each index holds. noIndex marks an empty cell.
+	byReg []int32
+	shift uint // 64 - log2(len(byReg))
 }
 
+const noIndex = -1
+
 func newLUT(size int) *lut {
-	return &lut{
-		regions: make([]uint64, size),
-		gen:     make([]uint32, size),
-		byReg:   make(map[uint64]int, size),
+	cells := 2
+	for cells < 2*size {
+		cells *= 2
 	}
+	l := &lut{
+		regions: make([]uint64, size),
+		byReg:   make([]int32, cells),
+		shift:   64 - uint(bits.TrailingZeros(uint(cells))),
+	}
+	for i := range l.byReg {
+		l.byReg[i] = noIndex
+	}
+	return l
+}
+
+// home returns the cell where the probe sequence for region starts.
+func (l *lut) home(region uint64) int {
+	return int(region * 0x9e3779b97f4a7c15 >> l.shift)
+}
+
+// cell returns the cell of byReg holding region's index, or the empty cell
+// that ends its probe sequence.
+func (l *lut) cell(region uint64) int {
+	mask := len(l.byReg) - 1
+	c := l.home(region)
+	for l.byReg[c] != noIndex && l.regions[l.byReg[c]] != region {
+		c = (c + 1) & mask
+	}
+	return c
+}
+
+// unmap removes region from the reverse index, if present, shifting the
+// rest of its probe run back so no lookup crosses a hole.
+func (l *lut) unmap(region uint64) {
+	mask := len(l.byReg) - 1
+	hole := l.cell(region)
+	if l.byReg[hole] == noIndex {
+		return
+	}
+	for c := (hole + 1) & mask; l.byReg[c] != noIndex; c = (c + 1) & mask {
+		// The entry at c may fill the hole unless its home lies
+		// cyclically in (hole, c].
+		if (c-l.home(l.regions[l.byReg[c]]))&mask >= (c-hole)&mask {
+			l.byReg[hole] = l.byReg[c]
+			hole = c
+		}
+	}
+	l.byReg[hole] = noIndex
 }
 
 // encode returns the LUT index for the target's region, allocating (and
-// possibly recycling) as needed.
+// possibly recycling) as needed. Recycling an index unmaps the region it
+// held — before the first lap, the zero region, like any other.
 func (l *lut) encode(target mem.Line) int {
 	region := uint64(target) >> 11
-	if idx, ok := l.byReg[region]; ok {
-		return idx
+	c := l.cell(region)
+	if idx := l.byReg[c]; idx != noIndex {
+		return int(idx)
 	}
 	idx := l.next
 	l.next = (l.next + 1) % len(l.regions)
-	delete(l.byReg, l.regions[idx])
+	l.unmap(l.regions[idx])
 	l.regions[idx] = region
-	l.gen[idx]++
-	l.byReg[region] = idx
+	l.byReg[l.cell(region)] = int32(idx)
 	return idx
 }
 
@@ -198,12 +250,12 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	var delay uint64
 	issued := 0
 	for hops := 0; issued < maxDegree && hops < maxDegree+8; hops++ {
-		e, found, lat := p.store.Lookup(ev.Now+delay, ev.PC, cur)
+		hit, found, lat := p.store.Lookup(ev.Now+delay, ev.PC, cur)
 		if !found {
 			break
 		}
 		delay += lat
-		enc := e.Targets[0]
+		enc := hit.First()
 		target := p.lut.decode(int(uint64(enc)>>48), enc)
 		if !tu.issued.Has(target) {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target), Delay: delay})

@@ -537,12 +537,12 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		if m != nil {
 			p.MRBHits++
 		} else {
-			e, found, lat := p.store.Lookup(ev.Now+delay, ev.PC, cur)
+			hit, found, lat := p.store.Lookup(ev.Now+delay, ev.PC, cur)
 			if !found {
 				break
 			}
 			delay += lat
-			m = p.mrbInsert(cur, e.Targets[0], e.Conf)
+			m = p.mrbInsert(cur, hit.First(), hit.Conf())
 		}
 		target, conf := m.target, m.conf
 		if !tu.issued.Has(target) {

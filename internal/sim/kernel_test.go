@@ -23,8 +23,9 @@ type kernelScenario struct {
 }
 
 // kernelScenarios returns the representative kernel benchmark set: a
-// prefetcher-free single-core baseline (pure hierarchy cost), the paper's
-// two temporal prefetchers single-core, and a 4-core multi-programmed mix
+// prefetcher-free single-core baseline (pure hierarchy cost), the three
+// LLC-hosted temporal prefetchers single-core (Triage on mcf06 chases the
+// most metadata hops per training event), and a 4-core multi-programmed mix
 // (scheduler and shared-resource cost).
 func kernelScenarios() []kernelScenario {
 	return []kernelScenario{
@@ -34,6 +35,8 @@ func kernelScenarios() []kernelScenario {
 			warmup: 50_000, measure: 200_000, temporal: "streamline"},
 		{name: "1core-triangel-mcf06", cores: 1, workloads: []string{"mcf06"},
 			warmup: 50_000, measure: 200_000, temporal: "triangel"},
+		{name: "1core-triage-mcf06", cores: 1, workloads: []string{"mcf06"},
+			warmup: 50_000, measure: 200_000, temporal: "triage"},
 		{name: "4core-streamline-mix", cores: 4,
 			workloads: []string{"sphinx06", "mcf06", "bfs", "libquantum06"},
 			warmup:    25_000, measure: 100_000, temporal: "streamline"},
