@@ -12,10 +12,10 @@
 //	curl -d '{"workload":"sphinx06","temporal":"streamline"}' localhost:8080/simulate
 //	curl localhost:8080/statusz
 //
-// Endpoints: POST /simulate, GET /healthz, GET /statusz. Identical concurrent
-// requests are single-flighted; a full queue answers 429 with Retry-After;
-// SIGTERM/SIGINT drain gracefully (stop accepting, finish and persist
-// in-flight simulations, then exit 0).
+// Endpoints: POST /simulate, GET /healthz, GET /statusz, GET /metricz.
+// Identical concurrent requests are single-flighted; a full queue answers 429
+// with Retry-After; SIGTERM/SIGINT drain gracefully (stop accepting, finish
+// and persist in-flight simulations, then exit 0).
 package main
 
 import (

@@ -69,12 +69,21 @@ func TestMetamorphicTranslation(t *testing.T) {
 type shiftTrace struct {
 	inner trace.Trace
 	off   mem.Addr
+	run   []trace.Record // the latest shifted run
 }
 
 func (s *shiftTrace) Next() (trace.Record, bool) {
 	r, ok := s.inner.Next()
 	r.Addr += s.off
 	return r, ok
+}
+
+func (s *shiftTrace) NextChunk() []trace.Record {
+	s.run = append(s.run[:0], s.inner.NextChunk()...)
+	for i := range s.run {
+		s.run[i].Addr += s.off
+	}
+	return s.run
 }
 
 func (s *shiftTrace) Reset() { s.inner.Reset() }

@@ -544,9 +544,11 @@ func (p *Prefetcher) prefetchChain(now uint64, pc mem.PC, tu *tuEntry, line mem.
 	}
 	// The demand's own buffer position is authoritative: if the cursor's
 	// entry no longer contains the demand's forward path (a wrong-path
-	// excursion through an ambiguous trigger), snap back to it.
-	if _, _, ok := tu.mbFind(tu.cursor); !ok {
-		if _, _, ok := tu.mbFind(line); ok {
+	// excursion through an ambiguous trigger), snap back to it. The probe
+	// that finds the cursor's entry is the first hop's buffer lookup.
+	slot, pos, ok := tu.mbFind(tu.cursor)
+	if !ok && tu.cursor != line {
+		if slot, pos, ok = tu.mbFind(line); ok {
 			tu.cursor = line
 			tu.lead = 0
 		}
@@ -555,7 +557,9 @@ func (p *Prefetcher) prefetchChain(now uint64, pc mem.PC, tu *tuEntry, line mem.
 	cur := tu.cursor
 	var delay uint64
 	for hops := 0; issued < deg && tu.lead < maxLead && hops < 3; hops++ {
-		slot, pos, ok := tu.mbFind(cur)
+		if hops > 0 {
+			slot, pos, ok = tu.mbFind(cur)
+		}
 		var entry meta.Entry
 		if ok {
 			p.Stats.BufferHits++

@@ -9,7 +9,6 @@ import (
 	"streamline/internal/prefetch"
 	"streamline/internal/prefetch/stms"
 	"streamline/internal/prefetch/triage"
-	"streamline/internal/trace"
 	"streamline/internal/workloads"
 )
 
@@ -29,17 +28,18 @@ import (
 // accesses early would have been evicted long before its use.
 func idealHeadroom(w workloads.Workload, sc Scale, budget uint64) float64 {
 	const window = 1024
-	tr := trace.NewLimit(w.NewTrace(workloads.Scale{Footprint: sc.Footprint}, sc.Seed), budget)
+	tr := w.NewTrace(workloads.Scale{Footprint: sc.Footprint}, sc.Seed)
 	ideal := triage.NewIdeal()
 	predicted := map[mem.Line]int{} // line -> expiry position
 	covered, total := 0, 0
 	var buf []prefetch.Request
 	i := 0
-	for {
+	for used := uint64(0); used < budget; {
 		rec, ok := tr.Next()
 		if !ok {
 			break
 		}
+		used += rec.Instructions()
 		line := mem.LineOf(rec.Addr)
 		total++
 		if exp, ok := predicted[line]; ok {

@@ -441,9 +441,10 @@ func (p *Prefetcher) mrbTouch(i int32) {
 	m[e.older].newer, m[0].older = i, i
 }
 
-// mrbInsert caches trigger's entry, over the least recently used if full.
-func (p *Prefetcher) mrbInsert(trigger, target mem.Line, conf bool) *mrbEntry {
-	e := p.mrbLookup(trigger)
+// mrbInsert caches trigger's entry, over the least recently used if full. e is
+// what the caller's mrbLookup(trigger) just returned: the entry to update, or
+// nil when trigger is not cached.
+func (p *Prefetcher) mrbInsert(e *mrbEntry, trigger, target mem.Line, conf bool) *mrbEntry {
 	if e == nil {
 		i := int32(len(p.mrb))
 		if len(p.mrb) < cap(p.mrb) {
@@ -516,7 +517,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 				_, conf := p.store.Insert(ev.Now, ev.PC, meta.Entry{
 					Trigger: trigger, Targets: p.insTarget[:],
 				})
-				p.mrbInsert(trigger, line, conf)
+				p.mrbInsert(e, trigger, line, conf)
 			}
 			if p.cfg.FixedBytes == 0 {
 				p.part.ObserveTrigger(p.store.LogicalSetOf(trigger), trigger)
@@ -542,7 +543,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 				break
 			}
 			delay += lat
-			m = p.mrbInsert(cur, hit.First(), hit.Conf())
+			m = p.mrbInsert(nil, cur, hit.First(), hit.Conf())
 		}
 		target, conf := m.target, m.conf
 		if !tu.issued.Has(target) {

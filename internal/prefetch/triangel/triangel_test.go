@@ -251,7 +251,7 @@ func TestMRBMatchesScanReference(t *testing.T) {
 			trigger := mem.Line(rng.Intn(3*size+2)) << uint(rng.Intn(2)*20)
 			if rng.Intn(3) == 0 {
 				target, conf := mem.Line(rng.Uint32()), rng.Intn(2) == 0
-				p.mrbInsert(trigger, target, conf)
+				p.mrbInsert(p.mrbLookup(trigger), trigger, target, conf)
 				ref.insert(trigger, target, conf)
 				continue
 			}

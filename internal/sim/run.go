@@ -16,12 +16,16 @@ const coreAddrStride mem.Addr = 1 << 44
 // accuracy-consuming prefetchers, matching Streamline's 2048-prefetch epochs.
 const accuracyEpoch = 2048
 
-// step executes one trace record on core cs. It returns false when the
-// trace is exhausted.
+// step executes one trace record on core cs. At the end of the trace it
+// rewinds the trace and reads on; it returns false when the rewound trace is
+// empty too.
 func (s *System) step(cs *coreState) bool {
 	if cs.pos == len(cs.recs) {
 		if cs.recs, cs.pos = cs.tr.NextChunk(), 0; len(cs.recs) == 0 {
-			return false
+			cs.tr.Reset()
+			if cs.recs = cs.tr.NextChunk(); len(cs.recs) == 0 {
+				return false
+			}
 		}
 	}
 	rec := &cs.recs[cs.pos] // read-only: the run belongs to the trace

@@ -109,7 +109,7 @@ type coreState struct {
 	core  *cpu.Core
 	l1d   *cache.Cache
 	l2    *cache.Cache
-	tr    *trace.Looping
+	tr    trace.Trace
 	done  bool
 	l1pf  prefetch.Prefetcher
 	l2pf  prefetch.Prefetcher
@@ -266,14 +266,14 @@ func New(cfg Config) *System {
 	return s
 }
 
-// SetTrace attaches a trace to a core. The trace is wrapped to loop so the
-// core stays busy until every core completes its measured instructions.
+// SetTrace attaches a trace to a core. The core rewinds the trace at its end,
+// so it stays busy until every core completes its measured instructions.
 func (s *System) SetTrace(core int, tr trace.Trace) {
 	if core < 0 || core >= len(s.cores) {
 		panic(fmt.Sprintf("sim: core %d out of range", core))
 	}
 	cs := s.cores[core]
-	cs.tr, cs.recs, cs.pos = trace.NewLooping(tr), nil, 0
+	cs.tr, cs.recs, cs.pos = tr, nil, 0
 }
 
 // LLC exposes the shared LLC (diagnostics and tests).

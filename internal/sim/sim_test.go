@@ -50,6 +50,12 @@ func (o *oneShotTrace) Next() (trace.Record, bool) {
 	return r, true
 }
 
+func (o *oneShotTrace) NextChunk() []trace.Record {
+	c := o.recs[o.pos:]
+	o.pos = len(o.recs)
+	return c
+}
+
 func (o *oneShotTrace) Reset() {}
 
 func TestTraceExhaustedBeforeWarmup(t *testing.T) {

@@ -24,7 +24,7 @@ func TestStoresDoNotStallTheCore(t *testing.T) {
 			PC: 1, Addr: mem.AddrOf(mem.Line(i * 7)), IsWrite: true, NonMem: 1,
 		})
 	}
-	res := New(cfg).RunTrace(trace.NewLooping(recordsOf(recs)))
+	res := New(cfg).RunTrace(recordsOf(recs))
 	if res.Cores[0].IPC < 1.0 {
 		t.Errorf("store-only stream IPC = %.3f; store buffer not hiding misses", res.Cores[0].IPC)
 	}
@@ -45,7 +45,7 @@ func TestDirtyEvictionsReachDRAM(t *testing.T) {
 			PC: 1, Addr: mem.AddrOf(mem.Line(i % 20_000)), IsWrite: true, NonMem: 1,
 		})
 	}
-	res := New(cfg).RunTrace(trace.NewLooping(recordsOf(recs)))
+	res := New(cfg).RunTrace(recordsOf(recs))
 	if res.DRAM.Writes == 0 {
 		t.Error("no writebacks reached DRAM")
 	}
@@ -140,7 +140,7 @@ func TestPrefetchRequestsToResidentLinesAreCheap(t *testing.T) {
 		recs = append(recs, trace.Record{PC: 1, Addr: mem.AddrOf(mem.Line(i)), NonMem: 3})
 	}
 	cfg.Temporal = streamlineFactory
-	res := New(cfg).RunTrace(trace.NewLooping(recordsOf(recs)))
+	res := New(cfg).RunTrace(recordsOf(recs))
 	// Working set is 500 lines; DRAM reads should be within a few laps of
 	// cold misses, not proportional to the full run.
 	if res.DRAM.Reads > 5000 {

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"streamline/internal/mem"
-	"streamline/internal/trace"
-)
+import "streamline/internal/mem"
 
 // Analysis summarizes the temporal structure of a workload's access stream:
 // the quantities that determine how prefetchable it is. The experiment
@@ -34,7 +31,7 @@ type Analysis struct {
 
 // Analyze inspects the first budget instructions of the workload's trace.
 func Analyze(w Workload, s Scale, seed int64, budget uint64) Analysis {
-	tr := trace.NewLimit(w.NewTrace(s, seed), budget)
+	tr := w.NewTrace(s, seed)
 
 	var a Analysis
 	lines := map[mem.Line]uint32{}
@@ -44,7 +41,7 @@ func Analyze(w Workload, s Scale, seed int64, budget uint64) Analysis {
 	var pairSame, pairTotal uint64
 	var seq uint64
 
-	for {
+	for a.Instructions < budget {
 		rec, ok := tr.Next()
 		if !ok {
 			break

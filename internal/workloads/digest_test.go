@@ -12,17 +12,17 @@ import (
 	"streamline/internal/trace"
 )
 
-// traceDigest returns the SHA-256 of the next n records of tr in the
+// traceDigest returns the SHA-256 of the next n records read by next in the
 // encoding the golden file was made with: an 8-byte header (magic "STLN",
 // version 1, little-endian) and then 18 bytes per record — PC, address,
 // flags (bit 0 store, bit 1 depends-on-previous), non-memory count.
-func traceDigest(t *testing.T, tr trace.Trace, n int) string {
+func traceDigest(t *testing.T, next func() (trace.Record, bool), n int) string {
 	t.Helper()
 	h := sha256.New()
 	buf := binary.LittleEndian.AppendUint32(nil, 0x53544c4e)
 	h.Write(binary.LittleEndian.AppendUint32(buf, 1))
 	for i := 0; i < n; i++ {
-		r, ok := tr.Next()
+		r, ok := next()
 		if !ok {
 			t.Fatalf("trace ended after %d of %d records", i, n)
 		}
@@ -40,8 +40,7 @@ func traceDigest(t *testing.T, tr trace.Trace, n int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// chunkReader reads a trace through its trace.Chunker capability, one run at
-// a time. With mix set it takes 0 to 4 records through Next before each run,
+// chunkReader reads a trace through NextChunk, one run at a time. With mix set it takes 0 to 4 records through Next before each run,
 // so runs start at every offset of the generator's chunk.
 type chunkReader struct {
 	tr    trace.Trace
@@ -60,7 +59,7 @@ func (c *chunkReader) Next() (trace.Record, bool) {
 		if c.calls++; c.mix {
 			c.nexts = c.calls % 5
 		}
-		if c.run = c.tr.(trace.Chunker).NextChunk(); len(c.run) == 0 {
+		if c.run = c.tr.NextChunk(); len(c.run) == 0 {
 			return trace.Record{}, false
 		}
 	}
@@ -68,8 +67,6 @@ func (c *chunkReader) Next() (trace.Record, bool) {
 	c.run = c.run[1:]
 	return r, true
 }
-
-func (c *chunkReader) Reset() { c.tr.Reset(); c.run, c.nexts = nil, 0 }
 
 // TestTraceDigestGolden pins the record stream of every registered workload.
 // Each row of testdata/trace_digests.txt covers two whole laps plus 100k
@@ -112,12 +109,12 @@ func TestTraceDigestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			fresh := func() trace.Trace { return w.NewTrace(Scale{Footprint: fp}, seed) }
-			for how, tr := range map[string]trace.Trace{
-				"Next":        fresh(),
-				"NextChunk":   &chunkReader{tr: fresh()},
-				"interleaved": &chunkReader{tr: fresh(), mix: true},
+			for how, next := range map[string]func() (trace.Record, bool){
+				"Next":        fresh().Next,
+				"NextChunk":   (&chunkReader{tr: fresh()}).Next,
+				"interleaved": (&chunkReader{tr: fresh(), mix: true}).Next,
 			} {
-				if got := traceDigest(t, tr, n); got != want {
+				if got := traceDigest(t, next, n); got != want {
 					t.Errorf("%s: digest of the first %d records is %s, want %s", how, n, got, want)
 				}
 			}

@@ -27,7 +27,7 @@ func fuzzRecords(w Workload, fp float64, seed int64, n int) []trace.Record {
 //   - determinism: two traces built from the same (scale, seed) emit
 //     identical record streams, and Reset after any k records reproduces the
 //     first k — the foundation of the golden-stats and parallel-vs-serial
-//     tests, and of trace.Looping's wrap-around;
+//     tests, and of the simulator's rewind at the end of a trace;
 //   - address hygiene: every address lies in the generator arena region
 //     [arenaBase, arenaBase+2^31), so per-core striping in the simulator
 //     (stride 2^44) can never collide across cores;

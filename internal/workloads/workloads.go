@@ -107,7 +107,8 @@ type lapTrace struct {
 }
 
 // NewTrace returns an endless, resettable trace for the workload at the
-// given scale and seed. Wrap it with trace.NewLimit to bound instructions.
+// given scale and seed. A consumer that wants a bounded prefix counts
+// Record.Instructions itself.
 func (w Workload) NewTrace(s Scale, seed int64) trace.Trace {
 	lt := &lapTrace{src: w.Build(s), seed: seed, e: w.emitter()}
 	lt.Reset()
@@ -138,7 +139,7 @@ func (t *lapTrace) Next() (trace.Record, bool) {
 	return r, true
 }
 
-// NextChunk implements trace.Chunker: the unread rest of the chunk, not a copy.
+// NextChunk implements trace.Trace: the unread rest of the chunk, not a copy.
 func (t *lapTrace) NextChunk() []trace.Record {
 	if t.pos >= len(t.e.buf) && !t.refill() {
 		return nil

@@ -170,13 +170,14 @@ func TestTraceMemoryBounded(t *testing.T) {
 }
 
 // TestEmptyLapEndsTrace: a lap that emits no record ends the trace rather than
-// spinning, on every call, and trace.Looping passes the end through.
+// spinning, on every call and after every rewind.
 func TestEmptyLapEndsTrace(t *testing.T) {
 	w := Workload{Name: "empty", Build: func(Scale) LapSource {
 		return &stencilSource{rows: 2, cols: 8} // no interior rows
 	}}
-	tr := trace.NewLooping(w.NewTrace(Scale{Footprint: 1}, 1))
+	tr := w.NewTrace(Scale{Footprint: 1}, 1)
 	for i := 0; i < 3; i++ {
+		tr.Reset()
 		if r, ok := tr.Next(); ok {
 			t.Fatalf("call %d: empty workload produced %+v", i, r)
 		}
