@@ -10,7 +10,7 @@ import (
 func (c *Cache) ForEachLine(f func(set, way int, l mem.Line)) {
 	for s := 0; s < c.cfg.Sets; s++ {
 		for w := c.ReservedWays(s); w < c.cfg.Ways; w++ {
-			if t := c.tags[s*c.cfg.Ways+w]; t != noLine {
+			if t := c.lines[s*c.cfg.Ways+w].tag; t != noLine {
 				f(s, w, t)
 			}
 		}
@@ -36,8 +36,8 @@ func (c *Cache) ForEachLineState(f func(LineState)) {
 		ln := &c.lines[s*c.cfg.Ways+w]
 		f(LineState{
 			Set: s, Way: w, Line: t,
-			Dirty: ln.dirty, Prefetched: ln.prefetched,
-			Src: ln.src, ReadyAt: ln.readyAt,
+			Dirty: ln.dirty(), Prefetched: ln.prefetched(),
+			Src: ln.src(), ReadyAt: ln.readyAt(),
 		})
 	})
 }
@@ -68,14 +68,14 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 	valid := 0
 	var residentPF [NumSources]uint64
 	for s := 0; s < c.cfg.Sets; s++ {
-		tags := c.tags[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+		lines := c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
 		rsv := c.ReservedWays(s)
 		for w := 0; w < c.words*8; w++ {
 			want := uint64(rowReserved)
 			if w >= rsv && w < c.cfg.Ways {
 				want = rowEmpty
-				if tags[w] != noLine {
-					want = fingerprint(tags[w])
+				if t := lines[w].tag; t != noLine {
+					want = fingerprint(t)
 				}
 			}
 			if got := c.row(s)[w>>3] >> (w & 7 * 8) & 0xFF; got != want {
@@ -84,13 +84,15 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 					s, w, got, want, rsv, c.cfg.Ways)
 			}
 		}
-		for w, t := range tags {
+		for w := range lines {
+			ln := &lines[w]
+			t := ln.tag
 			if t == noLine {
 				continue
 			}
 			valid++
-			if ln := &c.lines[s*c.cfg.Ways+w]; ln.prefetched && w >= rsv {
-				residentPF[ln.src]++
+			if ln.prefetched() && w >= rsv {
+				residentPF[ln.src()]++
 			}
 			if w < rsv {
 				a.Reportf(now, name, "data-in-reserved-way",
@@ -98,7 +100,7 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 					s, w, uint64(t), rsv)
 			}
 			for w2 := w + 1; w2 < c.cfg.Ways; w2++ {
-				if tags[w2] == t {
+				if lines[w2].tag == t {
 					a.Reportf(now, name, "duplicate-line",
 						"set %d holds line %#x in ways %d and %d",
 						s, uint64(t), w, w2)

@@ -54,7 +54,7 @@ func TestAuditDetectsDuplicateLine(t *testing.T) {
 	c := propCache()
 	// Plant the same line twice in one set, bypassing Fill's dedup.
 	for w := 0; w < 2; w++ {
-		c.tags[w] = mem.Line(64)
+		c.lines[w].tag = mem.Line(64)
 		c.setRow(0, w, fingerprint(64))
 	}
 	c.occupied = c.OccupiedLines() // keep the balance check quiet

@@ -137,7 +137,7 @@ func (s Stats) PrefetchAccuracy() float64 {
 	return Accuracy(s.UsefulPrefetches, s.PrefetchFills)
 }
 
-// noLine marks an empty way in Cache.tags. A line address is a byte address
+// noLine marks an empty way's tag. A line address is a byte address
 // shifted right by mem.LineShift, so its top bits are clear and no access can
 // carry the all-ones value.
 const noLine = ^mem.Line(0)
@@ -170,14 +170,28 @@ func zeroBytes(x uint64) uint64 { return (x - lsb) &^ x & msb }
 // firstByte is the index of the byte holding m's lowest set bit.
 func firstByte(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
 
-// line is the cold state of one way, read only after its tag matched; the
-// tag itself lives in Cache.tags.
+// line is one way: its tag (noLine when empty) and its state packed into one
+// word, the fill's ready cycle above stReadyShift and the dirty bit, the
+// prefetched bit and the issuing Source below it. A walk that matches a tag
+// reads the state from the same 16 bytes.
 type line struct {
-	readyAt    uint64 // cycle at which the fill completes (late prefetches)
-	dirty      bool
-	prefetched bool
-	src        Source // issuing prefetcher (meaningful while prefetched)
+	tag mem.Line
+	st  uint64
 }
+
+const (
+	stDirty      = 1 << 0
+	stPrefetched = 1 << 1 // src (bits 2-3) is meaningful while set
+	stSrcShift   = 2
+	stReadyShift = 8
+	// maxReady bounds a fill's ready cycle so it fits above the low byte.
+	maxReady = 1<<(64-stReadyShift) - 1
+)
+
+func (ln *line) readyAt() uint64  { return ln.st >> stReadyShift }
+func (ln *line) dirty() bool      { return ln.st&stDirty != 0 }
+func (ln *line) prefetched() bool { return ln.st&stPrefetched != 0 }
+func (ln *line) src() Source      { return Source(ln.st >> stSrcShift & 3) }
 
 // Victim describes a line displaced by a fill.
 type Victim struct {
@@ -190,16 +204,16 @@ type Victim struct {
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg Config
-	// tags and lines are flat and set-major: way w of set s is index
-	// s*Ways+w. tags holds noLine when the way is empty; lines holds the rest
-	// of a way's state. rows holds the fingerprint rows, words uint64s per
-	// set: a tag walk reads its set's row and compares only the tags whose
-	// fingerprint matched.
-	tags  []mem.Line
+	// lines is flat and set-major: way w of set s is index s*Ways+w. rows
+	// holds the fingerprint rows, words uint64s per set: a tag walk reads its
+	// set's row and compares only the tags whose fingerprint matched.
 	lines []line
 	rows  []uint64
 	words int
 	repl  *replacement.LRU
+	// absent is the line of the last tag walk that missed, noLine after any
+	// Fill. Only Fill makes a line resident, so a Fill of absent needs no walk.
+	absent mem.Line
 
 	port  mem.RateLimiter
 	mshr  []uint64 // ring of outstanding miss completion times
@@ -239,17 +253,17 @@ func New(cfg Config) *Cache {
 	}
 	words := (cfg.Ways + 7) / 8
 	c := &Cache{
-		cfg:   cfg,
-		tags:  make([]mem.Line, cfg.Sets*cfg.Ways),
-		lines: make([]line, cfg.Sets*cfg.Ways),
-		rows:  make([]uint64, cfg.Sets*words),
-		words: words,
-		repl:  replacement.NewLRU(cfg.Sets, cfg.Ways),
-		port:  mem.NewRateLimiter(portWindow, uint64(cfg.Ports)*portWindow),
-		mshr:  make([]uint64, cfg.MSHRs),
+		cfg:    cfg,
+		lines:  make([]line, cfg.Sets*cfg.Ways),
+		rows:   make([]uint64, cfg.Sets*words),
+		words:  words,
+		repl:   replacement.NewLRU(cfg.Sets, cfg.Ways),
+		absent: noLine,
+		port:   mem.NewRateLimiter(portWindow, uint64(cfg.Ports)*portWindow),
+		mshr:   make([]uint64, cfg.MSHRs),
 	}
-	for i := range c.tags {
-		c.tags[i] = noLine
+	for i := range c.lines {
+		c.lines[i].tag = noLine
 	}
 	for i := range c.rows {
 		c.rows[i] = rowReserved * lsb
@@ -278,18 +292,20 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 // SetOf returns the set index for a line.
 func (c *Cache) SetOf(l mem.Line) int { return int(uint64(l) & uint64(c.cfg.Sets-1)) }
 
-// find returns l's set and the way holding l, -1 when absent. It tests eight
-// ways per row word and compares a tag only where the fingerprint matched.
+// find returns l's set and the way holding l, -1 when absent, which it then
+// records in c.absent. It tests eight ways per row word and compares a tag
+// only where the fingerprint matched.
 func (c *Cache) find(l mem.Line) (set, way int) {
 	set = c.SetOf(l)
 	base, fp := set*c.cfg.Ways, fingerprint(l)*lsb
 	for i, word := range c.row(set) {
 		for m := zeroBytes(word ^ fp); m != 0; m &= m - 1 {
-			if w := i*8 + firstByte(m); c.tags[base+w] == l {
+			if w := i*8 + firstByte(m); c.lines[base+w].tag == l {
 				return set, w
 			}
 		}
 	}
+	c.absent = l
 	return set, -1
 }
 
@@ -398,11 +414,11 @@ func (c *Cache) lookupHit(now uint64, a mem.Access) (LookupResult, bool) {
 	demand := a.Kind.IsDemand()
 	res := LookupResult{Hit: true}
 	late := false
-	if ln.readyAt > now {
-		res.ExtraWait = ln.readyAt - now
+	if ready := ln.readyAt(); ready > now {
+		res.ExtraWait = ready - now
 		if demand {
 			c.Stats.ExtraWaitCycles += res.ExtraWait
-			if ln.prefetched {
+			if ln.prefetched() {
 				c.Stats.LatePrefetches++
 				late = true
 			}
@@ -410,21 +426,21 @@ func (c *Cache) lookupHit(now uint64, a mem.Access) (LookupResult, bool) {
 	}
 	if demand {
 		c.Stats.DemandHits++
-		if ln.prefetched {
+		if ln.prefetched() {
 			res.WasPrefetched = true
-			ln.prefetched = false
+			ln.st &^= stPrefetched
 			c.Stats.UsefulPrefetches++
 			if late {
-				c.Stats.Sources[ln.src].UsefulLate++
+				c.Stats.Sources[ln.src()].UsefulLate++
 			} else {
-				c.Stats.Sources[ln.src].UsefulTimely++
+				c.Stats.Sources[ln.src()].UsefulTimely++
 			}
 		}
 	} else if a.Kind == mem.Prefetch {
 		c.Stats.PrefetchHits++
 	}
 	if a.Kind == mem.Store {
-		ln.dirty = true
+		ln.st |= stDirty
 	}
 	c.repl.Touch(set, w)
 	return res, true
@@ -437,13 +453,21 @@ func (c *Cache) Probe(l mem.Line) bool {
 }
 
 // Fill installs a line, returning the displaced victim (Valid=false when an
-// empty way absorbed the fill). readyAt is the cycle the fill data arrives;
-// a src other than SrcDemand marks the line prefetch-installed for coverage
-// accounting and attributes its lifecycle to that prefetcher.
+// empty way absorbed the fill). readyAt is the cycle the fill data arrives,
+// below 2^56; a src other than SrcDemand marks the line prefetch-installed
+// for coverage accounting and attributes its lifecycle to that prefetcher.
 func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
+	if readyAt > maxReady {
+		panic(fmt.Sprintf("cache %s: fill ready cycle %d is 2^56 or more", c.cfg.Name, readyAt))
+	}
 	prefetch := src != SrcDemand
+	dirty := a.Kind == mem.Store || a.Kind == mem.Writeback
 	l := a.Line()
-	set, w := c.find(l)
+	set, w := c.SetOf(l), -1
+	if l != c.absent {
+		set, w = c.find(l)
+	}
+	c.absent = noLine
 	base := set * c.cfg.Ways
 	if w >= 0 {
 		ln := &c.lines[base+w]
@@ -454,11 +478,11 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 		// demand-owned line earns no coverage credit, and no
 		// PrefetchFills/Sources fill is counted — the line was filled
 		// once), and whichever fill completes first.
-		if a.Kind == mem.Store || a.Kind == mem.Writeback {
-			ln.dirty = true
+		if dirty {
+			ln.st |= stDirty
 		}
-		if readyAt < ln.readyAt {
-			ln.readyAt = readyAt
+		if readyAt < ln.readyAt() {
+			ln.st = readyAt<<stReadyShift | ln.st&(1<<stReadyShift-1)
 		}
 		c.repl.Touch(set, w)
 		return Victim{}
@@ -479,31 +503,30 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 		}
 		way = c.repl.Victim(set, lo)
 		ln := &c.lines[base+way]
-		victim = Victim{Line: c.tags[base+way], Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
+		victim = Victim{Line: ln.tag, Dirty: ln.dirty(), Prefetched: ln.prefetched(), Valid: true}
 		c.Stats.Evictions++
-		if ln.dirty {
+		if ln.dirty() {
 			c.Stats.Writebacks++
 		}
-		if ln.prefetched {
+		if ln.prefetched() {
 			c.Stats.UnusedPrefetches++
-			c.Stats.Sources[ln.src].EvictedUnused++
+			c.Stats.Sources[ln.src()].EvictedUnused++
 		}
 		c.repl.Evict(set, way)
 	} else {
 		c.occupied++
 	}
+	st := readyAt<<stReadyShift | uint64(src)<<stSrcShift
 	if prefetch {
 		c.Stats.PrefetchFills++
 		c.Stats.Sources[src].Fills++
+		st |= stPrefetched
 	}
-	c.tags[base+way] = l
+	if dirty {
+		st |= stDirty
+	}
+	c.lines[base+way] = line{tag: l, st: st}
 	c.setRow(set, way, fingerprint(l))
-	c.lines[base+way] = line{
-		dirty:      a.Kind == mem.Store || a.Kind == mem.Writeback,
-		prefetched: prefetch,
-		src:        src,
-		readyAt:    readyAt,
-	}
 	c.repl.Touch(set, way)
 	return victim
 }
@@ -513,7 +536,7 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 func (c *Cache) MarkDirty(l mem.Line) bool {
 	set, w := c.find(l)
 	if w >= 0 {
-		c.lines[set*c.cfg.Ways+w].dirty = true
+		c.lines[set*c.cfg.Ways+w].st |= stDirty
 	}
 	return w >= 0
 }
@@ -549,22 +572,21 @@ func (c *Cache) Reserve(s, ways int) (flushed, dirty int) {
 	}
 	for w := old; w < ways; w++ {
 		c.setRow(s, w, rowReserved)
-		i := s*c.cfg.Ways + w
-		if ln := &c.lines[i]; c.tags[i] != noLine {
+		if ln := &c.lines[s*c.cfg.Ways+w]; ln.tag != noLine {
 			flushed++
-			if ln.dirty {
+			if ln.dirty() {
 				dirty++
 			}
 			// A flushed line that was prefetched and never demand-hit left
 			// the cache unused, exactly like a replacement eviction; without
 			// this the per-source lifecycle partition (fills = useful +
 			// evicted-unused + still-resident) leaks one line per flush.
-			if ln.prefetched {
+			if ln.prefetched() {
 				c.Stats.UnusedPrefetches++
-				c.Stats.Sources[ln.src].EvictedUnused++
+				c.Stats.Sources[ln.src()].EvictedUnused++
 			}
 			c.repl.Evict(s, w)
-			c.tags[i], *ln = noLine, line{}
+			*ln = line{tag: noLine}
 		}
 	}
 	c.occupied -= flushed

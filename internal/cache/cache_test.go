@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamline/internal/mem"
 )
@@ -472,7 +474,7 @@ func TestReserveFlushCountsUnusedPrefetch(t *testing.T) {
 }
 
 func TestSteadyStateNoAllocs(t *testing.T) {
-	// Lookup and Fill on a full cache touch only the flat tag, line and
+	// Lookup and Fill on a full cache touch only the flat line, row and
 	// policy arrays.
 	c := New(Config{Name: "T", Sets: 16, Ways: 4, Latency: 1})
 	rng := rand.New(rand.NewSource(5))
@@ -493,4 +495,57 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
 		t.Errorf("%.0f allocs in 5000 Lookup+Fill pairs on a full cache, want 0", allocs)
 	}
+}
+
+// TestLineSize pins a way's host record: its tag and one packed state word.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("line is %d bytes, want 16", got)
+	}
+}
+
+// TestPackedStateRoundTrip fills at the largest ready cycle the packed state
+// holds and reads every field back through the hit, refresh and eviction
+// paths; a ready cycle of 2^56 must panic naming the cache.
+func TestPackedStateRoundTrip(t *testing.T) {
+	c := New(testConfig())
+	st := mem.Access{PC: 1, Addr: mem.AddrOf(4), Kind: mem.Store}
+	c.Fill(prefetchAt(4), maxReady, SrcTemporal)
+	c.Fill(st, maxReady, SrcDemand) // a refresh: dirty, attribution kept
+	want := LineState{Set: 4, Way: 0, Line: 4, Dirty: true, Prefetched: true, Src: SrcTemporal, ReadyAt: maxReady}
+	var got []LineState
+	c.ForEachLineState(func(ls LineState) { got = append(got, ls) })
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("line states %+v, want [%+v]", got, want)
+	}
+	if r := c.Lookup(maxReady-7, loadAt(4)); !r.WasPrefetched || r.ExtraWait != 7 {
+		t.Errorf("late demand hit = %+v, want a prefetched hit waiting 7 cycles", r)
+	}
+	if s := c.Stats.Sources[SrcTemporal]; s.UsefulLate != 1 {
+		t.Errorf("temporal source stats %+v, want one late useful prefetch", s)
+	}
+	c.Fill(loadAt(4), 3, SrcDemand) // an earlier ready cycle keeps the flags
+	want.Prefetched, want.ReadyAt = false, 3
+	got = got[:0]
+	c.ForEachLineState(func(ls LineState) { got = append(got, ls) })
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("after refresh %+v, want [%+v]", got, want)
+	}
+	var v Victim
+	for i := 1; i <= 4; i++ {
+		if w := c.Fill(loadAt(mem.Line(4+i*16)), 0, SrcDemand); w.Valid {
+			v = w
+		}
+	}
+	if v != (Victim{Line: 4, Dirty: true, Valid: true}) {
+		t.Errorf("victim %+v, want dirty line 4", v)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "cache test") || !strings.Contains(msg, "2^56") {
+			t.Errorf("Fill at 2^56 panicked with %q, want a message naming the cache and 2^56", msg)
+		}
+	}()
+	c.Fill(loadAt(5), maxReady+1, SrcDemand)
 }

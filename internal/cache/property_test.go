@@ -204,7 +204,7 @@ func TestPropertyReserveFlushesRegion(t *testing.T) {
 		}
 		// Reserved region holds no valid data lines.
 		for way := 0; way < w; way++ {
-			if c.tags[s*c.Ways()+way] != noLine {
+			if c.lines[s*c.Ways()+way].tag != noLine {
 				return false
 			}
 		}

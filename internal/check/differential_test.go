@@ -135,6 +135,59 @@ func TestDifferentialReserveChurn(t *testing.T) {
 	failOnMismatch(t, sh)
 }
 
+// missThenFill holds programs in FuzzDifferentialCache's encoding (geometry
+// bytes 0, 1: four sets of two ways; then three bytes per op, see applyOps)
+// that run a tag walk missing line 4 and later fill it, with other
+// operations in between. The cache's fill skips its own walk for the line
+// the last missing walk recorded, so each ordering checks that record is
+// dropped or kept exactly when it should be.
+var missThenFill = []struct {
+	name string
+	prog []byte
+}{
+	{"fill another line of the set in between", []byte{0, 1,
+		0, 4, 0, // Lookup 4: miss
+		4, 8, 0, // Fill 8, set 0
+		4, 4, 0, // Fill 4
+		0, 4, 0, 0, 8, 0, // Lookup 4 and 8: both hit
+		4, 12, 0, 0, 4, 0, 0, 8, 0}}, // Fill 12 evicts 4, the LRU way
+	{"reserve flush in between", []byte{0, 1,
+		4, 0, 1, // Fill 0 as a store: dirty
+		0, 4, 0, // Lookup 4: miss
+		7, 0, 1, // Reserve 1 way of set 0: flushes line 0
+		4, 4, 0, // Fill 4 into the one data way
+		0, 4, 0, 0, 0, 0, // Lookup 4 hits, 0 misses
+		7, 0, 0, 4, 0, 0, 0, 0, 0}}, // release, refill 0
+	{"fill twice: the second is a refresh", []byte{0, 1,
+		0, 4, 0, // Lookup 4: miss
+		3, 4, 9, // Fill 4 as an L1 prefetch, ready 9 cycles on
+		4, 4, 1, // Fill 4 again as a store: a refresh
+		0, 4, 0, // Lookup 4: a useful prefetch, now dirty
+		4, 8, 0, 4, 12, 0, 4, 16, 0}}, // evict 4: one dirty victim
+	{"probe miss, resident lookup of another line, then fill", []byte{0, 1,
+		4, 8, 0, // Fill 8
+		6, 4, 0, // Probe 4: miss
+		6, 8, 1, // LookupResident 8: hit
+		6, 12, 1, // LookupResident 12: miss
+		4, 4, 0, // Fill 4
+		0, 4, 0, 0, 8, 0, 0, 12, 0}},
+}
+
+// TestDifferentialMissThenFill replays the miss-then-fill orderings through
+// the shadowed pair.
+func TestDifferentialMissThenFill(t *testing.T) {
+	for _, tc := range missThenFill {
+		sh := NewShadow(shadowGeometry(tc.prog[0], tc.prog[1]))
+		applyOps(sh, tc.prog[2:])
+		if sh.Real.OccupiedLines() == 0 {
+			t.Errorf("%s: the program left the cache empty", tc.name)
+		}
+		for _, m := range sh.Mismatches() {
+			t.Errorf("%s: divergence: %s", tc.name, m)
+		}
+	}
+}
+
 // TestStackInclusion verifies the LRU stack property on the real cache: for
 // a fixed set count, demand misses are monotonically non-increasing in
 // associativity. LRU is a stack algorithm, so a larger cache's content is a

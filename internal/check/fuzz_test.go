@@ -22,6 +22,9 @@ func FuzzDifferentialCache(f *testing.F) {
 	// tell them apart: fills, lookups, a whole-set reserve and its release.
 	f.Add([]byte{0, 7, 4, 4, 0, 4, 148, 1, 0, 148, 0, 0, 4, 0, 7, 4, 1, 16, 4, 0, 0, 148, 0, 3, 4, 5,
 		6, 4, 0, 6, 148, 1, 7, 4, 8, 4, 148, 0, 7, 4, 0, 4, 148, 2, 4, 4, 0, 5, 4, 0, 1, 4, 0, 0, 148, 0})
+	for _, tc := range missThenFill {
+		f.Add(tc.prog)
+	}
 	if f.Failed() {
 		return
 	}

@@ -125,8 +125,9 @@ func (p *Prefetcher) commit(t *tracker) {
 		return // single-line regions carry no spatial signal
 	}
 	if len(p.longHist) >= historySize {
-		// Cheap wholesale aging: drop the table when full.
-		p.longHist = make(map[uint64]uint32, historySize)
+		// Cheap wholesale aging: drop the table when full, keeping its
+		// buckets for the next generation.
+		clear(p.longHist)
 	}
 	p.longHist[p.longKey(t.pc, t.region, t.offset)] = t.footprint
 	p.shortHis[p.shortKey(t.pc, t.offset)] = history{footprint: t.footprint, valid: true}

@@ -64,3 +64,75 @@ func TestSingleLineRegionsNotStored(t *testing.T) {
 		t.Errorf("%d prefetches from single-line footprints", len(reqs))
 	}
 }
+
+// agingWorkload sweeps regions regions laps times under one PC, touching
+// 2..5 offsets of each from trigger offset r%3. Regions that share a trigger
+// offset have different footprints, so a prediction from the long history
+// (PC+address) differs from the short one's (PC+offset): whether a region's
+// long entry survived aging shows in its prediction.
+func agingWorkload(regions, laps int) []mem.Line {
+	var lines []mem.Line
+	for lap := 0; lap < laps; lap++ {
+		for r := 0; r < regions; r++ {
+			base := mem.Line(r * 32)
+			for o := 0; o < 2+r%4; o++ {
+				lines = append(lines, base+mem.Line(o*5+r%3))
+			}
+		}
+	}
+	return lines
+}
+
+// TestAgingMatchesFreshMap crosses the long-history aging point twice and
+// checks every prediction against a reference that, like the table before
+// aging cleared it in place, moves to a freshly made map after each aging.
+func TestAgingMatchesFreshMap(t *testing.T) {
+	p, ref := New(), New()
+	var got, want []prefetch.Request
+	agings, requests := 0, 0
+	for i, l := range agingWorkload(historySize*3/2, 3) {
+		ev := prefetch.Event{Now: uint64(i), PC: 1, Addr: mem.AddrOf(l)}
+		before := len(ref.longHist)
+		got = p.Train(ev, got[:0])
+		want = ref.Train(ev, want[:0])
+		if len(ref.longHist) < before {
+			agings++
+			fresh := make(map[uint64]uint32, historySize)
+			for k, v := range ref.longHist {
+				fresh[k] = v
+			}
+			ref.longHist = fresh
+		}
+		if len(got) != len(want) {
+			t.Fatalf("record %d: %d requests, reference %d", i, len(got), len(want))
+		}
+		requests += len(got)
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("record %d request %d: %+v, reference %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+	if agings < 2 || requests == 0 {
+		t.Fatalf("history aged %d times with %d requests, want at least 2 agings", agings, requests)
+	}
+}
+
+// TestAgingAllocatesNothing: a commit into a full long history clears the
+// table in place instead of making a new one.
+func TestAgingAllocatesNothing(t *testing.T) {
+	p := New()
+	tr := tracker{valid: true, region: 0, pc: 1, footprint: 0b11}
+	allocs := testing.AllocsPerRun(10, func() {
+		for k := uint64(0); len(p.longHist) < historySize; k++ {
+			p.longHist[k<<1|1] = 1 // odd keys never collide with tr's
+		}
+		p.commit(&tr)
+		if len(p.longHist) != 1 {
+			t.Fatalf("aged history holds %d entries, want 1", len(p.longHist))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("aging allocated %.1f times per commit", allocs)
+	}
+}

@@ -9,8 +9,8 @@ import (
 // scenario, in mallocs and in bytes. The hot path is allocation-free after
 // warmup and every set-indexed structure is a handful of flat arrays, so
 // what remains is construction cost amortized over a short run; the
-// ceilings hold about 2x headroom over current values (allocs: 0.0009,
-// 0.0021, 0.0014, 0.0010, 0.0032; bytes: 8.6, 17.4, 12.8, 15.9, 22.1; the
+// ceilings hold about 2x headroom over current values (allocs: 0.0008,
+// 0.0020, 0.0014, 0.0009, 0.0031; bytes: 7.7, 16.4, 12.1, 15.2, 20.7; the
 // Triage row read 16.5 B while its LUT's reverse index was a Go map; -v
 // prints them) while failing loudly
 // on a per-record allocation regression. Earlier rates, for scale: 0.8-2.1

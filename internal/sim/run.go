@@ -54,17 +54,18 @@ func (s *System) step(cs *coreState) bool {
 // demandAccess walks the hierarchy for a demand access beginning at cycle t
 // and returns its latency. Fills propagate upward; prefetchers train at
 // their attach levels and their requests are issued before returning.
+//
+// The L1D's ports are never charged: a demand charge costs a demand nothing,
+// and prefetch and metadata traffic reaches only the L2 and LLC ports, so no
+// access would ever wait on the L1D's.
 func (s *System) demandAccess(cs *coreState, t uint64, acc mem.Access) uint64 {
-	now := t + cs.l1d.PortDelay(t, true)
-
 	// ---- L1D
-	r1 := cs.l1d.Lookup(now, acc)
+	r1 := cs.l1d.Lookup(t, acc)
 	if r1.Hit {
-		lat := s.cfg.L1D.Latency + r1.ExtraWait
-		s.trainL1(cs, now, acc, true)
-		return now - t + lat
+		s.trainL1(cs, t, acc, true)
+		return s.cfg.L1D.Latency + r1.ExtraWait
 	}
-	now += s.cfg.L1D.Latency // tag check before descending
+	now := t + s.cfg.L1D.Latency // tag check before descending
 	// The miss holds an L1 MSHR until its fill returns; the true fill time
 	// is recorded below once known.
 	l1slot, l1delay := cs.l1d.MSHRReserve(now)
@@ -273,8 +274,7 @@ func (s *System) issuePrefetch(cs *coreState, now uint64, req prefetch.Request, 
 // it (Streamline's utility-aware partitioner). now is the training cycle,
 // used only to timestamp the telemetry event.
 func (s *System) feedAccuracy(cs *coreState, now uint64) {
-	ac, ok := cs.tempf.(prefetch.AccuracyConsumer)
-	if !ok {
+	if cs.accObs == nil {
 		return
 	}
 	fills := cs.l2.Stats.PrefetchFills
@@ -287,7 +287,7 @@ func (s *System) feedAccuracy(cs *coreState, now uint64) {
 	cs.lastFills, cs.lastUseful = fills, useful
 	if df > 0 {
 		acc := cache.Accuracy(du, df)
-		ac.ObserveAccuracy(acc)
+		cs.accObs.ObserveAccuracy(acc)
 		if cs.tel.Enabled(telemetry.Info) {
 			cs.tel.Eventf(now, telemetry.Info, "accuracy-epoch",
 				"delivered epoch accuracy %.4f (%d useful / %d fills)", acc, du, df)

@@ -114,9 +114,11 @@ type coreState struct {
 	l1pf  prefetch.Prefetcher
 	l2pf  prefetch.Prefetcher
 	tempf prefetch.Prefetcher
-	// llcObs is tempf when it watches LLC data accesses, resolved once at
-	// construction; nil otherwise.
+	// llcObs and accObs are tempf when it watches LLC data accesses and
+	// when it consumes epoch accuracy, resolved once at construction; nil
+	// otherwise.
 	llcObs prefetch.LLCDataObserver
+	accObs prefetch.AccuracyConsumer
 
 	reqBuf []prefetch.Request
 
@@ -256,6 +258,7 @@ func New(cfg Config) *System {
 			cs.tempf = cfg.TemporalDRAM(s.dram)
 		}
 		cs.llcObs, _ = cs.tempf.(prefetch.LLCDataObserver)
+		cs.accObs, _ = cs.tempf.(prefetch.AccuracyConsumer)
 		if sp, ok := cs.tempf.(storeProvider); ok {
 			if st := sp.Store(); st != nil {
 				st.SetTelemetry(col.Emitter("meta", c))
