@@ -6,6 +6,8 @@
 package bingo
 
 import (
+	"math/bits"
+
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
 )
@@ -29,16 +31,13 @@ type tracker struct {
 	lru       uint64
 }
 
-type history struct {
-	footprint uint32
-	valid     bool
-}
-
 // Prefetcher is the Bingo spatial prefetcher.
 type Prefetcher struct {
 	trackers [trackerSize]tracker
 	longHist map[uint64]uint32 // PC+address -> footprint
-	shortHis []history         // PC+offset hashed
+	// shortHis is indexed by PC+offset hashed, with 0 for an empty slot: a
+	// committed footprint has at least two bits set.
+	shortHis []uint32
 	clock    uint64
 }
 
@@ -46,7 +45,7 @@ type Prefetcher struct {
 func New() *Prefetcher {
 	return &Prefetcher{
 		longHist: make(map[uint64]uint32, historySize),
-		shortHis: make([]history, 1<<14),
+		shortHis: make([]uint32, 1<<14),
 	}
 }
 
@@ -99,19 +98,11 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		// A fresh trigger: predict the footprint from history.
 		fp, ok := p.longHist[p.longKey(ev.PC, region, offset)]
 		if !ok {
-			h := p.shortHis[p.shortKey(ev.PC, offset)]
-			if h.valid {
-				fp, ok = h.footprint, true
-			}
+			fp = p.shortHis[p.shortKey(ev.PC, offset)]
 		}
-		if ok {
-			for b := 0; b < regionLines; b++ {
-				if fp&(1<<uint(b)) != 0 && b != offset {
-					out = append(out, prefetch.Request{
-						Addr: mem.AddrOf(region + mem.Line(b)),
-					})
-				}
-			}
+		for rest := fp &^ (1 << uint(offset)); rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros32(rest)
+			out = append(out, prefetch.Request{Addr: mem.AddrOf(region + mem.Line(b))})
 		}
 	}
 	tr.footprint |= 1 << uint(offset)
@@ -121,7 +112,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 
 // commit stores a completed region footprint under both event keys.
 func (p *Prefetcher) commit(t *tracker) {
-	if popcount(t.footprint) < 2 {
+	if bits.OnesCount32(t.footprint) < 2 {
 		return // single-line regions carry no spatial signal
 	}
 	if len(p.longHist) >= historySize {
@@ -130,14 +121,5 @@ func (p *Prefetcher) commit(t *tracker) {
 		clear(p.longHist)
 	}
 	p.longHist[p.longKey(t.pc, t.region, t.offset)] = t.footprint
-	p.shortHis[p.shortKey(t.pc, t.offset)] = history{footprint: t.footprint, valid: true}
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	p.shortHis[p.shortKey(t.pc, t.offset)] = t.footprint
 }

@@ -35,25 +35,21 @@ type pageTracker struct {
 	filled bool
 }
 
+// patternEntry is one signature's slot in the dense pattern table. The zero
+// entry is a signature never trained: its total of 0 stops a lookahead walk,
+// and its first training sets delta with count 1. Deltas lie in [-63, 63],
+// and count <= total <= 65 because total halves once it passes 64.
 type patternEntry struct {
-	delta int64
-	count int
-	total int
+	delta int8
+	count uint8
+	total uint8
 }
 
 // perceptron is the PPF: small weight tables over hashed features.
 type perceptron struct {
-	wPC    []int8
-	wSig   []int8
-	wDelta []int8
-}
-
-func newPerceptron() *perceptron {
-	return &perceptron{
-		wPC:    make([]int8, 1<<10),
-		wSig:   make([]int8, 1<<10),
-		wDelta: make([]int8, 1<<8),
-	}
+	wPC    [1 << 10]int8
+	wSig   [1 << 10]int8
+	wDelta [1 << 8]int8
 }
 
 func (pf *perceptron) features(pc mem.PC, sig uint16, delta int64) (int, int, int) {
@@ -93,28 +89,35 @@ type issuedRecord struct {
 	line  mem.Line
 	pc    mem.PC
 	sig   uint16
-	delta int64
+	delta int8
 	valid bool
 }
 
-// Prefetcher is the SPP-PPF prefetcher.
+// The issued-prefetch ring has issuedSlots records; its line index has
+// 1<<indexBits buckets.
+const (
+	issuedSlots = 256
+	indexBits   = 10
+)
+
+// Prefetcher is the SPP-PPF prefetcher. Every table is an array inside it,
+// so New is its only allocation.
 type Prefetcher struct {
 	trackers [numTrackers]pageTracker
-	patterns map[uint16]*patternEntry
-	filter   *perceptron
-	issued   []issuedRecord
+	patterns [1 << 12]patternEntry // indexed by signature
+	filter   perceptron
+	issued   [issuedSlots]issuedRecord
 	issuedN  int
-	clock    uint64
+	// The line index over issued: bucket heads a chain of the valid
+	// records whose lines hash to it, continued through next; both hold
+	// slot+1, with 0 ending the chain.
+	bucket [1 << indexBits]uint16
+	next   [issuedSlots]uint16
+	clock  uint64
 }
 
 // New returns an SPP-PPF instance.
-func New() *Prefetcher {
-	return &Prefetcher{
-		patterns: make(map[uint16]*patternEntry),
-		filter:   newPerceptron(),
-		issued:   make([]issuedRecord, 256),
-	}
-}
+func New() *Prefetcher { return &Prefetcher{} }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "spp-ppf" }
@@ -131,13 +134,18 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	p.clock++
 
 	// Filter training: a demand access to a line we recently prefetched
-	// confirms the decision.
-	for i := range p.issued {
-		r := &p.issued[i]
-		if r.valid && r.line == line {
-			p.filter.train(r.pc, r.sig, r.delta, true)
-			r.valid = false
+	// confirms the decision, once for each record of it in the ring. The
+	// updates are all +1, so the order they are visited in does not matter.
+	for link := &p.bucket[mem.HashLine(line, indexBits)]; *link != 0; {
+		s := *link - 1
+		r := &p.issued[s]
+		if r.line != line {
+			link = &p.next[s]
+			continue
 		}
+		p.filter.train(r.pc, r.sig, int64(r.delta), true)
+		r.valid = false
+		*link = p.next[s]
 	}
 
 	tr := p.findTracker(page)
@@ -156,18 +164,14 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	}
 
 	// Train the pattern table for the old signature.
-	pe, ok := p.patterns[tr.sig]
-	if !ok {
-		pe = &patternEntry{}
-		p.patterns[tr.sig] = pe
-	}
+	pe := &p.patterns[tr.sig]
 	pe.total++
-	if pe.delta == delta {
+	if int64(pe.delta) == delta {
 		pe.count++
 	} else if pe.count > 0 {
 		pe.count--
 	} else {
-		pe.delta = delta
+		pe.delta = int8(delta)
 		pe.count = 1
 	}
 	if pe.total > 64 {
@@ -184,40 +188,49 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	sig := tr.sig
 	cur := int64(offset)
 	for depth := 0; depth < lookaheadDepth; depth++ {
-		pe, ok := p.patterns[sig]
+		pe := p.patterns[sig]
 		// Require minimum support and a majority delta before trusting a
 		// signature; fresh or churning signatures (conf trivially high)
 		// would otherwise spray prefetches on random access patterns.
-		if !ok || pe.total < 4 || pe.delta == 0 || pe.count*2 <= pe.total {
+		count, total, d := int(pe.count), int(pe.total), int64(pe.delta)
+		if total < 4 || d == 0 || count*2 <= total {
 			break
 		}
-		conf = conf * pe.count * 100 / pe.total / 100
+		conf = conf * count * 100 / total / 100
 		if conf < pathThreshold {
 			break
 		}
-		cur += pe.delta
+		cur += d
 		if cur < 0 || cur >= pageLines {
 			break // SPP stops at page boundaries
 		}
 		target := page*pageLines + mem.Line(cur)
-		if p.filter.score(ev.PC, sig, pe.delta) >= filterThreshold {
+		if p.filter.score(ev.PC, sig, d) >= filterThreshold {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target)})
 			p.remember(target, ev.PC, sig, pe.delta)
 		}
-		sig = sigNext(sig, pe.delta)
+		sig = sigNext(sig, d)
 	}
 	return out
 }
 
 // remember records an issued prefetch; stale slots train the filter down.
-func (p *Prefetcher) remember(line mem.Line, pc mem.PC, sig uint16, delta int64) {
-	r := &p.issued[p.issuedN]
+func (p *Prefetcher) remember(line mem.Line, pc mem.PC, sig uint16, delta int8) {
+	s := p.issuedN
+	r := &p.issued[s]
 	if r.valid {
 		// Evicted unconfirmed: the prefetch was (probably) useless.
-		p.filter.train(r.pc, r.sig, r.delta, false)
+		p.filter.train(r.pc, r.sig, int64(r.delta), false)
+		link := &p.bucket[mem.HashLine(r.line, indexBits)]
+		for int(*link) != s+1 {
+			link = &p.next[*link-1]
+		}
+		*link = p.next[s]
 	}
 	*r = issuedRecord{line: line, pc: pc, sig: sig, delta: delta, valid: true}
-	p.issuedN = (p.issuedN + 1) % len(p.issued)
+	head := &p.bucket[mem.HashLine(line, indexBits)]
+	p.next[s], *head = *head, uint16(s+1)
+	p.issuedN = (s + 1) % issuedSlots
 }
 
 func (p *Prefetcher) findTracker(page mem.Line) *pageTracker {

@@ -6,16 +6,18 @@ import (
 )
 
 // TestKernelAllocsPerRecordCeiling pins the allocation rate of each kernel
-// scenario, in mallocs and in bytes. The hot path is allocation-free after
-// warmup and every set-indexed structure is a handful of flat arrays, so
-// what remains is construction cost amortized over a short run; the
-// ceilings hold about 2x headroom over current values (allocs: 0.0008,
-// 0.0020, 0.0014, 0.0009, 0.0031; bytes: 7.7, 16.4, 12.1, 15.2, 20.7; the
-// Triage row read 16.5 B while its LUT's reverse index was a Go map; -v
-// prints them) while failing loudly
-// on a per-record allocation regression. Earlier rates, for scale: 0.8-2.1
+// scenario, in mallocs and in bytes. In every scenario the hot path is
+// allocation-free after warmup and every set-indexed structure is a handful
+// of flat arrays, so what remains is construction cost amortized over a
+// short run; the ceilings hold about 2x headroom over current values
+// (allocs: 0.0008, 0.0020, 0.0014, 0.0009, 0.0008, 0.0031; bytes: 7.7,
+// 16.4, 12.1, 15.2, 3.5, 20.7; the Triage row read 16.5 B while its LUT's
+// reverse index was a Go map; -v prints them) while failing loudly on a
+// per-record allocation regression. Earlier rates, for scale: 0.8-2.1
 // allocs/record before the hot path was made allocation-free, then 0.02-0.18
-// while each set, and each metadata slot's targets, was its own allocation.
+// while each set, and each metadata slot's targets, was its own allocation;
+// the SPP row read 0.0153 allocs/record while SPP's pattern table was a map
+// with a heap object per signature.
 // The byte ceiling catches what the count cannot: few but huge allocations,
 // such as the whole-lap trace buffers that once put these scenarios at 78,
 // 98, 54 and 269 B/record without moving the count, or the 32 B metadata
@@ -32,6 +34,7 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 		"1core-streamline-sphinx06": {0.005, 35},
 		"1core-triangel-mcf06":      {0.004, 26},
 		"1core-triage-mcf06":        {0.003, 32},
+		"1core-spp-bzip206":         {0.002, 8},
 		"4core-streamline-mix":      {0.007, 44},
 	}
 	for _, k := range kernelScenarios() {

@@ -16,30 +16,33 @@ type kernelScenario struct {
 	workloads []string
 	// warmup and measure are the per-core instruction budgets.
 	warmup, measure uint64
-	// temporal names the temporal engine in the engine table, or "" for
-	// none. Temporal scenarios also attach a stride L1D prefetcher so the
-	// full Train/issuePrefetch path is exercised.
-	temporal string
+	// engine names a row of the engine table, or "" for none; Attach
+	// places it by its slot. Such scenarios also attach a stride L1D
+	// prefetcher so the full Train/issuePrefetch path is exercised.
+	engine string
 }
 
 // kernelScenarios returns the representative kernel benchmark set: a
 // prefetcher-free single-core baseline (pure hierarchy cost), the three
 // LLC-hosted temporal prefetchers single-core (Triage on mcf06 chases the
-// most metadata hops per training event), and a 4-core multi-programmed mix
-// (scheduler and shared-resource cost).
+// most metadata hops per training event), SPP-PPF as an L2 regular
+// prefetcher, and a 4-core multi-programmed mix (scheduler and
+// shared-resource cost).
 func kernelScenarios() []kernelScenario {
 	return []kernelScenario{
 		{name: "1core-base-sphinx06", cores: 1, workloads: []string{"sphinx06"},
 			warmup: 50_000, measure: 200_000},
 		{name: "1core-streamline-sphinx06", cores: 1, workloads: []string{"sphinx06"},
-			warmup: 50_000, measure: 200_000, temporal: "streamline"},
+			warmup: 50_000, measure: 200_000, engine: "streamline"},
 		{name: "1core-triangel-mcf06", cores: 1, workloads: []string{"mcf06"},
-			warmup: 50_000, measure: 200_000, temporal: "triangel"},
+			warmup: 50_000, measure: 200_000, engine: "triangel"},
 		{name: "1core-triage-mcf06", cores: 1, workloads: []string{"mcf06"},
-			warmup: 50_000, measure: 200_000, temporal: "triage"},
+			warmup: 50_000, measure: 200_000, engine: "triage"},
+		{name: "1core-spp-bzip206", cores: 1, workloads: []string{"bzip206"},
+			warmup: 50_000, measure: 200_000, engine: "spp"},
 		{name: "4core-streamline-mix", cores: 4,
 			workloads: []string{"sphinx06", "mcf06", "bfs", "libquantum06"},
-			warmup:    25_000, measure: 100_000, temporal: "streamline"},
+			warmup:    25_000, measure: 100_000, engine: "streamline"},
 	}
 }
 
@@ -51,8 +54,8 @@ func (k kernelScenario) run() (Result, uint64, error) {
 	cfg := smallConfig(k.cores)
 	cfg.WarmupInstructions = k.warmup
 	cfg.MeasureInstructions = k.measure
-	if k.temporal != "" {
-		for _, name := range []string{"stride", k.temporal} {
+	if k.engine != "" {
+		for _, name := range []string{"stride", k.engine} {
 			// Zero knobs: every engine at its own defaults.
 			if err := Attach(&cfg, name, Knobs{}); err != nil {
 				return Result{}, 0, err
