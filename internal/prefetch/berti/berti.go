@@ -33,18 +33,22 @@ type histEntry struct {
 	at   uint64
 }
 
-type deltaScore struct {
-	delta int64
-	score int // saturating 0..63
+// state is one tracked PC's access history and scored deltas. It is
+// allocated when a PC first claims a table slot, and every PC that later
+// displaces that one reuses it.
+type state struct {
+	hist  [historyLen]histEntry
+	delta [maxDeltas]int64
+	score [maxDeltas]int8 // saturating 0..63
 }
 
 type entry struct {
+	st     *state
 	tag    uint32
+	histN  uint8 // valid history entries
+	deltaN uint8 // tracked deltas
+	seen   uint8 // accesses since last score decay
 	valid  bool
-	hist   []histEntry
-	histN  int
-	deltas []deltaScore
-	seen   int // accesses since last score decay
 }
 
 // Prefetcher is the Berti local-delta prefetcher.
@@ -65,19 +69,19 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	tag := uint32(mem.HashPC(ev.PC, 24))
 	e := &p.table[idx]
 	if !e.valid || e.tag != tag {
-		// The displaced PC's slices are reused: hist past histN is never read.
-		hist, deltas := e.hist, e.deltas[:0]
-		if hist == nil {
-			hist = make([]histEntry, historyLen)
-			deltas = make([]deltaScore, 0, maxDeltas)
+		// The displaced PC's block is reused: hist past histN and the
+		// deltas past deltaN are never read.
+		st := e.st
+		if st == nil {
+			st = new(state)
 		}
-		*e = entry{tag: tag, valid: true, hist: hist, deltas: deltas}
+		*e = entry{st: st, tag: tag, valid: true}
 	}
+	st := e.st
 
 	// Score deltas against history entries old enough to have been timely
 	// launch points for this access.
-	for i := 0; i < e.histN; i++ {
-		h := e.hist[i]
+	for _, h := range st.hist[:e.histN] {
 		if ev.Now-h.at < timelyCycles {
 			continue
 		}
@@ -90,28 +94,28 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	e.seen++
 	if e.seen >= 64 {
 		e.seen = 0
-		for i := range e.deltas {
-			e.deltas[i].score /= 2
+		for i := range st.score[:e.deltaN] {
+			st.score[i] /= 2
 		}
 	}
 
 	// Push history.
-	copy(e.hist[1:], e.hist[:len(e.hist)-1])
-	e.hist[0] = histEntry{line: line, at: ev.Now}
-	if e.histN < len(e.hist) {
+	copy(st.hist[1:], st.hist[:historyLen-1])
+	st.hist[0] = histEntry{line: line, at: ev.Now}
+	if e.histN < historyLen {
 		e.histN++
 	}
 
 	// Issue the confident deltas.
 	issued := 0
-	for _, ds := range e.deltas {
+	for i, d := range st.delta[:e.deltaN] {
 		if issued >= maxIssue {
 			break
 		}
-		if ds.score < issueThreshold {
+		if st.score[i] < issueThreshold {
 			continue
 		}
-		target := int64(line) + ds.delta
+		target := int64(line) + d
 		if target <= 0 {
 			continue
 		}
@@ -124,23 +128,25 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 // bump increments a delta's coverage score, tracking at most maxDeltas
 // candidates and evicting the weakest.
 func (e *entry) bump(d int64) {
-	weakest, weakestScore := -1, 1<<30
-	for i := range e.deltas {
-		if e.deltas[i].delta == d {
-			if e.deltas[i].score < 63 {
-				e.deltas[i].score++
+	st := e.st
+	weakest, weakestScore := -1, int8(64) // above every score
+	for i, sd := range st.delta[:e.deltaN] {
+		if sd == d {
+			if st.score[i] < 63 {
+				st.score[i]++
 			}
 			return
 		}
-		if e.deltas[i].score < weakestScore {
-			weakest, weakestScore = i, e.deltas[i].score
+		if st.score[i] < weakestScore {
+			weakest, weakestScore = i, st.score[i]
 		}
 	}
-	if len(e.deltas) < maxDeltas {
-		e.deltas = append(e.deltas, deltaScore{delta: d, score: 1})
+	if e.deltaN < maxDeltas {
+		st.delta[e.deltaN], st.score[e.deltaN] = d, 1
+		e.deltaN++
 		return
 	}
-	if weakest >= 0 && weakestScore == 0 {
-		e.deltas[weakest] = deltaScore{delta: d, score: 1}
+	if weakestScore == 0 {
+		st.delta[weakest], st.score[weakest] = d, 1
 	}
 }

@@ -104,7 +104,7 @@ func TestRandomStreamStaysQuiet(t *testing.T) {
 
 // TestReplacementAllocatesNothing: PCs that collide on one table index evict
 // each other on every access, and each replacement reuses the evicted
-// entry's history and delta slices.
+// entry's per-PC block.
 func TestReplacementAllocatesNothing(t *testing.T) {
 	p := New()
 	idx := func(pc mem.PC) int { return int(mem.HashPC(pc, 16)) % len(p.table) }

@@ -20,6 +20,9 @@ const (
 	trackerSize = 64
 	// historySize is the footprint history capacity.
 	historySize = 4096
+	// longBits sizes the long history's open-addressed table at 2^13
+	// slots, twice historySize, so a probe always ends at an empty slot.
+	longBits = 13
 )
 
 type tracker struct {
@@ -31,33 +34,43 @@ type tracker struct {
 	lru       uint64
 }
 
-// Prefetcher is the Bingo spatial prefetcher.
+// Prefetcher is the Bingo spatial prefetcher. A footprint of 0 marks an
+// empty history slot: a committed footprint has at least two bits set.
 type Prefetcher struct {
 	trackers [trackerSize]tracker
-	longHist map[uint64]uint32 // PC+address -> footprint
-	// shortHis is indexed by PC+offset hashed, with 0 for an empty slot: a
-	// committed footprint has at least two bits set.
-	shortHis []uint32
+	// longKey and longFP are the long history, PC+address -> footprint,
+	// probed linearly from a multiplicative hash of the key; longN counts
+	// the keys it holds.
+	longKey [1 << longBits]uint64
+	longFP  [1 << longBits]uint32
+	longN   int
+	// shortHis is indexed by PC+offset hashed.
+	shortHis [1 << 14]uint32
 	clock    uint64
 }
 
 // New returns a Bingo instance.
-func New() *Prefetcher {
-	return &Prefetcher{
-		longHist: make(map[uint64]uint32, historySize),
-		shortHis: make([]uint32, 1<<14),
-	}
-}
+func New() *Prefetcher { return &Prefetcher{} }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "bingo" }
 
-func (p *Prefetcher) longKey(pc mem.PC, region mem.Line, offset int) uint64 {
+func longEvent(pc mem.PC, region mem.Line, offset int) uint64 {
 	return mem.HashPC(pc, 20)<<40 ^ uint64(region)<<5 ^ uint64(offset)
 }
 
 func (p *Prefetcher) shortKey(pc mem.PC, offset int) int {
 	return int((mem.HashPC(pc, 20) ^ uint64(offset)<<9) % uint64(len(p.shortHis)))
+}
+
+// longSlot returns key's slot in the long history, or the empty slot where
+// it would go.
+func (p *Prefetcher) longSlot(key uint64) int {
+	i := int(key * 0x9e3779b97f4a7c15 >> (64 - longBits))
+	for p.longFP[i] != 0 && p.longKey[i] != key {
+		i = (i + 1) & (len(p.longKey) - 1)
+	}
+	return i
 }
 
 // Train implements prefetch.Prefetcher.
@@ -96,8 +109,8 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		tr = old
 
 		// A fresh trigger: predict the footprint from history.
-		fp, ok := p.longHist[p.longKey(ev.PC, region, offset)]
-		if !ok {
+		fp := p.longFP[p.longSlot(longEvent(ev.PC, region, offset))]
+		if fp == 0 {
 			fp = p.shortHis[p.shortKey(ev.PC, offset)]
 		}
 		for rest := fp &^ (1 << uint(offset)); rest != 0; rest &= rest - 1 {
@@ -115,11 +128,18 @@ func (p *Prefetcher) commit(t *tracker) {
 	if bits.OnesCount32(t.footprint) < 2 {
 		return // single-line regions carry no spatial signal
 	}
-	if len(p.longHist) >= historySize {
-		// Cheap wholesale aging: drop the table when full, keeping its
-		// buckets for the next generation.
-		clear(p.longHist)
+	if p.longN >= historySize {
+		// Cheap wholesale aging: drop the table when full, even if this
+		// key is in it, which keeps the table at most half full.
+		clear(p.longFP[:])
+		p.longN = 0
 	}
-	p.longHist[p.longKey(t.pc, t.region, t.offset)] = t.footprint
+	key := longEvent(t.pc, t.region, t.offset)
+	i := p.longSlot(key)
+	if p.longFP[i] == 0 {
+		p.longKey[i] = key
+		p.longN++
+	}
+	p.longFP[i] = t.footprint
 	p.shortHis[p.shortKey(t.pc, t.offset)] = t.footprint
 }

@@ -84,24 +84,25 @@ func agingWorkload(regions, laps int) []mem.Line {
 }
 
 // TestAgingMatchesFreshMap crosses the long-history aging point twice and
-// checks every prediction against a reference that, like the table before
-// aging cleared it in place, moves to a freshly made map after each aging.
+// checks every prediction against the map reference, which moves to a
+// freshly made map after each aging, so the cleared table must behave as a
+// new one.
 func TestAgingMatchesFreshMap(t *testing.T) {
-	p, ref := New(), New()
+	p, ref := New(), newRef()
 	var got, want []prefetch.Request
-	agings, requests := 0, 0
+	requests := 0
 	for i, l := range agingWorkload(historySize*3/2, 3) {
 		ev := prefetch.Event{Now: uint64(i), PC: 1, Addr: mem.AddrOf(l)}
-		before := len(ref.longHist)
+		agings := ref.agings
 		got = p.Train(ev, got[:0])
 		want = ref.Train(ev, want[:0])
-		if len(ref.longHist) < before {
-			agings++
+		if ref.agings > agings {
 			fresh := make(map[uint64]uint32, historySize)
 			for k, v := range ref.longHist {
 				fresh[k] = v
 			}
 			ref.longHist = fresh
+			checkLongHistory(t, i, p, ref.longHist)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("record %d: %d requests, reference %d", i, len(got), len(want))
@@ -113,23 +114,29 @@ func TestAgingMatchesFreshMap(t *testing.T) {
 			}
 		}
 	}
-	if agings < 2 || requests == 0 {
-		t.Fatalf("history aged %d times with %d requests, want at least 2 agings", agings, requests)
+	if ref.agings < 2 || requests == 0 {
+		t.Fatalf("history aged %d times with %d requests, want at least 2 agings", ref.agings, requests)
 	}
 }
 
 // TestAgingAllocatesNothing: a commit into a full long history clears the
-// table in place instead of making a new one.
+// table in place, leaving only the committed key.
 func TestAgingAllocatesNothing(t *testing.T) {
 	p := New()
 	tr := tracker{valid: true, region: 0, pc: 1, footprint: 0b11}
 	allocs := testing.AllocsPerRun(10, func() {
-		for k := uint64(0); len(p.longHist) < historySize; k++ {
-			p.longHist[k<<1|1] = 1 // odd keys never collide with tr's
+		for r := mem.Line(1); p.longN < historySize; r++ {
+			p.commit(&tracker{valid: true, region: r * regionLines, pc: 1, footprint: 0b11})
 		}
 		p.commit(&tr)
-		if len(p.longHist) != 1 {
-			t.Fatalf("aged history holds %d entries, want 1", len(p.longHist))
+		occupied := 0
+		for _, fp := range p.longFP {
+			if fp != 0 {
+				occupied++
+			}
+		}
+		if p.longN != 1 || occupied != 1 || p.longFP[p.longSlot(longEvent(tr.pc, tr.region, tr.offset))] != tr.footprint {
+			t.Fatalf("aged history counts %d keys in %d slots, want only the committed one", p.longN, occupied)
 		}
 	})
 	if allocs != 0 {

@@ -8,16 +8,17 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// refBingo is Bingo as it stood with a {footprint, valid} record in every
-// short-history slot: the reference the 4 B slots must match decision for
-// decision. It also counts the cases the lockstep stream has to reach.
+// refBingo is Bingo as it stood with a Go map for its long history and a
+// {footprint, valid} record in every short-history slot: the reference the
+// open-addressed long history and the 4 B short slots must match decision
+// for decision. It also counts the cases the lockstep stream has to reach.
 type refBingo struct {
 	trackers [trackerSize]tracker
 	longHist map[uint64]uint32
 	shortHis []refHistory
 	clock    uint64
 
-	longHits, shortHits, agings int
+	longHits, shortHits, agings, presentAgings int
 }
 
 type refHistory struct {
@@ -105,11 +106,15 @@ func (p *refBingo) commit(t *tracker) {
 	if n < 2 {
 		return
 	}
+	key := p.longKey(t.pc, t.region, t.offset)
 	if len(p.longHist) >= historySize {
+		if _, ok := p.longHist[key]; ok {
+			p.presentAgings++
+		}
 		clear(p.longHist)
 		p.agings++
 	}
-	p.longHist[p.longKey(t.pc, t.region, t.offset)] = t.footprint
+	p.longHist[key] = t.footprint
 	p.shortHis[p.shortKey(t.pc, t.offset)] = refHistory{footprint: t.footprint, valid: true}
 }
 
@@ -139,9 +144,34 @@ func lockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// TestLockstepWithReference drives Bingo and the {footprint, valid}
-// reference with the same events and compares the requests and trackers
-// after every call and both histories every 1,024 calls and at the end.
+// checkLongHistory fails unless Bingo's long history holds exactly the
+// reference map: as many occupied slots as keys, the count matching, and
+// each key's footprint found where a lookup probes for it.
+func checkLongHistory(t *testing.T, at int, p *Prefetcher, want map[uint64]uint32) {
+	t.Helper()
+	occupied := 0
+	for i, fp := range p.longFP {
+		if fp == 0 {
+			continue
+		}
+		occupied++
+		if k := p.longKey[i]; want[k] != fp {
+			t.Fatalf("event %d: long-history slot %d holds key %#x -> %#x, reference %#x", at, i, k, fp, want[k])
+		}
+	}
+	if occupied != len(want) || p.longN != len(want) {
+		t.Fatalf("event %d: long history occupies %d slots and counts %d, reference holds %d keys", at, occupied, p.longN, len(want))
+	}
+	for k, fp := range want {
+		if got := p.longFP[p.longSlot(k)]; got != fp {
+			t.Fatalf("event %d: long-history key %#x looks up %#x, reference %#x", at, k, got, fp)
+		}
+	}
+}
+
+// TestLockstepWithReference drives Bingo and the map reference with the
+// same events and compares the requests and trackers after every call and
+// both histories every 1,024 calls and at the end.
 func TestLockstepWithReference(t *testing.T) {
 	p, ref := New(), newRef()
 	var got, want []prefetch.Request
@@ -168,18 +198,12 @@ func TestLockstepWithReference(t *testing.T) {
 				t.Fatalf("event %d: short-history slot %d holds %#x, reference %+v", i, k, fp, h)
 			}
 		}
-		if len(p.longHist) != len(ref.longHist) {
-			t.Fatalf("event %d: long history holds %d entries, reference %d", i, len(p.longHist), len(ref.longHist))
-		}
-		for k, fp := range ref.longHist {
-			if p.longHist[k] != fp {
-				t.Fatalf("event %d: long-history key %#x holds %#x, reference %#x", i, k, p.longHist[k], fp)
-			}
-		}
+		checkLongHistory(t, i, p, ref.longHist)
 	}
-	t.Logf("%d long-history hits, %d short-history hits, %d agings", ref.longHits, ref.shortHits, ref.agings)
-	if ref.longHits == 0 || ref.shortHits == 0 || ref.agings < 2 {
-		t.Fatal("the stream must predict from both histories and age the long one twice")
+	t.Logf("%d long-history hits, %d short-history hits, %d agings (%d on a key already present)",
+		ref.longHits, ref.shortHits, ref.agings, ref.presentAgings)
+	if ref.longHits == 0 || ref.shortHits == 0 || ref.agings < 2 || ref.presentAgings == 0 {
+		t.Fatal("the stream must predict from both histories and age the long one twice, once on a key already present")
 	}
 }
 
@@ -201,3 +225,20 @@ func TestTrainAllocatesNothing(t *testing.T) {
 		t.Errorf("Train allocated %.1f times over %d events", allocs, len(evs))
 	}
 }
+
+// BenchmarkTrain trains one Bingo over a fixed 16,384-event slice of the
+// lockstep stream, on which it replays footprints, cycled through.
+func BenchmarkTrain(b *testing.B) {
+	evs := lockstepEvents(1 << 14)
+	p := New()
+	out := make([]prefetch.Request, 0, regionLines)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = p.Train(evs[i%len(evs)], out[:0])
+	}
+	benchOut = out
+}
+
+// benchOut keeps the benchmark's result live.
+var benchOut []prefetch.Request

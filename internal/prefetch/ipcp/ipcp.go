@@ -23,24 +23,21 @@ const (
 )
 
 type ipEntry struct {
-	tag      uint32
-	valid    bool
 	last     mem.Line
 	stride   int64
-	strideOK int // CS confidence
+	tag      uint32
 	sig      uint16
-}
-
-// cplxEntry is a delta-signature-table slot.
-type cplxEntry struct {
-	delta int64
-	conf  int
+	strideOK int8 // CS confidence, 0..3
+	valid    bool
 }
 
 // Prefetcher is the IPCP prefetcher.
 type Prefetcher struct {
-	ips  [tableSize]ipEntry
-	cplx []cplxEntry // indexed by signature
+	ips [tableSize]ipEntry
+	// cplxDelta and cplxConf are the delta signature table, indexed by
+	// signature, with each confidence held in 0..3.
+	cplxDelta [1 << 12]int64
+	cplxConf  [1 << 12]int8
 
 	// Global stream detector: recent line window occupancy.
 	gsWindow [32]mem.Line
@@ -48,9 +45,7 @@ type Prefetcher struct {
 }
 
 // New returns an IPCP instance.
-func New() *Prefetcher {
-	return &Prefetcher{cplx: make([]cplxEntry, 1<<12)}
-}
+func New() *Prefetcher { return &Prefetcher{} }
 
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "ipcp" }
@@ -88,16 +83,16 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	}
 
 	// CPLX: train the delta signature table.
-	ce := &p.cplx[e.sig]
-	if ce.delta == delta {
-		if ce.conf < 3 {
-			ce.conf++
+	cd, cc := &p.cplxDelta[e.sig], &p.cplxConf[e.sig]
+	if *cd == delta {
+		if *cc < 3 {
+			*cc++
 		}
 	} else {
-		ce.conf--
-		if ce.conf <= 0 {
-			ce.conf = 0
-			ce.delta = delta
+		*cc--
+		if *cc <= 0 {
+			*cc = 0
+			*cd = delta
 		}
 	}
 	sig := nextSig(e.sig, delta)
@@ -130,16 +125,15 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		cur := int64(line)
 		s := sig
 		for i := 0; i < cplxDepth; i++ {
-			ce := p.cplx[s]
-			if ce.conf < 2 || ce.delta == 0 {
+			if !p.cplxConfident(s) {
 				break
 			}
-			cur += ce.delta
+			cur += p.cplxDelta[s]
 			if cur <= 0 {
 				break
 			}
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(cur))})
-			s = nextSig(s, ce.delta)
+			s = nextSig(s, p.cplxDelta[s])
 		}
 	case dense >= 24:
 		// Global stream: prefetch ahead in the region.
@@ -151,5 +145,5 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 }
 
 func (p *Prefetcher) cplxConfident(sig uint16) bool {
-	return p.cplx[sig].conf >= 2 && p.cplx[sig].delta != 0
+	return p.cplxConf[sig] >= 2 && p.cplxDelta[sig] != 0
 }

@@ -21,10 +21,10 @@ const (
 )
 
 type entry struct {
-	tag    uint32
 	last   mem.Line
 	stride int64 // in cache lines; same-line accesses carry no signal
-	conf   int
+	tag    uint32
+	conf   int8 // 0..confidenceMax
 	valid  bool
 }
 

@@ -10,10 +10,13 @@ import (
 // allocation-free after warmup and every set-indexed structure is a handful
 // of flat arrays, so what remains is construction cost amortized over a
 // short run; the ceilings hold about 2x headroom over current values
-// (allocs: 0.0008, 0.0020, 0.0014, 0.0009, 0.0008, 0.0031; bytes: 7.7,
-// 16.4, 12.1, 15.2, 3.5, 20.7; the Triage row read 16.5 B while its LUT's
-// reverse index was a Go map; -v prints them) while failing loudly on a
-// per-record allocation regression. Earlier rates, for scale: 0.8-2.1
+// (allocs: 0.0008, 0.0020, 0.0013, 0.0009, 0.0008, 0.0008, 0.0005, 0.0031;
+// bytes: 7.7, 16.4, 12.0, 15.1, 3.5, 6.4, 1.7, 20.6; the Triage row read
+// 16.5 B while its LUT's reverse index was a Go map; -v prints them) while
+// failing loudly on a per-record allocation regression. Bingo's row read
+// 7.3 B and Berti's 1.9 B (0.0012 and 0.0005 allocs) while Bingo's long
+// history was a Go map and each Berti PC held two slices. Earlier rates,
+// for scale: 0.8-2.1
 // allocs/record before the hot path was made allocation-free, then 0.02-0.18
 // while each set, and each metadata slot's targets, was its own allocation;
 // the SPP row read 0.0153 allocs/record while SPP's pattern table was a map
@@ -35,6 +38,8 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 		"1core-triangel-mcf06":      {0.004, 26},
 		"1core-triage-mcf06":        {0.003, 32},
 		"1core-spp-bzip206":         {0.002, 8},
+		"1core-bingo-bzip206":       {0.002, 13},
+		"1core-berti-lbm17":         {0.001, 4},
 		"4core-streamline-mix":      {0.007, 44},
 	}
 	for _, k := range kernelScenarios() {

@@ -17,17 +17,19 @@ type kernelScenario struct {
 	// warmup and measure are the per-core instruction budgets.
 	warmup, measure uint64
 	// engine names a row of the engine table, or "" for none; Attach
-	// places it by its slot. Such scenarios also attach a stride L1D
-	// prefetcher so the full Train/issuePrefetch path is exercised.
+	// places it by its slot. Such scenarios first attach a stride L1D
+	// prefetcher so the full Train/issuePrefetch path is exercised; an L1
+	// engine takes its slot.
 	engine string
 }
 
 // kernelScenarios returns the representative kernel benchmark set: a
 // prefetcher-free single-core baseline (pure hierarchy cost), the three
 // LLC-hosted temporal prefetchers single-core (Triage on mcf06 chases the
-// most metadata hops per training event), SPP-PPF as an L2 regular
-// prefetcher, and a 4-core multi-programmed mix (scheduler and
-// shared-resource cost).
+// most metadata hops per training event), SPP-PPF and Bingo as L2 regular
+// prefetchers (bzip206 is where Bingo predicts in the regular benchmark),
+// Berti as the L1D prefetcher, and a 4-core multi-programmed mix (scheduler
+// and shared-resource cost).
 func kernelScenarios() []kernelScenario {
 	return []kernelScenario{
 		{name: "1core-base-sphinx06", cores: 1, workloads: []string{"sphinx06"},
@@ -40,6 +42,10 @@ func kernelScenarios() []kernelScenario {
 			warmup: 50_000, measure: 200_000, engine: "triage"},
 		{name: "1core-spp-bzip206", cores: 1, workloads: []string{"bzip206"},
 			warmup: 50_000, measure: 200_000, engine: "spp"},
+		{name: "1core-bingo-bzip206", cores: 1, workloads: []string{"bzip206"},
+			warmup: 50_000, measure: 200_000, engine: "bingo"},
+		{name: "1core-berti-lbm17", cores: 1, workloads: []string{"lbm17"},
+			warmup: 50_000, measure: 200_000, engine: "berti"},
 		{name: "4core-streamline-mix", cores: 4,
 			workloads: []string{"sphinx06", "mcf06", "bfs", "libquantum06"},
 			warmup:    25_000, measure: 100_000, engine: "streamline"},
