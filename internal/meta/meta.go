@@ -31,7 +31,7 @@ type Entry struct {
 }
 
 // Valid reports whether the entry holds at least one target.
-func (e Entry) Valid() bool { return len(e.Targets) > 0 }
+func (e *Entry) Valid() bool { return len(e.Targets) > 0 }
 
 // Bridge connects a metadata store to its host LLC. The simulator's bridge
 // charges port contention and latency on the real LLC and carves capacity

@@ -30,7 +30,7 @@ type Event struct {
 }
 
 // Line returns the accessed cache line.
-func (e Event) Line() mem.Line { return mem.LineOf(e.Addr) }
+func (e *Event) Line() mem.Line { return mem.LineOf(e.Addr) }
 
 // Request is a prefetch the prefetcher asks the hierarchy to issue.
 type Request struct {

@@ -74,12 +74,7 @@ type accessSpan struct {
 
 // us returns d in whole microseconds, flooring at 1 so a recorded stage is
 // never rendered as absent by omitempty.
-func us(d time.Duration) int64 {
-	if u := d.Microseconds(); u > 0 {
-		return u
-	}
-	return 1
-}
+func us(d time.Duration) int64 { return max(d.Microseconds(), 1) }
 
 // finish closes the span: observes the total-latency histogram and, when an
 // access log is configured, writes the record (with the stage breakdown when
@@ -103,9 +98,9 @@ func (s *Server) finish(sp *accessSpan, status int, outcome, tier string, bytes 
 		Error:      sp.err,
 	}
 	if s.cfg.SlowRequest > 0 && elapsed >= s.cfg.SlowRequest {
-		rec.Slow = true
+		// A copy: pointing into sp would move every request's span to the heap.
 		stages := sp.stages
-		rec.Stages = &stages
+		rec.Slow, rec.Stages = true, &stages
 	}
 	line, _ := json.Marshal(rec) // plain strings and numbers: cannot fail
 	line = append(line, '\n')

@@ -72,47 +72,33 @@ func newServerMetrics(s *Server, reg *metrics.Registry) *serverMetrics {
 			"completed /simulate requests by outcome", fn, metrics.L("outcome", name))
 	}
 
-	reg.GaugeFunc("streamd_queue_depth",
-		"admitted-but-unfinished distinct computations", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.queued)
-		})
-	reg.GaugeFunc("streamd_queue_capacity",
-		"admission bound before 429 backpressure", func() float64 {
-			return float64(s.cfg.QueueDepth)
-		})
-	reg.GaugeFunc("streamd_inflight_workers",
-		"simulations currently holding a worker slot", func() float64 {
-			return float64(s.inFlight.Load())
-		})
-	reg.GaugeFunc("streamd_worker_capacity",
-		"size of the worker pool", func() float64 {
-			return float64(s.cfg.Workers)
-		})
-	reg.GaugeFunc("streamd_sim_progress",
-		"trace records retired so far by in-flight simulations", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var total uint64
-			for _, f := range s.flights {
-				total += f.records.Load()
-			}
-			return float64(total)
-		})
-	reg.GaugeFunc("streamd_cache_entries",
-		"response bodies resident in the in-memory LRU", func() float64 {
-			return float64(s.cache.len())
-		})
-	reg.GaugeFunc("streamd_draining",
-		"1 while the server refuses new computations", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.draining {
-				return 1
-			}
-			return 0
-		})
+	gauges := []struct {
+		name, help string
+		fn         func() float64
+	}{
+		{"streamd_queue_depth", "admitted computations whose worker has not returned",
+			func() float64 { queued, _, _ := s.flights.load(); return float64(queued) }},
+		{"streamd_queue_capacity", "admission bound before 429 backpressure",
+			func() float64 { return float64(s.cfg.QueueDepth) }},
+		{"streamd_inflight_workers", "simulations currently holding a worker slot",
+			func() float64 { return float64(s.inFlight.Load()) }},
+		{"streamd_worker_capacity", "size of the worker pool",
+			func() float64 { return float64(s.cfg.Workers) }},
+		{"streamd_sim_progress", "trace records retired so far by in-flight simulations",
+			func() float64 { _, _, records := s.flights.load(); return float64(records) }},
+		{"streamd_cache_entries", "response bodies resident in the in-memory LRU",
+			func() float64 { return float64(s.cache.len()) }},
+		{"streamd_draining", "1 while the server refuses new computations",
+			func() float64 {
+				if _, draining, _ := s.flights.load(); draining {
+					return 1
+				}
+				return 0
+			}},
+	}
+	for _, g := range gauges {
+		reg.GaugeFunc(g.name, g.help, g.fn)
+	}
 	if s.cfg.Store != nil {
 		reg.GaugeFunc("streamd_store_records",
 			"records in the durable result tier", func() float64 {
@@ -122,9 +108,11 @@ func newServerMetrics(s *Server, reg *metrics.Registry) *serverMetrics {
 	return m
 }
 
-// observeStage records one span into its stage histogram.
-func (m *serverMetrics) observeStage(stage string, d time.Duration) {
+// since observes the time since t0 into stage's histogram, returning it in µs.
+func (m *serverMetrics) since(stage string, t0 time.Time) int64 {
+	d := time.Since(t0)
 	m.stage[stage].Observe(d.Seconds())
+	return us(d)
 }
 
 // Metrics returns the server's registry — the same instance GET /metricz
@@ -138,10 +126,9 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if r.Method == http.MethodHead {
-		return
+	if r.Method == http.MethodGet {
+		s.metrics.reg.WriteText(w)
 	}
-	s.metrics.reg.WriteText(w)
 }
 
 // allowGetHead admits GET and HEAD, answering anything else with 405 and an

@@ -25,10 +25,10 @@ type Config struct {
 	// Workers bounds concurrently executing simulations; <=0 means
 	// GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds admitted-but-unfinished distinct computations
-	// (running + waiting for a worker). A request that would exceed it is
-	// refused with 429 and Retry-After; <=0 means max(4, 4*Workers).
-	// Collapsed duplicates never consume queue slots.
+	// QueueDepth bounds admitted distinct computations whose worker has not
+	// returned: waiting for a worker, running, or abandoned and unwinding. A
+	// request that would exceed it is refused with 429 and Retry-After; <=0
+	// means max(4, 4*Workers). Collapsed duplicates never consume queue slots.
 	QueueDepth int
 	// JobTimeout bounds one simulation's wall clock via the runner fault
 	// policy; an exceeded request answers 504. Zero means unbounded.
@@ -86,11 +86,12 @@ type Counters struct {
 // Status is the /statusz document.
 type Status struct {
 	Counters
-	Workers    int  `json:"workers"`
-	QueueDepth int  `json:"queueDepth"`
-	Queued     int  `json:"queued"`
-	InFlight   int  `json:"inFlight"`
-	Draining   bool `json:"draining"`
+	Workers    int `json:"workers"`
+	QueueDepth int `json:"queueDepth"`
+	// Queued counts admitted computations whose worker has not returned.
+	Queued   int  `json:"queued"`
+	InFlight int  `json:"inFlight"`
+	Draining bool `json:"draining"`
 	// HitRate is cache-served completions (memory + store + collapsed)
 	// over all completed lookups.
 	HitRate      float64 `json:"hitRate"`
@@ -114,12 +115,7 @@ type Server struct {
 	memo  requestMemo
 	sem   chan struct{} // worker slots
 
-	mu       sync.Mutex
-	flights  map[string]*flight
-	queued   int
-	draining bool
-
-	wg       sync.WaitGroup
+	flights  flightTable
 	inFlight atomic.Int64
 	seq      atomic.Uint64
 	start    time.Time
@@ -135,38 +131,9 @@ type Server struct {
 	collapsed, computed, failed, rejected atomic.Uint64
 	panicked, canceled, drainRefused      atomic.Uint64
 
-	hookMu      sync.Mutex
-	computeHook func(key string)
+	computeHook atomic.Pointer[func(key string)]
 
 	logMu sync.Mutex // serializes AccessLog writes
-}
-
-// flight is one in-progress computation; concurrent identical requests wait
-// on done and share its response. status, body, outcome, err, and stages are
-// written by the computing goroutine before done closes, so waiters that
-// observed the close may read them (the originating request promotes stages
-// into its access record).
-type flight struct {
-	done    chan struct{}
-	status  int
-	body    []byte
-	outcome string
-	// err is the computation's error text, or on success the store's
-	// persist error; empty when neither happened.
-	err    string
-	stages StageTimings
-
-	// cancel stops the computation cooperatively: the engine halts at its
-	// next epoch boundary and nothing is cached. The last disconnecting
-	// waiter calls it, Drain calls it on deadline, and compute calls it on
-	// exit to release the context.
-	cancel context.CancelFunc
-	// waiters counts requests awaiting done; guarded by Server.mu.
-	waiters int
-	// records is the computation's live progress (trace records retired),
-	// published from the engine's epoch observer and summed into the
-	// streamd_sim_progress gauge.
-	records atomic.Uint64
 }
 
 // requestMemo maps exact request-body bytes to their resolution, so a
@@ -243,7 +210,7 @@ func New(cfg Config) *Server {
 		cache:   newResultCache(cfg.CacheEntries),
 		memo:    requestMemo{m: make(map[string]resolved)},
 		sem:     make(chan struct{}, cfg.Workers),
-		flights: make(map[string]*flight),
+		flights: flightTable{live: make(map[string]*flight), depth: cfg.QueueDepth},
 		start:   time.Now(),
 	}
 	s.boot = fmt.Sprintf("%08x", uint32(s.start.UnixNano()))
@@ -279,15 +246,7 @@ func (s *Server) requestID(seq uint64) string {
 // computation (inside the fault policy) with the request key — the test seam
 // for saturating the queue and scripting timeouts deterministically.
 func (s *Server) SetComputeHook(fn func(key string)) {
-	s.hookMu.Lock()
-	s.computeHook = fn
-	s.hookMu.Unlock()
-}
-
-func (s *Server) getComputeHook() func(string) {
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	return s.computeHook
+	s.computeHook.Store(&fn)
 }
 
 // Counters returns a snapshot of the request accounting.
@@ -309,9 +268,7 @@ func (s *Server) Counters() Counters {
 
 // Status returns the /statusz document.
 func (s *Server) Status() Status {
-	s.mu.Lock()
-	queued, draining := s.queued, s.draining
-	s.mu.Unlock()
+	queued, draining, _ := s.flights.load()
 	st := Status{
 		Counters:      s.Counters(),
 		Workers:       s.cfg.Workers,
@@ -335,50 +292,26 @@ func (s *Server) Status() Status {
 	return st
 }
 
-// Drain stops admitting new computations and waits for in-flight ones to
-// finish (and persist). If ctx's deadline passes first, every in-flight
-// computation is canceled cooperatively and Drain waits for the workers to
-// unwind before returning ctx's error — a drained server leaves no
-// simulating goroutine behind either way.
+// Drain stops admitting new computations and waits for admitted ones to
+// finish (and persist). If ctx ends first, it cancels every live computation,
+// still waits for the workers to unwind, and returns ctx's error: a drained
+// server leaves no simulating goroutine behind either way.
 func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for _, f := range s.flights {
-			f.cancel()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
+	return s.flights.drain(ctx)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !allowGetHead(w, r) {
 		return
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if _, draining, _ := s.flights.load(); draining {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if r.Method == http.MethodHead {
-		return
+	if r.Method == http.MethodGet {
+		fmt.Fprintln(w, "ok")
 	}
-	fmt.Fprintln(w, "ok")
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
@@ -386,32 +319,27 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if r.Method == http.MethodHead {
-		return
+	if r.Method == http.MethodGet {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(s.Status())
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Status())
 }
 
 // writeError answers a JSON error document, returning its body length.
 func writeError(w http.ResponseWriter, status int, msg string) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	doc, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	doc = append(doc, '\n')
-	n, _ := w.Write(doc)
+	n, _ := w.Write(append(errorDoc(msg), '\n'))
 	return n
 }
 
-// respond serves a response body with its cache-tier tag ("none" for a fresh
-// computation, "flight" for a collapsed duplicate, "memory", "store").
-func respond(w http.ResponseWriter, body []byte, tier string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Streamd-Cache", tier)
-	w.Write(body)
+// errorDoc is the JSON error document {"error": msg}.
+func errorDoc(msg string) []byte {
+	doc, _ := json.Marshal(struct {
+		Error string `json:"error"`
+	}{msg})
+	return doc
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -433,9 +361,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		req, err = s.memo.resolve(raw)
 	}
-	decode := time.Since(tDecode)
-	span.stages.DecodeUs = us(decode)
-	s.metrics.observeStage(stageDecode, decode)
+	span.stages.DecodeUs = s.metrics.since(stageDecode, tDecode)
 	if err != nil {
 		s.invalid.Add(1)
 		status := http.StatusBadRequest
@@ -444,8 +370,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		span.err = err.Error()
-		n := writeError(w, status, span.err)
-		s.finish(span, status, "invalid", "", n)
+		s.finish(span, status, "invalid", "", writeError(w, status, span.err))
 		return
 	}
 	span.spec = req.id
@@ -454,95 +379,65 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// Tiers 1 and 2: the in-memory LRU, then the durable store
 	// (checksum-verified by Get). Both probes share the lookup span.
 	tLookup := time.Now()
+	tier, outcome, hits := "memory", "memory-hit", &s.memHits
 	body, hit := s.cache.get(key)
-	var lookupTier string
-	if hit {
-		lookupTier = "memory"
-	} else if s.cfg.Store != nil {
-		if payload, ok := s.cfg.Store.Get(key); ok {
-			s.cache.add(key, payload)
-			body, lookupTier = payload, "store"
+	if !hit && s.cfg.Store != nil {
+		if body, hit = s.cfg.Store.Get(key); hit {
+			s.cache.add(key, body)
+			tier, outcome, hits = "store", "store-hit", &s.storeHits
 		}
 	}
-	lookup := time.Since(tLookup)
-	span.stages.LookupUs = us(lookup)
-	s.metrics.observeStage(stageLookup, lookup)
-	switch lookupTier {
-	case "memory":
-		s.memHits.Add(1)
-		respond(w, body, "memory")
-		s.finish(span, http.StatusOK, "memory-hit", "memory", len(body))
-		return
-	case "store":
-		s.storeHits.Add(1)
-		respond(w, body, "store")
-		s.finish(span, http.StatusOK, "store-hit", "store", len(body))
+	span.stages.LookupUs = s.metrics.since(stageLookup, tLookup)
+	if hit {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Streamd-Cache", tier)
+		w.Write(body)
+		s.finish(span, http.StatusOK, outcome, tier, len(body))
 		return
 	}
-	// Tier 3: single-flight on the in-progress computation, else admit.
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
-		f.waiters++
-		s.mu.Unlock()
+	// Tier 3: join the key's live flight, else admit a fresh one.
+	f, fresh, queued, draining := s.flights.join(key)
+	switch {
+	case fresh:
+		go s.compute(req, f, time.Now())
+		s.await(w, r, span, f, "none", "computed")
+	case f != nil:
 		s.collapsed.Add(1)
-		s.settle(w, r, span, f, "flight", "collapsed")
-		return
-	}
-	if s.draining {
-		queued := s.queued
-		s.mu.Unlock()
+		s.await(w, r, span, f, "flight", "collapsed")
+	case draining:
 		s.drainRefused.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter(queued))
-		n := writeError(w, http.StatusServiceUnavailable, "draining")
-		s.finish(span, http.StatusServiceUnavailable, "drain-refused", "", n)
-		return
-	}
-	if s.queued >= s.cfg.QueueDepth {
-		queued := s.queued
-		s.mu.Unlock()
+		s.finish(span, http.StatusServiceUnavailable, "drain-refused", "",
+			writeError(w, http.StatusServiceUnavailable, "draining"))
+	default:
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter(queued))
-		n := writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("queue full (%d computations admitted)", s.cfg.QueueDepth))
-		s.finish(span, http.StatusTooManyRequests, "rejected", "", n)
-		return
+		s.finish(span, http.StatusTooManyRequests, "rejected", "", writeError(w,
+			http.StatusTooManyRequests, fmt.Sprintf("queue full (%d computations admitted)", s.cfg.QueueDepth)))
 	}
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
-	s.flights[key] = f
-	s.queued++
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	go s.compute(fctx, req, f, time.Now())
-	s.settle(w, r, span, f, "none", "computed")
 }
 
 // retryAfter derives the Retry-After value for a backpressure response
-// (429/503) from live load instead of a hardcoded constant: the time to
-// drain the current queue through the worker pool at the observed mean
-// simulate latency, rounded up to whole seconds and clamped to [1,30].
-// The clamp guarantees a positive integer before any latency has been
-// observed (mean 0) and keeps the hint bounded when the queue backs up
-// behind pathologically slow jobs.
+// (429/503) from live load: the time to drain the queue through the worker
+// pool at the observed mean simulate latency, in whole seconds clamped to
+// [1,30] (1 before any latency is observed).
 func (s *Server) retryAfter(queued int) string {
 	mean := s.metrics.stage[stageSimulate].Mean() // seconds; 0 with no observations
 	secs := math.Ceil(float64(queued) * mean / float64(s.cfg.Workers))
-	if secs < 1 || math.IsNaN(secs) {
+	if math.IsNaN(secs) {
 		secs = 1
-	} else if secs > 30 {
-		secs = 30
 	}
-	return strconv.Itoa(int(secs))
+	return strconv.Itoa(int(min(max(secs, 1), 30)))
 }
 
-// settle awaits the flight, serves its response, and closes the request's
-// access span. The originating request ("none") inherits the flight's
-// compute-side stage spans. A client that goes away before the flight
-// completes is logged as abandoned; when it was the flight's last waiter the
-// computation has no audience left, so it is canceled — the engine stops at
-// its next epoch boundary and nothing is cached.
-func (s *Server) settle(w http.ResponseWriter, r *http.Request, span *accessSpan, f *flight, tier, outcome string) {
+// await waits for the flight and serves its response under tier, the
+// X-Streamd-Cache value: "none" for the request that admitted the flight,
+// "flight" for one that joined it. The originating request's access span
+// inherits the flight's compute-side stages. A client that goes away first
+// is logged as abandoned and leaves the flight, canceling it if it was the
+// last waiter.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, span *accessSpan, f *flight, tier, outcome string) {
 	select {
 	case <-f.done:
 		if tier == "none" {
@@ -556,23 +451,17 @@ func (s *Server) settle(w http.ResponseWriter, r *http.Request, span *accessSpan
 		if tier == "none" || f.status != http.StatusOK {
 			span.err = f.err
 		}
-		if f.status == http.StatusOK {
-			respond(w, f.body, tier)
-			s.finish(span, f.status, outcome, tier, len(f.body))
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(f.status)
-		w.Write(f.body)
-		s.finish(span, f.status, f.outcome, tier, len(f.body))
-	case <-r.Context().Done():
-		s.mu.Lock()
-		f.waiters--
-		last := f.waiters == 0
-		s.mu.Unlock()
-		if last {
-			f.cancel()
+		if f.status == http.StatusOK {
+			w.Header().Set("X-Streamd-Cache", tier)
+		} else {
+			outcome = f.outcome
+			w.WriteHeader(f.status)
 		}
+		w.Write(f.body)
+		s.finish(span, f.status, outcome, tier, len(f.body))
+	case <-r.Context().Done():
+		s.flights.leave(f)
 		// 499: nginx's "client closed request" — never sent, log-only.
 		s.finish(span, 499, "abandoned", tier, 0)
 	}
@@ -580,31 +469,25 @@ func (s *Server) settle(w http.ResponseWriter, r *http.Request, span *accessSpan
 
 // compute runs one cache-miss simulation on a worker slot under a
 // cooperative fault policy, publishes the marshaled response to the durable
-// store and the LRU before releasing the flight, and never lets a panicking,
-// hung, or canceled job take the daemon down — or leave a goroutine behind.
-// ctx is the flight's context: canceling it (last waiter gone, drain
-// deadline) stops the engine at its next epoch boundary, and the partial
-// result is never cached.
-func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted time.Time) {
-	defer s.wg.Done()
-	defer f.cancel() // release the flight context on every path
-	sp, key := req.spec, req.key
+// store and the LRU, then settles the flight. A panicking, hung or canceled
+// job never takes the daemon down or leaves a goroutine behind.
+func (s *Server) compute(req resolved, f *flight, admitted time.Time) {
+	ctx, sp, key := f.ctx, req.spec, req.key
 
 	var res sim.Result
 	var err error
 	select {
 	case s.sem <- struct{}{}: // wait for a worker slot
-		queueWait := time.Since(admitted)
-		f.stages.QueueWaitUs = us(queueWait)
-		s.metrics.observeStage(stageQueueWait, queueWait)
+		f.stages.QueueWaitUs = s.metrics.since(stageQueueWait, admitted)
 		s.inFlight.Add(1)
+		s.flights.start(f)
 
 		tSim := time.Now()
 		pol := runner.FaultPolicy{Timeout: s.cfg.JobTimeout, Metrics: s.jobMetrics}
 		res, err = runner.Execute(ctx, pol, req.id,
 			func(ctx context.Context) (sim.Result, error) {
-				if hook := s.getComputeHook(); hook != nil {
-					hook(key)
+				if hook := s.computeHook.Load(); hook != nil && *hook != nil {
+					(*hook)(key)
 				}
 				cfg, err := sp.Config()
 				if err != nil {
@@ -618,9 +501,7 @@ func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted 
 					f.records.Store(p.Records)
 				})
 			})
-		simulate := time.Since(tSim)
-		f.stages.SimulateUs = us(simulate)
-		s.metrics.observeStage(stageSimulate, simulate)
+		f.stages.SimulateUs = s.metrics.since(stageSimulate, tSim)
 
 		s.inFlight.Add(-1)
 		<-s.sem
@@ -630,14 +511,11 @@ func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted 
 	}
 
 	var body []byte
-	status := http.StatusOK
-	outcome := "computed"
+	status, outcome := http.StatusOK, "computed"
 	if err == nil {
 		tMarshal := time.Now()
 		body, err = json.Marshal(BuildResult(sp, res))
-		marshal := time.Since(tMarshal)
-		f.stages.MarshalUs = us(marshal)
-		s.metrics.observeStage(stageMarshal, marshal)
+		f.stages.MarshalUs = s.metrics.since(stageMarshal, tMarshal)
 	}
 	if err != nil {
 		var te *runner.TimeoutError
@@ -660,14 +538,10 @@ func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted 
 			outcome, status = "failed", http.StatusInternalServerError
 		}
 		f.err = err.Error()
-		msg := f.err
+		body = errorDoc(f.err)
 		if pe != nil {
-			msg = "internal error: the simulation panicked"
+			body = errorDoc("internal error: the simulation panicked")
 		}
-		doc, _ := json.Marshal(struct {
-			Error string `json:"error"`
-		}{msg})
-		body = doc
 	} else {
 		// Persist before publishing: a client that saw this response can
 		// rely on a restart replaying it (PutRaw fsyncs).
@@ -676,23 +550,14 @@ func (s *Server) compute(ctx context.Context, req resolved, f *flight, admitted 
 			if perr := s.cfg.Store.PutRaw(key, req.id, body); perr != nil {
 				f.err = perr.Error()
 			}
-			persist := time.Since(tPersist)
-			f.stages.PersistUs = us(persist)
-			s.metrics.observeStage(stagePersist, persist)
+			f.stages.PersistUs = s.metrics.since(stagePersist, tPersist)
 		}
 		s.cache.add(key, body)
 		s.computed.Add(1)
 	}
 
-	f.status = status
-	f.body = body
-	f.outcome = outcome
-	close(f.done)
-
-	// Release the flight last: by now the result (if any) is already in the
-	// cache, so there is no window where neither tier covers the key.
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.queued--
-	s.mu.Unlock()
+	// Settle last: a result is already in the cache, so there is no window
+	// where neither tier covers the key.
+	f.status, f.body, f.outcome = status, body, outcome
+	s.flights.settle(f)
 }

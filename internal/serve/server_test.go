@@ -428,7 +428,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 	}
 
 	// Mean simulate latency 3s: 8 queued / 2 workers -> 12s to drain.
-	s.metrics.observeStage(stageSimulate, 3*time.Second)
+	s.metrics.stage[stageSimulate].Observe(3)
 	if got := s.retryAfter(8); got != "12" {
 		t.Errorf("retryAfter(8) at 3s mean over 2 workers = %q, want \"12\"", got)
 	}
@@ -441,7 +441,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 		t.Errorf("retryAfter(1) = %q, want \"2\"", got)
 	}
 	fast := New(Config{Workers: 4, QueueDepth: 8})
-	fast.metrics.observeStage(stageSimulate, 10*time.Millisecond)
+	fast.metrics.stage[stageSimulate].Observe(0.010)
 	if got := fast.retryAfter(3); got != "1" {
 		t.Errorf("fast retryAfter(3) = %q, want the 1s floor", got)
 	}

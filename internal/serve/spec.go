@@ -21,6 +21,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -115,10 +116,8 @@ func optionList(opts []string) string {
 // checkOption rejects a prefetcher-slot value outside opts, naming the slot
 // and the allowed values.
 func checkOption(slot, v string, opts []string) error {
-	for _, o := range opts {
-		if v == o {
-			return nil
-		}
+	if slices.Contains(opts, v) {
+		return nil
 	}
 	return fmt.Errorf("unknown %s prefetcher %q (want %s)", slot, v, optionList(opts))
 }
@@ -137,36 +136,16 @@ func workloadNames() string {
 // offending knob and the allowed values, so it is directly servable as a 400
 // body or a CLI usage error.
 func (sp *Spec) Normalize() error {
-	if sp.L1 == "" {
-		sp.L1 = DefaultL1
-	}
-	if sp.L2 == "" {
-		sp.L2 = DefaultL2
-	}
-	if sp.Temporal == "" {
-		sp.Temporal = DefaultTemporal
-	}
-	if sp.Cores == 0 {
-		sp.Cores = DefaultCores
-	}
-	if sp.Footprint == 0 {
-		sp.Footprint = DefaultFootprint
-	}
-	if sp.Warmup == 0 {
-		sp.Warmup = DefaultWarmup
-	}
-	if sp.Measure == 0 {
-		sp.Measure = DefaultMeasure
-	}
-	if sp.MetaKB == 0 {
-		sp.MetaKB = DefaultMetaKB
-	}
-	if sp.LLCSets == 0 {
-		sp.LLCSets = DefaultLLCSets
-	}
-	if sp.Seed == 0 {
-		sp.Seed = DefaultSeed
-	}
+	orDefault(&sp.L1, DefaultL1)
+	orDefault(&sp.L2, DefaultL2)
+	orDefault(&sp.Temporal, DefaultTemporal)
+	orDefault(&sp.Cores, DefaultCores)
+	orDefault(&sp.Footprint, DefaultFootprint)
+	orDefault(&sp.Warmup, DefaultWarmup)
+	orDefault(&sp.Measure, DefaultMeasure)
+	orDefault(&sp.MetaKB, DefaultMetaKB)
+	orDefault(&sp.LLCSets, DefaultLLCSets)
+	orDefault(&sp.Seed, DefaultSeed)
 
 	if sp.Workload == "" {
 		return fmt.Errorf("missing workload (want one of %s)", workloadNames())
@@ -203,6 +182,14 @@ func (sp *Spec) Normalize() error {
 			MaxLLCSets, sp.LLCSets)
 	}
 	return nil
+}
+
+// orDefault sets a zero *v to d.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
+	}
 }
 
 // ID is the canonical human-readable identity of a normalized spec; two
