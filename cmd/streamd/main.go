@@ -98,9 +98,7 @@ func main() {
 	hs := &http.Server{Handler: srv.Handler()}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	shutdown := make(chan struct{})
 	go func() {
-		defer close(shutdown)
 		sig := <-sigs
 		fmt.Fprintf(os.Stderr, "streamd: %v, draining\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
@@ -113,13 +111,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Shutdown returned: connections are done, but detached computations may
-	// still be persisting — wait for them so every served result is durable.
+	// Shutdown began: no connection is accepted, but computations may still
+	// be running or persisting — wait for them so every served result is
+	// durable. Past the deadline Drain aborts them.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "streamd: drain: %v\n", err)
 	}
+	// An abort releases handlers that the first Shutdown gave up on at its
+	// deadline. Shutdown again, bounded, so they answer and write their
+	// access records before the log is flushed and the process exits.
+	hctx, hcancel := context.WithTimeout(context.Background(), *drainWait)
+	defer hcancel()
+	hs.Shutdown(hctx)
 	if st != nil {
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "streamd: store: %v\n", err)
@@ -127,9 +132,6 @@ func main() {
 		}
 	}
 	if accessLog != nil {
-		// Serve returned when Shutdown began; Shutdown itself returns once
-		// every handler has written its record (or at the drain deadline).
-		<-shutdown
 		if err := errors.Join(accessLog.Flush(), accessFile.Close()); err != nil {
 			fmt.Fprintf(os.Stderr, "streamd: access log: %v\n", err)
 			os.Exit(1)

@@ -298,6 +298,76 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// slowSpec is a simulation near the instruction ceiling, the body of
+// internal/serve's slowBody: no drain deadline below lets it finish.
+const slowSpec = `{"workload":"sphinx06","footprint":0.05,"warmup":1000,"measure":99000000,"llcSets":16,"metaKb":8}`
+
+// TestDrainDeadlineAnswersAndLogs: a SIGTERM while a simulation outlives
+// -drain-timeout aborts it, and the daemon still answers that request 503
+// and writes its access record before it exits 0 — the exit waits for the
+// handlers the abort released.
+func TestDrainDeadlineAnswersAndLogs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations in child processes")
+	}
+	logPath := t.TempDir() + "/access.jsonl"
+	d := startDaemon(t, "-access-log", logPath, "-drain-timeout", "200ms")
+
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post("http://"+d.addr+"/simulate", "application/json",
+			strings.NewReader(slowSpec))
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, body, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for d.statusz(t)["inFlight"] != 1.0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the simulation never took a worker slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-answered:
+		if a.err != nil {
+			t.Errorf("request: %v, want a 503 answer", a.err)
+		} else if a.status != http.StatusServiceUnavailable || !strings.Contains(string(a.body), "canceled before completion") {
+			t.Errorf("request: status %d body %q, want 503 canceled before completion", a.status, a.body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("request not answered after the drain deadline")
+	}
+	if code := d.wait(t); code != 0 {
+		t.Fatalf("SIGTERM exit code %d\nstderr:\n%s", code, d.stderrText())
+	}
+
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Status  int    `json:"status"`
+		Outcome string `json:"outcome"`
+	}
+	if err := json.Unmarshal(bytes.TrimSpace(data), &rec); err != nil || rec.Outcome != "canceled" || rec.Status != 503 {
+		t.Errorf("access log %q (%v), want the one record, outcome canceled, status 503", data, err)
+	}
+}
+
 // TestDaemonFlagValidation: bad invocations exit 2 before binding a socket.
 // The access log is the daemon's one per-request record; there is no
 // -telemetry flag.

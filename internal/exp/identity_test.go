@@ -3,14 +3,18 @@ package exp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"streamline/internal/core"
+	"streamline/internal/exp/runner"
 	"streamline/internal/exp/store"
 	"streamline/internal/meta"
 	"streamline/internal/metrics"
@@ -307,4 +311,144 @@ func TestMergedArmsKeepTheirFailures(t *testing.T) {
 			}
 		}
 	}
+}
+
+// restatedTriangels returns three labels that restate Triangel's default
+// configuration: the plain arm, its explicit default degree, and its explicit
+// default metadata policy. It fails the test unless all three have one
+// identity at sc, so that they share one entry in the runner's configs.
+func restatedTriangels(t *testing.T, sc Scale) []Arm {
+	t.Helper()
+	arms := []Arm{
+		triangelArm("triangel", "stride", "", nil),
+		triangelArm("triangel-d4", "stride", "", func(c *triangel.Config) { c.MaxDegree = 4 }),
+		triangelArm("triangel-srrip", "stride", "", func(c *triangel.Config) { c.Policy = meta.NewEntrySRRIP }),
+	}
+	first, ok := arms[0].identity(sc)
+	for _, a := range arms {
+		if id, idOK := a.identity(sc); !ok || !idOK || id != first {
+			t.Fatalf("%s does not restate %s's configuration", a.Name, arms[0].Name)
+		}
+	}
+	return arms
+}
+
+// settleGoroutines fails the test unless the goroutine count falls back to
+// before: a simulation left running behind a failed label would hold one.
+// Scheduling may lag a moment behind channel operations, so it polls.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: before=%d after=%d; a simulation was left running", before, after)
+	}
+}
+
+// TestMergedArmsKeepTheirTimeouts: a label that waits on another label's
+// simulation of its configuration takes no failure from it. Three labels
+// that restate one configuration each time out in a simulation of their own:
+// three gaps, each with its own *runner.TimeoutError, no completed
+// simulation, three failed attempts, and nothing left running.
+func TestMergedArmsKeepTheirTimeouts(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sc := Micro
+	sc.Measure = 80_000_000 // minutes of simulation: cannot beat the timeout
+	arms := restatedTriangels(t, sc)
+	r := NewRunner(sc)
+	r.Jobs = 3
+	r.Fault = runner.FaultPolicy{Timeout: 30 * time.Millisecond}
+	m := r.EnableMetrics(metrics.NewRegistry())
+	units := SingleUnits([]string{"sphinx06"})
+	g := r.Sweep(arms, units)[0]
+
+	fails := map[string]error{}
+	for _, f := range r.Failures() {
+		fails[f.Key] = f.Err
+	}
+	for _, a := range arms {
+		key := (Sim{a, units[0]}).key()
+		if g.Aligned(a)[0] != nil {
+			t.Errorf("%s: not a gap", a.Name)
+		}
+		var te *runner.TimeoutError
+		if err := fails[key]; !errors.As(err, &te) || te.Key != key {
+			t.Errorf("%s failed with %T %v, want its own *runner.TimeoutError", a.Name, err, err)
+		}
+	}
+	if len(fails) != len(arms) {
+		t.Errorf("failures = %v, want one per label", r.Failures())
+	}
+	if c, f := m.Completed.Value(), m.Failed.Value(); c != 0 || f != 3 {
+		t.Errorf("completed=%d failed=%d, want 0/3: each label runs its own attempt", c, f)
+	}
+	settleGoroutines(t, before)
+}
+
+// TestMergedArmsCanceledWhileWaiting: canceling the sweep while one label
+// waits on another label's simulation of its configuration gaps both labels,
+// each with its own cancellation, and leaves nothing running.
+func TestMergedArmsCanceledWhileWaiting(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sc := Micro
+	sc.Measure = 80_000_000 // runs until canceled
+	arms := restatedTriangels(t, sc)[:2]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner(sc)
+	r.Ctx = ctx
+	r.Jobs = 2
+	units := SingleUnits([]string{"sphinx06"})
+	grid := make(chan Grid, 1)
+	go func() { grid <- r.Sweep(arms, units)[0] }()
+
+	// Cancel once one goroutine simulates and the other is in compute
+	// without simulating: it waits on the first.
+	deadline := time.Now().Add(10 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+		computing, simulating := 0, 0
+		for _, s := range stacks {
+			if strings.Contains(s, "exp.(*Runner).compute(") {
+				computing++
+			}
+			if strings.Contains(s, "exp.(*Runner).simulate(") {
+				simulating++
+			}
+		}
+		if computing == 2 && simulating == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no label waited on another: %d computing, %d simulating", computing, simulating)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+
+	var g Grid
+	select {
+	case g = <-grid:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep did not return after cancellation")
+	}
+	fails := map[string]error{}
+	for _, f := range r.Failures() {
+		fails[f.Key] = f.Err
+	}
+	for _, a := range arms {
+		if g.Aligned(a)[0] != nil {
+			t.Errorf("%s: not a gap", a.Name)
+		}
+		if err := fails[(Sim{a, units[0]}).key()]; !errors.Is(err, context.Canceled) {
+			t.Errorf("%s failed with %v, want context.Canceled", a.Name, err)
+		}
+	}
+	if len(fails) != len(arms) {
+		t.Errorf("failures = %v, want one per label", r.Failures())
+	}
+	settleGoroutines(t, before)
 }

@@ -48,8 +48,11 @@ func suiteSpeedups(g Grid, id, title string, ws []workloads.Workload, base, tri,
 	t := Table{ID: id, Title: title,
 		Columns: []string{"workload", "suite", "triangel", "streamline", "delta(pp)"}}
 	type group struct{ tri, str []float64 }
-	groups := map[workloads.Suite]*group{}
-	var allT, allS, irrT, irrS []float64
+	add := func(g *group, rt, rs float64) {
+		g.tri, g.str = append(g.tri, rt), append(g.str, rs)
+	}
+	suites := map[workloads.Suite]*group{}
+	var irr, all group
 	for i, row := range g.Aligned(base, tri, str) {
 		w := ws[i]
 		if row == nil {
@@ -61,28 +64,31 @@ func suiteSpeedups(g Grid, id, title string, ws []workloads.Workload, base, tri,
 		rt := Speedup(row[0].res, row[1].res)
 		rs := Speedup(row[0].res, row[2].res)
 		t.AddRow(w.Name, string(w.Suite), F(rt), F(rs), fmt.Sprintf("%+.1f", (rs-rt)*100))
-		sg := groups[w.Suite]
-		if sg == nil {
-			sg = &group{}
-			groups[w.Suite] = sg
+		if suites[w.Suite] == nil {
+			suites[w.Suite] = &group{}
 		}
-		sg.tri = append(sg.tri, rt)
-		sg.str = append(sg.str, rs)
-		allT, allS = append(allT, rt), append(allS, rs)
+		add(suites[w.Suite], rt, rs)
+		add(&all, rt, rs)
 		if w.Irregular {
-			irrT, irrS = append(irrT, rt), append(irrS, rs)
+			add(&irr, rt, rs)
 		}
+	}
+	// An aggregate with no sample is a gap, not a geomean of nothing.
+	geomeanRow := func(label string, g *group) {
+		if len(g.tri) == 0 {
+			t.AddRow(label, "", GapCell, GapCell, GapCell)
+			return
+		}
+		gt, gs := Geomean(g.tri), Geomean(g.str)
+		t.AddRow(label, "", F(gt), F(gs), fmt.Sprintf("%+.1f", (gs-gt)*100))
 	}
 	for _, suite := range []workloads.Suite{workloads.SPEC06, workloads.SPEC17, workloads.GAP} {
-		if sg, ok := groups[suite]; ok {
-			t.AddRow("geomean-"+string(suite), "", F(Geomean(sg.tri)), F(Geomean(sg.str)),
-				fmt.Sprintf("%+.1f", (Geomean(sg.str)-Geomean(sg.tri))*100))
+		if sg, ok := suites[suite]; ok {
+			geomeanRow("geomean-"+string(suite), sg)
 		}
 	}
-	t.AddRow("geomean-irregular", "", F(Geomean(irrT)), F(Geomean(irrS)),
-		fmt.Sprintf("%+.1f", (Geomean(irrS)-Geomean(irrT))*100))
-	t.AddRow("geomean-all", "", F(Geomean(allT)), F(Geomean(allS)),
-		fmt.Sprintf("%+.1f", (Geomean(allS)-Geomean(allT))*100))
+	geomeanRow("geomean-irregular", &irr)
+	geomeanRow("geomean-all", &all)
 	t.Notes = append(t.Notes,
 		"speedup over the baseline with an L1D stride prefetcher; paper Fig 9 reports Streamline 8.1% vs Triangel 5.1% (mem-intensive), 17% vs 11.5% (irregular)")
 	return t
@@ -200,9 +206,12 @@ func init() {
 				t.AddRow(names[i], Pct(Coverage(b, rt)), Pct(Coverage(b, rs)),
 					Pct(Accuracy(rt)), Pct(Accuracy(rs)))
 			}
-			rows := g.Rows(base, tri, str)
-			t.AddRow("mean", Pct(Mean(over(rows, Coverage, 0, 1))), Pct(Mean(over(rows, Coverage, 0, 2))),
-				Pct(Mean(accuracies(rows, 1))), Pct(Mean(accuracies(rows, 2))))
+			if rows := g.Rows(base, tri, str); len(rows) == 0 {
+				t.AddRow("mean", GapCell, GapCell, GapCell, GapCell)
+			} else {
+				t.AddRow("mean", Pct(Mean(over(rows, Coverage, 0, 1))), Pct(Mean(over(rows, Coverage, 0, 2))),
+					Pct(Mean(accuracies(rows, 1))), Pct(Mean(accuracies(rows, 2))))
+			}
 			t.Notes = append(t.Notes, "paper: Streamline +12.5 pp coverage, +3.6 pp accuracy")
 			return []Table{t}
 		}})

@@ -1,9 +1,9 @@
 package exp
 
 // This file is the sweep runner: one memo table that single-flights every
-// simulation by label, one table that single-flights it by what it builds,
-// and one path that builds and runs a simulation. sweep.go fans simulations
-// out over the worker pool.
+// simulation by label, an index from what a simulation builds to the memo
+// entry that simulates it, and one path that builds and runs a simulation.
+// sweep.go fans simulations out over the worker pool.
 
 import (
 	"context"
@@ -24,10 +24,10 @@ import (
 // once per harness invocation. Sweep is safe for concurrent use: each
 // simulation is single-flighted by its memo key, so a result is computed
 // exactly once no matter how many goroutines ask for it. A label that misses
-// the store is also single-flighted by its arm's identity (see
-// Arm.identity): a sensitivity arm that restates another arm's
-// configuration under a new name takes that arm's result, and still stores
-// it under its own key.
+// the store looks its arm's identity (see Arm.identity) up in configs: a
+// sensitivity arm that restates another arm's configuration under a new name
+// takes that arm's result through that arm's memo entry, and still stores it
+// under its own key.
 type Runner struct {
 	// Scale is fixed at construction: NewRunner keeps its fingerprint in
 	// scaleFP for the store keys, so nothing assigns it afterwards.
@@ -48,20 +48,21 @@ type Runner struct {
 	// line order follows completion order and is not deterministic.
 	JobProgress io.Writer
 	// Check enables the runtime invariant audit on every simulation the
-	// runner computes; a label that reuses another label's result (see
-	// compute) is audited through that label's run. The checks are
-	// read-only — result tables are byte-identical either way — and
-	// AuditSummary reports what they found.
+	// runner computes; a label that takes another label's result (see
+	// compute) runs no simulation and is audited through that label's run,
+	// once. The checks are read-only — result tables are byte-identical
+	// either way — and AuditSummary reports what they found.
 	Check bool
 	// TelemetryDir, when non-empty, writes each computed simulation's
 	// interval samples and events as JSONL to <dir>/<audit label>.jsonl (the
 	// memo key, plus "|sys" for a system-retaining run). Every computed
 	// simulation gets its own file and runs at most once, so the output is
 	// parallel-safe and its content deterministic for any Jobs value. A label
-	// that reuses another label's result writes no file of its own; which of
-	// two such labels writes it is fixed by experiment order, and would
-	// depend on scheduling only if one sweep listed both. Instrumentation
-	// is read-only — result tables are byte-identical either way.
+	// that takes another label's result (see compute) writes no file of its
+	// own; which of two such labels writes it is fixed by experiment order,
+	// and would depend on scheduling only if one sweep listed both.
+	// Instrumentation is read-only — result tables are byte-identical
+	// either way.
 	TelemetryDir string
 	// SampleInterval is the measured instructions between telemetry samples
 	// per core; zero means a tenth of the scale's measured window.
@@ -87,9 +88,10 @@ type Runner struct {
 	// store and telemetry I/O errors.
 	mu   sync.Mutex
 	memo map[string]*memoEntry
-	// configs single-flights each configuration's simulation across the
-	// labels that restate it.
-	configs map[configKey]*configRun
+	// configs maps each configuration to the memo entry of the label that
+	// is simulating it or has simulated it: the labels that restate it take
+	// that entry's result, and withdraw the entry if it failed (see compute).
+	configs map[configKey]*memoEntry
 	// failures holds every failed job in recording order, failed their
 	// keys, and drained how many of them DrainFailures has returned.
 	failures         []JobFailure
@@ -122,21 +124,12 @@ type configKey struct {
 	unit string
 }
 
-// configRun is the simulation of one configKey, led by the first label that
-// missed the store with it. res is valid after done closes, and only when ok.
-type configRun struct {
-	leader string // the leading arm's Name
-	done   chan struct{}
-	res    sim.Result
-	ok     bool
-}
-
 // NewRunner returns a runner at the given scale.
 func NewRunner(sc Scale) *Runner {
 	return &Runner{
 		Scale:   sc,
 		memo:    make(map[string]*memoEntry),
-		configs: make(map[configKey]*configRun),
+		configs: make(map[configKey]*memoEntry),
 		failed:  make(map[string]bool),
 		scaleFP: sc.Fingerprint(),
 	}
@@ -246,111 +239,92 @@ func (r *Runner) entry(s Sim) (e *memoEntry, fresh bool) {
 // error and records a JobFailure.
 func (r *Runner) run(e *memoEntry) {
 	e.once.Do(func() {
-		e.res, e.sys, e.err = r.computeOrReplay(e.key, e.sim)
+		e.res, e.sys, e.err = r.computeOrReplay(e)
 		if e.err != nil {
 			r.fail(e.key, e.err)
 		}
 	})
 }
 
-// computeOrReplay returns the stored result for key when the store holds a
-// validated record for it, and otherwise computes the simulation (see
-// compute) and checkpoints the result under key. Replay is sound because a
-// simulation is a pure function of (scale, arm, mix, cores, bw, fp) and
+// computeOrReplay returns the stored result for e's key when the store holds
+// a validated record for it, and otherwise computes the simulation (see
+// compute) and checkpoints the result under the key. Replay is sound because
+// a simulation is a pure function of (scale, arm, mix, cores, bw, fp) and
 // the store key hashes all of them.
-func (r *Runner) computeOrReplay(key string, s Sim) (sim.Result, *sim.System, error) {
-	persist := r.Store != nil && !s.Arm.spec.keep
+func (r *Runner) computeOrReplay(e *memoEntry) (sim.Result, *sim.System, error) {
+	persist := r.Store != nil && !e.sim.Arm.spec.keep
 	var sk string
 	if persist {
-		sk = r.storeKey(key)
+		sk = r.storeKey(e.key)
 		if payload, found := r.Store.Get(sk); found {
 			var res sim.Result
 			if err := decodeResult(payload, &res); err == nil {
 				r.resumed.Add(1)
 				r.Fault.Metrics.ReplayInc()
-				r.logf("  [cached] %s\n", key)
+				r.logf("  [cached] %s\n", e.key)
 				return res, nil, nil
 			}
 			// An undecodable payload behaves like a missing record:
 			// recompute rather than replay anything questionable.
 		}
 	}
-	res, sys, err := r.compute(key, s)
+	res, sys, err := r.compute(e)
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
 	if persist {
-		if perr := r.Store.Put(sk, key, res); perr != nil {
+		if perr := r.Store.Put(sk, e.key, res); perr != nil {
 			r.storeFail(perr)
 		}
 	}
 	return res, sys, nil
 }
 
-// compute returns the simulation's result, running it only when no other
-// label has: a label whose arm restates another's configuration on the same
-// unit takes the result of whichever simulated it first, or waits for the
-// one simulating it. A failed simulation is never shared — the next label of
-// its configuration simulates afresh — so fault injection, timeouts and
-// panics stay with the label they hit, and a label fault injection targets
-// always runs its own job.
-func (r *Runner) compute(key string, s Sim) (sim.Result, *sim.System, error) {
-	id, ok := s.Arm.identity(r.Scale)
-	if !ok || r.injects(key) {
-		return r.execute(key, s)
-	}
-	ck := configKey{id, key[len(s.Arm.Name)+1:]}
-	for {
-		r.mu.Lock()
-		c, found := r.configs[ck]
-		if !found {
-			c = &configRun{leader: s.Arm.Name, done: make(chan struct{})}
-			r.configs[ck] = c
-		}
-		r.mu.Unlock()
-		if !found {
-			return r.lead(key, s, ck, c)
-		}
-		select {
-		case <-c.done:
-		case <-r.ctx().Done():
-			return sim.Result{}, nil, r.ctx().Err()
-		}
-		if c.ok {
-			r.logf("  [%s] %s x%d = %s\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, c.leader)
-			return c.res, nil, nil
-		}
-		// The leader failed and withdrew c: lead or follow afresh.
-	}
-}
-
-// lead simulates c's configuration as label key, publishes the result to
-// the labels waiting on c, and withdraws c unless it succeeded, so no label
-// reuses a failure.
-func (r *Runner) lead(key string, s Sim, ck configKey, c *configRun) (sim.Result, *sim.System, error) {
-	defer func() {
-		if !c.ok {
+// compute returns the simulation's result, running it under the fault policy
+// only when no other label has. A label whose arm restates another's
+// configuration on the same unit takes the result of the label registered for
+// it in configs, through that label's memo entry: run returns at once if the
+// lead is done and waits for it otherwise. A failed lead is never shared: it
+// is withdrawn, and the label leads or waits afresh. So fault injection,
+// timeouts, panics and cancellations stay with the label they hit, and a
+// label fault injection targets always runs its own job.
+//
+// The wait graph is acyclic because an entry registers only from inside its
+// own run, and never waits on another entry after registering.
+func (r *Runner) compute(e *memoEntry) (sim.Result, *sim.System, error) {
+	s := e.sim
+	if id, ok := s.Arm.identity(r.Scale); ok && !r.injects(e.key) {
+		ck := configKey{id, e.key[len(s.Arm.Name)+1:]}
+		for {
 			r.mu.Lock()
-			delete(r.configs, ck)
+			lead, found := r.configs[ck]
+			if !found {
+				r.configs[ck] = e
+			}
+			r.mu.Unlock()
+			if !found {
+				break
+			}
+			r.run(lead)
+			if lead.err == nil {
+				r.logf("  [%s] %s x%d = %s\n", s.Arm.Name, strings.Join(s.Mix, ","), s.Cores, lead.sim.Arm.Name)
+				return lead.res, nil, nil
+			}
+			r.mu.Lock()
+			if r.configs[ck] == lead {
+				delete(r.configs, ck)
+			}
 			r.mu.Unlock()
 		}
-		close(c.done)
-	}()
-	res, sys, err := r.execute(key, s)
-	c.res, c.ok = res, err == nil
-	return res, sys, err
-}
-
-// execute runs the simulation under the fault policy.
-func (r *Runner) execute(key string, s Sim) (sim.Result, *sim.System, error) {
+	}
 	type outcome struct {
 		res sim.Result
 		sys *sim.System
 	}
-	o, err := runner.Execute(r.ctx(), r.Fault, key,
+	o, err := runner.Execute(r.ctx(), r.Fault, e.key,
 		func(ctx context.Context) (outcome, error) {
-			r.maybeInjectFailure(key)
-			res, sys, err := r.simulate(ctx, key, s)
+			r.maybeInjectFailure(e.key)
+			res, sys, err := r.simulate(ctx, e.key, s)
 			return outcome{res, sys}, err
 		})
 	return o.res, o.sys, err
