@@ -357,6 +357,11 @@ func (r *Runner) maybeInjectFailure(key string) {
 // scale, the system and its traces are constructed here, and the workload
 // registry is only read — which is what makes concurrent runs race-free.
 func (r *Runner) simulate(ctx context.Context, key string, s Sim) (sim.Result, *sim.System, error) {
+	// A canceled sweep builds nothing: no auditor, telemetry file, system,
+	// workload traces or log line for a run that cannot start.
+	if err := ctx.Err(); err != nil {
+		return sim.Result{}, nil, err
+	}
 	cfg := r.Scale.baseConfig(s.Cores)
 	if s.BW > 0 {
 		cfg.DRAM = cfg.DRAM.ScaleBandwidth(s.BW)

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,5 +123,49 @@ func TestTelemetryDirFilenames(t *testing.T) {
 	want := "base+stride_sphinx06_mcf06_2_0.000.jsonl"
 	if got != want {
 		t.Errorf("telemetryFileName = %q, want %q", got, want)
+	}
+}
+
+// TestPreCanceledSweepBuildsNothing: a sweep under a context canceled
+// before it starts builds no simulation. Every cell is a gap failed with
+// context.Canceled, and no cell opens a telemetry file, registers an
+// auditor or logs its run.
+func TestPreCanceledSweepBuildsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dir := t.TempDir()
+	var progress strings.Builder
+	r := NewRunner(Micro)
+	r.Ctx = ctx
+	r.Check = true
+	r.TelemetryDir = dir
+	r.Progress = &progress
+	base, tri, str := standardArms()
+	arms := []Arm{base, tri, str}
+	units := SingleUnits(Micro.Workloads)
+	g := r.Sweep(arms, units)[0]
+	fails := map[string]error{}
+	for _, f := range r.Failures() {
+		fails[f.Key] = f.Err
+	}
+	for _, a := range arms {
+		for u, row := range g.Aligned(a) {
+			if row != nil {
+				t.Errorf("%s on %v: not a gap", a.Name, units[u].Mix)
+			}
+			if err := fails[(Sim{a, units[u]}).key()]; !errors.Is(err, context.Canceled) {
+				t.Errorf("%s on %v failed with %v, want context.Canceled", a.Name, units[u].Mix, err)
+			}
+		}
+	}
+	if files := listFiles(t, dir); len(files) != 0 {
+		t.Errorf("telemetry files %v, want none", files)
+	}
+	var sb strings.Builder
+	if r.AuditSummary(&sb); sb.String() != "audit: 0 simulation(s) audited, 0 violation(s)\n" {
+		t.Errorf("audit summary = %q, want no simulation audited", sb.String())
+	}
+	if progress.Len() != 0 {
+		t.Errorf("progress log %q, want empty", progress.String())
 	}
 }

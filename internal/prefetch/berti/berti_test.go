@@ -2,6 +2,7 @@ package berti
 
 import (
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
@@ -123,5 +124,13 @@ func TestReplacementAllocatesNothing(t *testing.T) {
 	train()
 	if n := testing.AllocsPerRun(100, train); n != 0 {
 		t.Errorf("%v allocations per pair of colliding Train calls, want 0", n)
+	}
+}
+
+// TestEntrySize pins the table entry at 16 B, the per-PC block behind it
+// holding the history and the deltas.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Errorf("entry is %d B, want 16", n)
 	}
 }

@@ -1,23 +1,46 @@
-package berti
+package berti_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
-	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
+	"streamline/internal/prefetch/berti"
+	"streamline/internal/prefetch/ptest"
 )
 
-// refEntry is a table entry as it stood: 72 B holding two slices, the
-// history and the scored deltas, which a displacing PC reuses.
-type refEntry struct {
-	tag    uint32
-	valid  bool
-	hist   []histEntry
-	histN  int
-	deltas []refDelta
-	seen   int
+// refBerti is Berti written from its DESIGN.md row, in the external test
+// package, so it shares nothing with the engine but mem and prefetch: 256
+// PC slots, the slot and tag hashed from the PC, each PC keeping its last
+// 16 accesses and up to 8 deltas with coverage scores. It also counts the
+// cases the lockstep stream has to reach.
+type refBerti struct {
+	// wrapAge reproduces the engine's unsigned age test, under which an
+	// access stamped after the training access counts as timely. The
+	// lockstep run sets it; fixing the engine's age test deletes it.
+	wrapAge bool
+	pcs     map[uint64]*refBertiPC // by slot
+
+	displaced, decays, zeroReplaced, capped int
+	// late counts the calls whose PC history held an access stamped after
+	// them at another line, and lateNow says whether the last call did.
+	late    int
+	lateNow bool
+}
+
+type refBertiPC struct {
+	tag      uint64
+	hist     []refAccess // newest first
+	deltas   []refDelta  // in the order first scored
+	accesses int         // since the last decay
+}
+
+type refAccess struct {
+	line mem.Line
+	at   uint64
 }
 
 type refDelta struct {
@@ -25,95 +48,112 @@ type refDelta struct {
 	score int
 }
 
-// refBerti is Berti with per-PC slices: the reference the per-PC blocks
-// must match decision for decision. It also counts the cases the lockstep
-// stream has to reach.
-type refBerti struct {
-	table [tableSize]refEntry
-
-	reuses, decays, zeroReplaced, saturated int
+func newRef(wrapAge bool) *refBerti {
+	return &refBerti{wrapAge: wrapAge, pcs: map[uint64]*refBertiPC{}}
 }
 
-func (p *refBerti) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
-	line := ev.Line()
-	idx := mem.HashPC(ev.PC, 16) % tableSize
-	tag := uint32(mem.HashPC(ev.PC, 24))
-	e := &p.table[idx]
-	if !e.valid || e.tag != tag {
-		hist, deltas := e.hist, e.deltas[:0]
-		if hist == nil {
-			hist = make([]histEntry, historyLen)
-			deltas = make([]refDelta, 0, maxDeltas)
-		} else {
-			p.reuses++
+// Train: a PC whose tag does not own its slot takes it over with an empty
+// history and no deltas. Each access in the history, newest first, that
+// was timely for this one scores the delta from its line to this one's
+// (a zero delta scores nothing). Every 64th access of the PC halves its
+// scores; then the access joins the history, and the deltas scoring at
+// least 30 are prefetched in table order, at most 4, skipping a target at
+// or below line 0.
+func (r *refBerti) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+	slot, tag, line := mem.HashPC(ev.PC, 16)%256, mem.HashPC(ev.PC, 24), mem.LineOf(ev.Addr)
+	e := r.pcs[slot]
+	if e == nil || e.tag != tag {
+		if e != nil {
+			r.displaced++
 		}
-		*e = refEntry{tag: tag, valid: true, hist: hist, deltas: deltas}
+		e = &refBertiPC{tag: tag}
+		r.pcs[slot] = e
 	}
-	for i := 0; i < e.histN; i++ {
-		h := e.hist[i]
-		if ev.Now-h.at < timelyCycles {
-			continue
-		}
+	r.lateNow = false
+	for _, h := range e.hist {
 		d := int64(line) - int64(h.line)
 		if d == 0 {
 			continue
 		}
-		p.bump(e, d)
+		if h.at > ev.Now {
+			r.lateNow = true
+		}
+		if r.timely(h.at, ev.Now) {
+			r.score(e, d)
+		}
 	}
-	e.seen++
-	if e.seen >= 64 {
-		e.seen = 0
-		p.decays++
+	if r.lateNow {
+		r.late++
+	}
+	if e.accesses++; e.accesses == 64 {
+		e.accesses = 0
+		r.decays++
 		for i := range e.deltas {
 			e.deltas[i].score /= 2
 		}
 	}
-	copy(e.hist[1:], e.hist[:len(e.hist)-1])
-	e.hist[0] = histEntry{line: line, at: ev.Now}
-	if e.histN < len(e.hist) {
-		e.histN++
-	}
+	e.hist = append([]refAccess{{line, ev.Now}}, e.hist[:min(len(e.hist), 15)]...)
 	issued := 0
-	for _, ds := range e.deltas {
-		if issued >= maxIssue {
-			break
+	for _, d := range e.deltas {
+		if target := int64(line) + d.delta; issued < 4 && d.score >= 30 && target > 0 {
+			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(target))})
+			issued++
 		}
-		if ds.score < issueThreshold {
-			continue
-		}
-		target := int64(line) + ds.delta
-		if target <= 0 {
-			continue
-		}
-		out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(target))})
-		issued++
 	}
 	return out
 }
 
-func (p *refBerti) bump(e *refEntry, d int64) {
-	weakest, weakestScore := -1, 1<<30
+// timely reports whether an access stamped at could have launched a
+// prefetch that beat a demand at now: it came at least 60 cycles before.
+func (r *refBerti) timely(at, now uint64) bool {
+	if at > now {
+		return r.wrapAge
+	}
+	return now-at >= 60
+}
+
+// score raises a tracked delta's score, saturating at 63. An untracked
+// delta joins with score 1 while fewer than 8 are tracked; in a full table
+// it replaces the first lowest-scoring delta, only if that one scores 0.
+func (r *refBerti) score(e *refBertiPC, d int64) {
+	weakest := 0
 	for i := range e.deltas {
 		if e.deltas[i].delta == d {
-			if e.deltas[i].score < 63 {
-				e.deltas[i].score++
+			if e.deltas[i].score == 63 {
+				r.capped++
 			} else {
-				p.saturated++
+				e.deltas[i].score++
 			}
 			return
 		}
-		if e.deltas[i].score < weakestScore {
-			weakest, weakestScore = i, e.deltas[i].score
+		if e.deltas[i].score < e.deltas[weakest].score {
+			weakest = i
 		}
 	}
-	if len(e.deltas) < maxDeltas {
-		e.deltas = append(e.deltas, refDelta{delta: d, score: 1})
-		return
+	switch {
+	case len(e.deltas) < 8:
+		e.deltas = append(e.deltas, refDelta{d, 1})
+	case e.deltas[weakest].score == 0:
+		e.deltas[weakest] = refDelta{d, 1}
+		r.zeroReplaced++
 	}
-	if weakest >= 0 && weakestScore == 0 {
-		p.zeroReplaced++
-		e.deltas[weakest] = refDelta{delta: d, score: 1}
+}
+
+// refSlot renders reference slot k in the terms of the engine's Slot view,
+// for the compare alone, nil when no PC holds it.
+func refSlot(r *refBerti, k int) *berti.Slot {
+	e := r.pcs[uint64(k)]
+	if e == nil {
+		return nil
 	}
+	s := &berti.Slot{Tag: e.tag, Seen: e.accesses}
+	for _, h := range e.hist {
+		s.Hist = append(s.Hist, berti.Access{Line: h.line, At: h.at})
+	}
+	for _, d := range e.deltas {
+		s.Deltas = append(s.Deltas, berti.Delta{Delta: d.delta, Score: d.score})
+	}
+	return s
 }
 
 // lockstepEvents returns n training events in bursts of 4 to 60 accesses,
@@ -160,94 +200,69 @@ func lockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// TestLockstepWithReference drives Berti and the slice reference with the
-// same events and compares the requests after every call and the whole
-// table, every PC's history and scored deltas, every 1,024 calls and at the
-// end.
-func TestLockstepWithReference(t *testing.T) {
-	p, ref := New(), &refBerti{}
-	var got, want []prefetch.Request
-	evs := lockstepEvents(200_000)
-	for i, ev := range evs {
-		got = p.Train(ev, got[:0])
-		want = ref.Train(ev, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("event %d: %d requests, reference %d", i, len(got), len(want))
+// lockstep runs Berti against ref over the lockstep stream, comparing the
+// trained PC's slot after every call and the whole table every 1,024 calls
+// and at the end.
+func lockstep(ref *refBerti) ptest.Lockstep {
+	p, evs := berti.New(), lockstepEvents(200_000)
+	same := func(k int) error {
+		if got, want := p.Slot(k), refSlot(ref, k); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("slot %d is %+v, reference %+v", k, got, want)
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d request %d: %+v, reference %+v", i, j, got[j], want[j])
-			}
-		}
-		if i%1024 != 1023 && i != len(evs)-1 {
-			continue
-		}
-		for k := range ref.table {
-			r, e := &ref.table[k], &p.table[k]
-			if e.valid != r.valid || e.tag != r.tag || int(e.histN) != r.histN || int(e.seen) != r.seen ||
-				int(e.deltaN) != len(r.deltas) || (e.st == nil) != (r.hist == nil) {
-				t.Fatalf("event %d: entry %d is %+v, reference %+v", i, k, *e, *r)
-			}
-			if e.st == nil {
-				continue
-			}
-			for h := 0; h < r.histN; h++ {
-				if e.st.hist[h] != r.hist[h] {
-					t.Fatalf("event %d: entry %d history %d is %+v, reference %+v", i, k, h, e.st.hist[h], r.hist[h])
-				}
-			}
-			for d, rd := range r.deltas {
-				if e.st.delta[d] != rd.delta || int(e.st.score[d]) != rd.score {
-					t.Fatalf("event %d: entry %d delta %d is {%d %d}, reference %+v", i, k, d, e.st.delta[d], e.st.score[d], rd)
-				}
-			}
-		}
+		return nil
 	}
-	t.Logf("%d block reuses, %d decays, %d zero-score deltas replaced, %d bumps at the 63 cap",
-		ref.reuses, ref.decays, ref.zeroReplaced, ref.saturated)
-	if ref.reuses == 0 || ref.decays == 0 || ref.zeroReplaced == 0 || ref.saturated == 0 {
-		t.Fatal("the stream must reuse a displaced PC's block, decay scores, replace a zero-score delta and saturate a score")
+	return ptest.Lockstep{
+		Engine: p.Train, Ref: ref.Train, Events: evs,
+		Step: func(at int) error { return same(int(mem.HashPC(evs[at].PC, 16) % 256)) },
+		Tables: func(int) error {
+			for k := range 256 {
+				if err := same(k); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	}
 }
 
-// TestEntrySize pins the table entry at 16 B, the per-PC block behind it
-// holding the history and the deltas.
-func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 16 {
-		t.Errorf("entry is %d B, want 16", n)
+// TestLockstepWithReference runs Berti in lockstep with the reference
+// written from its description, the age test wrapping as the engine's does.
+func TestLockstepWithReference(t *testing.T) {
+	ref := newRef(true)
+	l := lockstep(ref)
+	l.Needs = []ptest.Need{
+		ptest.AtLeast(1, "displacements (the displaced PC's block reused)", &ref.displaced),
+		ptest.AtLeast(1, "64-access decays", &ref.decays),
+		ptest.AtLeast(1, "zero-score deltas replaced in a full table", &ref.zeroReplaced),
+		ptest.AtLeast(1, "scores bumped at the 63 cap", &ref.capped),
+		ptest.AtLeast(1, "calls meeting a later-stamped access", &ref.late),
 	}
+	l.Run(t)
+}
+
+// TestBertiTimelinessWrap pins the engine's wrapping age test: against a
+// reference to which an access stamped after the training access is never
+// timely, Berti diverges, and first at an event whose PC history holds such
+// an access at another line, so at no event before one. Fixing the age
+// test makes the two agree, which flips this test.
+func TestBertiTimelinessWrap(t *testing.T) {
+	ref := newRef(false)
+	at, err := lockstep(ref).Diverge()
+	switch {
+	case err == nil:
+		t.Fatal("Berti agrees with a reference that never counts a later-stamped access as timely")
+	case !ref.lateNow:
+		t.Fatalf("event %d: first divergence (%v) at an event whose history holds no later-stamped access", at, err)
+	}
+	t.Logf("first divergence at event %d, after %d events met a later-stamped access: %v", at, ref.late, err)
 }
 
 // TestTrainAllocatesNothing: once every PC of a stream has its block, Train
 // allocates nothing, displacements included.
 func TestTrainAllocatesNothing(t *testing.T) {
-	evs := lockstepEvents(20_000)
-	p := New()
-	out := make([]prefetch.Request, 0, maxIssue)
-	train := func() {
-		for _, ev := range evs {
-			out = p.Train(ev, out[:0])
-		}
-	}
-	train()
-	if n := testing.AllocsPerRun(3, train); n != 0 {
-		t.Errorf("Train allocated %.1f times over %d events", n, len(evs))
-	}
+	ptest.TrainAllocatesNothing(t, factory, lockstepEvents(20_000), true)
 }
 
 // BenchmarkTrain trains one Berti over a fixed 16,384-event slice of the
 // lockstep stream, on which it issues, cycled through.
-func BenchmarkTrain(b *testing.B) {
-	evs := lockstepEvents(1 << 14)
-	p := New()
-	out := make([]prefetch.Request, 0, maxIssue)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = p.Train(evs[i%len(evs)], out[:0])
-	}
-	benchOut = out
-}
-
-// benchOut keeps the benchmark's result live.
-var benchOut []prefetch.Request
+func BenchmarkTrain(b *testing.B) { ptest.BenchmarkTrain(b, berti.New(), lockstepEvents(1<<14)) }

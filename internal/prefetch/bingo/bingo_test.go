@@ -88,21 +88,23 @@ func agingWorkload(regions, laps int) []mem.Line {
 // freshly made map after each aging, so the cleared table must behave as a
 // new one.
 func TestAgingMatchesFreshMap(t *testing.T) {
-	p, ref := New(), newRef()
+	p, ref := New(), NewRef()
 	var got, want []prefetch.Request
 	requests := 0
 	for i, l := range agingWorkload(historySize*3/2, 3) {
 		ev := prefetch.Event{Now: uint64(i), PC: 1, Addr: mem.AddrOf(l)}
-		agings := ref.agings
+		agings := ref.Agings
 		got = p.Train(ev, got[:0])
 		want = ref.Train(ev, want[:0])
-		if ref.agings > agings {
+		if ref.Agings > agings {
 			fresh := make(map[uint64]uint32, historySize)
 			for k, v := range ref.longHist {
 				fresh[k] = v
 			}
 			ref.longHist = fresh
-			checkLongHistory(t, i, p, ref.longHist)
+			if err := sameLongHistory(p, ref.longHist); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
 		}
 		if len(got) != len(want) {
 			t.Fatalf("record %d: %d requests, reference %d", i, len(got), len(want))
@@ -114,8 +116,8 @@ func TestAgingMatchesFreshMap(t *testing.T) {
 			}
 		}
 	}
-	if ref.agings < 2 || requests == 0 {
-		t.Fatalf("history aged %d times with %d requests, want at least 2 agings", ref.agings, requests)
+	if ref.Agings < 2 || requests == 0 {
+		t.Fatalf("history aged %d times with %d requests, want at least 2 agings", ref.Agings, requests)
 	}
 }
 

@@ -1,24 +1,25 @@
 package bingo
 
 import (
+	"fmt"
 	"math/rand"
-	"testing"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
 )
 
-// refBingo is Bingo as it stood with a Go map for its long history and a
+// Ref is Bingo as it stood with a Go map for its long history and a
 // {footprint, valid} record in every short-history slot: the reference the
 // open-addressed long history and the 4 B short slots must match decision
-// for decision. It also counts the cases the lockstep stream has to reach.
-type refBingo struct {
+// for decision. It also counts, for the external lockstep test, the cases
+// the lockstep stream has to reach.
+type Ref struct {
 	trackers [trackerSize]tracker
 	longHist map[uint64]uint32
 	shortHis []refHistory
 	clock    uint64
 
-	longHits, shortHits, agings, presentAgings int
+	LongHits, ShortHits, Agings, PresentAgings int
 }
 
 type refHistory struct {
@@ -26,22 +27,23 @@ type refHistory struct {
 	valid     bool
 }
 
-func newRef() *refBingo {
-	return &refBingo{
+// NewRef returns an empty reference.
+func NewRef() *Ref {
+	return &Ref{
 		longHist: make(map[uint64]uint32, historySize),
 		shortHis: make([]refHistory, 1<<14),
 	}
 }
 
-func (p *refBingo) longKey(pc mem.PC, region mem.Line, offset int) uint64 {
+func (p *Ref) longKey(pc mem.PC, region mem.Line, offset int) uint64 {
 	return mem.HashPC(pc, 20)<<40 ^ uint64(region)<<5 ^ uint64(offset)
 }
 
-func (p *refBingo) shortKey(pc mem.PC, offset int) int {
+func (p *Ref) shortKey(pc mem.PC, offset int) int {
 	return int((mem.HashPC(pc, 20) ^ uint64(offset)<<9) % uint64(len(p.shortHis)))
 }
 
-func (p *refBingo) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+func (p *Ref) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
 	region := line / regionLines * regionLines
 	offset := int(line - region)
@@ -75,12 +77,12 @@ func (p *refBingo) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.R
 
 		fp, ok := p.longHist[p.longKey(ev.PC, region, offset)]
 		if ok {
-			p.longHits++
+			p.LongHits++
 		} else {
 			h := p.shortHis[p.shortKey(ev.PC, offset)]
 			if h.valid {
 				fp, ok = h.footprint, true
-				p.shortHits++
+				p.ShortHits++
 			}
 		}
 		if ok {
@@ -98,7 +100,7 @@ func (p *refBingo) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.R
 	return out
 }
 
-func (p *refBingo) commit(t *tracker) {
+func (p *Ref) commit(t *tracker) {
 	n := 0
 	for x := t.footprint; x != 0; x &= x - 1 {
 		n++
@@ -109,21 +111,21 @@ func (p *refBingo) commit(t *tracker) {
 	key := p.longKey(t.pc, t.region, t.offset)
 	if len(p.longHist) >= historySize {
 		if _, ok := p.longHist[key]; ok {
-			p.presentAgings++
+			p.PresentAgings++
 		}
 		clear(p.longHist)
-		p.agings++
+		p.Agings++
 	}
 	p.longHist[key] = t.footprint
 	p.shortHis[p.shortKey(t.pc, t.offset)] = refHistory{footprint: t.footprint, valid: true}
 }
 
-// lockstepEvents returns n training events in region visits: a visit picks
+// LockstepEvents returns n training events in region visits: a visit picks
 // one of six PCs and one of 6,000 regions (enough commits to age the long
 // history), enters at an offset fixed by the pair or, now and then, at a
 // random one, and touches one to six offsets of a footprint fixed by the PC
 // and the region's residue.
-func lockstepEvents(n int) []prefetch.Event {
+func LockstepEvents(n int) []prefetch.Event {
 	rng := rand.New(rand.NewSource(49))
 	evs := make([]prefetch.Event, 0, n)
 	for len(evs) < n {
@@ -144,11 +146,10 @@ func lockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// checkLongHistory fails unless Bingo's long history holds exactly the
+// sameLongHistory reports unless Bingo's long history holds exactly the
 // reference map: as many occupied slots as keys, the count matching, and
 // each key's footprint found where a lookup probes for it.
-func checkLongHistory(t *testing.T, at int, p *Prefetcher, want map[uint64]uint32) {
-	t.Helper()
+func sameLongHistory(p *Prefetcher, want map[uint64]uint32) error {
 	occupied := 0
 	for i, fp := range p.longFP {
 		if fp == 0 {
@@ -156,89 +157,34 @@ func checkLongHistory(t *testing.T, at int, p *Prefetcher, want map[uint64]uint3
 		}
 		occupied++
 		if k := p.longKey[i]; want[k] != fp {
-			t.Fatalf("event %d: long-history slot %d holds key %#x -> %#x, reference %#x", at, i, k, fp, want[k])
+			return fmt.Errorf("long-history slot %d holds key %#x -> %#x, reference %#x", i, k, fp, want[k])
 		}
 	}
 	if occupied != len(want) || p.longN != len(want) {
-		t.Fatalf("event %d: long history occupies %d slots and counts %d, reference holds %d keys", at, occupied, p.longN, len(want))
+		return fmt.Errorf("long history occupies %d slots and counts %d, reference holds %d keys", occupied, p.longN, len(want))
 	}
 	for k, fp := range want {
 		if got := p.longFP[p.longSlot(k)]; got != fp {
-			t.Fatalf("event %d: long-history key %#x looks up %#x, reference %#x", at, k, got, fp)
+			return fmt.Errorf("long-history key %#x looks up %#x, reference %#x", k, got, fp)
 		}
 	}
+	return nil
 }
 
-// TestLockstepWithReference drives Bingo and the map reference with the
-// same events and compares the requests and trackers after every call and
-// both histories every 1,024 calls and at the end.
-func TestLockstepWithReference(t *testing.T) {
-	p, ref := New(), newRef()
-	var got, want []prefetch.Request
-	evs := lockstepEvents(200_000)
-	for i, ev := range evs {
-		got = p.Train(ev, got[:0])
-		want = ref.Train(ev, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("event %d: %d requests, reference %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d request %d: %+v, reference %+v", i, j, got[j], want[j])
-			}
-		}
-		if p.trackers != ref.trackers {
-			t.Fatalf("event %d: region trackers differ from the reference", i)
-		}
-		if i%1024 != 1023 && i != len(evs)-1 {
-			continue
-		}
-		for k, h := range ref.shortHis {
-			if fp := p.shortHis[k]; (fp != 0) != h.valid || fp != h.footprint {
-				t.Fatalf("event %d: short-history slot %d holds %#x, reference %+v", i, k, fp, h)
-			}
-		}
-		checkLongHistory(t, i, p, ref.longHist)
+// SameTrackers compares Bingo's region trackers with the reference's.
+func SameTrackers(p *Prefetcher, r *Ref) error {
+	if p.trackers != r.trackers {
+		return fmt.Errorf("region trackers differ from the reference")
 	}
-	t.Logf("%d long-history hits, %d short-history hits, %d agings (%d on a key already present)",
-		ref.longHits, ref.shortHits, ref.agings, ref.presentAgings)
-	if ref.longHits == 0 || ref.shortHits == 0 || ref.agings < 2 || ref.presentAgings == 0 {
-		t.Fatal("the stream must predict from both histories and age the long one twice, once on a key already present")
-	}
+	return nil
 }
 
-// TestTrainAllocatesNothing: a constructed Bingo commits footprints, ages
-// its long history and replays predictions without allocating.
-func TestTrainAllocatesNothing(t *testing.T) {
-	evs := lockstepEvents(50_000)
-	ps := []*Prefetcher{New(), New(), New()}
-	out := make([]prefetch.Request, 0, regionLines)
-	run := 0
-	allocs := testing.AllocsPerRun(len(ps)-1, func() {
-		p := ps[run]
-		run++
-		for _, ev := range evs {
-			out = p.Train(ev, out[:0])
+// SameHistories compares both of Bingo's histories with the reference's.
+func SameHistories(p *Prefetcher, r *Ref) error {
+	for k, h := range r.shortHis {
+		if fp := p.shortHis[k]; (fp != 0) != h.valid || fp != h.footprint {
+			return fmt.Errorf("short-history slot %d holds %#x, reference %+v", k, fp, h)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Train allocated %.1f times over %d events", allocs, len(evs))
 	}
+	return sameLongHistory(p, r.longHist)
 }
-
-// BenchmarkTrain trains one Bingo over a fixed 16,384-event slice of the
-// lockstep stream, on which it replays footprints, cycled through.
-func BenchmarkTrain(b *testing.B) {
-	evs := lockstepEvents(1 << 14)
-	p := New()
-	out := make([]prefetch.Request, 0, regionLines)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = p.Train(evs[i%len(evs)], out[:0])
-	}
-	benchOut = out
-}
-
-// benchOut keeps the benchmark's result live.
-var benchOut []prefetch.Request

@@ -1,6 +1,7 @@
 package ipcp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -26,21 +27,22 @@ type refCplxEntry struct {
 	conf  int
 }
 
-// refIPCP is IPCP with a []refCplxEntry signature table: the reference the
+// Ref is IPCP with a []refCplxEntry signature table: the reference the
 // fixed arrays must match decision for decision. It also counts the calls
-// each class issues on.
-type refIPCP struct {
+// each class issues on, for the external lockstep test.
+type Ref struct {
 	ips      [tableSize]refIPEntry
 	cplx     []refCplxEntry
 	gsWindow [32]mem.Line
 	gsNext   int
 
-	cs, cplxIssues, gs int
+	CS, Cplx, GS int
 }
 
-func newRef() *refIPCP { return &refIPCP{cplx: make([]refCplxEntry, 1<<12)} }
+// NewRef returns an empty reference.
+func NewRef() *Ref { return &Ref{cplx: make([]refCplxEntry, 1<<12)} }
 
-func (p *refIPCP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+func (p *Ref) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
 	idx := mem.HashPC(ev.PC, 16) % tableSize
 	tag := uint32(mem.HashPC(ev.PC, 24))
@@ -89,7 +91,7 @@ func (p *refIPCP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Re
 	e.sig = sig
 	switch {
 	case e.strideOK >= 2 && e.stride != 0:
-		p.cs++
+		p.CS++
 		for d := 1; d <= csDegree; d++ {
 			t := int64(line) + e.stride*int64(d)
 			if t <= 0 {
@@ -98,7 +100,7 @@ func (p *refIPCP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Re
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(t))})
 		}
 	case p.cplx[sig].conf >= 2 && p.cplx[sig].delta != 0:
-		p.cplxIssues++
+		p.Cplx++
 		cur := int64(line)
 		s := sig
 		for i := 0; i < cplxDepth; i++ {
@@ -114,7 +116,7 @@ func (p *refIPCP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Re
 			s = nextSig(s, ce.delta)
 		}
 	case dense >= 24:
-		p.gs++
+		p.GS++
 		for d := 1; d <= gsDegree; d++ {
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(line + mem.Line(d))})
 		}
@@ -122,12 +124,12 @@ func (p *refIPCP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Re
 	return out
 }
 
-// lockstepEvents returns n training events in bursts of 8 to 40 accesses,
+// LockstepEvents returns n training events in bursts of 8 to 40 accesses,
 // each from one of 500 PCs, more than the table has slots. A burst is one
 // of three kinds: a constant stride, a repeating pattern of two to four
 // deltas, or random lines within one 2 KB region; now and then it starts at
 // a random line, some of them near line 0.
-func lockstepEvents(n int) []prefetch.Event {
+func LockstepEvents(n int) []prefetch.Event {
 	rng := rand.New(rand.NewSource(50))
 	const pcs = 500
 	var last [pcs]int64
@@ -164,47 +166,23 @@ func lockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// TestLockstepWithReference drives IPCP and the slice-table reference with
-// the same events and compares the requests after every call and all the
-// tables every 1,024 calls and at the end.
-func TestLockstepWithReference(t *testing.T) {
-	p, ref := New(), newRef()
-	var got, want []prefetch.Request
-	evs := lockstepEvents(200_000)
-	for i, ev := range evs {
-		got = p.Train(ev, got[:0])
-		want = ref.Train(ev, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("event %d: %d requests, reference %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d request %d: %+v, reference %+v", i, j, got[j], want[j])
-			}
-		}
-		if i%1024 != 1023 && i != len(evs)-1 {
-			continue
-		}
-		for k, r := range ref.ips {
-			e := p.ips[k]
-			if e.tag != r.tag || e.valid != r.valid || e.last != r.last || e.stride != r.stride ||
-				int(e.strideOK) != r.strideOK || e.sig != r.sig {
-				t.Fatalf("event %d: IP entry %d is %+v, reference %+v", i, k, e, r)
-			}
-		}
-		for s, r := range ref.cplx {
-			if p.cplxDelta[s] != r.delta || int(p.cplxConf[s]) != r.conf {
-				t.Fatalf("event %d: signature %#x holds {%d %d}, reference %+v", i, s, p.cplxDelta[s], p.cplxConf[s], r)
-			}
-		}
-		if p.gsWindow != ref.gsWindow || p.gsNext != ref.gsNext {
-			t.Fatalf("event %d: global-stream window differs from the reference", i)
+// SameTables compares all of IPCP's tables with the reference's.
+func SameTables(p *Prefetcher, r *Ref) error {
+	for k, re := range r.ips {
+		if e := p.ips[k]; e.tag != re.tag || e.valid != re.valid || e.last != re.last || e.stride != re.stride ||
+			int(e.strideOK) != re.strideOK || e.sig != re.sig {
+			return fmt.Errorf("IP entry %d is %+v, reference %+v", k, e, re)
 		}
 	}
-	t.Logf("issuing calls: %d constant-stride, %d complex-stride, %d global-stream", ref.cs, ref.cplxIssues, ref.gs)
-	if ref.cs == 0 || ref.cplxIssues == 0 || ref.gs == 0 {
-		t.Fatal("the stream must make all three classes issue")
+	for s, rc := range r.cplx {
+		if p.cplxDelta[s] != rc.delta || int(p.cplxConf[s]) != rc.conf {
+			return fmt.Errorf("signature %#x holds {%d %d}, reference %+v", s, p.cplxDelta[s], p.cplxConf[s], rc)
+		}
 	}
+	if p.gsWindow != r.gsWindow || p.gsNext != r.gsNext {
+		return fmt.Errorf("global-stream window differs from the reference")
+	}
+	return nil
 }
 
 // TestEntrySize pins the instruction-pointer entry at 24 B.
@@ -213,35 +191,3 @@ func TestEntrySize(t *testing.T) {
 		t.Errorf("ipEntry is %d B, want 24", n)
 	}
 }
-
-// TestTrainAllocatesNothing: a constructed IPCP trains and issues from all
-// three classes without allocating.
-func TestTrainAllocatesNothing(t *testing.T) {
-	evs := lockstepEvents(20_000)
-	p := New()
-	out := make([]prefetch.Request, 0, csDegree)
-	if n := testing.AllocsPerRun(3, func() {
-		for _, ev := range evs {
-			out = p.Train(ev, out[:0])
-		}
-	}); n != 0 {
-		t.Errorf("Train allocated %.1f times over %d events", n, len(evs))
-	}
-}
-
-// BenchmarkTrain trains one IPCP over a fixed 16,384-event slice of the
-// lockstep stream, on which all three classes issue, cycled through.
-func BenchmarkTrain(b *testing.B) {
-	evs := lockstepEvents(1 << 14)
-	p := New()
-	out := make([]prefetch.Request, 0, csDegree)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = p.Train(evs[i%len(evs)], out[:0])
-	}
-	benchOut = out
-}
-
-// benchOut keeps the benchmark's result live.
-var benchOut []prefetch.Request

@@ -5,7 +5,9 @@
 // per training event, determinism (two fresh instances fed the same stream
 // emit identical request sequences), and — for temporal prefetchers that
 // report metadata statistics — monotonically non-decreasing counters whose
-// accounting identities hold at every step.
+// accounting identities hold at every step. Lockstep runs an engine against
+// a reference model of it, and TrainAllocatesNothing and BenchmarkTrain are
+// the regular prefetchers' allocation check and Train benchmark.
 package ptest
 
 import (

@@ -3,17 +3,17 @@ package spp
 import (
 	"fmt"
 	"math/rand"
-	"testing"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
 )
 
-// refPrefetcher is SPP-PPF as it stood with a map pattern table, a scan of
-// the whole issued ring on every Train and a perceptron of heap slices: the
-// reference the table-backed Prefetcher must match decision for decision.
-// It also counts the cases the lockstep stream has to reach.
-type refPrefetcher struct {
+// Ref is SPP-PPF as it stood with a map pattern table, a scan of the whole
+// issued ring on every Train and a perceptron of heap slices: the reference
+// the table-backed Prefetcher must match decision for decision. It also
+// counts, for the external lockstep test, the cases the lockstep stream has
+// to reach.
+type Ref struct {
 	trackers [numTrackers]pageTracker
 	patterns map[uint16]*refPatternEntry
 	filter   *refPerceptron
@@ -21,9 +21,10 @@ type refPrefetcher struct {
 	issuedN  int
 	clock    uint64
 
-	halvings    int // pattern entries whose total passed 64
-	maxConfirms int // most ring records one Train confirmed
-	remembered  int // prefetches written to the ring
+	Signatures  int // signatures trained
+	Halvings    int // pattern entries whose total passed 64
+	MaxConfirms int // most ring records one Train confirmed
+	Remembered  int // prefetches written to the ring
 }
 
 type refPatternEntry struct {
@@ -46,8 +47,9 @@ type refIssuedRecord struct {
 	valid bool
 }
 
-func newRef() *refPrefetcher {
-	return &refPrefetcher{
+// NewRef returns an empty reference.
+func NewRef() *Ref {
+	return &Ref{
 		patterns: make(map[uint16]*refPatternEntry),
 		filter: &refPerceptron{
 			wPC:    make([]int8, 1<<10),
@@ -90,7 +92,7 @@ func (pf *refPerceptron) train(pc mem.PC, sig uint16, delta int64, useful bool) 
 	upd(&pf.wDelta[c], d)
 }
 
-func (p *refPrefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+func (p *Ref) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
 	line := ev.Line()
 	page := line / pageLines
 	offset := int(line % pageLines)
@@ -105,7 +107,7 @@ func (p *refPrefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefe
 			confirms++
 		}
 	}
-	p.maxConfirms = max(p.maxConfirms, confirms)
+	p.MaxConfirms = max(p.MaxConfirms, confirms)
 
 	tr := p.findTracker(page)
 	if !tr.filled {
@@ -123,6 +125,7 @@ func (p *refPrefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefe
 	if !ok {
 		pe = &refPatternEntry{}
 		p.patterns[tr.sig] = pe
+		p.Signatures++
 	}
 	pe.total++
 	if pe.delta == delta {
@@ -136,7 +139,7 @@ func (p *refPrefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefe
 	if pe.total > 64 {
 		pe.total /= 2
 		pe.count = (pe.count + 1) / 2
-		p.halvings++
+		p.Halvings++
 	}
 
 	tr.sig = sigNext(tr.sig, delta)
@@ -169,17 +172,17 @@ func (p *refPrefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefe
 	return out
 }
 
-func (p *refPrefetcher) remember(line mem.Line, pc mem.PC, sig uint16, delta int64) {
+func (p *Ref) remember(line mem.Line, pc mem.PC, sig uint16, delta int64) {
 	r := &p.issued[p.issuedN]
 	if r.valid {
 		p.filter.train(r.pc, r.sig, r.delta, false)
 	}
 	*r = refIssuedRecord{line: line, pc: pc, sig: sig, delta: delta, valid: true}
 	p.issuedN = (p.issuedN + 1) % len(p.issued)
-	p.remembered++
+	p.Remembered++
 }
 
-func (p *refPrefetcher) findTracker(page mem.Line) *pageTracker {
+func (p *Ref) findTracker(page mem.Line) *pageTracker {
 	victim := 0
 	for i := range p.trackers {
 		t := &p.trackers[i]
@@ -198,11 +201,11 @@ func (p *refPrefetcher) findTracker(page mem.Line) *pageTracker {
 	return &p.trackers[victim]
 }
 
-// lockstepEvents returns n training events mixing eight strided streams
+// LockstepEvents returns n training events mixing eight strided streams
 // under their own PCs (positive and negative strides that cross pages),
 // random lines within a few dozen pages (which reach every signature) and
 // random lines anywhere (which churn the trackers).
-func lockstepEvents(n int) []prefetch.Event {
+func LockstepEvents(n int) []prefetch.Event {
 	rng := rand.New(rand.NewSource(49))
 	strides := []int64{1, 1, 2, 3, -1, -2, 5, 7}
 	pos := make([]int64, len(strides))
@@ -261,74 +264,36 @@ func checkIndex(p *Prefetcher) error {
 	return nil
 }
 
-// TestLockstepWithReference drives the table-backed SPP-PPF and the map and
-// whole-ring reference with the same events and compares, after every call,
-// the requests, the perceptron weights, the issued ring and the trackers,
-// and checks the ring's line index; at the end it compares the whole
-// pattern table.
-func TestLockstepWithReference(t *testing.T) {
-	p, ref := New(), newRef()
-	var got, want []prefetch.Request
-	for i, ev := range lockstepEvents(200_000) {
-		got = p.Train(ev, got[:0])
-		want = ref.Train(ev, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("event %d: %d requests, reference %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d request %d: %+v, reference %+v", i, j, got[j], want[j])
-			}
-		}
-		if p.filter.wPC != [1 << 10]int8(ref.filter.wPC) ||
-			p.filter.wSig != [1 << 10]int8(ref.filter.wSig) ||
-			p.filter.wDelta != [1 << 8]int8(ref.filter.wDelta) {
-			t.Fatalf("event %d: perceptron weights differ from the reference", i)
-		}
-		for s, r := range ref.issued {
-			q := p.issued[s]
-			if q.valid != r.valid || q.line != r.line || q.pc != r.pc || q.sig != r.sig || int64(q.delta) != r.delta {
-				t.Fatalf("event %d: ring slot %d holds %+v, reference %+v", i, s, q, r)
-			}
-		}
-		if p.trackers != ref.trackers {
-			t.Fatalf("event %d: page trackers differ from the reference", i)
-		}
-		if err := checkIndex(p); err != nil {
-			t.Fatalf("event %d: %v", i, err)
+// SameState compares the perceptron weights, the issued ring and the
+// trackers with the reference's, and checks the ring's line index.
+func SameState(p *Prefetcher, r *Ref) error {
+	if p.filter.wPC != [1 << 10]int8(r.filter.wPC) ||
+		p.filter.wSig != [1 << 10]int8(r.filter.wSig) ||
+		p.filter.wDelta != [1 << 8]int8(r.filter.wDelta) {
+		return fmt.Errorf("perceptron weights differ from the reference")
+	}
+	for s, ri := range r.issued {
+		if q := p.issued[s]; q.valid != ri.valid || q.line != ri.line || q.pc != ri.pc || q.sig != ri.sig || int64(q.delta) != ri.delta {
+			return fmt.Errorf("ring slot %d holds %+v, reference %+v", s, q, ri)
 		}
 	}
-	for sig := range p.patterns {
-		pe, r := p.patterns[sig], ref.patterns[uint16(sig)]
-		if r == nil {
-			t.Fatalf("signature %#x never trained", sig)
-		}
-		if int64(pe.delta) != r.delta || int(pe.count) != r.count || int(pe.total) != r.total {
-			t.Fatalf("signature %#x: %+v, reference %+v", sig, pe, *r)
-		}
+	if p.trackers != r.trackers {
+		return fmt.Errorf("page trackers differ from the reference")
 	}
-	t.Logf("%d signatures, %d halvings, up to %d records of one line confirmed at once, %d ring writes",
-		len(ref.patterns), ref.halvings, ref.maxConfirms, ref.remembered)
-	if ref.halvings == 0 || ref.maxConfirms < 2 || ref.remembered < 5*issuedSlots {
-		t.Fatal("the stream must halve a total, confirm one line twice and lap the ring five times")
-	}
+	return checkIndex(p)
 }
 
-// TestTrainAllocatesNothing: a constructed SPP-PPF trains new signatures,
-// confirms prefetches and overwrites its ring without allocating.
-func TestTrainAllocatesNothing(t *testing.T) {
-	evs := lockstepEvents(20_000)
-	ps := []*Prefetcher{New(), New(), New()}
-	out := make([]prefetch.Request, 0, lookaheadDepth)
-	run := 0
-	allocs := testing.AllocsPerRun(len(ps)-1, func() {
-		p := ps[run]
-		run++
-		for _, ev := range evs {
-			out = p.Train(ev, out[:0])
+// SamePatterns compares the whole pattern table with the reference's: a
+// signature the reference never trained holds the zero entry.
+func SamePatterns(p *Prefetcher, r *Ref) error {
+	for sig, pe := range p.patterns {
+		var want refPatternEntry
+		if re := r.patterns[uint16(sig)]; re != nil {
+			want = *re
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Train allocated %.1f times over %d events", allocs, len(evs))
+		if int64(pe.delta) != want.delta || int(pe.count) != want.count || int(pe.total) != want.total {
+			return fmt.Errorf("signature %#x: %+v, reference %+v", sig, pe, want)
+		}
 	}
+	return nil
 }

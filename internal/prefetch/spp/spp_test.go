@@ -85,27 +85,3 @@ func TestPerceptronLearnsFromOutcomes(t *testing.T) {
 		t.Fatal("filter rejected a perfectly predictable stream")
 	}
 }
-
-// BenchmarkTrain trains one SPP-PPF over a fixed mix of eight strided
-// streams, each under its own PC and some crossing pages backwards,
-// interleaved in turn and cycled through.
-func BenchmarkTrain(b *testing.B) {
-	strides := []int{1, 2, 3, 4, -1, -2, 5, 7}
-	evs := make([]prefetch.Event, 1<<14)
-	for i := range evs {
-		s := i % len(strides)
-		line := mem.Line(1<<20 + s<<16 + i/len(strides)*strides[s])
-		evs[i] = prefetch.Event{Now: uint64(i), PC: mem.PC(0x400000 + s*8), Addr: mem.AddrOf(line)}
-	}
-	p := New()
-	out := make([]prefetch.Request, 0, lookaheadDepth)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = p.Train(evs[i%len(evs)], out[:0])
-	}
-	benchOut = out
-}
-
-// benchOut keeps the benchmark's result live.
-var benchOut []prefetch.Request

@@ -1,70 +1,70 @@
-package stride
+package stride_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
-	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
+	"streamline/internal/prefetch/ptest"
+	"streamline/internal/prefetch/stride"
 )
 
-// refEntry is a table entry as it stood with an int confidence, 40 B.
-type refEntry struct {
-	tag    uint32
-	last   mem.Line
-	stride int64
-	conf   int
-	valid  bool
-}
-
-// refStride is the IP-stride prefetcher over 40 B entries: the reference
-// the 24 B entries must match decision for decision. It also counts the
+// refStride is the IP-stride prefetcher written from its DESIGN.md row, in
+// the external test package, so it shares nothing with the engine but mem
+// and prefetch: 256 PC slots, the slot and tag hashed from the PC, each PC
+// keeping its last line, its stride and a confidence. It also counts the
 // cases the lockstep stream has to reach.
 type refStride struct {
-	table [tableSize]refEntry
+	pcs map[uint64]*refPC // by slot
 
 	displaced, retrained, issues int
 }
 
-func (p *refStride) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
-	idx := mem.HashPC(ev.PC, 16) % tableSize
-	tag := uint32(mem.HashPC(ev.PC, 24))
-	line := ev.Line()
-	e := &p.table[idx]
-	if !e.valid || e.tag != tag {
-		if e.valid {
-			p.displaced++
+type refPC struct {
+	tag          uint64
+	last         mem.Line
+	stride, conf int64
+}
+
+// Train: a PC whose tag does not own its slot takes it over, remembering
+// only its line. A repeat of the last line changes nothing. Otherwise a
+// repeat of the stride raises the confidence to at most 3; any other stride
+// lowers it, and the PC retrains to the new stride once it reaches zero. At
+// confidence 2 or more it prefetches 1, 2 and 3 strides ahead of the line,
+// stopping at the first negative target.
+func (r *refStride) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+	slot, tag, line := mem.HashPC(ev.PC, 16)%256, mem.HashPC(ev.PC, 24), mem.LineOf(ev.Addr)
+	e := r.pcs[slot]
+	if e == nil || e.tag != tag {
+		if e != nil {
+			r.displaced++
 		}
-		*e = refEntry{tag: tag, last: line, valid: true}
+		r.pcs[slot] = &refPC{tag: tag, last: line}
+		return out
+	}
+	if line == e.last {
 		return out
 	}
 	s := int64(line) - int64(e.last)
-	if s == 0 {
+	e.last = line
+	switch {
+	case s == e.stride:
+		e.conf = min(e.conf+1, 3)
+	case e.conf > 1:
+		e.conf--
+	default:
+		e.stride, e.conf = s, 0
+		r.retrained++
+	}
+	if e.conf < 2 {
 		return out
 	}
-	if s == e.stride {
-		if e.conf < confidenceMax {
-			e.conf++
-		}
-	} else {
-		e.conf--
-		if e.conf <= 0 {
-			e.conf = 0
-			e.stride = s
-			p.retrained++
-		}
-	}
-	e.last = line
-	if e.conf >= threshold && e.stride != 0 {
-		p.issues++
-		for d := 1; d <= degree; d++ {
-			target := int64(line) + e.stride*int64(d)
-			if target < 0 {
-				break
-			}
-			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(target))})
-		}
+	r.issues++
+	for k := int64(1); k <= 3 && int64(line)+k*e.stride >= 0; k++ {
+		out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(int64(line) + k*e.stride))})
 	}
 	return out
 }
@@ -102,75 +102,39 @@ func lockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// TestLockstepWithReference drives the stride prefetcher and the 40 B-entry
-// reference with the same events and compares the requests after every call
-// and the tables every 1,024 calls and at the end.
+// TestLockstepWithReference runs the engine in lockstep with the reference
+// written from its description, comparing the whole table every 1,024
+// calls and at the end.
 func TestLockstepWithReference(t *testing.T) {
-	p, ref := New(), &refStride{}
-	var got, want []prefetch.Request
-	evs := lockstepEvents(200_000)
-	for i, ev := range evs {
-		got = p.Train(ev, got[:0])
-		want = ref.Train(ev, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("event %d: %d requests, reference %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("event %d request %d: %+v, reference %+v", i, j, got[j], want[j])
+	p, ref := stride.New(), &refStride{pcs: map[uint64]*refPC{}}
+	ptest.Lockstep{
+		Engine: p.Train, Ref: ref.Train, Events: lockstepEvents(200_000),
+		Tables: func(int) error {
+			for k := range 256 {
+				var want *stride.Slot
+				if r := ref.pcs[uint64(k)]; r != nil {
+					want = &stride.Slot{Tag: r.tag, Last: r.last, Stride: r.stride, Conf: r.conf}
+				}
+				if got := p.Slot(k); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("slot %d is %+v, reference %+v", k, got, want)
+				}
 			}
-		}
-		if i%1024 != 1023 && i != len(evs)-1 {
-			continue
-		}
-		for k, r := range ref.table {
-			e := p.table[k]
-			if e.tag != r.tag || e.last != r.last || e.stride != r.stride || int(e.conf) != r.conf || e.valid != r.valid {
-				t.Fatalf("event %d: entry %d is %+v, reference %+v", i, k, e, r)
-			}
-		}
-	}
-	t.Logf("%d displacements, %d stride retrainings, %d issuing calls", ref.displaced, ref.retrained, ref.issues)
-	if ref.displaced == 0 || ref.retrained == 0 || ref.issues == 0 {
-		t.Fatal("the stream must displace PCs, retrain strides and issue")
-	}
-}
-
-// TestEntrySize pins the table entry at 24 B: a 256-entry table of 6 KB.
-func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 24 {
-		t.Errorf("entry is %d B, want 24", n)
-	}
+			return nil
+		},
+		Needs: []ptest.Need{
+			ptest.AtLeast(1, "displacements", &ref.displaced),
+			ptest.AtLeast(1, "stride retrainings", &ref.retrained),
+			ptest.AtLeast(1, "issuing calls", &ref.issues),
+		},
+	}.Run(t)
 }
 
 // TestTrainAllocatesNothing: a constructed stride prefetcher trains and
 // issues without allocating.
 func TestTrainAllocatesNothing(t *testing.T) {
-	evs := lockstepEvents(20_000)
-	p := New()
-	out := make([]prefetch.Request, 0, degree)
-	if n := testing.AllocsPerRun(3, func() {
-		for _, ev := range evs {
-			out = p.Train(ev, out[:0])
-		}
-	}); n != 0 {
-		t.Errorf("Train allocated %.1f times over %d events", n, len(evs))
-	}
+	ptest.TrainAllocatesNothing(t, factory, lockstepEvents(20_000), false)
 }
 
 // BenchmarkTrain trains one stride prefetcher over a fixed 16,384-event
 // slice of the lockstep stream, on which it issues, cycled through.
-func BenchmarkTrain(b *testing.B) {
-	evs := lockstepEvents(1 << 14)
-	p := New()
-	out := make([]prefetch.Request, 0, degree)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = p.Train(evs[i%len(evs)], out[:0])
-	}
-	benchOut = out
-}
-
-// benchOut keeps the benchmark's result live.
-var benchOut []prefetch.Request
+func BenchmarkTrain(b *testing.B) { ptest.BenchmarkTrain(b, stride.New(), lockstepEvents(1<<14)) }

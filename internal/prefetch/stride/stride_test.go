@@ -2,6 +2,7 @@ package stride
 
 import (
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
@@ -96,5 +97,12 @@ func TestPerPCIsolation(t *testing.T) {
 	}
 	if len(reqs) == 0 {
 		t.Fatal("interleaved strided PCs produced no prefetches")
+	}
+}
+
+// TestEntrySize pins the table entry at 24 B: a 256-entry table of 6 KB.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 24 {
+		t.Errorf("entry is %d B, want 24", n)
 	}
 }
