@@ -65,62 +65,6 @@ func TestSingleLineRegionsNotStored(t *testing.T) {
 	}
 }
 
-// agingWorkload sweeps regions regions laps times under one PC, touching
-// 2..5 offsets of each from trigger offset r%3. Regions that share a trigger
-// offset have different footprints, so a prediction from the long history
-// (PC+address) differs from the short one's (PC+offset): whether a region's
-// long entry survived aging shows in its prediction.
-func agingWorkload(regions, laps int) []mem.Line {
-	var lines []mem.Line
-	for lap := 0; lap < laps; lap++ {
-		for r := 0; r < regions; r++ {
-			base := mem.Line(r * 32)
-			for o := 0; o < 2+r%4; o++ {
-				lines = append(lines, base+mem.Line(o*5+r%3))
-			}
-		}
-	}
-	return lines
-}
-
-// TestAgingMatchesFreshMap crosses the long-history aging point twice and
-// checks every prediction against the map reference, which moves to a
-// freshly made map after each aging, so the cleared table must behave as a
-// new one.
-func TestAgingMatchesFreshMap(t *testing.T) {
-	p, ref := New(), NewRef()
-	var got, want []prefetch.Request
-	requests := 0
-	for i, l := range agingWorkload(historySize*3/2, 3) {
-		ev := prefetch.Event{Now: uint64(i), PC: 1, Addr: mem.AddrOf(l)}
-		agings := ref.Agings
-		got = p.Train(ev, got[:0])
-		want = ref.Train(ev, want[:0])
-		if ref.Agings > agings {
-			fresh := make(map[uint64]uint32, historySize)
-			for k, v := range ref.longHist {
-				fresh[k] = v
-			}
-			ref.longHist = fresh
-			if err := sameLongHistory(p, ref.longHist); err != nil {
-				t.Fatalf("record %d: %v", i, err)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("record %d: %d requests, reference %d", i, len(got), len(want))
-		}
-		requests += len(got)
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("record %d request %d: %+v, reference %+v", i, j, got[j], want[j])
-			}
-		}
-	}
-	if ref.Agings < 2 || requests == 0 {
-		t.Fatalf("history aged %d times with %d requests, want at least 2 agings", ref.Agings, requests)
-	}
-}
-
 // TestAgingAllocatesNothing: a commit into a full long history clears the
 // table in place, leaving only the committed key.
 func TestAgingAllocatesNothing(t *testing.T) {

@@ -24,7 +24,7 @@ const (
 
 type ipEntry struct {
 	last     mem.Line
-	stride   int64
+	stride   int64 // nonzero once set, as a delta of 0 trains nothing
 	tag      uint32
 	sig      uint16
 	strideOK int8 // CS confidence, 0..3
@@ -35,7 +35,8 @@ type ipEntry struct {
 type Prefetcher struct {
 	ips [tableSize]ipEntry
 	// cplxDelta and cplxConf are the delta signature table, indexed by
-	// signature, with each confidence held in 0..3.
+	// signature, with each confidence held in 0..3. As with a stride, a
+	// delta is only set from a nonzero one, so a confident delta is never 0.
 	cplxDelta [1 << 12]int64
 	cplxConf  [1 << 12]int8
 
@@ -111,7 +112,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	e.sig = sig
 
 	switch {
-	case e.strideOK >= 2 && e.stride != 0:
+	case e.strideOK >= 2:
 		// Constant stride: the strongest class.
 		for d := 1; d <= csDegree; d++ {
 			t := int64(line) + e.stride*int64(d)
@@ -120,12 +121,12 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 			}
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(t))})
 		}
-	case p.cplxConfident(sig):
+	case p.cplxConf[sig] >= 2:
 		// Complex stride: walk the signature chain.
 		cur := int64(line)
 		s := sig
 		for i := 0; i < cplxDepth; i++ {
-			if !p.cplxConfident(s) {
+			if p.cplxConf[s] < 2 {
 				break
 			}
 			cur += p.cplxDelta[s]
@@ -142,8 +143,4 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		}
 	}
 	return out
-}
-
-func (p *Prefetcher) cplxConfident(sig uint16) bool {
-	return p.cplxConf[sig] >= 2 && p.cplxDelta[sig] != 0
 }

@@ -2,6 +2,7 @@ package ipcp
 
 import (
 	"testing"
+	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
@@ -72,5 +73,12 @@ func TestRandomQuiet(t *testing.T) {
 	reqs := drive(p, 1, lines)
 	if len(reqs) > 60 {
 		t.Errorf("%d prefetches on random stream", len(reqs))
+	}
+}
+
+// TestEntrySize pins the instruction-pointer entry at 24 B.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(ipEntry{}); n != 24 {
+		t.Errorf("ipEntry is %d B, want 24", n)
 	}
 }

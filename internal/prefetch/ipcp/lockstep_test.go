@@ -1,135 +1,123 @@
-package ipcp
+package ipcp_test
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
+	"streamline/internal/prefetch/ipcp"
+	"streamline/internal/prefetch/ptest"
 )
 
-// refIPEntry and refCplxEntry are the tables' records as they stood: a
-// 40 B instruction-pointer entry with an int confidence, and a 16 B
-// delta-signature slot in a separately allocated slice.
-type refIPEntry struct {
-	tag      uint32
-	valid    bool
-	last     mem.Line
-	stride   int64
-	strideOK int
-	sig      uint16
+// refIPCP is IPCP written from its DESIGN.md row, in the external test
+// package, so it shares nothing with the engine but mem and prefetch: 256
+// PC slots, the slot and tag hashed from the PC, each PC keeping its last
+// line, a stride and a signature; 4096 signature entries shared by every
+// PC; and the regions of the last 32 trained accesses. It also counts the
+// calls each class issues on.
+type refIPCP struct {
+	pcs     map[uint64]*refPC // by slot
+	sigs    []refDelta        // by signature
+	regions []mem.Line        // oldest first, region 0 before any access
+
+	cs, cplx, gs int
 }
 
-type refCplxEntry struct {
-	delta int64
-	conf  int
+type refPC struct {
+	tag    uint64
+	last   mem.Line
+	stride refDelta
+	sig    int
 }
 
-// Ref is IPCP with a []refCplxEntry signature table: the reference the
-// fixed arrays must match decision for decision. It also counts the calls
-// each class issues on, for the external lockstep test.
-type Ref struct {
-	ips      [tableSize]refIPEntry
-	cplx     []refCplxEntry
-	gsWindow [32]mem.Line
-	gsNext   int
+// refDelta is a delta with its confidence: a PC's stride or a signature's
+// entry, both trained by one rule.
+type refDelta struct{ delta, conf int64 }
 
-	CS, Cplx, GS int
-}
-
-// NewRef returns an empty reference.
-func NewRef() *Ref { return &Ref{cplx: make([]refCplxEntry, 1<<12)} }
-
-func (p *Ref) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
-	line := ev.Line()
-	idx := mem.HashPC(ev.PC, 16) % tableSize
-	tag := uint32(mem.HashPC(ev.PC, 24))
-	e := &p.ips[idx]
-	if !e.valid || e.tag != tag {
-		*e = refIPEntry{tag: tag, valid: true, last: line}
-		return out
-	}
-	delta := int64(line) - int64(e.last)
-	if delta == 0 {
-		return out
-	}
-	if delta == e.stride {
-		if e.strideOK < 3 {
-			e.strideOK++
-		}
-	} else {
-		e.strideOK--
-		if e.strideOK <= 0 {
-			e.strideOK = 0
-			e.stride = delta
-		}
-	}
-	ce := &p.cplx[e.sig]
-	if ce.delta == delta {
-		if ce.conf < 3 {
-			ce.conf++
-		}
-	} else {
-		ce.conf--
-		if ce.conf <= 0 {
-			ce.conf = 0
-			ce.delta = delta
-		}
-	}
-	sig := nextSig(e.sig, delta)
-	p.gsWindow[p.gsNext] = line >> 5
-	p.gsNext = (p.gsNext + 1) % len(p.gsWindow)
-	dense := 0
-	for _, r := range &p.gsWindow {
-		if r == line>>5 {
-			dense++
-		}
-	}
-	e.last = line
-	e.sig = sig
+// train: a repeat of the delta raises the confidence to at most 3; any other
+// d lowers it, and replaces the delta once it reaches zero.
+func (r *refDelta) train(d int64) {
 	switch {
-	case e.strideOK >= 2 && e.stride != 0:
-		p.CS++
-		for d := 1; d <= csDegree; d++ {
-			t := int64(line) + e.stride*int64(d)
-			if t <= 0 {
-				break
-			}
-			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(t))})
+	case d == r.delta:
+		r.conf = min(r.conf+1, 3)
+	case r.conf > 1:
+		r.conf--
+	default:
+		*r = refDelta{d, 0}
+	}
+}
+
+func newRef() *refIPCP {
+	return &refIPCP{pcs: map[uint64]*refPC{}, sigs: make([]refDelta, 4096), regions: make([]mem.Line, 32)}
+}
+
+// Train: a PC whose tag does not own its slot takes it over, remembering
+// only its line. A repeat of the last line changes nothing. Otherwise the
+// delta trains the PC's stride, then the entry at its signature, which
+// moves on by the delta, and the access's region joins the window. A
+// confident stride issues up to 4 strides ahead; else a confident entry at
+// the new signature walks up to 3 steps of the chain; else a region holding
+// 24 of the window's 32 slots issues the next 4 lines.
+func (r *refIPCP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+	slot, tag, line := mem.HashPC(ev.PC, 16)%256, mem.HashPC(ev.PC, 24), mem.LineOf(ev.Addr)
+	e := r.pcs[slot]
+	if e == nil || e.tag != tag {
+		r.pcs[slot] = &refPC{tag: tag, last: line}
+		return out
+	}
+	if line == e.last {
+		return out
+	}
+	d := int64(line) - int64(e.last)
+	e.last = line
+	e.stride.train(d)
+	r.sigs[e.sig].train(d)
+	e.sig = (e.sig<<3 ^ int(uint64(d)&0x3f)) & 0xfff
+	r.regions = append(r.regions[1:], line>>5)
+	issue := func(l int64) { out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(l))}) }
+	switch {
+	case e.stride.conf >= 2:
+		r.cs++
+		for k := int64(1); k <= 4 && int64(line)+k*e.stride.delta > 0; k++ {
+			issue(int64(line) + k*e.stride.delta)
 		}
-	case p.cplx[sig].conf >= 2 && p.cplx[sig].delta != 0:
-		p.Cplx++
-		cur := int64(line)
-		s := sig
-		for i := 0; i < cplxDepth; i++ {
-			ce := p.cplx[s]
-			if ce.conf < 2 || ce.delta == 0 {
-				break
-			}
-			cur += ce.delta
-			if cur <= 0 {
-				break
-			}
-			out = append(out, prefetch.Request{Addr: mem.AddrOf(mem.Line(cur))})
-			s = nextSig(s, ce.delta)
+	case r.sigs[e.sig].conf >= 2:
+		r.cplx++
+		at, s := int64(line), e.sig
+		for k := 0; k < 3 && r.sigs[s].conf >= 2 && at+r.sigs[s].delta > 0; k++ {
+			d := r.sigs[s].delta
+			at += d
+			issue(at)
+			s = (s<<3 ^ int(uint64(d)&0x3f)) & 0xfff
 		}
-	case dense >= 24:
-		p.GS++
-		for d := 1; d <= gsDegree; d++ {
-			out = append(out, prefetch.Request{Addr: mem.AddrOf(line + mem.Line(d))})
+	case countOf(r.regions, line>>5) >= 24:
+		r.gs++
+		for k := int64(1); k <= 4; k++ {
+			issue(int64(line) + k)
 		}
 	}
 	return out
 }
 
-// LockstepEvents returns n training events in bursts of 8 to 40 accesses,
+func countOf(regions []mem.Line, g mem.Line) (n int) {
+	for _, x := range regions {
+		if x == g {
+			n++
+		}
+	}
+	return n
+}
+
+// lockstepEvents returns n training events in bursts of 8 to 40 accesses,
 // each from one of 500 PCs, more than the table has slots. A burst is one
 // of three kinds: a constant stride, a repeating pattern of two to four
 // deltas, or random lines within one 2 KB region; now and then it starts at
 // a random line, some of them near line 0.
-func LockstepEvents(n int) []prefetch.Event {
+func lockstepEvents(n int) []prefetch.Event {
 	rng := rand.New(rand.NewSource(50))
 	const pcs = 500
 	var last [pcs]int64
@@ -166,28 +154,47 @@ func LockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// SameTables compares all of IPCP's tables with the reference's.
-func SameTables(p *Prefetcher, r *Ref) error {
-	for k, re := range r.ips {
-		if e := p.ips[k]; e.tag != re.tag || e.valid != re.valid || e.last != re.last || e.stride != re.stride ||
-			int(e.strideOK) != re.strideOK || e.sig != re.sig {
-			return fmt.Errorf("IP entry %d is %+v, reference %+v", k, e, re)
-		}
-	}
-	for s, rc := range r.cplx {
-		if p.cplxDelta[s] != rc.delta || int(p.cplxConf[s]) != rc.conf {
-			return fmt.Errorf("signature %#x holds {%d %d}, reference %+v", s, p.cplxDelta[s], p.cplxConf[s], rc)
-		}
-	}
-	if p.gsWindow != r.gsWindow || p.gsNext != r.gsNext {
-		return fmt.Errorf("global-stream window differs from the reference")
-	}
-	return nil
+// TestLockstepWithReference runs IPCP in lockstep with the reference
+// written from its description, comparing the IP table, the signature
+// entries and the global-stream window every 1,024 calls and at the end.
+func TestLockstepWithReference(t *testing.T) {
+	p, ref := ipcp.New(), newRef()
+	ptest.Lockstep{
+		Engine: p.Train, Ref: ref.Train, Events: lockstepEvents(200_000),
+		Tables: func(int) error {
+			for k := range 256 {
+				var want *ipcp.Slot
+				if e := ref.pcs[uint64(k)]; e != nil {
+					want = &ipcp.Slot{Tag: e.tag, Last: e.last, Stride: e.stride.delta, Conf: e.stride.conf, Sig: e.sig}
+				}
+				if got := p.Slot(k); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("slot %d is %+v, reference %+v", k, got, want)
+				}
+			}
+			for s, want := range ref.sigs {
+				if d, c := p.Signature(s); d != want.delta || c != want.conf {
+					return fmt.Errorf("signature %#x holds {%d %d}, reference %+v", s, d, c, want)
+				}
+			}
+			if got := p.Window(); !slices.Equal(got, ref.regions) {
+				return fmt.Errorf("global-stream window is %v, reference %v", got, ref.regions)
+			}
+			return nil
+		},
+		Needs: []ptest.Need{
+			ptest.AtLeast(1, "constant-stride issuing calls", &ref.cs),
+			ptest.AtLeast(1, "complex-stride issuing calls", &ref.cplx),
+			ptest.AtLeast(1, "global-stream issuing calls", &ref.gs),
+		},
+	}.Run(t)
 }
 
-// TestEntrySize pins the instruction-pointer entry at 24 B.
-func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(ipEntry{}); n != 24 {
-		t.Errorf("ipEntry is %d B, want 24", n)
-	}
+// TestTrainAllocatesNothing: a constructed IPCP trains and issues from all
+// three classes without allocating.
+func TestTrainAllocatesNothing(t *testing.T) {
+	ptest.TrainAllocatesNothing(t, factory, lockstepEvents(20_000), false)
 }
+
+// BenchmarkTrain trains one IPCP over a fixed 16,384-event slice of the
+// lockstep stream, on which all three classes issue, cycled through.
+func BenchmarkTrain(b *testing.B) { ptest.BenchmarkTrain(b, ipcp.New(), lockstepEvents(1<<14)) }

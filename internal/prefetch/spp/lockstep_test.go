@@ -1,211 +1,167 @@
-package spp
+package spp_test
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"testing"
 
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
+	"streamline/internal/prefetch/ptest"
+	"streamline/internal/prefetch/spp"
 )
 
-// Ref is SPP-PPF as it stood with a map pattern table, a scan of the whole
-// issued ring on every Train and a perceptron of heap slices: the reference
-// the table-backed Prefetcher must match decision for decision. It also
-// counts, for the external lockstep test, the cases the lockstep stream has
-// to reach.
-type Ref struct {
-	trackers [numTrackers]pageTracker
-	patterns map[uint16]*refPatternEntry
-	filter   *refPerceptron
-	issued   []refIssuedRecord
-	issuedN  int
-	clock    uint64
+// refSPP is SPP-PPF written from its DESIGN.md row, in the external test
+// package, so it shares nothing with the engine but mem and prefetch: up to
+// 64 tracked pages, a map pattern table by signature, the perceptron's three
+// weight tables, and a 256-record issued ring scanned whole on every call.
+// It also counts the cases the lockstep stream has to reach.
+type refSPP struct {
+	calls    uint64
+	pages    map[mem.Line]*refPage // by page
+	patterns map[int]*refPattern   // by signature
+	weights  [3][]int8             // by PC, signature and delta
+	ring     []refRecord
+	next     int // the ring slot written next
 
-	Signatures  int // signatures trained
-	Halvings    int // pattern entries whose total passed 64
-	MaxConfirms int // most ring records one Train confirmed
-	Remembered  int // prefetches written to the ring
+	signatures, halvings, maxConfirms, remembered int
 }
 
-type refPatternEntry struct {
-	delta int64
-	count int
-	total int
+type refPage struct {
+	last, sig int
+	touched   uint64 // the call that last touched it
 }
 
-type refPerceptron struct {
-	wPC    []int8
-	wSig   []int8
-	wDelta []int8
+type refPattern struct{ delta, count, total int }
+
+type refRecord struct {
+	line       mem.Line
+	pc         mem.PC
+	sig, delta int
+	valid      bool
 }
 
-type refIssuedRecord struct {
-	line  mem.Line
-	pc    mem.PC
-	sig   uint16
-	delta int64
-	valid bool
-}
-
-// NewRef returns an empty reference.
-func NewRef() *Ref {
-	return &Ref{
-		patterns: make(map[uint16]*refPatternEntry),
-		filter: &refPerceptron{
-			wPC:    make([]int8, 1<<10),
-			wSig:   make([]int8, 1<<10),
-			wDelta: make([]int8, 1<<8),
-		},
-		issued: make([]refIssuedRecord, 256),
+func newRef() *refSPP {
+	return &refSPP{
+		pages: map[mem.Line]*refPage{}, patterns: map[int]*refPattern{},
+		weights: [3][]int8{make([]int8, 1<<10), make([]int8, 1<<10), make([]int8, 1<<8)},
+		ring:    make([]refRecord, 256),
 	}
 }
 
-func (pf *refPerceptron) features(pc mem.PC, sig uint16, delta int64) (int, int, int) {
-	return int(mem.HashPC(pc, 10)),
-		int(sig) & 1023,
-		int(uint64(delta)) & 255
+func nextSig(sig, d int) int { return (sig<<3 ^ int(uint64(d)&0x3f)) & 0xfff }
+
+// features are the weight indices of a PC, a signature and a delta.
+func features(pc mem.PC, sig, d int) [3]int {
+	return [3]int{int(mem.HashPC(pc, 10)), sig & 1023, int(uint64(d) & 255)}
 }
 
-func (pf *refPerceptron) score(pc mem.PC, sig uint16, delta int64) int {
-	a, b, c := pf.features(pc, sig, delta)
-	return int(pf.wPC[a]) + int(pf.wSig[b]) + int(pf.wDelta[c])
-}
-
-func (pf *refPerceptron) train(pc mem.PC, sig uint16, delta int64, useful bool) {
-	a, b, c := pf.features(pc, sig, delta)
-	upd := func(w *int8, d int8) {
-		n := *w + d
-		if n > 31 {
-			n = 31
-		}
-		if n < -32 {
-			n = -32
-		}
-		*w = n
+// train moves the three weights one step toward useful or useless,
+// saturating at -32 and 31.
+func (r *refSPP) train(pc mem.PC, sig, d int, useful bool) {
+	step := -1
+	if useful {
+		step = 1
 	}
-	d := int8(1)
-	if !useful {
-		d = -1
+	for t, i := range features(pc, sig, d) {
+		r.weights[t][i] = int8(min(max(int(r.weights[t][i])+step, -32), 31))
 	}
-	upd(&pf.wPC[a], d)
-	upd(&pf.wSig[b], d)
-	upd(&pf.wDelta[c], d)
 }
 
-func (p *Ref) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
-	line := ev.Line()
-	page := line / pageLines
-	offset := int(line % pageLines)
-	p.clock++
-
+// Train: every valid ring record of the line confirms; an untracked page
+// is tracked from this offset on, the least recently touched of 64 giving
+// way. A new offset of a tracked page trains its signature's pattern with
+// the delta and walks up to 4 steps ahead while the path stays confident
+// and in the page, issuing the steps the filter accepts.
+func (r *refSPP) Train(ev prefetch.Event, out []prefetch.Request) []prefetch.Request {
+	r.calls++
+	line := mem.LineOf(ev.Addr)
+	page, offset := line/64, int(line%64)
 	confirms := 0
-	for i := range p.issued {
-		r := &p.issued[i]
-		if r.valid && r.line == line {
-			p.filter.train(r.pc, r.sig, r.delta, true)
-			r.valid = false
+	for i, rec := range r.ring {
+		if rec.valid && rec.line == line {
+			r.train(rec.pc, rec.sig, rec.delta, true)
+			r.ring[i].valid = false
 			confirms++
 		}
 	}
-	p.MaxConfirms = max(p.MaxConfirms, confirms)
-
-	tr := p.findTracker(page)
-	if !tr.filled {
-		tr.last = offset
-		tr.filled = true
-		tr.lru = p.clock
+	r.maxConfirms = max(r.maxConfirms, confirms)
+	pg := r.pages[page]
+	if pg == nil {
+		if len(r.pages) == 64 {
+			var lru mem.Line
+			for g, o := range r.pages {
+				if r.pages[lru] == nil || o.touched < r.pages[lru].touched {
+					lru = g
+				}
+			}
+			delete(r.pages, lru)
+		}
+		r.pages[page] = &refPage{last: offset, touched: r.calls}
 		return out
 	}
-	delta := int64(offset - tr.last)
-	if delta == 0 {
+	if offset == pg.last {
 		return out
 	}
-
-	pe, ok := p.patterns[tr.sig]
-	if !ok {
-		pe = &refPatternEntry{}
-		p.patterns[tr.sig] = pe
-		p.Signatures++
+	d := offset - pg.last
+	pt := r.patterns[pg.sig]
+	if pt == nil {
+		pt = &refPattern{}
+		r.patterns[pg.sig] = pt
+		r.signatures++
 	}
-	pe.total++
-	if pe.delta == delta {
-		pe.count++
-	} else if pe.count > 0 {
-		pe.count--
-	} else {
-		pe.delta = delta
-		pe.count = 1
+	pt.total++
+	switch {
+	case d == pt.delta:
+		pt.count++
+	case pt.count > 0:
+		pt.count--
+	default:
+		pt.delta, pt.count = d, 1
 	}
-	if pe.total > 64 {
-		pe.total /= 2
-		pe.count = (pe.count + 1) / 2
-		p.Halvings++
+	if pt.total > 64 {
+		pt.total, pt.count = pt.total/2, (pt.count+1)/2
+		r.halvings++
 	}
+	pg.sig, pg.last, pg.touched = nextSig(pg.sig, d), offset, r.calls
 
-	tr.sig = sigNext(tr.sig, delta)
-	tr.last = offset
-	tr.lru = p.clock
-
-	conf := 100
-	sig := tr.sig
-	cur := int64(offset)
-	for depth := 0; depth < lookaheadDepth; depth++ {
-		pe, ok := p.patterns[sig]
-		if !ok || pe.total < 4 || pe.delta == 0 || pe.count*2 <= pe.total {
+	conf, sig, at := 100, pg.sig, offset
+	for range 4 {
+		pt := r.patterns[sig]
+		if pt == nil || pt.total < 4 || 2*pt.count <= pt.total {
 			break
 		}
-		conf = conf * pe.count * 100 / pe.total / 100
-		if conf < pathThreshold {
+		if conf = conf * pt.count * 100 / pt.total / 100; conf < 25 {
 			break
 		}
-		cur += pe.delta
-		if cur < 0 || cur >= pageLines {
+		if at += pt.delta; at < 0 || at >= 64 {
 			break
 		}
-		target := page*pageLines + mem.Line(cur)
-		if p.filter.score(ev.PC, sig, pe.delta) >= filterThreshold {
+		score := 0
+		for t, i := range features(ev.PC, sig, pt.delta) {
+			score += int(r.weights[t][i])
+		}
+		if score >= 0 {
+			target := page*64 + mem.Line(at)
 			out = append(out, prefetch.Request{Addr: mem.AddrOf(target)})
-			p.remember(target, ev.PC, sig, pe.delta)
+			if old := r.ring[r.next]; old.valid {
+				r.train(old.pc, old.sig, old.delta, false)
+			}
+			r.ring[r.next] = refRecord{target, ev.PC, sig, pt.delta, true}
+			r.next = (r.next + 1) % 256
+			r.remembered++
 		}
-		sig = sigNext(sig, pe.delta)
+		sig = nextSig(sig, pt.delta)
 	}
 	return out
 }
 
-func (p *Ref) remember(line mem.Line, pc mem.PC, sig uint16, delta int64) {
-	r := &p.issued[p.issuedN]
-	if r.valid {
-		p.filter.train(r.pc, r.sig, r.delta, false)
-	}
-	*r = refIssuedRecord{line: line, pc: pc, sig: sig, delta: delta, valid: true}
-	p.issuedN = (p.issuedN + 1) % len(p.issued)
-	p.Remembered++
-}
-
-func (p *Ref) findTracker(page mem.Line) *pageTracker {
-	victim := 0
-	for i := range p.trackers {
-		t := &p.trackers[i]
-		if t.valid && t.page == page {
-			return t
-		}
-		if !t.valid {
-			victim = i
-			continue
-		}
-		if p.trackers[victim].valid && t.lru < p.trackers[victim].lru {
-			victim = i
-		}
-	}
-	p.trackers[victim] = pageTracker{valid: true, page: page}
-	return &p.trackers[victim]
-}
-
-// LockstepEvents returns n training events mixing eight strided streams
+// lockstepEvents returns n training events mixing eight strided streams
 // under their own PCs (positive and negative strides that cross pages),
 // random lines within a few dozen pages (which reach every signature) and
 // random lines anywhere (which churn the trackers).
-func LockstepEvents(n int) []prefetch.Event {
+func lockstepEvents(n int) []prefetch.Event {
 	rng := rand.New(rand.NewSource(49))
 	strides := []int64{1, 1, 2, 3, -1, -2, 5, 7}
 	pos := make([]int64, len(strides))
@@ -222,7 +178,7 @@ func LockstepEvents(n int) []prefetch.Event {
 			pos[s] += strides[s]
 			pc, line = mem.PC(0x400000+s*8), mem.Line(pos[s])
 		case k < 18:
-			pc, line = mem.PC(0x500000+rng.Intn(4)*8), mem.Line(1<<24+rng.Intn(40*pageLines))
+			pc, line = mem.PC(0x500000+rng.Intn(4)*8), mem.Line(1<<24+rng.Intn(40*64))
 		default:
 			pc, line = mem.PC(0x600000), mem.Line(rng.Int63n(1<<30))
 		}
@@ -231,69 +187,68 @@ func LockstepEvents(n int) []prefetch.Event {
 	return evs
 }
 
-// checkIndex checks that the ring's line index links every valid record
-// exactly once, from the bucket of its line, and links nothing else. A
-// slot met twice fails the check, so a cyclic chain cannot hang it.
-func checkIndex(p *Prefetcher) error {
-	var seen [issuedSlots]bool
-	linked, valid := 0, 0
-	for b, link := range p.bucket {
-		for ; link != 0; link = p.next[link-1] {
-			s := link - 1
-			r := p.issued[s]
-			switch {
-			case seen[s]:
-				return fmt.Errorf("bucket %d reaches ring slot %d a second time", b, s)
-			case !r.valid:
-				return fmt.Errorf("bucket %d links invalid ring slot %d", b, s)
-			case mem.HashLine(r.line, indexBits) != uint64(b):
-				return fmt.Errorf("bucket %d links ring slot %d of another bucket's line", b, s)
+// TestLockstepWithReference runs SPP-PPF in lockstep with the reference
+// written from its description, comparing the perceptron weights, the
+// issued ring and the trackers, and checking the ring's line index, after
+// every call, and the whole pattern table every 1,024 calls and at the end.
+func TestLockstepWithReference(t *testing.T) {
+	p, ref := spp.New(), newRef()
+	ptest.Lockstep{
+		Engine: p.Train, Ref: ref.Train, Events: lockstepEvents(200_000),
+		Step: func(int) error {
+			if w := p.Weights(); !slices.Equal(w[0], ref.weights[0]) || !slices.Equal(w[1], ref.weights[1]) || !slices.Equal(w[2], ref.weights[2]) {
+				return fmt.Errorf("perceptron weights differ from the reference")
 			}
-			seen[s] = true
-			linked++
-		}
-	}
-	for _, r := range p.issued {
-		if r.valid {
-			valid++
-		}
-	}
-	if linked != valid {
-		return fmt.Errorf("index links %d ring slots, %d are valid", linked, valid)
-	}
-	return nil
+			for s, want := range ref.ring {
+				got, ok := p.Record(s)
+				if ok != want.valid || ok && got != (spp.Record{want.line, want.pc, want.sig, want.delta}) {
+					return fmt.Errorf("ring slot %d holds %+v (valid %v), reference %+v", s, got, ok, want)
+				}
+			}
+			n := 0
+			for i := range 64 {
+				got, ok := p.Tracker(i)
+				if !ok {
+					continue
+				}
+				n++
+				w := ref.pages[got.Page]
+				if w == nil || got != (spp.Tracker{got.Page, w.last, w.sig, w.touched}) {
+					return fmt.Errorf("tracker %d is %+v, reference %+v", i, got, w)
+				}
+			}
+			if n != len(ref.pages) {
+				return fmt.Errorf("%d pages tracked, reference %d", n, len(ref.pages))
+			}
+			return p.CheckIndex()
+		},
+		Tables: func(int) error {
+			for s := range 1 << 12 {
+				var want refPattern
+				if pt := ref.patterns[s]; pt != nil {
+					want = *pt
+				}
+				if d, c, n := p.Pattern(s); (refPattern{d, c, n}) != want {
+					return fmt.Errorf("signature %#x holds {%d %d %d}, reference %+v", s, d, c, n, want)
+				}
+			}
+			return nil
+		},
+		Needs: []ptest.Need{
+			ptest.AtLeast(1<<12, "signatures trained", &ref.signatures),
+			ptest.AtLeast(1, "pattern totals halved", &ref.halvings),
+			ptest.AtLeast(2, "most ring records one line confirmed at once", &ref.maxConfirms),
+			ptest.AtLeast(5*256, "ring writes (five laps)", &ref.remembered),
+		},
+	}.Run(t)
 }
 
-// SameState compares the perceptron weights, the issued ring and the
-// trackers with the reference's, and checks the ring's line index.
-func SameState(p *Prefetcher, r *Ref) error {
-	if p.filter.wPC != [1 << 10]int8(r.filter.wPC) ||
-		p.filter.wSig != [1 << 10]int8(r.filter.wSig) ||
-		p.filter.wDelta != [1 << 8]int8(r.filter.wDelta) {
-		return fmt.Errorf("perceptron weights differ from the reference")
-	}
-	for s, ri := range r.issued {
-		if q := p.issued[s]; q.valid != ri.valid || q.line != ri.line || q.pc != ri.pc || q.sig != ri.sig || int64(q.delta) != ri.delta {
-			return fmt.Errorf("ring slot %d holds %+v, reference %+v", s, q, ri)
-		}
-	}
-	if p.trackers != r.trackers {
-		return fmt.Errorf("page trackers differ from the reference")
-	}
-	return checkIndex(p)
+// TestTrainAllocatesNothing: a constructed SPP-PPF trains new signatures,
+// confirms prefetches and overwrites its ring without allocating.
+func TestTrainAllocatesNothing(t *testing.T) {
+	ptest.TrainAllocatesNothing(t, factory, lockstepEvents(20_000), false)
 }
 
-// SamePatterns compares the whole pattern table with the reference's: a
-// signature the reference never trained holds the zero entry.
-func SamePatterns(p *Prefetcher, r *Ref) error {
-	for sig, pe := range p.patterns {
-		var want refPatternEntry
-		if re := r.patterns[uint16(sig)]; re != nil {
-			want = *re
-		}
-		if int64(pe.delta) != want.delta || int(pe.count) != want.count || int(pe.total) != want.total {
-			return fmt.Errorf("signature %#x: %+v, reference %+v", sig, pe, want)
-		}
-	}
-	return nil
-}
+// BenchmarkTrain trains one SPP-PPF over a fixed 16,384-event slice of the
+// lockstep stream, on which it confirms and issues, cycled through.
+func BenchmarkTrain(b *testing.B) { ptest.BenchmarkTrain(b, spp.New(), lockstepEvents(1<<14)) }

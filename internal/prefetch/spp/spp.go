@@ -37,8 +37,9 @@ type pageTracker struct {
 
 // patternEntry is one signature's slot in the dense pattern table. The zero
 // entry is a signature never trained: its total of 0 stops a lookahead walk,
-// and its first training sets delta with count 1. Deltas lie in [-63, 63],
-// and count <= total <= 65 because total halves once it passes 64.
+// and its first training sets delta with count 1. Deltas lie in [-63, 63]
+// and are never 0 once set (a repeated offset trains nothing), and
+// count <= total <= 65 because total halves once it passes 64.
 type patternEntry struct {
 	delta int8
 	count uint8
@@ -149,9 +150,6 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 	}
 
 	tr := p.findTracker(page)
-	if tr == nil {
-		return out
-	}
 	if !tr.filled {
 		tr.last = offset
 		tr.filled = true
@@ -193,7 +191,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		// signature; fresh or churning signatures (conf trivially high)
 		// would otherwise spray prefetches on random access patterns.
 		count, total, d := int(pe.count), int(pe.total), int64(pe.delta)
-		if total < 4 || d == 0 || count*2 <= total {
+		if total < 4 || count*2 <= total {
 			break
 		}
 		conf = conf * count * 100 / total / 100

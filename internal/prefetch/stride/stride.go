@@ -22,7 +22,7 @@ const (
 
 type entry struct {
 	last   mem.Line
-	stride int64 // in cache lines; same-line accesses carry no signal
+	stride int64 // in cache lines, never 0 once set: same-line accesses carry no signal
 	tag    uint32
 	conf   int8 // 0..confidenceMax
 	valid  bool
@@ -65,7 +65,7 @@ func (p *Prefetcher) Train(ev prefetch.Event, out []prefetch.Request) []prefetch
 		}
 	}
 	e.last = line
-	if e.conf >= threshold && e.stride != 0 {
+	if e.conf >= threshold {
 		for d := 1; d <= degree; d++ {
 			target := int64(line) + e.stride*int64(d)
 			if target < 0 {
